@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Three architectural rules, checked by AST import scan (no imports are
+Five architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -25,6 +25,13 @@ executed):
    serving all depend on it, so it may import only the PFS substrate
    and stdlib.  Any import of the store/engine/planner stack (or
    higher) from ``core/manifest.py`` is a cycle waiting to happen.
+5. **Execution options are declared once.**  An execution option is a
+   field of ``repro.core.config.ExecutionConfig`` and nowhere else
+   (DESIGN.md §6): no function signature under ``src/repro`` outside
+   ``core/config.py`` may name one of ``EXECUTION_ONLY_PARAMS`` as a
+   parameter — handles take ``execution`` (plus ``**overrides`` folded
+   by ``fold_execution``) and pass it on whole.  The deleted
+   ``repro.core.executor`` alias shim must also stay deleted.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -55,7 +62,6 @@ MANIFEST_FORBIDDEN_PREFIXES = (
     "repro.core.store",
     "repro.core.dataset",
     "repro.core.writer",
-    "repro.core.executor",
     "repro.core.planner",
     "repro.core.engine",
     "repro.core.sharded",
@@ -64,6 +70,22 @@ MANIFEST_FORBIDDEN_PREFIXES = (
     "repro.index",
     "repro.plod",
     "repro.harness",
+)
+
+#: ``ExecutionConfig`` fields that are execution options and nothing
+#: else (``backend``, ``workers``, ``tol``... also name unrelated
+#: parameters, e.g. a query's ``tol``, so they are not listed).
+EXECUTION_ONLY_PARAMS = frozenset(
+    {
+        "max_read_retries",
+        "read_backoff",
+        "allow_partial",
+        "coalesce_gap",
+        "readahead",
+        "write_backend",
+        "write_workers",
+        "tol_metric",
+    }
 )
 
 #: Engine layer heights; a module may import only strictly lower ones.
@@ -144,6 +166,30 @@ def check() -> list[str]:
                     f"must not import {module} (repro.server sits above "
                     f"repro.core; imports go downward only)"
                 )
+
+    config_py = SRC / "repro" / "core" / "config.py"
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path == config_py:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            for arg in params:
+                if arg.arg in EXECUTION_ONLY_PARAMS:
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{arg.lineno}: parameter "
+                        f"{arg.arg!r} re-declares an execution option; take "
+                        f"execution: ExecutionConfig (repro.core.config) instead"
+                    )
+
+    if list((SRC / "repro" / "core").glob("executor*")):
+        violations.append(
+            "src/repro/core/executor.py: the QueryExecutor alias shim was "
+            "removed; import repro.core.engine.stages / repro.core.planner"
+        )
 
     return violations
 

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core import (
     EXEC_BACKENDS,
     WRITE_BACKENDS,
+    ExecutionConfig,
     MLOCStore,
     MLOCWriter,
     Query,
@@ -342,7 +343,7 @@ def _add_execution_options(sub_parser) -> None:
     sub_parser.add_argument(
         "--threads",
         "--workers",
-        dest="threads",
+        dest="workers",
         type=int,
         default=None,
         help=(
@@ -411,10 +412,9 @@ def _add_execution_options(sub_parser) -> None:
 def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
     if args.shards <= 0:
         raise SystemExit(f"error: --shards must be positive, got {args.shards}")
-    options = dict(
-        n_ranks=args.ranks,
+    execution = ExecutionConfig(
         backend=args.backend,
-        n_threads=args.threads,
+        workers=args.workers,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         plan_cache=args.plan_cache,
         max_read_retries=args.max_read_retries,
@@ -423,11 +423,18 @@ def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
         coalesce_gap=args.coalesce_gap,
         readahead=args.readahead,
     )
+    options = {"n_ranks": args.ranks, "execution": execution}
     if args.shards > 1:
         return ShardedMLOCStore.open(
             fs, args.root, args.variable, n_shards=args.shards, **options
         )
     return MLOCStore.open(fs, args.root, args.variable, **options)
+
+
+def _write_execution(args) -> ExecutionConfig:
+    return ExecutionConfig(
+        write_backend=args.write_backend, write_workers=args.write_workers
+    )
 
 
 def _print_shard_balance(fs, root: str, variable: str, n_shards: int) -> None:
@@ -499,11 +506,7 @@ def _cmd_demo(args) -> int:
         n_bins=args.bins,
     )
     report = MLOCWriter(
-        fs,
-        "/demo",
-        config,
-        write_backend=args.write_backend,
-        write_workers=args.write_workers,
+        fs, "/demo", config, execution=_write_execution(args)
     ).write(field, variable="potential")
     fs.save(args.snapshot)
     print(
@@ -524,8 +527,8 @@ def _cmd_info(args) -> int:
     for meta_path in metas:
         from repro.core.meta import StoreMeta
 
-        meta = StoreMeta.from_bytes(bytes(fs.session().open(meta_path).read_all()))
         var_root = meta_path[: -len("/meta")]
+        meta = StoreMeta.load(fs, var_root)
         total = fs.total_bytes(var_root + "/")
         print(
             f"{var_root:40s} {str(meta.shape):>16s} "
@@ -959,8 +962,7 @@ def _cmd_relayout(args) -> int:
         args.variable,
         args.target_root,
         new_config,
-        write_backend=args.write_backend,
-        write_workers=args.write_workers,
+        execution=_write_execution(args),
     )
     fs.save(args.snapshot)
     print(

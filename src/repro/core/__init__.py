@@ -32,6 +32,7 @@ from repro.core.config import (
 )
 from repro.core.dataset import DatasetSnapshot, MLOCDataset
 from repro.core.engine.session import RefinementSession
+from repro.core.engine.stages import QueryEngine
 from repro.core.manifest import (
     Manifest,
     ManifestError,
@@ -41,7 +42,6 @@ from repro.core.manifest import (
     manifest_path,
 )
 from repro.core.errors import DegradedResultError
-from repro.core.executor import QueryExecutor
 from repro.core.meta import StoreMeta
 from repro.core.multivar import MultiVarResult, multi_variable_query
 from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
@@ -79,7 +79,7 @@ __all__ = [
     "load_manifest_at",
     "manifest_path",
     "QueryClass",
-    "QueryExecutor",
+    "QueryEngine",
     "PlanCache",
     "PlanContext",
     "QueryPlan",

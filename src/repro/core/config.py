@@ -21,7 +21,7 @@ chunk) cells within a bin — nest (Section III-B5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.plod.byteplanes import N_GROUPS
@@ -32,6 +32,7 @@ __all__ = [
     "LEVEL_ORDERS",
     "EXEC_BACKENDS",
     "WRITE_BACKENDS",
+    "fold_execution",
     "mloc_col",
     "mloc_iso",
     "mloc_isa",
@@ -152,6 +153,13 @@ class ExecutionConfig:
     simulated seconds), and the write-side knobs only affect how the
     encode pipeline *runs* (bit-identical subfiles and metadata).
 
+    This class is the only place an execution option is declared,
+    documented and validated (DESIGN.md §6).  Every handle — stores,
+    engine, writer, datasets, brokers, the CLI — holds one instance as
+    ``.execution`` and passes it on whole; a handle constructor also
+    accepts the fields below as keywords, folded over ``execution=``
+    by :func:`fold_execution`.
+
     Attributes
     ----------
     backend:
@@ -162,12 +170,9 @@ class ExecutionConfig:
         ``"auto"`` picks ``serial`` or ``processes`` per query by
         workload size.  All produce identical results and simulated
         seconds.
-    n_threads:
-        Pool width for the ``"threads"``/``"processes"`` backends;
-        ``None`` = CPU count (also settable as ``workers``).
     workers:
-        Backend-neutral alias for ``n_threads`` (ignored when
-        ``n_threads`` is also set).
+        Pool width for the ``"threads"``/``"processes"`` backends;
+        ``None`` = CPU count.
     cache_bytes:
         Byte budget of the shared decoded-block LRU; 0 disables caching
         (the paper's cold-cache measurement discipline).
@@ -181,10 +186,14 @@ class ExecutionConfig:
         ``backend`` for :class:`~repro.core.writer.MLOCWriter` — the
         pool writers fan block compression (and, under ``"threads"``,
         per-chunk encoding) out while committing blocks in serial cell
-        order.
+        order; ``"auto"`` picks ``processes`` when more than one worker
+        is available and the input clears
+        :data:`~repro.parallel.procpool.AUTO_PROCESS_MIN_BYTES`.
     write_workers:
         Pool width for the ``"threads"``/``"processes"`` write
-        backends; ``None`` = CPU count.
+        backends; ``None`` = CPU count.  With one effective worker the
+        writer runs inline — an unsized pool on a single-core machine
+        would be pure overhead.
     max_read_retries:
         How many times a failed block read (transient I/O error or CRC
         mismatch) is retried before the block is quarantined (read-path
@@ -212,7 +221,6 @@ class ExecutionConfig:
     """
 
     backend: str = "serial"
-    n_threads: int | None = None
     workers: int | None = None
     cache_bytes: int = 0
     plan_cache: int = 0
@@ -235,8 +243,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"backend must be one of {EXEC_BACKENDS}, got {self.backend!r}"
             )
-        if self.n_threads is not None and self.n_threads <= 0:
-            raise ValueError(f"n_threads must be positive, got {self.n_threads}")
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.cache_bytes < 0:
@@ -270,27 +276,26 @@ class ExecutionConfig:
             )
 
     def store_options(self) -> dict[str, Any]:
-        """Keyword arguments for :meth:`MLOCStore.open`."""
-        return {
-            "backend": self.backend,
-            "n_threads": self.n_threads if self.n_threads is not None else self.workers,
-            "cache_bytes": self.cache_bytes,
-            "plan_cache": self.plan_cache,
-            "max_read_retries": self.max_read_retries,
-            "read_backoff": self.read_backoff,
-            "allow_partial": self.allow_partial,
-            "coalesce_gap": self.coalesce_gap,
-            "readahead": self.readahead,
-            "tol": self.tol,
-            "tol_metric": self.tol_metric,
-        }
+        """The read-side fields (all but ``write_*``) for :meth:`MLOCStore.open`."""
+        return {k: v for k, v in asdict(self).items() if not k.startswith("write_")}
 
     def writer_options(self) -> dict[str, Any]:
-        """Keyword arguments for :class:`~repro.core.writer.MLOCWriter`."""
-        return {
-            "write_backend": self.write_backend,
-            "write_workers": self.write_workers,
-        }
+        """The write-side fields, as keywords for
+        :class:`~repro.core.writer.MLOCWriter`."""
+        return {k: v for k, v in asdict(self).items() if k.startswith("write_")}
+
+
+def fold_execution(
+    execution: ExecutionConfig | None, overrides: dict[str, Any]
+) -> ExecutionConfig:
+    """``execution`` (default: all defaults) with keyword ``overrides``.
+
+    The single keyword-override fold every handle door applies: an
+    unknown keyword raises ``TypeError``, and an invalid value raises
+    the same ``ValueError`` whether it arrives inside ``execution`` or
+    as a keyword, because both are validated by ``__post_init__``.
+    """
+    return replace(execution or ExecutionConfig(), **overrides)
 
 
 def mloc_col(chunk_shape: tuple[int, ...], **overrides) -> MLOCConfig:

@@ -36,7 +36,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.config import MLOCConfig
+from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.manifest import (
     Manifest,
     ManifestError,
@@ -45,7 +45,7 @@ from repro.core.manifest import (
     load_manifest,
     load_manifest_at,
 )
-from repro.core.meta import StoreMeta
+from repro.core.meta import StoreMeta, read_meta_bytes
 from repro.core.multivar import MultiVarResult, multi_variable_query
 from repro.core.query import Query
 from repro.core.result import QueryResult
@@ -59,7 +59,12 @@ __all__ = ["DatasetSnapshot", "MLOCDataset"]
 
 
 class MLOCDataset:
-    """Catalog of MLOC-encoded variables/timesteps under one root."""
+    """Catalog of MLOC-encoded variables/timesteps under one root.
+
+    One :class:`~repro.core.config.ExecutionConfig` (``execution``, or
+    its fields as keywords) configures both the writer that seals
+    members and every member handle the dataset opens.
+    """
 
     def __init__(
         self,
@@ -68,28 +73,21 @@ class MLOCDataset:
         config: MLOCConfig,
         *,
         n_ranks: int = 8,
-        write_backend: str = "serial",
-        write_workers: int | None = None,
-        cache_bytes: int = 0,
-        store_options: dict | None = None,
+        execution: ExecutionConfig | None = None,
+        **overrides,
     ) -> None:
         self.fs = fs
         self.root = root.rstrip("/")
         self.config = config
         self.n_ranks = n_ranks
-        self._writer = MLOCWriter(
-            fs,
-            self.root,
-            config,
-            write_backend=write_backend,
-            write_workers=write_workers,
-        )
+        self.execution = fold_execution(execution, overrides)
+        self._writer = MLOCWriter(fs, self.root, config, execution=self.execution)
         #: One decoded-block cache shared by every member handle this
         #: dataset opens; entries are keyed by each member's sealed
         #: generation (its ``meta_crc``), so a rewrite can never serve
         #: stale blocks.
+        cache_bytes = self.execution.cache_bytes
         self.cache = BlockCache(cache_bytes) if cache_bytes > 0 else None
-        self._store_options = dict(store_options or {})
         #: Open member handles, keyed ``(key, meta_crc)``.
         self._handles: dict[tuple[str, int], MLOCStore] = {}
         self._manifest: Manifest | None = None
@@ -159,17 +157,20 @@ class MLOCDataset:
 
     def _open_member(
         self, key: str, expect_crc: int | None = None, **overrides
-    ) -> MLOCStore:
+    ) -> MLOCStore | ShardedMLOCStore:
         """Open ``key``, optionally pinned to a sealed ``meta_crc``.
 
         Handles opened with the dataset's default options are shared
         through the ``(key, meta_crc)`` registry — the same sealed
         member reached through any number of snapshots reuses one
-        ``PlanContext`` and plan LRU.  Option overrides bypass the
-        registry (a differently configured handle is a different view).
+        ``PlanContext`` and plan LRU.  ``overrides`` are store
+        constructor keywords (``n_shards`` selects a sharded handle);
+        they bypass the registry (a differently configured handle is a
+        different view).  Every handle gets the dataset's ``execution``
+        and shared cache unless the overrides bring their own.
         """
-        meta_path = f"{self.root}/{key}/meta"
-        raw = bytes(self.fs.session().open(meta_path).read_all())
+        var_root = f"{self.root}/{key}"
+        raw = read_meta_bytes(self.fs, var_root)
         crc = zlib.crc32(raw)
         if expect_crc is not None and crc != expect_crc:
             raise ManifestError(
@@ -179,16 +180,14 @@ class MLOCDataset:
         reg = (key, crc)
         if not overrides and reg in self._handles:
             return self._handles[reg]
-        meta = StoreMeta.from_bytes(raw)
-        options = {"n_ranks": self.n_ranks, **self._store_options, **overrides}
-        if (
-            self.cache is not None
-            and "cache" not in options
-            and not options.get("cache_bytes")
-        ):
+        options = {"n_ranks": self.n_ranks, "execution": self.execution, **overrides}
+        if self.cache is not None and not overrides.keys() & {
+            "cache", "cache_bytes", "execution"
+        }:
             options["cache"] = self.cache
-        store = MLOCStore(
-            self.fs, f"{self.root}/{key}", meta, generation=crc, **options
+        cls = ShardedMLOCStore if "n_shards" in overrides else MLOCStore
+        store = cls(
+            self.fs, var_root, StoreMeta.from_bytes(raw), generation=crc, **options
         )
         if not overrides:
             self._handles[reg] = store
@@ -364,28 +363,8 @@ class DatasetSnapshot:
     ) -> ShardedMLOCStore:
         """Open one sealed member as bin-range shards (same pinning)."""
         member = self.member(variable, timestep)
-        dataset = self._dataset
-        meta_path = f"{dataset.root}/{member.key}/meta"
-        raw = bytes(dataset.fs.session().open(meta_path).read_all())
-        if zlib.crc32(raw) != member.meta_crc:
-            raise ManifestError(
-                f"member {member.key!r}: on-disk metadata does not match "
-                f"its sealed manifest record"
-            )
-        opts = {"n_ranks": dataset.n_ranks, **dataset._store_options, **options}
-        if (
-            dataset.cache is not None
-            and "cache" not in opts
-            and not opts.get("cache_bytes")
-        ):
-            opts["cache"] = dataset.cache
-        return ShardedMLOCStore(
-            dataset.fs,
-            f"{dataset.root}/{member.key}",
-            StoreMeta.from_bytes(raw),
-            n_shards=n_shards,
-            generation=member.meta_crc,
-            **opts,
+        return self._dataset._open_member(
+            member.key, expect_crc=member.meta_crc, n_shards=n_shards, **options
         )
 
     def refresh(self) -> "DatasetSnapshot":

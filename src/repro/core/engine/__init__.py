@@ -17,7 +17,6 @@ from repro.core.engine.scheduler import IOScheduler, PendingRead
 from repro.core.engine.session import RefinementSession
 from repro.core.engine.stages import (
     ASSEMBLY_THROUGHPUT,
-    BACKENDS,
     INDEX_DECODE_THROUGHPUT,
     QueryEngine,
     RankOutput,
@@ -25,7 +24,6 @@ from repro.core.engine.stages import (
 
 __all__ = [
     "ASSEMBLY_THROUGHPUT",
-    "BACKENDS",
     "INDEX_DECODE_THROUGHPUT",
     "IOScheduler",
     "PendingRead",

@@ -30,12 +30,15 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.parallel.procpool import PoolBrokenError, ProcessPool
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.faults import TransientIOError
 from repro.pfs.simfs import PFSSession, SimulatedPFS
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.config import ExecutionConfig
 
 __all__ = ["IOScheduler", "PendingRead"]
 
@@ -388,10 +391,7 @@ class IOScheduler:
         fctx: _FaultContext,
         *,
         quarantine: dict[tuple[str, int], str],
-        max_read_retries: int,
-        read_backoff: float,
-        coalesce_gap: int = 0,
-        readahead: int = 0,
+        execution: ExecutionConfig,
         counters: _IOCounters | None = None,
         readahead_spans: dict[str, list[tuple[int, int]]] | None = None,
     ) -> None:
@@ -400,10 +400,7 @@ class IOScheduler:
         self.fetcher = fetcher
         self.fctx = fctx
         self.quarantine = quarantine
-        self.max_read_retries = max_read_retries
-        self.read_backoff = read_backoff
-        self.coalesce_gap = coalesce_gap
-        self.readahead = readahead
+        self.execution = execution
         self.counters = counters if counters is not None else _IOCounters()
         self._readahead_spans = readahead_spans if readahead_spans is not None else {}
         self._queue: list[PendingRead] = []
@@ -441,13 +438,14 @@ class IOScheduler:
     # ------------------------------------------------------------------
     def _runs(self, reads: list[PendingRead]) -> list[list[PendingRead]]:
         """Partition offset-sorted reads into coalescable runs."""
-        if self.coalesce_gap <= 0 or len(reads) <= 1:
+        gap = self.execution.coalesce_gap
+        if gap <= 0 or len(reads) <= 1:
             return [[r] for r in reads]
         runs: list[list[PendingRead]] = []
         current = [reads[0]]
         current_end = reads[0].offset + reads[0].length
         for read in reads[1:]:
-            if read.offset - current_end <= self.coalesce_gap:
+            if read.offset - current_end <= gap:
                 current.append(read)
                 current_end = max(current_end, read.offset + read.length)
             else:
@@ -490,10 +488,10 @@ class IOScheduler:
 
     def _maybe_readahead(self, path: str, run: list[PendingRead]) -> None:
         """Prefetch the bytes after the run (contiguous: no extra seek)."""
-        if self.readahead <= 0:
+        if self.execution.readahead <= 0:
             return
         end = max(r.offset + r.length for r in run)
-        n = min(self.readahead, self.fs.size(path) - end)
+        n = min(self.execution.readahead, self.fs.size(path) - end)
         if n <= 0:
             return
         try:
@@ -534,11 +532,12 @@ class IOScheduler:
             self.fctx.quarantined.add(key)
             return None
         reason = "unreadable"
-        for attempt in range(self.max_read_retries + 1):
+        attempts = self.execution.max_read_retries + 1
+        for attempt in range(attempts):
             if attempt:
                 self.fctx.io_retries += 1
                 self.session.stats.stall_seconds += (
-                    self.read_backoff * 2 ** (attempt - 1)
+                    self.execution.read_backoff * 2 ** (attempt - 1)
                 )
             try:
                 payload = read.opener.get().read(read.offset, read.length)
@@ -553,8 +552,6 @@ class IOScheduler:
                 if len(payload) != read.length
                 else "CRC mismatch"
             )
-        self.quarantine[key] = (
-            f"{reason} after {self.max_read_retries + 1} attempts"
-        )
+        self.quarantine[key] = f"{reason} after {attempts} attempts"
         self.fctx.quarantined.add(key)
         return None

@@ -33,8 +33,9 @@ enforces the accuracy contract (earlier steps disclose their honest
 ``achieved_bound`` with ``tol_met=False``).
 
 The session drives every step through the store's public ``plan`` /
-``execute_planned`` surface, so flat and sharded stores refine
-identically.
+``execute_planned`` / ``stamp_tol_stats`` surface
+(:class:`~repro.core.store.MLOCStore`), so flat and sharded stores
+refine identically.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class RefinementSession:
         already hold, so the stream is the progressive-retrieval read
         path: coarse answer now, deltas until every chunk provably
         meets ``tol``.  The final step enforces the accuracy contract
-        (see :func:`~repro.core.store.stamp_tol_stats`).
+        (see :meth:`~repro.core.store.MLOCStore.stamp_tol_stats`).
 
         On a plain (tol-less) session this yields just the current
         result — there is no bound to converge to.
@@ -190,7 +191,7 @@ class RefinementSession:
         if chunk_levels is not None:
             # Stamp the honest bound of this step; only the final step
             # of the ladder enforces the contract.
-            store._stamp_tol_stats(
+            store.stamp_tol_stats(
                 query, plan, chunk_levels, result, enforce=final
             )
         self.results.append(result)

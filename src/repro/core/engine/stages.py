@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.compression.base import make_codec
 from repro.core.chunking import ChunkGrid
+from repro.core.config import ExecutionConfig, fold_execution
 from repro.core.engine.scheduler import (
     IOScheduler,
     PendingRead,
@@ -90,7 +91,6 @@ from repro.util.timing import TimerRegistry
 __all__ = [
     "QueryEngine",
     "RankOutput",
-    "BACKENDS",
     "AUTO_PROCESS_MIN_BYTES",
     "INDEX_DECODE_THROUGHPUT",
     "ASSEMBLY_THROUGHPUT",
@@ -105,13 +105,6 @@ INDEX_DECODE_THROUGHPUT = 240e6
 #: reassembling PLoD byte planes, bytes of raw data per second —
 #: memcpy-class work, calibrated like the codec throughputs.
 ASSEMBLY_THROUGHPUT = 600e6
-
-#: Real-execution backends for the decode phase.  ``"threads"`` and
-#: ``"processes"`` are bit-identical to ``"serial"`` (enforced by
-#: ``tests/test_backend_equivalence.py``); ``"auto"`` resolves per
-#: query to ``serial`` or ``processes`` via the size heuristic below.
-BACKENDS = ("serial", "threads", "processes", "auto")
-
 
 _SCHEDULERS = {
     "column": column_order_assignment,
@@ -208,26 +201,20 @@ class _RankState:
 class QueryEngine:
     """Executes planned queries over one stored variable.
 
+    How the stages run — decode backend and pool width, read retries
+    and backoff, partial-answer policy, read coalescing and readahead —
+    is the handle's :class:`~repro.core.config.ExecutionConfig`, held
+    whole as ``execution`` (documented and validated there, and only
+    there); its fields may also be given as keywords.  Every backend
+    produces bit-identical results and identical simulated seconds.
+
     Parameters
     ----------
-    backend:
-        ``"serial"`` runs decode jobs inline; ``"threads"`` runs them
-        on a thread pool (zlib/NumPy release the GIL);
-        ``"processes"`` ships picklable decode specs to the persistent
-        shared-nothing worker pool
-        (:mod:`repro.parallel.procpool`), the only backend that
-        escapes the GIL on CPU-bound codecs.  All three produce
-        bit-identical results and identical simulated seconds — the
-        backend only changes real wall-clock time.  ``"auto"``
-        resolves per query: ``serial`` when only one worker is
-        available or the pending decode work is under
-        :data:`AUTO_PROCESS_MIN_BYTES`, ``processes`` otherwise.
-    n_threads:
-        Worker-pool width for the ``"threads"``/``"processes"``
-        backends (default: CPU count).
-    workers:
-        Backend-neutral alias for ``n_threads`` (ignored when
-        ``n_threads`` is also given).
+    n_ranks, scheduler, comm_cost:
+        The simulated parallel program: rank count, block-to-rank
+        assignment (``"column"`` or ``"round-robin"``), and the
+        collective cost model (default: scaled with the dataset
+        magnification, DESIGN.md §5).
     cache:
         Optional shared :class:`~repro.pfs.blockcache.BlockCache` of
         decoded blocks; hits skip simulated I/O and modeled decode time.
@@ -238,31 +225,6 @@ class QueryEngine:
         Optional shared :class:`~repro.core.planner.PlanContext` with
         the precomputed per-bin planning tables; built from the
         metadata when omitted (one-off engines).
-    max_read_retries:
-        How many times a failed block read (transient I/O error or CRC
-        mismatch) is retried before the block is quarantined.
-    read_backoff:
-        Base of the exponential retry backoff, in *simulated* seconds:
-        retry ``k`` stalls ``read_backoff * 2**(k-1)`` on the reading
-        rank's clock before re-reading.
-    allow_partial:
-        When a quarantined block makes part of the answer
-        unrecoverable (index block, PLoD base plane, or full-value
-        data block), ``False`` (default) raises
-        :class:`~repro.core.errors.DegradedResultError`; ``True``
-        drops the affected points and reports their chunks in
-        ``stats["partial_chunks"]``.  Refinement byte-plane loss never
-        raises — affected points degrade to the deepest intact level
-        and are counted in ``stats["degraded_points"]``.
-    coalesce_gap:
-        Maximum byte gap between consecutive block extents of one
-        subfile that the I/O scheduler bridges with a single vectored
-        read (one seek + one contiguous transfer including the gap
-        bytes).  ``0`` (default) disables coalescing and reproduces
-        the pre-refactor executor's I/O bit-for-bit.
-    readahead:
-        Bytes to prefetch contiguously after each read run, warming
-        the extent cache for later flushes/queries.  ``0`` disables.
     """
 
     def __init__(
@@ -276,17 +238,11 @@ class QueryEngine:
         n_ranks: int = 8,
         scheduler: str = "column",
         comm_cost: CommCostModel | None = None,
-        backend: str = "serial",
-        n_threads: int | None = None,
-        workers: int | None = None,
         cache: BlockCache | None = None,
         generation: int = 0,
         context: PlanContext | None = None,
-        max_read_retries: int = 2,
-        read_backoff: float = 0.005,
-        allow_partial: bool = False,
-        coalesce_gap: int = 0,
-        readahead: int = 0,
+        execution: ExecutionConfig | None = None,
+        **overrides,
     ) -> None:
         if scheduler not in _SCHEDULERS:
             raise ValueError(
@@ -294,22 +250,6 @@ class QueryEngine:
             )
         if n_ranks <= 0:
             raise ValueError(f"n_ranks must be positive, got {n_ranks}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if n_threads is not None and n_threads <= 0:
-            raise ValueError(f"n_threads must be positive, got {n_threads}")
-        if workers is not None and workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if max_read_retries < 0:
-            raise ValueError(
-                f"max_read_retries must be >= 0, got {max_read_retries}"
-            )
-        if read_backoff < 0:
-            raise ValueError(f"read_backoff must be >= 0, got {read_backoff}")
-        if coalesce_gap < 0:
-            raise ValueError(f"coalesce_gap must be >= 0, got {coalesce_gap}")
-        if readahead < 0:
-            raise ValueError(f"readahead must be >= 0, got {readahead}")
         self.fs = fs
         self.files = files
         self.meta = meta
@@ -317,15 +257,9 @@ class QueryEngine:
         self.curve = curve
         self.n_ranks = n_ranks
         self.scheduler = scheduler
-        self.backend = backend
-        self.n_threads = n_threads if n_threads is not None else workers
+        self.execution = fold_execution(execution, overrides)
         self.cache = cache
         self.generation = generation
-        self.max_read_retries = max_read_retries
-        self.read_backoff = read_backoff
-        self.allow_partial = allow_partial
-        self.coalesce_gap = coalesce_gap
-        self.readahead = readahead
         #: Blocks whose verified read exhausted its retries, as
         #: (path, offset) -> reason.  Persists across queries: a
         #: quarantined block is never re-read (its damage is sticky as
@@ -353,49 +287,6 @@ class QueryEngine:
     def new_fetcher(self, shared: bool = False) -> _BlockFetcher:
         """A fetcher for one query (or, with ``shared=True``, a batch)."""
         return _BlockFetcher(self.cache, self.generation, shared=shared)
-
-    # ------------------------------------------------------------------
-    def estimated_raw_bytes(
-        self,
-        query: Query,
-        plan: QueryPlan,
-        chunk_levels: np.ndarray | None = None,
-    ) -> int:
-        """Raw (decoded) bytes this planned query will demand, estimated.
-
-        Used for admission control and fair-scheduling cost accounting
-        (the broker layer); never consulted by execution, so it can
-        stay cheap: per planned bin, the position index contributes
-        8 B/point, and — when the bin needs its data subfile at all —
-        the data payload contributes one byte per point per requested
-        PLoD group (8 B/point on whole-value layouts).  Block rounding
-        is ignored, so this is a slight underestimate of the exact
-        per-block raw footprint.
-
-        ``chunk_levels`` (a per-curve-position level array from an
-        error-bounded plan) replaces the uniform group count with each
-        chunk's own requested level, so broker admission costing sees
-        the bytes a ``tol`` query will actually demand.
-        """
-        config = self.meta.config
-        mixed = config.plod_enabled and chunk_levels is not None
-        n_groups = (
-            min(query.plod_level, config.n_groups) if config.plod_enabled else 8
-        )
-        lv = (
-            np.clip(chunk_levels[plan.cpos], 1, config.n_groups)
-            if mixed
-            else None
-        )
-        total = 0
-        for i in range(plan.bin_ids.size):
-            bin_id = int(plan.bin_ids[i])
-            counts = self.context.counts64[bin_id][plan.cpos]
-            n_elem = int(counts.sum())
-            total += n_elem * 8  # index positions
-            if query.wants_values or not bool(plan.aligned[i]):
-                total += int((counts * lv).sum()) if mixed else n_elem * n_groups
-        return total
 
     # ------------------------------------------------------------------
     def execute(
@@ -491,7 +382,7 @@ class QueryEngine:
         )
         stats = {
             "n_ranks": self.n_ranks,
-            "backend": self.backend,
+            "backend": self.execution.backend,
             "bins_accessed": int(plan.bin_ids.size),
             "aligned_bins": int(plan.aligned.sum()),
             "chunks_accessed": int(plan.cpos.size),
@@ -555,8 +446,8 @@ class QueryEngine:
         to workers costs more than the GIL-free decode saves.
         """
         n_pending = fetcher.pending_count()
-        width = self.n_threads or os.cpu_count() or 1
-        resolved = self.backend
+        width = self.execution.workers or os.cpu_count() or 1
+        resolved = self.execution.backend
         if resolved == "auto":
             resolved = (
                 "processes"
@@ -594,10 +485,7 @@ class QueryEngine:
                 fetcher,
                 fctx,
                 quarantine=self.quarantine,
-                max_read_retries=self.max_read_retries,
-                read_backoff=self.read_backoff,
-                coalesce_gap=self.coalesce_gap,
-                readahead=self.readahead,
+                execution=self.execution,
                 counters=counters,
                 readahead_spans=self.readahead_spans,
             ),
@@ -691,7 +579,7 @@ class QueryEngine:
                         bin_plan.cpos < cpos_end
                     )
                 lost_ids = bin_plan.chunk_ids[lost_mask]
-                if not self.allow_partial:
+                if not self.execution.allow_partial:
                     raise DegradedResultError(
                         kind="index",
                         path=self.files.index_path(bin_plan.bin_id),
@@ -856,7 +744,7 @@ class QueryEngine:
                     degraded_levels[c] = min(degraded_levels.get(c, lvl), lvl)
             if vw.fatal_mask is not None:
                 lost_ids = bin_plan.chunk_ids[vw.fatal_mask]
-                if not self.allow_partial:
+                if not self.execution.allow_partial:
                     fatal_path, offset = vw.fatal_block
                     raise DegradedResultError(
                         kind="data-base"

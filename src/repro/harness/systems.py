@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.baselines import FastBitStore, SciDBStore, SeqScanStore
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
+from repro.core.config import ExecutionConfig
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
 from repro.harness.scales import DatasetSpec
 from repro.harness.workloads import WorkloadGenerator
@@ -37,10 +38,10 @@ _SCIDB_OVERLAP = 2
 class SystemSuite:
     """Lazily-built collection of systems over one dataset.
 
-    ``write_backend``/``write_workers`` choose the MLOC writer's
-    execution backend when the suite builds its stores; because writer
-    backends are bit-identical, they change build wall-clock only,
-    never a stored byte or a downstream measurement.
+    ``execution`` configures the MLOC writer and store handles the
+    suite builds; because execution options never change a stored byte
+    or a simulated second, they change wall-clock only, never a
+    downstream measurement.
     """
 
     def __init__(
@@ -48,13 +49,11 @@ class SystemSuite:
         spec: DatasetSpec,
         n_ranks: int = 8,
         *,
-        write_backend: str = "serial",
-        write_workers: int | None = None,
+        execution: ExecutionConfig | None = None,
     ) -> None:
         self.spec = spec
         self.n_ranks = n_ranks
-        self.write_backend = write_backend
-        self.write_workers = write_workers
+        self.execution = execution
         self.fs = SimulatedPFS(PFSCostModel(byte_scale=spec.byte_scale))
         self.data = spec.generate()
         self.flat = self.data.reshape(-1)
@@ -92,14 +91,12 @@ class SystemSuite:
                 n_bins=spec.n_bins,
                 target_block_bytes=self.block_bytes,
             )
-            MLOCWriter(
-                self.fs,
-                root,
-                config,
-                write_backend=self.write_backend,
-                write_workers=self.write_workers,
-            ).write(self.data, variable="field")
-            return MLOCStore.open(self.fs, root, "field", n_ranks=self.n_ranks)
+            MLOCWriter(self.fs, root, config, execution=self.execution).write(
+                self.data, variable="field"
+            )
+            return MLOCStore.open(
+                self.fs, root, "field", n_ranks=self.n_ranks, execution=self.execution
+            )
         if system == "seqscan":
             return SeqScanStore.build(self.fs, f"{root}/data", self.data, n_ranks=self.n_ranks)
         if system == "fastbit":
@@ -218,25 +215,9 @@ def _average(fn, system, constraints) -> tuple[ComponentTimes, float]:
 _SUITES: dict[tuple[str, int, int], SystemSuite] = {}
 
 
-def get_suite(
-    spec: DatasetSpec,
-    n_ranks: int = 8,
-    *,
-    write_backend: str = "serial",
-    write_workers: int | None = None,
-) -> SystemSuite:
-    """Process-wide cache of built suites (shared across benchmarks).
-
-    The write options are not part of the cache key: writer backends
-    are bit-identical, so a suite built serially is byte-for-byte the
-    suite a threaded build would have produced.
-    """
+def get_suite(spec: DatasetSpec, n_ranks: int = 8) -> SystemSuite:
+    """Process-wide cache of built suites (shared across benchmarks)."""
     key = (spec.name, spec.n_elements, n_ranks)
     if key not in _SUITES:
-        _SUITES[key] = SystemSuite(
-            spec,
-            n_ranks=n_ranks,
-            write_backend=write_backend,
-            write_workers=write_workers,
-        )
+        _SUITES[key] = SystemSuite(spec, n_ranks=n_ranks)
     return _SUITES[key]

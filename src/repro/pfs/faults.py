@@ -5,7 +5,7 @@ clients see torn reads after stripe-server restarts, silent bit rot on
 aging disks, transient ``EIO`` under contention, and latency spikes
 when an OST is rebuilding.  This module lets the reproduction *model*
 those failures so the read path's verify-and-recover machinery
-(:mod:`repro.core.executor`) can be exercised and regression-tested:
+(:mod:`repro.core.engine`) can be exercised and regression-tested:
 
 ``FaultPlan``
     A frozen, seeded description of *which* faults happen *where*.

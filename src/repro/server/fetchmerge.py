@@ -36,25 +36,13 @@ from repro.core.result import QueryResult
 __all__ = ["FetchMergeLoop"]
 
 
-def _executor_of(store):
-    """The executor owning the fetcher factory (flat or sharded store).
-
-    A sharded store's shards share one cache and one generation, and
-    shard bin ranges are disjoint, so the first shard's executor can
-    mint the fetcher shared by the whole scatter.
-    """
-    shards = getattr(store, "shards", None)
-    return shards[0].executor if shards is not None else store.executor
-
-
 class FetchMergeLoop:
     """One shared fetcher, alive across broker scheduling rounds."""
 
     def __init__(self, store) -> None:
         self.store = store
-        self.executor = _executor_of(store)
-        self.cache = self.executor.cache
-        self.fetcher = self.executor.new_fetcher(shared=True)
+        self.cache = store.cache
+        self.fetcher = store.new_fetcher(shared=True)
         #: Completed scheduling rounds.
         self.rounds = 0
         #: Decoded jobs released at round boundaries (lifetime total).

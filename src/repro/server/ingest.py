@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import ExecutionConfig
 from repro.core.dataset import DatasetSnapshot, MLOCDataset
 from repro.core.manifest import load_manifest_at
 from repro.core.query import Query
@@ -241,12 +242,14 @@ class IngestBroker:
         *,
         config: BrokerConfig | None = None,
         tenants: dict[str, TenantQuota] | None = None,
-        store_options: dict | None = None,
+        execution: ExecutionConfig | None = None,
     ) -> None:
         self.dataset = dataset
         self.config = config or BrokerConfig()
         self._tenants = dict(tenants or {})
-        self._store_options = dict(store_options or {})
+        #: Execution options of the member handles this broker opens;
+        #: ``None`` shares the dataset's own (registry-cached) handles.
+        self.execution = execution
         self._cores: dict[str, BrokerCore] = {}
         self._snapshot = dataset.snapshot()
         self.lifecycle: dict[str, float] = {
@@ -280,8 +283,9 @@ class IngestBroker:
         core = self._cores.get(key)
         if core is None:
             member = self._snapshot.manifest.member(key)
+            options = {} if self.execution is None else {"execution": self.execution}
             store = self.dataset._open_member(
-                key, expect_crc=member.meta_crc, **self._store_options
+                key, expect_crc=member.meta_crc, **options
             )
             core = BrokerCore(store, self.config, tenants=self._tenants)
             self._cores[key] = core
@@ -414,7 +418,7 @@ def replay_ingest(
     *,
     config: BrokerConfig | None = None,
     tenants: dict[str, TenantQuota] | None = None,
-    store_options: dict | None = None,
+    execution: ExecutionConfig | None = None,
     keep_results: bool = False,
 ) -> IngestReplayReport:
     """Serve a query trace while ``session`` appends, on the sim clock.
@@ -432,7 +436,7 @@ def replay_ingest(
         session.dataset,
         config=config,
         tenants=tenants,
-        store_options=store_options,
+        execution=execution,
     )
     report = IngestReplayReport()
     clock = 0.0

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.compression.base import ByteCodec, make_codec
 from repro.core.chunking import ChunkGrid
-from repro.core.executor import _cell_sizes
 from repro.core.manifest import (
     Manifest,
     ManifestError,
@@ -44,7 +43,8 @@ from repro.core.manifest import (
     manifest_generations,
     manifest_path,
 )
-from repro.core.meta import StoreMeta
+from repro.core.meta import StoreMeta, read_meta_bytes
+from repro.core.planner import cell_sizes
 from repro.index.binindex import decode_position_block
 from repro.index.hbi import HBIndex, hbi_path
 from repro.plod.bounds import ErrorBoundsTable, peb_path
@@ -92,7 +92,7 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
         return [Issue("error", meta_path, "metadata file missing")]
 
     try:
-        meta = StoreMeta.from_bytes(bytes(fs.session().open(meta_path).read_all()))
+        meta = StoreMeta.load(fs, var_root)
     except Exception as exc:
         return [Issue("error", meta_path, f"metadata unreadable: {exc}")]
 
@@ -140,9 +140,9 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
         # Decode every data block.
         session = fs.session()
         handle = session.open(data_path)
-        cell_sizes = _cell_sizes(config, meta.counts[b], n_chunks)
-        cell_offsets = np.zeros(cell_sizes.size + 1, dtype=np.int64)
-        np.cumsum(cell_sizes, out=cell_offsets[1:])
+        sizes = cell_sizes(config, meta.counts[b], n_chunks)
+        cell_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=cell_offsets[1:])
         lo_edge, hi_edge = float(meta.edges[b]), float(meta.edges[b + 1])
         plane_stream = bytearray()  # decoded bytes in cell order (PLoD)
         stream_sound = True
@@ -593,7 +593,7 @@ def check_dataset(
                 )
             )
             continue
-        raw = bytes(fs.session().open(meta_path).read_all())
+        raw = read_meta_bytes(fs, var_root)
         if zlib.crc32(raw) != member.meta_crc:
             issues.append(
                 Issue(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import MLOCConfig
+from repro.core.config import ExecutionConfig, MLOCConfig
 from repro.core.query import Query
 from repro.core.store import MLOCStore
 from repro.core.writer import MLOCWriter, WriteReport
@@ -48,8 +48,7 @@ def relayout(
     new_config: MLOCConfig,
     *,
     n_ranks: int = 8,
-    write_backend: str = "serial",
-    write_workers: int | None = None,
+    execution: ExecutionConfig | None = None,
 ) -> RelayoutReport:
     """Re-encode ``source_root/variable`` under ``new_config``.
 
@@ -64,15 +63,17 @@ def relayout(
         so a failed migration never damages the original).
     new_config:
         The target layout configuration.
-    write_backend, write_workers:
-        Write-pipeline execution options (see
-        :class:`~repro.core.writer.MLOCWriter`); migrations are
-        compression-dominated, so the threaded backend pays off first
-        here.  The migrated bytes are identical either way.
+    execution:
+        Execution options for the source read and the target write;
+        migrations are compression-dominated, so a threaded
+        ``write_backend`` pays off first here.  The migrated bytes are
+        identical either way.
     """
     if source_root.rstrip("/") == target_root.rstrip("/"):
         raise ValueError("target_root must differ from source_root")
-    source = MLOCStore.open(fs, source_root, variable, n_ranks=n_ranks)
+    source = MLOCStore.open(
+        fs, source_root, variable, n_ranks=n_ranks, execution=execution
+    )
     if new_config.chunk_shape is not None:
         # Validate early: the new chunking must tile the same shape.
         from repro.core.chunking import ChunkGrid
@@ -84,13 +85,7 @@ def relayout(
     data[full.positions] = full.values
     data = data.reshape(source.shape)
 
-    writer = MLOCWriter(
-        fs,
-        target_root,
-        new_config,
-        write_backend=write_backend,
-        write_workers=write_workers,
-    )
+    writer = MLOCWriter(fs, target_root, new_config, execution=execution)
     write_report = writer.write(data, variable=variable)
 
     from repro.compression.base import make_codec

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
-from repro.core.executor import QueryExecutor
+from repro.core.engine.stages import QueryEngine
 from repro.datasets import gts_like, s3d_like
 from repro.pfs import SimulatedPFS
 
@@ -55,7 +55,7 @@ def iso_fs():
 def _run_both(fs, query, **store_options):
     serial = MLOCStore.open(fs, "/store", "field", backend="serial", **store_options)
     threaded = MLOCStore.open(
-        fs, "/store", "field", backend="threads", n_threads=4, **store_options
+        fs, "/store", "field", backend="threads", workers=4, **store_options
     )
     fs.clear_cache()
     a = serial.query(query)
@@ -182,14 +182,14 @@ def test_backend_validation():
     store = MLOCStore.open(fs, "/store", "field")
     ex = store.executor
     with pytest.raises(ValueError, match="backend"):
-        QueryExecutor(
+        QueryEngine(
             fs, ex.files, ex.meta, ex.grid, ex.curve, backend="mpi"
         )
-    with pytest.raises(ValueError, match="n_threads"):
-        QueryExecutor(
-            fs, ex.files, ex.meta, ex.grid, ex.curve, backend="threads", n_threads=0
+    with pytest.raises(ValueError, match="workers"):
+        QueryEngine(
+            fs, ex.files, ex.meta, ex.grid, ex.curve, backend="threads", workers=0
         )
     with pytest.raises(ValueError, match="workers"):
-        QueryExecutor(
+        QueryEngine(
             fs, ex.files, ex.meta, ex.grid, ex.curve, backend="processes", workers=-1
         )

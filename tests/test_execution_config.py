@@ -1,0 +1,134 @@
+"""ExecutionConfig is the one carrier of execution options.
+
+Parametrised over ``dataclasses.fields(ExecutionConfig)`` so a field
+added later is covered without editing this file: every option must
+survive every hand-off between handles, unknown keywords must be
+rejected at every handle door, and an invalid value must raise the
+same ``ValueError`` whether it arrives inside ``execution=`` or as a
+keyword.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.core import (
+    EXEC_BACKENDS,
+    ExecutionConfig,
+    MLOCDataset,
+    MLOCStore,
+    MLOCWriter,
+    QueryEngine,
+    ShardedMLOCStore,
+    mloc_col,
+)
+from repro.datasets import gts_like
+from repro.pfs import SimulatedPFS
+from repro.plod.bounds import TOL_METRICS
+from repro.server import IngestBroker
+
+FIELDS = [f.name for f in dataclasses.fields(ExecutionConfig)]
+CONFIG = mloc_col(chunk_shape=(16, 16), n_bins=8)
+KEY = "temp@000000"
+
+
+def _non_default(name: str):
+    """A valid value of field ``name`` that differs from its default."""
+    default = getattr(ExecutionConfig(), name)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, str):
+        candidates = [c for c in EXEC_BACKENDS + TOL_METRICS if c != default]
+    elif default is None:
+        candidates = [3]
+    else:
+        candidates = [default + 3]
+    for value in candidates:
+        try:
+            ExecutionConfig(**{name: value})
+        except ValueError:
+            continue
+        return value
+    raise AssertionError(f"no non-default value known for field {name!r}")
+
+
+def _invalid(name: str):
+    default = getattr(ExecutionConfig(), name)
+    return "no-such-choice" if isinstance(default, str) else -1
+
+
+@pytest.fixture(scope="module")
+def sealed_fs() -> SimulatedPFS:
+    fs = SimulatedPFS()
+    MLOCDataset(fs, "/ds", CONFIG, n_ranks=2).append(
+        gts_like((64, 64), seed=3), "temp", 0
+    )
+    return fs
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_option_survives_every_hand_off(sealed_fs, name):
+    fs = sealed_fs
+    override = {name: _non_default(name)}
+    want = ExecutionConfig(**override)
+    assert want != ExecutionConfig()
+
+    for door in ({"execution": want}, override):
+        store = MLOCStore.open(fs, "/ds", KEY, n_ranks=2, **door)
+        assert store.execution == want
+        assert store.executor.execution == want
+        assert store.with_ranks(4).execution == want
+        sharded = ShardedMLOCStore.open(fs, "/ds", KEY, n_shards=3, **door)
+        assert sharded.execution == want
+        assert [s.execution for s in sharded.shards] == [want] * 3
+        assert MLOCWriter(fs, "/elsewhere", CONFIG, **door).execution == want
+
+        dataset = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2, **door)
+        assert dataset.store("temp", 0).execution == want
+        snapshot = dataset.snapshot()
+        assert snapshot.store("temp", 0).execution == want
+        snap_sharded = snapshot.sharded_store("temp", 0, n_shards=2)
+        assert [s.execution for s in snap_sharded.shards] == [want] * 2
+        assert IngestBroker(dataset)._core(KEY).store.execution == want
+
+    plain = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2)
+    assert plain.snapshot().store("temp", 0, **override).execution == want
+    assert IngestBroker(plain, execution=want)._core(KEY).store.execution == want
+
+
+def test_unknown_keyword_is_a_type_error(sealed_fs):
+    fs = sealed_fs
+    store = MLOCStore.open(fs, "/ds", KEY)
+    ex = store.executor
+    doors = [
+        lambda **kw: MLOCStore.open(fs, "/ds", KEY, **kw),
+        lambda **kw: ShardedMLOCStore.open(fs, "/ds", KEY, **kw),
+        lambda **kw: QueryEngine(fs, ex.files, ex.meta, ex.grid, ex.curve, **kw),
+        lambda **kw: MLOCWriter(fs, "/elsewhere", CONFIG, **kw),
+        lambda **kw: MLOCDataset(fs, "/ds", CONFIG, **kw),
+    ]
+    for door in doors:
+        with pytest.raises(TypeError):
+            door(n_threads=4)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_invalid_value_raises_the_same_error_at_every_door(sealed_fs, name):
+    if isinstance(getattr(ExecutionConfig(), name), bool):
+        pytest.skip("booleans have no invalid value")
+    fs = sealed_fs
+    bad = {name: _invalid(name)}
+    with pytest.raises(ValueError, match=f"^{name} must be ") as direct:
+        ExecutionConfig(**bad)
+    doors = [
+        lambda: MLOCStore.open(fs, "/ds", KEY, **bad),
+        lambda: ShardedMLOCStore.open(fs, "/ds", KEY, **bad),
+        lambda: MLOCWriter(fs, "/elsewhere", CONFIG, **bad),
+        lambda: MLOCDataset(fs, "/ds", CONFIG, **bad),
+    ]
+    for door in doors:
+        with pytest.raises(ValueError) as via_keyword:
+            door()
+        assert str(via_keyword.value) == str(direct.value)

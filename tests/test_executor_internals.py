@@ -5,13 +5,13 @@ import pytest
 
 from repro.compression import make_codec
 from repro.core.config import MLOCConfig, mloc_col, mloc_iso
-from repro.core.executor import (
+from repro.core.engine.stages import (
     ASSEMBLY_THROUGHPUT,
     INDEX_DECODE_THROUGHPUT,
     RankOutput,
-    _cell_sizes,
-    _covering_rows,
 )
+from repro.core.planner import cell_sizes as _cell_sizes
+from repro.core.planner import covering_rows as _covering_rows
 from repro.pfs import SimulatedPFS
 from repro.util.timing import TimerRegistry
 

@@ -78,7 +78,7 @@ class TestValueQueries:
         fs = _write(config, eq_field)
         flat = MLOCStore.open(fs, "/eq", "field", backend="serial", use_hbi=False)
         hier = MLOCStore.open(
-            fs, "/eq", "field", backend="threads", n_threads=4, use_hbi=True
+            fs, "/eq", "field", backend="threads", workers=4, use_hbi=True
         )
         for query in QUERIES:
             fs.clear_cache()
@@ -88,6 +88,29 @@ class TestValueQueries:
             assert np.array_equal(r0.positions, r1.positions)
             if r0.values is not None:
                 assert np.array_equal(r0.values, r1.values)
+
+    def test_batch_prunes_like_singles(self, eq_field):
+        """``query_many`` goes through the same narrowing step as
+        ``query``: same answers, same chunks proven empty."""
+        config = mloc_col((16, 16), n_bins=8, target_block_bytes=4096)
+        fs = _write(config, eq_field)
+        hier = MLOCStore.open(fs, "/eq", "field", n_ranks=4, use_hbi=True)
+        singles = []
+        for query in QUERIES:
+            fs.clear_cache()
+            singles.append(hier.query(query))
+        fs.clear_cache()
+        batch = hier.query_many(QUERIES)
+        for one, many in zip(singles, batch.results):
+            assert np.array_equal(one.positions, many.positions)
+            if one.values is None:
+                assert many.values is None
+            else:
+                assert np.array_equal(one.values, many.values)
+            assert many.stats["chunks_pruned"] == one.stats["chunks_pruned"]
+        pruned = sum(r.stats["chunks_pruned"] for r in singles)
+        assert pruned > 0  # the query set does exercise the index
+        assert batch.stats["chunks_pruned"] == pruned
 
     def test_env_var_opt_in(self, eq_field, monkeypatch):
         config = mloc_col((16, 16), n_bins=8)

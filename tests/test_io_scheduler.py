@@ -161,8 +161,8 @@ def test_with_ranks_carries_engine_knobs(built_store):
         fs, "/store", "field", n_ranks=4, coalesce_gap=2048, readahead=512
     )
     view = store.with_ranks(8)
-    assert view.executor.coalesce_gap == 2048
-    assert view.executor.readahead == 512
+    assert view.execution.coalesce_gap == 2048
+    assert view.execution.readahead == 512
     assert view.executor.n_ranks == 8
 
 

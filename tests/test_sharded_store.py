@@ -264,6 +264,20 @@ class TestShardedHandle:
         # Balanced by stored bytes: no shard hoards the variable.
         assert weights.max() <= 0.6 * weights.sum()
 
+    def test_open_builds_planning_tables_once(self, col_fs, monkeypatch):
+        from repro.core.planner import PlanContext
+
+        built = []
+        for_store = PlanContext.for_store.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(1)
+            return for_store(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PlanContext, "for_store", classmethod(counting))
+        ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        assert len(built) == 1
+
     def test_shards_share_context_and_cache(self, col_fs):
         sharded = ShardedMLOCStore.open(
             col_fs, "/store", "field", n_shards=3, cache_bytes=16 << 20

@@ -161,7 +161,7 @@ def test_tol_zero_bit_identical(fixture, request):
 
 @pytest.mark.parametrize(
     "backend,kw",
-    [("serial", {}), ("threads", {"n_threads": 4}), ("processes", {"workers": 2})],
+    [("serial", {}), ("threads", {"workers": 4}), ("processes", {"workers": 2})],
 )
 def test_tol_zero_bit_identical_across_backends(col_store, backend, kw):
     fs, _ = col_store
