@@ -1,7 +1,7 @@
 # Developer entry points.  `make verify` is the one-command gate every
 # change must pass (lint when ruff is installed + tier-1 tests).
 
-.PHONY: verify test lint bench chaos coverage
+.PHONY: verify test lint bench chaos coverage determinism
 
 verify:
 	sh scripts/verify.sh
@@ -20,3 +20,14 @@ chaos:
 
 coverage:
 	sh scripts/coverage.sh
+
+# Every simulated second is modeled from counted work, so two runs of
+# the sim-only experiments must write byte-identical result files.
+determinism:
+	rm -rf .determinism
+	for run in a b; do \
+		REPRO_SCALE=tiny REPRO_RESULTS_DIR=.determinism/$$run PYTHONPATH=src \
+			python -m repro.bench --queries 3 > /dev/null || exit 1; \
+	done
+	diff -r .determinism/a .determinism/b
+	rm -rf .determinism

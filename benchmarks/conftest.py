@@ -16,6 +16,7 @@ Every benchmark reports two things:
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -49,6 +50,16 @@ def suite_gts_512g():
 @pytest.fixture(scope="session")
 def suite_s3d_512g():
     return get_suite(get_spec("512g", "s3d"))
+
+
+def best_of(fn, rounds: int = 5) -> float:
+    """Best-of-N wall seconds (min is the standard noise-robust stat)."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def attach_sim_info(benchmark, times, paper_value=None, **extra):

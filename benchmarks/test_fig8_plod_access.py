@@ -66,7 +66,8 @@ def test_fig8_report(benchmark, suite_gts_512g, capsys):
     total_growth = total_series[-1] - total_series[0]
     assert fetch_growth > 0.75 * total_growth
     assert io_growth > 0.0
-    # Reconstruction is roughly level-independent.
-    assert recon_series[-1] < max(recon_series[0] * 1.6, recon_series[0] + 5.0)
+    # Reconstruction is level-independent: a candidate costs the same
+    # counted bytes whatever precision it was fetched at.
+    assert len(set(recon_series)) == 1
     # Level 2 (3 bytes) reads roughly 3/8 of the full-precision bytes.
     assert io_series[1] < 0.75 * io_series[-1]

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import N_QUERIES, attach_batch_info
+from benchmarks.conftest import N_QUERIES, attach_batch_info, best_of
 from repro.core import MLOCStore, Query, mloc_col
 from repro.datasets import gts_like
 from repro.harness import format_rows, record_result
@@ -36,22 +36,12 @@ from repro.util.varint import varint_decode_array, varint_encode_array
 RESULTS: dict[str, object] = {}
 
 
-def _best_of(fn, rounds: int = 5) -> float:
-    """Best-of-N wall seconds (min is the standard noise-robust stat)."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def test_varint_roundtrip_speed():
     rng = np.random.default_rng(0)
     values = rng.integers(0, 1 << 28, size=200_000, dtype=np.uint64)
     encoded = varint_encode_array(values)
-    enc_s = _best_of(lambda: varint_encode_array(values))
-    dec_s = _best_of(lambda: varint_decode_array(encoded, values.size))
+    enc_s = best_of(lambda: varint_encode_array(values))
+    dec_s = best_of(lambda: varint_decode_array(encoded, values.size))
     decoded = varint_decode_array(encoded, values.size)
     assert np.array_equal(decoded, values)
     RESULTS["varint"] = {
@@ -68,8 +58,8 @@ def test_hilbert_mapping_speed():
     nbits = 8
     coords = rng.integers(0, 1 << nbits, size=(100_000, 3), dtype=np.int64)
     keys = hilbert_encode(coords, nbits=nbits)
-    enc_s = _best_of(lambda: hilbert_encode(coords, nbits=nbits))
-    dec_s = _best_of(lambda: hilbert_decode(keys, ndims=3, nbits=nbits))
+    enc_s = best_of(lambda: hilbert_encode(coords, nbits=nbits))
+    dec_s = best_of(lambda: hilbert_decode(keys, ndims=3, nbits=nbits))
     assert np.array_equal(hilbert_decode(keys, ndims=3, nbits=nbits), coords)
     RESULTS["hilbert"] = {
         "n_points": coords.shape[0],
@@ -87,7 +77,7 @@ def test_index_block_decode_speed():
         np.sort(rng.choice(100_000, size=int(c), replace=False)) for c in counts
     ]
     payload = encode_position_block(chunks)
-    dec_s = _best_of(lambda: decode_position_block_flat(payload, counts))
+    dec_s = best_of(lambda: decode_position_block_flat(payload, counts))
     flat = decode_position_block_flat(payload, counts)
     assert np.array_equal(flat, np.concatenate(chunks))
     RESULTS["index_block_decode"] = {
@@ -271,9 +261,9 @@ def test_planning_speed(suite_gts_8g, capsys):
     region = suite.workload.overlapping_region_constraints(0.01, 1)[0]
     q = Query(region=region, output="values")
     ctx = store.context
-    fresh_s = _best_of(lambda: ctx.plan_uncached(q))
+    fresh_s = best_of(lambda: ctx.plan_uncached(q))
     ctx.plan(q)  # warm the LRU
-    hit_s = _best_of(lambda: ctx.plan(q))
+    hit_s = best_of(lambda: ctx.plan(q))
     assert hit_s < fresh_s / 5, (
         f"cache hit ({hit_s:.6f}s) should be far cheaper than planning "
         f"({fresh_s:.6f}s)"

@@ -36,12 +36,8 @@ def test_table5_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsy
 
     from repro.harness.experiments import table5_rows
 
-    rows, det = benchmark.pedantic(
-        table5_rows,
-        args=(suite, dataset, N_QUERIES),
-        kwargs={"detailed": True},
-        rounds=1,
-        iterations=1,
+    rows = benchmark.pedantic(
+        table5_rows, args=(suite, dataset, N_QUERIES), rounds=1, iterations=1
     )
     with capsys.disabled():
         print()
@@ -57,10 +53,9 @@ def test_table5_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsy
 
     # The ISABELA crossover (paper's observation on Table V): the ISA
     # advantage shrinks or inverts as selectivity grows, because its
-    # decompression cost scales with retrieved volume.  Compared on the
-    # deterministic io+decompression component, where the effect lives.
-    isa_ratio = det["mloc-isa"][1] / det["mloc-isa"][0]
-    iso_ratio = det["mloc-iso"][1] / det["mloc-iso"][0]
+    # decompression cost scales with retrieved volume.
+    isa_ratio = rows["mloc-isa"][1] / rows["mloc-isa"][0]
+    iso_ratio = rows["mloc-iso"][1] / rows["mloc-iso"][0]
     assert isa_ratio > iso_ratio * 0.8
     # Sequential-scan cost scales ~linearly with retrieved volume
     # (offset reads), while MLOC amortizes per-bin costs: the scan's

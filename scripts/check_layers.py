@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Five architectural rules, checked by AST scan (no imports are
+Six architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -32,6 +32,13 @@ executed):
    parameter — handles take ``execution`` (plus ``**overrides`` folded
    by ``fold_execution``) and pass it on whole.  The deleted
    ``repro.core.executor`` alias shim must also stay deleted.
+6. **One simulated clock.**  Every simulated second is modeled from
+   counted work (DESIGN.md §5), so no module under ``repro/core``,
+   ``repro/baselines``, ``repro/server``, ``repro/pfs``,
+   ``repro/index``, ``repro/plod`` or ``repro/parallel`` may import
+   ``time``.  Sole exemption: ``core/staging.py``, whose
+   ``encode_seconds`` is a labelled wall-clock ledger that never
+   enters a ``ComponentTimes``.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -87,6 +94,11 @@ EXECUTION_ONLY_PARAMS = frozenset(
         "tol_metric",
     }
 )
+
+#: Packages on the simulated clock: none of their modules may import
+#: ``time``, except the labelled wall-clock ledger in ``core/staging.py``.
+SIM_CLOCK_PACKAGES = ("core", "baselines", "server", "pfs", "index", "plod", "parallel")
+WALL_CLOCK_EXEMPT = SRC / "repro" / "core" / "staging.py"
 
 #: Engine layer heights; a module may import only strictly lower ones.
 ENGINE_LAYERS = {
@@ -183,6 +195,18 @@ def check() -> list[str]:
                         f"{path.relative_to(REPO)}:{arg.lineno}: parameter "
                         f"{arg.arg!r} re-declares an execution option; take "
                         f"execution: ExecutionConfig (repro.core.config) instead"
+                    )
+
+    for package in SIM_CLOCK_PACKAGES:
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            if path == WALL_CLOCK_EXEMPT:
+                continue
+            for lineno, module in _imported_modules(path):
+                if module == "time":
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{lineno}: {_module_name(path)} "
+                        f"must not import time (simulated seconds are modeled "
+                        f"from counted work, never measured)"
                     )
 
     if list((SRC / "repro" / "core").glob("executor*")):

@@ -33,9 +33,9 @@ from repro.index.bitmap import (
     wah_expand_groups,
     wah_from_positions,
 )
+from repro.pfs.costmodel import FILTER_GATHER_THROUGHPUT, WAH_EXPAND_THROUGHPUT
 from repro.pfs.layout import aggregate_parallel_time
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.timing import TimerRegistry
 
 __all__ = ["FastBitStore"]
 
@@ -125,9 +125,7 @@ class FastBitStore(BaselineStore):
         }
 
     # ------------------------------------------------------------------
-    def _load_full_index(
-        self,
-    ) -> tuple[bytes, list, list[TimerRegistry]]:
+    def _load_full_index(self) -> tuple[bytes, list]:
         """Cold read of the complete index file, split across ranks."""
         total = self.fs.size(self.index_path)
         span = (total + self.n_ranks - 1) // self.n_ranks
@@ -140,12 +138,11 @@ class FastBitStore(BaselineStore):
             if start < end:
                 chunks.append(session.open(self.index_path).read(start, end - start))
             sessions.append(session)
-        return b"".join(chunks), sessions, [TimerRegistry() for _ in sessions]
+        return b"".join(chunks), sessions
 
     def region_query(self, value_range: tuple[float, float]) -> QueryResult:
         lo, hi = value_range
-        index_bytes, sessions, timers = self._load_full_index()
-        root_timer = timers[0]
+        index_bytes, sessions = self._load_full_index()
 
         bin_ids, aligned = self.scheme.bins_overlapping(float(lo), float(hi))
         # OR the selected bins in the compact 63-bit-group domain, as a
@@ -153,39 +150,46 @@ class FastBitStore(BaselineStore):
         n_groups = (self.n_elements + 62) // 63
         hits = np.zeros(n_groups, dtype=np.uint64)
         candidates_acc = np.zeros(n_groups, dtype=np.uint64)
-        with root_timer["decompression"]:
-            for b, is_aligned in zip(bin_ids, aligned):
-                payload = index_bytes[
-                    self.bitmap_offsets[b] : self.bitmap_offsets[b + 1]
-                ]
-                groups = wah_expand_groups(np.frombuffer(payload, dtype=np.uint64))
-                if is_aligned:
-                    hits |= groups
-                else:
-                    candidates_acc |= groups
+        for b, is_aligned in zip(bin_ids, aligned):
+            payload = index_bytes[
+                self.bitmap_offsets[b] : self.bitmap_offsets[b + 1]
+            ]
+            groups = wah_expand_groups(np.frombuffer(payload, dtype=np.uint64))
+            if is_aligned:
+                hits |= groups
+            else:
+                candidates_acc |= groups
 
+        # The root materialises every hit and candidate position (8 B
+        # each) and verifies each candidate's value (8 B more).
         pos_parts: list[np.ndarray] = []
-        with root_timer["reconstruction"]:
-            if hits.any():
-                pos_parts.append(groups_to_bitmap(hits, self.n_elements).to_positions())
+        gathered_bytes = 0
+        if hits.any():
+            hit_positions = groups_to_bitmap(hits, self.n_elements).to_positions()
+            pos_parts.append(hit_positions)
+            gathered_bytes += hit_positions.nbytes
 
         # Candidate check: boundary bins require reading the raw values.
         if candidates_acc.any():
-            with root_timer["reconstruction"]:
-                candidates = groups_to_bitmap(
-                    candidates_acc, self.n_elements
-                ).to_positions()
-            verified = self._verify_candidates(candidates, lo, hi, sessions[0], root_timer)
-            pos_parts.append(verified)
+            candidates = groups_to_bitmap(
+                candidates_acc, self.n_elements
+            ).to_positions()
+            gathered_bytes += 2 * candidates.nbytes
+            pos_parts.append(self._verify_candidates(candidates, lo, hi, sessions[0]))
 
         positions = (
             np.sort(np.concatenate(pos_parts)) if pos_parts else np.empty(0, dtype=np.int64)
         )
-        cpu_scale = self.fs.cost_model.effective_cpu_scale
+        cost_model = self.fs.cost_model
         times = ComponentTimes(
-            io=aggregate_parallel_time(self.fs.cost_model, sessions),
-            decompression=cpu_scale * root_timer.elapsed("decompression"),
-            reconstruction=cpu_scale * root_timer.elapsed("reconstruction"),
+            io=aggregate_parallel_time(cost_model, sessions),
+            # One dense group array (as large as ``hits``) per selected bin.
+            decompression=cost_model.cpu_seconds(
+                len(bin_ids) * hits.nbytes, WAH_EXPAND_THROUGHPUT
+            ),
+            reconstruction=cost_model.cpu_seconds(
+                gathered_bytes, FILTER_GATHER_THROUGHPUT
+            ),
         )
         stats = {
             "bytes_read": int(sum(s.stats.bytes_read for s in sessions)),
@@ -200,7 +204,6 @@ class FastBitStore(BaselineStore):
         lo: float,
         hi: float,
         session,
-        timers: TimerRegistry,
     ) -> np.ndarray:
         """Read candidate positions (merged into runs) and filter."""
         if candidates.size == 0:
@@ -217,12 +220,11 @@ class FastBitStore(BaselineStore):
         for s, e in zip(run_starts, run_ends):
             first, last = int(candidates[s]), int(candidates[e - 1])
             raw = handle.read(first * 8, (last - first + 1) * 8)
-            with timers["reconstruction"]:
-                vals = np.frombuffer(raw, dtype=np.float64)
-                local = candidates[s:e] - first
-                v = vals[local]
-                ok = (v >= lo) & (v <= hi)
-                keep.append(candidates[s:e][ok])
+            vals = np.frombuffer(raw, dtype=np.float64)
+            local = candidates[s:e] - first
+            v = vals[local]
+            ok = (v >= lo) & (v <= hi)
+            keep.append(candidates[s:e][ok])
         return np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -232,8 +234,7 @@ class FastBitStore(BaselineStore):
         region-query time for exactly this reason), then the region's
         runs are read from the raw data."""
         region = normalize_region(region, self._shape)
-        index_bytes, sessions, timers = self._load_full_index()
-        root_timer = timers[0]
+        index_bytes, sessions = self._load_full_index()
 
         starts, run_length = region_runs(self._shape, region)
         handle = sessions[0].open(self.data_path)
@@ -241,22 +242,20 @@ class FastBitStore(BaselineStore):
         val_parts: list[np.ndarray] = []
         for start in starts:
             raw = handle.read(int(start) * 8, run_length * 8)
-            with root_timer["reconstruction"]:
-                val_parts.append(np.frombuffer(raw, dtype=np.float64))
-                pos_parts.append(
-                    np.arange(start, start + run_length, dtype=np.int64)
-                )
+            val_parts.append(np.frombuffer(raw, dtype=np.float64))
+            pos_parts.append(np.arange(start, start + run_length, dtype=np.int64))
         positions = (
             np.concatenate(pos_parts) if pos_parts else np.empty(0, dtype=np.int64)
         )
         values = (
             np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
         )
-        cpu_scale = self.fs.cost_model.effective_cpu_scale
         times = ComponentTimes(
             io=aggregate_parallel_time(self.fs.cost_model, sessions),
-            decompression=cpu_scale * root_timer.elapsed("decompression"),
-            reconstruction=cpu_scale * root_timer.elapsed("reconstruction"),
+            # The root copies every value and generates its position.
+            reconstruction=self.fs.cost_model.cpu_seconds(
+                positions.nbytes + values.nbytes, FILTER_GATHER_THROUGHPUT
+            ),
         )
         stats = {
             "bytes_read": int(sum(s.stats.bytes_read for s in sessions)),

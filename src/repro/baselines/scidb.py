@@ -35,7 +35,6 @@ from repro.core.chunking import ChunkGrid, normalize_region
 from repro.core.result import ComponentTimes, QueryResult
 from repro.pfs.layout import aggregate_parallel_time
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.timing import TimerRegistry
 
 __all__ = ["SciDBStore"]
 
@@ -142,7 +141,6 @@ class SciDBStore(BaselineStore):
         once.
         """
         session = self.fs.session()
-        timers = TimerRegistry()
         blocks: list[tuple[int, np.ndarray]] = []
         bytes_processed = 0
         if chunk_ids.size:
@@ -153,21 +151,17 @@ class SciDBStore(BaselineStore):
                 length = int(self.chunk_offsets[cid + 1] - offset)
                 raw = handle.read(offset, length)
                 bytes_processed += length
-                with timers["reconstruction"]:
-                    block = np.frombuffer(raw, dtype=np.float64).reshape(
-                        self.stored_shapes[cid]
-                    )
-                    blocks.append((cid, block))
-        executor_cost = (
-            self.startup_seconds
-            + self.fs.cost_model.scaled_bytes(bytes_processed) / self.scan_bandwidth
-        )
-        # Measured NumPy seconds are NOT cpu-scaled here: the modeled
-        # executor cost already covers the full processing stack (it
-        # was derived from the paper's end-to-end rates).
+                block = np.frombuffer(raw, dtype=np.float64).reshape(
+                    self.stored_shapes[cid]
+                )
+                blocks.append((cid, block))
+        # The modeled executor cost covers the full processing stack
+        # (it was derived from the paper's end-to-end rates), so the
+        # filtering in region_query/value_query adds nothing to it.
         times = ComponentTimes(
             io=aggregate_parallel_time(self.fs.cost_model, [session]),
-            reconstruction=timers.elapsed("reconstruction") + executor_cost,
+            reconstruction=self.startup_seconds
+            + self.fs.cost_model.cpu_seconds(bytes_processed, self.scan_bandwidth),
         )
         stats = {
             "bytes_read": session.stats.bytes_read,
@@ -183,17 +177,14 @@ class SciDBStore(BaselineStore):
         chunk_ids = np.arange(self.grid.n_chunks, dtype=np.int64)
         blocks, times, stats = self._scan_chunks(chunk_ids)
         parts: list[np.ndarray] = []
-        timers = TimerRegistry()
-        with timers["reconstruction"]:
-            for cid, block in blocks:
-                positions, values = self._chunk_core(cid, block)
-                mask = (values >= lo) & (values <= hi)
-                if mask.any():
-                    parts.append(positions[mask])
+        for cid, block in blocks:
+            positions, values = self._chunk_core(cid, block)
+            mask = (values >= lo) & (values <= hi)
+            if mask.any():
+                parts.append(positions[mask])
         positions = (
             np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
         )
-        times.reconstruction += timers.elapsed("reconstruction")
         stats["n_results"] = int(positions.size)
         return QueryResult(positions=positions, values=None, times=times, stats=stats)
 
@@ -204,19 +195,16 @@ class SciDBStore(BaselineStore):
         blocks, times, stats = self._scan_chunks(chunk_ids)
         pos_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
-        timers = TimerRegistry()
-        with timers["reconstruction"]:
-            for cid, block in blocks:
-                positions, values = self._chunk_core(cid, block)
-                mask = self.grid.positions_in_region(positions, region)
-                pos_parts.append(positions[mask])
-                val_parts.append(values[mask])
+        for cid, block in blocks:
+            positions, values = self._chunk_core(cid, block)
+            mask = self.grid.positions_in_region(positions, region)
+            pos_parts.append(positions[mask])
+            val_parts.append(values[mask])
         positions = (
             np.concatenate(pos_parts) if pos_parts else np.empty(0, dtype=np.int64)
         )
         values = (
             np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
         )
-        times.reconstruction += timers.elapsed("reconstruction")
         stats["n_results"] = int(positions.size)
         return self._sorted_result(positions, values, times, stats)

@@ -19,9 +19,9 @@ import numpy as np
 from repro.baselines.common import BaselineStore
 from repro.core.chunking import normalize_region
 from repro.core.result import ComponentTimes, QueryResult
+from repro.pfs.costmodel import FILTER_GATHER_THROUGHPUT
 from repro.pfs.layout import aggregate_parallel_time
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.timing import TimerRegistry
 
 __all__ = ["SeqScanStore", "region_runs"]
 
@@ -101,38 +101,36 @@ class SeqScanStore(BaselineStore):
         span -= span % 8
 
         sessions = []
-        timers_per_rank = []
         parts: list[np.ndarray] = []
+        max_rank_bytes = 0
         for rank in range(self.n_ranks):
             session = self.fs.session()
-            timers = TimerRegistry()
+            sessions.append(session)
             start = rank * span
             end = min(start + span, total_bytes) if rank < self.n_ranks - 1 else total_bytes
             if start >= end:
-                sessions.append(session)
-                timers_per_rank.append(timers)
                 continue
+            max_rank_bytes = max(max_rank_bytes, end - start)
             handle = session.open(self.path)
             offset = start
             while offset < end:
                 length = min(stripe, end - offset)
                 raw = handle.read(offset, length)
-                with timers["reconstruction"]:
-                    vals = np.frombuffer(raw, dtype=np.float64)
-                    local = np.flatnonzero((vals >= lo) & (vals <= hi))
-                    if local.size:
-                        parts.append(local + offset // 8)
+                vals = np.frombuffer(raw, dtype=np.float64)
+                local = np.flatnonzero((vals >= lo) & (vals <= hi))
+                if local.size:
+                    parts.append(local + offset // 8)
                 offset += length
-            sessions.append(session)
-            timers_per_rank.append(timers)
 
         positions = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         )
         times = ComponentTimes(
             io=aggregate_parallel_time(self.fs.cost_model, sessions),
-            reconstruction=self.fs.cost_model.effective_cpu_scale
-            * max(t.elapsed("reconstruction") for t in timers_per_rank),
+            # Each rank filters every byte of its span.
+            reconstruction=self.fs.cost_model.cpu_seconds(
+                max_rank_bytes, FILTER_GATHER_THROUGHPUT
+            ),
         )
         stats = {
             "bytes_read": int(sum(s.stats.bytes_read for s in sessions)),
@@ -151,25 +149,20 @@ class SeqScanStore(BaselineStore):
         spans = np.array_split(np.arange(starts.size), self.n_ranks)
 
         sessions = []
-        timers_per_rank = []
         pos_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         for rank_runs_idx in spans:
             session = self.fs.session()
-            timers = TimerRegistry()
             if rank_runs_idx.size:
                 handle = session.open(self.path)
                 for i in rank_runs_idx:
                     start = int(starts[i])
                     raw = handle.read(start * 8, run_length * 8)
-                    with timers["reconstruction"]:
-                        vals = np.frombuffer(raw, dtype=np.float64)
-                        pos_parts.append(
-                            np.arange(start, start + run_length, dtype=np.int64)
-                        )
-                        val_parts.append(vals)
+                    pos_parts.append(
+                        np.arange(start, start + run_length, dtype=np.int64)
+                    )
+                    val_parts.append(np.frombuffer(raw, dtype=np.float64))
             sessions.append(session)
-            timers_per_rank.append(timers)
 
         positions = (
             np.concatenate(pos_parts) if pos_parts else np.empty(0, dtype=np.int64)
@@ -179,8 +172,12 @@ class SeqScanStore(BaselineStore):
         )
         times = ComponentTimes(
             io=aggregate_parallel_time(self.fs.cost_model, sessions),
-            reconstruction=self.fs.cost_model.effective_cpu_scale
-            * max(t.elapsed("reconstruction") for t in timers_per_rank),
+            # Each rank copies its runs' values and generates as many
+            # positions: 16 B per element of its largest span.
+            reconstruction=self.fs.cost_model.cpu_seconds(
+                max(idx.size for idx in spans) * run_length * 16,
+                FILTER_GATHER_THROUGHPUT,
+            ),
         )
         stats = {
             "bytes_read": int(sum(s.stats.bytes_read for s in sessions)),

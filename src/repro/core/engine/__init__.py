@@ -15,16 +15,9 @@ Each module may import only strictly lower engine layers.
 
 from repro.core.engine.scheduler import IOScheduler, PendingRead
 from repro.core.engine.session import RefinementSession
-from repro.core.engine.stages import (
-    ASSEMBLY_THROUGHPUT,
-    INDEX_DECODE_THROUGHPUT,
-    QueryEngine,
-    RankOutput,
-)
+from repro.core.engine.stages import QueryEngine, RankOutput
 
 __all__ = [
-    "ASSEMBLY_THROUGHPUT",
-    "INDEX_DECODE_THROUGHPUT",
     "IOScheduler",
     "PendingRead",
     "QueryEngine",

@@ -34,12 +34,12 @@ golden capture of the monolithic executor.
 
 Response time = simulated parallel I/O (max-loaded OST / node link +
 max-rank overhead) + max-rank decompression + max-rank reconstruction +
-communication.  Decompression is modeled as ``scaled_raw_bytes /
-codec.decode_throughput`` (calibrated at paper-scale block sizes, see
-:class:`repro.compression.base.ByteCodec`); reconstruction is measured
-CPU scaled by the cost model's ``cpu_scale`` (DESIGN.md §5).  Aligned
-bins under region-only output never touch the data subfiles — the
-index-only fast path of Section III-D1.
+communication.  Both CPU components are modeled from counted bytes by
+:meth:`~repro.pfs.costmodel.PFSCostModel.cpu_seconds` (DESIGN.md §5):
+decompression from the raw bytes decoded and assembled, reconstruction
+from the candidate bytes filtered and gathered.  Aligned bins under
+region-only output never touch the data subfiles — the index-only fast
+path of Section III-D1.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ from repro.parallel.scheduler import (
 )
 from repro.parallel.simmpi import CommCostModel, SimCommunicator
 from repro.pfs.blockcache import BlockCache
+from repro.pfs.costmodel import (
+    ASSEMBLY_THROUGHPUT,
+    FILTER_GATHER_THROUGHPUT,
+    INDEX_DECODE_THROUGHPUT,
+    PFSCostModel,
+)
 from repro.pfs.layout import BinFileSet, aggregate_parallel_time
 from repro.pfs.simfs import PFSSession, SimulatedPFS
 from repro.plod.byteplanes import (
@@ -86,25 +92,8 @@ from repro.plod.byteplanes import (
     assemble_from_groups_degraded,
 )
 from repro.sfc.linearize import CurveOrder
-from repro.util.timing import TimerRegistry
 
-__all__ = [
-    "QueryEngine",
-    "RankOutput",
-    "AUTO_PROCESS_MIN_BYTES",
-    "INDEX_DECODE_THROUGHPUT",
-    "ASSEMBLY_THROUGHPUT",
-]
-
-#: Modeled decode rate of the per-bin position index (delta + varint +
-#: deflate), bytes of reconstructed positions (8 B each) per second,
-#: calibrated at paper-scale block sizes like the codec throughputs.
-INDEX_DECODE_THROUGHPUT = 240e6
-
-#: Modeled rate of gathering cells out of decoded blocks and
-#: reassembling PLoD byte planes, bytes of raw data per second —
-#: memcpy-class work, calibrated like the codec throughputs.
-ASSEMBLY_THROUGHPUT = 600e6
+__all__ = ["QueryEngine", "RankOutput", "AUTO_PROCESS_MIN_BYTES"]
 
 _SCHEDULERS = {
     "column": column_order_assignment,
@@ -118,23 +107,24 @@ class RankOutput:
 
     positions: np.ndarray
     values: np.ndarray | None
-    timers: TimerRegistry
     session: PFSSession
     #: Raw bytes this rank decompressed from data blocks.
     data_raw_bytes: int = 0
     #: Bytes of position payload (8 B/position) this rank decoded.
     index_raw_bytes: int = 0
+    #: Bytes this rank filtered and gathered: 8 B per candidate
+    #: position plus 8 B per assembled candidate value — independent of
+    #: PLoD level and of block-cache hits.
+    candidate_bytes: int = 0
 
     def modeled_decompression(self, codec, byte_scale: float) -> float:
         """Modeled decompression seconds for this rank (DESIGN.md §5):
-        codec decode + index decode + cell-gather/PLoD-assembly, all
-        modeled from the bytes processed (measured wall/CPU time of the
-        scaled-down blocks would amplify per-call overhead by the
-        magnification factor)."""
+        codec decode + index decode + cell-gather/PLoD-assembly."""
+        cpu_seconds = PFSCostModel(byte_scale=byte_scale).cpu_seconds
         return (
-            self.data_raw_bytes * byte_scale / codec.decode_throughput
-            + self.index_raw_bytes * byte_scale / INDEX_DECODE_THROUGHPUT
-            + self.data_raw_bytes * byte_scale / ASSEMBLY_THROUGHPUT
+            cpu_seconds(self.data_raw_bytes, codec.decode_throughput)
+            + cpu_seconds(self.index_raw_bytes, INDEX_DECODE_THROUGHPUT)
+            + cpu_seconds(self.data_raw_bytes, ASSEMBLY_THROUGHPUT)
         )
 
 
@@ -192,7 +182,6 @@ class _RankState:
 
     rank: int
     session: PFSSession
-    timers: TimerRegistry
     raw: dict[str, int]
     sched: IOScheduler
     bins: list[_BinPlan]
@@ -344,7 +333,7 @@ class QueryEngine:
         # processes backend).
         pool_failures0 = fetcher.pool_failures
         blocks_decoded, decode_backend = self._run_decodes(fetcher)
-        # Stage 4 (Assemble): measured CPU, deterministic rank order.
+        # Stage 4 (Assemble): deterministic rank order.
         rank_outputs = [
             self._finish_rank(state, query, plan, position_filter, fctx)
             for state in states
@@ -368,16 +357,20 @@ class QueryEngine:
             values = values[order]
 
         sessions = [r.session for r in rank_outputs]
-        cpu_scale = self.fs.cost_model.effective_cpu_scale
-        byte_scale = self.fs.cost_model.byte_scale
+        cost_model = self.fs.cost_model
         times = ComponentTimes(
-            io=aggregate_parallel_time(self.fs.cost_model, sessions),
+            io=aggregate_parallel_time(cost_model, sessions),
             decompression=max(
-                (r.modeled_decompression(self._codec, byte_scale) for r in rank_outputs),
+                (
+                    r.modeled_decompression(self._codec, cost_model.byte_scale)
+                    for r in rank_outputs
+                ),
                 default=0.0,
             ),
-            reconstruction=cpu_scale
-            * max((r.timers.elapsed("reconstruction") for r in rank_outputs), default=0.0),
+            reconstruction=cost_model.cpu_seconds(
+                max((r.candidate_bytes for r in rank_outputs), default=0),
+                FILTER_GATHER_THROUGHPUT,
+            ),
             communication=comm.comm_seconds,
         )
         stats = {
@@ -477,7 +470,6 @@ class QueryEngine:
         state = _RankState(
             rank=rank,
             session=session,
-            timers=TimerRegistry(),
             raw={"data": 0, "index": 0},
             sched=IOScheduler(
                 self.fs,
@@ -823,61 +815,62 @@ class QueryEngine:
         position_filter: Bitmap | None,
         fctx: _FaultContext,
     ) -> RankOutput:
-        """Gather, filter and assemble one rank's results (measured CPU)."""
-        timers = state.timers
+        """Gather, filter and assemble one rank's results."""
         out_positions: list[np.ndarray] = []
         out_values: list[np.ndarray] = []
+        candidate_bytes = 0
 
         for bin_plan in state.bins:
-            positions, counts = self._gather_positions(bin_plan, timers)
+            positions, counts = self._gather_positions(bin_plan)
+            candidate_bytes += positions.nbytes
             values: np.ndarray | None = None
             if bin_plan.need_values:
-                values = self._assemble_values(bin_plan, timers)
+                values = self._assemble_values(bin_plan)
+                candidate_bytes += values.nbytes
 
-            with timers["reconstruction"]:
-                vw = bin_plan.value_work
-                mask: np.ndarray | None = None
-                if query.value_range is not None and not bin_plan.aligned:
-                    lo, hi = query.value_range
-                    mask = (values >= lo) & (values <= hi)
-                if plan.region is not None:
-                    interior = plan.interior_of(bin_plan.cpos)
-                    if not interior.all():
-                        # Only elements of boundary chunks need the
-                        # coordinate test; interior chunks pass whole.
-                        in_region = np.ones(positions.size, dtype=bool)
-                        boundary = ~np.repeat(interior, counts)
-                        in_region[boundary] = self.grid.positions_in_region(
-                            positions[boundary], plan.region
-                        )
-                        mask = in_region if mask is None else (mask & in_region)
-                if position_filter is not None:
-                    hit = position_filter.get(positions)
-                    mask = hit if mask is None else (mask & hit)
-                if vw is not None and vw.fatal_mask is not None:
-                    # Points of unrecoverable chunks leave the answer
-                    # (allow_partial — otherwise the plan phase raised).
-                    keep = ~np.repeat(vw.fatal_mask, counts)
-                    mask = keep if mask is None else (mask & keep)
-                if vw is not None and vw.cell_levels is not None:
-                    # Count degraded points that actually reach the
-                    # result (dummy-filled below the requested level).
-                    base = (
-                        vw.requested_levels
-                        if vw.requested_levels is not None
-                        else vw.n_groups
+            vw = bin_plan.value_work
+            mask: np.ndarray | None = None
+            if query.value_range is not None and not bin_plan.aligned:
+                lo, hi = query.value_range
+                mask = (values >= lo) & (values <= hi)
+            if plan.region is not None:
+                interior = plan.interior_of(bin_plan.cpos)
+                if not interior.all():
+                    # Only elements of boundary chunks need the
+                    # coordinate test; interior chunks pass whole.
+                    in_region = np.ones(positions.size, dtype=bool)
+                    boundary = ~np.repeat(interior, counts)
+                    in_region[boundary] = self.grid.positions_in_region(
+                        positions[boundary], plan.region
                     )
-                    deg = np.repeat(vw.cell_levels < base, counts)
-                    if mask is not None:
-                        deg = deg & mask
-                    fctx.degraded_points += int(deg.sum())
+                    mask = in_region if mask is None else (mask & in_region)
+            if position_filter is not None:
+                hit = position_filter.get(positions)
+                mask = hit if mask is None else (mask & hit)
+            if vw is not None and vw.fatal_mask is not None:
+                # Points of unrecoverable chunks leave the answer
+                # (allow_partial — otherwise the plan phase raised).
+                keep = ~np.repeat(vw.fatal_mask, counts)
+                mask = keep if mask is None else (mask & keep)
+            if vw is not None and vw.cell_levels is not None:
+                # Count degraded points that actually reach the
+                # result (dummy-filled below the requested level).
+                base = (
+                    vw.requested_levels
+                    if vw.requested_levels is not None
+                    else vw.n_groups
+                )
+                deg = np.repeat(vw.cell_levels < base, counts)
                 if mask is not None:
-                    positions = positions[mask]
-                    if values is not None:
-                        values = values[mask]
-                out_positions.append(positions)
-                if query.wants_values:
-                    out_values.append(values)
+                    deg = deg & mask
+                fctx.degraded_points += int(deg.sum())
+            if mask is not None:
+                positions = positions[mask]
+                if values is not None:
+                    values = values[mask]
+            out_positions.append(positions)
+            if query.wants_values:
+                out_values.append(values)
 
         positions = (
             np.concatenate(out_positions) if out_positions else np.empty(0, dtype=np.int64)
@@ -890,15 +883,13 @@ class QueryEngine:
         return RankOutput(
             positions=positions,
             values=values,
-            timers=timers,
             session=state.session,
             data_raw_bytes=state.raw["data"],
             index_raw_bytes=state.raw["index"],
+            candidate_bytes=candidate_bytes,
         )
 
-    def _gather_positions(
-        self, bin_plan: _BinPlan, timers: TimerRegistry
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _gather_positions(self, bin_plan: _BinPlan) -> tuple[np.ndarray, np.ndarray]:
         """Slice the wanted chunks out of the decoded index blocks.
 
         Returns the concatenated global positions (in ``cpos`` order)
@@ -911,38 +902,37 @@ class QueryEngine:
         # chunk inside a decoded block is pos_offsets[cpos] minus the
         # block's base (precomputed once per store, DESIGN.md §7).
         pos_offsets = self.context.pos_offsets[bin_plan.bin_id]
-        with timers["reconstruction"]:
-            local_parts: list[np.ndarray] = []
-            for cpos_start, cpos_end, job in bin_plan.index_parts:
-                flat = job.result
-                base = int(pos_offsets[cpos_start])
-                lo = int(np.searchsorted(bin_plan.cpos, cpos_start, side="left"))
-                hi = int(np.searchsorted(bin_plan.cpos, cpos_end, side="left"))
-                wanted = bin_plan.cpos[lo:hi]
-                if wanted.size == 0:
-                    continue
-                breaks = np.flatnonzero(np.diff(wanted) != 1) + 1
-                starts = np.concatenate(([0], breaks))
-                ends = np.concatenate((breaks, [wanted.size]))
-                for s, e in zip(starts, ends):
-                    local_parts.append(
-                        flat[
-                            int(pos_offsets[wanted[s]]) - base :
-                            int(pos_offsets[wanted[e - 1] + 1]) - base
-                        ]
-                    )
-            counts = bin_counts[bin_plan.cpos]
-            local_ids = (
-                np.concatenate(local_parts)
-                if local_parts
-                else np.empty(0, dtype=np.int64)
-            )
-            positions = self.grid.global_positions_batch(
-                bin_plan.chunk_ids, local_ids, counts
-            )
+        local_parts: list[np.ndarray] = []
+        for cpos_start, cpos_end, job in bin_plan.index_parts:
+            flat = job.result
+            base = int(pos_offsets[cpos_start])
+            lo = int(np.searchsorted(bin_plan.cpos, cpos_start, side="left"))
+            hi = int(np.searchsorted(bin_plan.cpos, cpos_end, side="left"))
+            wanted = bin_plan.cpos[lo:hi]
+            if wanted.size == 0:
+                continue
+            breaks = np.flatnonzero(np.diff(wanted) != 1) + 1
+            starts = np.concatenate(([0], breaks))
+            ends = np.concatenate((breaks, [wanted.size]))
+            for s, e in zip(starts, ends):
+                local_parts.append(
+                    flat[
+                        int(pos_offsets[wanted[s]]) - base :
+                        int(pos_offsets[wanted[e - 1] + 1]) - base
+                    ]
+                )
+        counts = bin_counts[bin_plan.cpos]
+        local_ids = (
+            np.concatenate(local_parts)
+            if local_parts
+            else np.empty(0, dtype=np.int64)
+        )
+        positions = self.grid.global_positions_batch(
+            bin_plan.chunk_ids, local_ids, counts
+        )
         return positions, counts
 
-    def _assemble_values(self, bin_plan: _BinPlan, timers: TimerRegistry) -> np.ndarray:
+    def _assemble_values(self, bin_plan: _BinPlan) -> np.ndarray:
         """Gather cells from decoded data blocks and assemble values.
 
         Cell gathering + PLoD byte-plane assembly belong to the
@@ -957,52 +947,51 @@ class QueryEngine:
         if vw is None or vw.n_elem == 0:
             return np.empty(0, dtype=np.float64)
         decoded = {row_idx: job.result for row_idx, job in vw.jobs.items()}
-        with timers["assembly"]:
-            group_payloads = [
-                self._gather_cells(
-                    decoded,
-                    vw.row_starts,
-                    vw.cell_offsets,
-                    cells,
-                    as_float=not config.plod_enabled,
-                )
-                for cells in vw.cells_per_group
-            ]
-            if config.plod_enabled:
-                counts = self.context.counts64[bin_plan.bin_id][bin_plan.cpos]
-                if vw.group_members is not None:
-                    # Mixed-level plans fetched subset payloads; scatter
-                    # them into full-size planes (gaps stay zero — the
-                    # dummy-fill rule overwrites every byte beyond a
-                    # point's effective level).
-                    elem_starts = np.concatenate(
-                        ([0], np.cumsum(counts))
-                    ).astype(np.int64)
-                    group_payloads = [
-                        payload
-                        if members.size == counts.size
-                        else _scatter_subset(
-                            payload,
-                            members,
-                            elem_starts,
-                            GROUP_WIDTHS[g],
-                            vw.n_elem,
-                        )
-                        for g, (payload, members) in enumerate(
-                            zip(group_payloads, vw.group_members)
-                        )
-                    ]
-                levels = vw.cell_levels
-                if levels is None and vw.requested_levels is not None:
-                    if int(vw.requested_levels.min()) < vw.n_groups:
-                        levels = vw.requested_levels
-                if levels is not None:
-                    point_levels = np.repeat(np.maximum(levels, 1), counts)
-                    return assemble_from_groups_degraded(
-                        group_payloads, vw.n_elem, vw.n_groups, point_levels
+        group_payloads = [
+            self._gather_cells(
+                decoded,
+                vw.row_starts,
+                vw.cell_offsets,
+                cells,
+                as_float=not config.plod_enabled,
+            )
+            for cells in vw.cells_per_group
+        ]
+        if config.plod_enabled:
+            counts = self.context.counts64[bin_plan.bin_id][bin_plan.cpos]
+            if vw.group_members is not None:
+                # Mixed-level plans fetched subset payloads; scatter
+                # them into full-size planes (gaps stay zero — the
+                # dummy-fill rule overwrites every byte beyond a
+                # point's effective level).
+                elem_starts = np.concatenate(
+                    ([0], np.cumsum(counts))
+                ).astype(np.int64)
+                group_payloads = [
+                    payload
+                    if members.size == counts.size
+                    else _scatter_subset(
+                        payload,
+                        members,
+                        elem_starts,
+                        GROUP_WIDTHS[g],
+                        vw.n_elem,
                     )
-                return assemble_from_groups(group_payloads, vw.n_elem, vw.n_groups)
-            return group_payloads[0]
+                    for g, (payload, members) in enumerate(
+                        zip(group_payloads, vw.group_members)
+                    )
+                ]
+            levels = vw.cell_levels
+            if levels is None and vw.requested_levels is not None:
+                if int(vw.requested_levels.min()) < vw.n_groups:
+                    levels = vw.requested_levels
+            if levels is not None:
+                point_levels = np.repeat(np.maximum(levels, 1), counts)
+                return assemble_from_groups_degraded(
+                    group_payloads, vw.n_elem, vw.n_groups, point_levels
+                )
+            return assemble_from_groups(group_payloads, vw.n_elem, vw.n_groups)
+        return group_payloads[0]
 
     def _gather_cells(
         self,

@@ -4,10 +4,10 @@ Every data access in the paper's evaluation is decomposed into I/O
 (seek + read), decompression, and reconstruction (filtering and final
 assembly); the reproduction adds the modeled communication time of the
 simulated MPI collectives as a fourth explicit component.  See
-DESIGN.md §5 for the timing methodology: I/O and communication are
-simulated seconds from the cost models, decompression and
-reconstruction are measured CPU seconds on the parallel critical path
-(max over ranks).
+DESIGN.md §5 for the timing methodology: all four are simulated
+seconds from the cost models — decompression and reconstruction are
+counted bytes over calibrated throughputs on the parallel critical
+path (max over ranks).
 """
 
 from __future__ import annotations

@@ -67,85 +67,56 @@ def _query_table(
     n_queries: int,
 ) -> dict[str, list]:
     """Response-time cells are per-query *medians* (robust against
-    outlier draws), computed alongside the medians of the deterministic
-    io + decompression component.  The reconstruction part is measured
-    CPU time amplified by ``cpu_scale``, so fine-margin shape
-    assertions should use the deterministic cells."""
+    outlier constraint draws)."""
     n_queries = max(n_queries, 3)
     rows = {}
-    deterministic = {}
     for system in systems:
         cells = []
-        det_cells = []
         for sel in selectivities:
-            totals = []
-            det = []
             if kind == "region":
                 constraints = suite.workload.value_constraints(sel, n_queries)
                 run = suite.region_query
             else:
                 constraints = suite.workload.region_constraints(sel, n_queries)
                 run = suite.value_query
-            for constraint in constraints:
-                times = run(system, constraint).times
-                totals.append(times.total)
-                det.append(times.io + times.decompression)
+            totals = [run(system, c).times.total for c in constraints]
             cells.append(round(statistics.median(totals), 2))
-            det_cells.append(round(statistics.median(det), 2))
         paper = PAPER[paper_key][system]
         offset = 0 if dataset_label == "gts" else 2
         rows[system] = cells + [paper[offset], paper[offset + 1]]
-        deterministic[system] = det_cells
-    return rows, deterministic
+    return rows
 
 
-def table2_rows(
-    suite: SystemSuite, dataset_label: str, n_queries: int, detailed: bool = False
-):
-    """Table II: 8 GB-class region queries at 1% / 10% selectivity.
-
-    With ``detailed=True`` additionally returns the per-system medians
-    of the deterministic (io + decompression) component, which is what
-    shape assertions should compare — see ``_query_table``.
-    """
-    rows, det = _query_table(
+def table2_rows(suite: SystemSuite, dataset_label: str, n_queries: int):
+    """Table II: 8 GB-class region queries at 1% / 10% selectivity."""
+    return _query_table(
         suite, ALL_SYSTEMS, "table2_region_8g", dataset_label,
         (0.01, 0.10), "region", n_queries,
     )
-    return (rows, det) if detailed else rows
 
 
-def table3_rows(
-    suite: SystemSuite, dataset_label: str, n_queries: int, detailed: bool = False
-):
+def table3_rows(suite: SystemSuite, dataset_label: str, n_queries: int):
     """Table III: 8 GB-class value queries at 0.1% / 1% selectivity."""
-    rows, det = _query_table(
+    return _query_table(
         suite, ALL_SYSTEMS, "table3_value_8g", dataset_label,
         (0.001, 0.01), "value", n_queries,
     )
-    return (rows, det) if detailed else rows
 
 
-def table4_rows(
-    suite: SystemSuite, dataset_label: str, n_queries: int, detailed: bool = False
-):
+def table4_rows(suite: SystemSuite, dataset_label: str, n_queries: int):
     """Table IV: 512 GB-class region queries (MLOC vs seq scan)."""
-    rows, det = _query_table(
+    return _query_table(
         suite, _512G_SYSTEMS, "table4_region_512g", dataset_label,
         (0.01, 0.10), "region", n_queries,
     )
-    return (rows, det) if detailed else rows
 
 
-def table5_rows(
-    suite: SystemSuite, dataset_label: str, n_queries: int, detailed: bool = False
-):
+def table5_rows(suite: SystemSuite, dataset_label: str, n_queries: int):
     """Table V: 512 GB-class value queries (MLOC vs seq scan)."""
-    rows, det = _query_table(
+    return _query_table(
         suite, _512G_SYSTEMS, "table5_value_512g", dataset_label,
         (0.001, 0.01), "value", n_queries,
     )
-    return (rows, det) if detailed else rows
 
 
 def fig6_rows(suite: SystemSuite, n_queries: int) -> dict[str, list]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 __all__ = ["PAPER", "record_result", "format_rows", "results_dir"]
@@ -92,11 +91,7 @@ def results_dir() -> Path:
 
 def record_result(experiment: str, payload: dict) -> Path:
     """Write one experiment's measured rows to ``results/<id>.json``."""
-    out = {
-        "experiment": experiment,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "payload": payload,
-    }
+    out = {"experiment": experiment, "payload": payload}
     path = results_dir() / f"{experiment}.json"
     path.write_text(json.dumps(out, indent=2, default=_jsonify))
     return path

@@ -5,7 +5,7 @@ mpi4py is not available in this environment, so we substitute a
 *deterministic* simulated communicator:
 
 * SPMD sections run as a plain Python loop over ranks (``spmd``);
-  CPU-bound work is measured per rank, and the executor reports the
+  CPU-bound work is counted per rank, and the executor reports the
   maximum over ranks (the parallel critical path).
 * Collectives operate on *rank-indexed lists* (the value every rank
   would contribute) and charge a modeled communication cost: a

@@ -12,7 +12,7 @@ Modeled-time rule (DESIGN.md §5): a cache hit skips both the simulated
 I/O of the block's extent (no open/seek/transfer is charged to the
 rank's PFS session) and the modeled decompression seconds (the block's
 raw bytes are not added to the rank's decode counters).  Reconstruction
-work on the decoded bytes is still performed and measured — a warm
+work on the decoded bytes is still performed and charged — a warm
 cache does not make filtering free.
 
 Keys are ``(generation, path, offset)`` where ``generation`` fingerprints

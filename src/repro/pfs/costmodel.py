@@ -1,4 +1,4 @@
-"""I/O cost model for the simulated parallel file system.
+"""Cost model of the simulated clock: PFS I/O and counted CPU work.
 
 The paper evaluates MLOC on the Lens cluster's Lustre file system; query
 response time is dominated by (a) bytes streamed from object storage
@@ -21,6 +21,9 @@ The model is deliberately simple and fully documented:
 * Reads of cached extents are free; the experiment harness clears the
   cache between rounds, mirroring the paper's methodology ("after each
   round we clear the system file cache").
+* CPU work (decompression, reconstruction) costs ``scaled counted
+  bytes / throughput`` — :meth:`PFSCostModel.cpu_seconds` over the
+  throughput table below; no simulated second is ever measured.
 
 Default constants are calibrated to commodity 2012-era hardware:
 ~100 MB/s per OST spinning disk streaming bandwidth, ~8 ms average seek,
@@ -32,7 +35,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PFSCostModel", "IOStats"]
+__all__ = [
+    "PFSCostModel",
+    "IOStats",
+    "INDEX_DECODE_THROUGHPUT",
+    "ASSEMBLY_THROUGHPUT",
+    "FILTER_GATHER_THROUGHPUT",
+    "WAH_EXPAND_THROUGHPUT",
+]
+
+# CPU-work throughputs: bytes of counted work per second, each measured
+# from this implementation on >= 1 MB buffers, where per-call overhead
+# vanishes (benchmarks/test_calibration.py re-measures them).  With the
+# per-codec ``decode_throughput`` and SciDB's paper-derived scan rate
+# these are the only rates :meth:`PFSCostModel.cpu_seconds` is ever
+# given (DESIGN.md §5).
+
+#: Decode of the per-bin position index (delta + varint + deflate),
+#: counted in bytes of reconstructed positions (8 B each).
+INDEX_DECODE_THROUGHPUT = 240e6
+
+#: Gathering cells out of decoded blocks and reassembling PLoD byte
+#: planes, counted in bytes of raw data — memcpy-class work.
+ASSEMBLY_THROUGHPUT = 600e6
+
+#: Filtering candidates and gathering the survivors into the result
+#: (the paper's "reconstruction"), counted as 8 B per candidate
+#: position plus 8 B per candidate value handled.
+FILTER_GATHER_THROUGHPUT = 400e6
+
+#: Expanding WAH words into dense 63-bit group words and OR-ing them
+#: into the accumulator (FastBit), counted in bytes of expanded groups.
+WAH_EXPAND_THROUGHPUT = 2500e6
 
 
 @dataclass(frozen=True)
@@ -67,14 +101,6 @@ class PFSCostModel:
         and multiplies every transferred byte by this factor, so
         reported I/O seconds are *paper-scale-equivalent*.  1.0 means
         physical accounting (the default outside the harness).
-    cpu_scale:
-        Factor applied by consumers to *measured* CPU seconds
-        (decompression/reconstruction), so CPU components stay
-        commensurate with the scaled I/O seconds.  ``None`` (default)
-        means "same as byte_scale" — justified because the hot CPU
-        paths (zlib, spline evaluation, NumPy filtering) run at C
-        speed comparable to the paper's testbed per byte, and the data
-        volume is exactly ``byte_scale`` times smaller.
     """
 
     ost_count: int = 16
@@ -85,7 +111,6 @@ class PFSCostModel:
     seek_time: float = 8e-3
     open_time: float = 1e-3
     byte_scale: float = 1.0
-    cpu_scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.ost_count <= 0:
@@ -106,17 +131,21 @@ class PFSCostModel:
             raise ValueError("seek_time and open_time must be non-negative")
         if self.byte_scale <= 0:
             raise ValueError(f"byte_scale must be positive, got {self.byte_scale}")
-        if self.cpu_scale is not None and self.cpu_scale <= 0:
-            raise ValueError(f"cpu_scale must be positive, got {self.cpu_scale}")
-
-    @property
-    def effective_cpu_scale(self) -> float:
-        """The factor applied to measured CPU seconds."""
-        return self.byte_scale if self.cpu_scale is None else self.cpu_scale
 
     def scaled_bytes(self, n: float) -> float:
         """Bytes in paper-scale-equivalent units."""
         return n * self.byte_scale
+
+    def cpu_seconds(self, counted_bytes: float, throughput: float) -> float:
+        """Seconds of CPU work on ``counted_bytes`` at ``throughput``.
+
+        The one conversion from counted work to simulated seconds:
+        every decompression and reconstruction term of every system is
+        this call on a byte count the code already has, never a
+        stopwatch reading (whose per-call overhead on the scaled-down
+        blocks ``byte_scale`` would magnify).
+        """
+        return self.scaled_bytes(counted_bytes) / throughput
 
     def serial_time(self, stats: "IOStats") -> float:
         """Seconds for a single client performing ``stats`` alone.

@@ -1,4 +1,4 @@
-"""Shared utilities: varint packing, timers, validation helpers.
+"""Shared utilities: varint packing, validation helpers.
 
 These are small, dependency-free building blocks used across the MLOC
 reproduction.  They are deliberately kept separate from the domain
@@ -6,7 +6,6 @@ packages so that low-level codecs (``repro.compression``,
 ``repro.index``) do not import anything above them in the stack.
 """
 
-from repro.util.timing import Stopwatch, TimerRegistry
 from repro.util.validation import (
     check_dtype,
     check_positive,
@@ -19,8 +18,6 @@ from repro.util.varint import (
 )
 
 __all__ = [
-    "Stopwatch",
-    "TimerRegistry",
     "check_dtype",
     "check_positive",
     "check_power_of_two",

@@ -84,6 +84,23 @@ class TestRecommendation:
         assert r_plod.recommended == "VMS"
         assert r_full.recommended == "VSM"
 
+    def test_recommendation_is_reproducible(self, sample, base_config):
+        """The ranking is a pure function of (sample, profile, config):
+        two calls agree to the last digit, not merely on the winner."""
+        cost = PFSCostModel(byte_scale=(8 << 30) / sample.nbytes)
+        a, b = (
+            recommend_level_order(
+                sample,
+                WorkloadProfile.analytics_like(),
+                base_config,
+                cost_model=cost,
+                n_queries=2,
+            )
+            for _ in range(2)
+        )
+        assert a.scores == b.scores
+        assert a.per_class == b.per_class
+
     def test_single_candidate(self, sample, base_config):
         report = recommend_level_order(
             sample,

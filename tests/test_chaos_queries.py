@@ -108,15 +108,8 @@ def test_zero_fault_plans_are_bit_identical(kind, backend, request):
         fs.clear_cache()
         result = store.query(query)
         assert _same_answer(result, expected), query
-        # Simulated components must match exactly; reconstruction is
-        # *measured* CPU time and legitimately varies run to run.
-        assert result.times.io == pytest.approx(expected.times.io)
-        assert result.times.decompression == pytest.approx(
-            expected.times.decompression
-        )
-        assert result.times.communication == pytest.approx(
-            expected.times.communication
-        )
+        # All four simulated components must match exactly.
+        assert result.times == expected.times
         assert not _fault_evidence(result)
     assert ffs.injected.total_faults == 0
 

@@ -15,7 +15,7 @@ class TestValidation:
             {"client_bandwidth": 0},
             {"seek_time": -0.1},
             {"byte_scale": 0},
-            {"cpu_scale": -1},
+            {"cores_per_node": 0},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -85,15 +85,13 @@ class TestParallelTime:
 
 
 class TestCpuScale:
-    def test_defaults_to_byte_scale(self):
-        assert PFSCostModel(byte_scale=7.0).effective_cpu_scale == 7.0
-
-    def test_explicit_override(self):
-        m = PFSCostModel(byte_scale=7.0, cpu_scale=2.0)
-        assert m.effective_cpu_scale == 2.0
-
     def test_scaled_bytes(self):
         assert PFSCostModel(byte_scale=3.0).scaled_bytes(10) == 30.0
+
+    def test_cpu_seconds_scale_with_byte_scale(self):
+        # (bytes x byte_scale) / throughput, in that order.
+        assert PFSCostModel().cpu_seconds(10, 4.0) == 2.5
+        assert PFSCostModel(byte_scale=7.0).cpu_seconds(10, 4.0) == 17.5
 
 
 class TestIOStats:

@@ -117,16 +117,8 @@ class TestCostModelPropagation:
         assert totals[64.0].decompression == pytest.approx(
             64 * totals[1.0].decompression, rel=1e-6
         )
+        assert totals[64.0].reconstruction == pytest.approx(
+            64 * totals[1.0].reconstruction, rel=1e-6
+        )
+        assert totals[1.0].reconstruction > 0
         assert totals[64.0].io > totals[1.0].io
-
-    def test_explicit_cpu_scale(self):
-        data = gts_like((64, 64), seed=5)
-        cfg = mloc_iso(chunk_shape=(16, 16), n_bins=4, target_block_bytes=4096)
-        fs = SimulatedPFS(PFSCostModel(byte_scale=8.0, cpu_scale=1.0))
-        MLOCWriter(fs, "/s", cfg).write(data, variable="f")
-        store = MLOCStore.open(fs, "/s", "f", n_ranks=2)
-        r = store.query(Query(region=((0, 16), (0, 16)), output="values"))
-        # Reconstruction uses cpu_scale (=1), decompression uses
-        # byte_scale (=8); both must be finite and non-negative.
-        assert r.times.reconstruction >= 0
-        assert r.times.decompression > 0

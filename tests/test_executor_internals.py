@@ -5,15 +5,11 @@ import pytest
 
 from repro.compression import make_codec
 from repro.core.config import MLOCConfig, mloc_col, mloc_iso
-from repro.core.engine.stages import (
-    ASSEMBLY_THROUGHPUT,
-    INDEX_DECODE_THROUGHPUT,
-    RankOutput,
-)
+from repro.core.engine.stages import RankOutput
 from repro.core.planner import cell_sizes as _cell_sizes
 from repro.core.planner import covering_rows as _covering_rows
 from repro.pfs import SimulatedPFS
-from repro.util.timing import TimerRegistry
+from repro.pfs.costmodel import ASSEMBLY_THROUGHPUT, INDEX_DECODE_THROUGHPUT
 
 
 class TestCellSizes:
@@ -67,7 +63,6 @@ class TestModeledDecompression:
         return RankOutput(
             positions=np.empty(0, dtype=np.int64),
             values=None,
-            timers=TimerRegistry(),
             session=SimulatedPFS().session(),
             data_raw_bytes=data_bytes,
             index_raw_bytes=index_bytes,

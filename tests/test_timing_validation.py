@@ -1,60 +1,14 @@
-"""Tests for the stopwatch utilities and argument validation helpers."""
+"""Tests for the argument validation helpers."""
 
 import numpy as np
 import pytest
 
-from repro.util.timing import Stopwatch, TimerRegistry
 from repro.util.validation import (
     check_dtype,
     check_positive,
     check_power_of_two,
     check_shape_chunks,
 )
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        first = sw.elapsed
-        with sw:
-            sum(range(1000))
-        assert sw.elapsed > first >= 0.0
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_double_start_rejected(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError, match="already running"):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError, match="not running"):
-            Stopwatch().stop()
-
-
-class TestTimerRegistry:
-    def test_autocreate_and_elapsed(self):
-        reg = TimerRegistry()
-        assert reg.elapsed("never") == 0.0
-        with reg["io"]:
-            pass
-        assert reg.elapsed("io") >= 0.0
-        assert "io" in reg.as_dict()
-
-    def test_separate_timers(self):
-        reg = TimerRegistry()
-        with reg["a"]:
-            pass
-        assert reg.elapsed("b") == 0.0
 
 
 class TestValidation:
