@@ -1,7 +1,8 @@
 # Developer entry points.  `make verify` is the one-command gate every
-# change must pass (lint when ruff is installed + tier-1 tests).
+# change must pass (lint when ruff is installed + layer boundaries +
+# tier-1 tests + the e2e benchmark's oracle at tiny scale).
 
-.PHONY: verify test lint bench chaos coverage determinism
+.PHONY: verify test lint bench bench-e2e chaos coverage determinism
 
 verify:
 	sh scripts/verify.sh
@@ -14,6 +15,13 @@ lint:
 
 bench:
 	PYTHONPATH=src python -m pytest benchmarks -q
+
+# The wall-clock end-to-end benchmark (BENCHMARK.json): three runs of
+# every workload plus a traced one, compared with the recorded baseline
+# (several minutes).
+bench-e2e:
+	PYTHONPATH=src python -m benchmarks.e2e set --runs 3 --out benchmarks/e2e/out/mine.json
+	PYTHONPATH=src python -m benchmarks.e2e compare benchmarks/e2e/baseline.json benchmarks/e2e/out/mine.json
 
 chaos:
 	PYTHONPATH=src python -m pytest -q -m chaos

@@ -65,10 +65,11 @@ def _engine_filter_gather(nbytes, kind):
     """The engine's own reconstruction stage on one rank whose
     candidates (16 B each: position + value) fill ``nbytes``.
 
-    Times ``QueryEngine._finish_rank`` minus the PLoD/cell assembly it
-    calls (that part is charged to decompression); the counted bytes
-    are read back from the modeled seconds at ``byte_scale`` 1, so
-    achieved / modeled is exactly measured-vs-charged for this query.
+    Times ``QueryEngine._finish_rank`` minus the per-rank cell gather +
+    PLoD assembly it calls (``_rank_values``: that part is charged to
+    decompression); the counted bytes are read back from the modeled
+    seconds at ``byte_scale`` 1, so achieved / modeled is exactly
+    measured-vs-charged for this query.
     """
     n = nbytes // 16
     if kind == "sc-3d":
@@ -102,7 +103,7 @@ def _engine_filter_gather(nbytes, kind):
     with mock.patch.object(
         QueryEngine, "_finish_rank", timed("finish", QueryEngine._finish_rank)
     ), mock.patch.object(
-        QueryEngine, "_assemble_values", timed("assemble", QueryEngine._assemble_values)
+        QueryEngine, "_rank_values", timed("assemble", QueryEngine._rank_values)
     ):
         for _ in range(3):
             spent["finish"] = spent["assemble"] = 0.0

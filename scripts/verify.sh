@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# One-command verification gate: lint (if ruff is available) + tier-1
-# tests.  Usage: scripts/verify.sh  (or: make verify)
+# One-command verification gate: lint (if ruff is available) + layer
+# boundaries + tier-1 tests + the end-to-end benchmark's oracle on all
+# four workloads (tiny inputs, nothing timed).
+# Usage: scripts/verify.sh  (or: make verify)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,3 +19,8 @@ python scripts/check_layers.py
 
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
+
+echo "== e2e benchmark oracle (tiny scale, nothing timed) =="
+for workload in ingest_append sc_values_cold vc_regions serve_overlap; do
+    python3 benchmarks/e2e/__main__.py --workload "$workload" --check
+done

@@ -6,7 +6,13 @@ parallel program the paper describes (Section III-D, Fig. 5), but with
 the monolithic executor's control flow rebuilt around explicit stages:
 
 1. **Plan** — the planner's output is split over simulated MPI ranks
-   (column order by default: each rank touches the fewest bin files);
+   (column order by default: each rank touches the fewest bin files).
+   A rank's work *is* its span of the plan's
+   :class:`~repro.parallel.scheduler.BlockList`: parallel row arrays
+   (bin, curve position, chunk id — bin-major, positions ascending
+   within a bin) that every later stage extends with per-row columns
+   (element counts, alignment, requested PLoD level) and never unpacks
+   into per-bin objects;
 2. **IOScheduler** — each rank's block reads are *deferred* into its
    :class:`~repro.core.engine.scheduler.IOScheduler` and flushed
    sorted by ``(subfile, offset)``, optionally coalescing
@@ -19,10 +25,25 @@ the monolithic executor's control flow rebuilt around explicit stages:
    was fixed during planning and results commit in plan order, so
    every backend produces bit-identical results and identical
    simulated seconds;
-4. **Assemble** — positions and values are gathered out of the
-   decoded blocks as contiguous runs, byte planes are reassembled,
-   degradation is accounted, and the root gathers per-rank results
-   through the simulated communicator.
+4. **Assemble** — once per rank: the merged extents are sliced out of
+   the decoded blocks into one position array and group-major byte
+   planes, the planes are reassembled, the value / region / position
+   filters and the degradation accounting run on whole-rank arrays,
+   and the root gathers per-rank results through the simulated
+   communicator.
+
+Rank execution is one columnar pass.  The store-wide tables of the
+:class:`~repro.core.planner.PlanContext` turn all of a rank's rows, in a
+constant number of NumPy calls, into the index block and element extent
+of every row and the ``(byte group, row)`` matrix of data blocks and
+byte extents (masked by ``group < level[row]`` under mixed-level
+``tol`` plans).  Two Python loops per rank and stage remain: one over
+the *distinct* blocks to request (ascending ``(bin, row)``, which with
+the rank fixes the ``order_key`` that replays cache insertions), and
+one over the *merged* extents to slice — neighbours that share a block
+and are contiguous in the source collapse into one slice, so under
+Hilbert order a box costs a handful of copies.  A quarantined block or
+a level-masked cell simply leaves zeros in its plane.
 
 The engine flushes in two waves — all index reads, then all data
 reads — in deterministic rank order.  With ``coalesce_gap=0`` the
@@ -65,7 +86,7 @@ from repro.core.engine.scheduler import (
 )
 from repro.core.errors import DegradedResultError
 from repro.core.meta import StoreMeta
-from repro.core.planner import PlanContext, QueryPlan, covering_rows
+from repro.core.planner import PlanContext, QueryPlan, merge_extents
 from repro.core.query import Query
 from repro.core.result import ComponentTimes, QueryResult
 from repro.index.binindex import decode_position_block_flat
@@ -87,6 +108,7 @@ from repro.pfs.costmodel import (
 from repro.pfs.layout import BinFileSet, aggregate_parallel_time
 from repro.pfs.simfs import PFSSession, SimulatedPFS
 from repro.plod.byteplanes import (
+    GROUP_OFFSETS,
     GROUP_WIDTHS,
     assemble_from_groups,
     assemble_from_groups_degraded,
@@ -99,6 +121,9 @@ _SCHEDULERS = {
     "column": column_order_assignment,
     "round-robin": round_robin_assignment,
 }
+#: ``order_key`` block kinds: a bin's index blocks replay before its
+#: data blocks.
+_INDEX, _DATA = 0, 1
 
 
 @dataclass
@@ -129,62 +154,66 @@ class RankOutput:
 
 
 @dataclass
-class _ValueWork:
-    """Planned data-block work of one (rank, bin): jobs + cell geometry."""
-
-    n_elem: int
-    n_groups: int = 1
-    cells_per_group: list[np.ndarray] = field(default_factory=list)
-    cell_offsets: np.ndarray | None = None
-    row_starts: np.ndarray | None = None
-    jobs: dict[int, _DecodeJob] = field(default_factory=dict)
-    #: Per-cpos mask of chunks whose points are unrecoverable (base
-    #: byte-plane or full-value block quarantined); ``None`` if none.
-    fatal_mask: np.ndarray | None = None
-    #: Per-cpos effective PLoD level (below the requested level where
-    #: refinement blocks were quarantined); ``None`` if no precision
-    #: was lost.
-    cell_levels: np.ndarray | None = None
-    #: Per-cpos *requested* PLoD level under an error-bounded
-    #: (``tol``) mixed-level plan; ``None`` = uniform ``n_groups``.
-    requested_levels: np.ndarray | None = None
-    #: Per-group indices into ``cpos`` of the chunks that actually
-    #: need that group (mixed-level plans); ``None`` = every group
-    #: covers every chunk.
-    group_members: list[np.ndarray] | None = None
-    #: (path, offset) of the first quarantined block behind
-    #: ``fatal_mask``, for the structured error.
-    fatal_block: tuple[str, int] | None = None
-
-
-@dataclass
-class _BinPlan:
-    """Planned work of one (rank, bin), built up stage by stage."""
-
-    seq: int
-    bin_id: int
-    cpos: np.ndarray
-    chunk_ids: np.ndarray
-    aligned: bool
-    need_values: bool = False
-    #: (cpos_start, cpos_end, offset, job) per requested index block.
-    index_entries: list[tuple[int, int, int, _DecodeJob]] = field(
-        default_factory=list
-    )
-    #: (cpos_start, cpos_end, job -> flat positions), losses filtered.
-    index_parts: list[tuple[int, int, _DecodeJob]] = field(default_factory=list)
-    value_work: _ValueWork | None = None
-
-
-@dataclass
 class _RankState:
-    """One rank's in-flight work plus its accounting context."""
+    """One rank's work as parallel row arrays plus its accounting context.
+
+    A row is one planned (bin, chunk); rows are bin-major with curve
+    positions ascending inside a bin, and every array below — the
+    ``(group, row)`` matrices by their second axis — is aligned with
+    them.  The value-stage fields are filled by ``_plan_rank_values``.
+    """
 
     rank: int
     session: PFSSession
     raw: dict[str, int]
     sched: IOScheduler
-    bins: list[_BinPlan]
+    #: The rank's distinct bins in row order, with their aligned flags;
+    #: a bin's index here is the ``bin_seq`` of its blocks' order keys.
+    bins: np.ndarray
+    bin_aligned: np.ndarray
+    bin_ids: np.ndarray
+    cpos: np.ndarray
+    chunk_ids: np.ndarray
+    #: Elements per row, and whether the row's bin is aligned.
+    counts: np.ndarray
+    aligned: np.ndarray
+    #: Global index block id and ``[lo, hi)`` element extent per row.
+    index_block: np.ndarray
+    index_lo: np.ndarray
+    index_hi: np.ndarray
+    #: Global block id -> deferred decode, per subfile kind.
+    index_jobs: dict[int, _DecodeJob] = field(default_factory=dict)
+    data_jobs: dict[int, _DecodeJob] = field(default_factory=dict)
+    #: Rows whose values are fetched, and their element counts (zero on
+    #: the other rows).
+    need: np.ndarray | None = None
+    value_counts: np.ndarray | None = None
+    #: Requested PLoD level per row and the deepest one fetched (1 on
+    #: whole-value layouts).
+    level: np.ndarray | None = None
+    n_groups: int = 0
+    #: ``(n_groups, n_rows)``: global data block id and ``[lo, hi)``
+    #: extent of every cell, and whether it is fetched at all (its row
+    #: needs values, its bin holds elements, its group is below the
+    #: row's level).
+    data_block: np.ndarray | None = None
+    data_lo: np.ndarray | None = None
+    data_hi: np.ndarray | None = None
+    wanted: np.ndarray | None = None
+    #: Rows whose points are unrecoverable (base byte-plane or
+    #: whole-value block quarantined); ``None`` if none.
+    fatal: np.ndarray | None = None
+    #: Per-row effective PLoD level where refinement blocks were
+    #: quarantined; ``None`` if no precision was lost.
+    effective: np.ndarray | None = None
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop the rows where ``keep`` is False (index-stage arrays)."""
+        for name in (
+            "bin_ids", "cpos", "chunk_ids", "counts", "aligned",
+            "index_block", "index_lo", "index_hi",
+        ):  # fmt: skip
+            setattr(self, name, getattr(self, name)[keep])
 
 
 class QueryEngine:
@@ -326,8 +355,9 @@ class QueryEngine:
         # their requested level by sticky faults — the store uses this
         # to compute an *honest* achieved bound for tol queries.
         degraded_levels: dict[int, int] = {}
-        for state in states:
-            self._classify_rank_values(state, fctx, degraded_levels)
+        if fctx.quarantined:  # a lost block always registers here first
+            for state in states:
+                self._classify_rank_values(state, fctx, degraded_levels)
 
         # Stage 3 (Decode): the only concurrent part (threads or
         # processes backend).
@@ -465,8 +495,15 @@ class QueryEngine:
         fctx: _FaultContext,
         counters: _IOCounters,
     ) -> _RankState:
-        """Set up one rank's state and defer its index-block reads."""
+        """Set up one rank's row arrays and defer its index-block reads."""
         session = self.fs.session()
+        bin_ids, cpos = rank_blocks.bin_ids, rank_blocks.cpos
+        # Bin-major rows: each bin is one contiguous run.
+        run_starts = np.flatnonzero(np.diff(bin_ids, prepend=-1))
+        bins = bin_ids[run_starts]
+        bin_aligned = plan.aligned[np.searchsorted(plan.bin_ids, bins)]
+        run_lengths = np.diff(run_starts, append=bin_ids.size)
+        index_block, index_lo, index_hi = self.context.index_extents(bin_ids, cpos)
         state = _RankState(
             rank=rank,
             session=session,
@@ -481,63 +518,112 @@ class QueryEngine:
                 counters=counters,
                 readahead_spans=self.readahead_spans,
             ),
-            bins=[],
+            bins=bins,
+            bin_aligned=bin_aligned,
+            bin_ids=bin_ids,
+            cpos=cpos,
+            chunk_ids=rank_blocks.chunk_ids,
+            counts=self.context.counts64[bin_ids, cpos],
+            aligned=np.repeat(bin_aligned, run_lengths),
+            index_block=index_block,
+            index_lo=index_lo,
+            index_hi=index_hi,
         )
-        # The rank's blocks arrive bin-major and cpos-sorted within each
-        # bin, so each bin is one contiguous segment of the arrays.
-        for seq, (bin_id, cpos, chunk_ids) in enumerate(rank_blocks.bin_segments()):
-            bin_plan = _BinPlan(
-                seq=seq,
-                bin_id=bin_id,
-                cpos=cpos,
-                chunk_ids=chunk_ids,
-                aligned=plan.is_aligned(bin_id),
-            )
-            self._request_index_blocks(state, bin_plan, fetcher)
-            state.bins.append(bin_plan)
+        # Rows ascend by (bin, cpos), so their block ids never decrease.
+        distinct = index_block[np.flatnonzero(np.diff(index_block, prepend=-1))]
+        state.index_jobs = self._request_blocks(
+            state, fetcher, _INDEX, np.arange(bins.size), distinct
+        )
         return state
 
-    def _request_index_blocks(
-        self, state: _RankState, bin_plan: _BinPlan, fetcher: _BlockFetcher
-    ) -> None:
-        """Defer the index blocks covering the bin's planned chunks."""
-        table = self.meta.index_blocks[bin_plan.bin_id]
-        bin_counts = self.context.counts64[bin_plan.bin_id]
-        path = self.files.index_path(bin_plan.bin_id)
-        opener = _HandleOpener(state.session, path, eager=not fetcher.caching)
-        for row_idx in covering_rows(
-            self.context.index_row_starts[bin_plan.bin_id], bin_plan.cpos
-        ):
-            cpos_start, cpos_end, offset, comp_len = (
-                int(v) for v in table[row_idx][:4]
+    def _request_blocks(
+        self,
+        state: _RankState,
+        fetcher: _BlockFetcher,
+        kind: int,
+        bin_seqs: np.ndarray,
+        block_ids: np.ndarray,
+    ) -> dict[int, _DecodeJob]:
+        """Defer one read per distinct block of one subfile kind.
+
+        ``block_ids`` are global block ids, ascending — i.e. in
+        ``(bin, row)`` order, which with the rank is the plan order
+        that ``order_key`` replays.  ``bin_seqs`` indexes the bins of
+        ``state.bins`` whose subfile of this kind the rank touches; each
+        gets its opener even if none of its blocks is requested (a
+        non-caching fetcher opens the file regardless).
+        """
+        if kind == _INDEX:
+            reads, path_of, raw_kind = (
+                self.context.index_reads, self.files.index_path, "index",
+            )  # fmt: skip
+        else:
+            reads, path_of, raw_kind = (
+                self.context.data_reads, self.files.data_path, "data",
+            )  # fmt: skip
+        bins = state.bins.tolist()
+        openers = {}
+        for seq in bin_seqs.tolist():
+            path = path_of(bins[seq])
+            openers[bins[seq]] = (
+                seq,
+                path,
+                _HandleOpener(state.session, path, eager=not fetcher.caching),
             )
-            crc = int(table[row_idx][4])
-            counts_slice = bin_counts[cpos_start:cpos_end]
-            raw_bytes = int(counts_slice.sum()) * 8
+        jobs: dict[int, _DecodeJob] = {}
+        for block_id in block_ids.tolist():
+            bin_id, row_idx, first, end, offset, length, raw_bytes, crc = reads[
+                block_id
+            ]
+            seq, path, opener = openers[bin_id]
             key = (fetcher.generation, path, offset)
-            order_key = (state.rank, bin_plan.seq, 0, row_idx)
+            order_key = (state.rank, seq, kind, row_idx)
             job, hit = fetcher.request_deferred(key, raw_bytes, order_key)
             if not hit:
+                decode, spec = self._block_decoder(kind, bin_id, first, end, raw_bytes)
                 state.sched.submit(
                     PendingRead(
                         path=path,
                         offset=offset,
-                        length=comp_len,
+                        length=length,
                         crc=crc,
                         opener=opener,
                         job=job,
-                        decode=lambda payload, counts_slice=counts_slice: (
-                            decode_position_block_flat(payload, counts_slice)
-                        ),
+                        decode=decode,
                         raw_bytes=raw_bytes,
-                        raw_kind="index",
+                        raw_kind=raw_kind,
                         raw=state.raw,
                         key=key if fetcher.caching else None,
                         order_key=order_key,
-                        spec=("index", counts_slice),
+                        spec=spec,
                     )
                 )
-            bin_plan.index_entries.append((cpos_start, cpos_end, offset, job))
+            jobs[block_id] = job
+        return jobs
+
+    def _block_decoder(
+        self, kind: int, bin_id: int, first: int, end: int, raw_bytes: int
+    ):
+        """``(payload -> decoded block, picklable spec)`` of one block."""
+        if kind == _INDEX:
+            counts_slice = self.context.counts64[bin_id, first:end]
+            return (
+                lambda payload: decode_position_block_flat(payload, counts_slice),
+                ("index", counts_slice),
+            )
+        codec = self._codec
+        codec_name, codec_params = codec.spec()
+        if self.meta.config.plod_enabled:
+            return (
+                lambda payload: np.frombuffer(
+                    codec.decode(payload, raw_bytes), dtype=np.uint8
+                ),
+                ("bytes", codec_name, codec_params, raw_bytes),
+            )
+        return (
+            lambda payload: codec.decode(payload, raw_bytes // 8),
+            ("float", codec_name, codec_params, raw_bytes // 8),
+        )
 
     # ------------------------------------------------------------------
     def _plan_rank_values(
@@ -549,262 +635,117 @@ class QueryEngine:
         fctx: _FaultContext,
         chunk_levels: np.ndarray | None = None,
     ) -> None:
-        """Resolve index losses, then defer the rank's data-block reads."""
-        for bin_plan in state.bins:
-            lost_index = [
-                (s, e, off)
-                for (s, e, off, job) in bin_plan.index_entries
-                if _job_lost(job)
-            ]
-            bin_plan.index_parts = [
-                (s, e, job)
-                for (s, e, off, job) in bin_plan.index_entries
-                if not _job_lost(job)
-            ]
-            counts64 = self.context.counts64[bin_plan.bin_id]
-            if lost_index:
-                # A lost index block loses the membership of every chunk
-                # it covered: those chunks leave the answer entirely.
-                lost_mask = np.zeros(bin_plan.cpos.size, dtype=bool)
-                for cpos_start, cpos_end, _ in lost_index:
-                    lost_mask |= (bin_plan.cpos >= cpos_start) & (
-                        bin_plan.cpos < cpos_end
-                    )
-                lost_ids = bin_plan.chunk_ids[lost_mask]
-                if not self.execution.allow_partial:
-                    raise DegradedResultError(
-                        kind="index",
-                        path=self.files.index_path(bin_plan.bin_id),
-                        offset=lost_index[0][2],
-                        bin_id=bin_plan.bin_id,
-                        chunk_ids=tuple(int(c) for c in lost_ids),
-                    )
-                fctx.partial_chunks.update(int(c) for c in lost_ids)
-                fctx.dropped_points += int(counts64[bin_plan.cpos[lost_mask]].sum())
-                bin_plan.cpos = bin_plan.cpos[~lost_mask]
-                bin_plan.chunk_ids = bin_plan.chunk_ids[~lost_mask]
-            bin_plan.need_values = (
-                query.wants_values
-                or not bin_plan.aligned
-                or position_filter is not None
-            )
-            if bin_plan.need_values:
-                bin_plan.value_work = self._request_value_blocks(
-                    state, bin_plan, query.plod_level, fetcher, chunk_levels
-                )
-
-    def _request_value_blocks(
-        self,
-        state: _RankState,
-        bin_plan: _BinPlan,
-        plod_level: int,
-        fetcher: _BlockFetcher,
-        chunk_levels: np.ndarray | None = None,
-    ) -> _ValueWork:
-        """Defer the data blocks covering the needed cells.
+        """Resolve index losses, then defer the rank's data-block reads.
 
         With ``chunk_levels`` (mixed-level plans), byte group ``g`` is
         requested only for the chunks whose level exceeds ``g`` — the
         per-chunk minimal fetch of error-bounded retrieval.
         """
+        if fctx.quarantined:
+            self._drop_lost_index_rows(state, fctx)
         config = self.meta.config
-        n_chunks = self.meta.n_chunks
-        counts = self.context.counts64[bin_plan.bin_id]
-        table = self.meta.data_blocks[bin_plan.bin_id]
-        path = self.files.data_path(bin_plan.bin_id)
-        opener = _HandleOpener(state.session, path, eager=not fetcher.caching)
-        cpos = bin_plan.cpos
-        n_elem = int(counts[cpos].sum())
-        if n_elem == 0:
-            return _ValueWork(n_elem=0)
-
-        mixed = config.plod_enabled and chunk_levels is not None
-        if mixed:
-            requested = np.clip(chunk_levels[cpos], 1, config.n_groups).astype(
-                np.int64
-            )
-            n_groups = int(requested.max())
+        if query.wants_values or position_filter is not None:
+            state.need = np.ones(state.cpos.size, dtype=bool)
+            value_bins = np.arange(state.bins.size)
         else:
-            requested = None
-            n_groups = min(plod_level, config.n_groups) if config.plod_enabled else 1
-        cell_offsets = self.context.cell_offsets[bin_plan.bin_id]
-        row_starts = self.context.data_row_starts[bin_plan.bin_id]
-
-        # The cells needed, grouped per byte group (so each group's
-        # payload concatenates contiguously in cpos order).
-        group_members: list[np.ndarray] | None = None
-        if config.plod_enabled:
-            if mixed and int(requested.min()) < n_groups:
-                # Group g serves only the chunks requesting beyond it
-                # (group 0, the base plane, always serves every chunk).
-                group_members = [
-                    np.arange(cpos.size) if g == 0 else np.flatnonzero(requested > g)
-                    for g in range(n_groups)
-                ]
-                selected = [cpos[idx] for idx in group_members]
-            else:
-                selected = [cpos] * n_groups
-            if config.group_major:  # V-M-S: cell = g * n_chunks + cpos
-                cells_per_group = [
-                    g * n_chunks + c for g, c in enumerate(selected)
-                ]
-            else:  # V-S-M: cell = cpos * 7 + g
-                cells_per_group = [
-                    c * config.n_groups + g for g, c in enumerate(selected)
-                ]
-        else:
-            cells_per_group = [cpos]
-
-        # Request each covering compression block exactly once.
-        all_cells = np.unique(np.concatenate(cells_per_group))
-        jobs: dict[int, _DecodeJob] = {}
-        codec = self._codec
-        codec_name, codec_params = codec.spec()
-        for row_idx in covering_rows(row_starts, all_cells):
-            offset, comp_len, raw_len = (int(v) for v in table[row_idx][2:5])
-            crc = int(table[row_idx][5])
-            if config.plod_enabled:
-                decode = lambda payload, raw_len=raw_len: np.frombuffer(  # noqa: E731
-                    codec.decode(payload, raw_len), dtype=np.uint8
-                )
-                spec = ("bytes", codec_name, codec_params, raw_len)
-            else:
-                decode = lambda payload, raw_len=raw_len: codec.decode(  # noqa: E731
-                    payload, raw_len // 8
-                )
-                spec = ("float", codec_name, codec_params, raw_len // 8)
-            key = (fetcher.generation, path, offset)
-            order_key = (state.rank, bin_plan.seq, 1, row_idx)
-            job, hit = fetcher.request_deferred(key, raw_len, order_key)
-            if not hit:
-                state.sched.submit(
-                    PendingRead(
-                        path=path,
-                        offset=offset,
-                        length=comp_len,
-                        crc=crc,
-                        opener=opener,
-                        job=job,
-                        decode=decode,
-                        raw_bytes=raw_len,
-                        raw_kind="data",
-                        raw=state.raw,
-                        key=key if fetcher.caching else None,
-                        order_key=order_key,
-                        spec=spec,
-                    )
-                )
-            jobs[row_idx] = job
-
-        return _ValueWork(
-            n_elem=n_elem,
-            n_groups=n_groups,
-            cells_per_group=cells_per_group,
-            cell_offsets=cell_offsets,
-            row_starts=row_starts,
-            jobs=jobs,
-            requested_levels=requested,
-            group_members=group_members,
+            state.need = ~state.aligned
+            value_bins = np.flatnonzero(~state.bin_aligned)
+        state.value_counts = np.where(state.need, state.counts, 0)
+        # A bin whose planned chunks hold no element requests no block;
+        # one that does also requests the blocks under its empty cells.
+        active = state.need & (
+            np.bincount(state.bin_ids, state.value_counts)[state.bin_ids] > 0
         )
+        if config.plod_enabled and chunk_levels is not None:
+            state.level = np.clip(chunk_levels[state.cpos], 1, config.n_groups)
+        else:
+            uniform = min(query.plod_level, config.n_groups) if config.plod_enabled else 1
+            state.level = np.full(state.cpos.size, uniform, dtype=np.int64)
+        state.n_groups = int(state.level[active].max()) if active.any() else 0
+        state.data_block, state.data_lo, hi = self.context.data_extents(
+            state.bin_ids, state.cpos, state.n_groups
+        )
+        # Rows without values take no room in the rank's planes.
+        state.data_hi = np.where(state.need, hi, state.data_lo)
+        state.wanted = active & (
+            np.arange(state.n_groups, dtype=np.int64)[:, None] < state.level
+        )
+        state.data_jobs = self._request_blocks(
+            state,
+            fetcher,
+            _DATA,
+            value_bins,
+            np.unique(state.data_block[state.wanted]),
+        )
+
+    def _drop_lost_index_rows(self, state: _RankState, fctx: _FaultContext) -> None:
+        """A lost index block loses the membership of every chunk it
+        covered: those rows leave the answer entirely."""
+        lost_ids = [b for b, job in state.index_jobs.items() if _job_lost(job)]
+        lost = np.isin(state.index_block, lost_ids)
+        if not lost.any():
+            return
+        if not self.execution.allow_partial:
+            # Report the first bin (in rank order) that lost a block.
+            row = int(np.argmax(lost))
+            bin_id = int(state.bin_ids[row])
+            raise DegradedResultError(
+                kind="index",
+                path=self.files.index_path(bin_id),
+                offset=self.context.index_reads[state.index_block[row]][4],
+                bin_id=bin_id,
+                chunk_ids=tuple(
+                    state.chunk_ids[lost & (state.bin_ids == bin_id)].tolist()
+                ),
+            )
+        fctx.partial_chunks.update(state.chunk_ids[lost].tolist())
+        fctx.dropped_points += int(state.counts[lost].sum())
+        state.keep_rows(~lost)
 
     def _classify_rank_values(
         self,
         state: _RankState,
         fctx: _FaultContext,
-        degraded_levels: dict[int, int] | None = None,
+        degraded_levels: dict[int, int],
     ) -> None:
-        """Map quarantined data blocks onto the degradation policy."""
-        for bin_plan in state.bins:
-            vw = bin_plan.value_work
-            if vw is None or not vw.jobs:
-                continue
-            lost_rows = [r for r, job in vw.jobs.items() if _job_lost(job)]
-            if not lost_rows:
-                continue
-            table = self.meta.data_blocks[bin_plan.bin_id]
-            path = self.files.data_path(bin_plan.bin_id)
-            self._classify_data_loss(vw, bin_plan.cpos, lost_rows, table, path)
-            if vw.cell_levels is not None and degraded_levels is not None:
-                base = (
-                    vw.requested_levels
-                    if vw.requested_levels is not None
-                    else vw.n_groups
-                )
-                drop = vw.cell_levels < base
-                for c, lvl in zip(bin_plan.cpos[drop], vw.cell_levels[drop]):
-                    c, lvl = int(c), int(lvl)
-                    degraded_levels[c] = min(degraded_levels.get(c, lvl), lvl)
-            if vw.fatal_mask is not None:
-                lost_ids = bin_plan.chunk_ids[vw.fatal_mask]
-                if not self.execution.allow_partial:
-                    fatal_path, offset = vw.fatal_block
-                    raise DegradedResultError(
-                        kind="data-base"
-                        if self.meta.config.plod_enabled
-                        else "data",
-                        path=fatal_path,
-                        offset=offset,
-                        bin_id=bin_plan.bin_id,
-                        chunk_ids=tuple(int(c) for c in lost_ids),
-                    )
-                fctx.partial_chunks.update(int(c) for c in lost_ids)
-                fctx.dropped_points += int(
-                    self.context.counts64[bin_plan.bin_id][
-                        bin_plan.cpos[vw.fatal_mask]
-                    ].sum()
-                )
+        """Map quarantined data blocks onto the degradation policy.
 
-    def _classify_data_loss(
-        self,
-        vw: _ValueWork,
-        cpos: np.ndarray,
-        lost_rows: list[int],
-        table: np.ndarray,
-        path: str,
-    ) -> None:
-        """Intersect quarantined blocks with the requested byte groups.
-
-        Group-0 cells (the PLoD base plane, or the whole value when
-        PLoD is off) make the chunk's points unrecoverable
-        (``fatal_mask``); cells of a refinement group ``g >= 1`` only
-        cap the affected chunk's effective level at ``g``
-        (``cell_levels``) — the dummy-fill reconstruction applies from
-        there down.
+        A lost group-0 cell (the PLoD base plane, or the whole value
+        when PLoD is off) makes the row's points unrecoverable
+        (``fatal``); a lost refinement cell ``g >= 1`` only caps the
+        row's effective level at ``g`` (``effective``) — the dummy-fill
+        reconstruction applies from there down.
         """
-        row_starts = vw.row_starts
-        # End cell (exclusive) of each block row; the table is
-        # contiguous, so the last row ends at the bin's total cells.
-        row_ends = np.append(row_starts[1:], vw.cell_offsets.size - 1)
-        base_levels = (
-            vw.requested_levels.copy()
-            if vw.requested_levels is not None
-            else np.full(cpos.size, vw.n_groups, dtype=np.int64)
-        )
-        levels = base_levels.copy()
-        fatal = np.zeros(cpos.size, dtype=bool)
-        fatal_row: int | None = None
-        for g, cells in enumerate(vw.cells_per_group):
-            # Mixed-level plans request group g for a subset of the
-            # chunks; map subset hits back to cpos indices.
-            members = vw.group_members[g] if vw.group_members is not None else None
-            hit = np.zeros(cells.size, dtype=bool)
-            for row_idx in lost_rows:
-                row_hit = (cells >= row_starts[row_idx]) & (cells < row_ends[row_idx])
-                if g == 0 and fatal_row is None and row_hit.any():
-                    fatal_row = row_idx
-                hit |= row_hit
-            if not hit.any():
-                continue
-            idx = members[hit] if members is not None else np.flatnonzero(hit)
-            if g == 0:
-                fatal[idx] = True
-            else:
-                levels[idx] = np.minimum(levels[idx], g)
+        lost_ids = [b for b, job in state.data_jobs.items() if _job_lost(job)]
+        if not lost_ids:
+            return
+        lost = np.isin(state.data_block, lost_ids) & state.wanted
+        groups = np.arange(state.n_groups, dtype=np.int64)[:, None]
+        first_lost = np.where(lost & (groups >= 1), groups, state.n_groups).min(axis=0)
+        effective = np.minimum(state.level, first_lost)
+        dropped = effective < state.level
+        if dropped.any():
+            state.effective = effective
+            for c, lvl in zip(state.cpos[dropped].tolist(), effective[dropped].tolist()):
+                degraded_levels[c] = min(degraded_levels.get(c, lvl), lvl)
+        fatal = lost[0]
         if fatal.any():
-            vw.fatal_mask = fatal
-            vw.fatal_block = (path, int(table[fatal_row][2]))
-        if (levels < base_levels).any():
-            vw.cell_levels = levels
+            if not self.execution.allow_partial:
+                # Report the first bin (in rank order) that lost points.
+                row = int(np.argmax(fatal))
+                bin_id = int(state.bin_ids[row])
+                raise DegradedResultError(
+                    kind="data-base" if self.meta.config.plod_enabled else "data",
+                    path=self.files.data_path(bin_id),
+                    offset=self.context.data_reads[state.data_block[0, row]][4],
+                    bin_id=bin_id,
+                    chunk_ids=tuple(
+                        state.chunk_ids[fatal & (state.bin_ids == bin_id)].tolist()
+                    ),
+                )
+            state.fatal = fatal
+            fctx.partial_chunks.update(state.chunk_ids[fatal].tolist())
+            fctx.dropped_points += int(state.counts[fatal].sum())
 
     # ------------------------------------------------------------------
     def _finish_rank(
@@ -816,124 +757,76 @@ class QueryEngine:
         fctx: _FaultContext,
     ) -> RankOutput:
         """Gather, filter and assemble one rank's results."""
-        out_positions: list[np.ndarray] = []
-        out_values: list[np.ndarray] = []
-        candidate_bytes = 0
+        counts = state.counts
+        positions = self._rank_positions(state)
+        values = self._rank_values(state)
+        # Counted before any filter: what the rank gathered.
+        candidate_bytes = positions.nbytes + values.nbytes
 
-        for bin_plan in state.bins:
-            positions, counts = self._gather_positions(bin_plan)
-            candidate_bytes += positions.nbytes
-            values: np.ndarray | None = None
-            if bin_plan.need_values:
-                values = self._assemble_values(bin_plan)
-                candidate_bytes += values.nbytes
-
-            vw = bin_plan.value_work
-            mask: np.ndarray | None = None
-            if query.value_range is not None and not bin_plan.aligned:
-                lo, hi = query.value_range
-                mask = (values >= lo) & (values <= hi)
-            if plan.region is not None:
-                interior = plan.interior_of(bin_plan.cpos)
-                if not interior.all():
-                    # Only elements of boundary chunks need the
-                    # coordinate test; interior chunks pass whole.
-                    in_region = np.ones(positions.size, dtype=bool)
-                    boundary = ~np.repeat(interior, counts)
-                    in_region[boundary] = self.grid.positions_in_region(
-                        positions[boundary], plan.region
-                    )
-                    mask = in_region if mask is None else (mask & in_region)
-            if position_filter is not None:
-                hit = position_filter.get(positions)
-                mask = hit if mask is None else (mask & hit)
-            if vw is not None and vw.fatal_mask is not None:
-                # Points of unrecoverable chunks leave the answer
-                # (allow_partial — otherwise the plan phase raised).
-                keep = ~np.repeat(vw.fatal_mask, counts)
-                mask = keep if mask is None else (mask & keep)
-            if vw is not None and vw.cell_levels is not None:
-                # Count degraded points that actually reach the
-                # result (dummy-filled below the requested level).
-                base = (
-                    vw.requested_levels
-                    if vw.requested_levels is not None
-                    else vw.n_groups
+        mask: np.ndarray | None = None
+        if query.value_range is not None and not state.aligned.all():
+            # Aligned rows pass whole; the others hold values to test.
+            lo, hi = query.value_range
+            mask = np.repeat(state.aligned, counts)
+            mask[np.repeat(state.need, counts)] |= (values >= lo) & (values <= hi)
+        if plan.region is not None:
+            interior = plan.interior_of(state.cpos)
+            if not interior.all():
+                # Only elements of boundary chunks need the
+                # coordinate test; interior chunks pass whole.
+                in_region = np.ones(positions.size, dtype=bool)
+                boundary = ~np.repeat(interior, counts)
+                in_region[boundary] = self.grid.positions_in_region(
+                    positions[boundary], plan.region
                 )
-                deg = np.repeat(vw.cell_levels < base, counts)
-                if mask is not None:
-                    deg = deg & mask
-                fctx.degraded_points += int(deg.sum())
+                mask = in_region if mask is None else (mask & in_region)
+        if position_filter is not None:
+            hit = position_filter.get(positions)
+            mask = hit if mask is None else (mask & hit)
+        if state.fatal is not None:
+            # Points of unrecoverable chunks leave the answer
+            # (allow_partial — otherwise classification raised).
+            keep = ~np.repeat(state.fatal, counts)
+            mask = keep if mask is None else (mask & keep)
+        if state.effective is not None:
+            # Count degraded points that actually reach the
+            # result (dummy-filled below the requested level).
+            deg = np.repeat(state.effective < state.level, counts)
             if mask is not None:
-                positions = positions[mask]
-                if values is not None:
-                    values = values[mask]
-            out_positions.append(positions)
+                deg = deg & mask
+            fctx.degraded_points += int(deg.sum())
+        if mask is not None:
+            positions = positions[mask]
             if query.wants_values:
-                out_values.append(values)
-
-        positions = (
-            np.concatenate(out_positions) if out_positions else np.empty(0, dtype=np.int64)
-        )
-        values = None
-        if query.wants_values:
-            values = (
-                np.concatenate(out_values) if out_values else np.empty(0, dtype=np.float64)
-            )
+                values = values[mask]
         return RankOutput(
             positions=positions,
-            values=values,
+            values=values if query.wants_values else None,
             session=state.session,
             data_raw_bytes=state.raw["data"],
             index_raw_bytes=state.raw["index"],
             candidate_bytes=candidate_bytes,
         )
 
-    def _gather_positions(self, bin_plan: _BinPlan) -> tuple[np.ndarray, np.ndarray]:
-        """Slice the wanted chunks out of the decoded index blocks.
+    def _rank_positions(self, state: _RankState) -> np.ndarray:
+        """Slice the rank's rows out of the decoded index blocks.
 
-        Returns the concatenated global positions (in ``cpos`` order)
-        and the per-chunk element counts.  Wanted chunks are gathered as
-        maximal runs of consecutive chunk positions — one slice per run
-        instead of one Python-level slice per chunk.
+        Returns the global positions of every row's elements, in row
+        order.  Rows that share a block and follow each other in it
+        are one slice.
         """
-        bin_counts = self.context.counts64[bin_plan.bin_id]
-        # Cumulative element counts over the whole bin: the offset of a
-        # chunk inside a decoded block is pos_offsets[cpos] minus the
-        # block's base (precomputed once per store, DESIGN.md §7).
-        pos_offsets = self.context.pos_offsets[bin_plan.bin_id]
-        local_parts: list[np.ndarray] = []
-        for cpos_start, cpos_end, job in bin_plan.index_parts:
-            flat = job.result
-            base = int(pos_offsets[cpos_start])
-            lo = int(np.searchsorted(bin_plan.cpos, cpos_start, side="left"))
-            hi = int(np.searchsorted(bin_plan.cpos, cpos_end, side="left"))
-            wanted = bin_plan.cpos[lo:hi]
-            if wanted.size == 0:
-                continue
-            breaks = np.flatnonzero(np.diff(wanted) != 1) + 1
-            starts = np.concatenate(([0], breaks))
-            ends = np.concatenate((breaks, [wanted.size]))
-            for s, e in zip(starts, ends):
-                local_parts.append(
-                    flat[
-                        int(pos_offsets[wanted[s]]) - base :
-                        int(pos_offsets[wanted[e - 1] + 1]) - base
-                    ]
-                )
-        counts = bin_counts[bin_plan.cpos]
-        local_ids = (
-            np.concatenate(local_parts)
-            if local_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        positions = self.grid.global_positions_batch(
-            bin_plan.chunk_ids, local_ids, counts
-        )
-        return positions, counts
+        counts = state.counts
+        local_ids = np.empty(int(counts.sum()), dtype=np.int64)
+        jobs = state.index_jobs
+        for block, lo, hi, dest in merge_extents(
+            state.index_block, state.index_lo, state.index_hi
+        ):
+            local_ids[dest : dest + hi - lo] = jobs[block].result[lo:hi]
+        return self.grid.global_positions_batch(state.chunk_ids, local_ids, counts)
 
-    def _assemble_values(self, bin_plan: _BinPlan) -> np.ndarray:
-        """Gather cells from decoded data blocks and assemble values.
+    def _rank_values(self, state: _RankState) -> np.ndarray:
+        """Slice the rank's cells out of the decoded data blocks into
+        group-major planes and assemble the values of its ``need`` rows.
 
         Cell gathering + PLoD byte-plane assembly belong to the
         *decompression* component: they are part of recovering values
@@ -941,125 +834,39 @@ class QueryEngine:
         fetched, whereas the paper's "reconstruction" (filtering +
         final assembly of results) is independent of the PLoD level
         (Fig. 8's flat reconstruction line).
+
+        A quarantined block or a cell beyond its row's level is never
+        copied: its bytes stay zero, later either dropped (fatal loss)
+        or overwritten by the dummy-fill reconstruction — they never
+        reach a result as-is.
         """
-        vw = bin_plan.value_work
-        config = self.meta.config
-        if vw is None or vw.n_elem == 0:
+        counts = state.value_counts
+        n_elem = int(counts.sum())
+        if n_elem == 0:
             return np.empty(0, dtype=np.float64)
-        decoded = {row_idx: job.result for row_idx, job in vw.jobs.items()}
-        group_payloads = [
-            self._gather_cells(
-                decoded,
-                vw.row_starts,
-                vw.cell_offsets,
-                cells,
-                as_float=not config.plod_enabled,
+        n_groups = state.n_groups
+        if self.meta.config.plod_enabled:
+            # Planes back to back in one buffer: plane g starts at byte
+            # n_elem * GROUP_OFFSETS[g], where merge_extents' dest puts it.
+            plane_ends = [
+                n_elem * (GROUP_OFFSETS[g] + GROUP_WIDTHS[g]) for g in range(n_groups)
+            ]
+            out = np.zeros(plane_ends[-1], dtype=np.uint8)
+        else:
+            out = np.zeros(n_elem, dtype=np.float64)
+        jobs = state.data_jobs
+        for block, lo, hi, dest in merge_extents(
+            state.data_block, state.data_lo, state.data_hi, state.wanted
+        ):
+            decoded = jobs[block].result
+            if decoded is not None:
+                out[dest : dest + hi - lo] = decoded[lo:hi]
+        if not self.meta.config.plod_enabled:
+            return out
+        planes = np.split(out, plane_ends[:-1])
+        levels = state.level if state.effective is None else state.effective
+        if int(levels.min()) < n_groups:
+            return assemble_from_groups_degraded(
+                planes, n_elem, n_groups, np.repeat(levels, counts)
             )
-            for cells in vw.cells_per_group
-        ]
-        if config.plod_enabled:
-            counts = self.context.counts64[bin_plan.bin_id][bin_plan.cpos]
-            if vw.group_members is not None:
-                # Mixed-level plans fetched subset payloads; scatter
-                # them into full-size planes (gaps stay zero — the
-                # dummy-fill rule overwrites every byte beyond a
-                # point's effective level).
-                elem_starts = np.concatenate(
-                    ([0], np.cumsum(counts))
-                ).astype(np.int64)
-                group_payloads = [
-                    payload
-                    if members.size == counts.size
-                    else _scatter_subset(
-                        payload,
-                        members,
-                        elem_starts,
-                        GROUP_WIDTHS[g],
-                        vw.n_elem,
-                    )
-                    for g, (payload, members) in enumerate(
-                        zip(group_payloads, vw.group_members)
-                    )
-                ]
-            levels = vw.cell_levels
-            if levels is None and vw.requested_levels is not None:
-                if int(vw.requested_levels.min()) < vw.n_groups:
-                    levels = vw.requested_levels
-            if levels is not None:
-                point_levels = np.repeat(np.maximum(levels, 1), counts)
-                return assemble_from_groups_degraded(
-                    group_payloads, vw.n_elem, vw.n_groups, point_levels
-                )
-            return assemble_from_groups(group_payloads, vw.n_elem, vw.n_groups)
-        return group_payloads[0]
-
-    def _gather_cells(
-        self,
-        decoded: dict[int, np.ndarray],
-        row_starts: np.ndarray,
-        cell_offsets: np.ndarray,
-        cells: np.ndarray,
-        as_float: bool,
-    ) -> np.ndarray:
-        """Concatenate the payloads of ``cells`` (ascending) out of the
-        decoded blocks, slicing maximal runs of consecutive cells.
-
-        A ``None`` entry in ``decoded`` is a quarantined block: its
-        cells are zero-filled placeholders, later either dropped
-        (fatal loss) or overwritten by the dummy-fill reconstruction
-        (refinement loss) — they never reach a result as-is.
-        """
-        rows = np.searchsorted(row_starts, cells, side="right") - 1
-        breaks = np.flatnonzero((np.diff(cells) != 1) | (np.diff(rows) != 0)) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [cells.size]))
-        parts: list[np.ndarray] = []
-        for s, e in zip(starts, ends):
-            row_idx = int(rows[s])
-            buf = decoded[row_idx]
-            block_base = int(cell_offsets[row_starts[row_idx]])
-            lo = int(cell_offsets[cells[s]]) - block_base
-            hi = int(cell_offsets[cells[e - 1] + 1]) - block_base
-            if buf is None:
-                parts.append(
-                    np.zeros(
-                        (hi - lo) // 8 if as_float else hi - lo,
-                        dtype=np.float64 if as_float else np.uint8,
-                    )
-                )
-            else:
-                parts.append(buf[lo // 8 : hi // 8] if as_float else buf[lo:hi])
-        if not parts:
-            return np.empty(0, dtype=np.float64 if as_float else np.uint8)
-        return np.concatenate(parts)
-
-
-def _scatter_subset(
-    payload: np.ndarray,
-    members: np.ndarray,
-    elem_starts: np.ndarray,
-    width: int,
-    n_elem: int,
-) -> np.ndarray:
-    """Scatter a subset byte-group payload into a full-size plane.
-
-    ``payload`` concatenates the group's bytes for the chunks indexed by
-    ``members`` (ascending indices into the bin's planned cpos array);
-    ``elem_starts`` is the cumulative element count over all planned
-    chunks.  Chunks outside the subset stay zero — assembly's per-point
-    dummy-fill rule overwrites those bytes, so they never reach a value.
-    Copies maximal runs of consecutive members, mirroring the run-sliced
-    cell gather.
-    """
-    plane = np.zeros(n_elem * width, dtype=np.uint8)
-    if members.size:
-        breaks = np.flatnonzero(np.diff(members) != 1) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [members.size]))
-        src = 0
-        for s, e in zip(starts, ends):
-            lo = int(elem_starts[members[s]]) * width
-            hi = int(elem_starts[members[e - 1] + 1]) * width
-            plane[lo:hi] = payload[src : src + (hi - lo)]
-            src += hi - lo
-    return plane
+        return assemble_from_groups(planes, n_elem, n_groups)

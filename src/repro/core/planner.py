@@ -11,10 +11,14 @@ per-(bin, chunk) work items handed to the scheduler.
 The planning phase is an end-to-end array pipeline: the work-list is a
 columnar :class:`~repro.parallel.scheduler.BlockList` (no per-block
 Python objects), chunk interiority is one vectorized kernel, and the
-per-query constants — per-bin cell-offset tables, int64 count views,
-block-table row starts — are precomputed once per store in a
-:class:`PlanContext`, which also fronts an optional :class:`PlanCache`
-LRU so repeated query shapes skip planning entirely.
+per-query constants — store-wide position and cell offset tables, int64
+count views, the block tables flattened into sorted global keys — are
+precomputed once per store in a :class:`PlanContext`, which also fronts
+an optional :class:`PlanCache` LRU so repeated query shapes skip
+planning entirely.  The same tables answer, for a whole rank's rows at
+once, which block holds each row and where inside it
+(:meth:`PlanContext.index_extents`, :meth:`PlanContext.data_extents`,
+:func:`merge_extents`) — the arithmetic of the engine's columnar pass.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ __all__ = [
     "PlanContext",
     "plan_query",
     "cell_sizes",
-    "covering_rows",
+    "merge_extents",
 ]
 
 
@@ -152,15 +156,46 @@ class QueryPlan:
 
 
 def cell_sizes(config, counts: np.ndarray, n_chunks: int) -> np.ndarray:
-    """Byte size of every cell of a bin, in file cell order."""
+    """Byte size of every cell of a bin, in file cell order.
+
+    ``counts`` is one bin's per-chunk counts or the whole
+    ``(n_bins, n_chunks)`` matrix (one row of cells per bin).
+    """
     counts = counts.astype(np.int64)
     if not config.plod_enabled:
         return counts * 8
     widths = np.array(GROUP_WIDTHS, dtype=np.int64)
+    cells = counts.shape[:-1] + (-1,)
     if config.group_major:  # cell = g * n_chunks + cpos
-        return (widths[:, None] * counts[None, :]).reshape(-1)
+        return (widths[:, None] * counts[..., None, :]).reshape(cells)
     # cell = cpos * n_groups + g
-    return (counts[:, None] * widths[None, :]).reshape(-1)
+    return (counts[..., :, None] * widths).reshape(cells)
+
+
+def _flatten_block_tables(
+    tables: list[np.ndarray], stride: int, offsets: np.ndarray, raw_col: int | None
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Per-bin block tables as one store-wide lookup.
+
+    ``tables[b]`` rows are ``(first, end, offset, length, ..., crc)``
+    with ``[first, end)`` the chunk positions (index) or layout cells
+    (data) the block covers; ``stride`` is the size of a bin's key space
+    and ``offsets[b]`` its prefix sums.  Returns, in global block id
+    order: every block as a tuple ``(bin, row_in_bin, first, end,
+    offset, length, raw_bytes, crc)``, the sorted keys ``bin * stride +
+    first``, and the base offsets ``offsets[bin, first]``.  ``raw_bytes``
+    is column ``raw_col``, or 8 B per covered position where the table
+    (the index's) records none.
+    """
+    sizes = [t.shape[0] for t in tables]
+    bins = np.repeat(np.arange(len(tables), dtype=np.int64), sizes)
+    rows = np.arange(bins.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.concatenate(tables)
+    first, end = table[:, 0], table[:, 1]
+    base = offsets[bins, first]
+    raw = table[:, raw_col] if raw_col is not None else (offsets[bins, end] - base) * 8
+    reads = np.column_stack((bins, rows, table[:, :4], raw, table[:, -1]))
+    return list(map(tuple, reads.tolist())), bins * stride + first, base
 
 
 class PlanCache:
@@ -202,15 +237,29 @@ class PlanContext:
     """Store-resident planning context, built once per opened store.
 
     Precomputes everything per-query planning and rank-work assembly
-    would otherwise rebuild from the raw metadata on every call:
+    would otherwise rebuild from the raw metadata on every call.  Every
+    table is store-wide — addressable for the rows of a whole rank in
+    one indexing operation — and shared by the handle's shard engines
+    and sessions:
 
-    * ``counts64`` — the per-(bin, chunk) element counts as int64;
-    * ``pos_offsets`` — per bin, the cumulative element count over
-      chunk positions (prefix sums used to slice decoded index blocks);
-    * ``cell_offsets`` — per bin, the cumulative byte offset of every
-      layout cell (prefix sums over :func:`cell_sizes`);
-    * ``index_row_starts`` / ``data_row_starts`` — the first column of
-      each bin's block tables, contiguous for ``searchsorted``;
+    * ``counts64`` — the ``(n_bins, n_chunks)`` element counts as int64;
+    * ``pos_offsets`` — ``(n_bins, n_chunks + 1)`` cumulative element
+      counts over chunk positions (where a chunk starts inside its
+      bin's decoded position stream);
+    * ``cell_offsets`` — ``(n_bins, n_cells + 1)`` cumulative byte
+      offsets of the layout cells (prefix sums over :func:`cell_sizes`;
+      every bin has the same ``n_groups x n_chunks`` cell grid);
+    * ``index_keys`` / ``data_keys`` — the first chunk position / first
+      cell of every block of every bin as sorted global keys
+      ``bin * n_chunks + cpos_start`` / ``bin * n_cells + first_cell``:
+      one ``searchsorted`` maps any set of (bin, chunk) or (bin, cell)
+      pairs to global block ids;
+    * ``index_base`` / ``data_base`` — per global block id, the
+      ``pos_offsets`` / ``cell_offsets`` entry of its first chunk / cell
+      (subtract to address inside the decoded block);
+    * ``index_reads`` / ``data_reads`` — per global block id, the block
+      as a plain tuple ``(bin, row_in_bin, first, end, offset, length,
+      raw_bytes, crc)``, ready for a read request;
     * the hierarchical-curve level prefix table, when applicable.
 
     With ``plan_cache > 0`` the context also keeps a :class:`PlanCache`
@@ -244,26 +293,22 @@ class PlanContext:
         #: Per-bin element totals (``counts.sum(axis=1)``), hoisted here
         #: so selectivity estimation never rebuilds them per call.
         self.bin_totals: np.ndarray | None = None
-        self.cell_offsets: list[np.ndarray] = []
-        self.index_row_starts: list[np.ndarray] = []
-        self.data_row_starts: list[np.ndarray] = []
         if meta is not None:
             self.counts64 = meta.counts.astype(np.int64)
             self.bin_totals = self.counts64.sum(axis=1)
             n_bins, n_chunks = self.counts64.shape
             self.pos_offsets = np.zeros((n_bins, n_chunks + 1), dtype=np.int64)
             np.cumsum(self.counts64, axis=1, out=self.pos_offsets[:, 1:])
-            for bin_id in range(n_bins):
-                sizes = cell_sizes(meta.config, self.counts64[bin_id], n_chunks)
-                offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-                np.cumsum(sizes, out=offsets[1:])
-                self.cell_offsets.append(offsets)
-                self.index_row_starts.append(
-                    np.ascontiguousarray(meta.index_blocks[bin_id][:, 0])
-                )
-                self.data_row_starts.append(
-                    np.ascontiguousarray(meta.data_blocks[bin_id][:, 0])
-                )
+            sizes = cell_sizes(meta.config, self.counts64, n_chunks)
+            self.n_chunks, self.n_cells = n_chunks, sizes.shape[1]
+            self.cell_offsets = np.zeros((n_bins, self.n_cells + 1), dtype=np.int64)
+            np.cumsum(sizes, axis=1, out=self.cell_offsets[:, 1:])
+            self.index_reads, self.index_keys, self.index_base = _flatten_block_tables(
+                meta.index_blocks, n_chunks, self.pos_offsets, raw_col=None
+            )
+            self.data_reads, self.data_keys, self.data_base = _flatten_block_tables(
+                meta.data_blocks, self.n_cells, self.cell_offsets, raw_col=4
+            )
 
     @classmethod
     def for_store(
@@ -354,24 +399,63 @@ class PlanContext:
         the bytes a ``tol`` query will actually demand.
         """
         config = self.config
-        mixed = config.plod_enabled and chunk_levels is not None
+        counts = self.counts64[np.ix_(plan.bin_ids, plan.cpos)]
+        total = int(counts.sum()) * 8  # index positions
+        if not query.wants_values:
+            counts = counts[~plan.aligned]
+        if config.plod_enabled and chunk_levels is not None:
+            levels = np.clip(chunk_levels[plan.cpos], 1, config.n_groups)
+            return total + int((counts * levels).sum())
         n_groups = (
             min(query.plod_level, config.n_groups) if config.plod_enabled else 8
         )
-        lv = (
-            np.clip(chunk_levels[plan.cpos], 1, config.n_groups)
-            if mixed
-            else None
+        return total + int(counts.sum()) * n_groups
+
+    # ------------------------------------------------------------------
+    def index_extents(
+        self, bin_ids: np.ndarray, cpos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each (bin, chunk) row's positions sit: the global index
+        block id and the ``[lo, hi)`` element extent inside its decoded
+        position array, one entry per row."""
+        keys = bin_ids * self.n_chunks + cpos
+        block = np.searchsorted(self.index_keys, keys, side="right") - 1
+        base = self.index_base[block]
+        return (
+            block,
+            self.pos_offsets[bin_ids, cpos] - base,
+            self.pos_offsets[bin_ids, cpos + 1] - base,
         )
-        total = 0
-        for i in range(plan.bin_ids.size):
-            bin_id = int(plan.bin_ids[i])
-            counts = self.counts64[bin_id][plan.cpos]
-            n_elem = int(counts.sum())
-            total += n_elem * 8  # index positions
-            if query.wants_values or not bool(plan.aligned[i]):
-                total += int((counts * lv).sum()) if mixed else n_elem * n_groups
-        return total
+
+    def data_extents(
+        self, bin_ids: np.ndarray, cpos: np.ndarray, n_groups: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each row's value bytes sit, per leading byte group.
+
+        Returns three ``(n_groups, n_rows)`` matrices: the global data
+        block id of cell (group ``g``, row) and its ``[lo, hi)`` extent
+        inside the decoded block, in items of that block — bytes on
+        PLoD layouts, float64 values on whole-value layouts (which have
+        the single group 0).
+        """
+        config = self.config
+        groups = np.arange(n_groups, dtype=np.int64)[:, None]
+        if not config.plod_enabled:
+            cell = cpos[None, :]
+        elif config.group_major:  # V-M-S
+            cell = groups * self.n_chunks + cpos
+        else:  # V-S-M
+            cell = cpos * config.n_groups + groups
+        key = bin_ids * self.n_cells + cell
+        block = (
+            np.searchsorted(self.data_keys, key.reshape(-1), side="right") - 1
+        ).reshape(key.shape)
+        base = self.data_base[block]
+        lo = self.cell_offsets[bin_ids, cell] - base
+        hi = self.cell_offsets[bin_ids, cell + 1] - base
+        if not config.plod_enabled:
+            lo, hi = lo // 8, hi // 8
+        return block, lo, hi
 
     def prune_plan(self, plan: QueryPlan, hbi) -> int:
         """Drop plan chunks the hierarchical index proves empty.
@@ -472,15 +556,51 @@ def plan_query(
     )
 
 
-def covering_rows(row_starts: np.ndarray, cells: np.ndarray) -> list[int]:
-    """Indices of the block-table rows containing the given cells.
+def merge_extents(
+    block: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    wanted: np.ndarray | None = None,
+) -> list[tuple[int, int, int, int]]:
+    """Maximal copy runs ``(block, lo, hi, dest)`` over a set of extents.
 
-    ``row_starts`` is a block table's per-row first-cell column (sorted
-    ascending); ``cells`` must be sorted ascending.  Used by the engine
-    to turn a set of needed layout cells into the distinct compression
-    blocks that must be fetched.
+    Extent ``i`` is the items ``[lo[i], hi[i])`` of decoded block
+    ``block[i]``; inputs are one entry per extent, or a matrix with one
+    row per output plane, each plane ascending in the source (as rows
+    in curve order do).  The output is the concatenation of all extents
+    in (plane, entry) order, so ``dest`` — where a run lands in it — is
+    the running sum of the extent lengths; an un-``wanted`` extent keeps
+    its place there (left for the caller's fill value) but is not
+    copied.  Neighbours merge when they share a block and a plane and
+    touch in the source; whatever was dropped between them is empty,
+    or it would separate them in the block too, so they touch in the
+    output as well.  Under Hilbert order a box touches few chunk runs:
+    a rank's hundreds of cells collapse into a handful of slices.
     """
-    if cells.size == 0 or row_starts.size == 0:
+    n_cols = block.shape[-1]
+    block, lo, hi = (a.reshape(-1) for a in (block, lo, hi))
+    length = hi - lo
+    dest = np.cumsum(length) - length
+    keep = length > 0
+    if wanted is not None:
+        keep &= wanted.reshape(-1)
+    idx = np.flatnonzero(keep)
+    if idx.size == 0:
         return []
-    rows = np.searchsorted(row_starts, cells, side="right") - 1
-    return np.unique(rows).tolist()
+    plane = idx // n_cols
+    block, lo, hi, dest = block[idx], lo[idx], hi[idx], dest[idx]
+    joined = (
+        (block[1:] == block[:-1])
+        & (plane[1:] == plane[:-1])
+        & (lo[1:] == hi[:-1])
+    )
+    first = np.flatnonzero(np.concatenate(([True], ~joined)))
+    last = np.concatenate((first[1:], [idx.size])) - 1
+    return list(
+        zip(
+            block[first].tolist(),
+            lo[first].tolist(),
+            hi[last].tolist(),
+            dest[first].tolist(),
+        )
+    )

@@ -17,7 +17,7 @@ import pytest
 from repro.binning.binner import BinScheme
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
 from repro.core.chunking import ChunkGrid
-from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
+from repro.core.planner import PlanCache, PlanContext, QueryPlan, cell_sizes, plan_query
 from repro.core.writer import make_curve
 from repro.datasets import gts_like
 from repro.parallel.scheduler import (
@@ -51,6 +51,22 @@ def _seed_column_order(blocks: list[BlockRef], n_ranks: int) -> list[list[BlockR
         out.append(ordered[start : start + size])
         start += size
     return out
+
+
+def _seed_estimated_raw_bytes(ctx, query, plan, chunk_levels=None) -> int:
+    """The per-bin walk ``PlanContext.estimated_raw_bytes`` replaced."""
+    config = ctx.config
+    mixed = config.plod_enabled and chunk_levels is not None
+    n_groups = min(query.plod_level, config.n_groups) if config.plod_enabled else 8
+    lv = np.clip(chunk_levels[plan.cpos], 1, config.n_groups) if mixed else None
+    total = 0
+    for i in range(plan.bin_ids.size):
+        counts = ctx.counts64[int(plan.bin_ids[i])][plan.cpos]
+        n_elem = int(counts.sum())
+        total += n_elem * 8  # index positions
+        if query.wants_values or not bool(plan.aligned[i]):
+            total += int((counts * lv).sum()) if mixed else n_elem * n_groups
+    return total
 
 
 def _seed_round_robin(blocks: list[BlockRef], n_ranks: int) -> list[list[BlockRef]]:
@@ -229,17 +245,66 @@ class TestPlanContext:
         meta = store.meta
         assert ctx.counts64.dtype == np.int64
         assert np.array_equal(ctx.counts64, meta.counts)
+        n_chunks = meta.n_chunks
+        index_rows = iter(ctx.index_reads)
+        data_rows = iter(ctx.data_reads)
         for bin_id in range(meta.config.n_bins):
             counts = meta.counts[bin_id].astype(np.int64)
             assert np.array_equal(
                 ctx.pos_offsets[bin_id], np.concatenate(([0], np.cumsum(counts)))
             )
+            sizes = cell_sizes(meta.config, counts, n_chunks)
             assert np.array_equal(
-                ctx.index_row_starts[bin_id], meta.index_blocks[bin_id][:, 0]
+                ctx.cell_offsets[bin_id], np.concatenate(([0], np.cumsum(sizes)))
             )
-            assert np.array_equal(
-                ctx.data_row_starts[bin_id], meta.data_blocks[bin_id][:, 0]
-            )
+            # Every block, in table order, as (bin, row, first, end,
+            # offset, length, raw_bytes, crc) under its global key.
+            for row, (first, end, offset, length, crc) in enumerate(
+                meta.index_blocks[bin_id].tolist()
+            ):
+                raw = int(counts[first:end].sum()) * 8
+                assert next(index_rows) == (
+                    bin_id, row, first, end, offset, length, raw, crc
+                )  # fmt: skip
+            for row, (first, end, offset, length, raw, crc) in enumerate(
+                meta.data_blocks[bin_id].tolist()
+            ):
+                assert next(data_rows) == (
+                    bin_id, row, first, end, offset, length, raw, crc
+                )  # fmt: skip
+        assert next(index_rows, None) is None and next(data_rows, None) is None
+        for keys, base, reads, offsets, stride in (
+            (ctx.index_keys, ctx.index_base, ctx.index_reads, ctx.pos_offsets, n_chunks),
+            (ctx.data_keys, ctx.data_base, ctx.data_reads, ctx.cell_offsets, ctx.n_cells),
+        ):
+            assert (np.diff(keys) > 0).all()
+            assert keys.tolist() == [r[0] * stride + r[2] for r in reads]
+            assert base.tolist() == [int(offsets[r[0], r[2]]) for r in reads]
+
+    @pytest.mark.parametrize("kind", ["col", "vsm", "iso", "isa"])
+    def test_estimated_raw_bytes_matches_per_bin_loop(self, kind, request):
+        """Broker admission / tol stamping cost: one reduction over the
+        plan's (bins x chunks) counts equals the per-bin walk exactly."""
+        _, store = request.getfixturevalue(f"{kind}_store")
+        ctx, edges = store.context, store.meta.edges
+        on_edges = (float(edges[3]), float(edges[9]))  # interior bins aligned
+        off_edges = (float(edges[3:5].mean()), float(edges[9:11].mean()))
+        box = ((40, 200), (8, 120))
+        chunk_levels = np.random.default_rng(5).integers(0, 9, store.meta.n_chunks)
+        for output in ("values", "positions"):
+            for query in (
+                Query(output=output),
+                Query(value_range=on_edges, output=output),
+                Query(value_range=off_edges, output=output, plod_level=3),
+                Query(value_range=off_edges, region=box, output=output),
+                Query(region=box, output=output, plod_level=2),
+                Query(value_range=(9e9, 9.1e9), output=output),  # empty plan
+            ):
+                plan = ctx.plan_uncached(query)
+                for levels in (None, chunk_levels):
+                    got = ctx.estimated_raw_bytes(query, plan, levels)
+                    assert type(got) is int
+                    assert got == _seed_estimated_raw_bytes(ctx, query, plan, levels)
 
     def test_plan_matches_plan_query(self, col_store):
         _, store = col_store
