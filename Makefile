@@ -1,6 +1,7 @@
 # Developer entry points.  `make verify` is the one-command gate every
 # change must pass (lint when ruff is installed + layer boundaries +
-# tier-1 tests + the e2e benchmark's oracle at tiny scale).
+# tier-1 tests + the e2e benchmark's oracle at tiny scale + its
+# trace-table test).
 
 .PHONY: verify test lint bench bench-e2e chaos coverage determinism
 

@@ -92,7 +92,8 @@ def per_bin_segments(
     Parameters
     ----------
     values:
-        The element values of one chunk (1-D).
+        The element values of one chunk, or of any number of chunks
+        concatenated (1-D).
     bin_ids:
         Bin id of each element, as returned by :meth:`BinScheme.assign`.
     n_bins:
@@ -102,8 +103,9 @@ def per_bin_segments(
     -------
     (perm, sorted_values, offsets)
         ``perm`` — stable permutation grouping elements by bin (within
-        a bin the original order — i.e. increasing local position — is
-        preserved); ``sorted_values = values[perm]``;
+        a bin the original order — i.e. chunk by chunk, increasing
+        local position within a chunk — is preserved);
+        ``sorted_values = values[perm]``;
         ``offsets`` — length ``n_bins + 1`` prefix offsets such that
         bin ``b``'s elements occupy ``[offsets[b], offsets[b+1])``.
     """
@@ -111,10 +113,13 @@ def per_bin_segments(
     bin_ids = np.asarray(bin_ids)
     if values.shape != bin_ids.shape or values.ndim != 1:
         raise ValueError("values and bin_ids must be equal-length 1-D arrays")
-    perm = np.argsort(bin_ids, kind="stable")
     counts = np.bincount(bin_ids, minlength=n_bins)
     if counts.size > n_bins:
         raise ValueError("bin_ids contains ids >= n_bins")
+    # Every id is now known to lie in [0, n_bins): a 16-bit key sorts
+    # the same way and takes NumPy's radix path instead of a merge sort.
+    keys = bin_ids.astype(np.int16) if n_bins <= 1 << 15 else bin_ids
+    perm = np.argsort(keys, kind="stable")
     offsets = np.zeros(n_bins + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return perm, values[perm], offsets

@@ -16,25 +16,33 @@ The writer runs the full layout pipeline of Fig. 1 over an input array:
 6. write one data file and one position-index file per bin (Fig. 4)
    plus one metadata file.
 
-The writer is a single pass over chunks with bounded buffering:
-compressed blocks are staged in memory per (bin, group) stream and the
-subfiles are materialized at the end, because the V-M-S order requires
-all of byte-group g's cells to precede group g+1's in the file while
-generation is chunk-major.
+The writer is a single pass over the array, one *slab* at a time: a run
+of consecutive curve positions — a whole number of chunks and of
+hierarchical-index leaf runs, about :data:`_SLAB_ELEMENTS` elements —
+on which every step is array arithmetic, with no per-chunk and no
+per-(chunk, bin, byte group) Python work.  Compressed blocks are staged
+in memory per (bin, group) stream and the subfiles are materialized at
+the end, because the V-M-S order requires all of byte-group g's cells
+to precede group g+1's in the file while generation is chunk-major.
 
 The pass is organized as three pipeline stages so the CPU-dominated
 work can parallelize without changing a single output byte
 (DESIGN.md §6, the bit-identical-output rule):
 
-* **chunk stage** — per-chunk binning (``assign``), stable scatter
-  (``per_bin_segments``) and PLoD byte-group splitting.  Pure
-  functions of (data, cpos); under the ``"threads"`` write backend
-  they run out of order on a pool with a bounded look-ahead window.
-* **ordered commit stage** — always serial, always in curve (cell)
-  order: chunk results are consumed in exactly the serial order and
-  appended to each bin's streams, so compression-block *boundaries*
-  are decided by the same deterministic raw-size accumulation as the
-  serial writer.
+* **slab stage** — gather the slab's chunks in curve order, bin every
+  element (``assign``), stable-sort once by bin id (the elements lie
+  chunk by chunk, so the result is (bin, chunk, local id) order: every
+  (bin, chunk) cell contiguous, a bin's cells adjacent), split PLoD
+  byte groups once, and compute the per-chunk error bounds and the
+  delta + varint packing of the position index.  Pure functions of
+  (data, slab number); under the ``"threads"`` write backend slabs run
+  out of order on a pool with a bounded look-ahead window.
+* **ordered commit stage** — always serial, always in curve order:
+  every (bin, group) stream is handed its contiguous slice of the slab
+  with the vector of its cell sizes, and cuts compression blocks by a
+  running raw-size sum over that vector — where adding the cells one
+  at a time would cut them, so block *boundaries* cannot depend on how
+  the array was slabbed.
 * **compression stage** — when a stream cuts a block, the raw buffer
   is handed to the codec: inline under the ``"serial"`` backend, as a
   pool job under ``"threads"`` (zlib releases the GIL; ISOBAR/ISABELA
@@ -45,10 +53,19 @@ work can parallelize without changing a single output byte
   :mod:`repro.compression.base`), so payloads — and therefore
   subfiles, block tables, CRCs and metadata — are bit-identical
   across backends and worker counts.
+
+The slab is bounded because the stage makes about a dozen transient
+copies of its input (sort keys, permutation, byte planes, the bounds'
+reassemblies): a few cache-resident MiB per 64 Ki elements, a multiple
+of the writer's peak memory over a whole array.  No written byte
+depends on the bound — cells, their order in every stream and the
+per-chunk reductions are the same for any slabbing
+(``tests/test_writer_golden.py`` pins the bytes at two slab sizes).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import zlib
@@ -68,8 +85,8 @@ from repro.compression.base import ByteCodec, FloatCodec, make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.meta import StoreMeta
-from repro.index.binindex import encode_position_block
-from repro.index.hbi import HBIBuilder, hbi_path
+from repro.index.binindex import compress_position_stream, encode_position_cells
+from repro.index.hbi import DEFAULT_LEAF_SPAN, HBIBuilder, hbi_path
 from repro.parallel.procpool import (
     AUTO_PROCESS_MIN_BYTES,
     PoolBrokenError,
@@ -78,19 +95,35 @@ from repro.parallel.procpool import (
 )
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
-from repro.plod.bounds import PEBBuilder, compute_chunk_bounds, peb_path
-from repro.plod.byteplanes import GROUP_WIDTHS, split_byte_groups
+from repro.plod.bounds import PEBBuilder, compute_bounds_batch, peb_path
+from repro.plod.byteplanes import (
+    GROUP_WIDTHS,
+    nested_group_index,
+    split_byte_groups,
+)
 from repro.sfc.hierarchical import hierarchical_order
 from repro.sfc.linearize import CurveOrder, chunk_curve_order
 
 __all__ = ["MLOCWriter", "WriteReport", "make_curve"]
 
 
+#: Elements per slab of the encode pass (see the module docstring).  A
+#: constant, not an option: no written byte depends on it.
+_SLAB_ELEMENTS = 1 << 16
+_INDEX_ZLIB_LEVEL = 6
+
+
 def make_curve(config: MLOCConfig, grid: ChunkGrid) -> CurveOrder:
-    """The chunk ordering a configuration prescribes."""
-    if config.curve == "hierarchical":
-        return hierarchical_order(grid.grid_shape)
-    return chunk_curve_order(grid.grid_shape, config.curve)
+    """The chunk ordering a configuration prescribes: memoised, since an
+    ingest campaign writes, and a snapshot opens, one grid many times."""
+    return _curve_order(grid.grid_shape, config.curve)
+
+
+@functools.lru_cache(maxsize=8)
+def _curve_order(grid_shape: tuple[int, ...], curve: str) -> CurveOrder:
+    if curve == "hierarchical":
+        return hierarchical_order(grid_shape)
+    return chunk_curve_order(grid_shape, curve)
 
 
 @dataclass(frozen=True)
@@ -134,15 +167,14 @@ class _SerialBackend:
     def __init__(self, codec: ByteCodec | FloatCodec) -> None:
         self._codec = codec
 
-    def chunk_results(self, fn: Callable[[int], tuple], n_chunks: int) -> Iterator[tuple]:
-        for cpos in range(n_chunks):
-            yield fn(cpos)
+    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
+        return map(fn, range(n_slabs))
 
     def encode_data(self, raw: np.ndarray) -> bytes:
         return self._codec.encode(raw)
 
-    def encode_index(self, parts: list[np.ndarray], level: int) -> bytes:
-        return encode_position_block(parts, level)
+    def encode_index(self, raw: np.ndarray) -> bytes:
+        return compress_position_stream(raw, _INDEX_ZLIB_LEVEL)
 
     def resolve(self, payload: bytes) -> bytes:
         return payload
@@ -154,8 +186,8 @@ class _SerialBackend:
 class _ThreadedBackend:
     """Pool execution with deterministic ordering.
 
-    Chunk-stage jobs run out of order behind a bounded look-ahead
-    window but are *consumed* in serial cell order; compression jobs
+    Slab-stage jobs run out of order behind a bounded look-ahead
+    window but are *consumed* in serial curve order; compression jobs
     are submitted in stream order and resolved in table order, so the
     committed bytes never depend on scheduling.  Each worker thread
     lazily builds its own codec instance (ISABELA keeps a mutable
@@ -181,15 +213,15 @@ class _ThreadedBackend:
     def _encode_with_worker_codec(self, raw: np.ndarray) -> bytes:
         return self._codec().encode(raw)
 
-    def chunk_results(self, fn: Callable[[int], tuple], n_chunks: int) -> Iterator[tuple]:
-        # Bounded look-ahead keeps at most ~2 windows of chunk results
-        # (plus their byte planes) alive while the commit stage drains
-        # them in order.
+    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
+        # Bounded look-ahead keeps at most ~2 windows of slab results
+        # (sorted values, byte planes, index stream) alive while the
+        # commit stage drains them in order.
         window = max(2 * self.workers, 2)
         pending: deque[Future] = deque()
         submitted = 0
-        for _ in range(n_chunks):
-            while submitted < n_chunks and len(pending) < window:
+        for _ in range(n_slabs):
+            while submitted < n_slabs and len(pending) < window:
                 pending.append(self._pool.submit(fn, submitted))
                 submitted += 1
             yield pending.popleft().result()
@@ -197,8 +229,8 @@ class _ThreadedBackend:
     def encode_data(self, raw: np.ndarray) -> Future:
         return self._pool.submit(self._encode_with_worker_codec, raw)
 
-    def encode_index(self, parts: list[np.ndarray], level: int) -> Future:
-        return self._pool.submit(encode_position_block, parts, level)
+    def encode_index(self, raw: np.ndarray) -> Future:
+        return self._pool.submit(compress_position_stream, raw, _INDEX_ZLIB_LEVEL)
 
     def resolve(self, payload: Future) -> bytes:
         return payload.result()
@@ -210,11 +242,11 @@ class _ThreadedBackend:
 class _ProcessBackend:
     """Compression on the shared spawn-based process pool.
 
-    Only the compression stage leaves the parent: the chunk stage
-    reads the input array in place (shipping chunk-sized slices to
-    workers would move more bytes than the encode saves — shared-
-    nothing means every byte a worker touches is pickled), and the
-    commit stage is serial by design.  Encode jobs travel as picklable
+    Only the compression stage leaves the parent: the slab stage
+    reads the input array in place (shipping slabs to workers would
+    move more bytes than the encode saves — shared-nothing means every
+    byte a worker touches is pickled), and the commit stage is serial
+    by design.  Encode jobs travel as picklable
     ``(spec, payload)`` tasks, are submitted in stream order, and
     resolve in table order, so committed bytes never depend on
     scheduling.  If the pool dies mid-write, the affected payloads are
@@ -231,9 +263,8 @@ class _ProcessBackend:
         #: Encode jobs that fell back inline after a pool break.
         self.fallbacks = 0
 
-    def chunk_results(self, fn: Callable[[int], tuple], n_chunks: int) -> Iterator[tuple]:
-        for cpos in range(n_chunks):
-            yield fn(cpos)
+    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
+        return map(fn, range(n_slabs))
 
     def _submit(self, task: tuple) -> tuple:
         try:
@@ -244,8 +275,8 @@ class _ProcessBackend:
     def encode_data(self, raw: np.ndarray) -> tuple:
         return self._submit((self._data_spec, raw))
 
-    def encode_index(self, parts: list[np.ndarray], level: int) -> tuple:
-        return self._submit((("encode-index", level), parts))
+    def encode_index(self, raw: np.ndarray) -> tuple:
+        return self._submit((("encode-index", _INDEX_ZLIB_LEVEL), raw))
 
     def resolve(self, pending: tuple) -> bytes:
         future, task = pending
@@ -263,95 +294,77 @@ class _ProcessBackend:
         pass
 
 
-class _DataStream:
-    """Accumulates consecutive cells of one (bin, group-stream) into
-    compression blocks of approximately the configured raw size.
+class _BlockStream:
+    """Accumulates the consecutive cells of one stream into blocks.
 
-    Block *boundaries* are decided here by serial raw-size
-    accumulation; block *payloads* come from the backend's ``encode``
-    hook and may be futures resolved at commit time.
+    One class serves a (bin, group-stream) of data cells, whose blocks
+    are codec-compressed runs of values or byte planes, and a bin's
+    position index, whose cells are chunks and whose blocks are
+    deflated byte ranges of a varint delta stream.  Either way a block
+    is cut **after the first cell at which the running raw size
+    reaches** ``target_bytes``: empty cells ride in the block they fall
+    in, and an empty cell after a cut opens the next block.  That sum
+    alone decides block *boundaries*, however the cells were batched
+    into :meth:`add` calls; block *payloads* come from the backend's
+    ``encode`` hook and may be futures resolved at commit time.
     """
 
-    def __init__(self, encode, is_float: bool, target_bytes: int) -> None:
+    def __init__(self, encode, target_bytes: int) -> None:
         self.encode = encode
-        self.is_float = is_float
         self.target = target_bytes
         self._parts: list[np.ndarray] = []
+        #: Raw size of the open block so far.
         self._raw = 0
         self._cell_start: int | None = None
         self._next_cell: int | None = None
-        #: (cell_start, cell_end, payload-or-future, raw_len) tuples.
+        #: (cell_start, cell_end, payload-or-future, payload raw bytes).
         self.blocks: list[tuple[int, int, object, int]] = []
 
-    def add(self, cell: int, part: np.ndarray) -> None:
-        if self._cell_start is None:
-            self._cell_start = cell
-        elif cell != self._next_cell:
-            raise ValueError(
-                f"cells must be added consecutively: expected {self._next_cell}, got {cell}"
-            )
-        self._next_cell = cell + 1
-        if part.size:
-            self._parts.append(part)
-            self._raw += part.nbytes
-        if self._raw >= self.target:
-            self.flush()
+    def add(
+        self, first_cell: int, ends: np.ndarray, buffer: np.ndarray, bounds: np.ndarray
+    ) -> None:
+        """Append the cells ``first_cell, first_cell + 1, ...``.
 
-    def flush(self) -> None:
-        if self._cell_start is None:
-            return
-        # One concatenate over the accumulated views for both the float
-        # and the byte-plane path — parts are contiguous slices, so the
-        # per-part Python-level copies of a join are skipped and codecs
-        # consume the buffer directly.
-        if self._parts:
-            raw = self._parts[0] if len(self._parts) == 1 else np.concatenate(self._parts)
-        else:
-            raw = np.empty(0, dtype=np.float64 if self.is_float else np.uint8)
-        self.blocks.append((self._cell_start, self._next_cell, self.encode(raw), raw.nbytes))
+        ``ends[i]`` is the raw size of cells ``0..i`` of this call
+        together (what the block target counts) and cell ``i``'s
+        content is ``buffer[bounds[i]:bounds[i + 1]]``.
+        """
+        if self._next_cell is None:
+            self._cell_start = first_cell
+        elif first_cell != self._next_cell:
+            raise ValueError(
+                f"cells must be added consecutively: expected {self._next_cell}, "
+                f"got {first_cell}"
+            )
+        n = len(ends)
+        self._next_cell = first_cell + n
+        # On the scale of ``ends``, the open block began at ``-_raw``.
+        opened = -self._raw
+        done = 0
+        while (cut := int(ends.searchsorted(opened + self.target))) < n:
+            self._parts.append(buffer[bounds[done] : bounds[cut + 1]])
+            self._cut(first_cell + cut + 1)
+            opened, done = int(ends[cut]), cut + 1
+        if done < n:
+            # The stream outlives this call's buffer: keep a copy of
+            # the open block's tail, not a view that pins the slab.
+            self._parts.append(buffer[bounds[done] : bounds[n]].copy())
+            self._raw = int(ends[-1]) - opened
+
+    def _cut(self, cell_end: int) -> None:
+        # Every cell since the last cut left a part, possibly empty: a
+        # block of empty cells encodes an empty array of the right dtype.
+        parts = self._parts
+        raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self.blocks.append((self._cell_start, cell_end, self.encode(raw), raw.nbytes))
         self._parts = []
         self._raw = 0
-        self._cell_start = None
-        self._next_cell = None
-
-
-class _IndexStream:
-    """Accumulates per-chunk position arrays into index blocks."""
-
-    def __init__(self, encode, target_bytes: int, zlib_level: int = 6) -> None:
-        self.encode = encode
-        self.target = target_bytes
-        self.level = zlib_level
-        self._parts: list[np.ndarray] = []
-        self._raw = 0
-        self._cpos_start: int | None = None
-        self._next_cpos: int | None = None
-        #: (cpos_start, cpos_end, payload-or-future) tuples.
-        self.blocks: list[tuple[int, int, object]] = []
-
-    def add(self, cpos: int, local_ids: np.ndarray) -> None:
-        if self._cpos_start is None:
-            self._cpos_start = cpos
-        elif cpos != self._next_cpos:
-            raise ValueError(
-                f"chunks must be added consecutively: expected {self._next_cpos}, got {cpos}"
-            )
-        self._next_cpos = cpos + 1
-        self._parts.append(local_ids)
-        self._raw += local_ids.size * 8
-        if self._raw >= self.target:
-            self.flush()
+        self._cell_start = cell_end
 
     def flush(self) -> None:
-        if self._cpos_start is None:
-            return
-        self.blocks.append(
-            (self._cpos_start, self._next_cpos, self.encode(self._parts, self.level))
-        )
-        self._parts = []
-        self._raw = 0
-        self._cpos_start = None
-        self._next_cpos = None
+        """Cut the open block, if any cell is in it."""
+        if self._next_cell is not None and self._next_cell > self._cell_start:
+            self._cut(self._next_cell)
 
 
 class MLOCWriter:
@@ -370,14 +383,14 @@ class MLOCWriter:
         Build and persist the hierarchical bitmap index
         (:mod:`repro.index.hbi`) alongside the flat position index
         (default on).  The builder consumes the ordered commit
-        stream, so the ``hbi`` file is bit-identical across write
-        backends like every other subfile.  Stores opened without
-        ``use_hbi`` ignore the file entirely.
+        stream slab by slab, so the ``hbi`` file is bit-identical
+        across write backends like every other subfile.  Stores opened
+        without ``use_hbi`` ignore the file entirely.
     build_peb:
         Record per-(chunk, PLoD-level) error bounds
         (:mod:`repro.plod.bounds`) and persist them as the ``peb``
         record (default on; effective only for byte-plane layouts).
-        Bounds are pure functions of the chunk-stage output consumed
+        Bounds are pure functions of the slab-stage output consumed
         in ordered-commit order, so the file is bit-identical across
         write backends.  The record powers ``query(tol=...)``; stores
         written without it rebuild an identical table lazily on first
@@ -460,68 +473,98 @@ class MLOCWriter:
 
     # ------------------------------------------------------------------
     def _encode(self, data, grid, curve, scheme, backend):
-        """Chunk fan-out + ordered commit into per-(bin, group) streams."""
+        """Slab fan-out + ordered commit into per-(bin, group) streams."""
         config = self.config
         n_bins, n_chunks = config.n_bins, grid.n_chunks
         n_groups = config.n_groups
         plod = config.plod_enabled
+        chunk_size = grid.chunk_size
         counts = np.zeros((n_bins, n_chunks), dtype=np.uint32)
 
         # One stream per (bin, group) for group-major (V-M-S) nesting;
         # a single stream per bin otherwise (cells arrive in file order).
         streams_per_bin = n_groups if config.group_major else 1
+        target = config.target_block_bytes
         data_streams = [
-            [
-                _DataStream(backend.encode_data, not plod, config.target_block_bytes)
-                for _ in range(streams_per_bin)
-            ]
+            [_BlockStream(backend.encode_data, target) for _ in range(streams_per_bin)]
             for _ in range(n_bins)
         ]
-        index_streams = [
-            _IndexStream(backend.encode_index, config.target_block_bytes)
-            for _ in range(n_bins)
-        ]
-        # The hierarchical index builder rides the ordered commit loop
-        # below, which consumes chunk results in serial cpos order under
-        # every backend — so the hbi file is backend-invariant too.
-        hbi = (
-            HBIBuilder(n_bins, n_chunks, grid.chunk_size) if self.build_hbi else None
-        )
-        # The bounds builder rides the same ordered commit loop; the
-        # bounds themselves are computed in the (parallel) chunk stage
-        # because they are pure functions of the chunk's values.
+        index_streams = [_BlockStream(backend.encode_index, target) for _ in range(n_bins)]
+        # Both builders ride the ordered commit loop below, which
+        # consumes slab results in serial cpos order under every
+        # backend — so the hbi and peb files are backend-invariant too.
+        # The bounds are pure functions of a slab's values, so they are
+        # computed in the (parallel) slab stage.
+        hbi = HBIBuilder(n_bins, n_chunks, chunk_size) if self.build_hbi else None
         peb = PEBBuilder(n_chunks) if (self.build_peb and plod) else None
-        want_bounds = peb is not None
 
-        def chunk_stage(cpos: int) -> tuple:
-            chunk_id = int(curve.order[cpos])
-            vals = data[grid.chunk_slices(chunk_id)].reshape(-1)
+        # A slab is a whole number of index leaf runs, so the HBI
+        # builder encodes each slab's leaves and keeps no open run.
+        span = DEFAULT_LEAF_SPAN * max(_SLAB_ELEMENTS // (DEFAULT_LEAF_SPAN * chunk_size), 1)
+        # (grid axes..., in-chunk axes...): indexing the grid axes with
+        # chunk coordinates gathers whole chunks, row-major inside.
+        ndims = grid.ndims
+        interleaved = [n for pair in zip(grid.grid_shape, grid.chunk_shape) for n in pair]
+        chunks = data.reshape(interleaved).transpose(
+            *range(0, 2 * ndims, 2), *range(1, 2 * ndims, 2)
+        )
+
+        def slab_stage(slab: int) -> tuple:
+            lo = slab * span
+            k = min(span, n_chunks - lo)
+            coords = grid.chunk_coords(curve.order[lo : lo + k])
+            vals = chunks[tuple(coords.T)].reshape(-1)
             bids = scheme.assign(vals)
-            perm, sorted_vals, offsets = per_bin_segments(vals, bids, n_bins)
-            planes = split_byte_groups(sorted_vals) if plod else [sorted_vals]
-            bounds = (
-                compute_chunk_bounds(sorted_vals, planes) if want_bounds else None
+            # The elements lie in (chunk, local id) order, so the stable
+            # sort by bin leaves them in (bin, chunk, local id) order.
+            perm, sorted_vals, _ = per_bin_segments(vals, bids, n_bins)
+            local_ids = perm % chunk_size
+            cell_of = bids.reshape(k, chunk_size) * np.int64(k) + np.arange(k)[:, None]
+            sizes = np.bincount(cell_of.reshape(-1), minlength=n_bins * k).reshape(
+                n_bins, k
             )
-            return perm, offsets, planes, bounds
+            # What each stream of a bin is fed, its position index first:
+            # (first cell, per-bin running raw size, content, cell offsets).
+            cum = np.cumsum(sizes, axis=1)
+            cells = np.zeros(n_bins * k + 1, dtype=np.int64)
+            np.cumsum(sizes.reshape(-1), out=cells[1:])
+            feeds = [(lo, cum * 8, *encode_position_cells(local_ids, sizes.reshape(-1)))]
+            bounds = None
+            if not plod:
+                feeds.append((lo, cum * 8, sorted_vals, cells))
+            else:
+                planes = split_byte_groups(sorted_vals)
+                if peb is not None:
+                    bounds = compute_bounds_batch(sorted_vals, sizes, planes)
+                if config.group_major:
+                    feeds += [
+                        (g * n_chunks + lo, cum * w, planes[g], cells * w)
+                        for g, w in enumerate(GROUP_WIDTHS)
+                    ]
+                else:
+                    # V-S-M: re-nest the seven planes cell by cell.
+                    nested = np.empty(8 * sorted_vals.size, dtype=np.uint8)
+                    for at, plane in zip(nested_group_index(sizes.reshape(-1)), planes):
+                        nested[at] = plane
+                    cell_bytes = sizes[:, :, None] * np.array(GROUP_WIDTHS)
+                    cell_bytes = cell_bytes.reshape(n_bins, -1)
+                    starts = np.zeros(cell_bytes.size + 1, dtype=np.int64)
+                    np.cumsum(cell_bytes.reshape(-1), out=starts[1:])
+                    feeds.append((lo * n_groups, np.cumsum(cell_bytes, axis=1), nested, starts))
+            return lo, sizes, local_ids, bounds, feeds
 
-        widths = GROUP_WIDTHS if plod else (8,)
-        results = backend.chunk_results(chunk_stage, n_chunks)
-        for cpos, (perm, offsets, planes, bounds) in enumerate(results):
-            counts[:, cpos] = np.diff(offsets).astype(np.uint32)
+        results = backend.slab_results(slab_stage, -(-n_chunks // span))
+        for lo, sizes, local_ids, bounds, feeds in results:
+            counts[:, lo : lo + sizes.shape[1]] = sizes
             if hbi is not None:
-                hbi.add_chunk(cpos, perm, offsets)
+                hbi.add_chunks(lo, local_ids, sizes)
             if peb is not None:
-                peb.add_chunk(cpos, *bounds)
+                peb.add_chunks(lo, *bounds)
             for b in range(n_bins):
-                lo, hi = int(offsets[b]), int(offsets[b + 1])
-                index_streams[b].add(cpos, perm[lo:hi])
-                for g in range(n_groups):
-                    w = widths[g]
-                    part = planes[g][lo * w : hi * w] if plod else planes[0][lo:hi]
-                    if config.group_major:
-                        data_streams[b][g].add(g * n_chunks + cpos, part)
-                    else:
-                        data_streams[b][0].add(cpos * n_groups + g, part)
+                streams = (index_streams[b], *data_streams[b])
+                for stream, (first_cell, ends, buffer, starts) in zip(streams, feeds):
+                    m = ends.shape[1]
+                    stream.add(first_cell, ends[b], buffer, starts[b * m : (b + 1) * m + 1])
         return data_streams, index_streams, counts, hbi, peb
 
     # ------------------------------------------------------------------
@@ -542,39 +585,11 @@ class MLOCWriter:
         data_block_tables: list[np.ndarray] = []
         index_block_tables: list[np.ndarray] = []
         for b in range(n_bins):
-            rows = []
-            chunks_of_file: list[bytes] = []
-            offset = 0
-            for stream in data_streams[b]:
-                for cell_start, cell_end, pending, raw_len in stream.blocks:
-                    payload = backend.resolve(pending)
-                    rows.append(
-                        (
-                            cell_start,
-                            cell_end,
-                            offset,
-                            len(payload),
-                            raw_len,
-                            zlib.crc32(payload),
-                        )
-                    )
-                    chunks_of_file.append(payload)
-                    offset += len(payload)
-            self.fs.write_file(files.data_path(b), b"".join(chunks_of_file))
-            data_block_tables.append(np.array(rows, dtype=np.int64).reshape(-1, 6))
-
-            rows = []
-            chunks_of_file = []
-            offset = 0
-            for cpos_start, cpos_end, pending in index_streams[b].blocks:
-                payload = backend.resolve(pending)
-                rows.append(
-                    (cpos_start, cpos_end, offset, len(payload), zlib.crc32(payload))
-                )
-                chunks_of_file.append(payload)
-                offset += len(payload)
-            self.fs.write_file(files.index_path(b), b"".join(chunks_of_file))
-            index_block_tables.append(np.array(rows, dtype=np.int64).reshape(-1, 5))
+            table = self._write_blocks(files.data_path(b), data_streams[b], backend)
+            data_block_tables.append(table)
+            table = self._write_blocks(files.index_path(b), [index_streams[b]], backend)
+            # Index rows carry no raw length (FORMAT.md block tables).
+            index_block_tables.append(np.delete(table, 4, axis=1))
 
         meta = StoreMeta(
             variable=variable,
@@ -611,6 +626,26 @@ class MLOCWriter:
             peb_bytes=peb_bytes,
             meta_crc=zlib.crc32(meta_blob),
         )
+
+    def _write_blocks(self, path: str, streams: list[_BlockStream], backend) -> np.ndarray:
+        """Resolve the streams' blocks, in order, into one subfile.
+
+        Returns its block table: ``(cell_start, cell_end, offset,
+        length, raw_len, crc32)`` rows.
+        """
+        rows = []
+        payloads: list[bytes] = []
+        offset = 0
+        for stream in streams:
+            for cell_start, cell_end, pending, raw_len in stream.blocks:
+                payload = backend.resolve(pending)
+                rows.append(
+                    (cell_start, cell_end, offset, len(payload), raw_len, zlib.crc32(payload))
+                )
+                payloads.append(payload)
+                offset += len(payload)
+        self.fs.write_file(path, b"".join(payloads))
+        return np.array(rows, dtype=np.int64).reshape(-1, 6)
 
     # ------------------------------------------------------------------
     def _estimate_bins(self, data: np.ndarray) -> BinScheme:

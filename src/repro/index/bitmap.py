@@ -170,12 +170,21 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
 
 
-def _groups_to_words(groups: np.ndarray) -> np.ndarray:
-    """Run-length encode a sequence of 63-bit group values into WAH words."""
-    is_zero = groups == 0
-    is_one = groups == _ALL_ONES_GROUP
+def _group_rows_to_words(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """WAH-encode every row of a 2-D matrix of 63-bit group values.
+
+    Returns the rows' words concatenated in row order and each row's
+    word count.  A fill run never extends across a row boundary, so the
+    words of row ``i`` are exactly the encoding of ``groups[i]`` alone.
+    """
+    n_rows, row_len = groups.shape
+    flat = groups.reshape(-1)
+    is_zero = flat == 0
+    is_one = flat == _ALL_ONES_GROUP
     kind = np.where(is_zero, 0, np.where(is_one, 1, 2)).astype(np.int8)
-    change = np.flatnonzero(np.diff(kind)) + 1
+    breaks = kind[1:] != kind[:-1]
+    breaks[row_len - 1 :: row_len] = True
+    change = np.flatnonzero(breaks) + 1
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [kind.size]))
     run_kind = kind[starts]
@@ -196,8 +205,16 @@ def _groups_to_words(groups: np.ndarray) -> np.ndarray:
     lit_mask = run_kind == 2
     src = _concat_ranges(starts[lit_mask], run_len[lit_mask])
     dst = _concat_ranges(out_offsets[lit_mask], run_len[lit_mask])
-    out[dst] = groups[src]
-    return out
+    out[dst] = flat[src]
+    # Every row opens a run, so the first run of each row is found by
+    # position and the per-row totals are one segmented sum.
+    row_first_run = np.searchsorted(starts, np.arange(n_rows) * row_len)
+    return out, np.add.reduceat(words_per_run, row_first_run)
+
+
+def _groups_to_words(groups: np.ndarray) -> np.ndarray:
+    """Run-length encode a sequence of 63-bit group values into WAH words."""
+    return _group_rows_to_words(groups.reshape(1, -1))[0]
 
 
 def wah_encode(buffer: np.ndarray, nbits: int) -> np.ndarray:

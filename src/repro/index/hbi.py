@@ -21,12 +21,13 @@ existing WAH machinery:
   range cardinalities — per run and total — resolve from interior
   nodes alone, without touching a single leaf.
 
-The index is built at write time by :class:`HBIBuilder` (streaming, one
-run of state, consumed in the writer's serial commit order so the
-persisted bytes are identical across write backends) and lazily by
-:func:`build_from_store` for stores written before the index existed;
-both paths produce byte-identical serializations.  The on-disk record
-(``<variable>/hbi``, see FORMAT.md) is versioned and CRC-terminated.
+The index is built at write time by :class:`HBIBuilder` (one slab of
+whole runs at a time, consumed in the writer's serial commit order so
+the persisted bytes are identical across write backends) and lazily by
+:func:`build_from_store`, which feeds the same builder, for stores
+written before the index existed: the serializations are byte-identical
+by construction.  The on-disk record (``<variable>/hbi``, see
+FORMAT.md) is versioned and CRC-terminated.
 
 Everything here is *summary* data derived from the authoritative flat
 index: queries answered with HBI pruning are bit-identical to the flat
@@ -45,7 +46,8 @@ from repro.index.binindex import decode_position_block_flat
 from repro.index.bitmap import (
     _GROUP_BITS,
     Bitmap,
-    _groups_to_words,
+    _concat_ranges,
+    _group_rows_to_words,
     groups_to_bitmap,
     wah_cardinality,
     wah_decode,
@@ -96,14 +98,31 @@ def _aggregate_levels(run_counts: np.ndarray, fanout: int) -> list[np.ndarray]:
     return levels
 
 
-def _encode_sorted_leaf(leaf_bits: np.ndarray, n_groups: int) -> np.ndarray:
-    """WAH words of a run-local leaf from its sorted set-bit positions."""
-    keys = leaf_bits // _GROUP_BITS
+def _encode_leaves(
+    rows: np.ndarray, leaf_bits: np.ndarray, n_rows: int, n_leaf_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """WAH words of ``n_rows`` run-local leaves from their set bits.
+
+    ``rows`` (non-decreasing, not empty) names the leaf of every set
+    bit and ``leaf_bits`` its run-local position, increasing within a
+    leaf.  Returns the leaves' words concatenated in row order and each
+    leaf's word count.  Every leaf is encoded at the full
+    ``n_leaf_groups`` width whatever its highest bit, except that a
+    leaf with no set bit has **no** words, not a zero-fill word.
+    """
+    # Keys are sorted, so one reduceat per constant-key segment ORs
+    # each 63-bit group's bits in a single vectorized pass.
+    keys = rows * n_leaf_groups + leaf_bits // _GROUP_BITS
     vals = np.uint64(1) << (leaf_bits % _GROUP_BITS).astype(np.uint64)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-    groups = np.zeros(n_groups, dtype=np.uint64)
-    groups[keys[starts]] = np.bitwise_or.reduceat(vals, starts)
-    return _groups_to_words(groups)
+    groups = np.zeros((n_rows, n_leaf_groups), dtype=np.uint64)
+    groups.reshape(-1)[keys[starts]] = np.bitwise_or.reduceat(vals, starts)
+    words, lengths = _group_rows_to_words(groups)
+    # A leaf with no set bit came out as one zero-fill word: drop it.
+    present = np.bincount(rows, minlength=n_rows) > 0
+    words = words[np.repeat(present, lengths)]
+    lengths[~present] = 0
+    return words, lengths
 
 
 class HBIndex:
@@ -395,15 +414,17 @@ class HBIndex:
 
 
 class HBIBuilder:
-    """Streaming write-time builder: one run of leaf state in memory.
+    """Write-time builder fed whole leaf runs at a time.
 
-    The writer's ordered commit loop calls :meth:`add_chunk` once per
-    curve position, in order, with the same bin-segmented chunk-local
-    ids it feeds the flat index streams; the builder accumulates the
-    current run's group matrix and WAH-encodes its leaves when the run
-    closes.  Because it only ever consumes the deterministic chunk-
-    stage output in serial commit order, the finished index bytes are
-    identical across write backends and worker counts (DESIGN.md §6).
+    The writer's ordered commit loop calls :meth:`add_chunks` once per
+    slab — a whole number of runs, in curve order — with the bin-major
+    chunk-local ids it feeds the flat index streams; the slab's leaves
+    are encoded in one batched pass and only finished words are kept,
+    so no state passes from slab to slab.  Consuming nothing but the
+    deterministic slab-stage output in serial commit order, it yields
+    index bytes identical across write backends and worker counts
+    (DESIGN.md §6).  :meth:`add_chunk`, the one-chunk entry point,
+    buffers the open run and hands it over when the run closes.
     """
 
     def __init__(
@@ -423,76 +444,99 @@ class HBIBuilder:
         self.n_runs = -(-self.n_chunks // self.leaf_span)
         self.n_leaf_groups = -(-self.leaf_span * self.chunk_size // _GROUP_BITS)
         self.run_counts = np.zeros((self.n_bins, self.n_runs), dtype=np.int64)
-        self._groups = np.zeros((self.n_bins, self.n_leaf_groups), dtype=np.uint64)
-        self._leaves: list[list[np.ndarray | None]] = [
-            [None] * self.n_runs for _ in range(self.n_bins)
-        ]
-        self._run = 0
+        #: Per bin: the words of its leaves, one array per slab.
+        self._words: list[list[np.ndarray]] = [[] for _ in range(self.n_bins)]
+        self._leaf_lengths = np.zeros((self.n_bins, self.n_runs), dtype=np.int64)
+        #: The open run's chunks handed in one at a time (``add_chunk``).
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._next_cpos = 0
 
+    def add_chunks(
+        self, first_cpos: int, local_ids: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Encode the leaves of a slab of whole runs.
+
+        ``counts`` is the slab's ``(n_bins, k)`` element-count matrix
+        and ``local_ids`` its chunk-local element ids in (bin, chunk,
+        local id) order.  The slab must start on a run boundary and end
+        on one (or at the last chunk).
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        k = counts.shape[1]
+        end = first_cpos + k
+        if first_cpos != self._next_cpos or self._pending:
+            raise ValueError(f"chunks must arrive in order: expected {self._next_cpos}")
+        if first_cpos % self.leaf_span or (
+            end % self.leaf_span and end != self.n_chunks
+        ):
+            raise ValueError(
+                f"chunks [{first_cpos}, {end}) are not whole runs of {self.leaf_span}"
+            )
+        self._next_cpos = end
+        first_run = first_cpos // self.leaf_span
+        n_runs = -(-k // self.leaf_span)
+        runs = slice(first_run, first_run + n_runs)
+        self.run_counts[:, runs] = np.add.reduceat(
+            counts, np.arange(0, k, self.leaf_span), axis=1
+        )
+
+        # Per (bin, chunk) cell, in the order of ``local_ids``: the
+        # leaf it belongs to and the bit offset of its chunk in the run.
+        in_slab = np.arange(k, dtype=np.int64)
+        bins = np.arange(self.n_bins, dtype=np.int64)[:, None]
+        cells = counts.reshape(-1)
+        rows = np.repeat((bins * n_runs + in_slab // self.leaf_span).reshape(-1), cells)
+        shift = np.repeat(
+            np.tile(in_slab % self.leaf_span * self.chunk_size, self.n_bins), cells
+        )
+        words, lengths = _encode_leaves(
+            rows,
+            shift + np.asarray(local_ids, dtype=np.int64),
+            self.n_bins * n_runs,
+            self.n_leaf_groups,
+        )
+        lengths = lengths.reshape(self.n_bins, n_runs)
+        self._leaf_lengths[:, runs] = lengths
+        # The record orders leaves (bin, run) over the whole store.
+        per_bin = np.split(words, np.cumsum(lengths.sum(axis=1))[:-1])
+        for bin_words, part in zip(self._words, per_bin):
+            bin_words.append(part)
+
     def add_chunk(self, cpos: int, local_ids: np.ndarray, offsets: np.ndarray) -> None:
-        """Fold one chunk's bin-segmented local ids into the current run.
+        """Fold one chunk's bin-segmented local ids into the open run.
 
         ``local_ids`` concatenates each bin's strictly-increasing
         chunk-local element ids; ``offsets`` holds the per-bin
-        boundaries (the writer's ``per_bin_segments`` output).
+        boundaries (``per_bin_segments`` of one chunk).
         """
-        if cpos != self._next_cpos:
-            raise ValueError(f"chunks must arrive in order: expected {self._next_cpos}")
-        self._next_cpos = cpos + 1
-        run, k = divmod(cpos, self.leaf_span)
-        if run != self._run:
-            self._close_run()
-            self._run = run
+        expected = self._next_cpos + len(self._pending)
+        if cpos != expected:
+            raise ValueError(f"chunks must arrive in order: expected {expected}")
         per_bin = np.diff(np.asarray(offsets, dtype=np.int64))
-        self.run_counts[:, run] += per_bin
-        ids = np.asarray(local_ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        leaf_bits = k * self.chunk_size + ids
-        bins = np.repeat(np.arange(self.n_bins, dtype=np.int64), per_bin)
-        # Keys are sorted (bin-major, increasing local ids within a
-        # bin), so a reduceat per constant-key segment ORs each group's
-        # bits in one vectorized pass — no ufunc.at.
-        keys = bins * self.n_leaf_groups + leaf_bits // _GROUP_BITS
-        vals = np.uint64(1) << (leaf_bits % _GROUP_BITS).astype(np.uint64)
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-        flat = self._groups.reshape(-1)
-        flat[keys[starts]] |= np.bitwise_or.reduceat(vals, starts)
+        self._pending.append((np.asarray(local_ids, dtype=np.int64), per_bin))
+        if (cpos + 1) % self.leaf_span == 0 or cpos + 1 == self.n_chunks:
+            self._close_run()
 
     def _close_run(self) -> None:
-        run = self._run
-        for b in range(self.n_bins):
-            if self.run_counts[b, run]:
-                self._leaves[b][run] = _groups_to_words(self._groups[b])
-            else:
-                self._leaves[b][run] = np.empty(0, dtype=np.uint64)
-        self._groups.fill(0)
+        """Hand the buffered run to :meth:`add_chunks` in slab order."""
+        pending, self._pending = self._pending, []
+        counts = np.stack([per_bin for _, per_bin in pending], axis=1)
+        # The chunks arrive (chunk, bin, local id)-ordered; a stable
+        # sort by bin makes that (bin, chunk, local id).
+        bins = np.repeat(
+            np.tile(np.arange(self.n_bins), len(pending)), counts.T.reshape(-1)
+        )
+        ids = np.concatenate([ids for ids, _ in pending])
+        self.add_chunks(self._next_cpos, ids[np.argsort(bins, kind="stable")], counts)
 
     def finish(self) -> HBIndex:
-        """Close the final run and assemble the index."""
-        if self._next_cpos != self.n_chunks:
-            raise ValueError(
-                f"saw {self._next_cpos} of {self.n_chunks} chunks before finish"
-            )
-        if self.n_chunks:
-            self._close_run()
-        lengths = [
-            leaf.size if leaf is not None else 0
-            for per_bin in self._leaves
-            for leaf in per_bin
-        ]
-        leaf_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=leaf_offsets[1:])
-        words = [
-            leaf
-            for per_bin in self._leaves
-            for leaf in per_bin
-            if leaf is not None and leaf.size
-        ]
-        leaf_words = (
-            np.concatenate(words) if words else np.empty(0, dtype=np.uint64)
-        )
+        """Assemble the index from the encoded slabs."""
+        seen = self._next_cpos + len(self._pending)
+        if seen != self.n_chunks:
+            raise ValueError(f"saw {seen} of {self.n_chunks} chunks before finish")
+        leaf_offsets = np.zeros(self._leaf_lengths.size + 1, dtype=np.int64)
+        np.cumsum(self._leaf_lengths.reshape(-1), out=leaf_offsets[1:])
+        words = [part for bin_words in self._words for part in bin_words]
         return HBIndex(
             leaf_span=self.leaf_span,
             fanout=self.fanout,
@@ -502,7 +546,7 @@ class HBIBuilder:
             run_counts=self.run_counts,
             levels=_aggregate_levels(self.run_counts, self.fanout),
             leaf_offsets=leaf_offsets,
-            leaf_words=leaf_words,
+            leaf_words=np.concatenate(words),
         )
 
 
@@ -517,60 +561,35 @@ def build_from_store(
     The lazy fallback for stores written before the hierarchical index
     existed: reads each bin's index subfile once (outside any query's
     accounting, like the metadata read at open), decodes the chunk-
-    local ids, and assembles leaves bin by bin.  Produces bytes
-    identical to the write-time :class:`HBIBuilder` for the same store.
+    local ids, and feeds them to the write-time :class:`HBIBuilder` —
+    so the bytes are those the writer produced for the same store.
     """
     meta = store.meta
-    grid = store.grid
     counts = meta.counts.astype(np.int64)
     n_bins, n_chunks = counts.shape
-    chunk_size = grid.chunk_size
-    n_runs = -(-n_chunks // leaf_span)
-    n_leaf_groups = -(-leaf_span * chunk_size // _GROUP_BITS)
     session = store.fs.session()
-
-    lengths: list[int] = []
-    words: list[np.ndarray] = []
+    parts = []
     for b in range(n_bins):
         raw = bytes(session.open(store.files.index_path(b)).read_all())
-        parts = []
         for cs, ce, offset, comp_len, _crc in meta.index_blocks[b]:
             payload = raw[offset : offset + comp_len]
             parts.append(decode_position_block_flat(payload, counts[b, cs:ce]))
-        local = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        cpos_rep = np.repeat(np.arange(n_chunks, dtype=np.int64), counts[b])
-        leaf_bits = (cpos_rep % leaf_span) * chunk_size + local
-        run_rep = cpos_rep // leaf_span
-        boundaries = np.searchsorted(run_rep, np.arange(n_runs + 1))
-        for r in range(n_runs):
-            lo, hi = boundaries[r], boundaries[r + 1]
-            if hi == lo:
-                lengths.append(0)
-                continue
-            leaf = _encode_sorted_leaf(leaf_bits[lo:hi], n_leaf_groups)
-            lengths.append(leaf.size)
-            words.append(leaf)
-
-    run_counts = np.zeros((n_bins, n_runs * leaf_span), dtype=np.int64)
-    run_counts[:, :n_chunks] = counts
-    run_counts = run_counts.reshape(n_bins, n_runs, leaf_span).sum(axis=2)
-    leaf_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=leaf_offsets[1:])
-    return HBIndex(
-        leaf_span=leaf_span,
-        fanout=fanout,
-        n_bins=n_bins,
-        n_chunks=n_chunks,
-        chunk_size=chunk_size,
-        run_counts=run_counts,
-        levels=_aggregate_levels(run_counts, fanout),
-        leaf_offsets=leaf_offsets,
-        leaf_words=(
-            np.concatenate(words) if words else np.empty(0, dtype=np.uint64)
-        ),
+    # Bin after bin the ids are (bin, chunk, local id)-ordered over the
+    # store; the builder takes every bin of a slab of runs at a time.
+    local = np.concatenate(parts)
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts.reshape(-1), out=starts[1:])
+    bin_rows = np.arange(n_bins) * n_chunks
+    builder = HBIBuilder(
+        n_bins, n_chunks, store.grid.chunk_size, leaf_span=leaf_span, fanout=fanout
     )
+    # Whole runs of about 64 Ki elements bound the builder's transients.
+    span = leaf_span * max((1 << 16) // (leaf_span * builder.chunk_size), 1)
+    for lo in range(0, n_chunks, span):
+        hi = min(lo + span, n_chunks)
+        first, end = starts[bin_rows + lo], starts[bin_rows + hi]
+        builder.add_chunks(lo, local[_concat_ranges(first, end - first)], counts[:, lo:hi])
+    return builder.finish()
 
 
 # ----------------------------------------------------------------------
@@ -615,15 +634,16 @@ def encode_hierarchical_bitmap(
     if pos.size == 0:
         return _PAYLOAD_HEADER.pack(1, leaf_span, 0)
     runs, leaf_bits = _positions_to_run_bits(pos, grid, curve, leaf_span)
-    u_runs, starts = np.unique(runs, return_index=True)
-    bounds = np.append(starts, runs.size)
-    headers, blobs = [], []
-    for i, run in enumerate(u_runs):
-        words = _encode_sorted_leaf(leaf_bits[bounds[i] : bounds[i + 1]], n_leaf_groups)
-        headers.append(_RUN_HEADER.pack(int(run), words.size))
-        blobs.append(words.astype("<u8").tobytes())
+    u_runs, rows = np.unique(runs, return_inverse=True)
+    words, lengths = _encode_leaves(rows, leaf_bits, u_runs.size, n_leaf_groups)
+    # The run directory: one ``_RUN_HEADER`` (run id, word count) per leaf.
+    directory = np.stack([u_runs, lengths], axis=1).astype("<u4")
     return b"".join(
-        [_PAYLOAD_HEADER.pack(1, leaf_span, len(u_runs))] + headers + blobs
+        [
+            _PAYLOAD_HEADER.pack(1, leaf_span, u_runs.size),
+            directory.tobytes(),
+            words.astype("<u8").tobytes(),
+        ]
     )
 
 

@@ -96,8 +96,8 @@ def run_task(task: tuple):
       decode into a float64 array (whole-value layouts).
     * ``("encode-data", name, params)`` + raw array — codec encode of
       one compression block.
-    * ``("encode-index", level)`` + parts list — position-index block
-      encode.
+    * ``("encode-index", level)`` + uint8 array — deflate one index
+      block's byte range of a slab's varint position-delta stream.
     * ``("__crash__",)`` — test hook: kill this worker immediately, to
       exercise the broken-pool fallback path.
 
@@ -123,9 +123,9 @@ def run_task(task: tuple):
         _, name, params = spec
         return _worker_codec(name, params).encode(payload)
     if kind == "encode-index":
-        from repro.index.binindex import encode_position_block
+        from repro.index.binindex import compress_position_stream
 
-        return encode_position_block(payload, spec[1])
+        return compress_position_stream(payload, spec[1])
     if kind == "__crash__":
         os._exit(1)
     raise ValueError(f"unknown task spec kind {kind!r}")

@@ -355,6 +355,7 @@ class FaultyPFS(SimulatedPFS):
                 raise ValueError("pass cost_model only when base is None")
             self.cost_model = base.cost_model
             self._files = base._files  # shared namespace (aliased on purpose)
+            self._paths = base._paths
             self._cache = base._cache
         self.base = base
         self.plan = plan if plan is not None else FaultPlan()

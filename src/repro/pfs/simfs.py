@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,6 +147,10 @@ class SimulatedPFS:
     def __init__(self, cost_model: PFSCostModel | None = None) -> None:
         self.cost_model = cost_model if cost_model is not None else PFSCostModel()
         self._files: dict[str, _SimFile] = {}
+        #: The paths of ``_files``, sorted: a prefix query bisects a
+        #: range instead of scanning the namespace, which made append
+        #: campaigns (two manifest lookups per append) quadratic.
+        self._paths: list[str] = []
         self._cache = _ExtentCache()
 
     # ------------------------------------------------------------------
@@ -160,6 +165,8 @@ class SimulatedPFS:
         if not overwrite and path in self._files:
             raise FileExistsError(path)
         first_ost = zlib.crc32(path.encode()) % self.cost_model.ost_count
+        if path not in self._files:
+            insort(self._paths, path)
         self._files[path] = _SimFile(first_ost=first_ost)
         self._cache.drop_file(path)
 
@@ -179,6 +186,7 @@ class SimulatedPFS:
         """Remove ``path`` (raises ``FileNotFoundError`` if absent)."""
         self._require(path)
         del self._files[path]
+        del self._paths[bisect_left(self._paths, path)]
         self._cache.drop_file(path)
 
     def stat(self, path: str) -> FileStat:
@@ -194,11 +202,16 @@ class SimulatedPFS:
 
     def list_files(self, prefix: str = "") -> list[str]:
         """All paths under ``prefix``, sorted."""
-        return sorted(p for p in self._files if p.startswith(prefix))
+        lo = bisect_left(self._paths, prefix)
+        # From ``lo`` on, the paths with the prefix come first.
+        hi = bisect_left(
+            self._paths, True, lo=lo, key=lambda path: not path.startswith(prefix)
+        )
+        return self._paths[lo:hi]
 
     def total_bytes(self, prefix: str = "") -> int:
         """Total storage under ``prefix`` (used for Table I accounting)."""
-        return sum(f.size for p, f in self._files.items() if p.startswith(prefix))
+        return sum(len(self._files[path].data) for path in self.list_files(prefix))
 
     def clear_cache(self) -> None:
         """Drop the extent cache: the next reads hit 'disk' again."""
@@ -242,6 +255,7 @@ class SimulatedPFS:
         fs = cls(payload["cost_model"])
         for name, (data, first_ost) in payload["files"].items():
             fs._files[name] = _SimFile(data=bytearray(data), first_ost=first_ost)
+        fs._paths = sorted(fs._files)
         return fs
 
     def _require(self, path: str) -> _SimFile:

@@ -13,16 +13,20 @@ table:
   never increases the reconstruction error — which is what lets
   :meth:`ErrorBoundsTable.min_level_for` resolve a tolerance to a
   per-chunk level with one vectorized comparison.
-* :class:`PEBBuilder` — streaming write-time builder fed by the
-  writer's ordered commit loop, exactly like
+* :func:`compute_bounds_batch` — the one bounds kernel: six partial
+  reassemblies over any number of chunks at once, the per-point errors
+  laid out one chunk per row so the row reductions are bit for bit the
+  per-chunk ones (:func:`compute_chunk_bounds` is its one-chunk form).
+* :class:`PEBBuilder` — write-time builder fed by the writer's ordered
+  commit loop one slab of chunks at a time, exactly like
   :class:`repro.index.hbi.HBIBuilder`: chunk bounds are pure functions
-  of the chunk-stage output, consumed in serial ``cpos`` order, so the
+  of the slab-stage output, consumed in serial ``cpos`` order, so the
   persisted record is bit-identical across write backends and worker
   counts (DESIGN.md §6).
 * :func:`build_from_store` — lazy rebuild for stores written before
   the record existed.  Level-7 byte-plane reassembly is exact, so the
-  rebuilt values equal the written ones and the recomputed bounds are
-  byte-identical to the write-time record.
+  same kernel sees the written values in the written order and the
+  recomputed bounds are byte-identical to the write-time record.
 
 A per-chunk **max** relative bound covers every subset of the chunk's
 points, so it remains valid for value- and region-restricted queries
@@ -46,6 +50,7 @@ from repro.plod.byteplanes import (
     GROUP_WIDTHS,
     N_GROUPS,
     assemble_from_groups,
+    nested_group_index,
     split_byte_groups,
 )
 
@@ -54,6 +59,7 @@ __all__ = [
     "PEBBuilder",
     "TOL_METRICS",
     "build_from_store",
+    "compute_bounds_batch",
     "compute_chunk_bounds",
     "peb_path",
 ]
@@ -70,6 +76,52 @@ def peb_path(root: str) -> str:
     return f"{root.rstrip('/')}/peb"
 
 
+def compute_bounds_batch(
+    values: np.ndarray, counts: np.ndarray, groups: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max and mean relative reconstruction error per (level, chunk).
+
+    ``values`` holds equal-sized chunks bin-major — (bin, chunk, local
+    id) order: the writer's slab order and that of the bin subfiles —
+    and ``counts`` is their ``(n_bins, n_chunks)`` element counts.
+    Per-point errors are scattered one chunk per row, each row in the
+    chunk's own bin-segmented order, and both reductions run along the
+    contiguous rows: summation order of the mean included, they are the
+    reductions of each chunk computed alone.  ``groups`` may supply the
+    already-split byte planes of ``values``.
+
+    Returns two ``(N_GROUPS, n_chunks)`` float64 arrays (levels 1..7;
+    the level-7 rows are exactly 0.0).
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    counts = np.asarray(counts, dtype=np.int64)
+    n_chunks = counts.shape[1]
+    max_rel = np.zeros((N_GROUPS, n_chunks), dtype=np.float64)
+    mean_rel = np.zeros((N_GROUPS, n_chunks), dtype=np.float64)
+    if not values.size:
+        return max_rel, mean_rel
+    chunk_size = values.size // n_chunks
+    if np.any(counts.sum(axis=0) * n_chunks != values.size):
+        raise ValueError(
+            f"{values.size} values do not fill {n_chunks} equal-sized chunks"
+        )
+    if groups is None:
+        groups = split_byte_groups(values)
+    # Slot of every value in the chunk-per-row array: its row's start,
+    # plus the chunk's elements in lower bins, plus its rank in the cell.
+    cells = counts.reshape(-1)
+    in_chunk = np.cumsum(counts, axis=0) - counts
+    shift = (np.arange(n_chunks) * chunk_size + in_chunk).reshape(-1)
+    slots = np.repeat(shift - (np.cumsum(cells) - cells), cells) + np.arange(values.size)
+    rel = np.empty((n_chunks, chunk_size), dtype=np.float64)
+    for level in range(1, FULL_PLOD_LEVEL):
+        approx = assemble_from_groups(groups[:level], values.size, level)
+        rel.reshape(-1)[slots] = relative_errors(values, approx)
+        rel.max(axis=1, out=max_rel[level - 1])
+        rel.mean(axis=1, out=mean_rel[level - 1])
+    return max_rel, mean_rel
+
+
 def compute_chunk_bounds(
     values: np.ndarray, groups: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -79,22 +131,11 @@ def compute_chunk_bounds(
     entries are exactly 0.0).  ``values`` is the chunk's element vector
     in any fixed order — both reductions are permutation-sensitive only
     through floating-point summation, so the writer and the rebuild
-    path must (and do) pass the same bin-segmented order.  ``groups``
-    may supply the already-split byte planes of ``values``.
+    path must (and do) reduce in the same bin-segmented order.
+    ``groups`` may supply the already-split byte planes of ``values``.
     """
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    max_rel = np.zeros(N_GROUPS, dtype=np.float64)
-    mean_rel = np.zeros(N_GROUPS, dtype=np.float64)
-    if not values.size:
-        return max_rel, mean_rel
-    if groups is None:
-        groups = split_byte_groups(values)
-    for level in range(1, FULL_PLOD_LEVEL):
-        approx = assemble_from_groups(groups[:level], values.size, level)
-        rel = relative_errors(values, approx)
-        max_rel[level - 1] = float(rel.max())
-        mean_rel[level - 1] = float(rel.mean())
-    return max_rel, mean_rel
+    max_rel, mean_rel = compute_bounds_batch(values, [[np.size(values)]], groups)
+    return max_rel[:, 0], mean_rel[:, 0]
 
 
 class ErrorBoundsTable:
@@ -227,7 +268,7 @@ class ErrorBoundsTable:
 
 
 class PEBBuilder:
-    """Streaming write-time builder fed in ordered-commit ``cpos`` order."""
+    """Write-time builder fed in ordered-commit ``cpos`` order."""
 
     def __init__(self, n_chunks: int) -> None:
         self.n_chunks = int(n_chunks)
@@ -235,15 +276,22 @@ class PEBBuilder:
         self.mean_rel = np.zeros((N_GROUPS, self.n_chunks), dtype=np.float64)
         self._next_cpos = 0
 
+    def add_chunks(
+        self, first_cpos: int, max_rel: np.ndarray, mean_rel: np.ndarray
+    ) -> None:
+        """Record the ``(N_GROUPS, k)`` bounds of ``k`` consecutive
+        chunks (:func:`compute_bounds_batch`)."""
+        if first_cpos != self._next_cpos:
+            raise ValueError(f"chunks must arrive in order: expected {self._next_cpos}")
+        self._next_cpos = first_cpos + max_rel.shape[1]
+        self.max_rel[:, first_cpos : self._next_cpos] = max_rel
+        self.mean_rel[:, first_cpos : self._next_cpos] = mean_rel
+
     def add_chunk(
         self, cpos: int, max_rel: np.ndarray, mean_rel: np.ndarray
     ) -> None:
         """Record one chunk's per-level bounds (:func:`compute_chunk_bounds`)."""
-        if cpos != self._next_cpos:
-            raise ValueError(f"chunks must arrive in order: expected {self._next_cpos}")
-        self._next_cpos = cpos + 1
-        self.max_rel[:, cpos] = max_rel
-        self.mean_rel[:, cpos] = mean_rel
+        self.add_chunks(cpos, np.reshape(max_rel, (-1, 1)), np.reshape(mean_rel, (-1, 1)))
 
     def finish(self) -> ErrorBoundsTable:
         if self._next_cpos != self.n_chunks:
@@ -258,10 +306,10 @@ def build_from_store(store) -> ErrorBoundsTable:
 
     The lazy fallback for stores written before the record existed:
     reads each bin's data subfile once (outside any query's accounting,
-    like the metadata read at open), reassembles every chunk's values
-    exactly from all seven byte groups, and recomputes the bounds with
-    the same :func:`compute_chunk_bounds` the writer ran — producing
-    bytes identical to the write-time record.
+    like the metadata read at open), reassembles every value exactly
+    from all seven byte groups, and recomputes the bounds with the same
+    :func:`compute_bounds_batch` the writer ran — producing bytes
+    identical to the write-time record.
     """
     meta = store.meta
     config = meta.config
@@ -272,16 +320,13 @@ def build_from_store(store) -> ErrorBoundsTable:
         )
     counts = meta.counts.astype(np.int64)
     n_bins, n_chunks = counts.shape
-    n_groups = config.n_groups
-    widths = np.array(GROUP_WIDTHS[:n_groups], dtype=np.int64)
     codec = make_codec(config.codec, **config.codec_params)
     session = store.fs.session()
 
-    # Per-chunk byte-plane fragments, gathered bin-major so the
-    # reassembled value order matches the writer's bin-segmented order.
-    chunk_groups: list[list[list[np.ndarray]]] = [
-        [[] for _ in range(n_groups)] for _ in range(n_chunks)
-    ]
+    # Each bin's byte planes in (chunk, local id) order; bin after bin
+    # they are the planes of the whole store in the writer's bin-major
+    # slab order.
+    planes: list[list[np.ndarray]] = [[] for _ in range(N_GROUPS)]
     for b in range(n_bins):
         blob = bytes(session.open(store.files.data_path(b)).read_all())
         parts = []
@@ -291,31 +336,15 @@ def build_from_store(store) -> ErrorBoundsTable:
         stream = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
         )
-        # Cell byte sizes in file order (FORMAT.md cell-index table).
         if config.group_major:
-            sizes = (widths[:, None] * counts[b][None, :]).reshape(-1)
+            # V-M-S: the file is group 0 of every chunk, then group 1, ...
+            ends = np.cumsum(GROUP_WIDTHS) * int(counts[b].sum())
+            for g, plane in enumerate(np.split(stream, ends[:-1])):
+                planes[g].append(plane)
         else:
-            sizes = (counts[b][:, None] * widths[None, :]).reshape(-1)
-        starts = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        for cpos in range(n_chunks):
-            if not counts[b, cpos]:
-                continue
-            for g in range(n_groups):
-                cell = (
-                    g * n_chunks + cpos if config.group_major else cpos * n_groups + g
-                )
-                chunk_groups[cpos][g].append(stream[starts[cell] : starts[cell + 1]])
+            for g, index in enumerate(nested_group_index(counts[b])):
+                planes[g].append(stream[index])
 
-    builder = PEBBuilder(n_chunks)
-    for cpos in range(n_chunks):
-        n_points = int(counts[:, cpos].sum())
-        planes = [
-            np.concatenate(chunk_groups[cpos][g])
-            if chunk_groups[cpos][g]
-            else np.empty(0, dtype=np.uint8)
-            for g in range(n_groups)
-        ]
-        values = assemble_from_groups(planes, n_points, FULL_PLOD_LEVEL)
-        builder.add_chunk(cpos, *compute_chunk_bounds(values))
-    return builder.finish()
+    groups = [np.concatenate(per_bin) for per_bin in planes]
+    values = assemble_from_groups(groups, int(counts.sum()), FULL_PLOD_LEVEL)
+    return ErrorBoundsTable(*compute_bounds_batch(values, counts, groups))

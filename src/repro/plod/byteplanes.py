@@ -33,6 +33,7 @@ __all__ = [
     "groups_for_level",
     "refinement_groups",
     "split_byte_groups",
+    "nested_group_index",
     "assemble_from_groups",
     "assemble_from_groups_degraded",
     "plod_degrade",
@@ -101,6 +102,29 @@ def split_byte_groups(values: np.ndarray) -> list[np.ndarray]:
         width = GROUP_WIDTHS[g]
         groups.append(np.ascontiguousarray(be[:, start : start + width]).reshape(-1))
     return groups
+
+
+def nested_group_index(cell_counts: np.ndarray) -> list[np.ndarray]:
+    """Byte positions of every group's plane inside cell-nested storage.
+
+    The V-S-M order stores a run of cells — cell ``i`` holding
+    ``cell_counts[i]`` points — cell by cell: a cell's group-0 bytes,
+    then its group-1 bytes, ... (FORMAT.md cell order), where
+    :func:`split_byte_groups` yields whole-run planes.  Returns one
+    index array per group with ``nested[index[g]] == planes[g]``: the
+    writer scatters through it, the bounds rebuild gathers back.
+    """
+    counts = np.asarray(cell_counts, dtype=np.int64)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    sizes = np.repeat(counts, counts)
+    point = np.arange(starts.size, dtype=np.int64)
+    # A point is the (point - start)-th of a cell whose bytes begin at
+    # 8 * start, its group g GROUP_OFFSETS[g] * size further on.
+    index = []
+    for offset, width in zip(GROUP_OFFSETS, GROUP_WIDTHS):
+        first = 8 * starts + offset * sizes + width * (point - starts)
+        index.append((first[:, None] + np.arange(width)).reshape(-1))
+    return index
 
 
 def assemble_from_groups(

@@ -34,12 +34,17 @@ class CurveOrder:
         ``pos``.
     rank:
         Inverse permutation: ``rank[chunk_id]`` = on-disk position.
+
+    Both arrays are read-only.
     """
 
     def __init__(self, order: np.ndarray) -> None:
-        self.order = np.ascontiguousarray(order, dtype=np.int64)
+        self.order = np.array(order, dtype=np.int64, order="C")
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(self.order.size, dtype=np.int64)
+        # Instances are shared (``make_curve`` memoises them per grid).
+        self.order.setflags(write=False)
+        self.rank.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.order.size)

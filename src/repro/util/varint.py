@@ -12,23 +12,28 @@ millions of positions, so both directions are vectorized with NumPy:
 * ``varint_encode_array`` computes the byte-length of every value up
   front, allocates one output buffer, and scatters the payload bytes of
   each length class with masked writes.
-* ``varint_decode_array`` identifies continuation bits on the whole
-  buffer at once, segments the stream into values via a cumulative sum,
-  and horners the 7-bit groups back together.
+* ``varint_decode_array`` finds the last byte of every value on the
+  whole buffer at once, gathers every value's first byte, and ORs in
+  one further 7-bit group per pass, each pass touching only the values
+  that long.
+
+In-chunk position deltas are mostly below 128, so both directions
+shortcut the stream whose values all fit one byte: it *is* the values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["varint_encode_array", "varint_decode_array"]
+__all__ = ["varint_encode_array", "varint_decode_array", "varint_lengths"]
 
 #: Maximum bytes a uint64 can occupy in LEB128 (ceil(64 / 7)).
 _MAX_LEN = 10
 
 
-def _byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Return the LEB128 encoded length (in bytes) of each value."""
+def varint_lengths(values: np.ndarray) -> np.ndarray:
+    """The LEB128 encoded length (in bytes) of each ``uint64`` value:
+    where a caller may cut the stream of :func:`varint_encode_array`."""
     lengths = np.ones(values.shape, dtype=np.int64)
     v = values >> np.uint64(7)
     while np.any(v):
@@ -53,28 +58,29 @@ def varint_encode_array(values: np.ndarray) -> bytes:
     values = np.ascontiguousarray(values)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {values.shape}")
-    if values.size == 0:
-        return b""
     if np.issubdtype(values.dtype, np.signedinteger) and np.any(values < 0):
         raise ValueError("varint encoding requires non-negative values")
     v = values.astype(np.uint64)
 
-    lengths = _byte_lengths(v)
-    total = int(lengths.sum())
-    out = np.zeros(total, dtype=np.uint8)
+    if v.size == 0 or v.max() < 0x80:
+        # Every value is its own single byte.
+        return v.astype(np.uint8).tobytes()
+
+    lengths = varint_lengths(v)
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
     # Offsets of the first byte of each value in the output stream.
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
 
-    max_len = int(lengths.max())
-    remaining = v.copy()
-    for byte_i in range(max_len):
-        mask = lengths > byte_i
-        positions = starts[mask] + byte_i
-        payload = (remaining[mask] & np.uint64(0x7F)).astype(np.uint8)
-        # Continuation bit set on every byte except the last of a value.
-        cont = (lengths[mask] - 1 > byte_i).astype(np.uint8) << 7
-        out[positions] = payload | cont
-        remaining[mask] = remaining[mask] >> np.uint64(7)
+    # One pass per byte position, each over only the values that long;
+    # the continuation bit is set on every byte except a value's last.
+    more = lengths > 1
+    out[starts] = (v & np.uint64(0x7F)).astype(np.uint8) | (more.astype(np.uint8) << 7)
+    longer = np.flatnonzero(more)
+    for byte_i in range(1, int(lengths.max())):
+        group = (v[longer] >> np.uint64(7 * byte_i)) & np.uint64(0x7F)
+        more = lengths[longer] > byte_i + 1
+        out[starts[longer] + byte_i] = group.astype(np.uint8) | (more.astype(np.uint8) << 7)
+        longer = longer[more]
     return out.tobytes()
 
 
@@ -100,25 +106,29 @@ def varint_decode_array(buffer: bytes | np.ndarray, count: int | None = None) ->
             raise ValueError(f"expected {count} values, decoded 0")
         return result
 
-    is_last = (raw & 0x80) == 0
-    if not is_last[-1]:
+    if raw[-1] & 0x80:
         raise ValueError("truncated varint stream: final byte has continuation bit set")
-    # value_id[i] = index of the value byte i belongs to.
-    value_id = np.zeros(raw.size, dtype=np.int64)
-    value_id[1:] = np.cumsum(is_last)[:-1]
-    n_values = int(value_id[-1]) + 1
-    if count is not None and n_values != count:
-        raise ValueError(f"expected {count} values, decoded {n_values}")
+    # A value ends at every byte without the continuation bit.
+    ends = np.flatnonzero(raw < 0x80)
+    if count is not None and ends.size != count:
+        raise ValueError(f"expected {count} values, decoded {ends.size}")
+    if ends.size == raw.size:
+        return raw.astype(np.uint64)
 
-    # Position of each byte within its value (0 = least significant group).
-    starts_mask = np.ones(raw.size, dtype=bool)
-    starts_mask[1:] = is_last[:-1]
-    start_positions = np.flatnonzero(starts_mask)
-    within = np.arange(raw.size, dtype=np.int64) - start_positions[value_id]
-    if np.any(within >= _MAX_LEN):
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    max_len = int(lengths.max())
+    if max_len > _MAX_LEN:
         raise ValueError("varint value exceeds 64 bits")
 
-    groups = (raw & 0x7F).astype(np.uint64) << (np.uint64(7) * within.astype(np.uint64))
-    out = np.zeros(n_values, dtype=np.uint64)
-    np.add.at(out, value_id, groups)
+    # Least significant group first; each pass ORs in the next 7-bit
+    # group of the values that have one.
+    out = (raw[starts] & 0x7F).astype(np.uint64)
+    longer = np.flatnonzero(lengths > 1)
+    for byte_i in range(1, max_len):
+        group = (raw[starts[longer] + byte_i] & 0x7F).astype(np.uint64)
+        out[longer] |= group << np.uint64(7 * byte_i)
+        longer = longer[lengths[longer] > byte_i + 1]
     return out

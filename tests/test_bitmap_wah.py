@@ -108,3 +108,35 @@ def test_fill_run_count_guard(monkeypatch):
     assert ok.size == 1
     with pytest.raises(ValueError, match="62-bit count field"):
         bitmap_mod._groups_to_words(np.zeros(4, dtype=np.uint64))
+
+
+@st.composite
+def _group_matrices(draw):
+    """(rows, row length) matrices mixing all-zero, all-ones and literal
+    groups, with whole rows of each kind thrown in."""
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    row_len = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ones = bitmap_mod._ALL_ONES_GROUP
+    literal = rng.integers(1, int(ones), size=(n_rows, row_len), dtype=np.uint64)
+    kind = rng.integers(0, 3, size=(n_rows, row_len))
+    groups = np.where(kind == 0, np.uint64(0), np.where(kind == 1, ones, literal))
+    for row in range(n_rows):
+        whole = draw(st.sampled_from(["mixed", "mixed", "zeros", "ones"]))
+        if whole != "mixed":
+            groups[row] = 0 if whole == "zeros" else ones
+    return groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups=_group_matrices())
+def test_row_batched_encoder_matches_per_row(groups):
+    """One pass over the matrix yields each row's own encoding: fill
+    runs break at every row start, even between two all-zero rows."""
+    words, lengths = bitmap_mod._group_rows_to_words(groups)
+    per_row = [bitmap_mod._groups_to_words(row) for row in groups]
+    assert lengths.tolist() == [row.size for row in per_row]
+    assert np.array_equal(words, np.concatenate(per_row))
+    for row, row_words in zip(groups, per_row):
+        assert np.array_equal(wah_expand_groups(row_words), row)

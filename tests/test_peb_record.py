@@ -8,8 +8,9 @@ Three contracts, in dependency order:
 * **Rebuild equivalence** — deleting the file and letting the store's
   lazy ``peb`` property rebuild from the data subfiles reproduces the
   exact bytes, because level-7 byte-plane reassembly is exact and the
-  rebuild feeds :func:`~repro.plod.bounds.compute_chunk_bounds` the
-  same bin-segmented value order the writer did.
+  rebuild feeds :func:`~repro.plod.bounds.compute_bounds_batch` the
+  same bin-major values the writer did — and that kernel's per-chunk
+  reductions are, bit for bit, those of each chunk computed alone.
 * **fsck cross-check** — the record parses under fsck, corruption is
   reported as a decode error, and a record violating the monotonicity
   invariant (bounds increasing with level) is flagged even when its
@@ -20,12 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.binning.binner import per_bin_segments
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.plod import bounds as peb_bounds
-from repro.plod.bounds import ErrorBoundsTable, peb_path
+from repro.plod.accuracy import relative_errors
+from repro.plod.bounds import (
+    ErrorBoundsTable,
+    compute_bounds_batch,
+    compute_chunk_bounds,
+    peb_path,
+)
+from repro.plod.byteplanes import N_GROUPS, assemble_from_groups, split_byte_groups
 from repro.tools.fsck import check_store
 
 CONFIG_KW = dict(n_bins=8, target_block_bytes=4096)
@@ -170,3 +181,52 @@ class TestFsckCrossCheck:
         issues = [i for i in check_store(fs, "/wb", "field") if i.location == "peb"]
         assert len(issues) == 1
         assert "chunks" in issues[0].message
+
+
+def _reference_chunk_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-chunk-at-a-time reductions the batched kernel replaced."""
+    max_rel, mean_rel = np.zeros(N_GROUPS), np.zeros(N_GROUPS)
+    groups = split_byte_groups(values)
+    for level in range(1, N_GROUPS):
+        approx = assemble_from_groups(groups[:level], values.size, level)
+        rel = relative_errors(values, approx)
+        max_rel[level - 1] = float(rel.max())
+        mean_rel[level - 1] = float(rel.mean())
+    return max_rel, mean_rel
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_chunks=st.integers(min_value=1, max_value=6),
+    chunk_size=st.sampled_from([1, 7, 64, 129, 1000]),
+    n_bins=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_bounds_equal_per_chunk_bit_for_bit(n_chunks, chunk_size, n_bins, seed):
+    """Mean included: the rows of the batched error array reduce in
+    exactly the order each chunk's own bin-segmented vector does."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-3, 6), size=n_chunks * chunk_size)
+    values[rng.random(values.size) < 0.05] = 0.0  # the zero guard
+    bids = rng.integers(0, n_bins, size=values.size).astype(np.int32)
+    # The writer's slab order: one stable sort by bin over all chunks.
+    _, slab_values, _ = per_bin_segments(values, bids, n_bins)
+    counts = np.stack(
+        [np.bincount(b, minlength=n_bins) for b in bids.reshape(n_chunks, chunk_size)],
+        axis=1,
+    )
+    max_rel, mean_rel = compute_bounds_batch(slab_values, counts)
+    for c in range(n_chunks):
+        chunk = slice(c * chunk_size, (c + 1) * chunk_size)
+        _, segmented, _ = per_bin_segments(values[chunk], bids[chunk], n_bins)
+        want_max, want_mean = _reference_chunk_bounds(segmented)
+        assert max_rel[:, c].tobytes() == want_max.tobytes()
+        assert mean_rel[:, c].tobytes() == want_mean.tobytes()
+        one_max, one_mean = compute_chunk_bounds(segmented)
+        assert one_max.tobytes() == want_max.tobytes()
+        assert one_mean.tobytes() == want_mean.tobytes()
+
+
+def test_batched_bounds_reject_unequal_chunks():
+    with pytest.raises(ValueError, match="equal-sized"):
+        compute_bounds_batch(np.ones(5), np.array([[3, 2]]))

@@ -51,6 +51,35 @@ class TestNamespace:
         assert fs.total_bytes("/d/") == 5
         assert fs.total_bytes() == 6
 
+    def test_prefix_queries_equal_a_scan_of_the_namespace(self, fs, tmp_path):
+        """``list_files``/``total_bytes`` bisect a sorted path list; the
+        answer is the full scan's — nested and sibling prefixes (``/a/b``
+        vs ``/a/bc``), overwrites, deletes, a fault-injecting view that
+        shares the namespace, and a reloaded snapshot included."""
+        from repro.pfs.faults import FaultyPFS
+
+        view = FaultyPFS(fs)
+        paths = [
+            "/a/b", "/a/b/c", "/a/b/c/d", "/a/bc", "/a/bc/e", "/a/b0", "/a/b\U0010ffffz",
+            "/a", "/ab", "/b/a", "/", "z", "/a/b/c.index", "/a/b.data",
+        ]
+        for i, path in enumerate(paths):
+            (view if i % 3 == 0 else fs).write_file(path, bytes(i + 1))
+        fs.write_file("/a/b/c", b"overwritten")
+        view.delete("/a/bc")
+        fs.delete("/a/b/c/d")
+        fs.save(tmp_path / "snap")
+
+        live = {p: fs.size(p) for p in paths if fs.exists(p)}
+        assert len(live) == len(paths) - 2
+        prefixes = ["", "/", "/a", "/a/", "/a/b", "/a/b/", "/a/bc", "/a/b/c", "/b", "/c"]
+        prefixes += ["z", "zz"]
+        for handle in (fs, view, SimulatedPFS.load(tmp_path / "snap")):
+            for prefix in prefixes:
+                want = sorted(p for p in live if p.startswith(prefix))
+                assert handle.list_files(prefix) == want, prefix
+                assert handle.total_bytes(prefix) == sum(live[p] for p in want), prefix
+
     def test_stat(self, fs):
         fs.write_file("/s", bytes(40))
         st = fs.stat("/s")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.varint import varint_decode_array, varint_encode_array
+from repro.util.varint import varint_decode_array, varint_encode_array, varint_lengths
 
 
 class TestVarintBasics:
@@ -81,3 +81,64 @@ def test_roundtrip_property(values):
 def test_small_values_one_byte_each(values):
     payload = varint_encode_array(np.array(values, dtype=np.uint64))
     assert len(payload) == len(values)
+
+
+def _leb128(value: int) -> bytes:
+    """Byte-at-a-time reference encoder."""
+    out = bytearray()
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        out.append(byte | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
+
+
+#: Values of every encoded length 1..10, the edges of each length class
+#: (``2**(7k) - 1`` and ``2**(7k)``), and runs of single-byte values so
+#: the all-single-byte shortcut and the general path both get streams.
+_MIXED_VALUES = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=127),
+        st.integers(min_value=0, max_value=9).flatmap(
+            lambda k: st.integers(
+                min_value=(1 << (7 * k)) - (1 if k else 0),
+                max_value=min((1 << (7 * (k + 1))) - 1, 2**64 - 1),
+            )
+        ),
+        st.sampled_from([0, 2**63, 2**64 - 1]),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_MIXED_VALUES)
+def test_mixed_lengths_match_the_bytewise_reference(values):
+    v = np.array(values, dtype=np.uint64)
+    stream = varint_encode_array(v)
+    assert stream == b"".join(_leb128(x) for x in values)
+    assert varint_lengths(v).tolist() == [len(_leb128(x)) for x in values]
+    decoded = varint_decode_array(stream, v.size)
+    assert decoded.dtype == np.uint64
+    assert np.array_equal(decoded, v)
+    # An ndarray buffer decodes like bytes.
+    assert np.array_equal(varint_decode_array(np.frombuffer(stream, dtype=np.uint8)), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_MIXED_VALUES.filter(len), data=st.data())
+def test_decode_errors_on_mixed_streams(values, data):
+    v = np.array(values, dtype=np.uint64)
+    stream = varint_encode_array(v)
+    with pytest.raises(ValueError, match=f"expected {v.size + 1} values, decoded {v.size}"):
+        varint_decode_array(stream, v.size + 1)
+    # Dropping the last byte of a multi-byte tail leaves a continuation
+    # bit at the end of the stream.
+    tail = _leb128(data.draw(st.integers(min_value=128, max_value=2**64 - 1)))
+    with pytest.raises(ValueError, match="truncated"):
+        varint_decode_array(stream + tail[:-1])
+    # Eleven bytes for one value: ten continuation bytes and a last one.
+    at = data.draw(st.integers(min_value=0, max_value=len(values)))
+    head = b"".join(_leb128(x) for x in values[:at])
+    with pytest.raises(ValueError, match="exceeds 64 bits"):
+        varint_decode_array(head + b"\x80" * 10 + b"\x01" + stream[len(head):])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MLOCStore, MLOCWriter, mloc_col, mloc_isa, mloc_iso
 from repro.core.config import MLOCConfig
+from repro.core.writer import _BlockStream, make_curve
 from repro.datasets import gts_like
 from repro.pfs import BinFileSet, SimulatedPFS
 
@@ -139,3 +142,78 @@ class TestDeterminism:
         assert r1.index_bytes == r2.index_bytes
         p = "/w/f/bin0000.data"
         assert fs1.session().open(p).read_all() == fs2.session().open(p).read_all()
+
+
+def _one_cell_at_a_time(first_cell, sizes, target):
+    """The accumulation the block-cutting stream replaced: add a cell,
+    cut once the running raw size has reached the target."""
+    rows, start, raw = [], None, 0
+    for cell, size in enumerate(sizes, first_cell):
+        if start is None:
+            start = cell
+        raw += size
+        if raw >= target:
+            rows.append((start, cell + 1, raw))
+            start, raw = None, 0
+    if start is not None:
+        rows.append((start, first_cell + len(sizes), raw))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=40)), max_size=60
+    ),
+    target=st.integers(min_value=1, max_value=90),
+    first_cell=st.integers(min_value=0, max_value=1000),
+    data=st.data(),
+)
+def test_block_stream_cuts_where_single_cell_adds_would(sizes, target, first_cell, data):
+    """Fed the same cells in arbitrary batches — empty cells, empty
+    batches, cuts inside a batch and on its edges — the stream emits
+    the blocks of the one-cell-at-a-time loop, payloads included."""
+    sizes = np.array(sizes, dtype=np.int64)
+    content = np.arange(int(sizes.sum())) % 251
+    content = content.astype(np.uint8)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    stream = _BlockStream(bytes, target)
+    done, least = 0, 0
+    while done < sizes.size:
+        n = data.draw(st.integers(min_value=least, max_value=sizes.size - done))
+        least = 0 if n else 1  # an empty batch, then progress
+        batch = sizes[done : done + n]
+        # Each batch arrives in a buffer of its own, as a slab would.
+        buffer = content[offsets[done] : offsets[done + n]].copy()
+        bounds = offsets[done : done + n + 1] - offsets[done]
+        stream.add(first_cell + done, np.cumsum(batch), buffer, bounds)
+        done += n
+    stream.flush()
+    want = _one_cell_at_a_time(first_cell, sizes.tolist(), target)
+    assert [(a, b, raw) for a, b, _, raw in stream.blocks] == want
+    for start, end, payload, _ in stream.blocks:
+        lo, hi = offsets[start - first_cell], offsets[end - first_cell]
+        assert payload == content[lo:hi].tobytes()
+
+
+def test_block_stream_rejects_a_gap():
+    stream = _BlockStream(bytes, 10)
+    stream.add(0, np.array([4]), np.zeros(4, dtype=np.uint8), np.array([0, 4]))
+    with pytest.raises(ValueError, match="consecutively"):
+        stream.add(2, np.array([4]), np.zeros(4, dtype=np.uint8), np.array([0, 4]))
+
+
+class TestCurveMemo:
+    def test_same_grid_and_curve_share_one_read_only_instance(self):
+        from repro.core.chunking import ChunkGrid
+
+        cfg = mloc_col((16, 16), curve="hilbert")
+        first = make_curve(cfg, ChunkGrid((64, 64), (16, 16)))
+        # Another array shape, the same chunk grid: the same curve.
+        again = make_curve(mloc_col((8, 8)), ChunkGrid((32, 32), (8, 8)))
+        assert again is first
+        other = make_curve(mloc_col((16, 16), curve="zorder"), ChunkGrid((64, 64), (16, 16)))
+        assert other is not first
+        for array in (first.order, first.rank):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
