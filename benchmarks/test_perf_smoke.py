@@ -2,8 +2,8 @@
 
 Times the real wall-clock of the hot code paths — varint codec,
 Hilbert mapping, index-block decode, cold vs warm ``query_many``, the
-serial/threads/processes decode and write backends, and the sharded
-scatter/gather scaling sweep — and records everything to
+serial/threads/processes decode backends, the serial/threads write
+backends, and the sharded scatter/gather scaling sweep — and records everything to
 ``results/BENCH_perf_smoke.json`` so the performance trajectory is
 tracked across PRs.  Wall-clock numbers are recorded, not asserted
 (they depend on the machine); the *deterministic* savings of batching
@@ -182,16 +182,14 @@ def test_backend_wall_clock(suite_gts_8g):
 
 
 def test_writer_backend_wall_clock(capsys):
-    """Serial vs threaded vs process write pipeline on the standard
-    synthetic variable: identical output bytes asserted, wall-clock
-    recorded.
+    """Serial vs threaded write pipeline on the standard synthetic
+    variable: identical output bytes asserted, wall-clock recorded.
 
     The multi-chunk workload (a 512x512 GTS-like field in 64x64
-    chunks) is compression-dominated, which is exactly where the
-    writers' compression offload pays; on a single-core machine any
-    pool is overhead, so the speedup bars (threads faster than serial,
-    processes > 1.3x over serial) are asserted only when more than one
-    core is available."""
+    chunks) sits at the threaded writer's break-even on a 2-vCPU host
+    (threads/serial 0.65-1.3 run to run; larger inputs win steadily,
+    docs/tuning.md "Write pipeline"), so like every wall-clock number
+    of this file the ratio is recorded, not asserted."""
     data = gts_like((512, 512), seed=3)
     config = mloc_col((64, 64), n_bins=16, target_block_bytes=1 << 15)
     workers = min(os.cpu_count() or 1, 4) if (os.cpu_count() or 1) > 1 else 2
@@ -201,21 +199,13 @@ def test_writer_backend_wall_clock(capsys):
         print()
         print(
             format_rows(
-                "Write pipeline: serial vs threads vs processes "
-                "(identical bytes, real wall)",
+                "Write pipeline: serial vs threads (identical bytes, real wall)",
                 ["mode", "wall_s"],
                 rows,
             )
         )
     serial_s = rows["serial writer"][0]
     threads_s = rows["threads writer"][0]
-    processes_s = rows["processes writer"][0]
-    if (os.cpu_count() or 1) > 1:
-        assert threads_s < serial_s
-        assert serial_s > 1.3 * processes_s, (
-            f"process writer should beat serial by >1.3x on "
-            f"{os.cpu_count()} cores, got {serial_s / processes_s:.2f}x"
-        )
     RESULTS["writer_backend_wall_clock"] = {
         "n_elements": data.size,
         "n_chunks": 64,
@@ -224,9 +214,7 @@ def test_writer_backend_wall_clock(capsys):
         "identical_bytes": identical,
         "serial_s": serial_s,
         "threads_s": threads_s,
-        "processes_s": processes_s,
         "threads_speedup": round(serial_s / max(threads_s, 1e-9), 3),
-        "processes_speedup": round(serial_s / max(processes_s, 1e-9), 3),
     }
 
 

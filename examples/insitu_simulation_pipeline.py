@@ -3,9 +3,11 @@
 
 Models the integration the paper targets (intro contribution 4 and the
 conclusion's future work): a running simulation hands each timestep to
-staging nodes, which run MLOC's layout optimization + compression *in
-situ* and seal it with an atomic manifest bump
-(:meth:`~repro.core.dataset.MLOCDataset.append`).  An analyst pins a
+a staging node (:class:`~repro.server.IngestSession`), which runs
+MLOC's layout optimization + compression *in situ* and seals it with an
+atomic manifest bump (:meth:`~repro.core.dataset.MLOCDataset.append`),
+on the simulated clock: one append occupies the node for the modeled
+drain time of the member's *stored* bytes.  An analyst pins a
 :class:`~repro.core.dataset.DatasetSnapshot` mid-run and explores the
 sealed prefix of the campaign — appends landing behind their back
 never change an answer — then ``refresh()`` surfaces new timesteps.
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import InSituStager, MLOCDataset, Query, SimulatedPFS, mloc_col
+from repro import MLOCDataset, Query, SimulatedPFS, mloc_col
 from repro.datasets import gts_like
+from repro.server import IngestSession, TimestepArrival
 
 
 def simulate_timestep(t: int) -> np.ndarray:
@@ -32,6 +35,7 @@ def simulate_timestep(t: int) -> np.ndarray:
     return base * heating
 
 
+CADENCE_S = 2.0  # simulated seconds between simulation outputs
 THRESHOLD = 5.2
 HOT_QUERY = Query(value_range=(THRESHOLD, np.inf), output="positions")
 
@@ -40,21 +44,30 @@ def main() -> None:
     fs = SimulatedPFS()
     config = mloc_col(chunk_shape=(32, 32), n_bins=32)
     dataset = MLOCDataset(fs, "/campaign", config, n_ranks=8)
-    stager = InSituStager(dataset, buffer_bytes=8 << 20, use_manifest=True)
 
     # ------------------------------------------------------------------
-    # Simulation loop: produce 6 timesteps; the analyst queries mid-run
-    # against whatever generation their snapshot pins.
+    # Simulation loop: 6 timesteps arrive on a fixed cadence; the
+    # analyst queries mid-run against whatever generation their
+    # snapshot pins.
     # ------------------------------------------------------------------
     n_steps = 6
+    session = IngestSession(
+        dataset,
+        [
+            TimestepArrival(t * CADENCE_S, "potential", t, simulate_timestep(t))
+            for t in range(n_steps)
+        ],
+    )
     midrun_answers = []  # (generation, timestep, positions) seen live
     snapshot = dataset.snapshot()  # generation 0: nothing sealed yet
     assert snapshot.timesteps("potential") == []
 
     for t in range(n_steps):
-        stager.process("potential", t, simulate_timestep(t))
+        now = (t + 0.5) * CADENCE_S  # half a cadence after output t
+        session.advance_to(now)
         if t % 2 == 1:  # the analyst polls every other timestep
             snapshot = snapshot.refresh()
+            assert snapshot.generation == session.generation_at(now)
             latest = snapshot.timesteps("potential")[-1]
             result = snapshot.store("potential", latest).query(HOT_QUERY)
             midrun_answers.append(
@@ -66,12 +79,14 @@ def main() -> None:
                 f"({len(snapshot.members())} sealed timesteps visible)"
             )
 
-    report = stager.report
     print(
-        f"staged {report.snapshots} snapshots in "
-        f"{report.generations_committed} manifest generations: raw "
-        f"{report.raw_bytes / 1e6:.1f} MB -> stored "
-        f"{report.stored_bytes / 1e6:.1f} MB ({report.compression_ratio:.0%})"
+        f"staged {len(session.appended)} timesteps in "
+        f"{dataset.generation} manifest generations: raw "
+        f"{session.raw_bytes / 1e6:.1f} MB -> stored "
+        f"{session.stored_bytes / 1e6:.1f} MB "
+        f"({session.stored_bytes / session.raw_bytes:.0%}); first timestep "
+        f"queryable {session.first_queryable_seconds * 1e3:.2f} sim-ms after "
+        f"it was produced, {session.ingest_throughput() / 1e6:.0f} MB/s absorbed"
     )
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Six architectural rules, checked by AST scan (no imports are
+Seven architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -36,9 +36,14 @@ executed):
    counted work (DESIGN.md §5), so no module under ``repro/core``,
    ``repro/baselines``, ``repro/server``, ``repro/pfs``,
    ``repro/index``, ``repro/plod`` or ``repro/parallel`` may import
-   ``time``.  Sole exemption: ``core/staging.py``, whose
-   ``encode_seconds`` is a labelled wall-clock ledger that never
-   enters a ``ComponentTimes``.
+   ``time``.
+7. **Counters have owners.**  Every row of the counter table
+   (``repro.core.result.COUNTERS``) names the one layer that emits it
+   (DESIGN.md §8).  The engine sits below the serving layers, so no
+   ``broker``- or ``ingest``-owned counter name may appear as a string
+   literal under ``src/repro/core/engine/`` — it is what keeps a block
+   of always-zero serving counters from growing back into
+   ``QueryEngine.execute``.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -72,7 +77,6 @@ MANIFEST_FORBIDDEN_PREFIXES = (
     "repro.core.planner",
     "repro.core.engine",
     "repro.core.sharded",
-    "repro.core.staging",
     "repro.server",
     "repro.index",
     "repro.plod",
@@ -96,9 +100,11 @@ EXECUTION_ONLY_PARAMS = frozenset(
 )
 
 #: Packages on the simulated clock: none of their modules may import
-#: ``time``, except the labelled wall-clock ledger in ``core/staging.py``.
+#: ``time``.
 SIM_CLOCK_PACKAGES = ("core", "baselines", "server", "pfs", "index", "plod", "parallel")
-WALL_CLOCK_EXEMPT = SRC / "repro" / "core" / "staging.py"
+
+#: Counter owners above the engine; their rows may not be named in it.
+SERVING_OWNERS = ("broker", "ingest")
 
 #: Engine layer heights; a module may import only strictly lower ones.
 ENGINE_LAYERS = {
@@ -118,6 +124,26 @@ def _imported_modules(path: Path) -> list[tuple[int, str]]:
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             out.append((node.lineno, node.module))
     return out
+
+
+def _serving_counter_names() -> set[str]:
+    """Names of the ``COUNTERS`` rows owned by a serving layer.
+
+    Read from the table's source: every row is a
+    ``Counter(name, fold, owner)`` call of three string literals.
+    """
+    result_py = SRC / "repro" / "core" / "result.py"
+    names = set()
+    for node in ast.walk(ast.parse(result_py.read_text(), filename=str(result_py))):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Counter"
+            and len(node.args) == 3
+            and all(isinstance(a, ast.Constant) for a in node.args)
+            and node.args[2].value in SERVING_OWNERS
+        ):
+            names.add(node.args[0].value)
+    return names
 
 
 def _module_name(path: Path) -> str:
@@ -199,8 +225,6 @@ def check() -> list[str]:
 
     for package in SIM_CLOCK_PACKAGES:
         for path in sorted((SRC / "repro" / package).rglob("*.py")):
-            if path == WALL_CLOCK_EXEMPT:
-                continue
             for lineno, module in _imported_modules(path):
                 if module == "time":
                     violations.append(
@@ -208,6 +232,21 @@ def check() -> list[str]:
                         f"must not import time (simulated seconds are modeled "
                         f"from counted work, never measured)"
                     )
+
+    serving = _serving_counter_names()
+    if not serving:
+        violations.append(
+            "src/repro/core/result.py: found no broker/ingest rows in COUNTERS "
+            "(rule 7 reads them as Counter(name, fold, owner) literals)"
+        )
+    for path in sorted((SRC / "repro" / "core" / "engine").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in serving:
+                violations.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: the engine names "
+                    f"{node.value!r}, a counter a serving layer owns "
+                    f"(repro.core.result.COUNTERS); the owner emits it"
+                )
 
     if list((SRC / "repro" / "core").glob("executor*")):
         violations.append(

@@ -24,7 +24,6 @@ from repro.core import (
     ChunkGrid,
     ComponentTimes,
     DatasetSnapshot,
-    InSituStager,
     MLOCConfig,
     MLOCDataset,
     MLOCStore,
@@ -46,7 +45,6 @@ __all__ = [
     "ChunkGrid",
     "ComponentTimes",
     "DatasetSnapshot",
-    "InSituStager",
     "MLOCConfig",
     "MLOCDataset",
     "MLOCStore",

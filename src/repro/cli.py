@@ -316,10 +316,7 @@ def _add_write_options(sub_parser) -> None:
         "--write-workers",
         type=int,
         default=None,
-        help=(
-            "pool width for --write-backend threads/processes "
-            "(default: CPU count)"
-        ),
+        help="pool width for --write-backend threads (default: CPU count)",
     )
     sub_parser.add_argument(
         "--shards",

@@ -48,7 +48,6 @@ from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
 from repro.core.query import Query
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
 from repro.core.sharded import ShardedMLOCStore
-from repro.core.staging import InSituStager, StagingOverflow, StagingReport
 from repro.core.store import MLOCStore, StorageReport
 from repro.core.writer import MLOCWriter, WriteReport
 
@@ -63,7 +62,6 @@ __all__ = [
     "DegradedResultError",
     "EXEC_BACKENDS",
     "ExecutionConfig",
-    "InSituStager",
     "LEVEL_ORDERS",
     "DatasetSnapshot",
     "MLOCConfig",
@@ -86,8 +84,6 @@ __all__ = [
     "QueryResult",
     "RefinementSession",
     "ShardedMLOCStore",
-    "StagingOverflow",
-    "StagingReport",
     "StorageReport",
     "StoreMeta",
     "VariableConstraint",

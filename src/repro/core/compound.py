@@ -77,7 +77,7 @@ class CompoundResult:
     #: bit-identical either way.
     selections: dict[str, list[QueryResult]] = field(default_factory=dict)
     #: Aggregated execution counters over every selection and fetch
-    #: step (the canonical SUMMED_STAT_KEYS registry).
+    #: step (the canonical ``repro.core.result.COUNTERS`` table).
     stats: dict = field(default_factory=dict)
 
     @property

@@ -40,16 +40,13 @@ __all__ = [
 
 LEVEL_ORDERS = ("VMS", "VSM", "VS")
 
-#: Execution backends shared by the read path and the write pipeline.
-#: ``threads``/``processes`` are bit-identical to ``serial`` for any
-#: worker count; ``auto`` resolves per call to ``serial`` or
-#: ``processes`` via the workload-size heuristic
-#: (:data:`repro.parallel.procpool.AUTO_PROCESS_MIN_BYTES`).
-EXEC_BACKENDS = ("serial", "threads", "processes", "auto")
+#: Read-path decode backends; ``threads``/``processes`` are
+#: bit-identical to ``serial`` for any worker count.
+EXEC_BACKENDS = ("serial", "threads", "processes")
 
 #: Write-pipeline backends of :class:`~repro.core.writer.MLOCWriter`;
-#: all produce bit-identical subfiles and metadata.
-WRITE_BACKENDS = EXEC_BACKENDS
+#: both produce bit-identical subfiles and metadata.
+WRITE_BACKENDS = ("serial", "threads")
 
 _CURVES = ("hilbert", "zorder", "rowmajor", "hierarchical")
 
@@ -166,10 +163,8 @@ class ExecutionConfig:
         One of :data:`EXEC_BACKENDS` (default ``"serial"``):
         ``"threads"`` runs block decodes on a thread pool (zlib
         releases the GIL), ``"processes"`` on the persistent
-        shared-nothing spawned worker pool (the GIL-free path), and
-        ``"auto"`` picks ``serial`` or ``processes`` per query by
-        workload size.  All produce identical results and simulated
-        seconds.
+        shared-nothing spawned worker pool (the GIL-free path).  All
+        produce identical results and simulated seconds.
     workers:
         Pool width for the ``"threads"``/``"processes"`` backends;
         ``None`` = CPU count.
@@ -182,18 +177,14 @@ class ExecutionConfig:
         plan a fresh call would produce — the knob trades a little
         memory for skipping the plan phase on repeated query shapes.
     write_backend:
-        One of :data:`WRITE_BACKENDS` (default ``"serial"``); mirrors
-        ``backend`` for :class:`~repro.core.writer.MLOCWriter` — the
-        pool writers fan block compression (and, under ``"threads"``,
-        per-chunk encoding) out while committing blocks in serial cell
-        order; ``"auto"`` picks ``processes`` when more than one worker
-        is available and the input clears
-        :data:`~repro.parallel.procpool.AUTO_PROCESS_MIN_BYTES`.
+        One of :data:`WRITE_BACKENDS` (default ``"serial"``);
+        ``"threads"`` fans the slab stage and block compression of
+        :class:`~repro.core.writer.MLOCWriter` out on a thread pool
+        while committing blocks in serial cell order.
     write_workers:
-        Pool width for the ``"threads"``/``"processes"`` write
-        backends; ``None`` = CPU count.  With one effective worker the
-        writer runs inline — an unsized pool on a single-core machine
-        would be pure overhead.
+        Pool width for the ``"threads"`` write backend; ``None`` = CPU
+        count.  With one effective worker the writer runs inline — an
+        unsized pool on a single-core machine would be pure overhead.
     max_read_retries:
         How many times a failed block read (transient I/O error or CRC
         mismatch) is retried before the block is quarantined (read-path

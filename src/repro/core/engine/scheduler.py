@@ -215,7 +215,6 @@ class _BlockFetcher:
         #: (cumulative); lets a caller attribute insertions to whoever
         #: triggered the surrounding :meth:`run` (per-tenant quotas).
         self.inserted_keys: list[tuple] = []
-        self._pending_raw = 0
 
     @property
     def caching(self) -> bool:
@@ -225,11 +224,6 @@ class _BlockFetcher:
     def pending_count(self) -> int:
         """Decode jobs enqueued by the plan phase but not yet run."""
         return len(self._pending)
-
-    def pending_raw_bytes(self) -> int:
-        """Raw (decoded) bytes the pending jobs will produce — the
-        decode-work size the ``auto`` backend heuristic thresholds on."""
-        return self._pending_raw
 
     def held_keys(self) -> list[tuple]:
         """Keys whose decoded blocks this fetcher currently retains."""
@@ -281,7 +275,6 @@ class _BlockFetcher:
             read.job.task = (read.spec, payload)
         self.misses += 1
         self.miss_raw_bytes += read.raw_bytes
-        self._pending_raw += read.raw_bytes
         read.raw[read.raw_kind] += read.raw_bytes
         self._pending.append((read.order_key, read.key, read.job))
 
@@ -303,7 +296,6 @@ class _BlockFetcher:
         """
         pending, self._pending = self._pending, []
         touches, self._touches = self._touches, []
-        self._pending_raw = 0
         if self.cache is not None and touches:
             for _, key in sorted(touches):
                 self.cache.touch(key)

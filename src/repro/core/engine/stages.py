@@ -91,7 +91,7 @@ from repro.core.query import Query
 from repro.core.result import ComponentTimes, QueryResult
 from repro.index.binindex import decode_position_block_flat
 from repro.index.bitmap import Bitmap
-from repro.parallel.procpool import AUTO_PROCESS_MIN_BYTES, get_pool
+from repro.parallel.procpool import get_pool
 from repro.parallel.scheduler import (
     BlockList,
     column_order_assignment,
@@ -115,7 +115,7 @@ from repro.plod.byteplanes import (
 )
 from repro.sfc.linearize import CurveOrder
 
-__all__ = ["QueryEngine", "RankOutput", "AUTO_PROCESS_MIN_BYTES"]
+__all__ = ["QueryEngine", "RankOutput"]
 
 _SCHEDULERS = {
     "column": column_order_assignment,
@@ -362,7 +362,7 @@ class QueryEngine:
         # Stage 3 (Decode): the only concurrent part (threads or
         # processes backend).
         pool_failures0 = fetcher.pool_failures
-        blocks_decoded, decode_backend = self._run_decodes(fetcher)
+        blocks_decoded = self._run_decodes(fetcher)
         # Stage 4 (Assemble): deterministic rank order.
         rank_outputs = [
             self._finish_rank(state, query, plan, position_filter, fctx)
@@ -411,7 +411,6 @@ class QueryEngine:
             "chunks_accessed": int(plan.cpos.size),
             "blocks_planned": len(blocks),
             "blocks_decoded": blocks_decoded,
-            "decode_backend": decode_backend,
             "decode_pool_failures": fetcher.pool_failures - pool_failures0,
             "cache_hits": fetcher.hits - hits0,
             "cache_misses": fetcher.misses - misses0,
@@ -433,57 +432,27 @@ class QueryEngine:
             "partial_chunks": sorted(fctx.partial_chunks),
             "degraded_chunk_levels": degraded_levels,
             "n_results": int(positions.size),
-            # Error-bounded retrieval: the store stamps the real values
-            # (tol_target, achieved_bound, levels_histogram) on tol
-            # queries; the registered additive counter defaults here.
-            "tol_bytes_saved": 0,
-            # Broker request-lifecycle counters (repro.server stamps the
-            # real values on requests it serves); zero for direct queries
-            # so every registered counter is emitted on every path.
-            "admitted": 0,
-            "rejected": 0,
-            "queued": 0,
-            "completed": 0,
-            "cancelled": 0,
-            "quota_rejections": 0,
-            "quota_evictions": 0,
-            # Ingest lifecycle counters (repro.server.ingest stamps the
-            # real values on broker/replay aggregates); same contract.
-            "generations_seen": 0,
-            "snapshot_refreshes": 0,
-            "ingest_stall_seconds": 0.0,
         }
         return QueryResult(positions=positions, values=values, times=times, stats=stats)
 
     # ------------------------------------------------------------------
-    def _run_decodes(self, fetcher: _BlockFetcher) -> tuple[int, str]:
+    def _run_decodes(self, fetcher: _BlockFetcher) -> int:
         """Run the decode stage on the configured backend.
 
-        Returns ``(blocks_decoded, resolved_backend)``.  A pool is
-        only engaged when it can actually overlap work: with one
-        effective worker (or fewer than two pending jobs) every
-        backend decodes inline, avoiding pure dispatch overhead on
-        single-core machines.  ``"auto"`` resolves to the process pool
-        only when the pending raw decode bytes clear
-        :data:`AUTO_PROCESS_MIN_BYTES` — below that, pickling payloads
-        to workers costs more than the GIL-free decode saves.
+        Returns the number of blocks decoded.  A pool is only engaged
+        when it can actually overlap work: with one effective worker
+        (or fewer than two pending jobs) every backend decodes inline,
+        avoiding pure dispatch overhead on single-core machines.
         """
         n_pending = fetcher.pending_count()
         width = self.execution.workers or os.cpu_count() or 1
-        resolved = self.execution.backend
-        if resolved == "auto":
-            resolved = (
-                "processes"
-                if width > 1
-                and fetcher.pending_raw_bytes() >= AUTO_PROCESS_MIN_BYTES
-                else "serial"
-            )
-        if resolved == "threads" and min(width, n_pending) > 1:
+        backend = self.execution.backend
+        if backend == "threads" and min(width, n_pending) > 1:
             with ThreadPoolExecutor(max_workers=min(width, n_pending)) as pool:
-                return fetcher.run(pool), resolved
-        if resolved == "processes" and width > 1 and n_pending > 1:
-            return fetcher.run(get_pool(width)), resolved
-        return fetcher.run(None), resolved
+                return fetcher.run(pool)
+        if backend == "processes" and width > 1 and n_pending > 1:
+            return fetcher.run(get_pool(width))
+        return fetcher.run(None)
 
     # ------------------------------------------------------------------
     def _plan_rank_index(

@@ -13,6 +13,7 @@ path (max over ranks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,83 +21,107 @@ __all__ = [
     "ComponentTimes",
     "QueryResult",
     "BatchResult",
-    "SUMMED_STAT_KEYS",
-    "FLOAT_SUMMED_STAT_KEYS",
+    "Counter",
+    "COUNTERS",
     "FAULT_STAT_KEYS",
-    "UNION_STAT_KEYS",
-    "MAX_STAT_KEYS",
-    "DICT_SUM_STAT_KEYS",
-    "DICT_MIN_STAT_KEYS",
+    "counter_names",
     "aggregate_stats",
 ]
 
-#: The canonical additive ``QueryResult.stats`` counters.  Every path
-#: that rolls per-query stats into an aggregate (``query_many``,
-#: ``replay_trace``, the CLI) sums exactly this list — new counters
-#: register here once and flow everywhere, instead of each aggregator
-#: maintaining its own drifting copy.  ``stall_seconds`` is a float;
-#: everything else is integral.
-SUMMED_STAT_KEYS: tuple[str, ...] = (
-    "blocks_planned",
-    "blocks_decoded",
-    "decode_pool_failures",
-    "cache_hits",
-    "cache_misses",
-    "cache_hit_raw_bytes",
-    "bytes_read",
-    "files_opened",
-    "seeks",
-    "vectored_reads",
-    "coalesced_reads",
-    "readahead_hits",
-    "stall_seconds",
-    "crc_failures",
-    "io_retries",
-    "degraded_points",
-    "dropped_points",
-    "n_results",
-    "plan_cache_hits",
-    "plan_cache_misses",
+
+class Counter(NamedTuple):
+    """One row of the stats registry: who emits it, how it aggregates."""
+
+    name: str
+    #: How :func:`aggregate_stats` folds the per-query values:
+    #:
+    #: * ``"sum"`` / ``"fsum"`` — integer / float addition; always
+    #:   emitted (missing inputs count as zero);
+    #: * ``"union"`` — set union of collections, as a sorted list;
+    #:   always emitted;
+    #: * ``"max"`` — worst case (an aggregate bound is the loosest
+    #:   per-query bound); emitted only when some input carried it;
+    #: * ``"dict_sum"`` / ``"dict_min"`` — dicts merged key-wise by
+    #:   addition / minimum; emitted only when some input carried it.
+    fold: str
+    #: The one layer that stamps real values into it: ``"engine"``
+    #: (``QueryEngine.execute``), ``"plan"`` (``MLOCStore.plan``),
+    #: ``"tol"`` (``MLOCStore.query`` / ``stamp_tol_stats``),
+    #: ``"broker"`` (``repro.server.broker``, per tenant) or
+    #: ``"ingest"`` (``repro.server.ingest``).  A layer emits only the
+    #: rows it owns; rows of a layer a request never passed through
+    #: are absent from its stats and fold as zero.
+    owner: str
+
+
+#: The canonical ``QueryResult.stats`` counters, in aggregate-output
+#: order.  Every path that rolls per-query stats into an aggregate
+#: (``query_many``, the sharded gather, the broker, ``replay_trace``,
+#: the CLI) folds exactly this table — a new counter is one new row
+#: and flows everywhere.  Non-additive values (``quarantined_blocks``
+#: is registry state, not a per-query delta; ``n_ranks``/``backend``
+#: are configuration) are not counters and stay the caller's business.
+COUNTERS: tuple[Counter, ...] = (
+    Counter("blocks_planned", "sum", "engine"),
+    Counter("blocks_decoded", "sum", "engine"),
+    Counter("decode_pool_failures", "sum", "engine"),
+    Counter("cache_hits", "sum", "engine"),
+    Counter("cache_misses", "sum", "engine"),
+    Counter("cache_hit_raw_bytes", "sum", "engine"),
+    Counter("bytes_read", "sum", "engine"),
+    Counter("files_opened", "sum", "engine"),
+    Counter("seeks", "sum", "engine"),
+    Counter("vectored_reads", "sum", "engine"),
+    Counter("coalesced_reads", "sum", "engine"),
+    Counter("readahead_hits", "sum", "engine"),
+    Counter("stall_seconds", "fsum", "engine"),
+    Counter("crc_failures", "sum", "engine"),
+    Counter("io_retries", "sum", "engine"),
+    Counter("degraded_points", "sum", "engine"),
+    Counter("dropped_points", "sum", "engine"),
+    Counter("n_results", "sum", "engine"),
+    Counter("plan_cache_hits", "sum", "plan"),
+    Counter("plan_cache_misses", "sum", "plan"),
     # Chunks dropped by hierarchical-index pruning / compound pushdown
     # (repro.index.hbi): proven-empty plan chunks never fetched.
-    "chunks_pruned",
+    Counter("chunks_pruned", "sum", "plan"),
     # Bins dropped from a position-masked fetch by the group-domain
     # AND against the hierarchical index's leaves.
-    "bins_pruned",
+    Counter("bins_pruned", "sum", "plan"),
     # Cross-query fetch-merge dedup (shared fetchers: batches, sessions,
     # and the broker's continuous merge loop).
-    "dedup_blocks",
-    "dedup_raw_bytes",
-    # Broker-level counters (repro.server): per-tenant dicts fold into
-    # broker totals through the same registry as everything else.
-    "admitted",
-    "rejected",
-    "queued",
-    "completed",
-    "cancelled",
-    "quota_rejections",
-    "quota_evictions",
+    Counter("dedup_blocks", "sum", "engine"),
+    Counter("dedup_raw_bytes", "sum", "engine"),
+    # Request lifecycle, counted per tenant by the broker.
+    Counter("admitted", "sum", "broker"),
+    Counter("rejected", "sum", "broker"),
+    Counter("queued", "sum", "broker"),
+    Counter("completed", "sum", "broker"),
+    Counter("cancelled", "sum", "broker"),
+    Counter("quota_rejections", "sum", "broker"),
+    Counter("quota_evictions", "sum", "broker"),
     # Error-bounded retrieval (query tol=...): raw bytes the per-chunk
     # level selection avoided reading vs the full-precision plan.
-    "tol_bytes_saved",
-    # Ingest-aware serving (repro.server.ingest): manifest generations
-    # a broker observed, snapshot re-pins it performed, and simulated
-    # seconds queries stalled waiting for a timestep still being
-    # appended.  ``ingest_stall_seconds`` is a float like
-    # ``stall_seconds``.
-    "generations_seen",
-    "snapshot_refreshes",
-    "ingest_stall_seconds",
+    Counter("tol_bytes_saved", "sum", "tol"),
+    # Ingest-aware serving: manifest generations a broker pinned,
+    # re-pins it performed, and simulated seconds queries stalled
+    # waiting for a timestep still being appended.
+    Counter("generations_seen", "sum", "ingest"),
+    Counter("snapshot_refreshes", "sum", "ingest"),
+    Counter("ingest_stall_seconds", "fsum", "ingest"),
+    Counter("partial_chunks", "union", "engine"),
+    Counter("achieved_bound", "max", "tol"),
+    Counter("tol_target", "max", "tol"),
+    # PLoD level -> chunk count.
+    Counter("levels_histogram", "dict_sum", "tol"),
+    # Curve position -> effective level: the minimum is the honest
+    # (deepest-loss) level per chunk.
+    Counter("degraded_chunk_levels", "dict_min", "engine"),
 )
 
-#: The float-valued members of :data:`SUMMED_STAT_KEYS` (everything
-#: else is integral).
-FLOAT_SUMMED_STAT_KEYS: frozenset = frozenset(
-    {"stall_seconds", "ingest_stall_seconds"}
-)
-
-#: The fault-accounting subset (printed by the CLI, swept by the
-#: fault-tolerance experiment).
+#: The fault-accounting engine rows the CLI prints and the
+#: fault-tolerance experiment sweeps (a reporting selection, not a
+#: fold family).
 FAULT_STAT_KEYS: tuple[str, ...] = (
     "crc_failures",
     "io_retries",
@@ -104,66 +129,52 @@ FAULT_STAT_KEYS: tuple[str, ...] = (
     "dropped_points",
 )
 
-#: Collection-valued counters aggregated by set union, not addition.
-UNION_STAT_KEYS: tuple[str, ...] = ("partial_chunks",)
 
-#: Worst-case counters aggregated by max, emitted only when present
-#: (an aggregate bound is the loosest per-query bound).
-MAX_STAT_KEYS: tuple[str, ...] = ("achieved_bound", "tol_target")
+def counter_names(*, owner: str | None = None, fold: str | None = None) -> tuple[str, ...]:
+    """Names of the table's rows, optionally of one owner and/or fold."""
+    return tuple(
+        c.name
+        for c in COUNTERS
+        if (owner is None or c.owner == owner) and (fold is None or c.fold == fold)
+    )
 
-#: Dict-valued counters merged key-wise, emitted only when present:
-#: ``levels_histogram`` (PLoD level -> chunk count) sums per key;
-#: ``degraded_chunk_levels`` (curve position -> effective level) keeps
-#: the minimum — the honest (deepest-loss) level per chunk.
-DICT_SUM_STAT_KEYS: tuple[str, ...] = ("levels_histogram",)
-DICT_MIN_STAT_KEYS: tuple[str, ...] = ("degraded_chunk_levels",)
+
+def _fold_dicts(dicts: list[dict], merge) -> dict:
+    out: dict = {}
+    for d in dicts:
+        for k, v in d.items():
+            out[k] = merge(out[k], v) if k in out else v
+    return out
+
+
+#: fold name -> (values present in the inputs) -> aggregate.  The
+#: always-emitted folds accept an empty list; the rest only run when
+#: some input carried the counter.
+_FOLDS = {
+    "sum": lambda vals: int(sum(vals)),
+    "fsum": lambda vals: float(sum(vals)),
+    "union": lambda vals: sorted(set().union(*vals)),
+    "max": max,
+    "dict_sum": lambda vals: _fold_dicts(vals, lambda a, b: a + b),
+    "dict_min": lambda vals: _fold_dicts(vals, min),
+}
+_ALWAYS_EMITTED = frozenset({"sum", "fsum", "union"})
 
 
 def aggregate_stats(per_query: "list[dict] | tuple[dict, ...]") -> dict:
     """Fold per-query ``stats`` dicts into one aggregate dict.
 
-    Sums every key in :data:`SUMMED_STAT_KEYS` (missing keys count as
-    zero, so older recorded stats aggregate cleanly), unions the keys
-    in :data:`UNION_STAT_KEYS` into sorted lists, maxes the keys in
-    :data:`MAX_STAT_KEYS`, and merges the dict-valued keys key-wise
-    (:data:`DICT_SUM_STAT_KEYS` by addition,
-    :data:`DICT_MIN_STAT_KEYS` by minimum); the latter two families
-    appear in the aggregate only when some input carried them.
-    Non-additive counters (``quarantined_blocks`` is registry state,
-    not a per-query delta; ``n_ranks``/``backend`` are configuration)
-    are the caller's responsibility.
+    Every row of :data:`COUNTERS` is folded as its ``fold`` column
+    says (see :class:`Counter`); a stats dict that lacks a counter —
+    an older recording, or a request that never passed through the
+    counter's owning layer — simply contributes nothing to it.
     """
     per_query = list(per_query)
     out: dict = {}
-    for key in SUMMED_STAT_KEYS:
-        if key in FLOAT_SUMMED_STAT_KEYS:
-            out[key] = float(sum(s.get(key, 0) for s in per_query))
-        else:
-            out[key] = int(sum(s.get(key, 0) for s in per_query))
-    for key in UNION_STAT_KEYS:
-        merged: set = set()
-        for s in per_query:
-            merged.update(s.get(key, ()))
-        out[key] = sorted(merged)
-    for key in MAX_STAT_KEYS:
-        vals = [s[key] for s in per_query if key in s]
-        if vals:
-            out[key] = max(vals)
-    for key, fold in (
-        *((k, lambda a, b: a + b) for k in DICT_SUM_STAT_KEYS),
-        *((k, min) for k in DICT_MIN_STAT_KEYS),
-    ):
-        seen = False
-        merged_d: dict = {}
-        for s in per_query:
-            d = s.get(key)
-            if d is None:
-                continue
-            seen = True
-            for k, v in d.items():
-                merged_d[k] = fold(merged_d[k], v) if k in merged_d else v
-        if seen:
-            out[key] = merged_d
+    for name, fold, _ in COUNTERS:
+        vals = [v for s in per_query if (v := s.get(name)) is not None]
+        if vals or fold in _ALWAYS_EMITTED:
+            out[name] = _FOLDS[fold](vals)
     return out
 
 

@@ -33,9 +33,9 @@ Shards are notionally concurrent store servers: merged component
 times take the per-component **max** over shards (the slowest shard
 gates the answer), which is what produces the near-linear simulated
 scaling of the harness' per-shard scaling rows.  Stats are merged
-through the canonical :data:`~repro.core.result.SUMMED_STAT_KEYS`
-registry.  Decode work of every shard lands on the same persistent
-process pool under ``backend="processes"`` (one warm pool per width,
+through the canonical :data:`~repro.core.result.COUNTERS` table.
+Decode work of every shard lands on the same persistent process pool
+under ``backend="processes"`` (one warm pool per width,
 :func:`~repro.parallel.procpool.get_pool`).
 """
 
@@ -214,11 +214,6 @@ class ShardedMLOCStore(MLOCStore):
         stats["bins_accessed"] = int(plan.bin_ids.size)
         stats["aligned_bins"] = int(plan.aligned.sum())
         stats["chunks_accessed"] = int(plan.cpos.size)
-        backends = {r.stats.get("decode_backend") for r in shard_results}
-        if len(backends) == 1:
-            stats["decode_backend"] = backends.pop()
-        elif backends:  # "auto" may resolve differently per shard
-            stats["decode_backend"] = "mixed"
         stats["quarantined_blocks"] = len(self.quarantined_blocks)
         return QueryResult(
             positions=positions,

@@ -474,6 +474,7 @@ class MLOCStore:
             chunk_levels=levels,
         )
         result.stats.update(plan_stats)
+        result.stats["tol_bytes_saved"] = 0  # overwritten on a tol query
         if levels is not None:
             self.stamp_tol_stats(query, plan, levels, result)
         return result

@@ -46,13 +46,10 @@ work can parallelize without changing a single output byte
 * **compression stage** — when a stream cuts a block, the raw buffer
   is handed to the codec: inline under the ``"serial"`` backend, as a
   pool job under ``"threads"`` (zlib releases the GIL; ISOBAR/ISABELA
-  are numpy/scipy-heavy), or as a picklable ``(spec, payload)`` task
-  on the persistent spawned worker pool under ``"processes"`` — the
-  GIL-free path (:mod:`repro.parallel.procpool`).  Codec ``encode``
-  is required to be deterministic (see
-  :mod:`repro.compression.base`), so payloads — and therefore
-  subfiles, block tables, CRCs and metadata — are bit-identical
-  across backends and worker counts.
+  are numpy/scipy-heavy).  Codec ``encode`` is required to be
+  deterministic (see :mod:`repro.compression.base`), so payloads — and
+  therefore subfiles, block tables, CRCs and metadata — are
+  bit-identical across backends and worker counts.
 
 The slab is bounded because the stage makes about a dozen transient
 copies of its input (sort keys, permutation, byte planes, the bounds'
@@ -87,12 +84,6 @@ from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.meta import StoreMeta
 from repro.index.binindex import compress_position_stream, encode_position_cells
 from repro.index.hbi import DEFAULT_LEAF_SPAN, HBIBuilder, hbi_path
-from repro.parallel.procpool import (
-    AUTO_PROCESS_MIN_BYTES,
-    PoolBrokenError,
-    get_pool,
-    run_task,
-)
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
 from repro.plod.bounds import PEBBuilder, compute_bounds_batch, peb_path
@@ -135,13 +126,13 @@ class WriteReport:
     data_bytes: int
     index_bytes: int
     meta_bytes: int
-    #: Hierarchical bitmap index file size (0 when ``build_hbi=False``).
-    #: Kept out of ``total_bytes`` so Table I storage accounting is
-    #: unchanged by the optional summary structure.
+    #: Hierarchical bitmap index file size.  Kept out of
+    #: ``total_bytes`` so Table I storage accounting is unchanged by
+    #: the summary structure.
     hbi_bytes: int = 0
-    #: Per-chunk error-bounds file size (0 when ``build_peb=False`` or
-    #: the layout has no PLoD byte planes).  Outside ``total_bytes``
-    #: for the same reason as ``hbi_bytes``.
+    #: Per-chunk error-bounds file size (0 when the layout has no PLoD
+    #: byte planes).  Outside ``total_bytes`` for the same reason as
+    #: ``hbi_bytes``.
     peb_bytes: int = 0
     #: CRC32 of the metadata bytes as written — the store generation a
     #: dataset manifest records when it seals this write as a member
@@ -239,61 +230,6 @@ class _ThreadedBackend:
         self._pool.shutdown(wait=True)
 
 
-class _ProcessBackend:
-    """Compression on the shared spawn-based process pool.
-
-    Only the compression stage leaves the parent: the slab stage
-    reads the input array in place (shipping slabs to workers would
-    move more bytes than the encode saves — shared-nothing means every
-    byte a worker touches is pickled), and the commit stage is serial
-    by design.  Encode jobs travel as picklable
-    ``(spec, payload)`` tasks, are submitted in stream order, and
-    resolve in table order, so committed bytes never depend on
-    scheduling.  If the pool dies mid-write, the affected payloads are
-    re-encoded inline through the same
-    :func:`repro.parallel.procpool.run_task` interpreter — a worker
-    crash costs time, never bytes.
-    """
-
-    def __init__(self, codec: ByteCodec | FloatCodec, workers: int) -> None:
-        self.workers = workers
-        self._pool = get_pool(workers)
-        name, params = codec.spec()
-        self._data_spec = ("encode-data", name, params)
-        #: Encode jobs that fell back inline after a pool break.
-        self.fallbacks = 0
-
-    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
-        return map(fn, range(n_slabs))
-
-    def _submit(self, task: tuple) -> tuple:
-        try:
-            return self._pool.submit(task), task
-        except PoolBrokenError:
-            return None, task  # resolve() runs it inline
-
-    def encode_data(self, raw: np.ndarray) -> tuple:
-        return self._submit((self._data_spec, raw))
-
-    def encode_index(self, raw: np.ndarray) -> tuple:
-        return self._submit((("encode-index", _INDEX_ZLIB_LEVEL), raw))
-
-    def resolve(self, pending: tuple) -> bytes:
-        future, task = pending
-        if future is not None:
-            try:
-                return self._pool.resolve(future)
-            except PoolBrokenError:
-                pass
-        self.fallbacks += 1
-        return run_task(task)
-
-    def close(self) -> None:
-        # The pool is shared and persistent (``get_pool``): later
-        # writes and the processes read backend reuse its warm workers.
-        pass
-
-
 class _BlockStream:
     """Accumulates the consecutive cells of one stream into blocks.
 
@@ -370,31 +306,20 @@ class _BlockStream:
 class MLOCWriter:
     """Encodes arrays into MLOC's multi-level on-disk layout.
 
-    How the pipeline runs (inline, thread pool, process pool — see the
-    module docstring) is the ``write_backend`` / ``write_workers`` pair
-    of the handle's :class:`~repro.core.config.ExecutionConfig`, held
-    whole as ``execution``; its fields may also be given as keywords.
-    Every backend produces **bit-identical** subfiles and metadata
-    (enforced by ``tests/test_writer_parallel.py``).
+    How the pipeline runs (inline or on a thread pool — see the module
+    docstring) is the ``write_backend`` / ``write_workers`` pair of the
+    handle's :class:`~repro.core.config.ExecutionConfig`, held whole as
+    ``execution``; its fields may also be given as keywords.  Both
+    backends produce **bit-identical** subfiles and metadata (enforced
+    by ``tests/test_writer_parallel.py``).
 
-    Parameters
-    ----------
-    build_hbi:
-        Build and persist the hierarchical bitmap index
-        (:mod:`repro.index.hbi`) alongside the flat position index
-        (default on).  The builder consumes the ordered commit
-        stream slab by slab, so the ``hbi`` file is bit-identical
-        across write backends like every other subfile.  Stores opened
-        without ``use_hbi`` ignore the file entirely.
-    build_peb:
-        Record per-(chunk, PLoD-level) error bounds
-        (:mod:`repro.plod.bounds`) and persist them as the ``peb``
-        record (default on; effective only for byte-plane layouts).
-        Bounds are pure functions of the slab-stage output consumed
-        in ordered-commit order, so the file is bit-identical across
-        write backends.  The record powers ``query(tol=...)``; stores
-        written without it rebuild an identical table lazily on first
-        use.
+    Next to the bin subfiles every write persists the hierarchical
+    bitmap index (``hbi``, :mod:`repro.index.hbi`) and, for byte-plane
+    layouts, the per-(chunk, PLoD-level) error bounds behind
+    ``query(tol=...)`` (``peb``, :mod:`repro.plod.bounds`).  Both
+    builders consume the ordered commit stream slab by slab, so the
+    records are bit-identical across write backends like every other
+    subfile.
     """
 
     def __init__(
@@ -403,8 +328,6 @@ class MLOCWriter:
         root: str,
         config: MLOCConfig,
         *,
-        build_hbi: bool = True,
-        build_peb: bool = True,
         execution: ExecutionConfig | None = None,
         **overrides,
     ) -> None:
@@ -412,8 +335,6 @@ class MLOCWriter:
         self.root = root.rstrip("/")
         self.config = config
         self.execution = fold_execution(execution, overrides)
-        self.build_hbi = build_hbi
-        self.build_peb = build_peb
 
     def variable_root(self, variable: str) -> str:
         """Directory of one variable's subfiles under this writer's root."""
@@ -427,7 +348,7 @@ class MLOCWriter:
         curve = make_curve(self.config, grid)
         codec = self._check_codec()
         scheme = self._estimate_bins(data)
-        backend = self._make_backend(codec, data.nbytes)
+        backend = self._make_backend(codec)
         try:
             data_streams, index_streams, counts, hbi, peb = self._encode(
                 data, grid, curve, scheme, backend
@@ -456,19 +377,10 @@ class MLOCWriter:
             )
         return codec
 
-    def _make_backend(self, codec: ByteCodec | FloatCodec, data_nbytes: int):
-        backend = self.execution.write_backend
+    def _make_backend(self, codec: ByteCodec | FloatCodec):
         workers = self.execution.write_workers or os.cpu_count() or 1
-        if backend == "auto":
-            backend = (
-                "processes"
-                if workers > 1 and data_nbytes >= AUTO_PROCESS_MIN_BYTES
-                else "serial"
-            )
-        if backend == "threads" and workers > 1:
+        if self.execution.write_backend == "threads" and workers > 1:
             return _ThreadedBackend(self.config, workers)
-        if backend == "processes" and workers > 1:
-            return _ProcessBackend(codec, workers)
         return _SerialBackend(codec)
 
     # ------------------------------------------------------------------
@@ -495,8 +407,8 @@ class MLOCWriter:
         # backend — so the hbi and peb files are backend-invariant too.
         # The bounds are pure functions of a slab's values, so they are
         # computed in the (parallel) slab stage.
-        hbi = HBIBuilder(n_bins, n_chunks, chunk_size) if self.build_hbi else None
-        peb = PEBBuilder(n_chunks) if (self.build_peb and plod) else None
+        hbi = HBIBuilder(n_bins, n_chunks, chunk_size)
+        peb = PEBBuilder(n_chunks) if plod else None
 
         # A slab is a whole number of index leaf runs, so the HBI
         # builder encodes each slab's leaves and keeps no open run.
@@ -556,8 +468,7 @@ class MLOCWriter:
         results = backend.slab_results(slab_stage, -(-n_chunks // span))
         for lo, sizes, local_ids, bounds, feeds in results:
             counts[:, lo : lo + sizes.shape[1]] = sizes
-            if hbi is not None:
-                hbi.add_chunks(lo, local_ids, sizes)
+            hbi.add_chunks(lo, local_ids, sizes)
             if peb is not None:
                 peb.add_chunks(lo, *bounds)
             for b in range(n_bins):
@@ -570,7 +481,7 @@ class MLOCWriter:
     # ------------------------------------------------------------------
     def _commit(
         self, data, variable, scheme, counts, data_streams, index_streams, backend,
-        hbi=None, peb=None,
+        hbi, peb,
     ) -> WriteReport:
         """Materialize subfiles and metadata in deterministic order."""
         n_bins = self.config.n_bins
@@ -604,11 +515,9 @@ class MLOCWriter:
         meta_blob = meta.to_bytes()
         self.fs.write_file(files.meta_path, meta_blob)
 
-        hbi_bytes = 0
-        if hbi is not None:
-            blob = hbi.finish().to_bytes()
-            self.fs.write_file(hbi_path(self.variable_root(variable)), blob)
-            hbi_bytes = len(blob)
+        blob = hbi.finish().to_bytes()
+        self.fs.write_file(hbi_path(self.variable_root(variable)), blob)
+        hbi_bytes = len(blob)
 
         peb_bytes = 0
         if peb is not None:

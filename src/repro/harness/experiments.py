@@ -207,9 +207,9 @@ def writer_backend_rows(
     *,
     workers: int | None = None,
     rounds: int = 2,
-    backends: tuple[str, ...] = ("serial", "threads", "processes"),
+    backends: tuple[str, ...] = ("serial", "threads"),
 ):
-    """Serial vs threaded vs process write pipelines on one array.
+    """Serial vs threaded write pipelines on one array.
 
     Writes ``data`` under ``config`` once per backend into fresh
     :class:`SimulatedPFS` instances (best-of-``rounds`` wall-clock,

@@ -1,7 +1,7 @@
-"""Shared-nothing process pool for the ``processes`` backends.
+"""Shared-nothing process pool for the read path's ``processes`` backend.
 
-The ``threads`` decode/encode backends cannot beat serial on
-CPU-bound codec work — the GIL serializes most of the fan-out
+The ``threads`` decode backend cannot beat serial on CPU-bound codec
+work — the GIL serializes most of the fan-out
 (``results/BENCH_perf_smoke.json``'s 0.94-0.99x rows).  This module
 provides the GIL-free alternative: a persistent pool of **spawned**
 worker processes that never share live objects with the parent.
@@ -33,25 +33,16 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
-    "AUTO_PROCESS_MIN_BYTES",
     "PoolBrokenError",
     "ProcessPool",
     "run_task",
     "get_pool",
     "shutdown_pools",
 ]
-
-#: Minimum raw bytes of decode/encode work for ``backend="auto"`` to
-#: pick the process pool over inline execution.  Below this the
-#: per-task pickle + dispatch overhead outweighs GIL-free codec work
-#: (the ``threads`` backend's <1x smoke rows are the cautionary tale);
-#: the threshold is roughly four paper-scale compression blocks
-#: (docs/tuning.md "Process backend and sharding").
-AUTO_PROCESS_MIN_BYTES = 4 << 20
 
 
 class PoolBrokenError(RuntimeError):
@@ -84,7 +75,7 @@ def _worker_codec(name: str, params_items: tuple):
 
 
 def run_task(task: tuple):
-    """Execute one ``(spec, payload)`` decode/encode task.
+    """Execute one ``(spec, payload)`` decode task.
 
     Spec forms (all fields picklable by construction):
 
@@ -94,10 +85,6 @@ def run_task(task: tuple):
       decode into a uint8 array (PLoD byte planes).
     * ``("float", name, params, count)`` + payload bytes — float-codec
       decode into a float64 array (whole-value layouts).
-    * ``("encode-data", name, params)`` + raw array — codec encode of
-      one compression block.
-    * ``("encode-index", level)`` + uint8 array — deflate one index
-      block's byte range of a slab's varint position-delta stream.
     * ``("__crash__",)`` — test hook: kill this worker immediately, to
       exercise the broken-pool fallback path.
 
@@ -119,13 +106,6 @@ def run_task(task: tuple):
     if kind == "float":
         _, name, params, count = spec
         return _worker_codec(name, params).decode(payload, count)
-    if kind == "encode-data":
-        _, name, params = spec
-        return _worker_codec(name, params).encode(payload)
-    if kind == "encode-index":
-        from repro.index.binindex import compress_position_stream
-
-        return compress_position_stream(payload, spec[1])
     if kind == "__crash__":
         os._exit(1)
     raise ValueError(f"unknown task spec kind {kind!r}")
@@ -138,9 +118,9 @@ class ProcessPool:
     """A persistent spawn-based worker pool running :func:`run_task`.
 
     Workers are created lazily on first use and reused across queries
-    and writes (spawning is expensive: each worker re-imports the
-    package).  Results always come back in submission order, which is
-    what pins the deterministic commit order of both backends.
+    (spawning is expensive: each worker re-imports the package).
+    Results always come back in submission order, which is what pins
+    the deterministic commit order.
     """
 
     def __init__(self, workers: int) -> None:
@@ -165,31 +145,21 @@ class ProcessPool:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def submit(self, task: tuple) -> Future:
-        """Submit one task; raises :class:`PoolBrokenError` on a dead pool."""
-        try:
-            return self._ensure().submit(run_task, task)
-        except BrokenProcessPool as exc:
-            self._reset()
-            raise PoolBrokenError(str(exc)) from exc
+    def run_tasks(self, tasks: list[tuple]) -> list:
+        """Run ``tasks`` on the pool, results in submission order.
 
-    def resolve(self, future: Future):
-        """Wait for one submitted task, normalizing pool death.
-
-        Task-level exceptions (e.g. a corrupt payload's
+        Raises :class:`PoolBrokenError` (after resetting the pool) when
+        a worker died.  Task-level exceptions (e.g. a corrupt payload's
         :class:`~repro.compression.base.CodecDecodeError`) propagate
         unchanged, exactly as inline execution would raise them.
         """
         try:
-            return future.result()
+            executor = self._ensure()
+            futures = [executor.submit(run_task, task) for task in tasks]
+            return [future.result() for future in futures]
         except BrokenProcessPool as exc:
             self._reset()
             raise PoolBrokenError(str(exc)) from exc
-
-    def run_tasks(self, tasks: list[tuple]) -> list:
-        """Run ``tasks`` on the pool, results in submission order."""
-        futures = [self.submit(task) for task in tasks]
-        return [self.resolve(future) for future in futures]
 
     def shutdown(self) -> None:
         executor, self._executor = self._executor, None

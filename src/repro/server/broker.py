@@ -1,9 +1,14 @@
 """Multi-tenant query broker: admission, fair scheduling, shared fetch.
 
-The broker fronts one opened store — flat
+The broker fronts opened stores — flat
 :class:`~repro.core.store.MLOCStore` or
 :class:`~repro.core.sharded.ShardedMLOCStore`, transparently — and
-multiplexes query streams from many *tenants* onto it:
+multiplexes query streams from many *tenants* onto them.  A request
+carries the store it runs on: by default the one the core was built
+over (a sealed store is the one-generation case), or a pinned member
+handle of a dataset (:class:`~repro.server.ingest.IngestBroker`).
+Admission, scheduling, quotas and the in-flight ceiling are one state
+for the whole broker, whichever store a request names:
 
 * **Admission control** (:meth:`BrokerCore.submit`): every request is
   planned up front (plans are deterministic and cheap next to
@@ -19,21 +24,22 @@ multiplexes query streams from many *tenants* onto it:
   deficit and dequeues requests while its head fits.
 * **Shared fetch-merge** (:class:`.fetchmerge.FetchMergeLoop`): all
   queries of a round — and, while any waiter remains queued, across
-  rounds — share one block fetcher, so overlapping block demand from
-  different tenants is read and decoded once and fanned out.
+  rounds — share one block fetcher per store, so overlapping block
+  demand from different tenants is read and decoded once and fanned
+  out.
 
 Results are **bit-identical** to direct ``store.query`` calls: both
 the plan (deterministic) and the shared fetcher (the ``query_many``
 precedent) only change what work is *re-done*, never what is
 computed.  ``tests/test_broker.py`` pins this per tenant.
 
-Stats flow through the canonical registry
-(:data:`~repro.core.result.SUMMED_STAT_KEYS`): per-tenant aggregates
-fold every per-query counter plus the broker lifecycle counters
-(``admitted``/``rejected``/``queued``/``completed``/``cancelled``/
-``quota_rejections``/``quota_evictions``) with
-:func:`~repro.core.result.aggregate_stats`, and broker totals fold the
-tenant dicts through the same function.
+Stats flow through the canonical counter table
+(:data:`~repro.core.result.COUNTERS`): the broker owns the request
+lifecycle rows (``admitted``/``rejected``/``queued``/``completed``/
+``cancelled``/``quota_rejections``/``quota_evictions``), counted per
+tenant; a tenant's aggregate folds them with every per-query counter
+through :func:`~repro.core.result.aggregate_stats`, and broker totals
+fold the tenant dicts through the same function.
 
 Synchronous core, async façade: :class:`BrokerCore` is deterministic
 and drives both the traffic-replay benchmark (simulated clock) and
@@ -48,7 +54,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.core.query import Query
-from repro.core.result import QueryResult, aggregate_stats
+from repro.core.result import QueryResult, aggregate_stats, counter_names
 from repro.server.fetchmerge import FetchMergeLoop
 
 __all__ = [
@@ -109,17 +115,6 @@ class TenantQuota:
     max_cache_bytes: int | None = None
 
 
-_LIFECYCLE_KEYS = (
-    "admitted",
-    "rejected",
-    "queued",
-    "completed",
-    "cancelled",
-    "quota_rejections",
-    "quota_evictions",
-)
-
-
 @dataclass
 class Request:
     """One admitted (or rejected) tenant query, with its lifecycle."""
@@ -127,6 +122,8 @@ class Request:
     ticket: int
     tenant: str
     query: Query
+    #: The store (or pinned dataset member) the request runs on.
+    store: object
     plan: object
     plan_stats: dict
     est_bytes: int
@@ -150,7 +147,7 @@ class _Tenant:
     #: first (the cache-quota eviction order).
     cache_keys: "OrderedDict[tuple, None]" = field(default_factory=OrderedDict)
     lifecycle: dict = field(
-        default_factory=lambda: {k: 0 for k in _LIFECYCLE_KEYS}
+        default_factory=lambda: dict.fromkeys(counter_names(owner="broker"), 0)
     )
     #: Running aggregate of completed-query stats (registry keys).
     agg: dict = field(default_factory=dict)
@@ -166,10 +163,12 @@ class BrokerCore:
 
     def __init__(
         self,
-        store,
+        store=None,
         config: BrokerConfig | None = None,
         tenants: dict[str, TenantQuota] | None = None,
     ) -> None:
+        #: The store requests run on unless :meth:`submit` names one
+        #: (``None``: every submit must).
         self.store = store
         self.config = config or BrokerConfig()
         self.loop = FetchMergeLoop(store)
@@ -196,16 +195,20 @@ class BrokerCore:
         return self._tenants[name]
 
     # ------------------------------------------------------------------
-    def submit(self, tenant: str, query: Query) -> Request:
+    def submit(self, tenant: str, query: Query, *, store=None) -> Request:
         """Plan, cost, and admit one request (or raise).
 
         Planning happens here — at admission — so the scheduler has a
         real cost for the deficit accounting and admission can bound
-        the backlog in raw bytes rather than request counts.
+        the backlog in raw bytes rather than request counts.  Every
+        limit is broker-wide: which ``store`` a request names changes
+        where it executes, never what it is charged against.
         """
+        if store is None:
+            store = self.store
         t = self._tenant(tenant)
-        plan, plan_stats = self.store.plan(query)
-        est = self.store.estimated_raw_bytes(query, plan)
+        plan, plan_stats = store.plan(query)
+        est = store.estimated_raw_bytes(query, plan)
         quota = t.quota
         if quota.max_bytes is not None and t.charged_bytes + est > quota.max_bytes:
             t.lifecycle["rejected"] += 1
@@ -231,6 +234,7 @@ class BrokerCore:
             ticket=self._next_ticket,
             tenant=tenant,
             query=query,
+            store=store,
             plan=plan,
             plan_stats=plan_stats,
             est_bytes=est,
@@ -316,7 +320,7 @@ class BrokerCore:
         t = self._tenant(req.tenant)
         try:
             result, inserted = self.loop.execute(
-                req.query, (req.plan, req.plan_stats)
+                req.query, (req.plan, req.plan_stats), store=req.store
             )
         except Exception as exc:
             req.status = "failed"
@@ -330,7 +334,7 @@ class BrokerCore:
         t.charged_bytes += req.est_bytes
         for key in inserted:
             t.cache_keys[key] = None
-        self._enforce_cache_quota(t)
+        self._enforce_cache_quota(t, req.store.cache)
         t.agg = aggregate_stats([t.agg, result.stats])
         return result
 
@@ -343,15 +347,16 @@ class BrokerCore:
         t.lifecycle["cancelled"] += 1
         self._pending_bytes -= req.est_bytes
 
-    def _enforce_cache_quota(self, t: _Tenant) -> None:
+    def _enforce_cache_quota(self, t: _Tenant, cache) -> None:
         """Evict the tenant's oldest cache insertions past its quota.
 
-        Only entries *this tenant* inserted are candidates; pinned
-        entries survive (``BlockCache.drop`` refuses them) and entries
-        the LRU already evicted just fall out of the attribution map.
+        ``cache`` is the broker's one decoded-block cache (every store
+        it serves shares it).  Only entries *this tenant* inserted are
+        candidates; pinned entries survive (``BlockCache.drop`` refuses
+        them) and entries the LRU already evicted just fall out of the
+        attribution map.
         """
         limit = t.quota.max_cache_bytes
-        cache = self.loop.cache
         if limit is None or cache is None:
             return
         sizes: dict[tuple, int] = {}
@@ -377,9 +382,9 @@ class BrokerCore:
         This is the enforcement point of the DESIGN.md §8 invariant:
         decoded jobs stay retained in the shared fetcher for as long
         as any admitted request remains queued, so no block is ever
-        decoded twice while a waiter exists.  Only when the backlog is
-        empty are the retained jobs dropped (the persistent LRU keeps
-        the hot subset).
+        decoded twice while a waiter exists — on any store the broker
+        serves.  Only when the backlog is empty are the retained jobs
+        dropped (the persistent LRU keeps the hot subset).
         """
         return self.loop.end_round(release=self.pending() == 0)
 
@@ -404,9 +409,7 @@ class BrokerCore:
     def tenant_stats(self, name: str) -> dict:
         """One tenant's aggregate: registry counters + lifecycle."""
         t = self._tenant(name)
-        out = aggregate_stats([t.agg])  # normalize: every key present
-        for key, value in t.lifecycle.items():
-            out[key] = value  # lifecycle counters are broker-owned
+        out = aggregate_stats([t.agg, t.lifecycle])
         out["charged_bytes"] = t.charged_bytes
         out["queue_depth"] = len(t.queue)
         return out
@@ -414,7 +417,7 @@ class BrokerCore:
     def stats(self) -> dict:
         """Broker snapshot: totals folded from the per-tenant dicts.
 
-        Totals go through :func:`aggregate_stats` — the same registry
+        Totals go through :func:`aggregate_stats` — the same table
         every other aggregator uses — so broker counters line up with
         CLI and harness reporting without bespoke summation.
         """

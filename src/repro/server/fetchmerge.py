@@ -9,14 +9,16 @@ dedup hits.  Sharing a fetcher can never change results, only skip
 work (the batch/session bit-identity tests pin this).
 
 This module generalizes that from *one batch* to *a service loop*:
-the :class:`FetchMergeLoop` owns a single shared fetcher that stays
-alive across scheduling rounds, so overlapping block demand from
-**different tenants** coalesces exactly like overlapping queries in a
-batch.  The loop's lifecycle rule implements the serving invariant of
-DESIGN.md §8:
+the :class:`FetchMergeLoop` owns one shared fetcher per store it
+serves, alive across scheduling rounds, so overlapping block demand
+from **different tenants** coalesces exactly like overlapping queries
+in a batch.  (Fetcher keys lead with the store's generation, so the
+members of a dataset — each sealed under its own generation — get a
+fetcher each; a broker over one sealed store has exactly one.)  The
+loop's lifecycle rule implements the serving invariant of DESIGN.md §8:
 
     **the broker never decodes a block twice while any waiter
-    exists** — decoded jobs are retained in the shared fetcher until
+    exists** — decoded jobs are retained in the shared fetchers until
     the broker tells the loop the waiter set is empty, at which point
     :meth:`end_round` releases them (the persistent
     :class:`~repro.pfs.blockcache.BlockCache`, when configured, keeps
@@ -37,12 +39,13 @@ __all__ = ["FetchMergeLoop"]
 
 
 class FetchMergeLoop:
-    """One shared fetcher, alive across broker scheduling rounds."""
+    """The shared fetchers of one broker, alive across scheduling rounds."""
 
-    def __init__(self, store) -> None:
+    def __init__(self, store=None) -> None:
+        #: The store :meth:`execute` runs on unless told otherwise.
         self.store = store
-        self.cache = store.cache
-        self.fetcher = store.new_fetcher(shared=True)
+        #: One shared fetcher per store with retained decodes.
+        self._fetchers: dict = {}
         #: Completed scheduling rounds.
         self.rounds = 0
         #: Decoded jobs released at round boundaries (lifetime total).
@@ -51,25 +54,32 @@ class FetchMergeLoop:
     # ------------------------------------------------------------------
     def retained_jobs(self) -> int:
         """Decoded blocks currently retained for in-flight waiters."""
-        return len(self.fetcher._jobs)
+        return sum(len(f._jobs) for f in self._fetchers.values())
 
     def execute(
         self,
         query: Query,
         planned,
         position_filter=None,
+        *,
+        store=None,
     ) -> tuple[QueryResult, list[tuple]]:
-        """Run one admitted query through the shared fetcher.
+        """Run one admitted query through its store's shared fetcher.
 
         Returns ``(result, inserted)`` where ``inserted`` is the list
         of persistent-cache keys this execution inserted — the
         attribution record for the submitting tenant's cache quota.
         """
-        mark = len(self.fetcher.inserted_keys)
-        result = self.store.query(
-            query, position_filter, fetcher=self.fetcher, planned=planned
+        if store is None:
+            store = self.store
+        fetcher = self._fetchers.get(store)
+        if fetcher is None:
+            fetcher = self._fetchers[store] = store.new_fetcher(shared=True)
+        mark = len(fetcher.inserted_keys)
+        result = store.query(
+            query, position_filter, fetcher=fetcher, planned=planned
         )
-        inserted = list(self.fetcher.inserted_keys[mark:])
+        inserted = list(fetcher.inserted_keys[mark:])
         return result, inserted
 
     def end_round(self, *, release: bool) -> int:
@@ -77,14 +87,15 @@ class FetchMergeLoop:
 
         ``release=False`` keeps every decoded job retained (waiters
         remain queued: the §8 invariant forbids re-decoding for them).
-        ``release=True`` drops the retained jobs — the queue has
-        drained, so nothing can claim a dedup hit on them anymore and
-        holding decoded payloads would only duplicate the LRU.
-        Returns the number of jobs released.
+        ``release=True`` drops the fetchers with their retained jobs —
+        the queue has drained, so nothing can claim a dedup hit on
+        them anymore and holding decoded payloads would only duplicate
+        the LRU.  Returns the number of jobs released.
         """
         self.rounds += 1
         if not release:
             return 0
-        dropped = self.fetcher.release_retained()
+        dropped = sum(f.release_retained() for f in self._fetchers.values())
+        self._fetchers.clear()
         self.released_jobs += dropped
         return dropped

@@ -14,14 +14,14 @@ serving layer on the simulated clock:
     therefore which generation is visible at any simulated instant —
     are a pure function of the schedule.
 ``IngestBroker``
-    A snapshot-pinned front-end: per-member
-    :class:`~repro.server.broker.BrokerCore` instances (admission,
-    DRR, shared fetch-merge) that only ever admit queries against the
-    broker's *pinned* generation.  ``refresh()`` re-pins; a member
-    sealed by a later generation does not exist until then
-    (:class:`NotYetSealed`).  Because sealed members are immutable the
-    per-member cores survive refreshes untouched — no open handle,
-    planning table, or cached block is ever invalidated by an append.
+    A snapshot-pinned front-end: one
+    :class:`~repro.server.broker.BrokerCore` (admission, DRR, quotas,
+    shared fetch-merge — all dataset-wide) that only ever admits
+    queries against the broker's *pinned* generation.  ``refresh()``
+    re-pins; a member sealed by a later generation does not exist until
+    then (:class:`NotYetSealed`).  Because sealed members are immutable
+    no open handle, planning table, or cached block is ever invalidated
+    by an append.
 ``replay_ingest``
     The sim-clock driver joining both timelines: queries are served
     against the newest generation *sealed by their arrival time*; a
@@ -30,10 +30,10 @@ serving layer on the simulated clock:
     queries never wait for appends of members they don't ask for —
     the whole point of per-member sealing.
 
-Lifecycle counters (``generations_seen``, ``snapshot_refreshes``,
-``ingest_stall_seconds``) live in the canonical stats registry
-(:mod:`repro.core.result`), so they fold through
-:func:`~repro.core.result.aggregate_stats` like every other counter.
+The lifecycle counters (``generations_seen``, ``snapshot_refreshes``,
+``ingest_stall_seconds``) are the ``ingest``-owned rows of the
+canonical counter table (:data:`repro.core.result.COUNTERS`): the
+broker counts them and stamps them on its totals.
 """
 
 from __future__ import annotations
@@ -46,8 +46,11 @@ from repro.core.config import ExecutionConfig
 from repro.core.dataset import DatasetSnapshot, MLOCDataset
 from repro.core.manifest import load_manifest_at
 from repro.core.query import Query
-from repro.core.result import QueryResult, aggregate_stats
+from repro.core.result import counter_names
+from repro.core.store import MLOCStore
+from repro.pfs.blockcache import BlockCache
 from repro.server.broker import BrokerConfig, BrokerCore, BrokerRejected, TenantQuota
+from repro.server.replay import ReplayReport, serve_round
 
 __all__ = [
     "AppendRecord",
@@ -132,10 +135,6 @@ class IngestSession:
         return not self._pending
 
     @property
-    def next_arrival(self) -> float | None:
-        return self._pending[0].time if self._pending else None
-
-    @property
     def first_queryable_seconds(self) -> float | None:
         """Seal time of the first member — time-to-first-queryable."""
         return self.appended[0].sealed_at if self.appended else None
@@ -155,7 +154,7 @@ class IngestSession:
         started = max(arrival.time, self.busy_until)
         self.busy_until = started + drain
         record = AppendRecord(
-            key=f"{arrival.variable}@{arrival.timestep:06d}",
+            key=MLOCDataset._key(arrival.variable, arrival.timestep),
             variable=arrival.variable,
             timestep=arrival.timestep,
             generation=self.dataset.generation,
@@ -177,30 +176,23 @@ class IngestSession:
             done.append(self._append_one(self._pending.pop(0)))
         return done
 
-    def seal(self, variable: str, timestep: int) -> AppendRecord | None:
+    def seal(self, variable: str, timestep: int | None = None) -> AppendRecord | None:
         """Run ingest until (variable, timestep) is sealed.
 
+        ``timestep=None`` asks for the first member of ``variable``.
         Returns its record, or ``None`` when the schedule never
         produces that member.  Already-appended members return their
         existing record without touching the timeline.
         """
-        for record in self.appended:
-            if record.variable == variable and record.timestep == timestep:
-                return record
-        while self._pending:
-            record = self._append_one(self._pending.pop(0))
-            if record.variable == variable and record.timestep == timestep:
-                return record
-        return None
+        def wanted(record: AppendRecord) -> bool:
+            return record.variable == variable and timestep in (None, record.timestep)
 
-    def seal_first(self, variable: str) -> AppendRecord | None:
-        """Run ingest until the first member of ``variable`` seals."""
         for record in self.appended:
-            if record.variable == variable:
+            if wanted(record):
                 return record
         while self._pending:
             record = self._append_one(self._pending.pop(0))
-            if record.variable == variable:
+            if wanted(record):
                 return record
         return None
 
@@ -226,14 +218,18 @@ class IngestSession:
 class IngestBroker:
     """Snapshot-pinned multi-tenant serving during ingest.
 
-    One :class:`~repro.server.broker.BrokerCore` per sealed member,
-    created lazily from the pinned :class:`DatasetSnapshot` and kept
-    across refreshes (sealed members are immutable, so a core — its
-    admission state, fetch-merge loop, and cache attributions — stays
-    valid for the handle's lifetime).  Admission consults only the
-    pinned generation: a query for a member the snapshot does not
-    contain raises :class:`NotYetSealed` even if a newer generation on
-    disk already has it — refreshing is an explicit, observable event.
+    One :class:`~repro.server.broker.BrokerCore` serves the whole
+    dataset — one admission / scheduling / quota state and one
+    decoded-block cache, however many members are queried — and this
+    class adds only what is ingest-specific: the pinned
+    :class:`DatasetSnapshot`, :meth:`refresh`, and resolving
+    ``(variable, timestep)`` to the pinned member's handle.  Admission
+    consults only the pinned generation: a query for a member the
+    snapshot does not contain raises :class:`NotYetSealed` even if a
+    newer generation on disk already has it — refreshing is an
+    explicit, observable event.  Sealed members are immutable, so an
+    opened handle (and every block cached for it) stays valid across
+    refreshes.
     """
 
     def __init__(
@@ -245,51 +241,58 @@ class IngestBroker:
         execution: ExecutionConfig | None = None,
     ) -> None:
         self.dataset = dataset
-        self.config = config or BrokerConfig()
-        self._tenants = dict(tenants or {})
-        #: Execution options of the member handles this broker opens;
-        #: ``None`` shares the dataset's own (registry-cached) handles.
-        self.execution = execution
-        self._cores: dict[str, BrokerCore] = {}
-        self._snapshot = dataset.snapshot()
+        #: Execution options and the one decoded-block cache of every
+        #: member handle this broker opens; by default the dataset's.
+        if execution is None:
+            self.execution, self.cache = dataset.execution, dataset.cache
+        else:
+            self.execution = execution
+            self.cache = (
+                BlockCache(execution.cache_bytes) if execution.cache_bytes > 0 else None
+            )
+        self.core = BrokerCore(config=config, tenants=tenants)
+        #: The pinned generation; only :meth:`refresh` replaces it.
+        self.snapshot: DatasetSnapshot = dataset.snapshot()
+        #: Opened member handles by key (a sealed key never changes).
+        self._members: dict[str, MLOCStore] = {}
+        #: The ingest-owned rows of the counter table.
         self.lifecycle: dict[str, float] = {
             "generations_seen": 1,
             "snapshot_refreshes": 0,
             "ingest_stall_seconds": 0.0,
-            "not_yet_sealed": 0,
         }
+        self.not_yet_sealed = 0
 
     # ------------------------------------------------------------------
     @property
-    def snapshot(self) -> DatasetSnapshot:
-        return self._snapshot
-
-    @property
     def generation(self) -> int:
-        return self._snapshot.generation
+        return self.snapshot.generation
 
     def refresh(self, generation: int | None = None) -> DatasetSnapshot:
         """Re-pin to ``generation`` (default: newest committed)."""
         snap = self.dataset.snapshot(generation)
-        self.dataset.snapshot_refreshes += 1
         self.lifecycle["snapshot_refreshes"] += 1
-        if snap.generation != self._snapshot.generation:
+        if snap.generation != self.snapshot.generation:
             self.lifecycle["generations_seen"] += 1
-        self._snapshot = snap
+        self.snapshot = snap
         return snap
 
     # ------------------------------------------------------------------
-    def _core(self, key: str) -> BrokerCore:
-        core = self._cores.get(key)
-        if core is None:
-            member = self._snapshot.manifest.member(key)
-            options = {} if self.execution is None else {"execution": self.execution}
-            store = self.dataset._open_member(
-                key, expect_crc=member.meta_crc, **options
+    def member(self, variable: str, timestep: int | None = None) -> MLOCStore:
+        """The broker's handle on one member of the pinned snapshot."""
+        key = MLOCDataset._key(variable, timestep)
+        if self.snapshot.manifest.member(key) is None:
+            self.not_yet_sealed += 1
+            raise NotYetSealed(
+                f"member {key!r} is not sealed in pinned generation "
+                f"{self.generation}"
             )
-            core = BrokerCore(store, self.config, tenants=self._tenants)
-            self._cores[key] = core
-        return core
+        store = self._members.get(key)
+        if store is None:
+            store = self._members[key] = self.snapshot.store(
+                variable, timestep, execution=self.execution, cache=self.cache
+            )
+        return store
 
     def submit(
         self,
@@ -300,51 +303,28 @@ class IngestBroker:
         timestep: int | None = None,
     ):
         """Admit one query against the pinned snapshot (or raise)."""
-        key = MLOCDataset._key(variable, timestep)
-        if self._snapshot.manifest.member(key) is None:
-            self.lifecycle["not_yet_sealed"] += 1
-            raise NotYetSealed(
-                f"member {key!r} is not sealed in pinned generation "
-                f"{self.generation}"
-            )
-        return self._core(key).submit(tenant, query)
+        return self.core.submit(
+            tenant, query, store=self.member(variable, timestep)
+        )
 
-    def run_round(self) -> int:
-        """One scheduling round across every member core with backlog."""
-        served = 0
-        for core in self._cores.values():
-            if core.pending():
-                served += len(core.run_round())
-        return served
+    def run_round(self) -> list:
+        return self.core.run_round()
 
     def drain(self) -> int:
-        rounds = 0
-        while any(core.pending() for core in self._cores.values()):
-            self.run_round()
-            rounds += 1
-        return rounds
+        return self.core.drain()
 
     def pending(self) -> int:
-        return sum(core.pending() for core in self._cores.values())
+        return self.core.pending()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Registry totals folded across member cores + lifecycle."""
-        totals = aggregate_stats(
-            [core.stats()["totals"] for core in self._cores.values()]
-        )
-        totals["generations_seen"] = int(self.lifecycle["generations_seen"])
-        totals["snapshot_refreshes"] = int(self.lifecycle["snapshot_refreshes"])
-        totals["ingest_stall_seconds"] = float(
-            self.lifecycle["ingest_stall_seconds"]
-        )
-        return {
-            "totals": totals,
-            "generation": self.generation,
-            "member_cores": len(self._cores),
-            "not_yet_sealed": int(self.lifecycle["not_yet_sealed"]),
-            "rounds": sum(core.loop.rounds for core in self._cores.values()),
-        }
+        """The core's snapshot, with the ingest rows of the totals."""
+        out = self.core.stats()
+        out["totals"].update(self.lifecycle)
+        out["generation"] = self.generation
+        out["open_members"] = len(self._members)
+        out["not_yet_sealed"] = self.not_yet_sealed
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -363,53 +343,53 @@ class IngestQueryEvent:
     timestep: int | None = None
 
 
-@dataclass
-class IngestReplayReport:
-    """Outcome of one overlapped ingest/query replay."""
+#: ``IngestReplayReport.as_dict`` columns, in recorded order.
+_INGEST_COLUMNS = (
+    "n_requests",
+    "dropped",
+    "makespan_s",
+    "first_queryable_s",
+    "latency_p50_s",
+    "latency_p99_s",
+    "latency_mean_s",
+    "stalled_requests",
+    "ingest_stall_seconds",
+    "generations_seen",
+    "snapshot_refreshes",
+    "n_appends",
+    "ingest_throughput_bps",
+    "bytes_read",
+    "blocks_decoded",
+    "cache_hits",
+)
 
-    #: Per served query: (tenant, arrival, completion, generation,
-    #: timestep, stall_seconds).
-    samples: list = field(default_factory=list)
+
+@dataclass
+class IngestReplayReport(ReplayReport):
+    """Outcome of one overlapped ingest/query replay.
+
+    Each sample extends the base triple to ``(tenant, arrival,
+    completion, generation, timestep, stall_seconds)``.
+    """
+
     #: The served :class:`QueryResult` per sample, kept only when the
     #: replay ran with ``keep_results=True`` (bit-identity checks).
     results: list = field(default_factory=list)
-    #: Queries whose timestep the schedule never seals.
-    dropped: int = 0
-    clock: float = 0.0
     first_queryable_seconds: float = 0.0
     appends: list = field(default_factory=list)
-    broker: dict = field(default_factory=dict)
     ingest_throughput: float = 0.0
 
-    def latencies(self) -> np.ndarray:
-        return np.array([s[2] - s[1] for s in self.samples])
-
-    def percentile(self, p: float) -> float:
-        lat = self.latencies()
-        return float(np.percentile(lat, p)) if lat.size else 0.0
-
     def as_dict(self) -> dict:
-        lat = self.latencies()
         totals = self.broker.get("totals", {})
-        stalled = [s for s in self.samples if s[5] > 0]
-        return {
-            "n_requests": len(self.samples),
-            "dropped": self.dropped,
-            "makespan_s": self.clock,
-            "first_queryable_s": self.first_queryable_seconds,
-            "latency_p50_s": self.percentile(50.0),
-            "latency_p99_s": self.percentile(99.0),
-            "latency_mean_s": float(lat.mean()) if lat.size else 0.0,
-            "stalled_requests": len(stalled),
-            "ingest_stall_seconds": totals.get("ingest_stall_seconds", 0.0),
-            "generations_seen": totals.get("generations_seen", 0),
-            "snapshot_refreshes": totals.get("snapshot_refreshes", 0),
-            "n_appends": len(self.appends),
-            "ingest_throughput_bps": self.ingest_throughput,
-            "bytes_read": totals.get("bytes_read", 0),
-            "blocks_decoded": totals.get("blocks_decoded", 0),
-            "cache_hits": totals.get("cache_hits", 0),
-        }
+        row = super().as_dict()
+        row.update(
+            first_queryable_s=self.first_queryable_seconds,
+            stalled_requests=sum(1 for s in self.samples if s[5] > 0),
+            n_appends=len(self.appends),
+            ingest_throughput_bps=self.ingest_throughput,
+            **{k: totals.get(k, 0) for k in counter_names(owner="ingest")},
+        )
+        return {k: row[k] for k in _INGEST_COLUMNS}
 
 
 def replay_ingest(
@@ -423,14 +403,17 @@ def replay_ingest(
 ) -> IngestReplayReport:
     """Serve a query trace while ``session`` appends, on the sim clock.
 
-    Queries are served in arrival order by one analysis front-end.
-    At each query's service time the broker re-pins to the newest
-    generation *sealed by then* — never a newer one, so each result is
-    exactly what a fresh open pinned at that generation returns.  A
-    query for a timestep whose append is still in flight stalls until
-    its seal; the stall is charged to ``ingest_stall_seconds`` and to
-    the query's latency.  Queries for timesteps the schedule never
-    produces are dropped (counted, not served).
+    Queries are served in arrival order by one analysis front-end, one
+    request in service at a time (through the same round loop as the
+    open- and closed-loop replays, for as many rounds as the request's
+    cost takes to schedule).  At each query's service time the broker
+    re-pins to the newest generation *sealed by then* — never a newer
+    one, so each result is exactly what a fresh open pinned at that
+    generation returns.  A query for a timestep whose append is still
+    in flight stalls until its seal; the stall is charged to
+    ``ingest_stall_seconds`` and to the query's latency.  Queries for
+    timesteps the schedule never produces are dropped (counted, not
+    served).
     """
     broker = IngestBroker(
         session.dataset,
@@ -438,7 +421,8 @@ def replay_ingest(
         tenants=tenants,
         execution=execution,
     )
-    report = IngestReplayReport()
+    report = IngestReplayReport(mode="ingest")
+    arrivals: dict[int, float] = {}
     clock = 0.0
     for event in sorted(events, key=lambda e: e.arrival):
         clock = max(clock, event.arrival)
@@ -446,35 +430,30 @@ def replay_ingest(
         stall = 0.0
         timestep = event.timestep
         if timestep is None:
-            candidates = [
-                m.timestep
-                for m in session.base_manifest.members
-                if m.variable == event.variable and m.timestep is not None
-            ] + [
-                r.timestep
-                for r in session.sealed_members_at(clock)
-                if r.variable == event.variable
-            ]
-            if candidates:
-                timestep = max(candidates)
-            else:
-                first = session.seal_first(event.variable)
-                if first is None:
-                    report.dropped += 1
-                    continue
-                stall = max(0.0, first.sealed_at - clock)
-                timestep = first.timestep
-        elif (
-            session.base_manifest.member(
-                MLOCDataset._key(event.variable, timestep)
+            timestep = max(
+                [
+                    m.timestep
+                    for m in session.base_manifest.members
+                    if m.variable == event.variable and m.timestep is not None
+                ]
+                + [
+                    r.timestep
+                    for r in session.sealed_members_at(clock)
+                    if r.variable == event.variable
+                ],
+                default=None,
             )
-            is None
-        ):
+        if timestep is None or session.base_manifest.member(
+            MLOCDataset._key(event.variable, timestep)
+        ) is None:
+            # Not in the base: its seal is on the session's timeline
+            # (nothing sealed yet of the variable: wait for the first).
             record = session.seal(event.variable, timestep)
             if record is None:
                 report.dropped += 1
                 continue
             stall = max(0.0, record.sealed_at - clock)
+            timestep = record.timestep
         if stall:
             broker.lifecycle["ingest_stall_seconds"] += stall
             clock += stall
@@ -486,14 +465,12 @@ def replay_ingest(
             event.tenant, event.query,
             variable=event.variable, timestep=timestep,
         )
-        broker.run_round()
-        result: QueryResult = req.result
-        clock += result.times.total
-        report.samples.append(
-            (event.tenant, event.arrival, clock, generation, timestep, stall)
-        )
+        arrivals[req.ticket] = event.arrival
+        while req.status == "queued":
+            clock = serve_round(broker.core, clock, report, arrivals)
+        report.samples[-1] += (generation, timestep, stall)
         if keep_results:
-            report.results.append(result)
+            report.results.append(req.result)
     report.clock = clock
     report.first_queryable_seconds = session.first_queryable_seconds or 0.0
     report.appends = list(session.appended)

@@ -59,7 +59,7 @@ class ReplayReport:
     """Outcome of one replay: per-request samples plus broker totals."""
 
     mode: str
-    #: ``(tenant, arrival, completion)`` per served request.
+    #: ``(tenant, arrival, completion, ...)`` per served request.
     samples: list = field(default_factory=list)
     #: Admission rejections that were retried.
     rejected: int = 0
@@ -71,9 +71,7 @@ class ReplayReport:
     broker: dict = field(default_factory=dict)
 
     def latencies(self) -> np.ndarray:
-        return np.array(
-            [completion - arrival for _, arrival, completion in self.samples]
-        )
+        return np.array([s[2] - s[1] for s in self.samples])
 
     def percentile(self, p: float) -> float:
         lat = self.latencies()
@@ -126,7 +124,7 @@ def open_loop_events(
 
 
 # ----------------------------------------------------------------------
-def _serve_round(core: BrokerCore, clock: float, report: ReplayReport, arrivals) -> float:
+def serve_round(core: BrokerCore, clock: float, report: ReplayReport, arrivals) -> float:
     """Run one scheduling round, advancing the simulated clock."""
     for req in core.select_round():
         if req.status != "queued":
@@ -183,7 +181,7 @@ def replay_open_loop(
             else:
                 arrivals[req.ticket] = orig
         if core.pending():
-            clock = _serve_round(core, clock, report, arrivals)
+            clock = serve_round(core, clock, report, arrivals)
     report.clock = clock
     report.broker = core.stats()
     return report
@@ -227,7 +225,7 @@ def replay_closed_loop(
                 outstanding.add(tenant)
         if core.pending():
             served_before = len(report.samples)
-            clock = _serve_round(core, clock, report, arrivals)
+            clock = serve_round(core, clock, report, arrivals)
             for tenant, _, completion in report.samples[served_before:]:
                 outstanding.discard(tenant)
                 next_at[tenant] = completion + think_time

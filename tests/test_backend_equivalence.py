@@ -132,7 +132,6 @@ def test_col_process_backend_equivalence(col_fs, query, workers):
     b = proc.query(query)
     _assert_equivalent(a, b)
     assert b.stats["backend"] == "processes"
-    assert b.stats["decode_backend"] == "processes"
     assert b.stats["decode_pool_failures"] == 0
 
 
@@ -147,30 +146,6 @@ def test_iso_process_backend_equivalence(iso_fs, query):
     iso_fs.clear_cache()
     b = proc.query(query)
     _assert_equivalent(a, b)
-
-
-@pytest.mark.parametrize("query", QUERIES[:3])
-def test_auto_backend_equivalence(col_fs, query):
-    """``auto`` must resolve to serial or processes — never change the
-    answer or the simulated seconds, whichever it picks."""
-    serial = MLOCStore.open(col_fs, "/store", "field", backend="serial")
-    auto = MLOCStore.open(col_fs, "/store", "field", backend="auto", workers=2)
-    col_fs.clear_cache()
-    a = serial.query(query)
-    col_fs.clear_cache()
-    b = auto.query(query)
-    _assert_equivalent(a, b)
-    assert b.stats["backend"] == "auto"
-    assert b.stats["decode_backend"] in ("serial", "processes")
-
-
-def test_auto_resolves_by_workload_size(col_fs):
-    """Tiny decode workloads stay inline under ``auto`` (the pending
-    raw bytes here are far below AUTO_PROCESS_MIN_BYTES)."""
-    auto = MLOCStore.open(col_fs, "/store", "field", backend="auto", workers=4)
-    col_fs.clear_cache()
-    result = auto.query(QUERIES[0])
-    assert result.stats["decode_backend"] == "serial"
 
 
 def test_backend_validation():

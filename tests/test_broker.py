@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import MLOCStore, MLOCWriter, Query, ShardedMLOCStore, mloc_col
-from repro.core.result import SUMMED_STAT_KEYS, aggregate_stats
+from repro.core.result import aggregate_stats, counter_names
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.pfs.faults import FaultPlan, FaultyPFS
@@ -304,7 +304,7 @@ class TestBrokerStats:
         core.drain()
         stats = core.stats()
         recomputed = aggregate_stats(list(stats["tenants"].values()))
-        for key in SUMMED_STAT_KEYS:
+        for key in counter_names(fold="sum") + counter_names(fold="fsum"):
             assert stats["totals"][key] == recomputed[key], key
         assert stats["totals"]["admitted"] == len(QUERIES)
         assert stats["totals"]["completed"] == len(QUERIES)

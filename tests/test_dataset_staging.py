@@ -1,15 +1,9 @@
-"""Tests for the multi-variable dataset facade and in-situ stager."""
+"""Tests for the multi-variable dataset facade."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    InSituStager,
-    MLOCDataset,
-    Query,
-    StagingOverflow,
-    mloc_col,
-)
+from repro.core import MLOCDataset, Query, mloc_col
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 
@@ -79,39 +73,3 @@ class TestMLOCDataset:
     def test_total_bytes(self, dataset):
         dataset.write(gts_like((64, 64), seed=0), "x")
         assert dataset.total_bytes() > 0
-
-
-class TestInSituStager:
-    def test_process_snapshots(self, dataset):
-        stager = InSituStager(dataset)
-        for t in range(3):
-            stager.process("temp", t, gts_like((64, 64), seed=t))
-        report = stager.report
-        assert report.snapshots == 3
-        assert report.raw_bytes == 3 * 64 * 64 * 8
-        assert 0 < report.compression_ratio < 1.2
-        assert report.encode_throughput > 0
-        assert report.raw_drain_seconds > 0
-        # Everything landed queryable.
-        assert dataset.timesteps("temp") == [0, 1, 2]
-
-    def test_buffering_and_drain(self, dataset):
-        stager = InSituStager(dataset, buffer_bytes=1 << 20)
-        stager.push("v", 0, gts_like((64, 64), seed=0))
-        stager.push("v", 1, gts_like((64, 64), seed=1))
-        assert stager.pending_bytes == 2 * 64 * 64 * 8
-        stager.drain()
-        assert stager.pending_bytes == 0
-        assert stager.report.snapshots == 2
-
-    def test_overflow_backpressure(self, dataset):
-        stager = InSituStager(dataset, buffer_bytes=64 * 64 * 8)
-        stager.push("v", 0, gts_like((64, 64), seed=0))
-        with pytest.raises(StagingOverflow, match="buffer full"):
-            stager.push("v", 1, gts_like((64, 64), seed=1))
-        stager.drain()
-        stager.push("v", 1, gts_like((64, 64), seed=1))  # fits again
-
-    def test_buffer_size_validated(self, dataset):
-        with pytest.raises(ValueError):
-            InSituStager(dataset, buffer_bytes=0)

@@ -91,11 +91,11 @@ def test_option_survives_every_hand_off(sealed_fs, name):
         assert snapshot.store("temp", 0).execution == want
         snap_sharded = snapshot.sharded_store("temp", 0, n_shards=2)
         assert [s.execution for s in snap_sharded.shards] == [want] * 2
-        assert IngestBroker(dataset)._core(KEY).store.execution == want
+        assert IngestBroker(dataset).member("temp", 0).execution == want
 
     plain = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2)
     assert plain.snapshot().store("temp", 0, **override).execution == want
-    assert IngestBroker(plain, execution=want)._core(KEY).store.execution == want
+    assert IngestBroker(plain, execution=want).member("temp", 0).execution == want
 
 
 def test_unknown_keyword_is_a_type_error(sealed_fs):

@@ -1,0 +1,267 @@
+"""Serving a dataset: one broker core over a pinned snapshot.
+
+``IngestBroker`` is a pinned :class:`~repro.core.dataset.DatasetSnapshot`
+in front of **one** :class:`~repro.server.BrokerCore`, so every limit a
+broker enforces — tenant byte quotas, the pending-bytes ceiling, queue
+depth, the in-flight ceiling, the cache budget — holds for the dataset
+as a whole, however many members the requests name.  (The per-member
+cores this replaced enforced each of them once *per member*.)  Results
+stay bit-identical to direct queries on the pinned member, and
+``refresh()`` is still the only visibility event.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import ExecutionConfig, MLOCDataset, Query, mloc_col
+from repro.datasets import gts_like
+from repro.pfs import SimulatedPFS
+from repro.server import (
+    BrokerConfig,
+    BrokerRejected,
+    IngestBroker,
+    IngestQueryEvent,
+    IngestSession,
+    NotYetSealed,
+    QuotaExceededError,
+    TenantQuota,
+    TimestepArrival,
+    replay_ingest,
+)
+
+CONFIG = mloc_col(chunk_shape=(16, 16), n_bins=8, target_block_bytes=4096)
+SHAPE = (96, 96)
+N_SEALED = 3
+FULL = Query(output="values")
+BOX = Query(region=((8, 72), (8, 72)), output="values")
+CACHE_BYTES = 64 << 10  # smaller than one member's decoded blocks
+
+
+@pytest.fixture(scope="module")
+def campaign_fs() -> SimulatedPFS:
+    fs = SimulatedPFS()
+    dataset = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2)
+    for t in range(N_SEALED):
+        dataset.append(gts_like(SHAPE, seed=t), "temp", t)
+    return fs
+
+
+def _dataset(fs, **execution) -> MLOCDataset:
+    return MLOCDataset(fs, "/ds", CONFIG, n_ranks=2, **execution)
+
+
+@pytest.fixture(scope="module")
+def full_cost(campaign_fs) -> int:
+    """Admission cost of ``FULL`` on one member (all are one shape)."""
+    store = _dataset(campaign_fs).snapshot().store("temp", 0)
+    return store.estimated_raw_bytes(FULL, store.plan(FULL)[0])
+
+
+def _assert_identical(result, expected):
+    assert np.array_equal(result.positions, expected.positions)
+    assert np.array_equal(result.values, expected.values)
+
+
+# ----------------------------------------------------------------------
+# Limits are broker-wide
+# ----------------------------------------------------------------------
+class TestLimitsAreBrokerWide:
+    def test_byte_quota_is_charged_once_across_members(self, campaign_fs, full_cost):
+        broker = IngestBroker(
+            _dataset(campaign_fs),
+            tenants={"a": TenantQuota(max_bytes=2 * full_cost)},
+        )
+        for t in range(2):
+            broker.submit("a", FULL, variable="temp", timestep=t)
+        broker.drain()
+        with pytest.raises(QuotaExceededError):
+            broker.submit("a", FULL, variable="temp", timestep=2)
+        tenant = broker.stats()["tenants"]["a"]
+        assert tenant["charged_bytes"] == 2 * full_cost
+        assert tenant["quota_rejections"] == 1
+        # Another tenant still gets service on the same member.
+        other = broker.submit("b", FULL, variable="temp", timestep=2)
+        broker.drain()
+        assert other.status == "done"
+
+    def test_pending_bytes_ceiling(self, campaign_fs, full_cost):
+        broker = IngestBroker(
+            _dataset(campaign_fs), config=BrokerConfig(max_pending_bytes=full_cost)
+        )
+        broker.submit("a", FULL, variable="temp", timestep=0)
+        with pytest.raises(BrokerRejected):
+            broker.submit("b", FULL, variable="temp", timestep=1)
+        broker.drain()
+        broker.submit("b", FULL, variable="temp", timestep=1)  # capacity freed
+        assert broker.drain() == 1
+
+    def test_queue_depth_is_per_tenant_not_per_member(self, campaign_fs):
+        broker = IngestBroker(
+            _dataset(campaign_fs), config=BrokerConfig(max_queued_per_tenant=1)
+        )
+        broker.submit("a", BOX, variable="temp", timestep=0)
+        with pytest.raises(BrokerRejected):
+            broker.submit("a", BOX, variable="temp", timestep=1)
+        broker.submit("b", BOX, variable="temp", timestep=1)
+        assert broker.pending() == 2
+        broker.drain()
+
+    def test_one_round_serves_at_most_max_inflight(self, campaign_fs):
+        broker = IngestBroker(
+            _dataset(campaign_fs), config=BrokerConfig(max_inflight=1)
+        )
+        reqs = [
+            broker.submit(f"t{t}", BOX, variable="temp", timestep=t)
+            for t in range(N_SEALED)
+        ]
+        assert len(broker.run_round()) == 1
+        assert [r.status for r in reqs].count("done") == 1
+        assert broker.pending() == N_SEALED - 1
+        assert broker.drain() == N_SEALED - 1
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["dataset", "execution"])
+    def test_one_block_cache_of_cache_bytes(self, campaign_fs, explicit):
+        if explicit:
+            broker = IngestBroker(
+                _dataset(campaign_fs),
+                execution=ExecutionConfig(cache_bytes=CACHE_BYTES),
+            )
+        else:
+            broker = IngestBroker(_dataset(campaign_fs, cache_bytes=CACHE_BYTES))
+        for t in range(N_SEALED):
+            broker.submit("a", FULL, variable="temp", timestep=t)
+        broker.drain()
+        caches = {id(broker.member("temp", t).cache) for t in range(N_SEALED)}
+        assert caches == {id(broker.cache)}
+        assert broker.cache.capacity_bytes == CACHE_BYTES
+        cache_stats = broker.cache.stats.as_dict()
+        assert cache_stats["evictions"] > 0  # three members competed for it
+        assert cache_stats["current_bytes"] <= CACHE_BYTES
+        assert broker.stats()["open_members"] == N_SEALED
+
+
+# ----------------------------------------------------------------------
+# What did not change: answers, dedup, pinning
+# ----------------------------------------------------------------------
+class TestServingContracts:
+    def test_results_match_the_pinned_member(self, campaign_fs):
+        dataset = _dataset(campaign_fs)
+        broker = IngestBroker(dataset, config=BrokerConfig(max_inflight=2))
+        queries = [FULL, BOX, Query(value_range=(3.5, 4.5), output="values")]
+        reqs = [
+            (t, q, broker.submit(f"t{i % 2}", q, variable="temp", timestep=t))
+            for i, q in enumerate(queries)
+            for t in range(N_SEALED)
+        ]
+        broker.drain()
+        fresh = _dataset(campaign_fs).snapshot(broker.generation)
+        for t, q, req in reqs:
+            assert req.status == "done"
+            _assert_identical(req.result, fresh.store("temp", t).query(q))
+
+    def test_no_block_decoded_twice_while_a_waiter_exists(self, campaign_fs):
+        # No persistent cache and one request per round: the repeat on
+        # member 0 is served two rounds after the first, with another
+        # member's request in between, and must still decode nothing.
+        broker = IngestBroker(
+            _dataset(campaign_fs), config=BrokerConfig(max_inflight=1)
+        )
+        first = broker.submit("a", BOX, variable="temp", timestep=0)
+        broker.submit("b", BOX, variable="temp", timestep=1)
+        repeat = broker.submit("c", BOX, variable="temp", timestep=0)
+        broker.drain()
+        assert first.result.stats["blocks_decoded"] > 0
+        assert repeat.result.stats["blocks_decoded"] == 0
+        assert repeat.result.stats["dedup_blocks"] > 0
+        _assert_identical(repeat.result, first.result)
+        stats = broker.stats()
+        assert stats["retained_jobs"] == 0  # backlog drained: released
+        assert stats["released_jobs"] > 0
+
+    def test_not_yet_sealed_until_refresh(self):
+        fs = SimulatedPFS()
+        dataset = _dataset(fs)
+        dataset.append(gts_like(SHAPE, seed=0), "temp", 0)
+        broker = IngestBroker(dataset)
+        handle = broker.member("temp", 0)
+        dataset.append(gts_like(SHAPE, seed=1), "temp", 1)
+        with pytest.raises(NotYetSealed):
+            broker.submit("a", BOX, variable="temp", timestep=1)
+        assert broker.stats()["not_yet_sealed"] == 1
+        assert broker.pending() == 0
+
+        assert broker.refresh().generation == 2
+        req = broker.submit("a", BOX, variable="temp", timestep=1)
+        broker.drain()
+        _assert_identical(
+            req.result, dataset.snapshot().store("temp", 1).query(BOX)
+        )
+        # Sealed members are immutable: the handle survives the re-pin.
+        assert broker.member("temp", 0) is handle
+        broker.refresh()  # nothing new: a refresh, not a new generation
+        totals = broker.stats()["totals"]
+        assert totals["snapshot_refreshes"] == 2
+        assert totals["generations_seen"] == 2
+        # One refresh is booked once, by the layer that performed it.
+        assert dataset.runtime_stats()["snapshot_refreshes"] == 0
+
+
+# ----------------------------------------------------------------------
+# The staging node and the replay
+# ----------------------------------------------------------------------
+def _arrivals(times):
+    return [
+        TimestepArrival(time, "temp", t, gts_like(SHAPE, seed=t))
+        for t, time in enumerate(times)
+    ]
+
+
+class TestIngestSession:
+    def test_every_arrival_is_sealed_and_queryable(self):
+        fs = SimulatedPFS()
+        dataset = _dataset(fs)
+        session = IngestSession(dataset, _arrivals([0.0, 1.0, 2.0]))
+        assert session.advance_to(1.5) and not session.finished
+        records = session.run_to_completion()
+        assert session.finished
+        assert [r.generation for r in records] == [1, 2, 3]
+        assert session.raw_bytes == 3 * SHAPE[0] * SHAPE[1] * 8
+        assert session.stored_bytes == sum(r.stored_bytes for r in records)
+        assert session.first_queryable_seconds == records[0].sealed_at
+        assert session.ingest_throughput() > 0
+        assert dataset.snapshot().timesteps("temp") == [0, 1, 2]
+
+    def test_one_staging_node_drains_back_to_back(self):
+        # Everything arrives at once: each append starts when the
+        # previous one seals, so visibility trails arrival.
+        session = IngestSession(_dataset(SimulatedPFS()), _arrivals([0.0, 0.0, 0.0]))
+        first, second, third = session.run_to_completion()
+        assert first.started == 0.0
+        assert second.started == first.sealed_at
+        assert third.started == second.sealed_at
+        assert session.generation_at(first.sealed_at) == 1
+        assert session.generation_at(third.sealed_at) == 3
+        assert session.sealed_members_at(second.sealed_at) == [first, second]
+
+
+class TestReplayIngest:
+    def test_request_larger_than_one_quantum_completes(self, full_cost):
+        dataset = _dataset(SimulatedPFS())
+        session = IngestSession(dataset, _arrivals([0.0]))
+        report = replay_ingest(
+            session,
+            [IngestQueryEvent(1.0, "a", "temp", FULL, 0)],
+            config=BrokerConfig(quantum_bytes=-(-full_cost // 4)),
+            keep_results=True,
+        )
+        assert report.dropped == 0 and len(report.samples) == 1
+        # The deficit needs four quanta: three empty rounds, then service.
+        assert report.broker["rounds"] == 4
+        _assert_identical(
+            report.results[0], dataset.snapshot().store("temp", 0).query(FULL)
+        )
+        tenant, arrival, completion, generation, timestep, stall = report.samples[0]
+        assert (tenant, arrival, generation, timestep, stall) == ("a", 1.0, 1, 0, 0.0)
+        assert completion == 1.0 + report.results[0].times.total

@@ -62,7 +62,7 @@ def _peb_blob(fs) -> bytes:
 class TestPersistedBytes:
     def test_peb_file_invariant_across_write_backends(self, peb_field):
         blobs = {}
-        for backend, workers in [("serial", None), ("threads", 4), ("processes", 2)]:
+        for backend, workers in [("serial", None), ("threads", 4)]:
             fs = _write(
                 mloc_col((16, 16), **CONFIG_KW),
                 peb_field,
@@ -70,7 +70,7 @@ class TestPersistedBytes:
                 workers=workers,
             )
             blobs[backend] = _peb_blob(fs)
-        assert blobs["serial"] == blobs["threads"] == blobs["processes"]
+        assert blobs["serial"] == blobs["threads"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -111,12 +111,16 @@ class TestPersistedBytes:
             store.query(Query(value_range=(0.2, 0.8), tol=1e-3))
 
     def test_opt_out(self, peb_field):
-        fs = SimulatedPFS()
-        report = MLOCWriter(
-            fs, "/wb", mloc_col((16, 16), **CONFIG_KW), build_peb=False
-        ).write(peb_field, variable="field")
-        assert report.peb_bytes == 0
-        assert not fs.exists(peb_path("/wb/field"))
+        """The record is always written; a store that lost it still
+        answers ``tol`` queries, from the lazily rebuilt table."""
+        fs = _write(mloc_col((16, 16), **CONFIG_KW), peb_field)
+        query = Query(value_range=(0.2, 0.8), tol=1e-3)
+        want = MLOCStore.open(fs, "/wb", "field").query(query)
+        fs.delete(peb_path("/wb/field"))
+        got = MLOCStore.open(fs, "/wb", "field").query(query)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.values, want.values)
+        assert got.stats["achieved_bound"] == want.stats["achieved_bound"]
 
 
 class TestBoundsSemantics:

@@ -1,6 +1,6 @@
 """Process-pool unit and fault tests: ordering, crash recovery, fallback.
 
-Three layers of coverage for the shared-nothing ``processes`` backend:
+Two layers of coverage for the shared-nothing ``processes`` backend:
 
 * the pool itself — results in submission order, spec semantics
   identical to inline :func:`run_task`, a crashed worker raising
@@ -8,14 +8,11 @@ Three layers of coverage for the shared-nothing ``processes`` backend:
   next batch (never hanging, never dropping work);
 * the query engine — a broken pool mid-decode falls back inline, the
   answer stays bit-identical to serial, and the failure is disclosed
-  through ``stats["decode_pool_failures"]``;
-* the writer — a broken pool at submit time falls back inline per
-  task, output bytes stay identical to serial, and the backend counts
-  the fallbacks.
+  through ``stats["decode_pool_failures"]``.
 
 The real-crash tests use the ``("__crash__",)`` spec (worker calls
-``os._exit``); the engine/writer tests monkeypatch the pool instead so
-the *point* of failure is deterministic.
+``os._exit``); the engine tests monkeypatch the pool instead so the
+*point* of failure is deterministic.
 """
 
 from __future__ import annotations
@@ -23,12 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import make_codec
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
-from repro.core.writer import MLOCWriter as _WriterClass
 from repro.datasets import gts_like
 from repro.index.binindex import decode_position_block_flat, encode_position_block
 from repro.parallel.procpool import (
-    AUTO_PROCESS_MIN_BYTES,
     PoolBrokenError,
     ProcessPool,
     get_pool,
@@ -45,13 +41,23 @@ def pool():
     p.shutdown()
 
 
-def _encode_tasks(n):
+def _decode_tasks(n):
+    """``n`` byte-plane decode tasks of distinct sizes."""
     rng = np.random.default_rng(3)
-    spec = ("encode-data", "zlib-bytes", (("level", 6),))
-    return [
-        (spec, rng.integers(0, 50, size=512 + i, dtype=np.uint8).tobytes())
-        for i in range(n)
-    ]
+    codec = make_codec("zlib-bytes", level=6)
+    tasks = []
+    for i in range(n):
+        raw = rng.integers(0, 50, size=512 + i, dtype=np.uint8)
+        spec = ("bytes", "zlib-bytes", (("level", 6),), raw.size)
+        tasks.append((spec, codec.encode(raw)))
+    return tasks
+
+
+def _assert_same(got, tasks):
+    want = [run_task(t) for t in tasks]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -59,24 +65,24 @@ def _encode_tasks(n):
 # ----------------------------------------------------------------------
 class TestPoolSemantics:
     def test_results_in_submission_order(self, pool):
-        tasks = _encode_tasks(12)
-        assert pool.run_tasks(tasks) == [run_task(t) for t in tasks]
+        tasks = _decode_tasks(12)
+        _assert_same(pool.run_tasks(tasks), tasks)
 
     def test_decode_specs_match_inline(self, pool):
         rng = np.random.default_rng(4)
-        planes = rng.integers(0, 8, size=2048, dtype=np.uint8).tobytes()
+        planes = rng.integers(0, 8, size=2048, dtype=np.uint8)
         floats = rng.normal(size=512)
         parts = [np.flatnonzero(rng.random(64) < 0.4) for _ in range(5)]
         counts = np.array([len(p) for p in parts], dtype=np.uint32)
         tasks = [
-            (("bytes", "zlib-bytes", (), len(planes)),
-             run_task((("encode-data", "zlib-bytes", ()), planes))),
+            (("bytes", "zlib-bytes", (), planes.size),
+             make_codec("zlib-bytes").encode(planes)),
             (("float", "zlib-float", (), floats.size),
-             run_task((("encode-data", "zlib-float", ()), floats))),
+             make_codec("zlib-float").encode(floats)),
             (("index", counts), encode_position_block(parts)),
         ]
         got = pool.run_tasks(tasks)
-        assert np.array_equal(got[0], run_task(tasks[0]))
+        assert np.array_equal(got[0], planes)
         assert np.array_equal(got[1], floats)
         assert np.array_equal(
             got[2], decode_position_block_flat(tasks[2][1], counts)
@@ -87,23 +93,21 @@ class TestPoolSemantics:
         with pytest.raises(ValueError, match="unknown task spec"):
             pool.run_tasks([(("no-such-kind",), b"")])
         assert pool.broken_batches == before  # error != pool death
-        assert pool.run_tasks(_encode_tasks(2)) == [
-            run_task(t) for t in _encode_tasks(2)
-        ]
+        _assert_same(pool.run_tasks(_decode_tasks(2)), _decode_tasks(2))
 
     def test_worker_crash_raises_and_pool_recovers(self, pool):
         """A worker dying mid-batch surfaces as PoolBrokenError (never a
         hang, never a silently short result list) and the pool is usable
         again on the very next batch."""
         before = pool.broken_batches
-        tasks = _encode_tasks(3)
+        tasks = _decode_tasks(3)
         tasks.insert(1, (("__crash__",), None))
         with pytest.raises(PoolBrokenError):
             pool.run_tasks(tasks)
         assert pool.broken_batches == before + 1
         # Recovery: a fresh batch on the same ProcessPool object works.
-        good = _encode_tasks(4)
-        assert pool.run_tasks(good) == [run_task(t) for t in good]
+        good = _decode_tasks(4)
+        _assert_same(pool.run_tasks(good), good)
         assert pool.broken_batches == before + 1
 
     def test_validation(self):
@@ -115,11 +119,6 @@ class TestPoolSemantics:
     def test_shared_pools_keyed_by_width(self):
         assert get_pool(3) is get_pool(3)
         assert get_pool(3) is not get_pool(5)
-
-    def test_auto_threshold_is_sane(self):
-        # Guard against an accidental unit slip (MB vs bytes) that would
-        # make "auto" either always or never pick processes.
-        assert 1 << 20 <= AUTO_PROCESS_MIN_BYTES <= 64 << 20
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +161,7 @@ class TestEngineFallback:
         assert np.array_equal(result.values, expected.values)
         assert result.times.io == expected.times.io
         assert result.times.decompression == expected.times.decompression
-        assert result.stats["decode_backend"] == "processes"
+        assert result.stats["backend"] == "processes"
         assert result.stats["decode_pool_failures"] == 1
 
     def test_pool_failures_sum_across_batch(self, store_fs, monkeypatch):
@@ -187,39 +186,3 @@ class TestEngineFallback:
         store_fs.clear_cache()
         result = proc.query(Query(value_range=(2.0, 6.0), output="values"))
         assert result.stats["decode_pool_failures"] == 0
-
-
-# ----------------------------------------------------------------------
-# Writer fallback: broken pool at submit time, bytes still serial's
-# ----------------------------------------------------------------------
-class TestWriterFallback:
-    def test_broken_pool_write_is_bit_identical(self, monkeypatch):
-        data = gts_like((64, 64), seed=12)
-        config = mloc_col((16, 16), n_bins=8, target_block_bytes=2048)
-
-        def files_of(fs):
-            session = fs.session()
-            return {
-                p: bytes(session.open(p).read_all()) for p in fs.list_files("/w/")
-            }
-
-        fs_serial = SimulatedPFS()
-        MLOCWriter(fs_serial, "/w", config).write(data, variable="f")
-
-        captured = {}
-        orig = _WriterClass._make_backend
-
-        def spy(self, codec, nbytes):
-            captured["backend"] = orig(self, codec, nbytes)
-            return captured["backend"]
-
-        monkeypatch.setattr(_WriterClass, "_make_backend", spy)
-        _broken(monkeypatch, "submit")
-
-        fs_proc = SimulatedPFS()
-        MLOCWriter(
-            fs_proc, "/w", config, write_backend="processes", write_workers=2
-        ).write(data, variable="f")
-
-        assert files_of(fs_proc) == files_of(fs_serial)
-        assert captured["backend"].fallbacks > 0  # every task fell back

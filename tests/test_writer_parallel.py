@@ -10,8 +10,6 @@ of DESIGN.md §6's bit-identical-output rule.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -53,9 +51,6 @@ CONFIG_CASES = [
 ]
 
 
-PROC_WORKER_COUNTS = sorted({1, 2, 8, int(os.environ.get("MLOC_PROC_WORKERS", "2"))})
-
-
 class TestBitIdenticalOutput:
     @pytest.mark.parametrize("kwargs", CONFIG_CASES)
     @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -66,25 +61,6 @@ class TestBitIdenticalOutput:
         serial = _write_files(data, config, "serial")
         threaded = _write_files(data, config, "threads", workers)
         _assert_identical(serial, threaded)
-
-    @pytest.mark.parametrize("kwargs", CONFIG_CASES)
-    @pytest.mark.parametrize("workers", PROC_WORKER_COUNTS)
-    def test_process_backend_bit_identical(self, data, kwargs, workers):
-        """The spawned-pool writer commits exactly the serial bytes —
-        every codec encode travels as a picklable spec and resolves in
-        table order, so worker count can never reorder a payload."""
-        config = MLOCConfig(
-            chunk_shape=(16, 16), n_bins=8, target_block_bytes=2048, **kwargs
-        )
-        serial = _write_files(data, config, "serial")
-        processed = _write_files(data, config, "processes", workers)
-        _assert_identical(serial, processed)
-
-    def test_auto_backend_bit_identical(self, data):
-        config = mloc_col((16, 16), n_bins=8, target_block_bytes=2048)
-        serial = _write_files(data, config, "serial")
-        auto = _write_files(data, config, "auto", 2)
-        _assert_identical(serial, auto)
 
     @pytest.mark.parametrize(
         "curve", ["hilbert", "zorder", "rowmajor", "hierarchical"]
