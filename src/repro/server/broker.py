@@ -423,10 +423,9 @@ class BrokerCore:
         """
         tenants = {name: self.tenant_stats(name) for name in self._tenants}
         totals = aggregate_stats(list(tenants.values()))
-        dedup_rate = 0.0
-        requested = totals["dedup_blocks"] + totals["blocks_decoded"] + totals["cache_hits"]
-        if requested:
-            dedup_rate = totals["dedup_blocks"] / requested
+        # ``cache_hits`` already counts every dedup hit (plus the LRU's).
+        requested = totals["cache_hits"] + totals["blocks_decoded"]
+        dedup_rate = totals["dedup_blocks"] / requested if requested else 0.0
         return {
             "tenants": tenants,
             "totals": totals,

@@ -313,6 +313,18 @@ class TestBrokerStats:
         )
         assert 0.0 <= stats["dedup_rate"] <= 1.0
 
+    def test_dedup_rate_is_the_share_of_all_block_requests(self, broker_fs):
+        # Four tenants ask for the same box in one round, no LRU: the
+        # first decodes every block, the other three dedup every one.
+        core = BrokerCore(_open(broker_fs))
+        for i in range(4):
+            core.submit(f"t{i}", QUERIES[0])
+        assert core.drain() == 1
+        stats = core.stats()
+        totals = stats["totals"]
+        assert totals["dedup_blocks"] == totals["cache_hits"] == 3 * totals["blocks_decoded"]
+        assert stats["dedup_rate"] == 0.75
+
 
 # ----------------------------------------------------------------------
 # Async façade
