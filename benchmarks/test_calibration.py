@@ -65,11 +65,12 @@ def _engine_filter_gather(nbytes, kind):
     """The engine's own reconstruction stage on one rank whose
     candidates (16 B each: position + value) fill ``nbytes``.
 
-    Times ``QueryEngine._finish_rank`` minus the per-rank cell gather +
-    PLoD assembly it calls (``_rank_values``: that part is charged to
-    decompression); the counted bytes are read back from the modeled
-    seconds at ``byte_scale`` 1, so achieved / modeled is exactly
-    measured-vs-charged for this query.
+    Times ``QueryEngine.assemble`` (position gather, filters, the
+    simulated gather and the sort of a batch of one) minus the cell
+    gather + PLoD assembly it calls (``_gather_values``: that part is
+    charged to decompression); the counted bytes are read back from the
+    modeled seconds at ``byte_scale`` 1, so achieved / modeled is
+    exactly measured-vs-charged for this query.
     """
     n = nbytes // 16
     if kind == "sc-3d":
@@ -88,7 +89,7 @@ def _engine_filter_gather(nbytes, kind):
     else:  # off-grid box: every chunk is a candidate
         query = Query(region=tuple((1, s - 1) for s in shape), output="values")
 
-    spent = {"finish": 0.0, "assemble": 0.0}
+    spent = {"assemble": 0.0, "values": 0.0}
 
     def timed(key, fn):
         def wrapper(*args, **kwargs):
@@ -101,14 +102,14 @@ def _engine_filter_gather(nbytes, kind):
 
     best = float("inf")
     with mock.patch.object(
-        QueryEngine, "_finish_rank", timed("finish", QueryEngine._finish_rank)
+        QueryEngine, "assemble", timed("assemble", QueryEngine.assemble)
     ), mock.patch.object(
-        QueryEngine, "_rank_values", timed("assemble", QueryEngine._rank_values)
+        QueryEngine, "_gather_values", timed("values", QueryEngine._gather_values)
     ):
         for _ in range(3):
-            spent["finish"] = spent["assemble"] = 0.0
+            spent["assemble"] = spent["values"] = 0.0
             result = store.query(query)
-            best = min(best, spent["finish"] - spent["assemble"])
+            best = min(best, spent["assemble"] - spent["values"])
     return result.times.reconstruction * FILTER_GATHER_THROUGHPUT, best
 
 

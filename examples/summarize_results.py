@@ -42,8 +42,17 @@ HEADERS = {
 }
 
 
-def render(name: str, rows: dict) -> str:
-    header = HEADERS.get(name)
+def _cell(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def table(rows: dict, header: list[str] | None = None) -> str:
+    """One Markdown table: a row per label, its cells a list or a dict
+    (whose keys then head the columns)."""
+    first = next(iter(rows.values()))
+    if isinstance(first, dict):
+        header = ["row"] + list(first)
+        rows = {label: list(cells.values()) for label, cells in rows.items()}
     if header is None:
         width = max(len(v) for v in rows.values()) + 1
         header = ["row"] + [f"c{i}" for i in range(width - 1)]
@@ -52,11 +61,23 @@ def render(name: str, rows: dict) -> str:
         "|" + "---|" * len(header),
     ]
     for label, cells in rows.items():
-        rendered = [str(label)] + [
-            f"{c:.4g}" if isinstance(c, float) else str(c) for c in cells
-        ]
-        lines.append("| " + " | ".join(rendered) + " |")
+        lines.append("| " + " | ".join([str(label)] + [_cell(c) for c in cells]) + " |")
     return "\n".join(lines)
+
+
+def render(name: str, payload: dict, depth: int = 4) -> str:
+    """A payload as Markdown: its ``rows`` table where it has one, its
+    other fields as a field/value table, each nested section below."""
+    parts = []
+    if payload.get("rows"):
+        parts.append(table(payload["rows"], HEADERS.get(name)))
+    sections = {k: v for k, v in payload.items() if isinstance(v, dict) and k != "rows"}
+    fields = {k: [v] for k, v in payload.items() if k != "rows" and k not in sections}
+    if fields:
+        parts.append(table(fields, ["field", "value"]))
+    for section, body in sections.items():
+        parts.append(f"{'#' * depth} {section}\n\n{render(section, body, depth + 1)}")
+    return "\n\n".join(parts)
 
 
 def main() -> None:
@@ -66,7 +87,7 @@ def main() -> None:
     for path in sorted(results_dir.glob("*.json")):
         payload = json.loads(path.read_text())
         print(f"\n### {path.stem}\n")
-        print(render(path.stem, payload["payload"]["rows"]))
+        print(render(path.stem, payload["payload"]))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Seven architectural rules, checked by AST scan (no imports are
+Eight architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -43,7 +43,14 @@ executed):
    ``broker``- or ``ingest``-owned counter name may appear as a string
    literal under ``src/repro/core/engine/`` — it is what keeps a block
    of always-zero serving counters from growing back into
-   ``QueryEngine.execute``.
+   the engine.
+8. **The batch is the unit.**  A ``query_many`` batch and a broker
+   round are staged request by request and assembled *once*
+   (DESIGN.md §7): inside any ``for`` / ``while`` / comprehension under
+   ``src/repro/server/`` and in ``MLOCStore.query_many`` there is no
+   call named ``query``, ``execute_planned`` or ``assemble`` — a round
+   may loop over its requests to *stage* them, never to run them to
+   completion one at a time.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -106,6 +113,14 @@ SIM_CLOCK_PACKAGES = ("core", "baselines", "server", "pfs", "index", "plod", "pa
 #: Counter owners above the engine; their rows may not be named in it.
 SERVING_OWNERS = ("broker", "ingest")
 
+#: Calls that run a request to completion (rule 8): never in a loop of
+#: the serving layer or of ``query_many``.
+RUN_TO_COMPLETION = frozenset({"query", "execute_planned", "assemble"})
+_LOOPS = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)  # fmt: skip
+
 #: Engine layer heights; a module may import only strictly lower ones.
 ENGINE_LAYERS = {
     "repro.core.engine.scheduler": 0,
@@ -144,6 +159,24 @@ def _serving_counter_names() -> set[str]:
         ):
             names.add(node.args[0].value)
     return names
+
+
+def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 8 over one syntax tree: every run-to-completion call that
+    sits inside a loop or comprehension of ``tree``."""
+    calls = {
+        (node.lineno, getattr(node.func, "attr", getattr(node.func, "id", None)))
+        for loop in ast.walk(tree)
+        if isinstance(loop, _LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+    }
+    return [
+        f"{where}:{lineno}: {name}() inside a loop runs requests to completion "
+        f"one at a time; stage them in the loop and assemble the batch once"
+        for lineno, name in sorted(calls, key=lambda c: c[0])
+        if name in RUN_TO_COMPLETION
+    ]
 
 
 def _module_name(path: Path) -> str:
@@ -247,6 +280,20 @@ def check() -> list[str]:
                     f"{node.value!r}, a counter a serving layer owns "
                     f"(repro.core.result.COUNTERS); the owner emits it"
                 )
+
+    for path in sorted(server_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        violations += batch_loop_violations(tree, str(path.relative_to(REPO)))
+    store_py = SRC / "repro" / "core" / "store.py"
+    batches = [
+        node
+        for node in ast.walk(ast.parse(store_py.read_text(), filename=str(store_py)))
+        if isinstance(node, ast.FunctionDef) and node.name == "query_many"
+    ]
+    if not batches:
+        violations.append(f"{store_py.relative_to(REPO)}: found no query_many (rule 8)")
+    for node in batches:
+        violations += batch_loop_violations(node, str(store_py.relative_to(REPO)))
 
     if list((SRC / "repro" / "core").glob("executor*")):
         violations.append(

@@ -16,6 +16,9 @@ single-chunk store, a sparse field whose (bin, chunk) pairs are mostly
 empty, and sticky block losses of each kind — with all four simulated
 components and the degradation counters, or the structured error under
 ``allow_partial=False``.  The columnar engine reproduces it exactly.
+Its ``batch/*`` rows were captured at the last commit that served a
+``query_many`` batch one query at a time; the fused assemble step
+reproduces them exactly.
 
 Run from the repo root after an *intentional* contract change (name a
 section to rewrite only that file):
@@ -350,8 +353,36 @@ def capture_faults(kind: str, loss: str) -> dict:
     return {"seed": plan.seed, "partial": rows, "strict_errors": errors}
 
 
+def capture_batch(kind: str) -> dict:
+    """``query_many`` over overlapping boxes (with a duplicate, a
+    shallower PLoD level and a positions-only value query in the mix):
+    cold on a plain handle, then two rounds against a small LRU.  Rows
+    are per query, so which query of the batch pays each block — and
+    what the batch leaves in the LRU for the next round — is pinned."""
+    fs, store = build_store(kind)
+    boxes = [((0, 160), (0, 160)), ((32, 192), (0, 160)), ((0, 160), (32, 192))]
+    queries = [Query(region=box, output="values") for box in boxes] + [
+        Query(region=boxes[0], output="values"),
+        Query(region=boxes[1], output="values", plod_level=3),
+        Query(value_range=_vc(store, 4, 12), region=boxes[2], output="positions"),
+    ]
+
+    def run(handle) -> list[dict]:
+        fs.clear_cache()
+        rows = []
+        for r in handle.query_many(queries):
+            row = ext_row(r)
+            row.update({k: r.stats[k] for k in ("cache_misses", "dedup_blocks")})
+            rows.append(row)
+        return rows
+
+    cached = MLOCStore(fs, store.root, store.meta, n_ranks=4, cache_bytes=CACHE_BYTES)
+    return {"cold": run(store), "warm": [run(cached) for _ in range(2)]}
+
+
 #: name -> zero-argument capture; one parametrised test case each.
 EXT_CASES = {
+    **{f"batch/{k}": (lambda k=k: capture_batch(k)) for k in ("col", "vsm")},
     **{f"tol/{k}": (lambda k=k: capture_tol(k)) for k in ("col", "vsm")},
     **{
         f"warm-positions/{k}": (lambda k=k: capture_warm_positions(k))

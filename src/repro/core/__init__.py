@@ -48,7 +48,7 @@ from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
 from repro.core.query import Query
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
 from repro.core.sharded import ShardedMLOCStore
-from repro.core.store import MLOCStore, StorageReport
+from repro.core.store import MLOCStore, StagedRequest, StorageReport, assemble
 from repro.core.writer import MLOCWriter, WriteReport
 
 __all__ = [
@@ -84,7 +84,9 @@ __all__ = [
     "QueryResult",
     "RefinementSession",
     "ShardedMLOCStore",
+    "StagedRequest",
     "StorageReport",
+    "assemble",
     "StoreMeta",
     "VariableConstraint",
     "WRITE_BACKENDS",

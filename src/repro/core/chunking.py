@@ -163,13 +163,14 @@ class ChunkGrid:
         coords += chunk_origin[None, :]
         return coords @ self._strides
 
-    def global_positions_batch(
+    def global_coords_batch(
         self,
         chunk_ids: np.ndarray,
         local_ids: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`global_positions` over many chunks.
+        """Array coordinates, shape ``(n, ndims)``, of elements given by
+        local ids over many chunks.
 
         ``local_ids`` is the concatenation of each chunk's local ids in
         the order given by ``chunk_ids``; ``counts[i]`` elements belong
@@ -182,16 +183,23 @@ class ChunkGrid:
             raise ValueError(
                 f"counts sum {int(counts.sum())} != local id count {local_ids.size}"
             )
-        if local_ids.size == 0:
-            return np.empty(0, dtype=np.int64)
         origins = self.chunk_coords(chunk_ids) * np.array(self.chunk_shape, dtype=np.int64)
-        origin_per_elem = np.repeat(origins, counts, axis=0)
-        coords = np.empty((local_ids.size, self.ndims), dtype=np.int64)
+        coords = np.repeat(origins, counts, axis=0)
         rem = local_ids
         for d in range(self.ndims):
-            coords[:, d], rem = np.divmod(rem, self._chunk_strides[d])
-        coords += origin_per_elem
-        return coords @ self._strides
+            local, rem = np.divmod(rem, self._chunk_strides[d])
+            coords[:, d] += local
+        return coords
+
+    def global_positions_batch(
+        self,
+        chunk_ids: np.ndarray,
+        local_ids: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :meth:`global_positions` over many chunks (the
+        row-major positions of :meth:`global_coords_batch`)."""
+        return self.global_coords_batch(chunk_ids, local_ids, counts) @ self._strides
 
     def positions_to_coords(self, positions: np.ndarray) -> np.ndarray:
         """Array coordinates of global positions, shape ``(n, ndims)``."""

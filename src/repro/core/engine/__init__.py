@@ -6,7 +6,8 @@ Layering contract (enforced by ``scripts/check_layers.py``):
   coalescing/readahead, verified-read fault tolerance, decode-job
   coordination.  Knows only the PFS, never plans or byte planes.
 * :mod:`~repro.core.engine.stages` (layer 1) — the
-  :class:`QueryEngine` stage pipeline over planner output.
+  :class:`QueryEngine`: the per-query stage step and the per-batch
+  assemble step over planner output.
 * :mod:`~repro.core.engine.session` (layer 2) — progressive
   :class:`RefinementSession` stepping on top of the engine.
 
@@ -15,12 +16,12 @@ Each module may import only strictly lower engine layers.
 
 from repro.core.engine.scheduler import IOScheduler, PendingRead
 from repro.core.engine.session import RefinementSession
-from repro.core.engine.stages import QueryEngine, RankOutput
+from repro.core.engine.stages import QueryEngine, StagedQuery
 
 __all__ = [
     "IOScheduler",
     "PendingRead",
     "QueryEngine",
-    "RankOutput",
+    "StagedQuery",
     "RefinementSession",
 ]

@@ -109,7 +109,6 @@ class _FaultContext:
 
     crc_failures: int = 0
     io_retries: int = 0
-    degraded_points: int = 0
     dropped_points: int = 0
     #: (path, offset) of quarantined blocks this query touched.
     quarantined: set = field(default_factory=set)
@@ -229,6 +228,27 @@ class _BlockFetcher:
         """Keys whose decoded blocks this fetcher currently retains."""
         return list(self._jobs)
 
+    def claim_held(
+        self, keys: list[tuple], raw_bytes: list[int]
+    ) -> list[_DecodeJob | None]:
+        """Dedup hits in bulk: per key, the job this fetcher already
+        holds — counted exactly as :meth:`request_deferred` counts a
+        dedup hit — or ``None``, left for the caller to request.
+
+        The keys of one call are distinct, so looking them all up
+        before the misses register is the same as taking them in turn.
+        """
+        if not self.caching:
+            return [None] * len(keys)
+        held = list(map(self._jobs.get, keys))
+        if None in held:
+            raw_bytes = [raw for job, raw in zip(held, raw_bytes) if job is not None]
+        self.hits += len(raw_bytes)
+        self.dedup_hits += len(raw_bytes)
+        self.hit_raw_bytes += sum(raw_bytes)
+        self.dedup_raw_bytes += sum(raw_bytes)
+        return held
+
     def request_deferred(
         self, key: tuple, raw_bytes: int, order_key: tuple
     ) -> tuple[_DecodeJob, bool]:
@@ -323,15 +343,14 @@ class _BlockFetcher:
         once no admitted query still waits on the round's blocks, the
         jobs are released — re-requests are then answered by the
         persistent :class:`BlockCache` (if configured) or re-read.
-        Pending (not yet decoded) jobs are never dropped.
+        Decodes still pending were left by a query that raised before
+        its decode step (a strict-mode loss); with no waiter nobody
+        will ever read them, so they go too.
         """
-        if self._pending:
-            raise RuntimeError(
-                f"cannot release retained jobs with {len(self._pending)} "
-                "decodes still pending"
-            )
         dropped = len(self._jobs)
         self._jobs.clear()
+        self._pending.clear()
+        self._touches.clear()
         self.inserted_keys.clear()
         return dropped
 

@@ -33,7 +33,7 @@ enforces the accuracy contract (earlier steps disclose their honest
 ``achieved_bound`` with ``tol_met=False``).
 
 The session drives every step through the store's public ``plan`` /
-``execute_planned`` / ``stamp_tol_stats`` surface
+``execute_planned`` / ``tol_stats`` surface
 (:class:`~repro.core.store.MLOCStore`), so flat and sharded stores
 refine identically.
 """
@@ -149,7 +149,7 @@ class RefinementSession:
         already hold, so the stream is the progressive-retrieval read
         path: coarse answer now, deltas until every chunk provably
         meets ``tol``.  The final step enforces the accuracy contract
-        (see :meth:`~repro.core.store.MLOCStore.stamp_tol_stats`).
+        (see :meth:`~repro.core.store.MLOCStore.tol_stats`).
 
         On a plain (tol-less) session this yields just the current
         result — there is no bound to converge to.
@@ -191,8 +191,14 @@ class RefinementSession:
         if chunk_levels is not None:
             # Stamp the honest bound of this step; only the final step
             # of the ladder enforces the contract.
-            store.stamp_tol_stats(
-                query, plan, chunk_levels, result, enforce=final
+            result.stats.update(
+                store.tol_stats(
+                    query,
+                    plan,
+                    chunk_levels,
+                    result.stats["degraded_chunk_levels"],
+                    enforce=final,
+                )
             )
         self.results.append(result)
         return result

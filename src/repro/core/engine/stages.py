@@ -1,66 +1,81 @@
-"""Staged query engine: Plan → IOScheduler → Decode → Assemble.
+"""Staged query engine: Plan → IOScheduler → Decode, then Assemble.
 
 This is the middle engine layer: it turns a
 :class:`~repro.core.planner.QueryPlan` into the bulk-synchronous
-parallel program the paper describes (Section III-D, Fig. 5), but with
-the monolithic executor's control flow rebuilt around explicit stages:
+parallel program the paper describes (Section III-D, Fig. 5).  The
+program is split where the simulated clock stops caring:
+
+**Stage** — :meth:`QueryEngine.stage`, once per query, in submission
+order.  Everything that is *charged* happens here:
 
 1. **Plan** — the planner's output is split over simulated MPI ranks
    (column order by default: each rank touches the fewest bin files).
-   A rank's work *is* its span of the plan's
-   :class:`~repro.parallel.scheduler.BlockList`: parallel row arrays
-   (bin, curve position, chunk id — bin-major, positions ascending
-   within a bin) that every later stage extends with per-row columns
-   (element counts, alignment, requested PLoD level) and never unpacks
-   into per-bin objects;
-2. **IOScheduler** — each rank's block reads are *deferred* into its
-   :class:`~repro.core.engine.scheduler.IOScheduler` and flushed
-   sorted by ``(subfile, offset)``, optionally coalescing
-   near-adjacent extents into vectored reads (``coalesce_gap``) and
-   prefetching ahead (``readahead``).  All verified-read / retry /
-   quarantine semantics live in the scheduler;
-3. **Decode** — pending decode jobs run inline (``serial``), on a
+   The query's work is one set of parallel row arrays (bin, curve
+   position, chunk id — rank-major, bin-major inside a rank, positions
+   ascending inside a bin) with the rank as a column; the store-wide
+   tables of the :class:`~repro.core.planner.PlanContext` give every
+   row's index block and the ``(byte group, row)`` matrix of data
+   blocks in a constant number of NumPy calls;
+2. **IOScheduler** — each rank's distinct blocks are requested in
+   ascending ``(bin, row)`` order (which with the rank fixes the
+   ``order_key`` that replays cache insertions), *deferred* into the
+   rank's :class:`~repro.core.engine.scheduler.IOScheduler` and flushed
+   sorted by ``(subfile, offset)`` in two waves — all index reads, then
+   all data reads — in deterministic rank order.  All verified-read /
+   retry / quarantine semantics live in the scheduler; with
+   ``coalesce_gap=0`` the per-subfile read sequences are exactly the
+   pre-refactor executor's;
+3. **Classify** — blocks whose read exhausted its retries are mapped
+   onto the degradation policy: rows of a lost index block leave the
+   answer, a lost base plane drops its points, a lost refinement plane
+   caps the row's effective level — or, in strict mode, the structured
+   :class:`~repro.core.errors.DegradedResultError` is raised;
+4. **Decode** — pending decode jobs run inline (``serial``), on a
    thread pool (``threads``), or as picklable specs on the persistent
-   spawned worker pool (``processes``, the GIL-free path); accounting
-   was fixed during planning and results commit in plan order, so
-   every backend produces bit-identical results and identical
-   simulated seconds;
-4. **Assemble** — once per rank: the merged extents are sliced out of
-   the decoded blocks into one position array and group-major byte
-   planes, the planes are reassembled, the value / region / position
-   filters and the degradation accounting run on whole-rank arrays,
-   and the root gathers per-rank results through the simulated
-   communicator.
+   worker pool (``processes``); results commit in plan order.
 
-Rank execution is one columnar pass.  The store-wide tables of the
-:class:`~repro.core.planner.PlanContext` turn all of a rank's rows, in a
-constant number of NumPy calls, into the index block and element extent
-of every row and the ``(byte group, row)`` matrix of data blocks and
-byte extents (masked by ``group < level[row]`` under mixed-level
-``tol`` plans).  Two Python loops per rank and stage remain: one over
-the *distinct* blocks to request (ascending ``(bin, row)``, which with
-the rank fixes the ``order_key`` that replays cache insertions), and
-one over the *merged* extents to slice — neighbours that share a block
-and are contiguous in the source collapse into one slice, so under
-Hilbert order a box costs a handful of copies.  A quarantined block or
-a level-masked cell simply leaves zeros in its plane.
+A :class:`StagedQuery` is what is left: the row columns, the decoded
+blocks its ranks hold, and every simulated second and counter but the
+two that depend on the answer's size (``communication``,
+``n_results``).  Which query and which rank pays each block, every
+``PFSSession``, every fetcher counter and the LRU's touch/insert order
+are fixed before any value is gathered.
 
-The engine flushes in two waves — all index reads, then all data
-reads — in deterministic rank order.  With ``coalesce_gap=0`` the
-per-subfile read sequences are exactly the pre-refactor executor's
-(each bin subfile was already visited once, ascending), so seeks,
-bytes, stalls, fault draws, and simulated seconds are reproduced
-bit-for-bit; ``tests/test_engine_equivalence.py`` pins this against a
-golden capture of the monolithic executor.
+**Assemble** — :meth:`QueryEngine.assemble`, once per *list* of staged
+queries (a ``query_many`` batch, a broker round; a single query is a
+list of one).  Nothing here is charged, so nothing here can be seen by
+the simulated accounting — which is why it may be shared:
+
+* the rows of the queries that can share are unioned (sorted global
+  ``bin * n_chunks + cpos`` keys), and the extents, the slice copies
+  out of the decoded blocks (neighbours that share a block and touch
+  in the source collapse into one slice — under Hilbert order a box is
+  a handful of copies), the global positions and the PLoD byte-plane
+  assembly run **once** over the union (:meth:`QueryEngine._gather_cells`);
+* each query then takes its rows' elements out of the union and
+  applies its own value range, boundary-chunk region test, position
+  filter and degradation masks, splits the survivors by rank for the
+  simulated gather, and sorts (:meth:`QueryEngine._filter_gather`).
+
+The **fuse rule** is derived from the staged queries, never
+configured: two queries share a union when a gathered row means the
+same thing to both — the same PLoD level on every row (a uniform
+``plod_level``; per-chunk ``tol`` levels differ row by row) and no
+quarantined block (a lost plane leaves zeros that only its own query's
+masks know how to discard).  Anything else is a group of one through
+the same two functions.  Overlapping boxes under Hilbert order share
+few, long curve ranges, so the union of a round is a small multiple of
+one query and its cost is paid once instead of once per tenant.
 
 Response time = simulated parallel I/O (max-loaded OST / node link +
 max-rank overhead) + max-rank decompression + max-rank reconstruction +
 communication.  Both CPU components are modeled from counted bytes by
 :meth:`~repro.pfs.costmodel.PFSCostModel.cpu_seconds` (DESIGN.md §5):
-decompression from the raw bytes decoded and assembled, reconstruction
-from the candidate bytes filtered and gathered.  Aligned bins under
-region-only output never touch the data subfiles — the index-only fast
-path of Section III-D1.
+decompression from the raw bytes a rank decoded, reconstruction from
+the candidate bytes its rows hold (8 B per position plus 8 B per value,
+before any filter) — both functions of the query's own plan, whoever
+shares the pass.  Aligned bins under region-only output never touch
+the data subfiles — the index-only fast path of Section III-D1.
 """
 
 from __future__ import annotations
@@ -68,6 +83,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +109,6 @@ from repro.index.binindex import decode_position_block_flat
 from repro.index.bitmap import Bitmap
 from repro.parallel.procpool import get_pool
 from repro.parallel.scheduler import (
-    BlockList,
     column_order_assignment,
     round_robin_assignment,
 )
@@ -115,7 +130,7 @@ from repro.plod.byteplanes import (
 )
 from repro.sfc.linearize import CurveOrder
 
-__all__ = ["QueryEngine", "RankOutput"]
+__all__ = ["QueryEngine", "StagedQuery", "modeled_decompression"]
 
 _SCHEDULERS = {
     "column": column_order_assignment,
@@ -126,94 +141,157 @@ _SCHEDULERS = {
 _INDEX, _DATA = 0, 1
 
 
+def modeled_decompression(
+    codec, byte_scale: float, data_raw_bytes: int, index_raw_bytes: int
+) -> float:
+    """Modeled decompression seconds of one rank (DESIGN.md §5): codec
+    decode + index decode + cell-gather/PLoD-assembly of the raw bytes
+    it decoded."""
+    cpu_seconds = PFSCostModel(byte_scale=byte_scale).cpu_seconds
+    return (
+        cpu_seconds(data_raw_bytes, codec.decode_throughput)
+        + cpu_seconds(index_raw_bytes, INDEX_DECODE_THROUGHPUT)
+        + cpu_seconds(data_raw_bytes, ASSEMBLY_THROUGHPUT)
+    )
+
+
+def _run_starts(values: np.ndarray, rank_starts: np.ndarray) -> np.ndarray:
+    """First row of every run of equal ``values`` that does not cross a
+    rank's first row."""
+    if values.size == 0:
+        return np.empty(0, dtype=np.int64)
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    new[rank_starts[rank_starts < values.size]] = True
+    return np.flatnonzero(new)
+
+
 @dataclass
-class RankOutput:
-    """What one simulated rank produced before the gather."""
+class _Rank:
+    """One simulated rank's accounting context.
 
-    positions: np.ndarray
-    values: np.ndarray | None
-    session: PFSSession
-    #: Raw bytes this rank decompressed from data blocks.
-    data_raw_bytes: int = 0
-    #: Bytes of position payload (8 B/position) this rank decoded.
-    index_raw_bytes: int = 0
-    #: Bytes this rank filtered and gathered: 8 B per candidate
-    #: position plus 8 B per assembled candidate value — independent of
-    #: PLoD level and of block-cache hits.
-    candidate_bytes: int = 0
-
-    def modeled_decompression(self, codec, byte_scale: float) -> float:
-        """Modeled decompression seconds for this rank (DESIGN.md §5):
-        codec decode + index decode + cell-gather/PLoD-assembly."""
-        cpu_seconds = PFSCostModel(byte_scale=byte_scale).cpu_seconds
-        return (
-            cpu_seconds(self.data_raw_bytes, codec.decode_throughput)
-            + cpu_seconds(self.index_raw_bytes, INDEX_DECODE_THROUGHPUT)
-            + cpu_seconds(self.data_raw_bytes, ASSEMBLY_THROUGHPUT)
-        )
-
-
-@dataclass
-class _RankState:
-    """One rank's work as parallel row arrays plus its accounting context.
-
-    A row is one planned (bin, chunk); rows are bin-major with curve
-    positions ascending inside a bin, and every array below — the
-    ``(group, row)`` matrices by their second axis — is aligned with
-    them.  The value-stage fields are filled by ``_plan_rank_values``.
+    The rank's rows are ``rank_of_row == rank`` of its staged query;
+    its ``(rank, bin)`` runs are ``runs`` of the query's run table, and
+    a run's index inside that slice is the ``bin_seq`` of its blocks'
+    order keys.
     """
 
     rank: int
     session: PFSSession
     raw: dict[str, int]
     sched: IOScheduler
-    #: The rank's distinct bins in row order, with their aligned flags;
-    #: a bin's index here is the ``bin_seq`` of its blocks' order keys.
-    bins: np.ndarray
-    bin_aligned: np.ndarray
+    runs: slice
+    #: Per subfile kind: global block id -> deferred decode.
+    jobs: dict[int, dict[int, _DecodeJob]] = field(default_factory=dict)
+
+
+@dataclass
+class StagedQuery:
+    """A query after Plan → IOScheduler → Classify → Decode.
+
+    Every block it needs has been requested, read (or classified lost)
+    and decoded, and all simulated accounting but the answer-sized
+    part is final; nothing is gathered yet.  A row is one planned
+    (bin, chunk); rows are rank-major, bin-major inside a rank, curve
+    positions ascending inside a bin, and every row array below is
+    aligned with them.
+    """
+
+    query: Query
+    plan: QueryPlan
+    position_filter: Bitmap | None
+    rank_of_row: np.ndarray
     bin_ids: np.ndarray
     cpos: np.ndarray
-    chunk_ids: np.ndarray
     #: Elements per row, and whether the row's bin is aligned.
     counts: np.ndarray
     aligned: np.ndarray
-    #: Global index block id and ``[lo, hi)`` element extent per row.
-    index_block: np.ndarray
-    index_lo: np.ndarray
-    index_hi: np.ndarray
-    #: Global block id -> deferred decode, per subfile kind.
-    index_jobs: dict[int, _DecodeJob] = field(default_factory=dict)
-    data_jobs: dict[int, _DecodeJob] = field(default_factory=dict)
-    #: Rows whose values are fetched, and their element counts (zero on
-    #: the other rows).
+    ranks: list[_Rank] = field(default_factory=list)
+    #: The engine rows of ``QueryResult.stats``; ``degraded_points`` and
+    #: ``n_results`` are filled by the assemble step.
+    stats: dict = field(default_factory=dict)
+    #: Final but for ``communication``.
+    times: ComponentTimes = field(default_factory=ComponentTimes)
+    #: Whether some block the query touched is quarantined.
+    quarantined: bool = False
+    #: Rows whose values are fetched, and the PLoD level requested of
+    #: each (1 on whole-value layouts).
     need: np.ndarray | None = None
-    value_counts: np.ndarray | None = None
-    #: Requested PLoD level per row and the deepest one fetched (1 on
-    #: whole-value layouts).
     level: np.ndarray | None = None
-    n_groups: int = 0
-    #: ``(n_groups, n_rows)``: global data block id and ``[lo, hi)``
-    #: extent of every cell, and whether it is fetched at all (its row
-    #: needs values, its bin holds elements, its group is below the
-    #: row's level).
-    data_block: np.ndarray | None = None
-    data_lo: np.ndarray | None = None
-    data_hi: np.ndarray | None = None
-    wanted: np.ndarray | None = None
-    #: Rows whose points are unrecoverable (base byte-plane or
-    #: whole-value block quarantined); ``None`` if none.
-    fatal: np.ndarray | None = None
+    #: The one level of every row, or ``None`` under per-chunk levels.
+    uniform_level: int | None = None
     #: Per-row effective PLoD level where refinement blocks were
     #: quarantined; ``None`` if no precision was lost.
     effective: np.ndarray | None = None
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Drop the rows where ``keep`` is False (index-stage arrays)."""
+        """Drop the rows where ``keep`` is False."""
         for name in (
-            "bin_ids", "cpos", "chunk_ids", "counts", "aligned",
-            "index_block", "index_lo", "index_hi",
+            "rank_of_row", "bin_ids", "cpos", "counts", "aligned",
+            "need", "level", "effective",
         ):  # fmt: skip
-            setattr(self, name, getattr(self, name)[keep])
+            column = getattr(self, name)
+            if column is not None:
+                setattr(self, name, column[keep])
+
+    def rank_bounds(self) -> np.ndarray:
+        """First row of every rank, and the row count."""
+        return np.searchsorted(self.rank_of_row, np.arange(len(self.ranks) + 1))
+
+    def lost(self, kind: int, block: np.ndarray) -> np.ndarray:
+        """Where ``block`` (global ids of one kind, rows on the last
+        axis) names a block the row's own rank lost."""
+        lost = np.zeros(block.shape, dtype=bool)
+        for state in self.ranks:
+            lost_ids = [b for b, job in state.jobs[kind].items() if _job_lost(job)]
+            if lost_ids:
+                lost |= (self.rank_of_row == state.rank) & np.isin(block, lost_ids)
+        return lost
+
+    def jobs(self, kind: int) -> dict[int, _DecodeJob]:
+        """Every block of one kind the ranks hold, by global block id."""
+        held: dict[int, _DecodeJob] = {}
+        for state in self.ranks:
+            held.update(state.jobs[kind])
+        if self.quarantined:
+            # A block one rank lost may be another rank's good decode.
+            for state in self.ranks:
+                held.update(
+                    {b: j for b, j in state.jobs[kind].items() if not _job_lost(j)}
+                )
+        return held
+
+
+@dataclass
+class _Cells:
+    """The gathered elements of a union of staged rows.
+
+    Rows ascend by ``keys`` (``bin * n_chunks + cpos``).  Element
+    arrays hold every row's elements back to back, ``counts[i]`` per
+    row; ``values`` holds those of the rows some member fetches values
+    for (``value_counts[i]`` per row, no room for the others).
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    value_counts: np.ndarray
+    positions: np.ndarray
+    #: Array coordinates, one contiguous row per axis, kept only when
+    #: some member tests them against its region.
+    coords: np.ndarray | None
+    values: np.ndarray
+
+    @cached_property
+    def elem_end(self) -> np.ndarray:
+        return np.cumsum(self.counts)
+
+    @cached_property
+    def value_elem(self) -> np.ndarray | slice:
+        """The element every value belongs to."""
+        if self.value_counts is self.counts:
+            return slice(None)
+        return np.flatnonzero(np.repeat(self.value_counts > 0, self.counts))
 
 
 class QueryEngine:
@@ -300,13 +378,14 @@ class QueryEngine:
             )
         self.comm_cost = comm_cost
         self._codec = make_codec(meta.config.codec, **meta.config.codec_params)
+        #: Per subfile kind: :meth:`_blocks_of`, built on first use.
+        self._block_tables: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def new_fetcher(self, shared: bool = False) -> _BlockFetcher:
         """A fetcher for one query (or, with ``shared=True``, a batch)."""
         return _BlockFetcher(self.cache, self.generation, shared=shared)
 
-    # ------------------------------------------------------------------
     def execute(
         self,
         query: Query,
@@ -315,7 +394,24 @@ class QueryEngine:
         fetcher: _BlockFetcher | None = None,
         chunk_levels: np.ndarray | None = None,
     ) -> QueryResult:
-        """Run the staged parallel access program for one planned query.
+        """Run the staged parallel access program for one planned query:
+        a batch of one."""
+        return self.assemble(
+            [self.stage(query, plan, position_filter, fetcher, chunk_levels)]
+        )[0]
+
+    # ------------------------------------------------------------------
+    # Stage
+    # ------------------------------------------------------------------
+    def stage(
+        self,
+        query: Query,
+        plan: QueryPlan,
+        position_filter: Bitmap | None = None,
+        fetcher: _BlockFetcher | None = None,
+        chunk_levels: np.ndarray | None = None,
+    ) -> StagedQuery:
+        """Plan, read, classify and decode one planned query.
 
         ``chunk_levels`` switches PLoD stores to a *mixed-level* plan:
         a per-curve-position array of requested levels (clipped to
@@ -330,80 +426,160 @@ class QueryEngine:
         dedup0, dedup_raw0 = fetcher.dedup_hits, fetcher.dedup_raw_bytes
         fctx = _FaultContext()
         counters = _IOCounters()
+        context = self.context
 
         blocks = plan.block_list()
         assignment = _SCHEDULERS[self.scheduler](blocks, self.n_ranks)
+        bin_ids = np.concatenate([part.bin_ids for part in assignment])
+        cpos = np.concatenate([part.cpos for part in assignment])
+        rank_starts = np.cumsum([0] + [len(part) for part in assignment])
+        # One run per (rank, bin): the unit of file opens and order keys.
+        run_starts = _run_starts(bin_ids, rank_starts[:-1])
+        run_bins = bin_ids[run_starts]
+        run_aligned = plan.aligned[np.searchsorted(plan.bin_ids, run_bins)]
+        run_lengths = np.diff(run_starts, append=bin_ids.size)
+        run_bounds = np.searchsorted(run_starts, rank_starts).tolist()
+        staged = StagedQuery(
+            query=query,
+            plan=plan,
+            position_filter=position_filter,
+            rank_of_row=np.repeat(np.arange(self.n_ranks), np.diff(rank_starts)),
+            bin_ids=bin_ids,
+            cpos=cpos,
+            counts=context.counts64[bin_ids, cpos],
+            aligned=np.repeat(run_aligned, run_lengths),
+        )
+        run_of_row = np.repeat(np.arange(run_starts.size), run_lengths)
 
         # Stage 1 (Plan) + Stage 2 (IOScheduler), first wave: every
         # rank defers its index-block reads, then flushes in
         # deterministic rank order — this fixes which rank pays each
         # block's simulated I/O and modeled decode time.
-        states = [
-            self._plan_rank_index(rank, rank_blocks, plan, fetcher, fctx, counters)
-            for rank, rank_blocks in enumerate(assignment)
-        ]
-        for state in states:
-            state.sched.flush()
-        # Index losses resolved, value reads deferred; second wave.
-        for state in states:
-            self._plan_rank_values(
-                state, query, position_filter, fetcher, fctx, chunk_levels
+        index_block = context.index_blocks(bin_ids, cpos)
+        # Rows ascend by (bin, cpos) inside a rank, so their block ids
+        # never decrease: a rank's distinct blocks are its value runs.
+        block_starts = _run_starts(index_block, rank_starts[:-1])
+        block_bounds = np.searchsorted(block_starts, rank_starts).tolist()
+        distinct = index_block[block_starts].tolist()
+        bins = run_bins.tolist()
+        for rank in range(self.n_ranks):
+            session = self.fs.session()
+            state = _Rank(
+                rank=rank,
+                session=session,
+                raw={"data": 0, "index": 0},
+                sched=IOScheduler(
+                    self.fs,
+                    session,
+                    fetcher,
+                    fctx,
+                    quarantine=self.quarantine,
+                    execution=self.execution,
+                    counters=counters,
+                    readahead_spans=self.readahead_spans,
+                ),
+                runs=slice(run_bounds[rank], run_bounds[rank + 1]),
             )
-        for state in states:
+            staged.ranks.append(state)
+            state.jobs[_INDEX] = self._request_blocks(
+                state,
+                fetcher,
+                _INDEX,
+                {bin_id: seq for seq, bin_id in enumerate(bins[state.runs])},
+                distinct[block_bounds[rank] : block_bounds[rank + 1]],
+            )
+        for state in staged.ranks:
+            state.sched.flush()
+
+        # Index losses resolved, value reads deferred; second wave.
+        if fctx.quarantined:
+            keep = self._surviving_index_rows(staged, index_block, fctx)
+            if keep is not None:
+                staged.keep_rows(keep)
+                run_of_row = run_of_row[keep]
+        config = self.meta.config
+        if query.wants_values or position_filter is not None:
+            staged.need = np.ones(staged.cpos.size, dtype=bool)
+            value_run = np.ones(run_bins.size, dtype=bool)
+        else:
+            staged.need = ~staged.aligned
+            value_run = ~run_aligned
+        value_counts = np.where(staged.need, staged.counts, 0)
+        # A (rank, bin) whose planned chunks hold no element requests no
+        # block; one that does also requests the blocks under its empty
+        # cells.
+        run_totals = np.bincount(run_of_row, value_counts, minlength=run_bins.size)
+        active = staged.need & (run_totals[run_of_row] > 0)
+        if config.plod_enabled and chunk_levels is not None:
+            staged.level = np.clip(chunk_levels[staged.cpos], 1, config.n_groups)
+        else:
+            uniform = min(query.plod_level, config.n_groups) if config.plod_enabled else 1
+            staged.level = np.full(staged.cpos.size, uniform, dtype=np.int64)
+            staged.uniform_level = uniform
+        n_groups = int(staged.level[active].max()) if active.any() else 0
+        data_block, _ = context.data_blocks(staged.bin_ids, staged.cpos, n_groups)
+        wanted = active & (np.arange(n_groups, dtype=np.int64)[:, None] < staged.level)
+        # Every rank's distinct wanted blocks, ascending, in one sort.
+        n_blocks = len(context.data_reads)
+        pairs = np.unique((staged.rank_of_row * n_blocks + data_block)[wanted])
+        pair_bounds = np.searchsorted(
+            pairs, np.arange(self.n_ranks + 1) * n_blocks
+        ).tolist()
+        pairs = (pairs % n_blocks).tolist()
+        value_run = value_run.tolist()
+        for state in staged.ranks:
+            state.jobs[_DATA] = self._request_blocks(
+                state,
+                fetcher,
+                _DATA,
+                {
+                    bin_id: seq
+                    for seq, bin_id in enumerate(bins[state.runs])
+                    if value_run[state.runs.start + seq]
+                },
+                pairs[pair_bounds[state.rank] : pair_bounds[state.rank + 1]],
+            )
+        for state in staged.ranks:
             state.sched.flush()
         # Per-curve-position effective levels of chunks degraded below
         # their requested level by sticky faults — the store uses this
         # to compute an *honest* achieved bound for tol queries.
         degraded_levels: dict[int, int] = {}
+        fatal = None
         if fctx.quarantined:  # a lost block always registers here first
-            for state in states:
-                self._classify_rank_values(state, fctx, degraded_levels)
+            staged.quarantined = True
+            fatal = self._classify_values(
+                staged, data_block, wanted, fctx, degraded_levels
+            )
 
         # Stage 3 (Decode): the only concurrent part (threads or
         # processes backend).
         pool_failures0 = fetcher.pool_failures
         blocks_decoded = self._run_decodes(fetcher)
-        # Stage 4 (Assemble): deterministic rank order.
-        rank_outputs = [
-            self._finish_rank(state, query, plan, position_filter, fctx)
-            for state in states
-        ]
 
-        comm = SimCommunicator(self.n_ranks, self.comm_cost)
-        gathered = comm.gather([r.positions for r in rank_outputs])
-        positions = (
-            np.concatenate(gathered) if gathered else np.empty(0, dtype=np.int64)
-        )
-        values: np.ndarray | None = None
-        if query.wants_values:
-            gathered_v = comm.gather(
-                [r.values if r.values is not None else np.empty(0) for r in rank_outputs]
-            )
-            values = np.concatenate(gathered_v)
-
-        order = np.argsort(positions, kind="stable")
-        positions = positions[order]
-        if values is not None:
-            values = values[order]
-
-        sessions = [r.session for r in rank_outputs]
+        sessions = [state.session for state in staged.ranks]
         cost_model = self.fs.cost_model
-        times = ComponentTimes(
+        # What a rank filters and gathers, counted before any filter:
+        # 8 B per candidate position plus 8 B per assembled candidate
+        # value — independent of PLoD level and of block-cache hits.
+        candidates = np.concatenate(([0], np.cumsum(staged.counts + value_counts)))
+        candidate_bytes = 8 * np.diff(candidates[staged.rank_bounds()])
+        staged.times = ComponentTimes(
             io=aggregate_parallel_time(cost_model, sessions),
             decompression=max(
-                (
-                    r.modeled_decompression(self._codec, cost_model.byte_scale)
-                    for r in rank_outputs
-                ),
-                default=0.0,
+                modeled_decompression(
+                    self._codec,
+                    cost_model.byte_scale,
+                    state.raw["data"],
+                    state.raw["index"],
+                )
+                for state in staged.ranks
             ),
             reconstruction=cost_model.cpu_seconds(
-                max((r.candidate_bytes for r in rank_outputs), default=0),
-                FILTER_GATHER_THROUGHPUT,
+                int(candidate_bytes.max()), FILTER_GATHER_THROUGHPUT
             ),
-            communication=comm.comm_seconds,
         )
-        stats = {
+        staged.stats = {
             "n_ranks": self.n_ranks,
             "backend": self.execution.backend,
             "bins_accessed": int(plan.bin_ids.size),
@@ -426,14 +602,18 @@ class QueryEngine:
             "stall_seconds": float(sum(s.stats.stall_seconds for s in sessions)),
             "crc_failures": fctx.crc_failures,
             "io_retries": fctx.io_retries,
-            "degraded_points": fctx.degraded_points,
+            "degraded_points": 0,
             "dropped_points": fctx.dropped_points,
             "quarantined_blocks": len(fctx.quarantined),
             "partial_chunks": sorted(fctx.partial_chunks),
             "degraded_chunk_levels": degraded_levels,
-            "n_results": int(positions.size),
+            "n_results": 0,
         }
-        return QueryResult(positions=positions, values=values, times=times, stats=stats)
+        if fatal is not None:
+            # Points of unrecoverable chunks leave the answer
+            # (allow_partial — otherwise classification raised).
+            staged.keep_rows(~fatal)
+        return staged
 
     # ------------------------------------------------------------------
     def _run_decodes(self, fetcher: _BlockFetcher) -> int:
@@ -445,114 +625,79 @@ class QueryEngine:
         avoiding pure dispatch overhead on single-core machines.
         """
         n_pending = fetcher.pending_count()
-        width = self.execution.workers or os.cpu_count() or 1
         backend = self.execution.backend
-        if backend == "threads" and min(width, n_pending) > 1:
-            with ThreadPoolExecutor(max_workers=min(width, n_pending)) as pool:
-                return fetcher.run(pool)
-        if backend == "processes" and width > 1 and n_pending > 1:
-            return fetcher.run(get_pool(width))
+        if backend != "serial" and n_pending > 1:
+            width = self.execution.workers or os.cpu_count() or 1
+            if backend == "threads" and width > 1:
+                with ThreadPoolExecutor(max_workers=min(width, n_pending)) as pool:
+                    return fetcher.run(pool)
+            if backend == "processes" and width > 1:
+                return fetcher.run(get_pool(width))
         return fetcher.run(None)
 
     # ------------------------------------------------------------------
-    def _plan_rank_index(
-        self,
-        rank: int,
-        rank_blocks: BlockList,
-        plan: QueryPlan,
-        fetcher: _BlockFetcher,
-        fctx: _FaultContext,
-        counters: _IOCounters,
-    ) -> _RankState:
-        """Set up one rank's row arrays and defer its index-block reads."""
-        session = self.fs.session()
-        bin_ids, cpos = rank_blocks.bin_ids, rank_blocks.cpos
-        # Bin-major rows: each bin is one contiguous run.
-        run_starts = np.flatnonzero(np.diff(bin_ids, prepend=-1))
-        bins = bin_ids[run_starts]
-        bin_aligned = plan.aligned[np.searchsorted(plan.bin_ids, bins)]
-        run_lengths = np.diff(run_starts, append=bin_ids.size)
-        index_block, index_lo, index_hi = self.context.index_extents(bin_ids, cpos)
-        state = _RankState(
-            rank=rank,
-            session=session,
-            raw={"data": 0, "index": 0},
-            sched=IOScheduler(
-                self.fs,
-                session,
-                fetcher,
-                fctx,
-                quarantine=self.quarantine,
-                execution=self.execution,
-                counters=counters,
-                readahead_spans=self.readahead_spans,
-            ),
-            bins=bins,
-            bin_aligned=bin_aligned,
-            bin_ids=bin_ids,
-            cpos=cpos,
-            chunk_ids=rank_blocks.chunk_ids,
-            counts=self.context.counts64[bin_ids, cpos],
-            aligned=np.repeat(bin_aligned, run_lengths),
-            index_block=index_block,
-            index_lo=index_lo,
-            index_hi=index_hi,
-        )
-        # Rows ascend by (bin, cpos), so their block ids never decrease.
-        distinct = index_block[np.flatnonzero(np.diff(index_block, prepend=-1))]
-        state.index_jobs = self._request_blocks(
-            state, fetcher, _INDEX, np.arange(bins.size), distinct
-        )
-        return state
+    def _blocks_of(self, kind: int) -> tuple[list[tuple], list[str], list[tuple]]:
+        """One subfile kind's block table, its per-bin paths, and every
+        block's fetcher key by global block id."""
+        table = self._block_tables.get(kind)
+        if table is None:
+            if kind == _INDEX:
+                reads, path_of = self.context.index_reads, self.files.index_path
+            else:
+                reads, path_of = self.context.data_reads, self.files.data_path
+            paths = [path_of(b) for b in range(self.meta.config.n_bins)]
+            keys = [(self.generation, paths[r[0]], r[4]) for r in reads]
+            table = self._block_tables[kind] = (reads, paths, keys)
+        return table
 
     def _request_blocks(
         self,
-        state: _RankState,
+        state: _Rank,
         fetcher: _BlockFetcher,
         kind: int,
-        bin_seqs: np.ndarray,
-        block_ids: np.ndarray,
+        bin_seq: dict[int, int],
+        block_ids: list[int],
     ) -> dict[int, _DecodeJob]:
         """Defer one read per distinct block of one subfile kind.
 
         ``block_ids`` are global block ids, ascending — i.e. in
         ``(bin, row)`` order, which with the rank is the plan order
-        that ``order_key`` replays.  ``bin_seqs`` indexes the bins of
-        ``state.bins`` whose subfile of this kind the rank touches; each
-        gets its opener even if none of its blocks is requested (a
-        non-caching fetcher opens the file regardless).
+        that ``order_key`` replays.  ``bin_seq`` maps the bins whose
+        subfile of this kind the rank touches to their ``bin_seq``.
         """
-        if kind == _INDEX:
-            reads, path_of, raw_kind = (
-                self.context.index_reads, self.files.index_path, "index",
-            )  # fmt: skip
-        else:
-            reads, path_of, raw_kind = (
-                self.context.data_reads, self.files.data_path, "data",
-            )  # fmt: skip
-        bins = state.bins.tolist()
-        openers = {}
-        for seq in bin_seqs.tolist():
-            path = path_of(bins[seq])
-            openers[bins[seq]] = (
-                seq,
-                path,
-                _HandleOpener(state.session, path, eager=not fetcher.caching),
-            )
-        jobs: dict[int, _DecodeJob] = {}
-        for block_id in block_ids.tolist():
+        reads, paths, keys = self._blocks_of(kind)
+        raw_kind = "index" if kind == _INDEX else "data"
+        openers: dict[int, _HandleOpener] = {}
+        if not fetcher.caching:
+            # Seed-faithful: without caching every planned block is
+            # read, and the rank opens each subfile it touches up front
+            # even if none of its blocks ends up requested.
+            for bin_id in bin_seq:
+                openers[bin_id] = _HandleOpener(state.session, paths[bin_id], eager=True)
+        # Blocks another requester already holds are claimed in bulk.
+        held = fetcher.claim_held(
+            [keys[b] for b in block_ids], [reads[b][6] for b in block_ids]
+        )
+        for i, job in enumerate(held):
+            if job is not None:
+                continue
+            block_id = block_ids[i]
             bin_id, row_idx, first, end, offset, length, raw_bytes, crc = reads[
                 block_id
             ]
-            seq, path, opener = openers[bin_id]
-            key = (fetcher.generation, path, offset)
-            order_key = (state.rank, seq, kind, row_idx)
+            key = keys[block_id]
+            order_key = (state.rank, bin_seq[bin_id], kind, row_idx)
             job, hit = fetcher.request_deferred(key, raw_bytes, order_key)
             if not hit:
+                opener = openers.get(bin_id)
+                if opener is None:
+                    opener = openers[bin_id] = _HandleOpener(
+                        state.session, paths[bin_id], eager=False
+                    )
                 decode, spec = self._block_decoder(kind, bin_id, first, end, raw_bytes)
                 state.sched.submit(
                     PendingRead(
-                        path=path,
+                        path=paths[bin_id],
                         offset=offset,
                         length=length,
                         crc=crc,
@@ -567,8 +712,8 @@ class QueryEngine:
                         spec=spec,
                     )
                 )
-            jobs[block_id] = job
-        return jobs
+            held[i] = job
+        return dict(zip(block_ids, held))
 
     def _block_decoder(
         self, kind: int, bin_id: int, first: int, end: int, raw_bytes: int
@@ -595,210 +740,174 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    def _plan_rank_values(
-        self,
-        state: _RankState,
-        query: Query,
-        position_filter: Bitmap | None,
-        fetcher: _BlockFetcher,
-        fctx: _FaultContext,
-        chunk_levels: np.ndarray | None = None,
-    ) -> None:
-        """Resolve index losses, then defer the rank's data-block reads.
-
-        With ``chunk_levels`` (mixed-level plans), byte group ``g`` is
-        requested only for the chunks whose level exceeds ``g`` — the
-        per-chunk minimal fetch of error-bounded retrieval.
-        """
-        if fctx.quarantined:
-            self._drop_lost_index_rows(state, fctx)
-        config = self.meta.config
-        if query.wants_values or position_filter is not None:
-            state.need = np.ones(state.cpos.size, dtype=bool)
-            value_bins = np.arange(state.bins.size)
-        else:
-            state.need = ~state.aligned
-            value_bins = np.flatnonzero(~state.bin_aligned)
-        state.value_counts = np.where(state.need, state.counts, 0)
-        # A bin whose planned chunks hold no element requests no block;
-        # one that does also requests the blocks under its empty cells.
-        active = state.need & (
-            np.bincount(state.bin_ids, state.value_counts)[state.bin_ids] > 0
-        )
-        if config.plod_enabled and chunk_levels is not None:
-            state.level = np.clip(chunk_levels[state.cpos], 1, config.n_groups)
-        else:
-            uniform = min(query.plod_level, config.n_groups) if config.plod_enabled else 1
-            state.level = np.full(state.cpos.size, uniform, dtype=np.int64)
-        state.n_groups = int(state.level[active].max()) if active.any() else 0
-        state.data_block, state.data_lo, hi = self.context.data_extents(
-            state.bin_ids, state.cpos, state.n_groups
-        )
-        # Rows without values take no room in the rank's planes.
-        state.data_hi = np.where(state.need, hi, state.data_lo)
-        state.wanted = active & (
-            np.arange(state.n_groups, dtype=np.int64)[:, None] < state.level
-        )
-        state.data_jobs = self._request_blocks(
-            state,
-            fetcher,
-            _DATA,
-            value_bins,
-            np.unique(state.data_block[state.wanted]),
-        )
-
-    def _drop_lost_index_rows(self, state: _RankState, fctx: _FaultContext) -> None:
+    def _surviving_index_rows(
+        self, staged: StagedQuery, index_block: np.ndarray, fctx: _FaultContext
+    ) -> np.ndarray | None:
         """A lost index block loses the membership of every chunk it
-        covered: those rows leave the answer entirely."""
-        lost_ids = [b for b, job in state.index_jobs.items() if _job_lost(job)]
-        lost = np.isin(state.index_block, lost_ids)
+        covered: those rows leave the answer entirely.  Returns the
+        rows to keep, or ``None`` when no row is lost."""
+        lost = staged.lost(_INDEX, index_block)
         if not lost.any():
-            return
+            return None
+        chunk_ids = self.curve.chunks_at(staged.cpos)
         if not self.execution.allow_partial:
             # Report the first bin (in rank order) that lost a block.
             row = int(np.argmax(lost))
-            bin_id = int(state.bin_ids[row])
+            bin_id, rank = int(staged.bin_ids[row]), staged.rank_of_row[row]
             raise DegradedResultError(
                 kind="index",
                 path=self.files.index_path(bin_id),
-                offset=self.context.index_reads[state.index_block[row]][4],
+                offset=self.context.index_reads[index_block[row]][4],
                 bin_id=bin_id,
                 chunk_ids=tuple(
-                    state.chunk_ids[lost & (state.bin_ids == bin_id)].tolist()
+                    chunk_ids[
+                        lost & (staged.bin_ids == bin_id) & (staged.rank_of_row == rank)
+                    ].tolist()
                 ),
             )
-        fctx.partial_chunks.update(state.chunk_ids[lost].tolist())
-        fctx.dropped_points += int(state.counts[lost].sum())
-        state.keep_rows(~lost)
+        fctx.partial_chunks.update(chunk_ids[lost].tolist())
+        fctx.dropped_points += int(staged.counts[lost].sum())
+        return ~lost
 
-    def _classify_rank_values(
+    def _classify_values(
         self,
-        state: _RankState,
+        staged: StagedQuery,
+        data_block: np.ndarray,
+        wanted: np.ndarray,
         fctx: _FaultContext,
         degraded_levels: dict[int, int],
-    ) -> None:
+    ) -> np.ndarray | None:
         """Map quarantined data blocks onto the degradation policy.
 
         A lost group-0 cell (the PLoD base plane, or the whole value
-        when PLoD is off) makes the row's points unrecoverable
-        (``fatal``); a lost refinement cell ``g >= 1`` only caps the
-        row's effective level at ``g`` (``effective``) — the dummy-fill
-        reconstruction applies from there down.
+        when PLoD is off) makes the row's points unrecoverable: those
+        rows are returned (``None`` if none).  A lost refinement cell
+        ``g >= 1`` only caps the row's effective level at ``g``
+        (``effective``) — the dummy-fill reconstruction applies from
+        there down.
         """
-        lost_ids = [b for b, job in state.data_jobs.items() if _job_lost(job)]
-        if not lost_ids:
-            return
-        lost = np.isin(state.data_block, lost_ids) & state.wanted
-        groups = np.arange(state.n_groups, dtype=np.int64)[:, None]
-        first_lost = np.where(lost & (groups >= 1), groups, state.n_groups).min(axis=0)
-        effective = np.minimum(state.level, first_lost)
-        dropped = effective < state.level
+        lost = staged.lost(_DATA, data_block) & wanted
+        if not lost.any():
+            return None
+        n_groups = wanted.shape[0]
+        groups = np.arange(n_groups, dtype=np.int64)[:, None]
+        first_lost = np.where(lost & (groups >= 1), groups, n_groups).min(axis=0)
+        effective = np.minimum(staged.level, first_lost)
+        dropped = effective < staged.level
         if dropped.any():
-            state.effective = effective
-            for c, lvl in zip(state.cpos[dropped].tolist(), effective[dropped].tolist()):
+            staged.effective = effective
+            # Rank order: a chunk two ranks degrade keeps its minimum.
+            for c, lvl in zip(staged.cpos[dropped].tolist(), effective[dropped].tolist()):
                 degraded_levels[c] = min(degraded_levels.get(c, lvl), lvl)
         fatal = lost[0]
         if fatal.any():
+            chunk_ids = self.curve.chunks_at(staged.cpos)
             if not self.execution.allow_partial:
                 # Report the first bin (in rank order) that lost points.
                 row = int(np.argmax(fatal))
-                bin_id = int(state.bin_ids[row])
+                bin_id, rank = int(staged.bin_ids[row]), staged.rank_of_row[row]
                 raise DegradedResultError(
                     kind="data-base" if self.meta.config.plod_enabled else "data",
                     path=self.files.data_path(bin_id),
-                    offset=self.context.data_reads[state.data_block[0, row]][4],
+                    offset=self.context.data_reads[data_block[0, row]][4],
                     bin_id=bin_id,
                     chunk_ids=tuple(
-                        state.chunk_ids[fatal & (state.bin_ids == bin_id)].tolist()
+                        chunk_ids[
+                            fatal
+                            & (staged.bin_ids == bin_id)
+                            & (staged.rank_of_row == rank)
+                        ].tolist()
                     ),
                 )
-            state.fatal = fatal
-            fctx.partial_chunks.update(state.chunk_ids[fatal].tolist())
-            fctx.dropped_points += int(state.counts[fatal].sum())
+            fctx.partial_chunks.update(chunk_ids[fatal].tolist())
+            fctx.dropped_points += int(staged.counts[fatal].sum())
+            return fatal
+        return None
 
     # ------------------------------------------------------------------
-    def _finish_rank(
-        self,
-        state: _RankState,
-        query: Query,
-        plan: QueryPlan,
-        position_filter: Bitmap | None,
-        fctx: _FaultContext,
-    ) -> RankOutput:
-        """Gather, filter and assemble one rank's results."""
-        counts = state.counts
-        positions = self._rank_positions(state)
-        values = self._rank_values(state)
-        # Counted before any filter: what the rank gathered.
-        candidate_bytes = positions.nbytes + values.nbytes
+    # Assemble
+    # ------------------------------------------------------------------
+    def assemble(self, staged: list[StagedQuery]) -> list[QueryResult]:
+        """Gather, filter and sort the answers of a list of staged
+        queries, sharing one cell gather among those that can.
 
-        mask: np.ndarray | None = None
-        if query.value_range is not None and not state.aligned.all():
-            # Aligned rows pass whole; the others hold values to test.
-            lo, hi = query.value_range
-            mask = np.repeat(state.aligned, counts)
-            mask[np.repeat(state.need, counts)] |= (values >= lo) & (values <= hi)
-        if plan.region is not None:
-            interior = plan.interior_of(state.cpos)
-            if not interior.all():
-                # Only elements of boundary chunks need the
-                # coordinate test; interior chunks pass whole.
-                in_region = np.ones(positions.size, dtype=bool)
-                boundary = ~np.repeat(interior, counts)
-                in_region[boundary] = self.grid.positions_in_region(
-                    positions[boundary], plan.region
-                )
-                mask = in_region if mask is None else (mask & in_region)
-        if position_filter is not None:
-            hit = position_filter.get(positions)
-            mask = hit if mask is None else (mask & hit)
-        if state.fatal is not None:
-            # Points of unrecoverable chunks leave the answer
-            # (allow_partial — otherwise classification raised).
-            keep = ~np.repeat(state.fatal, counts)
-            mask = keep if mask is None else (mask & keep)
-        if state.effective is not None:
-            # Count degraded points that actually reach the
-            # result (dummy-filled below the requested level).
-            deg = np.repeat(state.effective < state.level, counts)
-            if mask is not None:
-                deg = deg & mask
-            fctx.degraded_points += int(deg.sum())
-        if mask is not None:
-            positions = positions[mask]
-            if query.wants_values:
-                values = values[mask]
-        return RankOutput(
-            positions=positions,
-            values=values if query.wants_values else None,
-            session=state.session,
-            data_raw_bytes=state.raw["data"],
-            index_raw_bytes=state.raw["index"],
-            candidate_bytes=candidate_bytes,
+        Queries fuse when a gathered row means the same thing to each
+        of them: one PLoD level on every row and nothing quarantined.
+        The grouping is read off the staged queries; a query that
+        fuses with no other is a group of one through the same code.
+        """
+        groups: dict[object, list[int]] = {}
+        for i, query in enumerate(staged):
+            fusable = query.uniform_level is not None and not query.quarantined
+            groups.setdefault(query.uniform_level if fusable else (i,), []).append(i)
+        results: list[QueryResult | None] = [None] * len(staged)
+        for members in groups.values():
+            queries = [staged[i] for i in members]
+            cells = self._gather_cells(queries)
+            for i, query in zip(members, queries):
+                results[i] = self._filter_gather(query, cells)
+        return results
+
+    def _gather_cells(self, queries: list[StagedQuery]) -> _Cells:
+        """Slice the union of the queries' rows out of the decoded
+        blocks: every row's global positions, and the assembled values
+        of the rows some query fetches values for.  Rows that share a
+        block and follow each other in it are one slice."""
+        n_chunks = self.context.n_chunks
+        keys, inverse = np.unique(
+            np.concatenate([q.bin_ids * n_chunks + q.cpos for q in queries]),
+            return_inverse=True,
+        )
+        bin_ids, cpos = np.divmod(keys, n_chunks)
+        counts = self.context.counts64[bin_ids, cpos]
+        need = np.zeros(keys.size, dtype=bool)
+        need[inverse[np.concatenate([q.need for q in queries])]] = True
+        # One level per union row: fused queries agree on it.
+        level = np.empty(keys.size, dtype=np.int64)
+        level[inverse] = np.concatenate(
+            [q.level if q.effective is None else q.effective for q in queries]
+        )
+        index_jobs: dict[int, _DecodeJob] = {}
+        data_jobs: dict[int, _DecodeJob] = {}
+        for query in queries:
+            index_jobs.update(query.jobs(_INDEX))
+            data_jobs.update(query.jobs(_DATA))
+
+        local_ids = np.empty(int(counts.sum()), dtype=np.int64)
+        for block, lo, hi, dest in merge_extents(
+            *self.context.index_extents(bin_ids, cpos)
+        ):
+            local_ids[dest : dest + hi - lo] = index_jobs[block].result[lo:hi]
+        coords = self.grid.global_coords_batch(
+            self.curve.chunks_at(cpos), local_ids, counts
+        )
+        tested = any(
+            q.plan.region is not None and not q.plan.interior.all() for q in queries
+        )
+        value_counts = counts if need.all() else np.where(need, counts, 0)
+        return _Cells(
+            keys=keys,
+            counts=counts,
+            value_counts=value_counts,
+            positions=self.grid.coords_to_positions(coords),
+            coords=np.ascontiguousarray(coords.T) if tested else None,
+            values=self._gather_values(bin_ids, cpos, value_counts, level, data_jobs),
         )
 
-    def _rank_positions(self, state: _RankState) -> np.ndarray:
-        """Slice the rank's rows out of the decoded index blocks.
-
-        Returns the global positions of every row's elements, in row
-        order.  Rows that share a block and follow each other in it
-        are one slice.
-        """
-        counts = state.counts
-        local_ids = np.empty(int(counts.sum()), dtype=np.int64)
-        jobs = state.index_jobs
-        for block, lo, hi, dest in merge_extents(
-            state.index_block, state.index_lo, state.index_hi
-        ):
-            local_ids[dest : dest + hi - lo] = jobs[block].result[lo:hi]
-        return self.grid.global_positions_batch(state.chunk_ids, local_ids, counts)
-
-    def _rank_values(self, state: _RankState) -> np.ndarray:
-        """Slice the rank's cells out of the decoded data blocks into
-        group-major planes and assemble the values of its ``need`` rows.
+    def _gather_values(
+        self,
+        bin_ids: np.ndarray,
+        cpos: np.ndarray,
+        value_counts: np.ndarray,
+        level: np.ndarray,
+        jobs: dict[int, _DecodeJob],
+    ) -> np.ndarray:
+        """Slice the rows' cells out of the decoded data blocks into
+        group-major planes and assemble ``value_counts`` values per row.
 
         Cell gathering + PLoD byte-plane assembly belong to the
-        *decompression* component: they are part of recovering values
+        *decompression* component (charged at stage time from the raw
+        bytes each rank decoded): they are part of recovering values
         from the stored representation and scale with the bytes
         fetched, whereas the paper's "reconstruction" (filtering +
         final assembly of results) is independent of the PLoD level
@@ -809,12 +918,13 @@ class QueryEngine:
         or overwritten by the dummy-fill reconstruction — they never
         reach a result as-is.
         """
-        counts = state.value_counts
-        n_elem = int(counts.sum())
+        n_elem = int(value_counts.sum())
         if n_elem == 0:
             return np.empty(0, dtype=np.float64)
-        n_groups = state.n_groups
-        if self.meta.config.plod_enabled:
+        holds = value_counts > 0
+        n_groups = int(level[holds].max())
+        plod = self.meta.config.plod_enabled
+        if plod:
             # Planes back to back in one buffer: plane g starts at byte
             # n_elem * GROUP_OFFSETS[g], where merge_extents' dest puts it.
             plane_ends = [
@@ -823,19 +933,103 @@ class QueryEngine:
             out = np.zeros(plane_ends[-1], dtype=np.uint8)
         else:
             out = np.zeros(n_elem, dtype=np.float64)
-        jobs = state.data_jobs
-        for block, lo, hi, dest in merge_extents(
-            state.data_block, state.data_lo, state.data_hi, state.wanted
-        ):
+        data_block, data_lo, data_hi = self.context.data_extents(bin_ids, cpos, n_groups)
+        # Rows without values take no room in the planes.
+        data_hi = np.where(holds, data_hi, data_lo)
+        wanted = np.arange(n_groups, dtype=np.int64)[:, None] < level
+        for block, lo, hi, dest in merge_extents(data_block, data_lo, data_hi, wanted):
             decoded = jobs[block].result
             if decoded is not None:
                 out[dest : dest + hi - lo] = decoded[lo:hi]
-        if not self.meta.config.plod_enabled:
+        if not plod:
             return out
         planes = np.split(out, plane_ends[:-1])
-        levels = state.level if state.effective is None else state.effective
-        if int(levels.min()) < n_groups:
+        if int(level[holds].min()) < n_groups:
             return assemble_from_groups_degraded(
-                planes, n_elem, n_groups, np.repeat(levels, counts)
+                planes, n_elem, n_groups, np.repeat(level, value_counts)
             )
         return assemble_from_groups(planes, n_elem, n_groups)
+
+    def _filter_gather(self, staged: StagedQuery, cells: _Cells) -> QueryResult:
+        """One query's answer out of the gathered cells: the elements
+        of its rows that pass its own filters, split by rank for the
+        simulated gather, then sorted.
+
+        The filters run over the union's elements: an element is in the
+        answer iff its row is the query's, its value is in range (rows
+        of aligned bins pass whole), its coordinates are in the region
+        (tested on boundary chunks only: interior ones pass whole) and
+        the position filter holds it.
+        """
+        query, plan = staged.query, staged.plan
+        n_rows = cells.keys.size
+        rows = np.searchsorted(
+            cells.keys, staged.bin_ids * self.context.n_chunks + staged.cpos
+        )
+
+        def flag(which: np.ndarray) -> np.ndarray:
+            """The union rows that are the given ones of the query's."""
+            flags = np.zeros(n_rows, dtype=bool)
+            flags[which] = True
+            return flags
+
+        selected = np.repeat(flag(rows), cells.counts)
+        if query.value_range is not None and not staged.aligned.all():
+            # Aligned rows pass whole; the others hold values to test.
+            lo, hi = query.value_range
+            out_of_range = np.repeat(flag(rows[~staged.aligned]), cells.value_counts)
+            out_of_range &= ~((cells.values >= lo) & (cells.values <= hi))
+            selected[cells.value_elem] &= ~out_of_range
+        if plan.region is not None:
+            interior = plan.interior_of(staged.cpos)
+            if not interior.all():
+                # Only elements of boundary chunks need the
+                # coordinate test; interior chunks pass whole.
+                edge = np.flatnonzero(np.repeat(flag(rows[~interior]), cells.counts))
+                outside = np.zeros(edge.size, dtype=bool)
+                for axis, (lo, hi) in zip(cells.coords, plan.region):
+                    at = axis[edge]
+                    outside |= (at < lo) | (at >= hi)
+                selected[edge[outside]] = False
+        positions = cells.positions[selected]
+        if staged.position_filter is not None:
+            hit = staged.position_filter.get(positions)
+            selected[np.flatnonzero(selected)[~hit]] = False
+            positions = positions[hit]
+        # Survivors per union row, then per rank: what each rank
+        # contributes to the gather.
+        upto = np.zeros(selected.size + 1, dtype=np.int64)
+        np.cumsum(selected, out=upto[1:])
+        survivors = upto[cells.elem_end] - upto[cells.elem_end - cells.counts]
+        rank_of = np.zeros(n_rows, dtype=np.int64)
+        rank_of[rows] = staged.rank_of_row
+        shares = np.bincount(rank_of, weights=survivors, minlength=self.n_ranks)
+        shares = np.cumsum(shares.astype(np.int64))[:-1]
+        stats = staged.stats
+        if staged.effective is not None:
+            # Count degraded points that actually reach the
+            # result (dummy-filled below the requested level).
+            degraded = staged.effective < staged.level
+            stats["degraded_points"] = int(survivors[rows[degraded]].sum())
+        comm = SimCommunicator(self.n_ranks, self.comm_cost)
+        comm.gather(np.split(positions, shares))
+        values = None
+        if query.wants_values:
+            values = cells.values[selected[cells.value_elem]]
+            comm.gather(np.split(values, shares))
+
+        # An element sits in one bin and one chunk: positions are unique.
+        order = np.argsort(positions)
+        stats["n_results"] = int(positions.size)
+        times = staged.times
+        return QueryResult(
+            positions=positions[order],
+            values=values[order] if values is not None else None,
+            times=ComponentTimes(
+                io=times.io,
+                decompression=times.decompression,
+                reconstruction=times.reconstruction,
+                communication=comm.comm_seconds,
+            ),
+            stats=stats,
+        )

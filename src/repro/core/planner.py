@@ -412,14 +412,18 @@ class PlanContext:
         return total + int(counts.sum()) * n_groups
 
     # ------------------------------------------------------------------
+    def index_blocks(self, bin_ids: np.ndarray, cpos: np.ndarray) -> np.ndarray:
+        """The global index block id holding each (bin, chunk) row."""
+        keys = bin_ids * self.n_chunks + cpos
+        return np.searchsorted(self.index_keys, keys, side="right") - 1
+
     def index_extents(
         self, bin_ids: np.ndarray, cpos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where each (bin, chunk) row's positions sit: the global index
         block id and the ``[lo, hi)`` element extent inside its decoded
         position array, one entry per row."""
-        keys = bin_ids * self.n_chunks + cpos
-        block = np.searchsorted(self.index_keys, keys, side="right") - 1
+        block = self.index_blocks(bin_ids, cpos)
         base = self.index_base[block]
         return (
             block,
@@ -427,17 +431,12 @@ class PlanContext:
             self.pos_offsets[bin_ids, cpos + 1] - base,
         )
 
-    def data_extents(
+    def data_blocks(
         self, bin_ids: np.ndarray, cpos: np.ndarray, n_groups: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where each row's value bytes sit, per leading byte group.
-
-        Returns three ``(n_groups, n_rows)`` matrices: the global data
-        block id of cell (group ``g``, row) and its ``[lo, hi)`` extent
-        inside the decoded block, in items of that block — bytes on
-        PLoD layouts, float64 values on whole-value layouts (which have
-        the single group 0).
-        """
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The global data block id of cell (group ``g``, row) and the
+        cell's number in its bin's layout, as ``(n_groups, n_rows)``
+        matrices (whole-value layouts have the single group 0)."""
         config = self.config
         groups = np.arange(n_groups, dtype=np.int64)[:, None]
         if not config.plod_enabled:
@@ -450,10 +449,23 @@ class PlanContext:
         block = (
             np.searchsorted(self.data_keys, key.reshape(-1), side="right") - 1
         ).reshape(key.shape)
+        return block, cell
+
+    def data_extents(
+        self, bin_ids: np.ndarray, cpos: np.ndarray, n_groups: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each row's value bytes sit, per leading byte group.
+
+        Returns three ``(n_groups, n_rows)`` matrices: the global data
+        block id of cell (group ``g``, row) and its ``[lo, hi)`` extent
+        inside the decoded block, in items of that block — bytes on
+        PLoD layouts, float64 values on whole-value layouts.
+        """
+        block, cell = self.data_blocks(bin_ids, cpos, n_groups)
         base = self.data_base[block]
         lo = self.cell_offsets[bin_ids, cell] - base
         hi = self.cell_offsets[bin_ids, cell + 1] - base
-        if not config.plod_enabled:
+        if not self.config.plod_enabled:
             lo, hi = lo // 8, hi // 8
         return block, lo, hi
 

@@ -45,8 +45,8 @@ class Counter(NamedTuple):
     #:   addition / minimum; emitted only when some input carried it.
     fold: str
     #: The one layer that stamps real values into it: ``"engine"``
-    #: (``QueryEngine.execute``), ``"plan"`` (``MLOCStore.plan``),
-    #: ``"tol"`` (``MLOCStore.query`` / ``stamp_tol_stats``),
+    #: (``QueryEngine.stage`` / ``assemble``), ``"plan"`` (``MLOCStore.plan``),
+    #: ``"tol"`` (``MLOCStore.stage`` / ``tol_stats``),
     #: ``"broker"`` (``repro.server.broker``, per tenant) or
     #: ``"ingest"`` (``repro.server.ingest``).  A layer emits only the
     #: rows it owns; rows of a layer a request never passed through

@@ -16,7 +16,8 @@ block tables, metadata — FORMAT.md) is byte-identical to the
 unsharded store; a shard is an ordinary
 :class:`~repro.core.engine.stages.QueryEngine` (own quarantine
 registry, shared context and cache) that only ever sees plans narrowed
-to its bin range.  Consequently any store can be opened
+to its bin range; a batch is staged shard by shard and each shard
+engine assembles its parts of the whole batch at once.  Consequently any store can be opened
 with any shard count, and reads scatter/gather:
 
 * **scatter** — the query is planned once against the shared
@@ -49,7 +50,7 @@ from repro.core.engine.stages import QueryEngine
 from repro.core.planner import QueryPlan
 from repro.core.query import Query
 from repro.core.result import BatchResult, ComponentTimes, QueryResult, aggregate_stats
-from repro.core.store import MLOCStore, quarantine_report
+from repro.core.store import MLOCStore, StagedRequest, quarantine_report
 from repro.index.bitmap import Bitmap
 from repro.parallel.scheduler import weighted_bin_partition
 from repro.pfs.simfs import SimulatedPFS
@@ -75,9 +76,9 @@ class ShardedMLOCStore(MLOCStore):
     handle's metadata, planning context (the per-bin tables are built
     exactly once), block cache and ``execution``.  Planning, level
     resolution, tol stamping, batches and sessions are the base
-    class's; this class supplies the scatter/gather
-    :meth:`execute_planned`, the per-query batch fetcher, and the
-    shard-map diagnostics.  ``n_ranks`` is each shard's rank count, so
+    class's; this class supplies the scatter (:meth:`stage_planned`)
+    and the gather (:meth:`gather_parts`), the per-query batch
+    fetcher, and the shard-map diagnostics.  ``n_ranks`` is each shard's rank count, so
     total simulated parallelism is ``n_shards * n_ranks``.
     """
 
@@ -155,7 +156,7 @@ class ShardedMLOCStore(MLOCStore):
         sub.narrow_bins(mask)
         return sub
 
-    def execute_planned(
+    def stage_planned(
         self,
         query: Query,
         plan: QueryPlan,
@@ -163,8 +164,8 @@ class ShardedMLOCStore(MLOCStore):
         position_filter: Bitmap | None = None,
         fetcher=None,
         chunk_levels: np.ndarray | None = None,
-    ) -> QueryResult:
-        """Execute the narrowed sub-plans and merge shard results.
+    ) -> StagedRequest:
+        """Stage the narrowed sub-plan of every shard the plan touches.
 
         A shared ``fetcher`` is passed to every shard's engine:
         cache keys are ``(generation, path, offset)`` and shard bin
@@ -172,37 +173,34 @@ class ShardedMLOCStore(MLOCStore):
         scatter (and, when the broker shares it further, across
         queries) without shards ever colliding on a key.
         """
-        shard_results: list[QueryResult] = []
-        shards_hit = 0
+        parts = []
         for s, engine in enumerate(self.shards):
             sub = self._narrow(plan, s)
-            if sub is None:
-                continue
-            shards_hit += 1
-            shard_results.append(
-                engine.execute(
-                    query,
-                    sub,
-                    position_filter=position_filter,
-                    fetcher=fetcher,
-                    chunk_levels=chunk_levels,
+            if sub is not None:
+                parts.append(
+                    (engine, engine.stage(query, sub, position_filter, fetcher, chunk_levels))
                 )
-            )
+        return StagedRequest(self, query, plan, parts, {})
 
-        if shard_results:
-            positions = np.concatenate([r.positions for r in shard_results])
+    def gather_parts(
+        self, staged: StagedRequest, answers: list[QueryResult]
+    ) -> QueryResult:
+        """Merge the shards' answers into the request's result."""
+        query, plan = staged.query, staged.plan
+        if answers:
+            positions = np.concatenate([r.positions for r in answers])
             order = np.argsort(positions, kind="stable")
             positions = positions[order]
             values = None
             if query.wants_values:
-                values = np.concatenate([r.values for r in shard_results])[order]
+                values = np.concatenate([r.values for r in answers])[order]
         else:
             positions = np.empty(0, dtype=np.int64)
             values = np.empty(0, dtype=np.float64) if query.wants_values else None
 
-        stats = aggregate_stats(r.stats for r in shard_results)
+        stats = aggregate_stats(r.stats for r in answers)
         stats["n_shards"] = self.n_shards
-        stats["shards_hit"] = shards_hit
+        stats["shards_hit"] = len(answers)
         stats["n_ranks"] = sum(engine.n_ranks for engine in self.shards)
         stats["backend"] = self.execution.backend
         stats["n_results"] = int(positions.size)
@@ -218,7 +216,7 @@ class ShardedMLOCStore(MLOCStore):
         return QueryResult(
             positions=positions,
             values=values,
-            times=_max_times([r.times for r in shard_results]),
+            times=_max_times([r.times for r in answers]),
             stats=stats,
         )
 

@@ -10,9 +10,14 @@ and parallel executor.  Storage accounting for Table I is exposed via
 planning context, caches, the
 :class:`~repro.core.config.ExecutionConfig`, the engine(s) that execute
 its plans — and the one query pipeline (plan → narrow → resolve levels
-→ execute → stamp).  It runs plans on a single engine; its subclass
-:class:`~repro.core.sharded.ShardedMLOCStore` overrides the execute
-step to scatter them over one engine per bin-range shard.
+→ stage → assemble).  :meth:`MLOCStore.stage` does everything a query
+is charged for and returns a :class:`StagedRequest`; :func:`assemble`
+turns a *list* of them — from any handles — into results, gathering
+cells once per engine for the queries that can share (DESIGN.md §7).  A
+single query is a list of one.  The store stages plans on a single
+engine; its subclass :class:`~repro.core.sharded.ShardedMLOCStore`
+overrides the scatter (:meth:`MLOCStore.stage_planned`) and the gather
+(:meth:`MLOCStore.gather_parts`) to use one engine per bin-range shard.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.binning.binner import BinScheme
 from repro.core.chunking import ChunkGrid
 from repro.core.config import ExecutionConfig, fold_execution
 from repro.core.engine.session import RefinementSession
-from repro.core.engine.stages import QueryEngine
+from repro.core.engine.stages import QueryEngine, StagedQuery
 from repro.core.errors import DegradedResultError
 from repro.core.meta import StoreMeta
 from repro.core.planner import PlanContext, QueryPlan
@@ -48,7 +53,13 @@ from repro.pfs.blockcache import BlockCache
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
 
-__all__ = ["MLOCStore", "StorageReport", "quarantine_report"]
+__all__ = [
+    "MLOCStore",
+    "StagedRequest",
+    "StorageReport",
+    "assemble",
+    "quarantine_report",
+]
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,41 @@ def quarantine_report(quarantine: dict[tuple[str, int], str]) -> dict[str, str]:
         f"{path}@{offset}": reason
         for (path, offset), reason in sorted(quarantine.items())
     }
+
+
+@dataclass
+class StagedRequest:
+    """One request after :meth:`MLOCStore.stage`: charged, not gathered."""
+
+    store: "MLOCStore"
+    query: Query
+    plan: QueryPlan
+    #: The engines running part of the plan, each with its staged part.
+    parts: list[tuple[QueryEngine, StagedQuery]]
+    #: The plan and tol rows, stamped over the gathered engine rows.
+    stats: dict
+
+
+def assemble(staged: list[StagedRequest]) -> list[QueryResult]:
+    """Assemble a batch of staged requests, of any handles, at once.
+
+    Every engine assembles its parts of the whole batch in one call —
+    that is where requests share a cell gather — then each request's
+    handle gathers its parts into the request's result.
+    """
+    parts = [pair for request in staged for pair in request.parts]
+    answers: dict[int, QueryResult] = {}
+    for engine in dict.fromkeys(engine for engine, _ in parts):
+        mine = [part for owner, part in parts if owner is engine]
+        answers.update(zip(map(id, mine), engine.assemble(mine)))
+    results = []
+    for request in staged:
+        result = request.store.gather_parts(
+            request, [answers[id(part)] for _, part in request.parts]
+        )
+        result.stats.update(request.stats)
+        results.append(result)
+    return results
 
 
 class MLOCStore:
@@ -369,7 +415,7 @@ class MLOCStore:
             )
         return levels
 
-    def execute_planned(
+    def stage_planned(
         self,
         query: Query,
         plan: QueryPlan,
@@ -377,44 +423,52 @@ class MLOCStore:
         position_filter: Bitmap | None = None,
         fetcher=None,
         chunk_levels: np.ndarray | None = None,
-    ) -> QueryResult:
-        """Execute an already-planned query on this handle's engine(s).
+    ) -> StagedRequest:
+        """Stage an already-planned query on this handle's engine(s).
 
-        The one step of the pipeline the sharded store overrides; the
-        refinement session drives its steps through this entry too.
+        The scatter half of the pipeline the sharded store overrides
+        (:meth:`gather_parts` is the other).
         """
-        return self.executor.execute(
-            query,
-            plan,
-            position_filter=position_filter,
-            fetcher=fetcher,
-            chunk_levels=chunk_levels,
-        )
+        part = self.executor.stage(query, plan, position_filter, fetcher, chunk_levels)
+        return StagedRequest(self, query, plan, [(self.executor, part)], {})
 
-    def stamp_tol_stats(
+    def gather_parts(
+        self, staged: StagedRequest, answers: list[QueryResult]
+    ) -> QueryResult:
+        """The request's result from its assembled parts (here: the one)."""
+        return answers[0]
+
+    def execute_planned(self, query: Query, plan: QueryPlan, **how) -> QueryResult:
+        """Execute an already-planned query — a batch of one; ``how`` is
+        :meth:`stage_planned`'s keywords.  Sessions step through this."""
+        return assemble([self.stage_planned(query, plan, **how)])[0]
+
+    def tol_stats(
         self,
         query: Query,
         plan: QueryPlan,
         levels: np.ndarray,
-        result: QueryResult,
+        degraded: dict[int, int],
         *,
         enforce: bool = True,
-    ) -> None:
-        """Report (and enforce) the accuracy contract of a tol query.
+    ) -> dict:
+        """The tol rows of a request's stats: its accuracy contract,
+        reported and (with ``enforce``) enforced.
 
         ``achieved_bound`` is computed from the *effective* levels — the
-        requested per-chunk levels reduced by any sticky-fault degradation
-        the engine reported in ``degraded_chunk_levels`` — so a
-        dummy-filled plane can never silently count as meeting the bound.
-        When the provable bound exceeds ``tol`` and ``enforce`` is set,
-        strict mode raises :class:`DegradedResultError` (kind ``"tol"``);
-        with ``allow_partial`` (or on non-final progressive steps, which
+        requested per-chunk levels reduced by the sticky-fault
+        degradation the engine reported (``degraded``, its
+        ``degraded_chunk_levels``) — so a dummy-filled plane can never
+        silently count as meeting the bound.  All of it is known once
+        the request is staged.  When the provable bound exceeds ``tol``
+        and ``enforce`` is set, strict mode raises
+        :class:`DegradedResultError` (kind ``"tol"``); with
+        ``allow_partial`` (or on non-final progressive steps, which
         pass ``enforce=False``) the degradation is disclosed via
         ``tol_met=False`` instead.
         """
         tol, metric = self._tol_params(query)
         effective = levels.copy()
-        degraded = result.stats.get("degraded_chunk_levels") or {}
         for c, lvl in degraded.items():
             effective[c] = min(int(effective[c]), int(lvl))
         planned_eff = effective[plan.cpos]
@@ -426,12 +480,6 @@ class MLOCStore:
         uniq, cnt = np.unique(levels[plan.cpos], return_counts=True)
         full_bytes = self.context.estimated_raw_bytes(query, plan)
         tol_bytes = self.context.estimated_raw_bytes(query, plan, levels)
-        result.stats["tol_target"] = float(tol)
-        result.stats["tol_metric"] = metric
-        result.stats["achieved_bound"] = achieved
-        result.stats["levels_histogram"] = {int(u): int(c) for u, c in zip(uniq, cnt)}
-        result.stats["tol_bytes_saved"] = int(full_bytes - tol_bytes)
-        result.stats["tol_met"] = bool(achieved <= tol)
         if enforce and achieved > tol and not self.execution.allow_partial:
             quarantined = sorted(self.quarantined_blocks)
             path, offset = quarantined[0] if quarantined else ("", 0)
@@ -443,8 +491,16 @@ class MLOCStore:
                 bin_id=-1,
                 chunk_ids=tuple(int(c) for c in plan.chunk_ids[hit]),
             )
+        return {
+            "tol_target": float(tol),
+            "tol_metric": metric,
+            "achieved_bound": achieved,
+            "levels_histogram": {int(u): int(c) for u, c in zip(uniq, cnt)},
+            "tol_bytes_saved": int(full_bytes - tol_bytes),
+            "tol_met": bool(achieved <= tol),
+        }
 
-    def query(
+    def stage(
         self,
         query: Query,
         position_filter: Bitmap | None = None,
@@ -452,8 +508,13 @@ class MLOCStore:
         fetcher=None,
         planned: tuple[QueryPlan, dict[str, int]] | None = None,
         chunk_subset: np.ndarray | None = None,
-    ) -> QueryResult:
-        """Plan and execute one access request.
+    ) -> StagedRequest:
+        """Plan, read, classify and decode one access request.
+
+        Everything the request is charged for — simulated I/O, modeled
+        decode, fetcher and cache accounting, the tol contract — is
+        final when this returns; :func:`assemble` turns a batch of
+        staged requests into results.
 
         ``fetcher`` optionally shares a block fetcher with other
         queries (batch/broker dedup: a block already decoded for an
@@ -466,18 +527,37 @@ class MLOCStore:
             self.plan(query, chunk_subset) if planned is None else planned
         )
         levels = self.resolve_levels(query)
-        result = self.execute_planned(
+        staged = self.stage_planned(
             query,
             plan,
             position_filter=position_filter,
             fetcher=fetcher,
             chunk_levels=levels,
         )
-        result.stats.update(plan_stats)
-        result.stats["tol_bytes_saved"] = 0  # overwritten on a tol query
+        staged.stats.update(plan_stats)
+        staged.stats["tol_bytes_saved"] = 0  # overwritten on a tol query
         if levels is not None:
-            self.stamp_tol_stats(query, plan, levels, result)
-        return result
+            degraded = aggregate_stats(part.stats for _, part in staged.parts)
+            staged.stats.update(
+                self.tol_stats(query, plan, levels, degraded["degraded_chunk_levels"])
+            )
+        return staged
+
+    def query(
+        self,
+        query: Query,
+        position_filter: Bitmap | None = None,
+        *,
+        fetcher=None,
+        planned: tuple[QueryPlan, dict[str, int]] | None = None,
+        chunk_subset: np.ndarray | None = None,
+    ) -> QueryResult:
+        """Plan and execute one access request: :meth:`stage`, then
+        :func:`assemble` as a batch of one."""
+        staged = self.stage(
+            query, position_filter, fetcher=fetcher, planned=planned, chunk_subset=chunk_subset
+        )
+        return assemble([staged])[0]
 
     def _batch_fetcher(self):
         """The fetcher the queries of one :meth:`query_many` share."""
@@ -486,24 +566,25 @@ class MLOCStore:
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Plan and execute a batch of queries as one pipeline.
 
-        All queries are planned up front, then executed through one
-        shared block fetcher: a compression block covered by several
-        queries of the batch is read and decoded exactly once (the
-        first query in submission order pays its simulated I/O and
-        modeled decode seconds; later queries record cache hits), even
-        when the store has no persistent :class:`BlockCache`.  With a
-        cache, the batch additionally warms — and benefits from — the
-        cross-batch LRU.
+        All queries are planned up front and staged in submission
+        order through one shared block fetcher: a compression block
+        covered by several queries of the batch is read and decoded
+        exactly once (the first query in submission order pays its
+        simulated I/O and modeled decode seconds; later queries record
+        cache hits), even when the store has no persistent
+        :class:`BlockCache`.  With a cache, the batch additionally
+        warms — and benefits from — the cross-batch LRU.  The batch is
+        then assembled once: queries that can share gather their cells
+        in one pass over the union of their plans.
 
         Returns per-query results (each with its own component times
         and counters) plus the batch aggregate.
         """
         planned = [self.plan(q) for q in queries]
         fetcher = self._batch_fetcher()
-        results = [
-            self.query(q, fetcher=fetcher, planned=p)
-            for q, p in zip(queries, planned)
-        ]
+        results = assemble(
+            [self.stage(q, fetcher=fetcher, planned=p) for q, p in zip(queries, planned)]
+        )
         times = ComponentTimes()
         for r in results:
             times = times + r.times

@@ -22,16 +22,21 @@ for the whole broker, whichever store a request names:
   function, so one tenant's huge scans cannot starve another's point
   lookups: each round every waiting tenant earns ``quantum_bytes`` of
   deficit and dequeues requests while its head fits.
-* **Shared fetch-merge** (:class:`.fetchmerge.FetchMergeLoop`): all
-  queries of a round — and, while any waiter remains queued, across
-  rounds — share one block fetcher per store, so overlapping block
-  demand from different tenants is read and decoded once and fanned
-  out.
+* **A round is a batch** (:class:`.fetchmerge.FetchMergeLoop`): the
+  round's requests are *staged* one by one, in service order, through
+  one shared block fetcher per store — so overlapping block demand
+  from different tenants is read and decoded once, and each request is
+  charged exactly what it would be served alone in that order — and
+  then *assembled* in one call (:func:`repro.core.store.assemble`):
+  requests whose rows can share gather their cells once over the union
+  of their plans.  A round's results therefore complete together.
+  While any waiter remains queued the fetchers, with their decodes,
+  are kept across rounds.
 
-Results are **bit-identical** to direct ``store.query`` calls: both
-the plan (deterministic) and the shared fetcher (the ``query_many``
-precedent) only change what work is *re-done*, never what is
-computed.  ``tests/test_broker.py`` pins this per tenant.
+Results are **bit-identical** to direct ``store.query`` calls: the
+plan (deterministic), the shared fetcher and the shared assemble (the
+``query_many`` precedent) only change what work is *re-done*, never
+what is computed.  ``tests/test_broker.py`` pins this per tenant.
 
 Stats flow through the canonical counter table
 (:data:`~repro.core.result.COUNTERS`): the broker owns the request
@@ -44,7 +49,7 @@ fold the tenant dicts through the same function.
 Synchronous core, async façade: :class:`BrokerCore` is deterministic
 and drives both the traffic-replay benchmark (simulated clock) and
 :class:`QueryBroker`, the asyncio front end whose serve task yields
-between queries so a tenant can cancel mid-round.
+between the requests it stages so a tenant can cancel mid-round.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.core.query import Query
 from repro.core.result import QueryResult, aggregate_stats, counter_names
+from repro.core.store import StagedRequest, assemble
 from repro.server.fetchmerge import FetchMergeLoop
 
 __all__ = [
@@ -127,7 +133,7 @@ class Request:
     plan: object
     plan_stats: dict
     est_bytes: int
-    status: str = "queued"  # queued | done | cancelled | failed
+    status: str = "queued"  # queued | staged | done | cancelled | failed
     result: QueryResult | None = None
     error: BaseException | None = None
     #: Simulated completion time, stamped by the replay driver.
@@ -180,6 +186,9 @@ class BrokerCore:
         self._rr_next = 0
         self._pending_bytes = 0
         self._next_ticket = 0
+        #: Staged since the last :meth:`complete_round`: charged,
+        #: waiting for the round's assemble.
+        self._staged: list[tuple[Request, StagedRequest]] = []
 
     # ------------------------------------------------------------------
     def register(self, name: str, quota: TenantQuota | None = None) -> None:
@@ -311,32 +320,50 @@ class BrokerCore:
         return selected
 
     # ------------------------------------------------------------------
-    def execute(self, req: Request) -> QueryResult:
-        """Serve one selected request through the shared fetcher."""
+    def execute(self, req: Request) -> None:
+        """Stage one selected request through the shared fetcher.
+
+        The per-request step of a round: everything the request is
+        charged for happens here, in service order, and the tenant's
+        cache quota is enforced right after — so the next request of
+        the round sees the cache this one left.  Its result arrives
+        with :meth:`complete_round`.
+        """
         if req.status != "queued":
             raise RuntimeError(
                 f"request {req.ticket} is {req.status!r}, not executable"
             )
         t = self._tenant(req.tenant)
+        self._pending_bytes -= req.est_bytes
         try:
-            result, inserted = self.loop.execute(
+            staged, inserted = self.loop.execute(
                 req.query, (req.plan, req.plan_stats), store=req.store
             )
         except Exception as exc:
             req.status = "failed"
             req.error = exc
-            self._pending_bytes -= req.est_bytes
             raise
-        req.status = "done"
-        req.result = result
-        self._pending_bytes -= req.est_bytes
-        t.lifecycle["completed"] += 1
+        req.status = "staged"
         t.charged_bytes += req.est_bytes
         for key in inserted:
             t.cache_keys[key] = None
         self._enforce_cache_quota(t, req.store.cache)
-        t.agg = aggregate_stats([t.agg, result.stats])
-        return result
+        self._staged.append((req, staged))
+
+    def complete_round(self) -> list[Request]:
+        """Assemble every staged request at once and complete them.
+
+        Returns the completed requests in the order they were staged.
+        """
+        staged, self._staged = self._staged, []
+        results = assemble([request for _, request in staged])
+        for (req, _), result in zip(staged, results):
+            req.status = "done"
+            req.result = result
+            t = self._tenant(req.tenant)
+            t.lifecycle["completed"] += 1
+            t.agg = aggregate_stats([t.agg, result.stats])
+        return [req for req, _ in staged]
 
     def skip(self, req: Request) -> None:
         """Drop a selected-but-cancelled request without serving it."""
@@ -377,7 +404,8 @@ class BrokerCore:
 
     # ------------------------------------------------------------------
     def finish_round(self) -> int:
-        """Close the round; release retained decodes iff no waiter is left.
+        """Close the round: complete whatever is still staged, then
+        release retained decodes iff no waiter is left.
 
         This is the enforcement point of the DESIGN.md §8 invariant:
         decoded jobs stay retained in the shared fetcher for as long
@@ -386,14 +414,20 @@ class BrokerCore:
         serves.  Only when the backlog is empty are the retained jobs
         dropped (the persistent LRU keeps the hot subset).
         """
+        self.complete_round()
         return self.loop.end_round(release=self.pending() == 0)
 
     def run_round(self) -> list[Request]:
-        """Convenience: select, serve, and close one round."""
+        """Select a round, stage its requests in order, assemble them
+        once, and close it.  A request whose stage raises fails alone
+        (``status == "failed"``, the exception on ``error``)."""
         batch = self.select_round()
         for req in batch:
             if req.status == "queued":
-                self.execute(req)
+                try:
+                    self.execute(req)
+                except Exception:
+                    continue  # recorded on the request by execute
         self.finish_round()
         return batch
 
@@ -443,10 +477,11 @@ class QueryBroker:
     """Asyncio façade over :class:`BrokerCore`.
 
     One serve task owns the core; tenants submit concurrently and
-    await futures.  The serve loop yields to the event loop between
-    queries of a round, so a tenant cancelling its future mid-round
-    takes effect before its request is served (the core then skips
-    it).  Use as an async context manager::
+    await futures.  The serve loop yields to the event loop before
+    staging each request of a round, so a tenant cancelling its future
+    mid-round takes effect before its request is served (the core then
+    skips it); the round's futures resolve together once it is
+    assembled.  Use as an async context manager::
 
         async with QueryBroker(store) as broker:
             result = await broker.query("tenant-a", q)
@@ -544,11 +579,16 @@ class QueryBroker:
                 if req.status != "queued":  # cancelled via the core
                     continue
                 try:
-                    result = core.execute(req)
+                    core.execute(req)
                 except Exception as exc:
                     if future is not None and not future.done():
                         future.set_exception(exc)
-                    continue
+            for req in core.complete_round():
+                future = self._futures.pop(req.ticket, None)
                 if future is not None and not future.done():
-                    future.set_result(result)
+                    future.set_result(req.result)
+            # The tenants just answered run before the round closes: a
+            # closed-loop client's next request is a waiter the
+            # retained decodes must outlive.
+            await asyncio.sleep(0)
             core.finish_round()

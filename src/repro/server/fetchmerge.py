@@ -8,32 +8,34 @@ the simulated I/O and modeled decode seconds, later requesters record
 dedup hits.  Sharing a fetcher can never change results, only skip
 work (the batch/session bit-identity tests pin this).
 
-This module generalizes that from *one batch* to *a service loop*:
-the :class:`FetchMergeLoop` owns one shared fetcher per store it
-serves, alive across scheduling rounds, so overlapping block demand
-from **different tenants** coalesces exactly like overlapping queries
-in a batch.  (Fetcher keys lead with the store's generation, so the
-members of a dataset — each sealed under its own generation — get a
-fetcher each; a broker over one sealed store has exactly one.)  The
-loop's lifecycle rule implements the serving invariant of DESIGN.md §8:
+A scheduling round *is* such a batch: the :class:`FetchMergeLoop`
+stages each of its requests, in order, through the one shared fetcher
+of the request's store, and the broker assembles the round's staged
+requests in one call.  (Fetcher keys lead with the store's generation,
+so the members of a dataset — each sealed under its own generation —
+get a fetcher each; a broker over one sealed store has exactly one.)
+The serving invariant of DESIGN.md §8,
 
     **the broker never decodes a block twice while any waiter
-    exists** — decoded jobs are retained in the shared fetchers until
-    the broker tells the loop the waiter set is empty, at which point
-    :meth:`end_round` releases them (the persistent
-    :class:`~repro.pfs.blockcache.BlockCache`, when configured, keeps
-    serving the hot subset after release).
+    exists**,
 
-Per-execute cache-insertion attribution (``inserted`` below) is what
+holds inside a round by construction — one batch, one fetcher — and
+across rounds because the loop keeps its fetchers, with the decodes
+they retain, for as long as the broker reports a backlog at
+:meth:`end_round`.  Once the queue has drained they are dropped: the
+persistent :class:`~repro.pfs.blockcache.BlockCache`, when configured,
+is what spans rounds from then on.
+
+Per-request cache-insertion attribution (``inserted`` below) is what
 lets the broker charge tenant cache quotas: every key the fetcher
-inserted into the persistent LRU during a query is handed back to the
-caller, who knows which tenant triggered it.
+inserted into the persistent LRU while a request was staged is handed
+back to the caller, who knows which tenant triggered it.
 """
 
 from __future__ import annotations
 
 from repro.core.query import Query
-from repro.core.result import QueryResult
+from repro.core.store import StagedRequest
 
 __all__ = ["FetchMergeLoop"]
 
@@ -42,7 +44,7 @@ class FetchMergeLoop:
     """The shared fetchers of one broker, alive across scheduling rounds."""
 
     def __init__(self, store=None) -> None:
-        #: The store :meth:`execute` runs on unless told otherwise.
+        #: The store :meth:`execute` stages on unless told otherwise.
         self.store = store
         #: One shared fetcher per store with retained decodes.
         self._fetchers: dict = {}
@@ -63,11 +65,11 @@ class FetchMergeLoop:
         position_filter=None,
         *,
         store=None,
-    ) -> tuple[QueryResult, list[tuple]]:
-        """Run one admitted query through its store's shared fetcher.
+    ) -> tuple[StagedRequest, list[tuple]]:
+        """Stage one admitted query through its store's shared fetcher.
 
-        Returns ``(result, inserted)`` where ``inserted`` is the list
-        of persistent-cache keys this execution inserted — the
+        Returns ``(staged, inserted)`` where ``inserted`` is the list
+        of persistent-cache keys this request inserted — the
         attribution record for the submitting tenant's cache quota.
         """
         if store is None:
@@ -76,11 +78,10 @@ class FetchMergeLoop:
         if fetcher is None:
             fetcher = self._fetchers[store] = store.new_fetcher(shared=True)
         mark = len(fetcher.inserted_keys)
-        result = store.query(
+        staged = store.stage(
             query, position_filter, fetcher=fetcher, planned=planned
         )
-        inserted = list(fetcher.inserted_keys[mark:])
-        return result, inserted
+        return staged, fetcher.inserted_keys[mark:]
 
     def end_round(self, *, release: bool) -> int:
         """Close a scheduling round.

@@ -4,11 +4,12 @@ The store's component times are modeled/simulated seconds (DESIGN.md
 §5), so serving latency can be replayed deterministically without
 wall-clock sleeps: the driver keeps a simulated clock, admits events
 whose arrival time has passed, lets the :class:`~.broker.BrokerCore`
-pick a round, and advances the clock by each served query's component
-total (the broker services a round's queries back to back).  A
-request's **latency** is its completion time minus its *original*
-arrival time — queueing delay, admission retries, and service all
-included.
+run a round, and advances the clock by each served query's component
+total, in service order (on the simulated clock a round's queries are
+serviced back to back: what each is charged is fixed when it is
+staged, and the shared assemble is not on that clock).  A request's
+**latency** is its completion time minus its *original* arrival time —
+queueing delay, admission retries, and service all included.
 
 Two arrival models, matching the usual load-testing split:
 
@@ -125,15 +126,17 @@ def open_loop_events(
 
 # ----------------------------------------------------------------------
 def serve_round(core: BrokerCore, clock: float, report: ReplayReport, arrivals) -> float:
-    """Run one scheduling round, advancing the simulated clock."""
-    for req in core.select_round():
-        if req.status != "queued":
+    """Run one scheduling round, advancing the simulated clock by each
+    served request's component total, in service order; a request that
+    failed aborts the replay with its error."""
+    for req in core.run_round():
+        if req.error is not None:
+            raise req.error
+        if req.status != "done":
             continue
-        result = core.execute(req)
-        clock += result.times.total
+        clock += req.result.times.total
         req.completed_at = clock
         report.samples.append((req.tenant, arrivals[req.ticket], clock))
-    core.finish_round()
     return clock
 
 

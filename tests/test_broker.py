@@ -21,7 +21,14 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, ShardedMLOCStore, mloc_col
+from repro.core import (
+    DegradedResultError,
+    MLOCStore,
+    MLOCWriter,
+    Query,
+    ShardedMLOCStore,
+    mloc_col,
+)
 from repro.core.result import aggregate_stats, counter_names
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
@@ -37,6 +44,7 @@ from repro.server import (
     replay_closed_loop,
     replay_open_loop,
 )
+from scripts.gen_engine_golden import fault_plan
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +173,114 @@ class TestFetchMergeDedup:
             second.result.stats["degraded_points"]
             == first.result.stats["degraded_points"]
         )
+
+
+# ----------------------------------------------------------------------
+# A round is its requests, in order
+# ----------------------------------------------------------------------
+ROUND = QUERIES + [QUERIES[0], Query(output="values")]
+TIGHT = {f"t{i}": TenantQuota(max_cache_bytes=48 << 10) for i in range(3)}
+
+
+def _assert_same_answer(got, want):
+    _assert_identical(got, want)
+    assert got.times == want.times
+    assert got.stats == want.stats
+
+
+class TestRoundEqualsItsRequestsInOrder:
+    """Staging a round's requests in order and assembling them once is
+    indistinguishable — results, simulated seconds, every counter,
+    quota evictions, retention — from serving them one at a time."""
+
+    @staticmethod
+    def _submit(broker_fs):
+        core = BrokerCore(
+            _open(broker_fs, cache_bytes=256 << 10),
+            BrokerConfig(max_inflight=len(ROUND), quantum_bytes=64 << 20),
+            tenants=TIGHT,
+        )
+        return core, [core.submit(f"t{i % 3}", q) for i, q in enumerate(ROUND)]
+
+    @classmethod
+    def _one_at_a_time(cls, broker_fs):
+        core, reqs = cls._submit(broker_fs)
+        late = core.submit("late", QUERIES[1])  # still queued when the round closes
+        for req in core.select_round():
+            core.execute(req)
+            assert [r.ticket for r in core.complete_round()] == [req.ticket]
+        core.finish_round()
+        assert late.status == "queued"
+        return core, reqs
+
+    def test_run_round(self, broker_fs):
+        twin, expected = self._one_at_a_time(broker_fs)
+        core, reqs = self._submit(broker_fs)
+        core.submit("late", QUERIES[1])
+        assert sorted(core.run_round(), key=lambda r: r.ticket) == reqs
+        for req, want in zip(reqs, expected):
+            assert req.status == want.status == "done"
+            _assert_same_answer(req.result, want.result)
+        for name in TIGHT:
+            assert core.tenant_stats(name) == twin.tenant_stats(name)
+        stats, want = core.stats(), twin.stats()
+        assert stats["totals"]["quota_evictions"] > 0
+        assert stats["retained_jobs"] == want["retained_jobs"] > 0  # a waiter is left
+        assert stats["released_jobs"] == want["released_jobs"] == 0
+        assert stats == want
+        assert core.drain() == twin.drain() == 1
+        assert core.stats() == twin.stats()
+        assert core.stats()["released_jobs"] > 0
+
+    def test_query_broker(self, broker_fs):
+        twin, expected = self._one_at_a_time(broker_fs)
+        twin.drain()
+
+        async def main():
+            store = _open(broker_fs, cache_bytes=256 << 10)
+            config = BrokerConfig(max_inflight=len(ROUND), quantum_bytes=64 << 20)
+            async with QueryBroker(store, config, TIGHT) as broker:
+                futures = [broker.submit(f"t{i % 3}", q) for i, q in enumerate(ROUND)]
+                late = broker.submit("late", QUERIES[1])
+                results = await asyncio.gather(*futures)
+                await late
+            return results, broker.stats()
+
+        results, stats = asyncio.run(main())
+        for got, want in zip(results, expected):
+            _assert_same_answer(got, want.result)
+        assert stats == twin.stats()
+
+    def test_a_request_that_raises_fails_alone(self, broker_fs):
+        plan = fault_plan(_open(broker_fs), "base")
+        direct = []
+        for q in ROUND:
+            try:
+                direct.append(_open(FaultyPFS(broker_fs, plan)).query(q))
+            except DegradedResultError as err:
+                direct.append(err)
+        failing = [i for i, r in enumerate(direct) if isinstance(r, DegradedResultError)]
+        assert failing and len(failing) < len(ROUND)
+
+        core = BrokerCore(_open(FaultyPFS(broker_fs, plan)), BrokerConfig(max_inflight=len(ROUND)))
+        reqs = [core.submit("a", q) for q in ROUND]
+        core.run_round()
+        assert [i for i, r in enumerate(reqs) if r.status == "failed"] == failing
+
+        async def main():
+            store = _open(FaultyPFS(broker_fs, plan))
+            async with QueryBroker(store, BrokerConfig(max_inflight=len(ROUND))) as broker:
+                futures = [broker.submit("a", q) for q in ROUND]
+                return await asyncio.gather(*futures, return_exceptions=True)
+
+        for i, (served, req, want) in enumerate(zip(asyncio.run(main()), reqs, direct)):
+            if i in failing:
+                assert isinstance(served, DegradedResultError)
+                assert isinstance(req.error, DegradedResultError)
+                assert (served.kind, served.path, served.offset) == (want.kind, want.path, want.offset)
+            else:
+                _assert_identical(served, want)
+                _assert_identical(req.result, want)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from repro.compression import make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.config import MLOCConfig, mloc_col, mloc_iso
-from repro.core.engine.stages import RankOutput
+from repro.core.engine.stages import modeled_decompression
 from repro.core.planner import PlanContext, merge_extents
 from repro.core.planner import cell_sizes as _cell_sizes
-from repro.pfs import SimulatedPFS
 from repro.pfs.costmodel import ASSEMBLY_THROUGHPUT, INDEX_DECODE_THROUGHPUT
 from repro.plod.byteplanes import GROUP_WIDTHS
 
@@ -227,33 +226,23 @@ class TestExtentArithmetic:
 
 
 class TestModeledDecompression:
-    def _rank(self, data_bytes, index_bytes):
-        return RankOutput(
-            positions=np.empty(0, dtype=np.int64),
-            values=None,
-            session=SimulatedPFS().session(),
-            data_raw_bytes=data_bytes,
-            index_raw_bytes=index_bytes,
-        )
-
     def test_linear_in_bytes_and_scale(self):
         codec = make_codec("zlib-bytes")
-        r = self._rank(data_bytes=1_000_000, index_bytes=0)
-        t1 = r.modeled_decompression(codec, byte_scale=1.0)
-        t2 = r.modeled_decompression(codec, byte_scale=8.0)
+        t1 = modeled_decompression(codec, 1.0, data_raw_bytes=1_000_000, index_raw_bytes=0)
+        t2 = modeled_decompression(codec, 8.0, data_raw_bytes=1_000_000, index_raw_bytes=0)
         expected = 1_000_000 / codec.decode_throughput + 1_000_000 / ASSEMBLY_THROUGHPUT
         assert t1 == pytest.approx(expected)
         assert t2 == pytest.approx(8 * t1)
 
     def test_index_component(self):
         codec = make_codec("zlib-bytes")
-        r = self._rank(data_bytes=0, index_bytes=2_400_000)
-        assert r.modeled_decompression(codec, 1.0) == pytest.approx(
-            2_400_000 / INDEX_DECODE_THROUGHPUT
-        )
+        assert modeled_decompression(
+            codec, 1.0, data_raw_bytes=0, index_raw_bytes=2_400_000
+        ) == pytest.approx(2_400_000 / INDEX_DECODE_THROUGHPUT)
 
     def test_slow_codec_costs_more(self):
         fast = make_codec("isobar")
         slow = make_codec("isabela")
-        r = self._rank(data_bytes=10_000_000, index_bytes=0)
-        assert r.modeled_decompression(slow, 1.0) > r.modeled_decompression(fast, 1.0)
+        assert modeled_decompression(slow, 1.0, 10_000_000, 0) > modeled_decompression(
+            fast, 1.0, 10_000_000, 0
+        )

@@ -161,6 +161,49 @@ class TestServingContracts:
             assert req.status == "done"
             _assert_identical(req.result, fresh.store("temp", t).query(q))
 
+    def test_one_round_over_two_members_assembles_per_member(
+        self, campaign_fs, monkeypatch
+    ):
+        from repro.core import QueryEngine
+
+        batches = []
+        assemble = QueryEngine.assemble
+        monkeypatch.setattr(
+            QueryEngine,
+            "assemble",
+            lambda self, staged: batches.append((self, len(staged))) or assemble(self, staged),
+        )
+        asked = [(t, q) for q in (BOX, FULL, BOX) for t in (0, 1)]
+
+        def submit():
+            broker = IngestBroker(
+                _dataset(campaign_fs), config=BrokerConfig(max_inflight=8)
+            )
+            return broker, [
+                broker.submit(f"t{i % 3}", q, variable="temp", timestep=t)
+                for i, (t, q) in enumerate(asked)
+            ]
+
+        twin, one_by_one = submit()
+        for req in twin.core.select_round():
+            twin.core.execute(req)
+            twin.core.complete_round()
+        twin.core.finish_round()
+        batches.clear()
+        broker, reqs = submit()
+        assert len(broker.run_round()) == len(asked)
+        # One round, one assemble per member engine: three requests each.
+        engines = [broker.member("temp", t).executor for t in (0, 1)]
+        assert sorted(batches, key=lambda b: engines.index(b[0])) == [
+            (engines[0], 3), (engines[1], 3),
+        ]  # fmt: skip
+        pinned = _dataset(campaign_fs).snapshot(broker.generation)
+        for (t, q), req, alone in zip(asked, reqs, one_by_one):
+            _assert_identical(req.result, pinned.store("temp", t).query(q))
+            assert req.result.times == alone.result.times
+            assert req.result.stats == alone.result.stats
+        assert broker.stats() == twin.stats()
+
     def test_no_block_decoded_twice_while_a_waiter_exists(self, campaign_fs):
         # No persistent cache and one request per round: the repeat on
         # member 0 is served two rounds after the first, with another

@@ -1,41 +1,281 @@
-"""``MLOCStore.query_many``: per-query answers, block dedup, aggregates."""
+"""A batch is the unit of execution: ``stage`` each request, then
+``assemble`` them once (``query_many``, a broker round, a single query
+as a batch of one).
+
+The contract: whatever a batch returns — positions, values, all four
+simulated component times, every ``stats`` key — and whatever it leaves
+behind in the fetcher and the LRU equals issuing the same requests one
+by one, in the same order, through one shared fetcher.  It is
+parametrised over the declared axes below, so a new layout, shard
+count, cache size or rank count is covered without editing a test.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import BatchResult, MLOCStore, MLOCWriter, Query, mloc_col
+from repro.core import (
+    BatchResult,
+    DegradedResultError,
+    MLOCStore,
+    MLOCWriter,
+    Query,
+    ShardedMLOCStore,
+    assemble,
+    mloc_col,
+    mloc_iso,
+)
 from repro.datasets import gts_like
+from repro.index.bitmap import Bitmap
 from repro.pfs import SimulatedPFS
+from repro.pfs.faults import FaultyPFS
+from scripts.gen_engine_golden import fault_plan
+
+SHAPE = (64, 64)
+DATA = gts_like(SHAPE, seed=11)
+_SIZES = {"chunk_shape": (16, 16), "n_bins": 8, "target_block_bytes": 2048}
+LAYOUTS = {
+    "col": mloc_col(**_SIZES),
+    "vsm": mloc_col(level_order="VSM", **_SIZES),
+    "iso": mloc_iso(**_SIZES),
+}
+SHARDS = {"flat": None, "3-shards": 3}
+CACHES = {"cache-off": 0, "cache-16KiB": 16 << 10, "cache-ample": 32 << 20}
+RANKS = (1, 3, 4)
 
 
 @pytest.fixture(scope="module")
-def fs():
-    fs = SimulatedPFS()
-    config = mloc_col(chunk_shape=(32, 32), n_bins=8, target_block_bytes=8 * 1024)
-    MLOCWriter(fs, "/store", config).write(gts_like((128, 128), seed=11), variable="field")
-    return fs
+def stores():
+    written = {}
+    for name, config in LAYOUTS.items():
+        written[name] = SimulatedPFS()
+        MLOCWriter(written[name], "/store", config).write(DATA, variable="field")
+    return written
+
+
+@pytest.fixture(scope="module")
+def fs(stores):
+    return stores["col"]
+
+
+def _open(fs, shards=None, **options):
+    if shards is None:
+        return MLOCStore.open(fs, "/store", "field", **options)
+    return ShardedMLOCStore.open(fs, "/store", "field", n_shards=shards, **options)
+
+
+LO, MID, HI = (float(v) for v in np.quantile(DATA, [0.3, 0.5, 0.7]))
+PICKED = Bitmap.from_positions(np.flatnonzero((DATA >= MID) & (DATA <= HI)), DATA.size)
+
+
+def mixed_batch(store) -> list[tuple[Query, Bitmap | None]]:
+    """``(query, position filter)`` requests that exercise every way two
+    members of a batch can relate."""
+    lo, mid, hi, picked = LO, MID, HI, PICKED
+    box = ((4, 52), (0, 48))
+    requests = [
+        # Overlapping value boxes.
+        (Query(value_range=(lo, hi), region=box, output="values"), None),
+        (Query(value_range=(mid, hi), region=((12, 60), (8, 56)), output="values"), None),
+        (Query(region=box, output="values"), None),
+        # A duplicate, and the same box at a shallower PLoD level.
+        (Query(region=box, output="values"), None),
+        (Query(region=box, output="values", plod_level=2), None),
+        # Positions only: aligned bins never touch their data subfile.
+        (Query(value_range=(lo, mid), output="positions"), None),
+        # The position filter ``fetch_positions`` applies.
+        (Query(region=box, output="values"), picked),
+        # Nothing qualifies; everything does.
+        (Query(value_range=(1e9, 2e9), region=((20, 21), (20, 21)), output="values"), None),
+        (Query(output="values"), None),
+    ]
+    if store.meta.config.plod_enabled:
+        requests.insert(5, (Query(region=box, output="values", tol=1e-4), None))
+    return requests
+
+
+def _assert_same_result(got, want, label=""):
+    assert np.array_equal(got.positions, want.positions), label
+    if want.values is None:
+        assert got.values is None, label
+    else:
+        assert np.array_equal(got.values, want.values), label
+    assert got.times == want.times, label  # all four components, exactly
+    assert got.stats == want.stats, label
+
+
+def _batch_and_singles(open_store, requests_of):
+    """The same requests as batches and one by one, each on a fresh
+    handle: two rounds (the second a reversed prefix of the first, so
+    it meets a warm LRU), each through one shared fetcher.  Returns
+    ``(results, last fetcher, store)`` of both."""
+    runs = []
+    for batched in (True, False):
+        store = open_store()
+        store.fs.clear_cache()
+        requests = requests_of(store)
+        results = []
+        for round_ in (requests, requests[3::-1]):
+            fetcher = store.new_fetcher(shared=True)
+            if batched:
+                results += assemble(
+                    [store.stage(q, keep, fetcher=fetcher) for q, keep in round_]
+                )
+            else:
+                results += [store.query(q, keep, fetcher=fetcher) for q, keep in round_]
+        runs.append((results, fetcher, store))
+    return runs
+
+
+@pytest.mark.parametrize("n_ranks", RANKS)
+@pytest.mark.parametrize("cache", CACHES)
+@pytest.mark.parametrize("shards", SHARDS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_batch_equals_singles(stores, layout, shards, cache, n_ranks):
+    def open_store():
+        return _open(
+            stores[layout], SHARDS[shards], n_ranks=n_ranks, cache_bytes=CACHES[cache]
+        )
+
+    (batch, batch_fetcher, batch_store), (singles, fetcher, store) = _batch_and_singles(
+        open_store, mixed_batch
+    )
+    assert len(batch) == len(singles)
+    for i, (got, want) in enumerate(zip(batch, singles)):
+        _assert_same_result(got, want, f"request {i}")
+    # The side effects are the singles' too: what the fetcher counted
+    # and holds, and the LRU's key order.
+    for name in ("hits", "misses", "lost", "dedup_hits", "lru_hits", "hit_raw_bytes"):
+        assert getattr(batch_fetcher, name) == getattr(fetcher, name), name
+    assert batch_fetcher.held_keys() == fetcher.held_keys()
+    if store.cache is not None:
+        assert batch_store.cache.keys() == store.cache.keys()
+        assert batch_store.cache.stats.as_dict() == store.cache.stats.as_dict()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_filtered_member_is_what_fetch_positions_returns(stores, layout):
+    store = _open(stores[layout], n_ranks=4)
+    requests = mixed_batch(store)
+    fetcher = store.new_fetcher(shared=True)
+    batch = assemble([store.stage(q, keep, fetcher=fetcher) for q, keep in requests])
+    for (query, keep), got in zip(requests, batch):
+        if keep is not None:
+            direct = store.fetch_positions(keep, region=query.region)
+            assert np.array_equal(got.positions, direct.positions)
+            assert np.array_equal(got.values, direct.values)
+
+
+_extent = st.integers(0, SHAPE[0] - 1).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, SHAPE[0]))
+)
+_boxes = st.lists(
+    st.tuples(st.tuples(_extent, _extent), st.sampled_from(("values", "positions"))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(boxes=_boxes, n_ranks=st.sampled_from(RANKS))
+def test_query_many_equals_singles_on_random_boxes(stores, boxes, n_ranks):
+    queries = [Query(region=region, output=output) for region, output in boxes]
+    store = _open(stores["col"], n_ranks=n_ranks, cache_bytes=16 << 10)
+    store.fs.clear_cache()
+    batch = store.query_many(queries)
+    assert isinstance(batch, BatchResult) and len(batch) == len(queries)
+    twin = _open(stores["col"], n_ranks=n_ranks, cache_bytes=16 << 10)
+    twin.fs.clear_cache()
+    planned = [twin.plan(q) for q in queries]
+    fetcher = twin.new_fetcher(shared=True)
+    for got, query, plan in zip(batch, queries, planned):
+        _assert_same_result(got, twin.query(query, fetcher=fetcher, planned=plan))
+    assert store.cache.keys() == twin.cache.keys()
+
+
+def test_fused_results_never_share_memory(fs):
+    # Interior-only boxes (chunk-aligned): no filter ever copies, so a
+    # careless gather would hand out views of the union's buffers.
+    queries = [
+        Query(region=((0, 32), (0, 32)), output="values"),
+        Query(region=((16, 48), (0, 32)), output="values"),
+        Query(region=((0, 32), (0, 32)), output="values"),
+    ]
+    store = _open(fs, cache_bytes=32 << 20)
+    first, second, third = store.query_many(queries)
+    for a, b in ((first, second), (first, third), (second, third)):
+        assert not np.shares_memory(a.positions, b.positions)
+        assert not np.shares_memory(a.values, b.values)
+    kept = [(r.positions.copy(), r.values.copy()) for r in (second, third)]
+    first.positions[:] = -1
+    first.values[:] = np.nan
+    for result, (positions, values) in zip((second, third), kept):
+        assert np.array_equal(result.positions, positions)
+        assert np.array_equal(result.values, values)
+    again = store.query(queries[0])  # served from the LRU's decoded blocks
+    assert np.array_equal(again.positions, kept[1][0])
+    assert np.array_equal(again.values, kept[1][1])
+
+
+def _faulty(stores, **options):
+    plan = fault_plan(_open(stores["col"], n_ranks=4), "base")
+    return lambda: _open(FaultyPFS(stores["col"], plan), n_ranks=4, **options)
+
+
+def test_strict_batch_loses_only_the_query_that_lost_a_block(stores):
+    """Sticky rot on base-plane blocks, ``allow_partial=False``: the
+    request that needs a rotten block raises alone; every other request
+    of the batch is answered exactly as the singles answer it."""
+    open_store = _faulty(stores)
+    outcomes = []
+    for batched in (True, False):
+        store = open_store()
+        store.fs.clear_cache()
+        fetcher = store.new_fetcher(shared=True)
+        staged, answers = [], {}
+        for i, (query, keep) in enumerate(mixed_batch(store)):
+            try:
+                if batched:
+                    staged.append((i, store.stage(query, keep, fetcher=fetcher)))
+                else:
+                    answers[i] = store.query(query, keep, fetcher=fetcher)
+            except DegradedResultError as err:
+                answers[i] = (err.kind, err.path, err.offset, err.bin_id, err.chunk_ids)
+        for (i, _), result in zip(staged, assemble([s for _, s in staged])):
+            answers[i] = result
+        outcomes.append(answers)
+    batch, singles = outcomes
+    failed = [i for i, answer in singles.items() if isinstance(answer, tuple)]
+    assert failed and len(failed) < len(singles)
+    for i, want in singles.items():
+        if isinstance(want, tuple):
+            assert batch[i] == want
+        else:
+            _assert_same_result(batch[i], want, f"request {i}")
+
+
+def test_partial_batch_degrades_like_the_singles(stores):
+    (batch, _, _), (singles, _, _) = _batch_and_singles(
+        _faulty(stores, allow_partial=True), mixed_batch
+    )
+    assert any(r.stats["dropped_points"] for r in singles)
+    for i, (got, want) in enumerate(zip(batch, singles)):
+        _assert_same_result(got, want, f"request {i}")
+        for key in (
+            "degraded_points", "dropped_points", "partial_chunks",
+            "degraded_chunk_levels", "quarantined_blocks",
+        ):  # fmt: skip
+            assert got.stats[key] == want.stats[key], (i, key)
 
 
 OVERLAPPING = [
-    Query(region=((0, 96), (0, 96)), output="values"),
-    Query(region=((16, 112), (0, 96)), output="values"),
-    Query(region=((0, 96), (16, 112)), output="values"),
+    Query(region=((0, 48), (0, 48)), output="values"),
+    Query(region=((8, 56), (0, 48)), output="values"),
+    Query(region=((0, 48), (8, 56)), output="values"),
 ]
-
-
-def test_batch_matches_individual_queries(fs):
-    store = MLOCStore.open(fs, "/store", "field")
-    fs.clear_cache()
-    batch = store.query_many(OVERLAPPING)
-    assert isinstance(batch, BatchResult)
-    assert len(batch) == len(OVERLAPPING)
-    for i, query in enumerate(OVERLAPPING):
-        fs.clear_cache()
-        expected = MLOCStore.open(fs, "/store", "field").query(query)
-        assert np.array_equal(batch[i].positions, expected.positions)
-        assert np.array_equal(batch[i].values, expected.values)
 
 
 def test_batch_decodes_shared_blocks_once(fs):
