@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Eight architectural rules, checked by AST scan (no imports are
+Nine architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -51,6 +51,11 @@ executed):
    call named ``query``, ``execute_planned`` or ``assemble`` — a round
    may loop over its requests to *stage* them, never to run them to
    completion one at a time.
+9. **Deleted second paths stay deleted.**  A capability has one
+   implementation: no ``def``, ``class`` or import under ``src/repro``
+   may bring back one of ``DELETED_NAMES`` — the record rebuilders,
+   the object work-list beside ``BlockList``, the second multi-variable
+   result type, the per-handle batch-fetcher hook.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -102,7 +107,23 @@ EXECUTION_ONLY_PARAMS = frozenset(
         "readahead",
         "write_backend",
         "write_workers",
-        "tol_metric",
+    }
+)
+
+#: Second implementations that lost (rule 9): records are read, never
+#: rebuilt; work lists are columnar; multi-variable access is compound
+#: access; every handle's batch shares one fetcher.
+DELETED_NAMES = frozenset(
+    {
+        "build_from_store",
+        "BlockRef",
+        "from_refs",
+        "to_refs",
+        "bin_segments",
+        "block_refs",
+        "planning_rows",
+        "MultiVarResult",
+        "_batch_fetcher",
     }
 )
 
@@ -179,6 +200,26 @@ def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
     ]
 
 
+def deleted_name_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 9 over one syntax tree: every ``def``, ``class`` or import
+    that names one of ``DELETED_NAMES``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{where}:{node.lineno}: {name} was deleted with the second path it "
+            f"belonged to (rule 9); use the one implementation that remains"
+            for name in names
+            if name in DELETED_NAMES
+        ]
+    return found
+
+
 def _module_name(path: Path) -> str:
     rel = path.relative_to(SRC).with_suffix("")
     parts = list(rel.parts)
@@ -240,9 +281,10 @@ def check() -> list[str]:
 
     config_py = SRC / "repro" / "core" / "config.py"
     for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        violations += deleted_name_violations(tree, str(path.relative_to(REPO)))
         if path == config_py:
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue

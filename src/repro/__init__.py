@@ -28,7 +28,6 @@ from repro.core import (
     MLOCDataset,
     MLOCStore,
     MLOCWriter,
-    MultiVarResult,
     Query,
     QueryResult,
     WriteReport,
@@ -49,7 +48,6 @@ __all__ = [
     "MLOCDataset",
     "MLOCStore",
     "MLOCWriter",
-    "MultiVarResult",
     "PFSCostModel",
     "Query",
     "QueryResult",

@@ -18,7 +18,6 @@ against those snapshot files, giving the library a shell-level surface:
         --plan-cache 8 --cache-mb 64 --spec 'vmin=4.0' --spec 'vmin=4.0'
     python -m repro.cli serve-replay out.pfs --root /demo --variable potential \\
         --tenants 16 --queries 4 --mode open --rate 50 --cache-mb 64
-    python -m repro.cli index build out.pfs --root /demo --variable potential
     python -m repro.cli index stats out.pfs --root /demo --variable potential
 
 Every command prints human-readable text and exits non-zero on failure
@@ -28,13 +27,13 @@ Every command prints human-readable text and exits non-zero on failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 import numpy as np
 
 from repro.core import (
-    EXEC_BACKENDS,
-    WRITE_BACKENDS,
     ExecutionConfig,
     MLOCStore,
     MLOCWriter,
@@ -43,8 +42,10 @@ from repro.core import (
     mloc_col,
 )
 from repro.core.aggregate import AGGREGATE_OPS, aggregate_query
+from repro.core.meta import StoreMeta
 from repro.core.result import FAULT_STAT_KEYS
 from repro.pfs import SimulatedPFS
+from repro.plod.bounds import TOL_METRICS
 from repro.tools.fsck import check_dataset, check_store
 from repro.tools.relayout import relayout
 
@@ -58,17 +59,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="build a small demo dataset snapshot")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        sub_parser = sub.add_parser(name, help=help)
+        sub_parser.set_defaults(run=run)
+        return sub_parser
+
+    demo = command("demo", _cmd_demo, "build a small demo dataset snapshot")
     demo.add_argument("snapshot", help="output .pfs snapshot path")
     demo.add_argument("--size", type=int, default=512, help="square field size")
     demo.add_argument("--bins", type=int, default=32, help="value bins")
     demo.add_argument("--seed", type=int, default=7)
     _add_write_options(demo)
 
-    info = sub.add_parser("info", help="list datasets in a snapshot")
+    info = command("info", _cmd_info, "list datasets in a snapshot")
     info.add_argument("snapshot")
 
-    fsck = sub.add_parser("fsck", help="check a store's integrity")
+    fsck = command("fsck", _cmd_fsck, "check a store's integrity")
     fsck.add_argument("snapshot")
     fsck.add_argument("--root", required=True, help="dataset root, e.g. /demo")
     fsck.add_argument(
@@ -89,38 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --dataset: also run the full per-member store check",
     )
 
-    query = sub.add_parser("query", help="run one query against a store")
-    query.add_argument("snapshot")
-    query.add_argument("--root", required=True)
-    query.add_argument("--variable", required=True)
-    query.add_argument("--vmin", type=float, default=None)
-    query.add_argument("--vmax", type=float, default=None)
-    query.add_argument(
-        "--region",
-        default=None,
-        help="per-axis lo:hi bounds, comma separated, e.g. 0:128,64:256",
+    query = command("query", _cmd_query, "run one query against a store")
+    _add_store_args(query)
+    _add_query_args(
+        query,
+        "max acceptable relative error; reads the minimal PLoD "
+        "level per chunk whose recorded bound meets it (0 = exact)",
     )
-    query.add_argument(
-        "--output", choices=["positions", "values"], default="values"
-    )
+    query.add_argument("--output", choices=["positions", "values"], default="values")
     query.add_argument("--plod", type=int, default=7, help="PLoD level 1..7")
-    query.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help=(
-            "max acceptable relative error; reads the minimal PLoD "
-            "level per chunk whose recorded bound meets it (0 = exact)"
-        ),
-    )
-    query.add_argument(
-        "--tol-metric",
-        choices=["max_rel", "mean_rel"],
-        default="max_rel",
-        help="which recorded per-chunk bound --tol is measured against",
-    )
-    query.add_argument("--ranks", type=int, default=8)
-    _add_execution_options(query)
+    _add_read_options(query)
     query.add_argument(
         "--aggregate",
         choices=list(AGGREGATE_OPS),
@@ -129,173 +113,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--limit", type=int, default=5, help="result rows to print")
 
-    batch = sub.add_parser(
-        "batch", help="run a batch of queries as one pipeline (query_many)"
+    batch = command(
+        "batch", _cmd_batch, "run a batch of queries as one pipeline (query_many)"
     )
-    batch.add_argument("snapshot")
-    batch.add_argument("--root", required=True)
-    batch.add_argument("--variable", required=True)
-    batch.add_argument(
-        "--spec",
-        action="append",
+    _add_store_args(batch)
+    _add_spec_arg(
+        batch,
+        "one query as ';'-separated key=value pairs "
+        "(vmin, vmax, region, output, plod), e.g. "
+        "'vmin=4.0;region=100:200,0:128;output=values;plod=2'; repeatable",
         required=True,
-        metavar="SPEC",
-        help=(
-            "one query as ';'-separated key=value pairs "
-            "(vmin, vmax, region, output, plod), e.g. "
-            "'vmin=4.0;region=100:200,0:128;output=values;plod=2'; repeatable"
-        ),
     )
-    batch.add_argument("--ranks", type=int, default=8)
-    _add_execution_options(batch)
+    _add_read_options(batch)
 
-    refine = sub.add_parser(
+    refine = command(
         "refine",
-        help="run one query progressively through increasing PLoD levels",
+        _cmd_refine,
+        "run one query progressively through increasing PLoD levels",
     )
-    refine.add_argument("snapshot")
-    refine.add_argument("--root", required=True)
-    refine.add_argument("--variable", required=True)
-    refine.add_argument("--vmin", type=float, default=None)
-    refine.add_argument("--vmax", type=float, default=None)
-    refine.add_argument(
-        "--region",
-        default=None,
-        help="per-axis lo:hi bounds, comma separated, e.g. 0:128,64:256",
+    _add_store_args(refine)
+    _add_query_args(
+        refine,
+        "auto-refine until every chunk's recorded bound meets this "
+        "relative error (replaces --levels: the ladder is derived "
+        "from the per-chunk bounds)",
     )
     refine.add_argument(
         "--levels",
         default="2,4,7",
         help="comma-separated ascending PLoD levels, e.g. 2,4,7",
     )
-    refine.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help=(
-            "auto-refine until every chunk's recorded bound meets this "
-            "relative error (replaces --levels: the ladder is derived "
-            "from the per-chunk bounds)"
-        ),
-    )
-    refine.add_argument(
-        "--tol-metric",
-        choices=["max_rel", "mean_rel"],
-        default="max_rel",
-        help="which recorded per-chunk bound --tol is measured against",
-    )
-    refine.add_argument("--ranks", type=int, default=8)
-    _add_execution_options(refine)
+    _add_read_options(refine)
 
-    stats = sub.add_parser(
-        "stats",
-        help="print a store handle's open-state counters",
+    stats = command(
+        "stats", _cmd_stats, "print a store handle's open-state counters"
     )
-    stats.add_argument("snapshot")
-    stats.add_argument("--root", required=True)
-    stats.add_argument("--variable", required=True)
-    stats.add_argument(
-        "--spec",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help=(
-            "optional queries (same syntax as 'batch') to run first, so "
-            "the counters describe a warmed handle; repeatable"
-        ),
+    _add_store_args(stats)
+    _add_spec_arg(
+        stats,
+        "optional queries (same syntax as 'batch') to run first, so "
+        "the counters describe a warmed handle; repeatable",
+        required=False,
     )
-    stats.add_argument("--ranks", type=int, default=8)
-    _add_execution_options(stats)
+    _add_read_options(stats)
 
-    serve = sub.add_parser(
+    serve = command(
         "serve-replay",
-        help=(
-            "replay a synthetic multi-tenant trace through the query "
-            "broker and report latency/dedup"
-        ),
+        _cmd_serve_replay,
+        "replay a synthetic multi-tenant trace through the query "
+        "broker and report latency/dedup",
     )
-    serve.add_argument("snapshot")
-    serve.add_argument("--root", required=True)
-    serve.add_argument("--variable", required=True)
-    serve.add_argument("--tenants", type=int, default=8)
-    serve.add_argument(
-        "--queries", type=int, default=4, help="queries per tenant"
-    )
-    serve.add_argument(
-        "--mode", choices=["open", "closed"], default="open"
-    )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=50.0,
-        help="open-loop arrival rate per tenant (queries/simulated s)",
-    )
-    serve.add_argument(
-        "--think-time",
-        type=float,
-        default=0.0,
-        help="closed-loop think time between a completion and the next submit",
-    )
-    serve.add_argument(
-        "--selectivity",
-        type=float,
-        default=0.05,
-        help="volume fraction of each tenant's drifting region queries",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--ranks", type=int, default=8)
-    serve.add_argument(
-        "--max-inflight", type=int, default=8, help="queries served per round"
-    )
-    serve.add_argument(
-        "--quantum-kb",
-        type=float,
-        default=4096.0,
-        help="deficit-round-robin quantum in KiB of estimated raw bytes",
-    )
-    serve.add_argument(
-        "--max-pending-mb",
-        type=float,
-        default=0.0,
-        help="admission ceiling on queued estimated raw MiB (0 = unbounded)",
-    )
-    _add_execution_options(serve)
+    _add_store_args(serve)
+    serve.add_argument("--mode", choices=["open", "closed"], default="open")
+    for flag, kind, default, flag_help in _SERVE_FLAGS:
+        serve.add_argument(flag, type=kind, default=default, help=flag_help)
+    _add_read_options(serve)
 
-    index = sub.add_parser(
-        "index",
-        help="build or inspect a store's hierarchical bitmap index",
+    index = command(
+        "index", _cmd_index, "inspect a store's hierarchical bitmap index"
     )
     index.add_argument(
         "action",
-        choices=["build", "stats"],
+        choices=["stats"],
         help=(
-            "'build' (re)creates the persisted hbi record from the flat "
-            "bin index; 'stats' prints its tree shape and size versus "
-            "the flat index and a FastBit-style whole-domain baseline"
+            "'stats' prints the persisted hbi record's tree shape and size "
+            "versus the flat index and a FastBit-style whole-domain baseline"
         ),
     )
-    index.add_argument("snapshot")
-    index.add_argument("--root", required=True)
-    index.add_argument("--variable", required=True)
-    index.add_argument(
-        "--leaf-span",
-        type=int,
-        default=None,
-        help="chunks per leaf bitmap (build only; default 8, see docs/tuning.md)",
-    )
-    index.add_argument(
-        "--fanout",
-        type=int,
-        default=None,
-        help="bins per interior summary node (build only; default 4)",
-    )
+    _add_store_args(index)
 
-    relayout_p = sub.add_parser(
-        "relayout", help="migrate a store to a different level order"
+    relayout_p = command(
+        "relayout", _cmd_relayout, "migrate a store to a different level order"
     )
-    relayout_p.add_argument("snapshot")
-    relayout_p.add_argument("--root", required=True)
-    relayout_p.add_argument("--variable", required=True)
+    _add_store_args(relayout_p)
     relayout_p.add_argument("--target-root", required=True)
     relayout_p.add_argument(
         "--order", choices=["VMS", "VSM", "VS"], default="VSM"
@@ -305,19 +195,121 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_write_options(sub_parser) -> None:
+#: ``serve-replay``'s numeric flags: (flag, type, default, help).
+_SERVE_FLAGS = (
+    ("--tenants", int, 8, None),
+    ("--queries", int, 4, "queries per tenant"),
+    ("--rate", float, 50.0, "open-loop arrival rate per tenant (queries/simulated s)"),
+    (
+        "--think-time", float, 0.0,
+        "closed-loop think time between a completion and the next submit",
+    ),
+    ("--selectivity", float, 0.05, "volume fraction of each tenant's drifting region queries"),
+    ("--seed", int, 0, None),
+    ("--max-inflight", int, 8, "queries served per round"),
+    (
+        "--quantum-kb", float, 4096.0,
+        "deficit-round-robin quantum in KiB of estimated raw bytes",
+    ),
+    (
+        "--max-pending-mb", float, 0.0,
+        "admission ceiling on queued estimated raw MiB (0 = unbounded)",
+    ),
+)
+
+
+def _add_store_args(sub_parser) -> None:
+    sub_parser.add_argument("snapshot")
+    sub_parser.add_argument("--root", required=True)
+    sub_parser.add_argument("--variable", required=True)
+
+
+def _add_spec_arg(sub_parser, spec_help: str, *, required: bool) -> None:
     sub_parser.add_argument(
-        "--write-backend",
-        choices=list(WRITE_BACKENDS),
-        default="serial",
-        help="write-pipeline backend (bit-identical output for every choice)",
+        "--spec",
+        action="append",
+        default=[],
+        required=required,
+        metavar="SPEC",
+        help=spec_help,
     )
+
+
+def _add_query_args(sub_parser, tol_help: str) -> None:
+    """The flags :func:`_query_from_flags` reads."""
+    sub_parser.add_argument("--vmin", type=float, default=None)
+    sub_parser.add_argument("--vmax", type=float, default=None)
     sub_parser.add_argument(
-        "--write-workers",
-        type=int,
+        "--region",
         default=None,
-        help="pool width for --write-backend threads (default: CPU count)",
+        help="per-axis lo:hi bounds, comma separated, e.g. 0:128,64:256",
     )
+    sub_parser.add_argument("--tol", type=float, default=None, help=tol_help)
+    sub_parser.add_argument(
+        "--tol-metric",
+        choices=list(TOL_METRICS),
+        default="max_rel",
+        help="which recorded per-chunk bound --tol is measured against",
+    )
+
+
+#: One help line per ``ExecutionConfig`` field; a flag's type, default
+#: and choices are the field's own.
+_EXECUTION_HELP = {
+    "backend": "decode-phase backend (identical simulated seconds)",
+    "workers": "pool width for --backend threads/processes (default: CPU count)",
+    "cache_bytes": "decoded-block LRU budget in MiB (0 = cold, the paper's discipline)",
+    "plan_cache": "query-plan LRU capacity in plans (0 = plan every query)",
+    "write_backend": "write-pipeline backend (bit-identical output for every choice)",
+    "write_workers": "pool width for --write-backend threads (default: CPU count)",
+    "max_read_retries": "retries per failed block read before quarantine",
+    "read_backoff": "base retry backoff in simulated seconds (doubles per retry)",
+    "allow_partial": (
+        "degrade instead of failing when a block is unrecoverable: "
+        "drop affected points and report their chunks"
+    ),
+    "coalesce_gap": (
+        "max byte gap for merging adjacent block reads into one "
+        "vectored read (0 = off, one seek per block)"
+    ),
+    "readahead": "bytes of scheduler readahead past each vectored run (0 = off)",
+}
+#: The flags not spelled ``--field-name``.
+_EXECUTION_FLAGS = {"workers": ("--threads", "--workers"), "cache_bytes": ("--cache-mb",)}
+
+
+def execution_flags(name: str) -> tuple[str, ...]:
+    """The flag(s) that set ``ExecutionConfig`` field ``name``."""
+    return _EXECUTION_FLAGS.get(name, ("--" + name.replace("_", "-"),))
+
+
+def _mib(text: str) -> int:
+    return int(float(text) * (1 << 20))
+
+
+def _add_execution_options(sub_parser, *, write: bool) -> None:
+    """One flag per write-side (``write_*``) or read-side field."""
+    hints = typing.get_type_hints(ExecutionConfig)
+    for spec in dataclasses.fields(ExecutionConfig):
+        if spec.name.startswith("write_") != write:
+            continue
+        options = {
+            "dest": spec.name,
+            "default": spec.default,
+            "help": _EXECUTION_HELP[spec.name],
+        }
+        hint = hints[spec.name]
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        if kind is bool:
+            options["action"] = "store_true"
+        else:
+            options["type"] = _mib if spec.name == "cache_bytes" else kind
+            options["choices"] = spec.metadata.get("choices")
+        sub_parser.add_argument(*execution_flags(spec.name), **options)
+
+
+def _add_write_options(sub_parser) -> None:
+    _add_execution_options(sub_parser, write=True)
     sub_parser.add_argument(
         "--shards",
         type=int,
@@ -330,24 +322,9 @@ def _add_write_options(sub_parser) -> None:
     )
 
 
-def _add_execution_options(sub_parser) -> None:
-    sub_parser.add_argument(
-        "--backend",
-        choices=list(EXEC_BACKENDS),
-        default="serial",
-        help="decode-phase backend (identical simulated seconds)",
-    )
-    sub_parser.add_argument(
-        "--threads",
-        "--workers",
-        dest="workers",
-        type=int,
-        default=None,
-        help=(
-            "pool width for --backend threads/processes "
-            "(default: CPU count)"
-        ),
-    )
+def _add_read_options(sub_parser) -> None:
+    sub_parser.add_argument("--ranks", type=int, default=8)
+    _add_execution_options(sub_parser, write=False)
     sub_parser.add_argument(
         "--shards",
         type=int,
@@ -357,70 +334,23 @@ def _add_execution_options(sub_parser) -> None:
             "(scatter/gather; identical results, per-shard parallelism)"
         ),
     )
-    sub_parser.add_argument(
-        "--cache-mb",
-        type=float,
-        default=0.0,
-        help="decoded-block LRU budget in MiB (0 = cold, the paper's discipline)",
-    )
-    sub_parser.add_argument(
-        "--plan-cache",
-        type=int,
-        default=0,
-        help="query-plan LRU capacity in plans (0 = plan every query)",
-    )
-    sub_parser.add_argument(
-        "--max-read-retries",
-        type=int,
-        default=2,
-        help="retries per failed block read before quarantine",
-    )
-    sub_parser.add_argument(
-        "--read-backoff",
-        type=float,
-        default=0.005,
-        help="base retry backoff in simulated seconds (doubles per retry)",
-    )
-    sub_parser.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help=(
-            "degrade instead of failing when a block is unrecoverable: "
-            "drop affected points and report their chunks"
-        ),
-    )
-    sub_parser.add_argument(
-        "--coalesce-gap",
-        type=int,
-        default=0,
-        help=(
-            "max byte gap for merging adjacent block reads into one "
-            "vectored read (0 = off, pre-engine seek counts)"
-        ),
-    )
-    sub_parser.add_argument(
-        "--readahead",
-        type=int,
-        default=0,
-        help="bytes of scheduler readahead past each vectored run (0 = off)",
+
+
+def _execution(args) -> ExecutionConfig:
+    """The :class:`ExecutionConfig` of the execution flags ``args`` has."""
+    return ExecutionConfig(
+        **{
+            spec.name: getattr(args, spec.name)
+            for spec in dataclasses.fields(ExecutionConfig)
+            if hasattr(args, spec.name)
+        }
     )
 
 
 def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
     if args.shards <= 0:
         raise SystemExit(f"error: --shards must be positive, got {args.shards}")
-    execution = ExecutionConfig(
-        backend=args.backend,
-        workers=args.workers,
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        plan_cache=args.plan_cache,
-        max_read_retries=args.max_read_retries,
-        read_backoff=args.read_backoff,
-        allow_partial=args.allow_partial,
-        coalesce_gap=args.coalesce_gap,
-        readahead=args.readahead,
-    )
-    options = {"n_ranks": args.ranks, "execution": execution}
+    options = {"n_ranks": args.ranks, "execution": _execution(args)}
     if args.shards > 1:
         return ShardedMLOCStore.open(
             fs, args.root, args.variable, n_shards=args.shards, **options
@@ -428,9 +358,26 @@ def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
     return MLOCStore.open(fs, args.root, args.variable, **options)
 
 
-def _write_execution(args) -> ExecutionConfig:
-    return ExecutionConfig(
-        write_backend=args.write_backend, write_workers=args.write_workers
+def _store_command(run):
+    """The path ``query|batch|refine|stats|serve-replay`` share: load
+    the snapshot, open the store the flags describe, run
+    ``run(args, store)``, report a refused request as one line."""
+
+    def command(args) -> int:
+        try:
+            return run(args, _open_store(SimulatedPFS.load(args.snapshot), args))
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
+
+    return command
+
+
+def _shard_shares(bounds, weights) -> str:
+    total = float(sum(weights)) or 1.0
+    return (
+        f"bin bounds {[int(b) for b in bounds]}, stored-byte shares "
+        + ", ".join(f"{w / total:.0%}" for w in weights)
     )
 
 
@@ -439,12 +386,9 @@ def _print_shard_balance(fs, root: str, variable: str, n_shards: int) -> None:
     if n_shards <= 1:
         return
     sharded = ShardedMLOCStore.open(fs, root, variable, n_shards=n_shards)
-    weights = sharded.shard_weights()
-    total = float(weights.sum()) or 1.0
     print(
-        f"shard balance ({n_shards} shards): bin bounds "
-        f"{[int(b) for b in sharded.shard_bounds]}, stored-byte shares "
-        + ", ".join(f"{w / total:.0%}" for w in weights)
+        f"shard balance ({n_shards} shards): "
+        + _shard_shares(sharded.shard_bounds, sharded.shard_weights())
     )
 
 
@@ -456,6 +400,24 @@ def _parse_region(text: str | None):
         lo, hi = axis.split(":")
         region.append((int(lo), int(hi)))
     return tuple(region)
+
+
+def _make_query(vmin, vmax, region: str | None, **fields) -> Query:
+    """The one place CLI text — flags or a ``--spec`` — becomes a
+    :class:`Query`; ``fields`` are its remaining keywords."""
+    value_range = None
+    if vmin is not None or vmax is not None:
+        value_range = (
+            -np.inf if vmin is None else float(vmin),
+            np.inf if vmax is None else float(vmax),
+        )
+    return Query(value_range=value_range, region=_parse_region(region), **fields)
+
+
+def _query_from_flags(args, **fields) -> Query:
+    return _make_query(
+        args.vmin, args.vmax, args.region, tol=args.tol, tol_metric=args.tol_metric, **fields
+    )
 
 
 def _parse_query_spec(spec: str) -> Query:
@@ -477,15 +439,10 @@ def _parse_query_spec(spec: str) -> Query:
     unknown = set(fields) - known
     if unknown:
         raise ValueError(f"unknown query spec keys {sorted(unknown)}")
-    value_range = None
-    if "vmin" in fields or "vmax" in fields:
-        value_range = (
-            float(fields["vmin"]) if "vmin" in fields else -np.inf,
-            float(fields["vmax"]) if "vmax" in fields else np.inf,
-        )
-    return Query(
-        value_range=value_range,
-        region=_parse_region(fields.get("region")),
+    return _make_query(
+        fields.get("vmin"),
+        fields.get("vmax"),
+        fields.get("region"),
         output=fields.get("output", "values"),
         plod_level=int(fields.get("plod", 7)),
         tol=float(fields["tol"]) if "tol" in fields else None,
@@ -502,9 +459,8 @@ def _cmd_demo(args) -> int:
         chunk_shape=(max(args.size // 16, 1), max(args.size // 16, 1)),
         n_bins=args.bins,
     )
-    report = MLOCWriter(
-        fs, "/demo", config, execution=_write_execution(args)
-    ).write(field, variable="potential")
+    writer = MLOCWriter(fs, "/demo", config, execution=_execution(args))
+    report = writer.write(field, variable="potential")
     fs.save(args.snapshot)
     print(
         f"wrote /demo/potential: {args.size}x{args.size} field, "
@@ -522,8 +478,6 @@ def _cmd_info(args) -> int:
         return 1
     print(f"{'store':40s} {'shape':>16s} {'order':>6s} {'bins':>5s} {'bytes':>12s}")
     for meta_path in metas:
-        from repro.core.meta import StoreMeta
-
         var_root = meta_path[: -len("/meta")]
         meta = StoreMeta.load(fs, var_root)
         total = fs.total_bytes(var_root + "/")
@@ -554,23 +508,9 @@ def _cmd_fsck(args) -> int:
     return 1
 
 
-def _cmd_query(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
-    store = _open_store(fs, args)
-    value_range = None
-    if args.vmin is not None or args.vmax is not None:
-        value_range = (
-            args.vmin if args.vmin is not None else -np.inf,
-            args.vmax if args.vmax is not None else np.inf,
-        )
-    query = Query(
-        value_range=value_range,
-        region=_parse_region(args.region),
-        output=args.output,
-        plod_level=args.plod,
-        tol=args.tol,
-        tol_metric=args.tol_metric,
-    )
+@_store_command
+def _cmd_query(args, store) -> int:
+    query = _query_from_flags(args, output=args.output, plod_level=args.plod)
     if args.aggregate is not None:
         result = aggregate_query(store, query, args.aggregate)
         if args.aggregate == "histogram":
@@ -603,6 +543,14 @@ def _cmd_query(args) -> int:
     _print_tol_stats(result.stats)
     _print_fault_stats(result.stats)
     return 0
+
+
+def _cache_counters(cache: dict) -> str:
+    return (
+        f"{cache['hits']} hits, {cache['misses']} misses, "
+        f"{cache['evictions']} evictions, "
+        f"{cache['current_bytes']}/{cache['capacity_bytes']} bytes"
+    )
 
 
 def _print_tol_stats(stats: dict) -> None:
@@ -639,15 +587,9 @@ def _print_fault_stats(stats: dict) -> None:
         print(f"partial chunks: {shown}{more}")
 
 
-def _cmd_batch(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
-    store = _open_store(fs, args)
-    try:
-        queries = [_parse_query_spec(spec) for spec in args.spec]
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    batch = store.query_many(queries)
+@_store_command
+def _cmd_batch(args, store) -> int:
+    batch = store.query_many([_parse_query_spec(spec) for spec in args.spec])
     for i, result in enumerate(batch):
         print(
             f"query {i}: {result.n_results} results; "
@@ -664,103 +606,67 @@ def _cmd_batch(args) -> int:
         f"{batch.stats['cache_hits'] + batch.stats['cache_misses']} block requests"
     )
     if "cache" in batch.stats:
-        cache = batch.stats["cache"]
-        print(
-            f"cache: {cache['hits']} hits, {cache['misses']} misses, "
-            f"{cache['evictions']} evictions, "
-            f"{cache['current_bytes']}/{cache['capacity_bytes']} bytes"
-        )
+        print(f"cache: {_cache_counters(batch.stats['cache'])}")
     _print_fault_stats(batch.stats)
     return 0
 
 
-def _cmd_refine(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
-    store = _open_store(fs, args)
+def _print_refine_step(label: str, result) -> None:
+    print(
+        f"{label}: {result.n_results} results; "
+        f"response {result.times.total:.4f} s simulated; "
+        f"{result.stats['bytes_read']} bytes read, "
+        f"{result.stats['bytes_reused']} raw bytes reused"
+    )
+
+
+@_store_command
+def _cmd_refine(args, store) -> int:
     try:
         levels = [int(level) for level in args.levels.split(",") if level.strip()]
     except ValueError:
-        print(f"error: bad --levels {args.levels!r} (expected e.g. 2,4,7)")
-        return 2
+        raise ValueError(f"bad --levels {args.levels!r} (expected e.g. 2,4,7)") from None
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        print(f"error: --levels must be strictly ascending, got {args.levels!r}")
-        return 2
-    value_range = None
-    if args.vmin is not None or args.vmax is not None:
-        value_range = (
-            args.vmin if args.vmin is not None else -np.inf,
-            args.vmax if args.vmax is not None else np.inf,
-        )
-    query = Query(
-        value_range=value_range,
-        region=_parse_region(args.region),
-        output="values",
-        # With --tol the session derives its own ladder from the
-        # per-chunk bounds; --levels only drives the tol-less path.
-        plod_level=7 if args.tol is not None else levels[0],
-        tol=args.tol,
-        tol_metric=args.tol_metric,
+        raise ValueError(f"--levels must be strictly ascending, got {args.levels!r}")
+    # With --tol the session derives its own ladder from the per-chunk
+    # bounds; --levels only drives the tol-less path.
+    query = _query_from_flags(
+        args, output="values", plod_level=7 if args.tol is not None else levels[0]
     )
-    try:
-        with store.open_session(query) as session:
-            if args.tol is not None:
-                for result in session.progressive_results():
-                    stats = result.stats
-                    print(
-                        f"step at level {session.level}: "
-                        f"{result.n_results} results; "
-                        f"response {result.times.total:.4f} s simulated; "
-                        f"{stats['bytes_read']} bytes read, "
-                        f"{stats['bytes_reused']} raw bytes reused"
-                    )
-                    _print_tol_stats(stats)
-                    _print_fault_stats(stats)
-            else:
-                for level in levels[1:]:
-                    session.refine(level)
-                for level, result in zip(levels, session.results):
-                    stats = result.stats
-                    print(
-                        f"level {level}: {result.n_results} results; "
-                        f"response {result.times.total:.4f} s simulated; "
-                        f"{stats['bytes_read']} bytes read, "
-                        f"{stats['bytes_reused']} raw bytes reused"
-                    )
-                    _print_fault_stats(stats)
-            final = session.result.stats
-            print(
-                f"session: {session.refine_steps} refine step(s), "
-                f"{session.bytes_reused} raw bytes reused, "
-                f"{final['coalesced_reads']} coalesced read(s), "
-                f"{final['readahead_hits']} readahead hit(s)"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    with store.open_session(query) as session:
+        if args.tol is not None:
+            for result in session.progressive_results():
+                _print_refine_step(f"step at level {session.level}", result)
+                _print_tol_stats(result.stats)
+                _print_fault_stats(result.stats)
+        else:
+            for level in levels[1:]:
+                session.refine(level)
+            for level, result in zip(levels, session.results):
+                _print_refine_step(f"level {level}", result)
+                _print_fault_stats(result.stats)
+        final = session.result.stats
+        print(
+            f"session: {session.refine_steps} refine step(s), "
+            f"{session.bytes_reused} raw bytes reused, "
+            f"{final['coalesced_reads']} coalesced read(s), "
+            f"{final['readahead_hits']} readahead hit(s)"
+        )
     return 0
 
 
-def _cmd_stats(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
-    store = _open_store(fs, args)
-    try:
-        queries = [_parse_query_spec(spec) for spec in args.spec]
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    for query in queries:
+@_store_command
+def _cmd_stats(args, store) -> int:
+    for query in [_parse_query_spec(spec) for spec in args.spec]:
         store.query(query)
     snapshot = store.runtime_stats()
     if args.shards > 1:
         # Sharded runtime_stats is shaped like the flat store's (shared
         # structures reported once, quarantines unioned), so the same
         # printing below covers both; only the shard map is extra.
-        weights = snapshot["shard_weights"]
-        total = sum(weights) or 1.0
         print(
-            f"shards: {snapshot['n_shards']}, bin bounds "
-            f"{snapshot['shard_bounds']}, stored-byte shares "
-            + ", ".join(f"{w / total:.0%}" for w in weights)
+            f"shards: {snapshot['n_shards']}, "
+            + _shard_shares(snapshot["shard_bounds"], snapshot["shard_weights"])
         )
     print(
         f"executor: {snapshot['n_ranks']} ranks, {snapshot['backend']} backend, "
@@ -778,9 +684,7 @@ def _cmd_stats(args) -> int:
     if "block_cache" in snapshot:
         bc = snapshot["block_cache"]
         print(
-            f"block cache: {bc['hits']} hits, {bc['misses']} misses, "
-            f"{bc['evictions']} evictions, "
-            f"{bc['current_bytes']}/{bc['capacity_bytes']} bytes, "
+            f"block cache: {_cache_counters(bc)}, "
             f"{bc['pinned_blocks']} pinned block(s)"
         )
     else:
@@ -795,7 +699,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_serve_replay(args) -> int:
+@_store_command
+def _cmd_serve_replay(args, store) -> int:
     from repro.harness.workloads import WorkloadGenerator
     from repro.server import (
         BrokerConfig,
@@ -805,8 +710,6 @@ def _cmd_serve_replay(args) -> int:
         replay_open_loop,
     )
 
-    fs = SimulatedPFS.load(args.snapshot)
-    store = _open_store(fs, args)
     # Region workloads need only the shape; the quantile table is for
     # value constraints, which this trace does not use.
     gen = WorkloadGenerator(
@@ -866,47 +769,19 @@ def _cmd_serve_replay(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    from repro.index import HBIndex, build_from_store, hbi_path, wah_from_positions
+    from repro.index import hbi_path, wah_from_positions
 
     fs = SimulatedPFS.load(args.snapshot)
     store = MLOCStore.open(fs, args.root, args.variable)
     path = hbi_path(store.root)
-
-    if args.action == "build":
-        options = {}
-        if args.leaf_span is not None:
-            options["leaf_span"] = args.leaf_span
-        if args.fanout is not None:
-            options["fanout"] = args.fanout
-        try:
-            hbi = build_from_store(store, **options)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        blob = hbi.to_bytes()
-        fs.write_file(path, blob)
-        fs.save(args.snapshot)
-        print(
-            f"built {path}: {len(blob)} bytes "
-            f"(leaf_span={hbi.leaf_span}, fanout={hbi.fanout})"
-        )
-        return 0
-
-    if fs.exists(path):
-        hbi = HBIndex.from_bytes(bytes(fs.session().open(path).read_all()))
-        source, hbi_bytes = "persisted", fs.size(path)
-    else:
-        hbi = store.hbi  # lazy rebuild from the flat bin index
-        source, hbi_bytes = "rebuilt in memory (no persisted record)", len(
-            hbi.to_bytes()
-        )
+    hbi, hbi_bytes = store.hbi, fs.size(path)
     try:
         hbi.validate()
     except ValueError as exc:
         print(f"error: index fails validation: {exc}")
         return 1
     s = hbi.stats()
-    print(f"hierarchical index {path} ({source}): {hbi_bytes} bytes")
+    print(f"hierarchical index {path} (persisted): {hbi_bytes} bytes")
     print(
         f"tree: {s['n_bins']} bins x {s['n_runs']} chunk-runs of "
         f"{s['leaf_span']} chunks, {s['n_levels']} levels (fanout "
@@ -941,11 +816,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_relayout(args) -> int:
-    from dataclasses import replace as dc_replace
-
     fs = SimulatedPFS.load(args.snapshot)
     source = MLOCStore.open(fs, args.root, args.variable)
-    new_config = dc_replace(
+    new_config = dataclasses.replace(
         source.meta.config,
         level_order=args.order,
         codec="zlib-bytes" if "M" in args.order else source.meta.config.codec,
@@ -954,12 +827,8 @@ def _cmd_relayout(args) -> int:
     if "M" in args.order and source.meta.config.level_order == "VS":
         print("note: switching a whole-value store to a PLoD order uses zlib-bytes")
     report = relayout(
-        fs,
-        args.root,
-        args.variable,
-        args.target_root,
-        new_config,
-        execution=_write_execution(args),
+        fs, args.root, args.variable, args.target_root, new_config,
+        execution=_execution(args),
     )
     fs.save(args.snapshot)
     print(
@@ -972,23 +841,9 @@ def _cmd_relayout(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "demo": _cmd_demo,
-    "info": _cmd_info,
-    "fsck": _cmd_fsck,
-    "query": _cmd_query,
-    "batch": _cmd_batch,
-    "refine": _cmd_refine,
-    "stats": _cmd_stats,
-    "serve-replay": _cmd_serve_replay,
-    "index": _cmd_index,
-    "relayout": _cmd_relayout,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

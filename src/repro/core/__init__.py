@@ -19,7 +19,12 @@ from repro.core.advisor import (
 )
 from repro.core.aggregate import AGGREGATE_OPS, AggregateResult, aggregate_query
 from repro.core.chunking import ChunkGrid, normalize_region, region_size
-from repro.core.compound import CompoundResult, VariableConstraint, compound_query
+from repro.core.compound import (
+    CompoundResult,
+    VariableConstraint,
+    compound_query,
+    multi_variable_query,
+)
 from repro.core.config import (
     EXEC_BACKENDS,
     LEVEL_ORDERS,
@@ -41,9 +46,8 @@ from repro.core.manifest import (
     load_manifest_at,
     manifest_path,
 )
-from repro.core.errors import DegradedResultError
+from repro.core.errors import DegradedResultError, MissingRecordError
 from repro.core.meta import StoreMeta
-from repro.core.multivar import MultiVarResult, multi_variable_query
 from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
 from repro.core.query import Query
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
@@ -71,7 +75,7 @@ __all__ = [
     "Manifest",
     "ManifestError",
     "ManifestMember",
-    "MultiVarResult",
+    "MissingRecordError",
     "Query",
     "load_manifest",
     "load_manifest_at",

@@ -19,6 +19,10 @@ Evaluation strategy, following Section III-D4's bitmap machinery:
 Variables are evaluated most-selective-first when selectivity hints
 are available from the bin metadata, so later region-only steps can be
 skipped entirely once the running intersection is empty.
+
+Section III-D4's two-variable form — "what are the temperature values
+within New York where the humidity is above 90%?" — is the
+one-constraint case: :func:`multi_variable_query`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,15 @@ from repro.core.query import Query
 from repro.core.result import ComponentTimes, QueryResult, aggregate_stats
 from repro.core.store import MLOCStore
 from repro.index.bitmap import Bitmap
+from repro.index.hbi import encode_hierarchical_bitmap
 from repro.parallel.simmpi import SimCommunicator
 
-__all__ = ["VariableConstraint", "CompoundResult", "compound_query"]
+__all__ = [
+    "VariableConstraint",
+    "CompoundResult",
+    "compound_query",
+    "multi_variable_query",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,11 @@ class CompoundResult:
     #: Aggregated execution counters over every selection and fetch
     #: step (the canonical ``repro.core.result.COUNTERS`` table).
     stats: dict = field(default_factory=dict)
+    #: Bytes of the exchanged selection payloads, summed over the
+    #: constrained variables (what the allreduces were charged).
+    exchange_bytes: int = 0
+    #: Their whole-domain WAH sizes, always recorded for comparison.
+    flat_exchange_bytes: int = 0
 
     @property
     def n_results(self) -> int:
@@ -122,6 +137,28 @@ def _estimated_selectivity(store: MLOCStore, ranges) -> float:
     return float(selected / total)
 
 
+def _exchange(store: MLOCStore, bitmap: Bitmap) -> tuple[float, int, int]:
+    """Synchronize a selection bitmap across ranks (allreduce-OR).
+
+    Returns the modeled seconds, the payload bytes and the whole-domain
+    WAH bytes.  The payload is the whole-domain WAH form — or, iff the
+    selecting store has ``use_hbi``, the hierarchical encoding (a
+    directory of non-empty chunk-runs plus one run-local WAH leaf
+    each): empty runs cost nothing and receivers can prune per run
+    before touching leaf bits.  The exchanged *set* is identical either
+    way (the codec is lossless), so retrievals are unaffected.
+    """
+    flat = bitmap.wah_bytes()
+    payload = flat
+    if store.use_hbi:
+        payload = encode_hierarchical_bitmap(
+            bitmap.to_positions(), store.grid, store.curve, store.hbi.leaf_span
+        )
+    comm = SimCommunicator(store.executor.n_ranks, store.executor.comm_cost)
+    comm.allreduce([payload] * comm.size, lambda a, b: a)
+    return comm.comm_seconds, len(payload), len(flat)
+
+
 def compound_query(
     stores: dict[str, MLOCStore],
     constraints: list[VariableConstraint],
@@ -163,12 +200,13 @@ def compound_query(
 
     shapes = {stores[name].shape for name in {c.variable for c in constraints} | set(fetch)}
     if len(shapes) != 1:
-        raise ValueError(f"stores disagree on grid shape: {sorted(shapes)}")
+        raise ValueError(f"grid mismatch: stores have shapes {sorted(shapes)}")
 
     first_store = stores[constraints[0].variable]
     n_elements = first_store.n_elements
     times = ComponentTimes()
     selections: dict[str, list[QueryResult]] = {}
+    exchange_bytes = flat_exchange_bytes = 0
 
     # Most-selective-first: cheap metadata-only estimate.
     ordered = sorted(
@@ -207,10 +245,10 @@ def compound_query(
             if intersection is None
             else intersection & variable_bitmap
         )
-        # Model the cross-rank synchronization of this variable's bitmap.
-        comm = SimCommunicator(store.executor.n_ranks, store.executor.comm_cost)
-        comm.allreduce([variable_bitmap.wah_bytes()] * comm.size, lambda a, b: a)
-        times = times + ComponentTimes(communication=comm.comm_seconds)
+        seconds, sent, flat = _exchange(store, variable_bitmap)
+        times = times + ComponentTimes(communication=seconds)
+        exchange_bytes += sent
+        flat_exchange_bytes += flat
 
     assert intersection is not None
     positions = intersection.to_positions()
@@ -236,4 +274,32 @@ def compound_query(
         times=times,
         selections=selections,
         stats=stats,
+        exchange_bytes=exchange_bytes,
+        flat_exchange_bytes=flat_exchange_bytes,
+    )
+
+
+def multi_variable_query(
+    select_store: MLOCStore,
+    fetch_stores: list[MLOCStore],
+    value_range: tuple[float, float],
+    *,
+    region: tuple[tuple[int, int], ...] | None = None,
+    plod_level: int = 7,
+) -> CompoundResult:
+    """Multi-variable access (Section III-D4) across stores sharing one
+    grid: a region-only access on ``select_store`` under ``value_range``,
+    then value retrieval on every store of ``fetch_stores`` at the
+    qualifying positions — :func:`compound_query` with one constraint.
+    """
+    stores = {select_store.variable: select_store}
+    for other in fetch_stores:
+        if stores.setdefault(other.variable, other) is not other:
+            raise ValueError(f"two different stores are named {other.variable!r}")
+    return compound_query(
+        stores,
+        [VariableConstraint.between(select_store.variable, *value_range)],
+        fetch=[other.variable for other in fetch_stores],
+        region=region,
+        plod_level=plod_level,
     )

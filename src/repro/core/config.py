@@ -21,7 +21,7 @@ chunk) cells within a bin — nest (Section III-B5):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from repro.plod.byteplanes import N_GROUPS
@@ -203,47 +203,38 @@ class ExecutionConfig:
         Maximum byte gap between two pending block reads on the same
         subfile for the I/O scheduler to merge them into one vectored
         read (one seek, one contiguous transfer).  0 (default) disables
-        coalescing and reproduces the pre-engine seek counts exactly;
-        see docs/tuning.md "Read coalescing".
+        coalescing: one read, hence one seek, per block; see
+        docs/tuning.md "Read coalescing".
     readahead:
         Extra bytes the scheduler pulls past each vectored run to warm
         the simulated PFS cache for later reads on the same subfile; 0
         (default) disables readahead.
     """
 
-    backend: str = "serial"
+    backend: str = field(default="serial", metadata={"choices": EXEC_BACKENDS})
     workers: int | None = None
     cache_bytes: int = 0
     plan_cache: int = 0
-    write_backend: str = "serial"
+    write_backend: str = field(default="serial", metadata={"choices": WRITE_BACKENDS})
     write_workers: int | None = None
     max_read_retries: int = 2
     read_backoff: float = 0.005
     allow_partial: bool = False
     coalesce_gap: int = 0
     readahead: int = 0
-    #: Handle-level error-bound default: queries without their own
-    #: ``tol`` run error-bounded at this tolerance (``None`` = off).
-    tol: float | None = None
-    #: Which recorded bound the default ``tol`` compares against
-    #: (``"max_rel"`` or ``"mean_rel"``; see docs/tuning.md).
-    tol_metric: str = "max_rel"
 
     def __post_init__(self) -> None:
-        if self.backend not in EXEC_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {EXEC_BACKENDS}, got {self.backend!r}"
-            )
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, got {getattr(self, name)!r}"
+                )
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.cache_bytes < 0:
             raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
         if self.plan_cache < 0:
             raise ValueError(f"plan_cache must be >= 0, got {self.plan_cache}")
-        if self.write_backend not in WRITE_BACKENDS:
-            raise ValueError(
-                f"write_backend must be one of {WRITE_BACKENDS}, got {self.write_backend!r}"
-            )
         if self.write_workers is not None and self.write_workers <= 0:
             raise ValueError(
                 f"write_workers must be positive, got {self.write_workers}"
@@ -258,13 +249,6 @@ class ExecutionConfig:
             raise ValueError(f"coalesce_gap must be >= 0, got {self.coalesce_gap}")
         if self.readahead < 0:
             raise ValueError(f"readahead must be >= 0, got {self.readahead}")
-        if self.tol is not None and not self.tol >= 0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
-        if self.tol_metric not in ("max_rel", "mean_rel"):
-            raise ValueError(
-                "tol_metric must be one of ('max_rel', 'mean_rel'), "
-                f"got {self.tol_metric!r}"
-            )
 
     def store_options(self) -> dict[str, Any]:
         """The read-side fields (all but ``write_*``) for :meth:`MLOCStore.open`."""
@@ -274,6 +258,14 @@ class ExecutionConfig:
         """The write-side fields, as keywords for
         :class:`~repro.core.writer.MLOCWriter`."""
         return {k: v for k, v in asdict(self).items() if k.startswith("write_")}
+
+
+#: The fields restricted to a set of choices (their ``metadata``).
+_CHOICES = {
+    spec.name: spec.metadata["choices"]
+    for spec in fields(ExecutionConfig)
+    if "choices" in spec.metadata
+}
 
 
 def fold_execution(

@@ -36,6 +36,7 @@ import zlib
 
 import numpy as np
 
+from repro.core.compound import CompoundResult, multi_variable_query
 from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.manifest import (
     Manifest,
@@ -46,7 +47,6 @@ from repro.core.manifest import (
     load_manifest_at,
 )
 from repro.core.meta import StoreMeta, read_meta_bytes
-from repro.core.multivar import MultiVarResult, multi_variable_query
 from repro.core.query import Query
 from repro.core.result import QueryResult
 from repro.core.sharded import ShardedMLOCStore
@@ -267,7 +267,7 @@ class MLOCDataset:
         timestep: int | None = None,
         region: tuple[tuple[int, int], ...] | None = None,
         plod_level: int = 7,
-    ) -> MultiVarResult:
+    ) -> CompoundResult:
         """Section III-D4 access across this dataset's variables."""
         select = self.store(select_variable, timestep)
         fetch = [self.store(v, timestep) for v in fetch_variables]

@@ -6,8 +6,8 @@ The stages layer (:mod:`repro.core.engine.stages`) describes *what* to
 read as :class:`PendingRead` records; this module decides *how*:
 
 * reads are deferred, then flushed per rank sorted by ``(subfile,
-  offset)`` — the order the pre-refactor executor already produced, so
-  ``coalesce_gap=0`` is bit-identical to it;
+  offset)``; with ``coalesce_gap=0`` that is one read per block, the
+  sequence ``tests/data/engine_golden.json`` pins;
 * with ``coalesce_gap > 0``, adjacent/near-adjacent extents of one
   subfile merge into a single vectored read
   (:meth:`~repro.pfs.simfs.SimFileHandle.readv`): one seek plus one
@@ -125,11 +125,12 @@ class _IOCounters:
 
 
 class _HandleOpener:
-    """Session file handle, opened lazily unless seed-faithful ``eager``.
+    """Session file handle, opened lazily unless ``eager``.
 
     Without caching every planned block is read, so the handle is opened
-    immediately (charging the open exactly where the pre-cache executor
-    did).  With caching, the open is deferred to the first actual read:
+    immediately: the open is charged when the rank requests its blocks,
+    before any read.  With caching, the open is deferred to the first
+    actual read:
     if every block of the file is served from the cache, the rank never
     touches the file and pays no metadata operation.
     """
@@ -166,8 +167,8 @@ class PendingRead:
     raw: dict[str, int]
     #: Fetcher cache key, or None when identity is untracked.
     key: tuple | None
-    #: (rank, bin_seq, kind, row) — the pre-refactor plan order, used
-    #: to replay decode/cache-insertion order deterministically.
+    #: (rank, bin_seq, kind, row) — the plan order, in which decodes
+    #: and cache insertions are replayed deterministically.
     order_key: tuple
     #: Picklable decode spec (see :func:`repro.parallel.procpool.run_task`);
     #: paired with the verified payload it is the shippable equivalent
@@ -311,8 +312,8 @@ class _BlockFetcher:
         Cache touches are replayed and insertions performed in plan
         order (never from worker threads, worker processes, or I/O
         order), so LRU and eviction state — and therefore later
-        queries' hit patterns — is identical to the pre-refactor
-        executor and independent of backend and coalescing.
+        queries' hit patterns — is independent of backend and
+        coalescing.
         """
         pending, self._pending = self._pending, []
         touches, self._touches = self._touches, []

@@ -23,8 +23,7 @@ order.  Everything that is *charged* happens here:
    sorted by ``(subfile, offset)`` in two waves — all index reads, then
    all data reads — in deterministic rank order.  All verified-read /
    retry / quarantine semantics live in the scheduler; with
-   ``coalesce_gap=0`` the per-subfile read sequences are exactly the
-   pre-refactor executor's;
+   ``coalesce_gap=0`` every block is its own read;
 3. **Classify** — blocks whose read exhausted its retries are mapped
    onto the degradation policy: rows of a lost index block leave the
    answer, a lost base plane drops its points, a lost refinement plane
@@ -306,11 +305,11 @@ class QueryEngine:
 
     Parameters
     ----------
-    n_ranks, scheduler, comm_cost:
-        The simulated parallel program: rank count, block-to-rank
-        assignment (``"column"`` or ``"round-robin"``), and the
-        collective cost model (default: scaled with the dataset
-        magnification, DESIGN.md §5).
+    n_ranks, scheduler:
+        The simulated parallel program: rank count and block-to-rank
+        assignment (``"column"`` or ``"round-robin"``).  Its collective
+        cost model, ``comm_cost``, scales with the dataset
+        magnification (DESIGN.md §5).
     cache:
         Optional shared :class:`~repro.pfs.blockcache.BlockCache` of
         decoded blocks; hits skip simulated I/O and modeled decode time.
@@ -333,7 +332,6 @@ class QueryEngine:
         *,
         n_ranks: int = 8,
         scheduler: str = "column",
-        comm_cost: CommCostModel | None = None,
         cache: BlockCache | None = None,
         generation: int = 0,
         context: PlanContext | None = None,
@@ -367,16 +365,14 @@ class QueryEngine:
         self.context = (
             context if context is not None else PlanContext.for_store(meta, grid, curve)
         )
-        if comm_cost is None:
-            # Scale collective payload costs with the dataset
-            # magnification so communication stays commensurate with
-            # the paper-equivalent I/O seconds (DESIGN.md §5).
-            base = CommCostModel()
-            comm_cost = CommCostModel(
-                latency=base.latency,
-                byte_time=base.byte_time * fs.cost_model.byte_scale,
-            )
-        self.comm_cost = comm_cost
+        # Collective payload costs scale with the dataset magnification
+        # so communication stays commensurate with the paper-equivalent
+        # I/O seconds (DESIGN.md §5).
+        base = CommCostModel()
+        self.comm_cost = CommCostModel(
+            latency=base.latency,
+            byte_time=base.byte_time * fs.cost_model.byte_scale,
+        )
         self._codec = make_codec(meta.config.codec, **meta.config.codec_params)
         #: Per subfile kind: :meth:`_blocks_of`, built on first use.
         self._block_tables: dict[int, tuple] = {}
@@ -669,9 +665,9 @@ class QueryEngine:
         raw_kind = "index" if kind == _INDEX else "data"
         openers: dict[int, _HandleOpener] = {}
         if not fetcher.caching:
-            # Seed-faithful: without caching every planned block is
-            # read, and the rank opens each subfile it touches up front
-            # even if none of its blocks ends up requested.
+            # Without caching every planned block is read, and the rank
+            # opens each subfile it touches up front even if none of
+            # its blocks ends up requested.
             for bin_id in bin_seq:
                 openers[bin_id] = _HandleOpener(state.session, paths[bin_id], eager=True)
         # Blocks another requester already holds are claimed in bulk.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["DegradedResultError"]
+__all__ = ["DegradedResultError", "MissingRecordError"]
 
 
 @dataclass
@@ -66,3 +66,15 @@ class DegradedResultError(Exception):
             f"({self.path} @ {self.offset}); affected chunks: [{chunks}] — "
             "pass allow_partial=True to accept a partial result"
         )
+
+
+class MissingRecordError(Exception):
+    """A record every writer persists (``hbi``, ``peb``) is absent.
+
+    Records are read, never rebuilt on the query path: a store without
+    one is damaged, and ``fsck`` reports it as ``missing-record``.
+    """
+
+    def __init__(self, path: str) -> None:
+        super().__init__(f"record missing: {path} (run fsck)")
+        self.path = path

@@ -32,7 +32,7 @@ import numpy as np
 from repro.binning.binner import BinScheme
 from repro.core.chunking import ChunkGrid, normalize_region
 from repro.core.query import Query
-from repro.parallel.scheduler import BlockList, BlockRef
+from repro.parallel.scheduler import BlockList
 from repro.plod.byteplanes import GROUP_WIDTHS
 from repro.sfc.hierarchical import level_prefix_counts
 from repro.sfc.linearize import CurveOrder
@@ -115,11 +115,6 @@ class QueryPlan:
             cpos=np.tile(self.cpos, n_bins),
             chunk_ids=np.tile(self.chunk_ids, n_bins),
         )
-
-    def block_refs(self) -> list[BlockRef]:
-        """The work items as objects (tools/tests; hot paths use
-        :meth:`block_list`)."""
-        return self.block_list().to_refs()
 
     def narrow(self, keep: np.ndarray) -> int:
         """Drop the chunks where ``keep`` is False, in place.

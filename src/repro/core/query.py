@@ -12,7 +12,7 @@ paper enumerates:
   ``resolution_level`` (subset-based, hierarchical-curve stores);
 
 Multi-variable access composes two stores through
-:func:`repro.core.multivar.multi_variable_query`.
+:func:`repro.core.compound.multi_variable_query`.
 """
 
 from __future__ import annotations

@@ -77,9 +77,9 @@ class ShardedMLOCStore(MLOCStore):
     exactly once), block cache and ``execution``.  Planning, level
     resolution, tol stamping, batches and sessions are the base
     class's; this class supplies the scatter (:meth:`stage_planned`)
-    and the gather (:meth:`gather_parts`), the per-query batch
-    fetcher, and the shard-map diagnostics.  ``n_ranks`` is each shard's rank count, so
-    total simulated parallelism is ``n_shards * n_ranks``.
+    and the gather (:meth:`gather_parts`) and the shard-map
+    diagnostics.  ``n_ranks`` is each shard's rank count, so total
+    simulated parallelism is ``n_shards * n_ranks``.
     """
 
     def __init__(
@@ -219,10 +219,6 @@ class ShardedMLOCStore(MLOCStore):
             times=_max_times([r.times for r in answers]),
             stats=stats,
         )
-
-    def _batch_fetcher(self):
-        """Batches scatter each query with its own per-shard fetchers."""
-        return None
 
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Run a batch; per-query scatter/gather, batch-level aggregate."""

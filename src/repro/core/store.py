@@ -33,7 +33,7 @@ from repro.core.chunking import ChunkGrid
 from repro.core.config import ExecutionConfig, fold_execution
 from repro.core.engine.session import RefinementSession
 from repro.core.engine.stages import QueryEngine, StagedQuery
-from repro.core.errors import DegradedResultError
+from repro.core.errors import DegradedResultError, MissingRecordError
 from repro.core.meta import StoreMeta
 from repro.core.planner import PlanContext, QueryPlan
 from repro.core.query import Query
@@ -45,9 +45,7 @@ from repro.core.result import (
 )
 from repro.core.writer import make_curve
 from repro.index.bitmap import Bitmap
-from repro.index.hbi import HBIndex, build_from_store, hbi_path
-from repro.parallel.simmpi import CommCostModel
-from repro.plod import bounds as peb_bounds
+from repro.index.hbi import HBIndex, hbi_path
 from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.layout import BinFileSet
@@ -134,9 +132,7 @@ class MLOCStore:
         *,
         n_ranks: int = 8,
         scheduler: str = "column",
-        comm_cost: CommCostModel | None = None,
         cache: BlockCache | None = None,
-        context: PlanContext | None = None,
         use_hbi: bool | None = None,
         generation: int | None = None,
         execution: ExecutionConfig | None = None,
@@ -146,9 +142,7 @@ class MLOCStore:
         self.fs = fs
         self.root = root.rstrip("/")
         self.meta = meta
-        self._engine_topology = {
-            "n_ranks": n_ranks, "scheduler": scheduler, "comm_cost": comm_cost
-        }
+        self._engine_topology = {"n_ranks": n_ranks, "scheduler": scheduler}
         self._peb: ErrorBoundsTable | None = None
         # Hierarchical bitmap index: opt-in per handle (or fleet-wide
         # via MLOC_HBI=1) because enabling it changes plan *work*, not
@@ -169,13 +163,9 @@ class MLOCStore:
         # enabled) the LRU of finished plans keyed by query fingerprint.
         # Every engine of the handle (one per shard) shares it, so the
         # tables are built exactly once.
-        self.context = (
-            context
-            if context is not None
-            else PlanContext.for_store(
-                meta, self.grid, self.curve, self.scheme,
-                plan_cache=self.execution.plan_cache,
-            )
+        self.context = PlanContext.for_store(
+            meta, self.grid, self.curve, self.scheme,
+            plan_cache=self.execution.plan_cache,
         )
         # Fingerprint the metadata so decoded blocks cached by a
         # previous layout of the same paths can never be served after a
@@ -248,42 +238,36 @@ class MLOCStore:
     def variable(self) -> str:
         return self.meta.variable
 
+    def _read_record(self, path: str) -> bytes:
+        """A persisted record's bytes, read through an uncharged
+        session like the metadata at open."""
+        if not self.fs.exists(path):
+            raise MissingRecordError(path)
+        return bytes(self.fs.session().open(path).read_all())
+
     @property
     def hbi(self) -> HBIndex:
-        """The hierarchical bitmap index, loaded or built on first use.
+        """The hierarchical bitmap index, loaded on first use.
 
-        Prefers the ``hbi`` file persisted at write time (read through
-        an uncharged session, like the metadata at open); stores
-        written before the file existed fall back to building it from
-        the flat position index — both paths yield identical bytes.
+        Raises :class:`MissingRecordError` when the ``hbi`` record every
+        writer persists is absent.
         """
         if self._hbi is None:
-            path = hbi_path(self.root)
-            if self.fs.exists(path):
-                raw = bytes(self.fs.session().open(path).read_all())
-                self._hbi = HBIndex.from_bytes(raw)
-            else:
-                self._hbi = build_from_store(self)
+            self._hbi = HBIndex.from_bytes(self._read_record(hbi_path(self.root)))
         return self._hbi
 
     @property
     def peb(self) -> ErrorBoundsTable:
-        """The per-chunk PLoD error-bounds table, loaded or rebuilt.
+        """The per-chunk PLoD error-bounds table, loaded on first use.
 
-        Prefers the ``peb`` record persisted at write time (read
-        through an uncharged session, like the metadata at open);
-        stores written before the record existed fall back to
-        rebuilding it from the stored byte planes — both paths yield
-        identical bytes (``tests/test_peb_record.py``).  Raises
-        ``ValueError`` on non-PLoD layouts.
+        Raises :class:`MissingRecordError` when the ``peb`` record is
+        absent — every writer persists it on PLoD layouts, and only
+        there.
         """
         if self._peb is None:
-            path = peb_path(self.root)
-            if self.fs.exists(path):
-                raw = bytes(self.fs.session().open(path).read_all())
-                self._peb = ErrorBoundsTable.from_bytes(raw)
-            else:
-                self._peb = peb_bounds.build_from_store(self)
+            self._peb = ErrorBoundsTable.from_bytes(
+                self._read_record(peb_path(self.root))
+            )
         return self._peb
 
     @property
@@ -369,23 +353,17 @@ class MLOCStore:
         )
 
     # ------------------------------------------------------------------
-    def _tol_params(self, query: Query) -> tuple[float, str] | None:
+    @staticmethod
+    def _tol_params(query: Query) -> tuple[float, str] | None:
         """The effective (tol, metric) of a query, or ``None``.
 
-        A query's own ``tol`` wins; otherwise the handle-level default
-        applies (with its metric).  ``tol=0`` resolves to ``None``: it
-        demands full precision, which is exactly the tol-less path —
-        results *and* stats stay bit-identical.
+        ``tol=0`` resolves to ``None``: it demands full precision,
+        which is exactly the tol-less path — results *and* stats stay
+        bit-identical.
         """
-        if query.tol is not None:
-            tol, metric = query.tol, query.tol_metric
-        elif self.execution.tol is not None:
-            tol, metric = self.execution.tol, self.execution.tol_metric
-        else:
+        if not query.tol:
             return None
-        if tol == 0:
-            return None
-        return tol, metric
+        return query.tol, query.tol_metric
 
     def resolve_levels(self, query: Query) -> np.ndarray | None:
         """Per-chunk PLoD levels meeting the query's error bound.
@@ -559,10 +537,6 @@ class MLOCStore:
         )
         return assemble([staged])[0]
 
-    def _batch_fetcher(self):
-        """The fetcher the queries of one :meth:`query_many` share."""
-        return self.new_fetcher(shared=True)
-
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Plan and execute a batch of queries as one pipeline.
 
@@ -581,7 +555,7 @@ class MLOCStore:
         and counters) plus the batch aggregate.
         """
         planned = [self.plan(q) for q in queries]
-        fetcher = self._batch_fetcher()
+        fetcher = self.new_fetcher(shared=True)
         results = assemble(
             [self.stage(q, fetcher=fetcher, planned=p) for q, p in zip(queries, planned)]
         )

@@ -30,7 +30,6 @@ __all__ = [
     "batch_pipeline_rows",
     "writer_backend_rows",
     "sharded_scaling_rows",
-    "planning_rows",
     "fault_tolerance_rows",
     "coalescing_rows",
     "progressive_rows",
@@ -284,20 +283,20 @@ def sharded_scaling_rows(
         )
         widest = sharded
         suite.fs.clear_cache()
-        batch = sharded.query_many(queries)
+        # One query at a time: the sweep measures cold per-query
+        # service, which a batch's shared fetcher would hide.
+        results = [sharded.query(q) for q in queries]
+        io = sum(r.times.io for r in results)
+        dec = sum(r.times.decompression for r in results)
         if reference is None:
-            reference = batch
+            reference, base_io_dec = results, io + dec
         else:
-            for got, want in zip(batch.results, reference.results):
+            for got, want in zip(results, reference):
                 if not (
                     _np_equal(got.positions, want.positions)
                     and _np_equal(got.values, want.values)
                 ):
                     identical = False
-        io, dec = batch.times.io, batch.times.decompression
-        base_io_dec = (
-            reference.times.io + reference.times.decompression
-        )
         rows[f"{n} shards"] = [
             round(io, 4),
             round(dec, 4),
@@ -320,92 +319,6 @@ def _np_equal(a, b) -> bool:
     if a is None or b is None:
         return (a is None) == (b is None)
     return np.array_equal(a, b)
-
-
-def planning_rows(
-    n_bins: int = 100,
-    n_chunks: int = 1000,
-    n_ranks: int = 8,
-    rounds: int = 5,
-):
-    """Object-path vs array-path plan scheduling on a synthetic plan.
-
-    Builds an ``n_bins x n_chunks`` work-list (the ISSUE's reference
-    scale), runs the seed's per-block-object pipeline (nested-loop
-    ``BlockRef`` construction, ``sorted()``, near-equal list spans)
-    against the columnar pipeline (``QueryPlan.block_list`` +
-    ``column_order_assignment``), verifies the per-rank assignments are
-    block-for-block identical, and returns ``(rows, info)`` where
-    ``rows`` maps each path to ``[plan_seconds, blocks_per_second]``
-    and ``info`` carries ``identical``, ``speedup`` and the work-list
-    size.  Best-of-``rounds`` wall clock, like every perf-smoke cell.
-    """
-    import numpy as np
-
-    from repro.core.planner import QueryPlan
-    from repro.parallel.scheduler import BlockRef, column_order_assignment
-
-    rng = np.random.default_rng(11)
-    cpos = np.sort(rng.choice(4 * n_chunks, size=n_chunks, replace=False)).astype(
-        np.int64
-    )
-    plan = QueryPlan(
-        bin_ids=np.arange(n_bins, dtype=np.int64),
-        aligned=np.ones(n_bins, dtype=bool),
-        cpos=cpos,
-        chunk_ids=rng.permutation(n_chunks).astype(np.int64),
-        interior=np.ones(n_chunks, dtype=bool),
-        region=None,
-    )
-    n_blocks = plan.n_blocks
-
-    def seed_path():
-        # The pre-columnar pipeline, verbatim: one Python object per
-        # block, a total sort, then near-equal contiguous list spans.
-        blocks = [
-            BlockRef(int(b), int(cp), int(cid))
-            for b in plan.bin_ids
-            for cp, cid in zip(plan.cpos, plan.chunk_ids)
-        ]
-        ordered = sorted(blocks)
-        base, extra = divmod(len(ordered), n_ranks)
-        out, start = [], 0
-        for rank in range(n_ranks):
-            size = base + (1 if rank < extra else 0)
-            out.append(ordered[start : start + size])
-            start += size
-        return out
-
-    def array_path():
-        return column_order_assignment(plan.block_list(), n_ranks)
-
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(max(rounds, 1)):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    seed_assignment = seed_path()
-    array_assignment = array_path()
-    identical = all(
-        seed_rank == rank_list.to_refs()
-        for seed_rank, rank_list in zip(seed_assignment, array_assignment)
-    )
-    seed_s = best_of(seed_path)
-    array_s = best_of(array_path)
-    rows = {
-        "object path (seed)": [round(seed_s, 5), int(n_blocks / seed_s)],
-        "array path": [round(array_s, 5), int(n_blocks / array_s)],
-    }
-    info = {
-        "identical": identical,
-        "speedup": seed_s / array_s,
-        "n_blocks": n_blocks,
-        "n_ranks": n_ranks,
-    }
-    return rows, info
 
 
 def fault_tolerance_rows(
@@ -477,9 +390,9 @@ def coalescing_rows(
     """Coalesced vectored I/O vs one read per block on SC queries.
 
     Runs the same spatially-constrained (region) value workload twice —
-    ``coalesce_gap=0`` (the pre-engine read path: one PFS read per
-    pending block) and ``coalesce_gap=gap`` (the I/O scheduler merges
-    near-adjacent extents of one subfile into single vectored reads) —
+    ``coalesce_gap=0`` (one PFS read per pending block) and
+    ``coalesce_gap=gap`` (the I/O scheduler merges near-adjacent
+    extents of one subfile into single vectored reads) —
     and returns ``(rows, info)``: per-mode ``[seeks, bytes_read,
     io+dec seconds]`` plus ``identical`` (results must not change),
     ``seeks_saved`` and ``coalesced_reads``.  A reduced PLoD level

@@ -12,7 +12,6 @@ from repro.index.bitmap import (
 from repro.index.hbi import (
     HBIBuilder,
     HBIndex,
-    build_from_store,
     decode_hierarchical_bitmap,
     encode_hierarchical_bitmap,
     hbi_path,
@@ -22,7 +21,6 @@ __all__ = [
     "Bitmap",
     "HBIBuilder",
     "HBIndex",
-    "build_from_store",
     "decode_hierarchical_bitmap",
     "decode_position_block",
     "encode_hierarchical_bitmap",

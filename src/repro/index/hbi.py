@@ -23,11 +23,9 @@ existing WAH machinery:
 
 The index is built at write time by :class:`HBIBuilder` (one slab of
 whole runs at a time, consumed in the writer's serial commit order so
-the persisted bytes are identical across write backends) and lazily by
-:func:`build_from_store`, which feeds the same builder, for stores
-written before the index existed: the serializations are byte-identical
-by construction.  The on-disk record (``<variable>/hbi``, see
-FORMAT.md) is versioned and CRC-terminated.
+the persisted bytes are identical across write backends).  The on-disk
+record (``<variable>/hbi``, see FORMAT.md) is versioned and
+CRC-terminated; readers load it and never rebuild it.
 
 Everything here is *summary* data derived from the authoritative flat
 index: queries answered with HBI pruning are bit-identical to the flat
@@ -42,11 +40,9 @@ import zlib
 
 import numpy as np
 
-from repro.index.binindex import decode_position_block_flat
 from repro.index.bitmap import (
     _GROUP_BITS,
     Bitmap,
-    _concat_ranges,
     _group_rows_to_words,
     groups_to_bitmap,
     wah_cardinality,
@@ -59,7 +55,6 @@ __all__ = [
     "DEFAULT_LEAF_SPAN",
     "HBIndex",
     "HBIBuilder",
-    "build_from_store",
     "decode_hierarchical_bitmap",
     "encode_hierarchical_bitmap",
     "hbi_path",
@@ -128,10 +123,9 @@ def _encode_leaves(
 class HBIndex:
     """The hierarchical bitmap index of one stored variable.
 
-    Construct through :class:`HBIBuilder` (write time),
-    :func:`build_from_store` (lazy fallback), or :meth:`from_bytes`
-    (persisted form); the constructor itself just wires pre-built
-    arrays together.
+    Construct through :class:`HBIBuilder` (write time) or
+    :meth:`from_bytes` (persisted form); the constructor itself just
+    wires pre-built arrays together.
     """
 
     def __init__(
@@ -548,48 +542,6 @@ class HBIBuilder:
             leaf_offsets=leaf_offsets,
             leaf_words=np.concatenate(words),
         )
-
-
-def build_from_store(
-    store,
-    *,
-    leaf_span: int = DEFAULT_LEAF_SPAN,
-    fanout: int = DEFAULT_FANOUT,
-) -> HBIndex:
-    """Build the hierarchical index from a store's flat position index.
-
-    The lazy fallback for stores written before the hierarchical index
-    existed: reads each bin's index subfile once (outside any query's
-    accounting, like the metadata read at open), decodes the chunk-
-    local ids, and feeds them to the write-time :class:`HBIBuilder` —
-    so the bytes are those the writer produced for the same store.
-    """
-    meta = store.meta
-    counts = meta.counts.astype(np.int64)
-    n_bins, n_chunks = counts.shape
-    session = store.fs.session()
-    parts = []
-    for b in range(n_bins):
-        raw = bytes(session.open(store.files.index_path(b)).read_all())
-        for cs, ce, offset, comp_len, _crc in meta.index_blocks[b]:
-            payload = raw[offset : offset + comp_len]
-            parts.append(decode_position_block_flat(payload, counts[b, cs:ce]))
-    # Bin after bin the ids are (bin, chunk, local id)-ordered over the
-    # store; the builder takes every bin of a slab of runs at a time.
-    local = np.concatenate(parts)
-    starts = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts.reshape(-1), out=starts[1:])
-    bin_rows = np.arange(n_bins) * n_chunks
-    builder = HBIBuilder(
-        n_bins, n_chunks, store.grid.chunk_size, leaf_span=leaf_span, fanout=fanout
-    )
-    # Whole runs of about 64 Ki elements bound the builder's transients.
-    span = leaf_span * max((1 << 16) // (leaf_span * builder.chunk_size), 1)
-    for lo in range(0, n_chunks, span):
-        hi = min(lo + span, n_chunks)
-        first, end = starts[bin_rows + lo], starts[bin_rows + hi]
-        builder.add_chunks(lo, local[_concat_ranges(first, end - first)], counts[:, lo:hi])
-    return builder.finish()
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ assignment policy of Section III-D.
 
 from repro.parallel.scheduler import (
     BlockList,
-    BlockRef,
     assignment_file_counts,
     column_order_assignment,
     round_robin_assignment,
@@ -16,7 +15,6 @@ from repro.parallel.simmpi import CommCostModel, SimCommunicator, payload_nbytes
 
 __all__ = [
     "BlockList",
-    "BlockRef",
     "CommCostModel",
     "SimCommunicator",
     "assignment_file_counts",

@@ -10,21 +10,16 @@ ablation benchmark.
 Work-lists are columnar: a :class:`BlockList` carries the planned
 (bin, chunk) work items as three parallel int64 arrays, and both
 policies operate on it with one ``lexsort`` plus span slicing — no
-per-block Python objects.  :class:`BlockRef` remains as the object
-view of a single work item (tools, tests, debugging); passing a
-sequence of refs to a policy returns per-rank ref lists with exactly
-the assignments the columnar path produces.
+per-block Python objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "BlockRef",
     "BlockList",
     "column_order_assignment",
     "round_robin_assignment",
@@ -33,33 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class BlockRef:
-    """A unit of work for the executor: one chunk's data inside one bin.
-
-    Attributes
-    ----------
-    bin_id:
-        The value bin whose subfile holds this block.
-    chunk_pos:
-        Position of the chunk in the bin's on-disk (Hilbert) order.
-    chunk_id:
-        The global chunk identifier (row-major over the chunk grid).
-    """
-
-    bin_id: int
-    chunk_pos: int
-    chunk_id: int
-
-
 @dataclass(frozen=True)
 class BlockList:
     """A columnar block work-list: parallel int64 arrays, one row per
     (bin, chunk) work item.
 
-    Row ``i`` is the block of chunk ``chunk_ids[i]`` (at on-disk curve
-    position ``cpos[i]``) inside bin ``bin_ids[i]`` — exactly what a
-    :class:`BlockRef` holds, without the object.
+    Row ``i`` is the block of chunk ``chunk_ids[i]`` (global id,
+    row-major over the chunk grid) at on-disk curve position
+    ``cpos[i]`` inside bin ``bin_ids[i]``, the value bin whose subfile
+    holds it.
     """
 
     bin_ids: np.ndarray
@@ -80,20 +57,6 @@ class BlockList:
     def __len__(self) -> int:
         return int(self.bin_ids.size)
 
-    @classmethod
-    def from_refs(cls, refs: Sequence[BlockRef]) -> "BlockList":
-        return cls(
-            bin_ids=np.fromiter((r.bin_id for r in refs), dtype=np.int64, count=len(refs)),
-            cpos=np.fromiter((r.chunk_pos for r in refs), dtype=np.int64, count=len(refs)),
-            chunk_ids=np.fromiter((r.chunk_id for r in refs), dtype=np.int64, count=len(refs)),
-        )
-
-    def to_refs(self) -> list[BlockRef]:
-        return [
-            BlockRef(int(b), int(cp), int(cid))
-            for b, cp, cid in zip(self.bin_ids, self.cpos, self.chunk_ids)
-        ]
-
     def take(self, indices: np.ndarray) -> "BlockList":
         return BlockList(
             bin_ids=self.bin_ids[indices],
@@ -113,29 +76,6 @@ class BlockList:
         order = np.lexsort((self.chunk_ids, self.cpos, self.bin_ids))
         return self.take(order)
 
-    def bin_segments(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(bin_id, cpos, chunk_ids)`` per contiguous bin run.
-
-        The list must be bin-major (as every assignment policy
-        produces); each bin's rows then form one contiguous segment,
-        recovered here from the run boundaries without any dict
-        regrouping.
-        """
-        if not len(self):
-            return
-        bounds = np.flatnonzero(np.diff(self.bin_ids)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [self.bin_ids.size]))
-        for s, e in zip(starts, ends):
-            yield int(self.bin_ids[s]), self.cpos[s:e], self.chunk_ids[s:e]
-
-
-def _as_block_list(blocks) -> tuple[BlockList, bool]:
-    """Normalize policy input; second value = caller passed ref objects."""
-    if isinstance(blocks, BlockList):
-        return blocks, False
-    return BlockList.from_refs(blocks), True
-
 
 def _span_bounds(n: int, n_parts: int) -> np.ndarray:
     """Start offsets of ``n_parts`` near-equal contiguous spans of ``n``."""
@@ -147,7 +87,7 @@ def _span_bounds(n: int, n_parts: int) -> np.ndarray:
     return bounds
 
 
-def column_order_assignment(blocks, n_ranks: int):
+def column_order_assignment(blocks: BlockList, n_ranks: int) -> list[BlockList]:
     """Assign blocks to ranks in column (bin-major) order.
 
     Blocks are sorted by (bin, on-disk position) and split into
@@ -155,36 +95,27 @@ def column_order_assignment(blocks, n_ranks: int):
     bin-major order means a rank's span crosses the fewest possible bin
     boundaries, i.e. it opens the fewest files — the paper's stated
     policy for minimizing I/O contention.
-
-    Accepts a :class:`BlockList` (returning per-rank ``BlockList``
-    spans) or a sequence of :class:`BlockRef` (returning per-rank ref
-    lists with identical assignments).
     """
     if n_ranks <= 0:
         raise ValueError(f"n_ranks must be positive, got {n_ranks}")
-    work, as_refs = _as_block_list(blocks)
-    ordered = work.lexsorted()
+    ordered = blocks.lexsorted()
     bounds = _span_bounds(len(ordered), n_ranks)
-    spans = [ordered.span(int(bounds[i]), int(bounds[i + 1])) for i in range(n_ranks)]
-    return [span.to_refs() for span in spans] if as_refs else spans
+    return [ordered.span(int(bounds[i]), int(bounds[i + 1])) for i in range(n_ranks)]
 
 
-def round_robin_assignment(blocks, n_ranks: int):
+def round_robin_assignment(blocks: BlockList, n_ranks: int) -> list[BlockList]:
     """Deal blocks to ranks round-robin (the ablation's strawman).
 
     Counts stay balanced but every rank touches nearly every bin file,
     maximizing opens and cross-rank contention on the same files.
-    Accepts the same inputs as :func:`column_order_assignment`.
     """
     if n_ranks <= 0:
         raise ValueError(f"n_ranks must be positive, got {n_ranks}")
-    work, as_refs = _as_block_list(blocks)
-    ordered = work.lexsorted()
-    spans = [
+    ordered = blocks.lexsorted()
+    return [
         ordered.take(np.arange(rank, len(ordered), n_ranks, dtype=np.int64))
         for rank in range(n_ranks)
     ]
-    return [span.to_refs() for span in spans] if as_refs else spans
 
 
 def weighted_bin_partition(weights: np.ndarray, n_shards: int) -> np.ndarray:
@@ -231,12 +162,9 @@ def weighted_bin_partition(weights: np.ndarray, n_shards: int) -> np.ndarray:
     return bounds
 
 
-def assignment_file_counts(assignment) -> np.ndarray:
+def assignment_file_counts(assignment: list[BlockList]) -> np.ndarray:
     """Distinct bins (files) touched by each rank — the contention metric."""
-    counts = []
-    for rank_blocks in assignment:
-        if isinstance(rank_blocks, BlockList):
-            counts.append(int(np.unique(rank_blocks.bin_ids).size))
-        else:
-            counts.append(len({b.bin_id for b in rank_blocks}))
-    return np.array(counts, dtype=np.int64)
+    return np.array(
+        [np.unique(rank_blocks.bin_ids).size for rank_blocks in assignment],
+        dtype=np.int64,
+    )

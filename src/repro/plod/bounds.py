@@ -23,10 +23,6 @@ table:
   of the slab-stage output, consumed in serial ``cpos`` order, so the
   persisted record is bit-identical across write backends and worker
   counts (DESIGN.md §6).
-* :func:`build_from_store` — lazy rebuild for stores written before
-  the record existed.  Level-7 byte-plane reassembly is exact, so the
-  same kernel sees the written values in the written order and the
-  recomputed bounds are byte-identical to the write-time record.
 
 A per-chunk **max** relative bound covers every subset of the chunk's
 points, so it remains valid for value- and region-restricted queries
@@ -43,14 +39,11 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import make_codec
 from repro.plod.accuracy import relative_errors
 from repro.plod.byteplanes import (
     FULL_PLOD_LEVEL,
-    GROUP_WIDTHS,
     N_GROUPS,
     assemble_from_groups,
-    nested_group_index,
     split_byte_groups,
 )
 
@@ -58,7 +51,6 @@ __all__ = [
     "ErrorBoundsTable",
     "PEBBuilder",
     "TOL_METRICS",
-    "build_from_store",
     "compute_bounds_batch",
     "compute_chunk_bounds",
     "peb_path",
@@ -299,52 +291,3 @@ class PEBBuilder:
                 f"saw {self._next_cpos} of {self.n_chunks} chunks before finish"
             )
         return ErrorBoundsTable(self.max_rel, self.mean_rel)
-
-
-def build_from_store(store) -> ErrorBoundsTable:
-    """Rebuild the bounds table from a store's data subfiles.
-
-    The lazy fallback for stores written before the record existed:
-    reads each bin's data subfile once (outside any query's accounting,
-    like the metadata read at open), reassembles every value exactly
-    from all seven byte groups, and recomputes the bounds with the same
-    :func:`compute_bounds_batch` the writer ran — producing bytes
-    identical to the write-time record.
-    """
-    meta = store.meta
-    config = meta.config
-    if not config.plod_enabled:
-        raise ValueError(
-            f"per-chunk error bounds require a PLoD byte-plane layout, not "
-            f"{config.level_order!r}"
-        )
-    counts = meta.counts.astype(np.int64)
-    n_bins, n_chunks = counts.shape
-    codec = make_codec(config.codec, **config.codec_params)
-    session = store.fs.session()
-
-    # Each bin's byte planes in (chunk, local id) order; bin after bin
-    # they are the planes of the whole store in the writer's bin-major
-    # slab order.
-    planes: list[list[np.ndarray]] = [[] for _ in range(N_GROUPS)]
-    for b in range(n_bins):
-        blob = bytes(session.open(store.files.data_path(b)).read_all())
-        parts = []
-        for _cs, _ce, offset, comp_len, raw_len, _crc in meta.data_blocks[b]:
-            decoded = codec.decode(blob[offset : offset + comp_len], int(raw_len))
-            parts.append(np.frombuffer(decoded, dtype=np.uint8))
-        stream = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
-        )
-        if config.group_major:
-            # V-M-S: the file is group 0 of every chunk, then group 1, ...
-            ends = np.cumsum(GROUP_WIDTHS) * int(counts[b].sum())
-            for g, plane in enumerate(np.split(stream, ends[:-1])):
-                planes[g].append(plane)
-        else:
-            for g, index in enumerate(nested_group_index(counts[b])):
-                planes[g].append(stream[index])
-
-    groups = [np.concatenate(per_bin) for per_bin in planes]
-    values = assemble_from_groups(groups, int(counts.sum()), FULL_PLOD_LEVEL)
-    return ErrorBoundsTable(*compute_bounds_batch(values, counts, groups))

@@ -17,10 +17,13 @@ between metadata, block tables, subfiles, codecs, and position indices
 * decoded values actually fall inside their bin's value interval
   (within the lossy codec's error bound for ISABELA stores); for PLoD
   stores the values are first reassembled from all seven byte planes;
-* when the hierarchical bitmap index file is present: it parses (CRC,
+* the hierarchical bitmap index record is present and parses (CRC,
   version, geometry), its interior levels sum to their children, every
   leaf's WAH cardinality matches its tree node, and its per-(bin, run)
-  counts agree with the metadata's chunk counts.
+  counts agree with the metadata's chunk counts;
+* on PLoD layouts the error-bounds record is present, parses, and
+  keeps its invariants (a missing ``hbi`` or ``peb`` is
+  ``kind="missing-record"``: readers never rebuild one).
 
 Returns a list of :class:`Issue` records; an empty list means the store
 is sound.  Used by the CLI (``python -m repro.cli fsck``) and the test
@@ -65,6 +68,8 @@ class Issue:
     decode, and ``"other"`` every structural inconsistency.  For the
     block-level kinds, ``path``/``offset`` name the damaged extent in
     the same coordinates the executor's quarantine keys use.
+    ``"missing-record"`` is an absent ``hbi`` or ``peb`` record
+    (``path`` names it).
     Dataset-level checking (:func:`check_dataset`) adds
     ``"manifest-torn"`` (an unreadable manifest generation — the
     footprint of an interrupted commit) and ``"orphaned-member"`` (a
@@ -302,10 +307,16 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
     return issues
 
 
+def _missing_record(loc: str, path: str) -> Issue:
+    return Issue(
+        "error", loc, f"record missing: {path}", kind="missing-record", path=path
+    )
+
+
 def _check_hbi(
     fs: SimulatedPFS, var_root: str, meta: StoreMeta, grid: ChunkGrid
 ) -> list[Issue]:
-    """Integrity of the optional hierarchical bitmap index file.
+    """Integrity of the hierarchical bitmap index record.
 
     The file is summary data derived from the flat index, so beyond
     parsing (magic/version/CRC) the check cross-validates it against
@@ -314,9 +325,9 @@ def _check_hbi(
     that makes index-driven pruning answer-preserving.
     """
     path = hbi_path(var_root)
-    if not fs.exists(path):
-        return []  # optional: stores may predate the hierarchical index
     loc = "hbi"
+    if not fs.exists(path):
+        return [_missing_record(loc, path)]
     try:
         hbi = HBIndex.from_bytes(bytes(fs.session().open(path).read_all()))
     except Exception as exc:
@@ -352,7 +363,7 @@ def _check_hbi(
 
 
 def _check_peb(fs: SimulatedPFS, var_root: str, meta: StoreMeta) -> list[Issue]:
-    """Integrity of the optional per-chunk error-bounds file.
+    """Integrity of the per-chunk error-bounds record (PLoD layouts).
 
     Like the hierarchical index, the file is derived data: beyond
     parsing (magic/version/CRC) the check cross-validates its geometry
@@ -362,9 +373,10 @@ def _check_peb(fs: SimulatedPFS, var_root: str, meta: StoreMeta) -> list[Issue]:
     accuracy claims provable from the record.
     """
     path = peb_path(var_root)
-    if not fs.exists(path):
-        return []  # optional: stores may predate error-bounded retrieval
     loc = "peb"
+    if not fs.exists(path):
+        # Only PLoD layouts have per-level bounds to record.
+        return [_missing_record(loc, path)] if meta.config.plod_enabled else []
     try:
         table = ErrorBoundsTable.from_bytes(
             bytes(fs.session().open(path).read_all())

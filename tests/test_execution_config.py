@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro import cli
 from repro.core import (
     EXEC_BACKENDS,
     ExecutionConfig,
@@ -132,3 +133,19 @@ def test_invalid_value_raises_the_same_error_at_every_door(sealed_fs, name):
         with pytest.raises(ValueError) as via_keyword:
             door()
         assert str(via_keyword.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("name", [f for f in FIELDS if not f.startswith("write_")])
+def test_every_read_side_field_is_a_cli_flag(sealed_fs, name):
+    """The flag's type, choices and default are the field's: what the
+    flag is given lands on the opened store's ``execution``."""
+    value = _non_default(name)
+    given = [] if value is True else [str(value)]
+    if name == "cache_bytes":
+        value, given = 3 << 20, ["3"]  # the flag's unit is MiB
+    parser = cli.build_parser()
+    base = ["query", "unused.pfs", "--root", "/ds", "--variable", KEY]
+    for flag in cli.execution_flags(name):
+        args = parser.parse_args(base + [flag, *given])
+        assert cli._open_store(sealed_fs, args).execution == ExecutionConfig(**{name: value})
+    assert cli._open_store(sealed_fs, parser.parse_args(base)).execution == ExecutionConfig()

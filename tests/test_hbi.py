@@ -1,8 +1,6 @@
 """Unit tests for the hierarchical compressed bitmap index.
 
-Covers the structural contracts in isolation: the write-time streaming
-builder and the lazy from-store builder must be byte-identical, the
-serialized record must roundtrip and reject corruption, interior-node
+Covers the structural contracts in isolation: the serialized record must roundtrip and reject corruption, interior-node
 range queries must agree with brute-force sums over the exact count
 matrix in O(fanout log n_bins) nodes, and leaf-resolved positions must
 match ground-truth bin membership of the raw field.
@@ -16,7 +14,6 @@ from repro.datasets import gts_like
 from repro.index.hbi import (
     HBIBuilder,
     HBIndex,
-    build_from_store,
     decode_hierarchical_bitmap,
     encode_hierarchical_bitmap,
     hbi_path,
@@ -34,14 +31,6 @@ def store_and_field():
 
 
 class TestConstruction:
-    def test_writer_and_lazy_builder_agree_byte_for_byte(self, store_and_field):
-        store, _ = store_and_field
-        persisted = bytes(
-            store.fs.session().open(hbi_path(store.root)).read_all()
-        )
-        rebuilt = build_from_store(store).to_bytes()
-        assert persisted == rebuilt
-
     def test_builder_rejects_out_of_order_chunks(self):
         builder = HBIBuilder(2, 4, 16)
         builder.add_chunk(0, np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64))

@@ -233,16 +233,3 @@ class TestPersistedBytes:
                 fs.session().open(hbi_path("/wb/field")).read_all()
             )
         assert blobs["serial"] == blobs["threads"]
-
-    def test_lazy_build_matches_persisted(self, eq_field):
-        from repro.index.hbi import build_from_store
-
-        fs = _write(mloc_col((16, 16), n_bins=8), eq_field)
-        store = MLOCStore.open(fs, "/eq", "field", use_hbi=True)
-        persisted = bytes(fs.session().open(hbi_path(store.root)).read_all())
-        # Delete the persisted record: the store's lazy property must
-        # rebuild an identical index from the flat bin subfiles.
-        fs.delete(hbi_path(store.root))
-        fresh = MLOCStore.open(fs, "/eq", "field", use_hbi=True)
-        assert fresh.hbi.to_bytes() == persisted
-        assert build_from_store(store).to_bytes() == persisted

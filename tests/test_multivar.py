@@ -34,7 +34,7 @@ class TestMultiVariableQuery:
         assert np.array_equal(result.positions, expect)
         assert np.array_equal(result.values["humidity"], humidity.reshape(-1)[expect])
         assert result.times.communication > 0
-        assert result.selection.n_results == expect.size
+        assert result.selections["temp"][0].n_results == expect.size
 
     def test_with_region(self, two_vars):
         fs, temp, humidity, t, h = two_vars
@@ -74,6 +74,16 @@ class TestMultiVariableQuery:
         other = MLOCStore.open(other_fs, "/x", "v")
         with pytest.raises(ValueError, match="grid mismatch"):
             multi_variable_query(t, [other], value_range=(0.0, 1.0))
+
+
+    def test_same_named_stores_rejected(self, two_vars):
+        """Values are keyed by variable name: a second store under the
+        selector's name would silently be read as the selector."""
+        fs, temp, humidity, t, h = two_vars
+        MLOCWriter(fs, "/mv2", mloc_col((16, 16), n_bins=8)).write(humidity, "temp")
+        impostor = MLOCStore.open(fs, "/mv2", "temp")
+        with pytest.raises(ValueError, match="two different stores"):
+            multi_variable_query(t, [impostor], value_range=(0.0, 1.0))
 
 
 class TestFetchPositions:

@@ -4,13 +4,10 @@ Three contracts, in dependency order:
 
 * **Determinism** — the record is a pure function of the written data:
   byte-identical across write backends and worker counts (the builder
-  rides the ordered commit loop, like the hierarchical index).
-* **Rebuild equivalence** — deleting the file and letting the store's
-  lazy ``peb`` property rebuild from the data subfiles reproduces the
-  exact bytes, because level-7 byte-plane reassembly is exact and the
-  rebuild feeds :func:`~repro.plod.bounds.compute_bounds_batch` the
-  same bin-major values the writer did — and that kernel's per-chunk
-  reductions are, bit for bit, those of each chunk computed alone.
+  rides the ordered commit loop, like the hierarchical index), and its
+  rows are, bit for bit, the per-chunk bounds of the written field —
+  :func:`~repro.plod.bounds.compute_bounds_batch`'s per-chunk
+  reductions are those of each chunk computed alone.
 * **fsck cross-check** — the record parses under fsck, corruption is
   reported as a decode error, and a record violating the monotonicity
   invariant (bounds increasing with level) is flagged even when its
@@ -28,7 +25,6 @@ from repro.binning.binner import per_bin_segments
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
-from repro.plod import bounds as peb_bounds
 from repro.plod.accuracy import relative_errors
 from repro.plod.bounds import (
     ErrorBoundsTable,
@@ -88,17 +84,19 @@ class TestPersistedBytes:
         table.validate()  # monotone, level-7 zero, mean <= max
         assert table.n_chunks == 64
 
-    def test_lazy_rebuild_matches_persisted(self, peb_field):
+    def test_persisted_rows_match_field_oracle(self, peb_field):
+        """Every row of the record, recomputed one chunk at a time from
+        the written field in the writer's (bin, local id) order."""
         fs = _write(mloc_col((16, 16), **CONFIG_KW), peb_field)
-        persisted = _peb_blob(fs)
         store = MLOCStore.open(fs, "/wb", "field")
-        assert store.peb.to_bytes() == persisted
-        # Delete the record: the lazy property must rebuild identical
-        # bytes from the flat bin subfiles.
-        fs.delete(peb_path("/wb/field"))
-        fresh = MLOCStore.open(fs, "/wb", "field")
-        assert fresh.peb.to_bytes() == persisted
-        assert peb_bounds.build_from_store(fresh).to_bytes() == persisted
+        table = store.peb
+        for cpos, chunk_id in enumerate(store.curve.order):
+            values = peb_field[store.grid.chunk_slices(int(chunk_id))].reshape(-1)
+            bids = store.scheme.assign(values)
+            _, segmented, _ = per_bin_segments(values, bids, store.meta.config.n_bins)
+            want_max, want_mean = _reference_chunk_bounds(segmented)
+            assert table.max_rel[:, cpos].tobytes() == want_max.tobytes()
+            assert table.mean_rel[:, cpos].tobytes() == want_mean.tobytes()
 
     def test_non_plod_layout_writes_no_record(self, peb_field):
         """VS layouts keep no byte planes, so there are no per-level
@@ -109,18 +107,6 @@ class TestPersistedBytes:
         store = MLOCStore.open(fs, "/wb", "field")
         with pytest.raises(ValueError, match="PLoD"):
             store.query(Query(value_range=(0.2, 0.8), tol=1e-3))
-
-    def test_opt_out(self, peb_field):
-        """The record is always written; a store that lost it still
-        answers ``tol`` queries, from the lazily rebuilt table."""
-        fs = _write(mloc_col((16, 16), **CONFIG_KW), peb_field)
-        query = Query(value_range=(0.2, 0.8), tol=1e-3)
-        want = MLOCStore.open(fs, "/wb", "field").query(query)
-        fs.delete(peb_path("/wb/field"))
-        got = MLOCStore.open(fs, "/wb", "field").query(query)
-        assert np.array_equal(got.positions, want.positions)
-        assert np.array_equal(got.values, want.values)
-        assert got.stats["achieved_bound"] == want.stats["achieved_bound"]
 
 
 class TestBoundsSemantics:

@@ -22,24 +22,29 @@ from repro.core.writer import make_curve
 from repro.datasets import gts_like
 from repro.parallel.scheduler import (
     BlockList,
-    BlockRef,
     column_order_assignment,
     round_robin_assignment,
 )
 from repro.pfs import SimulatedPFS
 
 # ----------------------------------------------------------------------
-# Seed reference implementations (verbatim semantics of the pre-columnar
-# pipeline; kept here as the equivalence oracle).
+# Reference implementations: one (bin id, curve position, chunk id)
+# tuple per block, ``sorted()`` and list slicing.  The equivalence
+# oracle for the columnar pipeline.
 # ----------------------------------------------------------------------
+BlockRef = tuple[int, int, int]
 
 
 def _seed_block_refs(plan: QueryPlan) -> list[BlockRef]:
     return [
-        BlockRef(int(b), int(cp), int(cid))
+        (int(b), int(cp), int(cid))
         for b in plan.bin_ids
         for cp, cid in zip(plan.cpos, plan.chunk_ids)
     ]
+
+
+def _to_refs(work: BlockList) -> list[BlockRef]:
+    return list(zip(work.bin_ids.tolist(), work.cpos.tolist(), work.chunk_ids.tolist()))
 
 
 def _seed_column_order(blocks: list[BlockRef], n_ranks: int) -> list[list[BlockRef]]:
@@ -96,7 +101,7 @@ def _assert_assignment_equal(seed_assignment, array_assignment):
     assert len(seed_assignment) == len(array_assignment)
     for seed_rank, rank_list in zip(seed_assignment, array_assignment):
         assert isinstance(rank_list, BlockList)
-        assert seed_rank == rank_list.to_refs()
+        assert seed_rank == _to_refs(rank_list)
 
 
 # ----------------------------------------------------------------------
@@ -123,14 +128,7 @@ class TestSchedulerEquivalence:
 
     def test_block_list_matches_seed_refs(self):
         plan = _synthetic_plan(7, 33, seed=5)
-        assert plan.block_refs() == _seed_block_refs(plan)
-
-    def test_ref_input_matches_block_list_input(self):
-        plan = _synthetic_plan(4, 21, seed=9)
-        refs = plan.block_refs()
-        from_refs = column_order_assignment(refs, 4)
-        from_list = column_order_assignment(plan.block_list(), 4)
-        assert from_refs == [span.to_refs() for span in from_list]
+        assert _to_refs(plan.block_list()) == _seed_block_refs(plan)
 
     def test_empty_work_list(self):
         empty = BlockList(

@@ -115,9 +115,9 @@ class TestBlockRefs:
         plan = plan_query(
             grid, curve, scheme, Query(value_range=(2.5, 4.5), region=((0, 16), (0, 16)))
         )
-        refs = plan.block_refs()
-        assert len(refs) == plan.n_blocks == 3 * 1
-        assert {r.bin_id for r in refs} == {2, 3, 4}
+        work = plan.block_list()
+        assert len(work) == plan.n_blocks == 3 * 1
+        assert set(work.bin_ids.tolist()) == {2, 3, 4}
 
     def test_block_list_matches_refs(self, setup):
         grid, curve, scheme = setup
@@ -126,7 +126,12 @@ class TestBlockRefs:
         )
         work = plan.block_list()
         assert len(work) == plan.n_blocks
-        assert work.to_refs() == plan.block_refs()
+        rows = zip(work.bin_ids.tolist(), work.cpos.tolist(), work.chunk_ids.tolist())
+        assert list(rows) == [
+            (b, cp, cid)
+            for b in plan.bin_ids.tolist()
+            for cp, cid in zip(plan.cpos.tolist(), plan.chunk_ids.tolist())
+        ]
         # Bin-major: bins arrive in sorted runs, cpos sorted within each.
         assert np.array_equal(work.bin_ids, np.sort(work.bin_ids))
 

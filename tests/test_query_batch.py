@@ -279,19 +279,20 @@ OVERLAPPING = [
 
 
 def test_batch_decodes_shared_blocks_once(fs):
-    store = MLOCStore.open(fs, "/store", "field")
-    fs.clear_cache()
-    batch = store.query_many(OVERLAPPING)
-    # The boxes overlap heavily: later queries must hit blocks the
-    # first query already fetched, even with no persistent cache.
-    assert store.cache is None
-    assert batch.stats["cache_hits"] > 0
-    assert batch.stats["blocks_decoded"] < (
-        batch.stats["cache_hits"] + batch.stats["cache_misses"]
-    )
-    # First query pays cold; a repeat of query 0 inside the batch
-    # would be all hits — check the third query benefits already.
-    assert batch[2].stats["cache_hits"] > 0
+    for shards in SHARDS.values():
+        store = _open(fs, shards)
+        fs.clear_cache()
+        batch = store.query_many(OVERLAPPING)
+        # The boxes overlap heavily: later queries must hit blocks the
+        # first query already fetched, even with no persistent cache.
+        assert store.cache is None
+        assert batch.stats["cache_hits"] > 0
+        assert batch.stats["blocks_decoded"] < (
+            batch.stats["cache_hits"] + batch.stats["cache_misses"]
+        )
+        # First query pays cold; a repeat of query 0 inside the batch
+        # would be all hits — check the third query benefits already.
+        assert batch[2].stats["cache_hits"] > 0
 
 
 def test_batch_cheaper_than_cold_singles(fs):

@@ -7,17 +7,30 @@ from hypothesis import strategies as st
 
 from repro.parallel.scheduler import (
     BlockList,
-    BlockRef,
     assignment_file_counts,
     column_order_assignment,
     round_robin_assignment,
 )
 
 
-def _blocks(n_bins: int, n_chunks: int) -> list[BlockRef]:
-    return [
-        BlockRef(b, c, c * 10 + b) for b in range(n_bins) for c in range(n_chunks)
-    ]
+Row = tuple[int, int, int]  # (bin id, curve position, chunk id)
+
+
+def _block_list(rows: list[Row]) -> BlockList:
+    bin_ids, cpos, chunk_ids = zip(*rows) if rows else ((), (), ())
+    return BlockList(bin_ids=bin_ids, cpos=cpos, chunk_ids=chunk_ids)
+
+
+def _rows(work: BlockList) -> list[Row]:
+    return list(zip(work.bin_ids.tolist(), work.cpos.tolist(), work.chunk_ids.tolist()))
+
+
+def _grid_rows(n_bins: int, n_chunks: int) -> list[Row]:
+    return [(b, c, c * 10 + b) for b in range(n_bins) for c in range(n_chunks)]
+
+
+def _blocks(n_bins: int, n_chunks: int) -> BlockList:
+    return _block_list(_grid_rows(n_bins, n_chunks))
 
 
 class TestColumnOrder:
@@ -32,8 +45,8 @@ class TestColumnOrder:
         blocks = _blocks(4, 10)
         assignment = column_order_assignment(blocks, 4)
         # Rank 0 must hold exactly bin 0 (10 blocks per bin, 10 per rank).
-        assert {b.bin_id for b in assignment[0]} == {0}
-        assert {b.bin_id for b in assignment[3]} == {3}
+        assert set(assignment[0].bin_ids.tolist()) == {0}
+        assert set(assignment[3].bin_ids.tolist()) == {3}
 
     def test_minimizes_files_vs_round_robin(self):
         blocks = _blocks(8, 16)
@@ -51,14 +64,14 @@ class TestColumnOrder:
         assert len(assignment) == 8
 
     def test_empty_blocks(self):
-        assignment = column_order_assignment([], 4)
-        assert assignment == [[], [], [], []]
+        assignment = column_order_assignment(_block_list([]), 4)
+        assert [len(a) for a in assignment] == [0, 0, 0, 0]
 
     def test_invalid_ranks(self):
         with pytest.raises(ValueError):
-            column_order_assignment([], 0)
+            column_order_assignment(_block_list([]), 0)
         with pytest.raises(ValueError):
-            round_robin_assignment([], -1)
+            round_robin_assignment(_block_list([]), -1)
 
 
 class TestRoundRobin:
@@ -68,26 +81,26 @@ class TestRoundRobin:
         sizes = [len(a) for a in assignment]
         assert sizes == [2, 2, 2, 2]
         # every rank sees both bins
-        assert all(len({b.bin_id for b in a}) == 2 for a in assignment)
+        assert all(len(set(a.bin_ids.tolist())) == 2 for a in assignment)
 
 
 class TestBlockRefOrdering:
     def test_sort_key_is_bin_then_position(self):
-        refs = [BlockRef(1, 0, 5), BlockRef(0, 9, 1), BlockRef(0, 2, 7)]
-        assert sorted(refs) == [BlockRef(0, 2, 7), BlockRef(0, 9, 1), BlockRef(1, 0, 5)]
+        rows = [(1, 0, 5), (0, 9, 1), (0, 2, 7)]
+        assert _rows(_block_list(rows).lexsorted()) == [(0, 2, 7), (0, 9, 1), (1, 0, 5)]
 
 
 class TestBlockList:
     def test_refs_roundtrip(self):
-        refs = _blocks(3, 5)
-        work = BlockList.from_refs(refs)
+        rows = _grid_rows(3, 5)
+        work = _block_list(rows)
         assert len(work) == 15
-        assert work.to_refs() == refs
+        assert _rows(work) == rows
         assert work.bin_ids.dtype == np.int64
 
     def test_lexsorted_matches_sorted_refs(self):
-        refs = [BlockRef(1, 0, 5), BlockRef(0, 9, 1), BlockRef(0, 2, 7)]
-        assert BlockList.from_refs(refs).lexsorted().to_refs() == sorted(refs)
+        rows = [(1, 0, 5), (0, 9, 1), (0, 2, 7), (0, 2, 3)]
+        assert _rows(_block_list(rows).lexsorted()) == sorted(rows)
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="column lengths"):
@@ -98,31 +111,26 @@ class TestBlockList:
             )
 
     def test_bin_segments_are_contiguous_runs(self):
-        work = BlockList.from_refs(_blocks(3, 4)).lexsorted()
-        segments = list(work.bin_segments())
-        assert [s[0] for s in segments] == [0, 1, 2]
-        for _, cpos, chunk_ids in segments:
-            assert cpos.tolist() == [0, 1, 2, 3]
-            assert chunk_ids.size == 4
-
-    def test_bin_segments_empty(self):
-        work = BlockList.from_refs([])
-        assert list(work.bin_segments()) == []
+        """A rank's span is bin-major: each bin's rows form one
+        contiguous run, curve positions ascending inside it."""
+        work = _blocks(3, 4).take(np.random.default_rng(0).permutation(12)).lexsorted()
+        assert work.bin_ids.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        assert work.cpos.reshape(3, 4).tolist() == [[0, 1, 2, 3]] * 3
 
     def test_policies_return_block_lists_for_block_list_input(self):
-        work = BlockList.from_refs(_blocks(4, 6))
+        work = _blocks(4, 6)
         for policy in (column_order_assignment, round_robin_assignment):
             spans = policy(work, 3)
             assert all(isinstance(s, BlockList) for s in spans)
             assert sum(len(s) for s in spans) == len(work)
 
     def test_file_counts_match_ref_path(self):
-        refs = _blocks(5, 7)
-        work = BlockList.from_refs(refs)
+        """``assignment_file_counts`` against a row-at-a-time count."""
+        work = _blocks(5, 7)
         for n_ranks in (1, 2, 4):
-            from_refs = assignment_file_counts(column_order_assignment(refs, n_ranks))
-            from_list = assignment_file_counts(column_order_assignment(work, n_ranks))
-            assert np.array_equal(from_refs, from_list)
+            assignment = column_order_assignment(work, n_ranks)
+            by_row = [len({b for b, _, _ in _rows(span)}) for span in assignment]
+            assert assignment_file_counts(assignment).tolist() == by_row
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,7 +144,7 @@ def test_partition_property(n_bins, n_chunks, n_ranks):
     blocks = _blocks(n_bins, n_chunks)
     for policy in (column_order_assignment, round_robin_assignment):
         assignment = policy(blocks, n_ranks)
-        flat = [b for rank in assignment for b in rank]
-        assert sorted(flat) == sorted(blocks)
+        flat = [row for rank in assignment for row in _rows(rank)]
+        assert sorted(flat) == sorted(_rows(blocks))
         sizes = [len(a) for a in assignment]
         assert max(sizes) - min(sizes) <= 1

@@ -185,3 +185,12 @@ def test_loose_tol_reads_strictly_fewer_bytes(col_store):
     approx = store.query(Query(region=((0, 256), (0, 256)), output="values", tol=1e-2))
     assert approx.stats["bytes_read"] < full.stats["bytes_read"]
     assert approx.stats["tol_bytes_saved"] > 0
+
+
+def test_query_is_the_only_carrier_of_tol_and_validates_it(col_store):
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        Query(tol=-1e-3)
+    with pytest.raises(ValueError, match="tol_metric must be one of"):
+        Query(tol=1e-3, tol_metric="median_rel")
+    with pytest.raises(TypeError):
+        MLOCStore(col_store[0], col_store[1].root, col_store[1].meta, tol=1e-3)
