@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Nine architectural rules, checked by AST scan (no imports are
+Ten architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -22,9 +22,10 @@ executed):
    including serving).
 4. **Manifests below the store.**  ``repro.core.manifest`` is the
    append protocol's foundation record — writer, store, dataset, and
-   serving all depend on it, so it may import only the PFS substrate
-   and stdlib.  Any import of the store/engine/planner stack (or
-   higher) from ``core/manifest.py`` is a cycle waiting to happen.
+   serving all depend on it, so it may import only the PFS substrate,
+   ``repro.util`` and stdlib.  Any import of the store/engine/planner
+   stack (or higher) from ``core/manifest.py`` is a cycle waiting to
+   happen.
 5. **Execution options are declared once.**  An execution option is a
    field of ``repro.core.config.ExecutionConfig`` and nowhere else
    (DESIGN.md §6): no function signature under ``src/repro`` outside
@@ -48,14 +49,22 @@ executed):
    round are staged request by request and assembled *once*
    (DESIGN.md §7): inside any ``for`` / ``while`` / comprehension under
    ``src/repro/server/`` and in ``MLOCStore.query_many`` there is no
-   call named ``query``, ``execute_planned`` or ``assemble`` — a round
-   may loop over its requests to *stage* them, never to run them to
-   completion one at a time.
+   call named ``query`` or ``assemble`` — a round may loop over its
+   requests to *stage* them, never to run them to completion one at a
+   time.
 9. **Deleted second paths stay deleted.**  A capability has one
    implementation: no ``def``, ``class`` or import under ``src/repro``
    may bring back one of ``DELETED_NAMES`` — the record rebuilders,
    the object work-list beside ``BlockList``, the second multi-variable
-   result type, the per-handle batch-fetcher hook.
+   result type, the per-handle batch-fetcher hook, the second run door
+   beside ``MLOCStore.query`` and the second snapshot door beside
+   ``DatasetSnapshot.store``.
+10. **Nothing ambient switches a handle.**  A handle is configured
+   where it is opened (DESIGN.md §6), so no module under ``src/repro``
+   outside ``repro/harness`` (whose two deployment settings,
+   ``REPRO_SCALE`` and ``REPRO_RESULTS_DIR``, say where and how big to
+   run, not what the library does) may read ``os.environ`` or call
+   ``os.getenv``.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -112,7 +121,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 
 #: Second implementations that lost (rule 9): records are read, never
 #: rebuilt; work lists are columnar; multi-variable access is compound
-#: access; every handle's batch shares one fetcher.
+#: access; every handle's batch shares one fetcher; a request runs
+#: through ``query``/``stage``; a snapshot opens members through ``store``.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -124,6 +134,8 @@ DELETED_NAMES = frozenset(
         "planning_rows",
         "MultiVarResult",
         "_batch_fetcher",
+        "execute_planned",
+        "sharded_store",
     }
 )
 
@@ -136,7 +148,7 @@ SERVING_OWNERS = ("broker", "ingest")
 
 #: Calls that run a request to completion (rule 8): never in a loop of
 #: the serving layer or of ``query_many``.
-RUN_TO_COMPLETION = frozenset({"query", "execute_planned", "assemble"})
+RUN_TO_COMPLETION = frozenset({"query", "assemble"})
 _LOOPS = (
     ast.For, ast.AsyncFor, ast.While,
     ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
@@ -220,6 +232,23 @@ def deleted_name_violations(tree: ast.AST, where: str) -> list[str]:
     return found
 
 
+def environ_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 10 over one syntax tree: every read of the process
+    environment (``os.environ``, ``os.getenv``, or either imported
+    from ``os``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for a in node.names if a.name in ("environ", "getenv")]
+    return [
+        f"{where}:{lineno}: reads the process environment; nothing ambient "
+        f"switches a handle (rule 10) — take the setting where the handle is opened"
+        for lineno in sorted(lines)
+    ]
+
+
 def _module_name(path: Path) -> str:
     rel = path.relative_to(SRC).with_suffix("")
     parts = list(rel.parts)
@@ -280,9 +309,12 @@ def check() -> list[str]:
                 )
 
     config_py = SRC / "repro" / "core" / "config.py"
+    harness_dir = SRC / "repro" / "harness"
     for path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         violations += deleted_name_violations(tree, str(path.relative_to(REPO)))
+        if harness_dir not in path.parents:
+            violations += environ_violations(tree, str(path.relative_to(REPO)))
         if path == config_py:
             continue
         for node in ast.walk(tree):

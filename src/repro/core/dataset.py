@@ -45,6 +45,7 @@ from repro.core.manifest import (
     commit_manifest,
     load_manifest,
     load_manifest_at,
+    member_key,
 )
 from repro.core.meta import StoreMeta, read_meta_bytes
 from repro.core.query import Query
@@ -95,19 +96,11 @@ class MLOCDataset:
         self.snapshot_refreshes = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(variable: str, timestep: int | None) -> str:
-        if "@" in variable or "/" in variable:
-            raise ValueError(
-                f"variable name must not contain '@' or '/': {variable!r}"
-            )
-        return variable if timestep is None else f"{variable}@{timestep:06d}"
-
     def write(
         self, data: np.ndarray, variable: str, timestep: int | None = None
     ) -> WriteReport:
         """Encode one variable snapshot through the MLOC pipeline."""
-        key = self._key(variable, timestep)
+        key = member_key(variable, timestep)
         report = self._writer.write(data, variable=key)
         self._drop_handles(key)  # invalidate any cached open store
         return report
@@ -125,7 +118,7 @@ class MLOCDataset:
         commit leaves an unreadable manifest that readers skip — either
         way generation ``N`` stays fully readable.
         """
-        key = self._key(variable, timestep)
+        key = member_key(variable, timestep)
         current = load_manifest(self.fs, self.root)
         if current.member(key) is not None:
             raise ManifestError(
@@ -169,6 +162,10 @@ class MLOCDataset:
         different view).  Every handle gets the dataset's ``execution``
         and shared cache unless the overrides bring their own.
         """
+        if not overrides and (key, expect_crc) in self._handles:
+            # The manifest already names the sealed bytes, so a shared
+            # handle is found without re-reading the metadata file.
+            return self._handles[key, expect_crc]
         var_root = f"{self.root}/{key}"
         raw = read_meta_bytes(self.fs, var_root)
         crc = zlib.crc32(raw)
@@ -195,7 +192,7 @@ class MLOCDataset:
 
     def store(self, variable: str, timestep: int | None = None) -> MLOCStore:
         """Open (and cache) the store of one variable snapshot."""
-        return self._open_member(self._key(variable, timestep))
+        return self._open_member(member_key(variable, timestep))
 
     # ------------------------------------------------------------------
     @property
@@ -302,7 +299,6 @@ class DatasetSnapshot:
     def __init__(self, dataset: MLOCDataset, manifest: Manifest) -> None:
         self._dataset = dataset
         self.manifest = manifest
-        self._stores: dict[str, MLOCStore] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -323,13 +319,13 @@ class DatasetSnapshot:
         )
 
     def has(self, variable: str, timestep: int | None = None) -> bool:
-        key = MLOCDataset._key(variable, timestep)
+        key = member_key(variable, timestep)
         return self.manifest.member(key) is not None
 
     def member(
         self, variable: str, timestep: int | None = None
     ) -> ManifestMember:
-        key = MLOCDataset._key(variable, timestep)
+        key = member_key(variable, timestep)
         member = self.manifest.member(key)
         if member is None:
             raise KeyError(
@@ -342,29 +338,16 @@ class DatasetSnapshot:
     def store(
         self, variable: str, timestep: int | None = None, **options
     ) -> MLOCStore:
-        """Open one sealed member, pinned to its recorded ``meta_crc``."""
-        member = self.member(variable, timestep)
-        if not options and member.key in self._stores:
-            return self._stores[member.key]
-        store = self._dataset._open_member(
-            member.key, expect_crc=member.meta_crc, **options
-        )
-        if not options:
-            self._stores[member.key] = store
-        return store
+        """Open one sealed member, pinned to its recorded ``meta_crc``.
 
-    def sharded_store(
-        self,
-        variable: str,
-        timestep: int | None = None,
-        *,
-        n_shards: int = 2,
-        **options,
-    ) -> ShardedMLOCStore:
-        """Open one sealed member as bin-range shards (same pinning)."""
+        ``options`` are store constructor keywords (``n_shards=k`` opens
+        the member as bin-range shards, ``use_hbi=True`` plans it
+        through its hierarchical index); a handle opened without any is
+        the dataset's shared one.
+        """
         member = self.member(variable, timestep)
         return self._dataset._open_member(
-            member.key, expect_crc=member.meta_crc, n_shards=n_shards, **options
+            member.key, expect_crc=member.meta_crc, **options
         )
 
     def refresh(self) -> "DatasetSnapshot":

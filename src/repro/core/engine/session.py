@@ -32,10 +32,11 @@ whole ladder, yielding one result per step; only the final step
 enforces the accuracy contract (earlier steps disclose their honest
 ``achieved_bound`` with ``tol_met=False``).
 
-The session drives every step through the store's public ``plan`` /
-``execute_planned`` / ``tol_stats`` surface
-(:class:`~repro.core.store.MLOCStore`), so flat and sharded stores
-refine identically.
+Every step is one ``store.query(..., level_cap=step level)`` through
+the session's fetcher (:meth:`~repro.core.store.MLOCStore.stage` plans,
+resolves, stages and stamps it like any other request), so flat and
+sharded stores refine identically and the session keeps only its
+cumulative counters and its cache pins.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ class RefinementSession:
         already hold, so the stream is the progressive-retrieval read
         path: coarse answer now, deltas until every chunk provably
         meets ``tol``.  The final step enforces the accuracy contract
-        (see :meth:`~repro.core.store.MLOCStore.tol_stats`).
+        (the step level no longer caps any chunk; see
+        :meth:`~repro.core.store.MLOCStore.stage`).
 
         On a plain (tol-less) session this yields just the current
         result — there is no bound to converge to.
@@ -163,43 +165,22 @@ class RefinementSession:
 
     # ------------------------------------------------------------------
     def _step(self, level: int) -> QueryResult:
-        store = self._store
-        if self._target_levels is not None:
-            # Error-bounded step: the original query plans (its
-            # fingerprint carries tol), per-chunk levels drive fetching.
-            query = self._query
-            chunk_levels = np.minimum(self._target_levels, level)
-            final = level >= int(self._target_levels.max())
-        else:
-            query = replace(self._query, plod_level=level)
-            chunk_levels = None
-            final = False
-        plan, plan_stats = store.plan(query)
+        # An error-bounded step runs the original query (its plan
+        # fingerprint carries tol) under a level cap; a plain one moves
+        # the query's own level.
+        query = self._query
+        if self._target_levels is None:
+            query = replace(query, plod_level=level)
         hit_raw0 = self._fetcher.hit_raw_bytes
-        result = store.execute_planned(
-            query, plan, fetcher=self._fetcher, chunk_levels=chunk_levels
-        )
+        result = self._store.query(query, fetcher=self._fetcher, level_cap=level)
         self._bytes_reused += self._fetcher.hit_raw_bytes - hit_raw0
         self._coalesced_reads += result.stats.get("coalesced_reads", 0)
         self._readahead_hits += result.stats.get("readahead_hits", 0)
-        result.stats.update(plan_stats)
         result.stats["refine_steps"] = self._refine_steps
         result.stats["bytes_reused"] = self._bytes_reused
         result.stats["coalesced_reads"] = self._coalesced_reads
         result.stats["readahead_hits"] = self._readahead_hits
         self._pin_held_blocks()
-        if chunk_levels is not None:
-            # Stamp the honest bound of this step; only the final step
-            # of the ladder enforces the contract.
-            result.stats.update(
-                store.tol_stats(
-                    query,
-                    plan,
-                    chunk_levels,
-                    result.stats["degraded_chunk_levels"],
-                    enforce=final,
-                )
-            )
         self.results.append(result)
         return result
 

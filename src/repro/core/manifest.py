@@ -45,10 +45,10 @@ all depend on it without cycles.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 from repro.pfs.simfs import SimulatedPFS
+from repro.util.record import FormatError, RecordReader, frame
 
 __all__ = [
     "MANIFEST_MAGIC",
@@ -61,17 +61,18 @@ __all__ = [
     "load_manifest_at",
     "manifest_generations",
     "manifest_path",
+    "member_key",
 ]
 
 MANIFEST_MAGIC = b"MLOCMAN\x00"
 MANIFEST_VERSION = 1
 
-_HEADER = struct.Struct("<IqI")  # version, generation, n_members
+_HEADER = struct.Struct("<qI")  # generation, n_members
+_KEY_LEN = struct.Struct("<H")
 _MEMBER_FIXED = struct.Struct("<qqIq")  # timestep, sealed_gen, meta_crc, bytes
-_CRC = struct.Struct("<I")
 
 
-class ManifestError(ValueError):
+class ManifestError(FormatError):
     """A manifest record that cannot be parsed or a commit that would
     violate the append-only generation chain."""
 
@@ -134,15 +135,11 @@ class Manifest:
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        parts = [
-            MANIFEST_MAGIC,
-            _HEADER.pack(MANIFEST_VERSION, self.generation, len(self.members)),
-        ]
+        fields = [_HEADER.pack(self.generation, len(self.members))]
         for m in self.members:
             key = m.key.encode("utf-8")
-            parts.append(struct.pack("<H", len(key)))
-            parts.append(key)
-            parts.append(
+            fields += [_KEY_LEN.pack(len(key)), key]
+            fields.append(
                 _MEMBER_FIXED.pack(
                     -1 if m.timestep is None else m.timestep,
                     m.sealed_generation,
@@ -150,37 +147,26 @@ class Manifest:
                     m.total_bytes,
                 )
             )
-        body = b"".join(parts)
-        return body + _CRC.pack(zlib.crc32(body))
+        return frame(MANIFEST_MAGIC, MANIFEST_VERSION, *fields)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Manifest":
-        if len(raw) < len(MANIFEST_MAGIC) + _HEADER.size + _CRC.size:
-            raise ManifestError(f"manifest truncated at {len(raw)} bytes")
-        if raw[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
-            raise ManifestError("bad manifest magic")
-        body, (crc,) = raw[: -_CRC.size], _CRC.unpack(raw[-_CRC.size :])
-        if zlib.crc32(body) != crc:
-            raise ManifestError("manifest CRC mismatch")
-        pos = len(MANIFEST_MAGIC)
-        version, generation, n_members = _HEADER.unpack_from(body, pos)
-        pos += _HEADER.size
-        if version != MANIFEST_VERSION:
-            raise ManifestError(f"unsupported manifest version {version}")
-        if generation < 0 or n_members < 0:
-            raise ManifestError("negative generation or member count")
+        reader = RecordReader(
+            raw, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest", ManifestError
+        )
+        generation, n_members = reader.unpack(_HEADER)
+        if generation < 0:
+            raise ManifestError(f"negative generation {generation}")
         members: list[ManifestMember] = []
         last_sealed = 0
         seen: set[str] = set()
         for _ in range(n_members):
-            (key_len,) = struct.unpack_from("<H", body, pos)
-            pos += 2
-            key = body[pos : pos + key_len].decode("utf-8")
-            pos += key_len
-            timestep, sealed_gen, meta_crc, total_bytes = _MEMBER_FIXED.unpack_from(
-                body, pos
-            )
-            pos += _MEMBER_FIXED.size
+            (key_len,) = reader.unpack(_KEY_LEN)
+            try:
+                key = reader.take(key_len).decode("utf-8")
+            except UnicodeDecodeError:
+                reader.fail("member key is not UTF-8")
+            timestep, sealed_gen, meta_crc, total_bytes = reader.unpack(_MEMBER_FIXED)
             if key in seen:
                 raise ManifestError(f"duplicate member key {key!r}")
             seen.add(key)
@@ -204,12 +190,20 @@ class Manifest:
                     total_bytes=total_bytes,
                 )
             )
-        if pos != len(body):
-            raise ManifestError(f"{len(body) - pos} trailing manifest bytes")
+        reader.done()
         return cls(generation, tuple(members))
 
 
 # ----------------------------------------------------------------------
+def member_key(variable: str, timestep: int | None) -> str:
+    """The store directory name (and manifest key) of one member."""
+    if "@" in variable or "/" in variable:
+        raise ValueError(
+            f"variable name must not contain '@' or '/': {variable!r}"
+        )
+    return variable if timestep is None else f"{variable}@{timestep:06d}"
+
+
 _PREFIX = "manifest.g"
 
 

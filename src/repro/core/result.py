@@ -46,7 +46,7 @@ class Counter(NamedTuple):
     fold: str
     #: The one layer that stamps real values into it: ``"engine"``
     #: (``QueryEngine.stage`` / ``assemble``), ``"plan"`` (``MLOCStore.plan``),
-    #: ``"tol"`` (``MLOCStore.stage`` / ``tol_stats``),
+    #: ``"tol"`` (``MLOCStore.stage``),
     #: ``"broker"`` (``repro.server.broker``, per tenant) or
     #: ``"ingest"`` (``repro.server.ingest``).  A layer emits only the
     #: rows it owns; rows of a layer a request never passed through

@@ -28,7 +28,7 @@ with any shard count, and reads scatter/gather:
 * **gather** — every stored element belongs to exactly one bin, hence
   one shard, so concatenating shard results and sorting by position
   reproduces the unsharded answer bit-for-bit (positions are unique;
-  pinned by ``tests/test_sharded_store.py``).
+  pinned by the sharded-store suite under ``tests/``).
 
 Shards are notionally concurrent store servers: merged component
 times take the per-component **max** over shards (the slowest shard

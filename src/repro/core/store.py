@@ -23,7 +23,6 @@ overrides the scatter (:meth:`MLOCStore.stage_planned`) and the gather
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +132,7 @@ class MLOCStore:
         n_ranks: int = 8,
         scheduler: str = "column",
         cache: BlockCache | None = None,
-        use_hbi: bool | None = None,
+        use_hbi: bool = False,
         generation: int | None = None,
         execution: ExecutionConfig | None = None,
         **overrides,
@@ -144,11 +143,9 @@ class MLOCStore:
         self.meta = meta
         self._engine_topology = {"n_ranks": n_ranks, "scheduler": scheduler}
         self._peb: ErrorBoundsTable | None = None
-        # Hierarchical bitmap index: opt-in per handle (or fleet-wide
-        # via MLOC_HBI=1) because enabling it changes plan *work*, not
-        # results — the flat path stays the accounting baseline.
-        if use_hbi is None:
-            use_hbi = os.environ.get("MLOC_HBI") == "1"
+        # Hierarchical bitmap index: opt-in where the handle is opened,
+        # because enabling it changes plan *work*, not results — the
+        # flat path stays the accounting baseline.
         self.use_hbi = bool(use_hbi)
         self._hbi: HBIndex | None = None
         self.grid = ChunkGrid(meta.shape, meta.config.chunk_shape)
@@ -353,18 +350,6 @@ class MLOCStore:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tol_params(query: Query) -> tuple[float, str] | None:
-        """The effective (tol, metric) of a query, or ``None``.
-
-        ``tol=0`` resolves to ``None``: it demands full precision,
-        which is exactly the tol-less path — results *and* stats stay
-        bit-identical.
-        """
-        if not query.tol:
-            return None
-        return query.tol, query.tol_metric
-
     def resolve_levels(self, query: Query) -> np.ndarray | None:
         """Per-chunk PLoD levels meeting the query's error bound.
 
@@ -375,10 +360,11 @@ class MLOCStore:
         caps the plan below the level ``tol`` requires — the engine
         never claims an accuracy it cannot prove from stored bounds.
         """
-        params = self._tol_params(query)
-        if params is None:
+        if not query.tol:
+            # tol=0 demands full precision, which is exactly the
+            # tol-less path: results *and* stats stay bit-identical.
             return None
-        tol, metric = params
+        tol, metric = query.tol, query.tol_metric
         if not self.meta.config.plod_enabled:
             raise ValueError(
                 "tol requires a PLoD layout (level order containing 'M'); "
@@ -416,36 +402,30 @@ class MLOCStore:
         """The request's result from its assembled parts (here: the one)."""
         return answers[0]
 
-    def execute_planned(self, query: Query, plan: QueryPlan, **how) -> QueryResult:
-        """Execute an already-planned query — a batch of one; ``how`` is
-        :meth:`stage_planned`'s keywords.  Sessions step through this."""
-        return assemble([self.stage_planned(query, plan, **how)])[0]
-
-    def tol_stats(
+    def _tol_stats(
         self,
         query: Query,
         plan: QueryPlan,
         levels: np.ndarray,
         degraded: dict[int, int],
-        *,
-        enforce: bool = True,
+        enforce: bool,
     ) -> dict:
         """The tol rows of a request's stats: its accuracy contract,
         reported and (with ``enforce``) enforced.
 
         ``achieved_bound`` is computed from the *effective* levels — the
-        requested per-chunk levels reduced by the sticky-fault
+        fetched per-chunk levels reduced by the sticky-fault
         degradation the engine reported (``degraded``, its
         ``degraded_chunk_levels``) — so a dummy-filled plane can never
         silently count as meeting the bound.  All of it is known once
         the request is staged.  When the provable bound exceeds ``tol``
         and ``enforce`` is set, strict mode raises
         :class:`DegradedResultError` (kind ``"tol"``); with
-        ``allow_partial`` (or on non-final progressive steps, which
-        pass ``enforce=False``) the degradation is disclosed via
+        ``allow_partial`` (or under a binding ``level_cap``, where
+        :meth:`stage` does not enforce) the shortfall is disclosed via
         ``tol_met=False`` instead.
         """
-        tol, metric = self._tol_params(query)
+        tol, metric = query.tol, query.tol_metric
         effective = levels.copy()
         for c, lvl in degraded.items():
             effective[c] = min(int(effective[c]), int(lvl))
@@ -486,6 +466,7 @@ class MLOCStore:
         fetcher=None,
         planned: tuple[QueryPlan, dict[str, int]] | None = None,
         chunk_subset: np.ndarray | None = None,
+        level_cap: int | None = None,
     ) -> StagedRequest:
         """Plan, read, classify and decode one access request.
 
@@ -500,11 +481,19 @@ class MLOCStore:
         plan obtained earlier from :meth:`plan` (``chunk_subset`` is
         then already applied or ignored).  Neither changes the result
         — only what work is re-done.
+
+        ``level_cap`` is a refinement step of an error-bounded request
+        (DESIGN.md §7): every chunk is fetched at ``min(cap, the level
+        its tol resolves to)``, and the tol contract is enforced iff the
+        cap does not bind — a binding cap discloses the step's honest
+        ``achieved_bound`` with ``tol_met=False`` instead.
         """
         plan, plan_stats = (
             self.plan(query, chunk_subset) if planned is None else planned
         )
-        levels = self.resolve_levels(query)
+        levels = target = self.resolve_levels(query)
+        if target is not None and level_cap is not None:
+            levels = np.minimum(target, level_cap)
         staged = self.stage_planned(
             query,
             plan,
@@ -517,7 +506,13 @@ class MLOCStore:
         if levels is not None:
             degraded = aggregate_stats(part.stats for _, part in staged.parts)
             staged.stats.update(
-                self.tol_stats(query, plan, levels, degraded["degraded_chunk_levels"])
+                self._tol_stats(
+                    query,
+                    plan,
+                    levels,
+                    degraded["degraded_chunk_levels"],
+                    enforce=np.array_equal(levels, target),
+                )
             )
         return staged
 
@@ -525,17 +520,11 @@ class MLOCStore:
         self,
         query: Query,
         position_filter: Bitmap | None = None,
-        *,
-        fetcher=None,
-        planned: tuple[QueryPlan, dict[str, int]] | None = None,
-        chunk_subset: np.ndarray | None = None,
+        **how,
     ) -> QueryResult:
-        """Plan and execute one access request: :meth:`stage`, then
-        :func:`assemble` as a batch of one."""
-        staged = self.stage(
-            query, position_filter, fetcher=fetcher, planned=planned, chunk_subset=chunk_subset
-        )
-        return assemble([staged])[0]
+        """Plan and execute one access request: :meth:`stage` (``how``
+        is its keywords), then :func:`assemble` as a batch of one."""
+        return assemble([self.stage(query, position_filter, **how)])[0]
 
     def query_many(self, queries: list[Query]) -> BatchResult:
         """Plan and execute a batch of queries as one pipeline.
@@ -574,9 +563,9 @@ class MLOCStore:
 
         The initial step executes immediately at ``query.plod_level``;
         subsequent :meth:`RefinementSession.refine` calls fetch only the
-        byte-plane blocks the session does not already hold.  Sessions
-        drive the same :meth:`plan` / :meth:`execute_planned` surface
-        with one shared fetcher on either store flavor.
+        byte-plane blocks the session does not already hold.  Every
+        step is one :meth:`query` through the session's shared fetcher,
+        on either store flavor.
         """
         return RefinementSession(self, query)
 
@@ -660,7 +649,5 @@ class MLOCStore:
                 bins_pruned = plan.narrow_bins(touched[plan.bin_ids])
         else:
             plan.narrow(np.zeros(plan.cpos.size, dtype=bool))
-        result = self.execute_planned(query, plan, position_filter=bitmap)
-        result.stats.setdefault("chunks_pruned", 0)
-        result.stats["bins_pruned"] = bins_pruned
-        return result
+        plan_stats = {"chunks_pruned": 0, "bins_pruned": bins_pruned}
+        return self.query(query, bitmap, planned=(plan, plan_stats))

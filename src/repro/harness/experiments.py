@@ -16,6 +16,7 @@ import time
 from repro.core import ComponentTimes, MLOCWriter, Query
 from repro.harness.systems import ALL_SYSTEMS, SystemSuite
 from repro.harness.tables import PAPER
+from repro.harness.trace import QueryTrace, ReplayReport, replay_trace
 from repro.pfs import SimulatedPFS
 
 __all__ = [
@@ -133,6 +134,17 @@ def fig6_rows(suite: SystemSuite, n_queries: int) -> dict[str, list]:
     return rows
 
 
+def _mean_cells(report: ReplayReport) -> list:
+    """Per-query mean ``[io, decompression, reconstruction, total]``."""
+    total, k = report.total, len(report.results)
+    return [
+        round(total.io / k, 2),
+        round(total.decompression / k, 2),
+        round(total.reconstruction / k, 2),
+        round(total.total / k, 2),
+    ]
+
+
 def fig7_rows(
     suite: SystemSuite,
     n_queries: int,
@@ -141,21 +153,11 @@ def fig7_rows(
     """Fig. 7: scalability of 10% value queries over rank counts."""
     base = suite.store("mloc-iso")
     regions = suite.workload.region_constraints(0.10, max(2, n_queries // 2))
-    rows = {}
-    for n_ranks in ranks:
-        store = base.with_ranks(n_ranks)
-        total = ComponentTimes()
-        for region in regions:
-            suite.fs.clear_cache()
-            total = total + store.query(Query(region=region, output="values")).times
-        k = len(regions)
-        rows[f"{n_ranks} ranks"] = [
-            round(total.io / k, 2),
-            round(total.decompression / k, 2),
-            round(total.reconstruction / k, 2),
-            round(total.total / k, 2),
-        ]
-    return rows
+    trace = QueryTrace([Query(region=region, output="values") for region in regions])
+    return {
+        f"{n_ranks} ranks": _mean_cells(replay_trace(base.with_ranks(n_ranks), trace))
+        for n_ranks in ranks
+    }
 
 
 def batch_pipeline_rows(
@@ -405,10 +407,12 @@ def coalescing_rows(
 
     base = suite.store(system)
     regions = suite.workload.region_constraints(0.01, max(n_queries, 2))
-    queries = [
-        Query(region=region, output="values", plod_level=plod_level)
-        for region in regions
-    ]
+    trace = QueryTrace(
+        [
+            Query(region=region, output="values", plod_level=plod_level)
+            for region in regions
+        ]
+    )
     rows = {}
     outputs: dict[str, list] = {}
     counters: dict[str, dict[str, int]] = {}
@@ -417,19 +421,14 @@ def coalescing_rows(
             suite.fs, base.root, base.meta,
             n_ranks=suite.n_ranks, coalesce_gap=gap_bytes,
         )
-        seeks = bytes_read = coalesced = 0
-        times = ComponentTimes()
-        results = []
-        for query in queries:
-            suite.fs.clear_cache()
-            result = store.query(query)
-            seeks += int(result.stats["seeks"])
-            bytes_read += int(result.stats["bytes_read"])
-            coalesced += int(result.stats["coalesced_reads"])
-            times = times + result.times
-            results.append(result)
+        report = replay_trace(store, trace)
+        seeks, bytes_read, coalesced = (
+            sum(int(r.stats[key]) for r in report.results)
+            for key in ("seeks", "bytes_read", "coalesced_reads")
+        )
+        times = report.total
         rows[label] = [seeks, bytes_read, round(times.io + times.decompression, 4)]
-        outputs[label] = results
+        outputs[label] = report.results
         counters[label] = {"seeks": seeks, "coalesced": coalesced}
     plain, vectored = outputs.values()
     identical = all(
@@ -483,14 +482,12 @@ def progressive_rows(
         bytes_reused = session.bytes_reused
 
     fresh_store = MLOCStore(suite.fs, base.root, base.meta, n_ranks=suite.n_ranks)
-    independent = []
-    for level in levels:
-        suite.fs.clear_cache()
-        independent.append(
-            fresh_store.query(
-                Query(region=region, output="values", plod_level=level)
-            )
-        )
+    independent = replay_trace(
+        fresh_store,
+        QueryTrace(
+            [Query(region=region, output="values", plod_level=level) for level in levels]
+        ),
+    ).results
 
     rows = {}
     for level, step, fresh in zip(levels, session_results, independent):
@@ -532,17 +529,8 @@ def fig8_rows(
     regions = suite.workload.region_constraints(0.01, n_queries)
     rows = {}
     for level in levels:
-        total = ComponentTimes()
-        for region in regions:
-            suite.fs.clear_cache()
-            total = total + store.query(
-                Query(region=region, output="values", plod_level=level)
-            ).times
-        k = len(regions)
-        rows[f"PLoD {level} ({level + 1}B)"] = [
-            round(total.io / k, 2),
-            round(total.decompression / k, 2),
-            round(total.reconstruction / k, 2),
-            round(total.total / k, 2),
-        ]
+        trace = QueryTrace(
+            [Query(region=region, output="values", plod_level=level) for region in regions]
+        )
+        rows[f"PLoD {level} ({level + 1}B)"] = _mean_cells(replay_trace(store, trace))
     return rows

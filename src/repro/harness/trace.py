@@ -16,7 +16,7 @@ those workflows first-class artifacts:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.query import Query
@@ -34,25 +34,16 @@ __all__ = [
 _TRACE_VERSION = 1
 
 
-def _query_to_dict(query: Query) -> dict:
-    return {
-        "value_range": list(query.value_range) if query.value_range else None,
-        "region": [list(b) for b in query.region] if query.region else None,
-        "output": query.output,
-        "plod_level": query.plod_level,
-        "resolution_level": query.resolution_level,
-    }
+def _tuples(value):
+    """JSON arrays back to the (nested) tuples ``Query`` fields hold."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def _query_from_dict(payload: dict) -> Query:
+    """Every ``Query`` field the payload has; a field an older trace
+    lacks takes its default."""
     return Query(
-        value_range=tuple(payload["value_range"]) if payload["value_range"] else None,
-        region=(
-            tuple(tuple(b) for b in payload["region"]) if payload["region"] else None
-        ),
-        output=payload["output"],
-        plod_level=payload["plod_level"],
-        resolution_level=payload["resolution_level"],
+        **{f.name: _tuples(payload[f.name]) for f in fields(Query) if f.name in payload}
     )
 
 
@@ -71,7 +62,7 @@ class QueryTrace:
     def save(self, path: str | Path) -> None:
         payload = {
             "version": _TRACE_VERSION,
-            "queries": [_query_to_dict(q) for q in self.queries],
+            "queries": [asdict(q) for q in self.queries],
         }
         Path(path).write_text(json.dumps(payload, indent=1))
 
@@ -109,9 +100,16 @@ class TracingStore:
 class ReplayReport:
     """Outcome of replaying a trace against one store."""
 
-    per_query: list[ComponentTimes]
-    n_results: list[int]
+    results: list[QueryResult]
     fault_stats: dict = field(default_factory=dict)
+
+    @property
+    def per_query(self) -> list[ComponentTimes]:
+        return [result.times for result in self.results]
+
+    @property
+    def n_results(self) -> list[int]:
+        return [result.n_results for result in self.results]
 
     @property
     def total(self) -> ComponentTimes:
@@ -143,21 +141,17 @@ def replay_trace(
     ``cold_cache`` clears the PFS cache before each query (the paper's
     methodology); pass ``False`` to measure a warm iterative session.
     """
-    per_query: list[ComponentTimes] = []
-    n_results: list[int] = []
+    results: list[QueryResult] = []
     fault_stats: dict = {key: 0 for key in FAULT_STAT_KEYS}
     partial: set[int] = set()
     for query in trace.queries:
         if cold_cache:
             store.fs.clear_cache()
         result = store.query(query)
-        per_query.append(result.times)
-        n_results.append(result.n_results)
+        results.append(result)
         for key in FAULT_STAT_KEYS:
             fault_stats[key] += int(result.stats.get(key, 0))
         partial.update(result.stats.get("partial_chunks", ()))
     fault_stats["partial_chunks"] = sorted(partial)
     fault_stats["quarantined_blocks"] = len(store.quarantined_blocks)
-    return ReplayReport(
-        per_query=per_query, n_results=n_results, fault_stats=fault_stats
-    )
+    return ReplayReport(results=results, fault_stats=fault_stats)

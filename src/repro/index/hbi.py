@@ -36,7 +36,6 @@ cardinality is zero can never remove a qualifying element.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from repro.index.bitmap import (
     wah_decode,
     wah_expand_groups,
 )
+from repro.util.record import RecordReader, frame
 
 __all__ = [
     "DEFAULT_FANOUT",
@@ -70,6 +70,8 @@ DEFAULT_FANOUT = 4
 
 _MAGIC = b"MLOCHBI\x00"
 FORMAT_VERSION = 1
+_GEOMETRY = struct.Struct("<IIqqq")  # leaf_span, fanout, n_bins, n_chunks, chunk_size
+_COUNT = struct.Struct("<I")
 
 
 def hbi_path(root: str) -> str:
@@ -335,65 +337,44 @@ class HBIndex:
     # Serialization (FORMAT.md: hierarchical index record)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Versioned, CRC-terminated serialization."""
-        parts = [
-            _MAGIC,
-            struct.pack(
-                "<IIIqqq",
-                FORMAT_VERSION,
-                self.leaf_span,
-                self.fanout,
-                self.n_bins,
-                self.n_chunks,
-                self.chunk_size,
+        """The framed record (FORMAT.md: hierarchical index record)."""
+        fields = [
+            _GEOMETRY.pack(
+                self.leaf_span, self.fanout, self.n_bins, self.n_chunks, self.chunk_size
             ),
-            struct.pack("<I", len(self.levels)),
+            _COUNT.pack(len(self.levels)),
             self.run_counts.astype("<i8").tobytes(),
         ]
         for matrix in self.levels:
-            parts.append(struct.pack("<I", matrix.shape[0]))
-            parts.append(matrix.astype("<i8").tobytes())
-        parts.append(self.leaf_offsets.astype("<i8").tobytes())
-        parts.append(self.leaf_words.astype("<u8").tobytes())
-        body = b"".join(parts)
-        return body + struct.pack("<I", zlib.crc32(body))
+            fields.append(_COUNT.pack(matrix.shape[0]))
+            fields.append(matrix.astype("<i8").tobytes())
+        fields.append(self.leaf_offsets.astype("<i8").tobytes())
+        fields.append(self.leaf_words.astype("<u8").tobytes())
+        return frame(_MAGIC, FORMAT_VERSION, *fields)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "HBIndex":
-        """Parse a serialized index, verifying magic, version, and CRC."""
-        if len(raw) < len(_MAGIC) + 4 or raw[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("not a hierarchical bitmap index record")
-        body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
-        if zlib.crc32(body) != crc:
-            raise ValueError("hierarchical index record failed its CRC check")
-        off = len(_MAGIC)
-        version, leaf_span, fanout, n_bins, n_chunks, chunk_size = struct.unpack_from(
-            "<IIIqqq", body, off
-        )
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported hierarchical index version {version}")
-        off += struct.calcsize("<IIIqqq")
-        (n_levels,) = struct.unpack_from("<I", body, off)
-        off += 4
+        """Parse a framed record; malformed bytes raise ``FormatError``."""
+        reader = RecordReader(raw, _MAGIC, FORMAT_VERSION, "hierarchical index record")
+        leaf_span, fanout, n_bins, n_chunks, chunk_size = reader.unpack(_GEOMETRY)
+        if leaf_span < 1 or fanout < 2 or min(n_bins, n_chunks, chunk_size) < 0:
+            reader.fail(
+                f"impossible geometry: leaf_span {leaf_span}, fanout {fanout}, "
+                f"{n_bins} bins, {n_chunks} chunks of {chunk_size}"
+            )
+        (n_levels,) = reader.unpack(_COUNT)
         n_runs = -(-n_chunks // leaf_span)
-
-        def take_i64(count: int) -> np.ndarray:
-            nonlocal off
-            arr = np.frombuffer(body, dtype="<i8", count=count, offset=off)
-            off += count * 8
-            return arr.astype(np.int64)
-
-        run_counts = take_i64(n_bins * n_runs).reshape(n_bins, n_runs)
-        levels = []
+        run_counts = reader.array("<i8", n_bins * n_runs).reshape(n_bins, n_runs)
+        levels, below = [], n_bins
         for _ in range(n_levels):
-            (rows,) = struct.unpack_from("<I", body, off)
-            off += 4
-            levels.append(take_i64(rows * n_runs).reshape(rows, n_runs))
-        leaf_offsets = take_i64(n_bins * n_runs + 1)
-        n_words = int(leaf_offsets[-1])
-        leaf_words = np.frombuffer(body, dtype="<u8", count=n_words, offset=off).astype(
-            np.uint64
-        )
+            (rows,) = reader.unpack(_COUNT)
+            if rows != -(-below // fanout):
+                reader.fail(f"interior level of {rows} rows over {below}")
+            below = rows
+            levels.append(reader.array("<i8", rows * n_runs).reshape(rows, n_runs))
+        leaf_offsets = reader.array("<i8", n_bins * n_runs + 1)
+        leaf_words = reader.array("<u8", int(leaf_offsets[-1]))
+        reader.done()
         return cls(
             leaf_span=leaf_span,
             fanout=fanout,

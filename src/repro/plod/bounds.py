@@ -35,7 +35,6 @@ the max metric.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from repro.plod.byteplanes import (
     assemble_from_groups,
     split_byte_groups,
 )
+from repro.util.record import RecordReader, frame
 
 __all__ = [
     "ErrorBoundsTable",
@@ -58,6 +58,7 @@ __all__ = [
 
 _MAGIC = b"MLOCPEB\x00"
 FORMAT_VERSION = 1
+_SHAPE = struct.Struct("<qq")  # n_levels, n_chunks
 
 #: Accepted values of ``Query.tol_metric``.
 TOL_METRICS = ("max_rel", "mean_rel")
@@ -219,43 +220,28 @@ class ErrorBoundsTable:
     # Serialization (FORMAT.md: per-chunk error-bounds record)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Versioned, CRC-terminated serialization."""
-        body = b"".join(
-            [
-                _MAGIC,
-                struct.pack("<Iqq", FORMAT_VERSION, N_GROUPS, self.n_chunks),
-                self.max_rel.astype("<f8").tobytes(),
-                self.mean_rel.astype("<f8").tobytes(),
-            ]
+        """The framed record (FORMAT.md: per-chunk error-bounds record)."""
+        return frame(
+            _MAGIC,
+            FORMAT_VERSION,
+            _SHAPE.pack(N_GROUPS, self.n_chunks),
+            self.max_rel.astype("<f8").tobytes(),
+            self.mean_rel.astype("<f8").tobytes(),
         )
-        return body + struct.pack("<I", zlib.crc32(body))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ErrorBoundsTable":
-        """Parse a serialized table, verifying magic, version, and CRC."""
-        if len(raw) < len(_MAGIC) + 4 or raw[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("not a per-chunk error-bounds record")
-        body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
-        if zlib.crc32(body) != crc:
-            raise ValueError("error-bounds record failed its CRC check")
-        off = len(_MAGIC)
-        version, n_levels, n_chunks = struct.unpack_from("<Iqq", body, off)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported error-bounds record version {version}")
-        if n_levels != N_GROUPS:
-            raise ValueError(
-                f"error-bounds record has {n_levels} levels, expected {N_GROUPS}"
+        """Parse a framed record; malformed bytes raise ``FormatError``."""
+        reader = RecordReader(raw, _MAGIC, FORMAT_VERSION, "error-bounds record")
+        n_levels, n_chunks = reader.unpack(_SHAPE)
+        if n_levels != N_GROUPS or n_chunks < 0:
+            reader.fail(
+                f"impossible shape: {n_levels} levels (expected {N_GROUPS}) "
+                f"x {n_chunks} chunks"
             )
-        off += struct.calcsize("<Iqq")
-
-        def take(count: int) -> np.ndarray:
-            nonlocal off
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=off)
-            off += count * 8
-            return arr.astype(np.float64)
-
-        max_rel = take(n_levels * n_chunks).reshape(n_levels, n_chunks)
-        mean_rel = take(n_levels * n_chunks).reshape(n_levels, n_chunks)
+        max_rel = reader.array("<f8", n_levels * n_chunks).reshape(n_levels, n_chunks)
+        mean_rel = reader.array("<f8", n_levels * n_chunks).reshape(n_levels, n_chunks)
+        reader.done()
         return cls(max_rel, mean_rel)
 
 

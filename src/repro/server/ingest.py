@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.config import ExecutionConfig
 from repro.core.dataset import DatasetSnapshot, MLOCDataset
-from repro.core.manifest import load_manifest_at
+from repro.core.manifest import load_manifest_at, member_key
 from repro.core.query import Query
 from repro.core.result import counter_names
 from repro.core.store import MLOCStore
@@ -154,7 +154,7 @@ class IngestSession:
         started = max(arrival.time, self.busy_until)
         self.busy_until = started + drain
         record = AppendRecord(
-            key=MLOCDataset._key(arrival.variable, arrival.timestep),
+            key=member_key(arrival.variable, arrival.timestep),
             variable=arrival.variable,
             timestep=arrival.timestep,
             generation=self.dataset.generation,
@@ -280,7 +280,7 @@ class IngestBroker:
     # ------------------------------------------------------------------
     def member(self, variable: str, timestep: int | None = None) -> MLOCStore:
         """The broker's handle on one member of the pinned snapshot."""
-        key = MLOCDataset._key(variable, timestep)
+        key = member_key(variable, timestep)
         if self.snapshot.manifest.member(key) is None:
             self.not_yet_sealed += 1
             raise NotYetSealed(
@@ -444,7 +444,7 @@ def replay_ingest(
                 default=None,
             )
         if timestep is None or session.base_manifest.member(
-            MLOCDataset._key(event.variable, timestep)
+            member_key(event.variable, timestep)
         ) is None:
             # Not in the base: its seal is on the session's timeline
             # (nothing sealed yet of the variable: wait for the first).

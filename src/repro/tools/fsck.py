@@ -53,6 +53,7 @@ from repro.index.hbi import HBIndex, hbi_path
 from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
+from repro.util.record import FormatError
 
 __all__ = ["Issue", "check_dataset", "check_store"]
 
@@ -330,7 +331,7 @@ def _check_hbi(
         return [_missing_record(loc, path)]
     try:
         hbi = HBIndex.from_bytes(bytes(fs.session().open(path).read_all()))
-    except Exception as exc:
+    except FormatError as exc:
         return [
             Issue(
                 "error", loc, f"hierarchical index unreadable: {exc}",
@@ -381,7 +382,7 @@ def _check_peb(fs: SimulatedPFS, var_root: str, meta: StoreMeta) -> list[Issue]:
         table = ErrorBoundsTable.from_bytes(
             bytes(fs.session().open(path).read_all())
         )
-    except Exception as exc:
+    except FormatError as exc:
         return [
             Issue(
                 "error", loc, f"error-bounds record unreadable: {exc}",

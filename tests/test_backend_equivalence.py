@@ -7,13 +7,10 @@ must be bit-identical across backends (the backend only changes which
 OS threads or worker processes run the pure block decodes).
 Reconstruction is measured CPU and therefore only sanity-checked.
 
-The CI matrix exports ``MLOC_PROC_WORKERS`` to pin extra process-pool
-widths; locally the sweep covers 1, 2 and 8 workers.
+The process pool is swept at the constant widths 1, 2, 4 and 8.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from repro.core.engine.stages import QueryEngine
 from repro.datasets import gts_like, s3d_like
 from repro.pfs import SimulatedPFS
 
-PROC_WORKER_COUNTS = sorted({1, 2, 8, int(os.environ.get("MLOC_PROC_WORKERS", "2"))})
+PROC_WORKER_COUNTS = (1, 2, 4, 8)
 
 QUERIES = [
     Query(value_range=(0.0, 4.5), output="positions"),

@@ -1,18 +1,23 @@
-"""``scripts/check_layers.py`` rules 8 (the batch is the unit) and 9
-(deleted second paths stay deleted)."""
+"""``scripts/check_layers.py`` rules 8 (the batch is the unit), 9
+(deleted second paths stay deleted) and 10 (nothing ambient switches a
+handle)."""
 
 from __future__ import annotations
 
 import ast
 
-from scripts.check_layers import batch_loop_violations, deleted_name_violations
+from scripts.check_layers import (
+    batch_loop_violations,
+    deleted_name_violations,
+    environ_violations,
+)
 
 PER_REQUEST = """
 def run_round(self):
     batch = self.select_round()
     for req in batch:
         req.result = req.store.query(req.query, planned=(req.plan, req.plan_stats))
-    return [store.execute_planned(q, p) for q, p in batch]
+    return [assemble([store.stage(q, planned=p)])[0] for q, p in batch]
 """
 
 STAGED = """
@@ -28,7 +33,7 @@ def run_round(self):
 
 def test_a_reintroduced_per_request_loop_is_a_violation():
     found = batch_loop_violations(ast.parse(PER_REQUEST), "broker.py")
-    assert [v.split(": ")[1].split("(")[0] for v in found] == ["query", "execute_planned"]
+    assert [v.split(": ")[1].split("(")[0] for v in found] == ["query", "assemble"]
     assert found[0].startswith("broker.py:5:")
 
 
@@ -43,15 +48,46 @@ import repro.parallel.scheduler.BlockRef
 class MultiVarResult:
     def to_refs(self):
         return [hbi_path(self.root)]
+
+    def execute_planned(self, query, plan, **how):
+        return assemble([self.stage_planned(query, plan, **how)])[0]
+
+    def sharded_store(self, variable, timestep=None, *, n_shards=2):
+        return self.store(variable, timestep, n_shards=n_shards)
 """
 
 
 def test_a_reintroduced_second_path_is_a_violation():
     found = deleted_name_violations(ast.parse(REINTRODUCED), "x.py")
     named = [v.split(": ")[1].split(" ")[0] for v in found]
-    assert named == ["build_from_store", "BlockRef", "MultiVarResult", "to_refs"]
+    assert named == [
+        "build_from_store", "BlockRef", "MultiVarResult",
+        "to_refs", "execute_planned", "sharded_store",
+    ]  # fmt: skip
     assert found[0].startswith("x.py:2:")
 
 
 def test_the_remaining_implementations_are_clean():
     assert deleted_name_violations(ast.parse(STAGED), "broker.py") == []
+
+
+AMBIENT = """
+import os
+from os import getenv
+
+class MLOCStore:
+    def __init__(self, use_hbi=None):
+        if use_hbi is None:
+            use_hbi = os.environ.get("FLEET_HBI") == "1"
+        self.workers = int(os.getenv("FLEET_WORKERS", "2"))
+"""
+
+
+def test_a_reintroduced_ambient_switch_is_a_violation():
+    found = environ_violations(ast.parse(AMBIENT), "store.py")
+    assert [v.split(":")[1] for v in found] == ["3", "8", "9"]
+    assert all("rule 10" in v for v in found)
+
+
+def test_a_handle_switched_where_it_is_opened_is_clean():
+    assert environ_violations(ast.parse(STAGED), "broker.py") == []

@@ -90,7 +90,7 @@ def test_option_survives_every_hand_off(sealed_fs, name):
         assert dataset.store("temp", 0).execution == want
         snapshot = dataset.snapshot()
         assert snapshot.store("temp", 0).execution == want
-        snap_sharded = snapshot.sharded_store("temp", 0, n_shards=2)
+        snap_sharded = snapshot.store("temp", 0, n_shards=2)
         assert [s.execution for s in snap_sharded.shards] == [want] * 2
         assert IngestBroker(dataset).member("temp", 0).execution == want
 

@@ -73,7 +73,7 @@ class TestSerialization:
         store, _ = store_and_field
         raw = bytearray(store.hbi.to_bytes())
         raw[0] ^= 0xFF
-        with pytest.raises(ValueError, match="not a hierarchical"):
+        with pytest.raises(ValueError, match="hierarchical index record: bad magic"):
             HBIndex.from_bytes(bytes(raw))
 
     def test_any_corruption_fails_crc(self, store_and_field):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    MLOCDataset,
     MLOCStore,
     MLOCWriter,
     Query,
@@ -112,16 +113,31 @@ class TestValueQueries:
         assert pruned > 0  # the query set does exercise the index
         assert batch.stats["chunks_pruned"] == pruned
 
-    def test_env_var_opt_in(self, eq_field, monkeypatch):
-        config = mloc_col((16, 16), n_bins=8)
-        fs = _write(config, eq_field)
-        monkeypatch.setenv("MLOC_HBI", "1")
-        assert MLOCStore.open(fs, "/eq", "field").use_hbi
-        monkeypatch.setenv("MLOC_HBI", "0")
-        assert not MLOCStore.open(fs, "/eq", "field").use_hbi
-        # An explicit argument always wins over the environment.
-        monkeypatch.setenv("MLOC_HBI", "1")
-        assert not MLOCStore.open(fs, "/eq", "field", use_hbi=False).use_hbi
+    def test_pinned_snapshot_member_opt_in(self, eq_field):
+        """A sealed member is switched where the snapshot opens it:
+        same answers, never more bytes, and the default handle of the
+        same snapshot stays flat."""
+        config = mloc_col((16, 16), n_bins=8, target_block_bytes=4096)
+        fs = SimulatedPFS()
+        dataset = MLOCDataset(fs, "/ds", config)
+        dataset.append(eq_field, "field", timestep=0)
+        snapshot = dataset.snapshot()
+        flat = snapshot.store("field", 0)
+        hier = snapshot.store("field", 0, use_hbi=True)
+        assert hier.use_hbi and not flat.use_hbi
+        assert snapshot.store("field", 0) is flat
+        for query in QUERIES:
+            fs.clear_cache()
+            r0 = flat.query(query)
+            fs.clear_cache()
+            r1 = hier.query(query)
+            assert np.array_equal(r0.positions, r1.positions), query
+            if r0.values is None:
+                assert r1.values is None
+            else:
+                assert np.array_equal(r0.values, r1.values), query
+            assert r1.stats["n_results"] == r0.stats["n_results"]
+            assert r1.stats["bytes_read"] <= r0.stats["bytes_read"]
 
 
 @pytest.fixture(scope="module")

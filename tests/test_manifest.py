@@ -206,10 +206,23 @@ def test_snapshot_query_series_and_sharded_store(appended_dataset):
     q = Query(value_range=(3.0, 5.0), output="positions")
     series = snap.query_series("temp", q)
     assert sorted(series) == [0, 1, 2]
-    sharded = snap.sharded_store("temp", 1, n_shards=2)
+    sharded = snap.store("temp", 1, n_shards=2)
     flat = snap.store("temp", 1)
     a, b = sharded.query(q), flat.query(q)
     assert np.array_equal(a.positions, b.positions)
+
+
+def test_rewritten_member_is_refused_under_a_pinned_snapshot(appended_dataset):
+    """One handle cache, keyed by the sealed bytes: snapshots share a
+    member's handle until a rewrite empties the entry, after which the
+    pin re-reads the metadata and refuses the member."""
+    fs, ds = appended_dataset
+    snap = ds.snapshot()
+    assert snap.store("temp", 1) is ds.snapshot().store("temp", 1)
+    ds.write(gts_like((64, 64), seed=99), "temp", 1)
+    with pytest.raises(ManifestError, match="does not match its sealed"):
+        snap.store("temp", 1)
+    assert snap.store("temp", 0) is ds.snapshot().store("temp", 0)
 
 
 def test_runtime_stats_counters(appended_dataset):

@@ -1,0 +1,139 @@
+"""Every framed record decoder fails typed (DESIGN.md §6, FORMAT.md
+"Record frame").
+
+``hbi``, ``peb`` and ``MLOCMAN`` share one frame and one reader, so one
+contract covers all three: bytes no writer produces — with a valid CRC
+or not — raise :class:`~repro.util.record.FormatError`, never another
+exception type, and ``fsck`` names the same bytes as a ``decode-error``
+(a member's derived record) or ``manifest-torn`` (the manifest).
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+import pytest
+
+from repro.core import MLOCDataset, mloc_col
+from repro.core.manifest import Manifest, ManifestError, manifest_path
+from repro.datasets import gts_like
+from repro.index.hbi import HBIndex, hbi_path
+from repro.pfs import SimulatedPFS
+from repro.plod.bounds import ErrorBoundsTable, peb_path
+from repro.tools.fsck import check_dataset
+from repro.util.record import FormatError
+
+KEY = "temp@000000"
+RECORDS = {
+    # record -> (decoder, its path under /ds, the fsck kind that names it)
+    "hbi": (HBIndex, hbi_path(f"/ds/{KEY}"), "decode-error"),
+    "peb": (ErrorBoundsTable, peb_path(f"/ds/{KEY}"), "decode-error"),
+    "manifest": (Manifest, manifest_path("/ds", 1), "manifest-torn"),
+}
+HEADER = 12  # magic + version: where every record's own fields start
+
+
+def _sealed() -> SimulatedPFS:
+    fs = SimulatedPFS()
+    dataset = MLOCDataset(fs, "/ds", mloc_col(chunk_shape=(8, 8), n_bins=4), n_ranks=2)
+    dataset.append(gts_like((16, 16), seed=3), "temp", 0)
+    return fs
+
+
+@pytest.fixture(scope="module")
+def good() -> dict[str, bytes]:
+    fs = _sealed()
+    return {
+        name: bytes(fs.session().open(path).read_all())
+        for name, (_, path, _) in RECORDS.items()
+    }
+
+
+def _sign(body: bytes) -> bytes:
+    """``body`` under a fresh CRC: malformed, yet not torn."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _patched(raw: bytes, offset: int, fmt: str, *values) -> bytes:
+    body = bytearray(raw[:-4])
+    struct.pack_into(fmt, body, offset, *values)
+    return _sign(bytes(body))
+
+
+def _flipped(raw: bytes) -> bytes:
+    body = bytearray(raw)
+    body[len(body) // 2] ^= 0x40
+    return bytes(body)
+
+
+#: Damage any record can suffer: name -> (bytes -> bytes, message).
+FRAME_DAMAGE = {
+    "bad-magic": (lambda raw: _sign(b"NOTMLOC!" + raw[8:-4]), "bad magic"),
+    "bad-crc": (_flipped, "CRC mismatch"),
+    "wrong-version": (lambda raw: _patched(raw, 8, "<I", 99), "unsupported version 99"),
+    "trailing-bytes": (lambda raw: _sign(raw[:-4] + bytes(8)), "8 trailing bytes"),
+    "cut-in-header": (lambda raw: raw[:10], "truncated"),
+}
+#: Geometry no writer produces, per record, each under a valid CRC:
+#: (record, name) -> (offset of the patched field, its format, value, message).
+GEOMETRY_DAMAGE = {
+    ("hbi", "leaf-span-0"): (HEADER, "<I", 0, "impossible geometry"),
+    ("hbi", "fanout-1"): (HEADER + 4, "<I", 1, "impossible geometry"),
+    ("hbi", "negative-bins"): (HEADER + 8, "<q", -2, "impossible geometry"),
+    ("hbi", "huge-chunk-count"): (HEADER + 16, "<q", 2**62, "truncated"),
+    ("hbi", "level-count"): (HEADER + 32, "<I", 7, "interior level|truncated"),
+    ("peb", "six-levels"): (HEADER, "<q", 6, "impossible shape"),
+    ("peb", "negative-chunks"): (HEADER + 8, "<q", -1, "impossible shape"),
+    ("manifest", "negative-generation"): (HEADER, "<q", -1, "negative generation"),
+    ("manifest", "member-count"): (HEADER + 8, "<I", 2**31, "truncated"),
+    ("manifest", "key-overrun"): (HEADER + 12, "<H", 0xFFFF, "truncated"),
+    ("manifest", "key-not-utf8"): (HEADER + 14, "<B", 0xFF, "not UTF-8"),
+}
+CASES = [
+    pytest.param(record, damage, message, id=f"{record}-{name}")
+    for record in RECORDS
+    for name, (damage, message) in FRAME_DAMAGE.items()
+] + [
+    pytest.param(
+        record,
+        lambda raw, patch=(offset, fmt, value): _patched(raw, *patch),
+        message,
+        id=f"{record}-{name}",
+    )
+    for (record, name), (offset, fmt, value, message) in GEOMETRY_DAMAGE.items()
+]
+
+
+@pytest.mark.parametrize("record,damage,message", CASES)
+def test_malformed_record_fails_typed_and_fsck_names_it(good, record, damage, message):
+    decoder, path, kind = RECORDS[record]
+    bad = damage(good[record])
+    assert bad != good[record]
+    with pytest.raises(FormatError, match=message) as failed:
+        decoder.from_bytes(bad)
+    if decoder is Manifest:
+        assert isinstance(failed.value, ManifestError)  # what load_manifest skips
+
+    fs = _sealed()
+    assert check_dataset(fs, "/ds") == []
+    fs.write_file(path, bad)
+    assert (kind, path) in [(issue.kind, issue.path) for issue in check_dataset(fs, "/ds")]
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_truncation_anywhere_fails_typed(good, record):
+    """Cut at every offset — every field boundary and every byte between
+    — both torn (stale CRC) and re-signed (CRC-valid, body short)."""
+    decoder, raw = RECORDS[record][0], good[record]
+    for cut in range(len(raw)):
+        for bad in (raw[:cut], _sign(raw[:cut])):
+            if bad != raw:  # re-signing the whole body is the record itself
+                with pytest.raises(FormatError):
+                    decoder.from_bytes(bad)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_round_trip_is_byte_identical(good, record):
+    decoder = RECORDS[record][0]
+    assert decoder.from_bytes(good[record]).to_bytes() == good[record]

@@ -60,7 +60,7 @@ def _run_query(snap, timestep, region, mode):
     """One query through the drawn execution surface."""
     query = Query(region=region, output="values")
     if mode == "sharded":
-        store = snap.sharded_store("temp", timestep, n_shards=2)
+        store = snap.store("temp", timestep, n_shards=2)
     else:
         store = snap.store("temp", timestep)
     if mode == "session":

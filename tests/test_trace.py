@@ -1,5 +1,8 @@
 """Tests for query-trace recording and replay."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,33 @@ class TestQueryTraceSerialization:
         path = tmp_path / "t.json"
         trace.save(path)
         assert QueryTrace.load(path).queries[0].resolution_level == 2
+
+
+    def test_every_query_field_round_trips(self, tmp_path):
+        """Over ``dataclasses.fields(Query)``: a saved error-bounded
+        session must not replay at full precision, and a field added to
+        ``Query`` is either covered here or fails here."""
+        values = {
+            "value_range": (0.25, 0.75),
+            "region": ((0, 8), (4, 12)),
+            "output": "positions",
+            "plod_level": 3,
+            "resolution_level": 2,
+            "tol": 1e-3,
+            "tol_metric": "mean_rel",
+        }
+        assert set(values) == {f.name for f in fields(Query)}
+        assert all(values[f.name] != f.default for f in fields(Query))
+        path = tmp_path / "t.json"
+        QueryTrace([Query(**values), Query()]).save(path)
+        assert QueryTrace.load(path).queries == [Query(**values), Query()]
+
+    def test_fields_an_older_trace_lacks_take_their_defaults(self, tmp_path):
+        path = tmp_path / "old.json"
+        old = {"value_range": [1.0, 2.0], "region": None, "output": "values",
+               "plod_level": 4, "resolution_level": None}  # fmt: skip
+        path.write_text(json.dumps({"version": 1, "queries": [old]}))
+        assert QueryTrace.load(path).queries == [Query(value_range=(1.0, 2.0), plod_level=4)]
 
 
 class TestTracingStore:
