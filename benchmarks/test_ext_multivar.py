@@ -45,21 +45,21 @@ def joined_vars():
     temp = temp + 3.0 * _np.exp(-(((yy - 0.3) ** 2 + (xx + 0.2) ** 2) / 0.02))
     hum = gts_like(shape, seed=62)
     dataset = MLOCDataset(fs, "/join", cfg, n_ranks=8)
-    dataset.write(temp, "temp")
-    dataset.write(hum, "humidity")
-    return fs, temp, hum, dataset
+    dataset.append(temp, "temp")
+    dataset.append(hum, "humidity")
+    return fs, temp, hum, dataset.snapshot()
 
 
 @pytest.mark.parametrize("selectivity", [0.01, 0.10])
 def test_multivar_join(benchmark, joined_vars, selectivity):
-    fs, temp, hum, dataset = joined_vars
+    fs, temp, hum, snapshot = joined_vars
     flat = temp.reshape(-1)
     lo = float(np.quantile(flat, 1.0 - selectivity))
 
     def run():
         fs.clear_cache()
-        return dataset.multi_variable_query(
-            "temp", ["humidity"], (lo, float(flat.max()))
+        return multi_variable_query(
+            snapshot.store("temp"), [snapshot.store("humidity")], (lo, float(flat.max()))
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -67,14 +67,14 @@ def test_multivar_join(benchmark, joined_vars, selectivity):
 
 
 def test_ext_multivar_report(benchmark, joined_vars, capsys):
-    fs, temp, hum, dataset = joined_vars
+    fs, temp, hum, snapshot = joined_vars
     flat = temp.reshape(-1)
 
     def compute():
         from repro.index.bitmap import Bitmap
 
-        h_store = dataset.store("humidity")
-        t_store = dataset.store("temp")
+        h_store = snapshot.store("humidity")
+        t_store = snapshot.store("temp")
         rows = {}
         for selectivity in (0.01, 0.05, 0.20):
             lo = float(np.quantile(flat, 1.0 - selectivity))

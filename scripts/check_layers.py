@@ -53,12 +53,14 @@ executed):
    requests to *stage* them, never to run them to completion one at a
    time.
 9. **Deleted second paths stay deleted.**  A capability has one
-   implementation: no ``def``, ``class`` or import under ``src/repro``
-   may bring back one of ``DELETED_NAMES`` — the record rebuilders,
-   the object work-list beside ``BlockList``, the second multi-variable
-   result type, the per-handle batch-fetcher hook, the second run door
-   beside ``MLOCStore.query`` and the second snapshot door beside
-   ``DatasetSnapshot.store``.
+   implementation: no ``def``, ``class``, annotated field or import
+   under ``src/repro`` may bring back one of ``DELETED_NAMES`` — the
+   record rebuilders, the object work-list beside ``BlockList``, the
+   second multi-variable result type, the per-handle batch-fetcher
+   hook, the second run door beside ``MLOCStore.query``, the second
+   snapshot door beside ``DatasetSnapshot.store``, the invalidation
+   paths only a rewrite-in-place needed and the scheduler readahead
+   nobody set.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -113,7 +115,6 @@ EXECUTION_ONLY_PARAMS = frozenset(
         "read_backoff",
         "allow_partial",
         "coalesce_gap",
-        "readahead",
         "write_backend",
         "write_workers",
     }
@@ -122,7 +123,9 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: Second implementations that lost (rule 9): records are read, never
 #: rebuilt; work lists are columnar; multi-variable access is compound
 #: access; every handle's batch shares one fetcher; a request runs
-#: through ``query``/``stage``; a snapshot opens members through ``store``.
+#: through ``query``/``stage``; a snapshot opens members through ``store``;
+#: sealed members are immutable, so nothing is invalidated; the
+#: scheduler coalesces and does not prefetch.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -136,6 +139,11 @@ DELETED_NAMES = frozenset(
         "_batch_fetcher",
         "execute_planned",
         "sharded_store",
+        "invalidate_generation",
+        "_drop_handles",
+        "readahead",
+        "extent_cached",
+        "refinement_groups",
     }
 )
 
@@ -213,12 +221,14 @@ def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
 
 
 def deleted_name_violations(tree: ast.AST, where: str) -> list[str]:
-    """Rule 9 over one syntax tree: every ``def``, ``class`` or import
-    that names one of ``DELETED_NAMES``."""
+    """Rule 9 over one syntax tree: every ``def``, ``class``, annotated
+    field or import that names one of ``DELETED_NAMES``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rpartition(".")[2] for alias in node.names]
         else:

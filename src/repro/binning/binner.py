@@ -47,12 +47,6 @@ class BinScheme:
         ids = np.searchsorted(self.edges, values, side="right") - 1
         return np.clip(ids, 0, self.n_bins - 1).astype(np.int32)
 
-    def bin_bounds(self, bin_id: int) -> tuple[float, float]:
-        """Nominal ``[lo, hi)`` interval of a bin (ignoring clamping)."""
-        if not (0 <= bin_id < self.n_bins):
-            raise ValueError(f"bin_id {bin_id} out of range [0, {self.n_bins})")
-        return float(self.edges[bin_id]), float(self.edges[bin_id + 1])
-
     def bins_overlapping(
         self, lo: float, hi: float
     ) -> tuple[np.ndarray, np.ndarray]:

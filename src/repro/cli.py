@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument(
         "--dataset",
         action="store_true",
-        help="check the whole manifest-managed dataset under --root: "
+        help="check the whole dataset under --root against its manifests: "
         "generation chain, sealed-member CRCs, per-member hbi/peb "
         "records, and orphaned member directories",
     )
@@ -272,7 +272,6 @@ _EXECUTION_HELP = {
         "max byte gap for merging adjacent block reads into one "
         "vectored read (0 = off, one seek per block)"
     ),
-    "readahead": "bytes of scheduler readahead past each vectored run (0 = off)",
 }
 #: The flags not spelled ``--field-name``.
 _EXECUTION_FLAGS = {"workers": ("--threads", "--workers"), "cache_bytes": ("--cache-mb",)}
@@ -348,19 +347,26 @@ def _execution(args) -> ExecutionConfig:
 
 
 def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
-    if args.shards <= 0:
-        raise SystemExit(f"error: --shards must be positive, got {args.shards}")
-    options = {"n_ranks": args.ranks, "execution": _execution(args)}
-    if args.shards > 1:
-        return ShardedMLOCStore.open(
-            fs, args.root, args.variable, n_shards=args.shards, **options
-        )
-    return MLOCStore.open(fs, args.root, args.variable, **options)
+    """The handle the read flags describe; a subcommand without them
+    (``index``, ``relayout``) gets the default one."""
+    cls, options = MLOCStore, {}
+    if hasattr(args, "ranks"):
+        if args.shards <= 0:
+            raise SystemExit(f"error: --shards must be positive, got {args.shards}")
+        options = {"n_ranks": args.ranks, "execution": _execution(args)}
+        if args.shards > 1:
+            cls, options["n_shards"] = ShardedMLOCStore, args.shards
+    try:
+        return cls.open(fs, args.root, args.variable, **options)
+    except FileNotFoundError:
+        raise ValueError(
+            f"no store at {args.root.rstrip('/')}/{args.variable}"
+        ) from None
 
 
 def _store_command(run):
-    """The path ``query|batch|refine|stats|serve-replay`` share: load
-    the snapshot, open the store the flags describe, run
+    """The path ``query|batch|refine|stats|serve-replay|index|relayout``
+    share: load the snapshot, open the store the flags describe, run
     ``run(args, store)``, report a refused request as one line."""
 
     def command(args) -> int:
@@ -649,8 +655,7 @@ def _cmd_refine(args, store) -> int:
         print(
             f"session: {session.refine_steps} refine step(s), "
             f"{session.bytes_reused} raw bytes reused, "
-            f"{final['coalesced_reads']} coalesced read(s), "
-            f"{final['readahead_hits']} readahead hit(s)"
+            f"{final['coalesced_reads']} coalesced read(s)"
         )
     return 0
 
@@ -670,8 +675,7 @@ def _cmd_stats(args, store) -> int:
         )
     print(
         f"executor: {snapshot['n_ranks']} ranks, {snapshot['backend']} backend, "
-        f"coalesce_gap={snapshot['coalesce_gap']}, "
-        f"readahead={snapshot['readahead']}"
+        f"coalesce_gap={snapshot['coalesce_gap']}"
     )
     if "plan_cache" in snapshot:
         pc = snapshot["plan_cache"]
@@ -768,11 +772,11 @@ def _cmd_serve_replay(args, store) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
+@_store_command
+def _cmd_index(args, store) -> int:
     from repro.index import hbi_path, wah_from_positions
 
-    fs = SimulatedPFS.load(args.snapshot)
-    store = MLOCStore.open(fs, args.root, args.variable)
+    fs = store.fs
     path = hbi_path(store.root)
     hbi, hbi_bytes = store.hbi, fs.size(path)
     try:
@@ -815,9 +819,9 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _cmd_relayout(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
-    source = MLOCStore.open(fs, args.root, args.variable)
+@_store_command
+def _cmd_relayout(args, source) -> int:
+    fs = source.fs
     new_config = dataclasses.replace(
         source.meta.config,
         level_order=args.order,

@@ -129,12 +129,6 @@ class ChunkGrid:
         coords = np.stack([m.reshape(-1) for m in mesh], axis=1)
         return self.chunk_ids(coords)
 
-    def chunk_within_region(self, chunk_id: int, region: Region) -> bool:
-        """True if the chunk lies entirely inside the region (no filtering)."""
-        return bool(
-            self.chunks_within_region(np.array([chunk_id], dtype=np.int64), region)[0]
-        )
-
     def chunks_within_region(self, chunk_ids: np.ndarray, region: Region) -> np.ndarray:
         """Vectorized interiority: per chunk, True if it lies entirely
         inside the region (its elements need no coordinate filtering)."""

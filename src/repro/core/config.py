@@ -205,10 +205,6 @@ class ExecutionConfig:
         read (one seek, one contiguous transfer).  0 (default) disables
         coalescing: one read, hence one seek, per block; see
         docs/tuning.md "Read coalescing".
-    readahead:
-        Extra bytes the scheduler pulls past each vectored run to warm
-        the simulated PFS cache for later reads on the same subfile; 0
-        (default) disables readahead.
     """
 
     backend: str = field(default="serial", metadata={"choices": EXEC_BACKENDS})
@@ -221,7 +217,6 @@ class ExecutionConfig:
     read_backoff: float = 0.005
     allow_partial: bool = False
     coalesce_gap: int = 0
-    readahead: int = 0
 
     def __post_init__(self) -> None:
         for name, choices in _CHOICES.items():
@@ -247,8 +242,6 @@ class ExecutionConfig:
             raise ValueError(f"read_backoff must be >= 0, got {self.read_backoff}")
         if self.coalesce_gap < 0:
             raise ValueError(f"coalesce_gap must be >= 0, got {self.coalesce_gap}")
-        if self.readahead < 0:
-            raise ValueError(f"readahead must be >= 0, got {self.readahead}")
 
     def store_options(self) -> dict[str, Any]:
         """The read-side fields (all but ``write_*``) for :meth:`MLOCStore.open`."""

@@ -1,33 +1,31 @@
-"""MLOCDataset: a multi-variable, multi-timestep facade.
+"""MLOCDataset: the manifest catalog of one dataset root.
 
 The paper's data model is multi-variate, spatio-temporal simulation
-output: several physical variables on a shared grid, one snapshot per
-simulation timestep.  ``MLOCDataset`` manages that catalog over one
-dataset root on the simulated PFS — each (variable, timestep) pair is
-an independent MLOC store (its own bin subfiles and metadata), which is
-exactly how the framework composes: queries on one snapshot never touch
-another's files, and multi-variable access joins stores that share the
-grid.
+output written once per timestep and then only read: several physical
+variables on a shared grid, one member per (variable, timestep).  Each
+member is an independent MLOC store (its own bin subfiles and
+metadata) — queries on one member never touch another's files, and
+multi-variable access joins member handles that share the grid
+(``repro.core.multi_variable_query``).
 
-Two write paths coexist:
+A dataset *is* its manifest chain (``repro.core.manifest``):
 
-``write()``
-    The original sealed-batch path: encode one member, no catalog
-    record beyond the files themselves.
 ``append()``
-    The in-situ ingest path (ROADMAP item 4b): encode one member
-    through the same three-stage writer pipeline, then commit it with
-    an atomic manifest bump (``repro.core.manifest``).  Readers pin a
-    :class:`DatasetSnapshot` — generation ``G`` sees exactly the
+    The only way a member enters: encode it through the three-stage
+    writer pipeline, then commit an atomic manifest bump.
+``snapshot()``
+    The only way members are listed and opened: a
+    :class:`DatasetSnapshot` pins generation ``G`` and sees exactly the
     members sealed at ``G``, bit-identical no matter how many appends
-    land mid-query — and call :meth:`DatasetSnapshot.refresh` to
-    surface newer generations.
+    land mid-query; :meth:`DatasetSnapshot.refresh` surfaces newer
+    generations.
 
-Open member handles are registered per ``(key, meta_crc)``: two
-snapshots of the same sealed member share one :class:`MLOCStore` (one
-``PlanContext``, one plan LRU), while a rewritten member gets a fresh
-handle and a fresh cache generation, so stale planning tables or
-decoded blocks can never serve a newer layout.
+Sealed means immutable, so nothing here is ever invalidated: open
+member handles are registered per ``(key, meta_crc)`` — two snapshots
+of the same sealed member share one :class:`MLOCStore` (one
+``PlanContext``, one plan LRU) for the life of the dataset handle, and
+a member whose on-disk metadata no longer hashes to its sealed record
+(rewritten from outside) is refused, never served.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import zlib
 
 import numpy as np
 
-from repro.core.compound import CompoundResult, multi_variable_query
 from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
 from repro.core.manifest import (
     Manifest,
@@ -60,7 +57,7 @@ __all__ = ["DatasetSnapshot", "MLOCDataset"]
 
 
 class MLOCDataset:
-    """Catalog of MLOC-encoded variables/timesteps under one root.
+    """The append-only catalog of sealed members under one root.
 
     One :class:`~repro.core.config.ExecutionConfig` (``execution``, or
     its fields as keywords) configures both the writer that seals
@@ -85,8 +82,7 @@ class MLOCDataset:
         self._writer = MLOCWriter(fs, self.root, config, execution=self.execution)
         #: One decoded-block cache shared by every member handle this
         #: dataset opens; entries are keyed by each member's sealed
-        #: generation (its ``meta_crc``), so a rewrite can never serve
-        #: stale blocks.
+        #: generation (its ``meta_crc``).
         cache_bytes = self.execution.cache_bytes
         self.cache = BlockCache(cache_bytes) if cache_bytes > 0 else None
         #: Open member handles, keyed ``(key, meta_crc)``.
@@ -96,15 +92,6 @@ class MLOCDataset:
         self.snapshot_refreshes = 0
 
     # ------------------------------------------------------------------
-    def write(
-        self, data: np.ndarray, variable: str, timestep: int | None = None
-    ) -> WriteReport:
-        """Encode one variable snapshot through the MLOC pipeline."""
-        key = member_key(variable, timestep)
-        report = self._writer.write(data, variable=key)
-        self._drop_handles(key)  # invalidate any cached open store
-        return report
-
     def append(
         self, data: np.ndarray, variable: str, timestep: int | None = None
     ) -> WriteReport:
@@ -137,21 +124,13 @@ class MLOCDataset:
         commit_manifest(self.fs, self.root, manifest)
         self._manifest = manifest
         self._generations_seen.add(manifest.generation)
-        self._drop_handles(key)
         return report
 
     # ------------------------------------------------------------------
-    def _drop_handles(self, key: str) -> None:
-        """Forget open handles of ``key`` (after a rewrite/seal)."""
-        for reg in [r for r in self._handles if r[0] == key]:
-            stale = self._handles.pop(reg)
-            if self.cache is not None:
-                self.cache.invalidate_generation(stale.generation)
-
     def _open_member(
-        self, key: str, expect_crc: int | None = None, **overrides
+        self, key: str, expect_crc: int, **overrides
     ) -> MLOCStore | ShardedMLOCStore:
-        """Open ``key``, optionally pinned to a sealed ``meta_crc``.
+        """Open sealed member ``key``, pinned to its recorded ``meta_crc``.
 
         Handles opened with the dataset's default options are shared
         through the ``(key, meta_crc)`` registry — the same sealed
@@ -162,21 +141,17 @@ class MLOCDataset:
         different view).  Every handle gets the dataset's ``execution``
         and shared cache unless the overrides bring their own.
         """
-        if not overrides and (key, expect_crc) in self._handles:
-            # The manifest already names the sealed bytes, so a shared
-            # handle is found without re-reading the metadata file.
-            return self._handles[key, expect_crc]
+        reg = (key, expect_crc)
+        if not overrides and reg in self._handles:
+            return self._handles[reg]
         var_root = f"{self.root}/{key}"
         raw = read_meta_bytes(self.fs, var_root)
         crc = zlib.crc32(raw)
-        if expect_crc is not None and crc != expect_crc:
+        if crc != expect_crc:
             raise ManifestError(
                 f"member {key!r}: on-disk metadata (crc {crc:#010x}) does "
                 f"not match its sealed manifest record ({expect_crc:#010x})"
             )
-        reg = (key, crc)
-        if not overrides and reg in self._handles:
-            return self._handles[reg]
         options = {"n_ranks": self.n_ranks, "execution": self.execution, **overrides}
         if self.cache is not None and not overrides.keys() & {
             "cache", "cache_bytes", "execution"
@@ -189,10 +164,6 @@ class MLOCDataset:
         if not overrides:
             self._handles[reg] = store
         return store
-
-    def store(self, variable: str, timestep: int | None = None) -> MLOCStore:
-        """Open (and cache) the store of one variable snapshot."""
-        return self._open_member(member_key(variable, timestep))
 
     # ------------------------------------------------------------------
     @property
@@ -230,58 +201,6 @@ class MLOCDataset:
             "snapshot_refreshes": self.snapshot_refreshes,
             "open_handles": len(self._handles),
         }
-
-    # ------------------------------------------------------------------
-    def variables(self) -> list[str]:
-        """All (variable[@timestep]) keys present under the root."""
-        prefix = self.root + "/"
-        keys = set()
-        for path in self.fs.list_files(prefix):
-            rest = path[len(prefix) :]
-            if "/" in rest:
-                keys.add(rest.split("/", 1)[0])
-        return sorted(keys)
-
-    def timesteps(self, variable: str) -> list[int]:
-        """Timesteps stored for ``variable`` (empty for static vars)."""
-        out = []
-        for key in self.variables():
-            if key.startswith(variable + "@"):
-                out.append(int(key.split("@", 1)[1]))
-        return sorted(out)
-
-    def total_bytes(self) -> int:
-        """Total storage under the dataset root."""
-        return self.fs.total_bytes(self.root + "/")
-
-    # ------------------------------------------------------------------
-    def multi_variable_query(
-        self,
-        select_variable: str,
-        fetch_variables: list[str],
-        value_range: tuple[float, float],
-        *,
-        timestep: int | None = None,
-        region: tuple[tuple[int, int], ...] | None = None,
-        plod_level: int = 7,
-    ) -> CompoundResult:
-        """Section III-D4 access across this dataset's variables."""
-        select = self.store(select_variable, timestep)
-        fetch = [self.store(v, timestep) for v in fetch_variables]
-        result = multi_variable_query(
-            select,
-            fetch,
-            value_range,
-            region=region,
-            plod_level=plod_level,
-        )
-        # Stores are keyed by "variable@timestep"; present results under
-        # the caller's plain variable names.
-        result.values = {
-            name: result.values[store.variable]
-            for name, store in zip(fetch_variables, fetch)
-        }
-        return result
 
 
 class DatasetSnapshot:

@@ -3,7 +3,7 @@
 Layering contract (enforced by ``scripts/check_layers.py``):
 
 * :mod:`~repro.core.engine.scheduler` (layer 0) — deferred reads,
-  coalescing/readahead, verified-read fault tolerance, decode-job
+  coalescing, verified-read fault tolerance, decode-job
   coordination.  Knows only the PFS, never plans or byte planes.
 * :mod:`~repro.core.engine.stages` (layer 1) — the
   :class:`QueryEngine`: the per-query stage step and the per-batch

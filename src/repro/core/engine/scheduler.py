@@ -12,9 +12,6 @@ read as :class:`PendingRead` records; this module decides *how*:
   subfile merge into a single vectored read
   (:meth:`~repro.pfs.simfs.SimFileHandle.readv`): one seek plus one
   contiguous transfer that swallows the gap bytes;
-* with ``readahead > 0``, each run is followed by a contiguous
-  prefetch of the next ``readahead`` bytes (no extra seek), warming
-  the extent cache for later flushes;
 * every block payload is CRC-verified before decode, with the retry /
   exponential-backoff / quarantine semantics of the verified read path
   moved here intact (the accounting is unchanged to the counter).
@@ -35,16 +32,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.parallel.procpool import PoolBrokenError, ProcessPool
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.faults import TransientIOError
-from repro.pfs.simfs import PFSSession, SimulatedPFS
+from repro.pfs.simfs import PFSSession
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.config import ExecutionConfig
 
 __all__ = ["IOScheduler", "PendingRead"]
-
-#: How many readahead spans are remembered per subfile (for hit
-#: attribution); older spans age out of the attribution window.
-_MAX_READAHEAD_SPANS = 16
 
 
 class _DecodeJob:
@@ -121,7 +114,6 @@ class _IOCounters:
     """Per-query scheduler counters surfaced in ``QueryResult.stats``."""
 
     coalesced_reads: int = 0
-    readahead_hits: int = 0
 
 
 class _HandleOpener:
@@ -397,7 +389,6 @@ class IOScheduler:
 
     def __init__(
         self,
-        fs: SimulatedPFS,
         session: PFSSession,
         fetcher: _BlockFetcher,
         fctx: _FaultContext,
@@ -405,16 +396,13 @@ class IOScheduler:
         quarantine: dict[tuple[str, int], str],
         execution: ExecutionConfig,
         counters: _IOCounters | None = None,
-        readahead_spans: dict[str, list[tuple[int, int]]] | None = None,
     ) -> None:
-        self.fs = fs
         self.session = session
         self.fetcher = fetcher
         self.fctx = fctx
         self.quarantine = quarantine
         self.execution = execution
         self.counters = counters if counters is not None else _IOCounters()
-        self._readahead_spans = readahead_spans if readahead_spans is not None else {}
         self._queue: list[PendingRead] = []
 
     # ------------------------------------------------------------------
@@ -438,14 +426,12 @@ class IOScheduler:
                     self.fctx.quarantined.add(key)
                     self.fetcher.resolve_lost(read)
                     continue
-                self._note_readahead_hit(read)
                 ready.append(read)
             for run in self._runs(ready):
                 if len(run) == 1:
                     self._read_single(run[0])
                 else:
                     self._read_vectored(run)
-                self._maybe_readahead(path, run)
 
     # ------------------------------------------------------------------
     def _runs(self, reads: list[PendingRead]) -> list[list[PendingRead]]:
@@ -497,32 +483,6 @@ class IOScheduler:
             else:
                 self.fctx.crc_failures += 1
                 self._read_single(read)
-
-    def _maybe_readahead(self, path: str, run: list[PendingRead]) -> None:
-        """Prefetch the bytes after the run (contiguous: no extra seek)."""
-        if self.execution.readahead <= 0:
-            return
-        end = max(r.offset + r.length for r in run)
-        n = min(self.execution.readahead, self.fs.size(path) - end)
-        if n <= 0:
-            return
-        try:
-            run[0].opener.get().read(end, n)
-        except TransientIOError:
-            return
-        spans = self._readahead_spans.setdefault(path, [])
-        spans.append((end, end + n))
-        del spans[:-_MAX_READAHEAD_SPANS]
-
-    def _note_readahead_hit(self, read: PendingRead) -> None:
-        """Count a block whose bytes an earlier readahead made warm."""
-        spans = self._readahead_spans.get(read.path)
-        if not spans:
-            return
-        end = read.offset + read.length
-        if any(read.offset >= lo and end <= hi for lo, hi in spans):
-            if self.fs.extent_cached(read.path, read.offset, read.length):
-                self.counters.readahead_hits += 1
 
     # ------------------------------------------------------------------
     def _verified_read(self, read: PendingRead) -> bytes | None:

@@ -21,7 +21,7 @@ Every step returns an ordinary :class:`~repro.core.result.QueryResult`
 whose values are bit-identical to a fresh single-shot query at that
 level (pinned by ``tests/test_refinement_session.py``), with
 cumulative session counters added to ``stats``: ``refine_steps``,
-``bytes_reused``, ``coalesced_reads``, ``readahead_hits``.
+``bytes_reused``, ``coalesced_reads``.
 
 Error-bounded sessions (``query.tol`` set) resolve per-chunk target
 levels from the store's ``peb`` bounds table: the initial step runs at
@@ -77,7 +77,6 @@ class RefinementSession:
         self._refine_steps = 0
         self._bytes_reused = 0
         self._coalesced_reads = 0
-        self._readahead_hits = 0
         self._closed = False
         #: Per-step results, most recent last.
         self.results: list[QueryResult] = []
@@ -175,11 +174,9 @@ class RefinementSession:
         result = self._store.query(query, fetcher=self._fetcher, level_cap=level)
         self._bytes_reused += self._fetcher.hit_raw_bytes - hit_raw0
         self._coalesced_reads += result.stats.get("coalesced_reads", 0)
-        self._readahead_hits += result.stats.get("readahead_hits", 0)
         result.stats["refine_steps"] = self._refine_steps
         result.stats["bytes_reused"] = self._bytes_reused
         result.stats["coalesced_reads"] = self._coalesced_reads
-        result.stats["readahead_hits"] = self._readahead_hits
         self._pin_held_blocks()
         self.results.append(result)
         return result

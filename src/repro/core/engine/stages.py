@@ -297,7 +297,7 @@ class QueryEngine:
     """Executes planned queries over one stored variable.
 
     How the stages run — decode backend and pool width, read retries
-    and backoff, partial-answer policy, read coalescing and readahead —
+    and backoff, partial-answer policy, read coalescing —
     is the handle's :class:`~repro.core.config.ExecutionConfig`, held
     whole as ``execution`` (documented and validated there, and only
     there); its fields may also be given as keywords.  Every backend
@@ -360,8 +360,6 @@ class QueryEngine:
         #: far as this engine could tell), it is answered by the
         #: degradation policy instead.
         self.quarantine: dict[tuple[str, int], str] = {}
-        #: Per-subfile spans warmed by readahead, for hit attribution.
-        self.readahead_spans: dict[str, list[tuple[int, int]]] = {}
         self.context = (
             context if context is not None else PlanContext.for_store(meta, grid, curve)
         )
@@ -465,14 +463,12 @@ class QueryEngine:
                 session=session,
                 raw={"data": 0, "index": 0},
                 sched=IOScheduler(
-                    self.fs,
                     session,
                     fetcher,
                     fctx,
                     quarantine=self.quarantine,
                     execution=self.execution,
                     counters=counters,
-                    readahead_spans=self.readahead_spans,
                 ),
                 runs=slice(run_bounds[rank], run_bounds[rank + 1]),
             )
@@ -594,7 +590,6 @@ class QueryEngine:
             "seeks": int(sum(s.stats.seeks for s in sessions)),
             "vectored_reads": int(sum(s.stats.vectored_reads for s in sessions)),
             "coalesced_reads": counters.coalesced_reads,
-            "readahead_hits": counters.readahead_hits,
             "stall_seconds": float(sum(s.stats.stall_seconds for s in sessions)),
             "crc_failures": fctx.crc_failures,
             "io_retries": fctx.io_retries,

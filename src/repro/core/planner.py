@@ -77,12 +77,6 @@ class QueryPlan:
             raise ValueError(f"bin {bin_id} is not part of this plan")
         return bool(self.aligned[idx])
 
-    def chunk_is_interior(self, cpos: int) -> bool:
-        idx = int(np.searchsorted(self.cpos, cpos))
-        if idx >= self.cpos.size or self.cpos[idx] != cpos:
-            raise ValueError(f"chunk position {cpos} is not part of this plan")
-        return bool(self.interior[idx])
-
     def interior_of(self, cpos: np.ndarray) -> np.ndarray:
         """Vectorized interior flags for an array of chunk positions."""
         cpos = np.asarray(cpos, dtype=np.int64)

@@ -73,7 +73,6 @@ COUNTERS: tuple[Counter, ...] = (
     Counter("seeks", "sum", "engine"),
     Counter("vectored_reads", "sum", "engine"),
     Counter("coalesced_reads", "sum", "engine"),
-    Counter("readahead_hits", "sum", "engine"),
     Counter("stall_seconds", "fsum", "engine"),
     Counter("crc_failures", "sum", "engine"),
     Counter("io_retries", "sum", "engine"),

@@ -580,7 +580,6 @@ class MLOCStore:
             "n_ranks": sum(engine.n_ranks for engine in self.engines),
             "backend": self.execution.backend,
             "coalesce_gap": self.execution.coalesce_gap,
-            "readahead": self.execution.readahead,
         }
         plan_cache = self.context.cache
         if plan_cache is not None:

@@ -122,13 +122,6 @@ class ReplayReport:
     def mean_seconds(self) -> float:
         return self.total.total / len(self.per_query) if self.per_query else 0.0
 
-    @property
-    def saw_faults(self) -> bool:
-        """True when any replayed query hit a read-path fault."""
-        return any(self.fault_stats.get(k) for k in FAULT_STAT_KEYS) or bool(
-            self.fault_stats.get("quarantined_blocks")
-        ) or bool(self.fault_stats.get("partial_chunks"))
-
 
 def replay_trace(
     store: MLOCStore,

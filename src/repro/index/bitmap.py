@@ -138,11 +138,6 @@ class Bitmap:
         """WAH-compressed serialization of this bitmap."""
         return wah_encode(self.buffer, self.nbits).tobytes()
 
-    @classmethod
-    def from_wah(cls, payload: bytes, nbits: int) -> "Bitmap":
-        words = np.frombuffer(payload, dtype=np.uint64)
-        return cls(nbits, wah_decode(words, nbits))
-
 
 def _group_values(buffer: np.ndarray, nbits: int) -> np.ndarray:
     """Split the bit stream into uint64 values of 63 bits each.

@@ -114,9 +114,6 @@ class SimCommunicator:
         self._charge(payload_nbytes(value) * max(self.size - 1, 0))
         return [value for _ in range(self.size)]
 
-    def barrier(self) -> None:
-        self._charge(0)
-
     def allreduce(self, per_rank: Sequence[T], op: Callable[[T, T], T]) -> T:
         """Reduce all contributions with ``op``; result visible to all."""
         self._check_contributions(per_rank)

@@ -18,7 +18,8 @@ cache does not make filtering free.
 Keys are ``(generation, path, offset)`` where ``generation`` fingerprints
 the store metadata: reopening a rewritten store yields a new generation,
 so stale blocks of the old layout can never be served (they age out of
-the LRU).  :meth:`BlockCache.invalidate` drops entries eagerly.
+the LRU).  Nothing is ever invalidated: entries leave by LRU pressure
+or a quota :meth:`BlockCache.drop`.
 
 The cache is thread-safe (the threaded query backend decodes blocks
 concurrently), but insertions are performed by the executor in
@@ -215,48 +216,3 @@ class BlockCache:
             self.stats.current_bytes -= nbytes
             self.stats.evictions += 1
             return True
-
-    # ------------------------------------------------------------------
-    def invalidate(self, path_prefix: str | None = None) -> int:
-        """Drop unpinned entries under ``path_prefix`` (all if None).
-
-        Returns the number of entries dropped.  **Pinned keys always
-        survive**: a pin marks a block some refinement session (or
-        broker waiter) has verified and still depends on — silently
-        invalidating it would break the session-reuse rule, so
-        invalidation skips pinned entries and the owner keeps serving
-        from them until it releases.  Generation fingerprints already
-        prevent *stale* hits after a store rewrite; eager invalidation
-        just returns the budget immediately.
-        """
-        with self._lock:
-            doomed = [
-                k
-                for k in self._entries
-                if k not in self._pins
-                and (path_prefix is None or str(k[1]).startswith(path_prefix))
-            ]
-            for k in doomed:
-                _, nbytes = self._entries.pop(k)
-                self.stats.current_bytes -= nbytes
-            return len(doomed)
-
-    def invalidate_generation(self, generation: int) -> int:
-        """Drop unpinned entries of one store generation.
-
-        Cache keys lead with the owning store's generation fingerprint
-        (a sealed member's ``meta_crc``), so when a dataset drops a
-        rewritten member's handle it can return that generation's
-        budget eagerly instead of waiting for LRU pressure.  The same
-        pin rule as :meth:`invalidate` applies.
-        """
-        with self._lock:
-            doomed = [
-                k
-                for k in self._entries
-                if k not in self._pins and k[0] == generation
-            ]
-            for k in doomed:
-                _, nbytes = self._entries.pop(k)
-                self.stats.current_bytes -= nbytes
-            return len(doomed)

@@ -62,13 +62,6 @@ class BinFileSet:
     def all_index_paths(self) -> list[str]:
         return [self.index_path(b) for b in range(self.n_bins)]
 
-    def create_all(self, fs: SimulatedPFS) -> None:
-        """Create empty data/index files for every bin plus metadata."""
-        for b in range(self.n_bins):
-            fs.create(self.data_path(b))
-            fs.create(self.index_path(b))
-        fs.create(self.meta_path)
-
     def data_bytes(self, fs: SimulatedPFS) -> int:
         return sum(fs.size(p) for p in self.all_data_paths())
 

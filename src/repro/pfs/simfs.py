@@ -217,14 +217,6 @@ class SimulatedPFS:
         """Drop the extent cache: the next reads hit 'disk' again."""
         self._cache.clear()
 
-    def extent_cached(self, path: str, offset: int, length: int) -> bool:
-        """Whether every byte of [offset, offset+length) is cache-warm.
-
-        Purely observational (charges nothing); used by the engine's
-        I/O scheduler to attribute readahead hits.
-        """
-        return self._cache.uncached_bytes(path, offset, length) == 0
-
     # ------------------------------------------------------------------
     # Persistence (snapshots of the whole simulated file system)
     # ------------------------------------------------------------------
@@ -383,7 +375,3 @@ class PFSSession:
             self.stats.opens += 1
             self._handles[path] = self.fs._make_handle(self, path)
         return self._handles[path]
-
-    def serial_seconds(self) -> float:
-        """Simulated seconds if this session ran alone."""
-        return self.fs.cost_model.serial_time(self.stats)

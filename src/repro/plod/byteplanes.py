@@ -31,7 +31,6 @@ __all__ = [
     "GROUP_OFFSETS",
     "bytes_for_level",
     "groups_for_level",
-    "refinement_groups",
     "split_byte_groups",
     "nested_group_index",
     "assemble_from_groups",
@@ -67,22 +66,6 @@ def groups_for_level(level: int) -> int:
     """Number of leading byte groups a PLoD-``level`` access reads."""
     _check_level(level)
     return level
-
-
-def refinement_groups(from_level: int, to_level: int) -> range:
-    """Byte-group indices a refinement from one PLoD level to another adds.
-
-    A session already holding levels ``[1, from_level]`` that refines to
-    ``to_level`` needs exactly the groups ``from_level .. to_level - 1``
-    — the increment the progressive read path fetches.
-    """
-    _check_level(from_level)
-    _check_level(to_level)
-    if to_level <= from_level:
-        raise ValueError(
-            f"to_level must exceed from_level, got {from_level} -> {to_level}"
-        )
-    return range(groups_for_level(from_level), groups_for_level(to_level))
 
 
 def split_byte_groups(values: np.ndarray) -> list[np.ndarray]:

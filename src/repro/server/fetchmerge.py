@@ -62,7 +62,6 @@ class FetchMergeLoop:
         self,
         query: Query,
         planned,
-        position_filter=None,
         *,
         store=None,
     ) -> tuple[StagedRequest, list[tuple]]:
@@ -78,9 +77,7 @@ class FetchMergeLoop:
         if fetcher is None:
             fetcher = self._fetchers[store] = store.new_fetcher(shared=True)
         mark = len(fetcher.inserted_keys)
-        staged = store.stage(
-            query, position_filter, fetcher=fetcher, planned=planned
-        )
+        staged = store.stage(query, fetcher=fetcher, planned=planned)
         return staged, fetcher.inserted_keys[mark:]
 
     def end_round(self, *, release: bool) -> int:

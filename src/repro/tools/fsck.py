@@ -513,7 +513,7 @@ def _check_bin_membership(
 def check_dataset(
     fs: SimulatedPFS, root: str, *, deep: bool = False
 ) -> list[Issue]:
-    """Check a manifest-managed dataset root (``repro.core.manifest``).
+    """Check a dataset root against its manifests (``repro.core.manifest``).
 
     Validates the generation chain (every manifest parses, records the
     generation its filename claims, and is append-only with respect to
@@ -526,17 +526,15 @@ def check_dataset(
     ``kind="orphaned-member"`` — the harmless-but-reclaimable
     footprint of an append that crashed before its commit.
 
-    A dataset with no manifest files is not manifest-managed; the
-    check returns no issues (use :func:`check_store` per variable).
+    A root with no manifest files is at generation 0 with no sealed
+    members, so every store directory under it is an orphan.
     ``deep=True`` additionally runs the full :func:`check_store` walk
     on every sealed member.
     """
     root = root.rstrip("/")
     generations = manifest_generations(fs, root)
-    if not generations:
-        return []
     issues: list[Issue] = []
-    valid: dict[int, Manifest] = {}
+    valid: dict[int, Manifest] = {} if generations else {0: Manifest(0)}
     for generation in generations:
         path = manifest_path(root, generation)
         try:

@@ -54,12 +54,6 @@ class TestBinScheme:
         # Half-open bins, ends clamped, last bin closed.
         assert scheme.assign(values).tolist() == [0, 0, 0, 1, 2, 2, 2]
 
-    def test_bin_bounds(self):
-        scheme = BinScheme(np.array([0.0, 1.0, 2.0]))
-        assert scheme.bin_bounds(1) == (1.0, 2.0)
-        with pytest.raises(ValueError):
-            scheme.bin_bounds(2)
-
     def test_edges_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             BinScheme(np.array([0.0, 0.0, 1.0]))

@@ -59,36 +59,6 @@ class TestBlockCacheUnit:
         assert cache.stats.current_bytes == 300
         assert len(cache) == 1
 
-    def test_invalidate_by_prefix_and_all(self):
-        cache = BlockCache(1000)
-        cache.put((0, "/a/data", 0), _arr(10))
-        cache.put((0, "/a/index", 0), _arr(10))
-        cache.put((0, "/b/data", 0), _arr(10))
-        assert cache.invalidate("/a/") == 2
-        assert len(cache) == 1 and cache.stats.current_bytes == 10
-        assert cache.invalidate() == 1
-        assert len(cache) == 0 and cache.stats.current_bytes == 0
-
-    def test_invalidate_spares_pinned_keys(self):
-        # Regression: prefix invalidation used to drop pinned entries,
-        # yanking verified planes out from under refinement sessions.
-        cache = BlockCache(1000)
-        cache.put((0, "/a/data", 0), _arr(10))
-        cache.put((0, "/a/data", 64), _arr(10))
-        cache.pin((0, "/a/data", 0), owner="session")
-        assert cache.invalidate("/a/") == 1
-        assert (0, "/a/data", 0) in cache
-        assert (0, "/a/data", 64) not in cache
-        assert cache.pinned_keys() == [(0, "/a/data", 0)]
-        assert cache.stats.current_bytes == 10
-        # Full invalidation spares pins too...
-        assert cache.invalidate() == 0
-        assert (0, "/a/data", 0) in cache
-        # ...until the owner releases, after which the entry is fair game.
-        cache.release("session")
-        assert cache.invalidate() == 1
-        assert len(cache) == 0 and cache.stats.current_bytes == 0
-
     def test_drop_evicts_one_unpinned_entry(self):
         cache = BlockCache(1000)
         cache.put((0, "/a", 0), _arr(10))

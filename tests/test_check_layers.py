@@ -67,6 +67,37 @@ def test_a_reintroduced_second_path_is_a_violation():
     assert found[0].startswith("x.py:2:")
 
 
+SECOND_CATALOG = """
+from repro.plod.byteplanes import groups_for_level, refinement_groups
+
+class ExecutionConfig:
+    coalesce_gap: int = 0
+    readahead: int = 0
+
+class BlockCache:
+    def invalidate_generation(self, generation):
+        return 0
+
+class MLOCDataset:
+    def _drop_handles(self, key):
+        self.cache.invalidate_generation(self._handles.pop(key).generation)
+
+class SimulatedPFS:
+    def extent_cached(self, path, offset, length):
+        return False
+"""
+
+
+def test_a_reintroduced_invalidation_path_or_readahead_is_a_violation():
+    found = deleted_name_violations(ast.parse(SECOND_CATALOG), "x.py")
+    named = [v.split(": ")[1].split(" ")[0] for v in found]
+    assert named == [
+        "refinement_groups", "readahead", "invalidate_generation",
+        "_drop_handles", "extent_cached",
+    ]  # fmt: skip
+    assert found[1].startswith("x.py:6:")
+
+
 def test_the_remaining_implementations_are_clean():
     assert deleted_name_violations(ast.parse(STAGED), "broker.py") == []
 

@@ -78,8 +78,8 @@ class TestRegions:
 
     def test_chunk_within_region(self, grid2d):
         region = ((0, 32), (0, 64))
-        assert grid2d.chunk_within_region(0, region)
-        assert not grid2d.chunk_within_region(2, region)
+        within = grid2d.chunks_within_region(np.array([0, 2]), region)
+        assert within.tolist() == [True, False]
 
     def test_positions_in_region(self, grid2d):
         region = ((10, 20), (5, 9))

@@ -24,8 +24,9 @@ def tri_var():
         "pressure": gts_like((128, 128), seed=3),
     }
     for name, data in fields.items():
-        dataset.write(data, name)
-    stores = {name: dataset.store(name) for name in fields}
+        dataset.append(data, name)
+    snapshot = dataset.snapshot()
+    stores = {name: snapshot.store(name) for name in fields}
     return fs, fields, stores
 
 

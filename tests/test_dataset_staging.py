@@ -1,9 +1,11 @@
-"""Tests for the multi-variable dataset facade."""
+"""The dataset catalog end to end: members enter through ``append`` and
+are listed and opened through a pinned snapshot (the manifest record
+and commit protocol themselves are ``tests/test_manifest.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import MLOCDataset, Query, mloc_col
+from repro.core import MLOCDataset, Query, mloc_col, multi_variable_query
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 
@@ -18,9 +20,9 @@ def dataset():
 class TestMLOCDataset:
     def test_write_and_query_variable(self, dataset):
         data = gts_like((64, 64), seed=1)
-        report = dataset.write(data, "temp")
+        report = dataset.append(data, "temp")
         assert report.raw_bytes == data.nbytes
-        store = dataset.store("temp")
+        store = dataset.snapshot().store("temp")
         flat = data.reshape(-1)
         lo, hi = np.quantile(flat, [0.4, 0.6])
         r = store.query(Query(value_range=(lo, hi), output="positions"))
@@ -28,48 +30,52 @@ class TestMLOCDataset:
 
     def test_timestep_catalog(self, dataset):
         for t in (0, 1, 5):
-            dataset.write(gts_like((64, 64), seed=t), "temp", timestep=t)
-        dataset.write(gts_like((64, 64), seed=9), "grid_mask")
-        assert dataset.timesteps("temp") == [0, 1, 5]
-        assert "grid_mask" in dataset.variables()
-        assert "temp@000005" in dataset.variables()
+            dataset.append(gts_like((64, 64), seed=t), "temp", timestep=t)
+        dataset.append(gts_like((64, 64), seed=9), "grid_mask")
+        snap = dataset.snapshot()
+        assert snap.timesteps("temp") == [0, 1, 5]
+        assert snap.timesteps("grid_mask") == []
+        assert snap.variables() == ["grid_mask", "temp"]
+        assert [m.key for m in snap.members()] == [
+            "temp@000000", "temp@000001", "temp@000005", "grid_mask",
+        ]  # fmt: skip
 
     def test_timesteps_are_independent_stores(self, dataset):
         a = gts_like((64, 64), seed=1)
         b = gts_like((64, 64), seed=2)
-        dataset.write(a, "temp", timestep=0)
-        dataset.write(b, "temp", timestep=1)
-        r0 = dataset.store("temp", 0).query(Query(region=((0, 8), (0, 8))))
-        r1 = dataset.store("temp", 1).query(Query(region=((0, 8), (0, 8))))
+        dataset.append(a, "temp", timestep=0)
+        dataset.append(b, "temp", timestep=1)
+        snap = dataset.snapshot()
+        r0 = snap.store("temp", 0).query(Query(region=((0, 8), (0, 8))))
+        r1 = snap.store("temp", 1).query(Query(region=((0, 8), (0, 8))))
         assert np.array_equal(r0.values, a[:8, :8].reshape(-1))
         assert np.array_equal(r1.values, b[:8, :8].reshape(-1))
-
-    def test_rewrite_invalidates_cached_store(self, dataset):
-        a = gts_like((64, 64), seed=1)
-        dataset.write(a, "temp")
-        _ = dataset.store("temp")
-        b = a + 1.0
-        dataset.write(b, "temp")
-        r = dataset.store("temp").query(Query(region=((0, 4), (0, 4))))
-        assert np.allclose(r.values, b[:4, :4].reshape(-1))
 
     def test_multi_variable_query(self, dataset):
         temp = gts_like((64, 64), seed=3)
         hum = gts_like((64, 64), seed=4)
-        dataset.write(temp, "temp", timestep=2)
-        dataset.write(hum, "humidity", timestep=2)
+        dataset.append(temp, "temp", timestep=2)
+        dataset.append(hum, "humidity", timestep=2)
+        snap = dataset.snapshot()
+        humidity = snap.store("humidity", 2)
         lo = float(np.quantile(temp, 0.9))
-        result = dataset.multi_variable_query(
-            "temp", ["humidity"], (lo, float(temp.max())), timestep=2
+        result = multi_variable_query(
+            snap.store("temp", 2), [humidity], (lo, float(temp.max()))
         )
         expect = np.flatnonzero(temp.reshape(-1) >= lo)
         assert np.array_equal(result.positions, expect)
-        assert np.array_equal(result.values["humidity"], hum.reshape(-1)[expect])
+        # member handles are keyed "variable@timestep"
+        assert np.array_equal(result.values[humidity.variable], hum.reshape(-1)[expect])
 
     def test_bad_variable_name(self, dataset):
         with pytest.raises(ValueError, match="must not contain"):
-            dataset.write(gts_like((64, 64), seed=0), "a@b")
+            dataset.append(gts_like((64, 64), seed=0), "a@b")
+        assert dataset.generation == 0
 
     def test_total_bytes(self, dataset):
-        dataset.write(gts_like((64, 64), seed=0), "x")
-        assert dataset.total_bytes() > 0
+        """A sealed member's recorded footprint is its write report's
+        (Table I) bytes; ``hbi``/``peb`` and the manifests come on top."""
+        reports = [dataset.append(gts_like((64, 64), seed=t), "x", t) for t in (0, 1)]
+        members = dataset.snapshot().members()
+        assert [m.total_bytes for m in members] == [r.total_bytes for r in reports]
+        assert 0 < sum(m.total_bytes for m in members) < dataset.fs.total_bytes("/sim/")

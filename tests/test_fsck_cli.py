@@ -165,7 +165,9 @@ class TestCLI:
         assert "OK" in capsys.readouterr().out
 
         # An orphaned member directory turns the check red.
-        ds.write(gts_like((64, 64), seed=9), "temp", 9)
+        MLOCWriter(fs, "/camp", ds.config).write(
+            gts_like((64, 64), seed=9), variable="temp@000009"
+        )
         fs.save(snap)
         assert main(["fsck", snap, "--root", "/camp", "--dataset"]) == 1
         out = capsys.readouterr().out
@@ -181,6 +183,24 @@ class TestCLI:
         snap = str(tmp_path / "empty.pfs")
         SimulatedPFS().save(snap)
         assert main(["info", snap]) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query"], ["batch", "--spec", "vmin=4.0"], ["refine"], ["stats"],
+            ["serve-replay"], ["index", "stats"], ["relayout", "--target-root", "/x"],
+        ],
+        ids=lambda command: command[0],
+    )  # fmt: skip
+    def test_a_store_that_does_not_exist_is_one_error_line(
+        self, tmp_path, capsys, command
+    ):
+        snap = str(tmp_path / "demo.pfs")
+        main(["demo", snap, "--size", "64", "--bins", "4"])
+        capsys.readouterr()
+        flags = ["--root", "/demo/", "--variable", "nope"]
+        assert main([*command, snap, *flags]) == 2
+        assert capsys.readouterr().out == "error: no store at /demo/nope\n"
 
 
 class TestCLIRefineAndStats:

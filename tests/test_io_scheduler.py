@@ -1,9 +1,8 @@
-"""Vectored I/O, read coalescing, readahead, and cache pinning.
+"""Vectored I/O, read coalescing, and cache pinning.
 
-Covers the new PFS surface (``SimFileHandle.readv``,
-``SimulatedPFS.extent_cached``, ``BlockCache`` pins) and the
-:class:`~repro.core.engine.scheduler.IOScheduler` knobs end to end:
-coalescing and readahead may only change the I/O *schedule* — never a
+Covers the PFS surface (``SimFileHandle.readv``, ``BlockCache`` pins)
+and the :class:`~repro.core.engine.scheduler.IOScheduler` knob end to
+end: coalescing may only change the I/O *schedule* — never a
 result byte — and ``coalesce_gap=0`` must reproduce the uncoalesced
 accounting exactly.
 """
@@ -55,19 +54,6 @@ def test_readv_validates_extents():
         handle.readv([(10, -1)])
 
 
-def test_extent_cached_is_observational():
-    payload = b"y" * 512
-    fs, session = _fs_with_file(payload)
-    assert not fs.extent_cached("/f", 0, 64)
-    session.open("/f").read(0, 64)
-    assert fs.extent_cached("/f", 0, 64)
-    assert fs.extent_cached("/f", 16, 32)
-    assert not fs.extent_cached("/f", 0, 65)
-    # Asking must not itself populate the cache.
-    assert not fs.extent_cached("/f", 100, 10)
-    assert not fs.extent_cached("/f", 100, 10)
-
-
 def test_iostats_copy_and_merge_carry_vectored_reads():
     payload = b"z" * 256
     fs, session = _fs_with_file(payload)
@@ -80,7 +66,7 @@ def test_iostats_copy_and_merge_carry_vectored_reads():
 
 
 # ----------------------------------------------------------------------
-# Engine-level coalescing / readahead
+# Engine-level coalescing
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def built_store():
@@ -130,39 +116,20 @@ def test_coalescing_reduces_seeks_identical_results(built_store):
     assert b.stats["bytes_read"] >= a.stats["bytes_read"]
 
 
-def test_readahead_warms_later_queries(built_store):
-    fs = built_store
-    store = MLOCStore.open(
-        fs, "/store", "field", n_ranks=4, coalesce_gap=4096, readahead=16 * 1024
-    )
-    baseline = MLOCStore.open(fs, "/store", "field", n_ranks=4)
-    fs.clear_cache()
-    first = store.query(Query(region=((32, 160), (32, 160)), output="values", plod_level=2))
-    second = store.query(Query(region=((32, 160), (32, 160)), output="values", plod_level=4))
-    assert second.stats["readahead_hits"] > 0
-    fs.clear_cache()
-    baseline.query(Query(region=((32, 160), (32, 160)), output="values", plod_level=2))
-    cold = baseline.query(Query(region=((32, 160), (32, 160)), output="values", plod_level=4))
-    assert np.array_equal(second.values, cold.values)
-    assert first.stats["readahead_hits"] == 0  # nothing prefetched yet
-
-
 def test_knob_validation(built_store):
     fs = built_store
     with pytest.raises(ValueError):
         MLOCStore.open(fs, "/store", "field", coalesce_gap=-1)
-    with pytest.raises(ValueError):
-        MLOCStore.open(fs, "/store", "field", readahead=-1)
 
 
 def test_with_ranks_carries_engine_knobs(built_store):
     fs = built_store
     store = MLOCStore.open(
-        fs, "/store", "field", n_ranks=4, coalesce_gap=2048, readahead=512
+        fs, "/store", "field", n_ranks=4, coalesce_gap=2048, max_read_retries=5
     )
     view = store.with_ranks(8)
     assert view.execution.coalesce_gap == 2048
-    assert view.execution.readahead == 512
+    assert view.execution.max_read_retries == 5
     assert view.executor.n_ranks == 8
 
 
@@ -212,21 +179,6 @@ def test_pin_missing_key_is_noop():
     assert not cache.pin(_key("ghost"), owner="s")
     assert cache.pinned_keys() == []
     assert cache.release("s") == 0
-
-
-def test_invalidate_spares_pinned_keys():
-    cache = BlockCache(100)
-    cache.put(_key("f"), b"A" * 10)
-    cache.pin(_key("f"), owner="s")
-    assert cache.invalidate("/f") == 0
-    assert cache.pinned_keys() == [_key("f")]
-    assert cache.get(_key("f")) == b"A" * 10
-    cache.put(_key("g"), b"B" * 10)
-    assert cache.invalidate() == 1  # only the unpinned entry goes
-    assert _key("f") in cache
-    assert _key("g") not in cache
-    cache.release("s")
-    assert cache.invalidate() == 1
 
 
 def test_touch_refreshes_recency_without_stats():

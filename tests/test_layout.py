@@ -30,10 +30,10 @@ class TestBinFileSet:
     def test_create_and_account(self):
         fs = SimulatedPFS()
         files = BinFileSet("/d/v", 2)
-        files.create_all(fs)
-        fs.append(files.data_path(0), b"12345")
-        fs.append(files.data_path(1), b"12")
-        fs.append(files.index_path(0), b"9")
+        fs.write_file(files.data_path(0), b"12345")
+        fs.write_file(files.data_path(1), b"12")
+        fs.write_file(files.index_path(0), b"9")
+        fs.write_file(files.index_path(1), b"")
         assert files.data_bytes(fs) == 7
         assert files.index_bytes(fs) == 1
 

@@ -213,16 +213,20 @@ def test_snapshot_query_series_and_sharded_store(appended_dataset):
 
 
 def test_rewritten_member_is_refused_under_a_pinned_snapshot(appended_dataset):
-    """One handle cache, keyed by the sealed bytes: snapshots share a
-    member's handle until a rewrite empties the entry, after which the
-    pin re-reads the metadata and refuses the member."""
+    """Snapshots share one handle per sealed member, for good; a member
+    rewritten from outside the catalog no longer hashes to its sealed
+    record and is refused, never served."""
     fs, ds = appended_dataset
     snap = ds.snapshot()
-    assert snap.store("temp", 1) is ds.snapshot().store("temp", 1)
-    ds.write(gts_like((64, 64), seed=99), "temp", 1)
+    assert snap.store("temp", 0) is ds.snapshot().store("temp", 0)
+    MLOCWriter(fs, "/ds", _config()).write(
+        gts_like((64, 64), seed=99), variable="temp@000001"
+    )
     with pytest.raises(ManifestError, match="does not match its sealed"):
         snap.store("temp", 1)
+    ds.append(gts_like((64, 64), seed=3), "temp", 3)
     assert snap.store("temp", 0) is ds.snapshot().store("temp", 0)
+    assert ds.runtime_stats()["open_handles"] == 1
 
 
 def test_runtime_stats_counters(appended_dataset):
@@ -235,20 +239,6 @@ def test_runtime_stats_counters(appended_dataset):
     assert stats["snapshot_refreshes"] == 1
 
 
-def test_append_next_to_plain_write_coexists():
-    """write() members stay invisible to snapshots until sealed."""
-    fs = SimulatedPFS()
-    ds = MLOCDataset(fs, "/ds", _config(), n_ranks=4)
-    ds.write(gts_like((64, 64), seed=0), "legacy", 0)
-    ds.append(gts_like((64, 64), seed=1), "temp", 0)
-    snap = ds.snapshot()
-    assert snap.variables() == ["temp"]
-    # the unmanaged member is still reachable through the catalog
-    assert ds.store("legacy", 0).query(
-        Query(region=((0, 8), (0, 8)), output="positions")
-    ).n_results == 64
-
-
 # ----------------------------------------------------------------------
 # fsck dataset checks
 
@@ -259,12 +249,19 @@ def test_fsck_clean_dataset(appended_dataset):
     assert check_dataset(fs, "/ds", deep=True) == []
 
 
-def test_fsck_ignores_nonmanifest_dataset():
+def test_fsck_reports_unmanifested_stores_as_orphans():
+    """A root with no manifest is generation 0: nothing under it is sealed."""
     fs = SimulatedPFS()
-    MLOCWriter(fs, "/plain", _config()).write(
-        gts_like((64, 64), seed=0), variable="f"
-    )
-    assert check_dataset(fs, "/plain") == []
+    for name in ("f", "g"):
+        MLOCWriter(fs, "/plain", _config()).write(
+            gts_like((64, 64), seed=0), variable=name
+        )
+    issues = check_dataset(fs, "/plain")
+    assert [(i.kind, i.path, i.severity) for i in issues] == [
+        ("orphaned-member", "/plain/f", "warning"),
+        ("orphaned-member", "/plain/g", "warning"),
+    ]
+    assert check_dataset(SimulatedPFS(), "/empty") == []
 
 
 def test_fsck_flags_torn_newest_manifest(appended_dataset):
@@ -294,7 +291,9 @@ def test_fsck_flags_meta_crc_mismatch(appended_dataset):
 def test_fsck_flags_orphaned_member(appended_dataset):
     fs, ds = appended_dataset
     # A sealed-looking member directory no generation references.
-    ds.write(gts_like((64, 64), seed=8), "temp", 9)
+    MLOCWriter(fs, "/ds", _config()).write(
+        gts_like((64, 64), seed=8), variable="temp@000009"
+    )
     issues = check_dataset(fs, "/ds")
     orphans = [i for i in issues if i.kind == "orphaned-member"]
     assert len(orphans) == 1

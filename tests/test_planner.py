@@ -83,15 +83,6 @@ class TestPlanLookupValidation:
             with pytest.raises(ValueError, match=f"bin {bad}"):
                 plan.is_aligned(bad)
 
-    def test_chunk_is_interior_unknown_position(self, setup):
-        grid, curve, scheme = setup
-        plan = plan_query(grid, curve, scheme, Query(region=((0, 16), (0, 16))))
-        known = int(plan.cpos[0])
-        assert plan.chunk_is_interior(known) is True
-        for bad in (known + 1, 10_000):
-            with pytest.raises(ValueError, match="not part of this plan"):
-                plan.chunk_is_interior(bad)
-
     def test_interior_of_unknown_positions(self, setup):
         grid, curve, scheme = setup
         plan = plan_query(grid, curve, scheme, Query(region=((8, 24), (0, 16))))

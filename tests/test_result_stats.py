@@ -80,7 +80,7 @@ def test_registry_shape():
     names = counter_names()
     assert set(FAULT_STAT_KEYS) <= set(counter_names(owner="engine", fold="sum"))
     assert counter_names(fold="union") == ("partial_chunks",)
-    for key in ("vectored_reads", "coalesced_reads", "readahead_hits"):
+    for key in ("vectored_reads", "coalesced_reads"):
         assert key in names
     # Non-additive values are not counters.
     for key in ("quarantined_blocks", "n_ranks", "backend", "n_queries"):
@@ -175,7 +175,7 @@ def test_serving_layers_stamp_their_own_rows(ingest_report):
 _REF_SUMMED = (
     "blocks_planned", "blocks_decoded", "decode_pool_failures", "cache_hits",
     "cache_misses", "cache_hit_raw_bytes", "bytes_read", "files_opened",
-    "seeks", "vectored_reads", "coalesced_reads", "readahead_hits",
+    "seeks", "vectored_reads", "coalesced_reads",
     "stall_seconds", "crc_failures", "io_retries", "degraded_points",
     "dropped_points", "n_results", "plan_cache_hits", "plan_cache_misses",
     "chunks_pruned", "bins_pruned", "dedup_blocks", "dedup_raw_bytes",

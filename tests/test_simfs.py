@@ -176,11 +176,3 @@ class TestCache:
         h.read(30, 30)
         h.read(10, 40)  # fully covered by [0, 60)
         assert s.stats.bytes_read == 60
-
-
-class TestSerialSeconds:
-    def test_session_serial_time_positive(self, fs):
-        fs.write_file("/f", bytes(1000))
-        s = fs.session()
-        s.open("/f").read(0, 1000)
-        assert s.serial_seconds() > 0
