@@ -301,7 +301,7 @@ def test_progressive_refinement_bytes(suite_gts_8g, capsys):
 
 
 def test_sharded_scaling(suite_gts_8g, capsys):
-    """ShardedMLOCStore per-shard scaling sweep (1/2/4/8 shards).
+    """``MLOCStore(n_shards=)`` per-shard scaling sweep (1/2/4/8 shards).
 
     The deterministic acceptance assertions: merged answers identical
     at every shard count, and simulated io+decompression falls

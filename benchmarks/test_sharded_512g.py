@@ -1,8 +1,9 @@
 """Sharded scale-out on the 512 GB-class workloads (Tables IV/V scale).
 
 The single-store 512 GB benchmarks answer the paper's MLOC-vs-scan
-rows; this suite re-serves the same workloads through
-:class:`ShardedMLOCStore` to pin the scale-out contract at that scale:
+rows; this suite re-serves the same workloads through bin-range
+shards (``MLOCStore(n_shards=)``) to pin the scale-out contract at
+that scale:
 
 * the merged answer of every region/value query is identical to the
   unsharded store on the same bytes, for every shard count;
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.core import MLOCStore, Query, ShardedMLOCStore
+from repro.core import MLOCStore, Query
 from repro.harness import format_rows, record_result
 from repro.harness.experiments import sharded_scaling_rows
 
@@ -31,9 +32,7 @@ SHARD_COUNTS = (1, 2, 4, 8)
 
 def _open_sharded(suite, n_shards, **options):
     base = suite.store("mloc-col")
-    return ShardedMLOCStore(
-        suite.fs, base.root, base.meta, n_shards=n_shards, **options
-    )
+    return MLOCStore(suite.fs, base.root, base.meta, n_shards=n_shards, **options)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)

@@ -59,8 +59,9 @@ executed):
    second multi-variable result type, the per-handle batch-fetcher
    hook, the second run door beside ``MLOCStore.query``, the second
    snapshot door beside ``DatasetSnapshot.store``, the invalidation
-   paths only a rewrite-in-place needed and the scheduler readahead
-   nobody set.
+   paths only a rewrite-in-place needed, the scheduler readahead
+   nobody set and the second store class beside ``MLOCStore`` (a
+   flat store is a one-shard store).
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -99,7 +100,6 @@ MANIFEST_FORBIDDEN_PREFIXES = (
     "repro.core.writer",
     "repro.core.planner",
     "repro.core.engine",
-    "repro.core.sharded",
     "repro.server",
     "repro.index",
     "repro.plod",
@@ -125,7 +125,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: access; every handle's batch shares one fetcher; a request runs
 #: through ``query``/``stage``; a snapshot opens members through ``store``;
 #: sealed members are immutable, so nothing is invalidated; the
-#: scheduler coalesces and does not prefetch.
+#: scheduler coalesces and does not prefetch; shards are a topology
+#: keyword of the one store class.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -144,6 +145,7 @@ DELETED_NAMES = frozenset(
         "readahead",
         "extent_cached",
         "refinement_groups",
+        "ShardedMLOCStore",
     }
 )
 

@@ -38,7 +38,6 @@ from repro.core import (
     MLOCStore,
     MLOCWriter,
     Query,
-    ShardedMLOCStore,
     mloc_col,
 )
 from repro.core.aggregate import AGGREGATE_OPS, aggregate_query
@@ -346,18 +345,16 @@ def _execution(args) -> ExecutionConfig:
     )
 
 
-def _open_store(fs, args) -> MLOCStore | ShardedMLOCStore:
+def _open_store(fs, args) -> MLOCStore:
     """The handle the read flags describe; a subcommand without them
     (``index``, ``relayout``) gets the default one."""
-    cls, options = MLOCStore, {}
+    options = {}
     if hasattr(args, "ranks"):
         if args.shards <= 0:
             raise SystemExit(f"error: --shards must be positive, got {args.shards}")
-        options = {"n_ranks": args.ranks, "execution": _execution(args)}
-        if args.shards > 1:
-            cls, options["n_shards"] = ShardedMLOCStore, args.shards
+        options = {"n_ranks": args.ranks, "n_shards": args.shards, "execution": _execution(args)}
     try:
-        return cls.open(fs, args.root, args.variable, **options)
+        return MLOCStore.open(fs, args.root, args.variable, **options)
     except FileNotFoundError:
         raise ValueError(
             f"no store at {args.root.rstrip('/')}/{args.variable}"
@@ -391,7 +388,7 @@ def _print_shard_balance(fs, root: str, variable: str, n_shards: int) -> None:
     """Report how a sharded open would split the just-written bins."""
     if n_shards <= 1:
         return
-    sharded = ShardedMLOCStore.open(fs, root, variable, n_shards=n_shards)
+    sharded = MLOCStore.open(fs, root, variable, n_shards=n_shards)
     print(
         f"shard balance ({n_shards} shards): "
         + _shard_shares(sharded.shard_bounds, sharded.shard_weights())
@@ -651,11 +648,10 @@ def _cmd_refine(args, store) -> int:
             for level, result in zip(levels, session.results):
                 _print_refine_step(f"level {level}", result)
                 _print_fault_stats(result.stats)
-        final = session.result.stats
         print(
             f"session: {session.refine_steps} refine step(s), "
             f"{session.bytes_reused} raw bytes reused, "
-            f"{final['coalesced_reads']} coalesced read(s)"
+            f"{session.coalesced_reads} coalesced read(s)"
         )
     return 0
 
@@ -665,10 +661,7 @@ def _cmd_stats(args, store) -> int:
     for query in [_parse_query_spec(spec) for spec in args.spec]:
         store.query(query)
     snapshot = store.runtime_stats()
-    if args.shards > 1:
-        # Sharded runtime_stats is shaped like the flat store's (shared
-        # structures reported once, quarantines unioned), so the same
-        # printing below covers both; only the shard map is extra.
+    if store.n_shards > 1:
         print(
             f"shards: {snapshot['n_shards']}, "
             + _shard_shares(snapshot["shard_bounds"], snapshot["shard_weights"])

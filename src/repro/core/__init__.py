@@ -51,7 +51,6 @@ from repro.core.meta import StoreMeta
 from repro.core.planner import PlanCache, PlanContext, QueryPlan, plan_query
 from repro.core.query import Query
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
-from repro.core.sharded import ShardedMLOCStore
 from repro.core.store import MLOCStore, StagedRequest, StorageReport, assemble
 from repro.core.writer import MLOCWriter, WriteReport
 
@@ -87,7 +86,6 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "RefinementSession",
-    "ShardedMLOCStore",
     "StagedRequest",
     "StorageReport",
     "assemble",

@@ -47,7 +47,6 @@ from repro.core.manifest import (
 from repro.core.meta import StoreMeta, read_meta_bytes
 from repro.core.query import Query
 from repro.core.result import QueryResult
-from repro.core.sharded import ShardedMLOCStore
 from repro.core.store import MLOCStore
 from repro.core.writer import MLOCWriter, WriteReport
 from repro.pfs.blockcache import BlockCache
@@ -127,16 +126,14 @@ class MLOCDataset:
         return report
 
     # ------------------------------------------------------------------
-    def _open_member(
-        self, key: str, expect_crc: int, **overrides
-    ) -> MLOCStore | ShardedMLOCStore:
+    def _open_member(self, key: str, expect_crc: int, **overrides) -> MLOCStore:
         """Open sealed member ``key``, pinned to its recorded ``meta_crc``.
 
         Handles opened with the dataset's default options are shared
         through the ``(key, meta_crc)`` registry — the same sealed
         member reached through any number of snapshots reuses one
         ``PlanContext`` and plan LRU.  ``overrides`` are store
-        constructor keywords (``n_shards`` selects a sharded handle);
+        constructor keywords (``n_shards`` opens bin-range shards);
         they bypass the registry (a differently configured handle is a
         different view).  Every handle gets the dataset's ``execution``
         and shared cache unless the overrides bring their own.
@@ -157,8 +154,7 @@ class MLOCDataset:
             "cache", "cache_bytes", "execution"
         }:
             options["cache"] = self.cache
-        cls = ShardedMLOCStore if "n_shards" in overrides else MLOCStore
-        store = cls(
+        store = MLOCStore(
             self.fs, var_root, StoreMeta.from_bytes(raw), generation=crc, **options
         )
         if not overrides:

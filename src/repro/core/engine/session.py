@@ -20,8 +20,10 @@ answers deterministically.
 Every step returns an ordinary :class:`~repro.core.result.QueryResult`
 whose values are bit-identical to a fresh single-shot query at that
 level (pinned by ``tests/test_refinement_session.py``), with
-cumulative session counters added to ``stats``: ``refine_steps``,
-``bytes_reused``, ``coalesced_reads``.
+cumulative session counters added to ``stats``: ``refine_steps`` and
+``bytes_reused``.  ``coalesced_reads`` stays the step's own (it is a
+summed counter); the session total is
+:attr:`RefinementSession.coalesced_reads`.
 
 Error-bounded sessions (``query.tol`` set) resolve per-chunk target
 levels from the store's ``peb`` bounds table: the initial step runs at
@@ -34,9 +36,9 @@ enforces the accuracy contract (earlier steps disclose their honest
 
 Every step is one ``store.query(..., level_cap=step level)`` through
 the session's fetcher (:meth:`~repro.core.store.MLOCStore.stage` plans,
-resolves, stages and stamps it like any other request), so flat and
-sharded stores refine identically and the session keeps only its
-cumulative counters and its cache pins.
+resolves, stages and stamps it like any other request), so a handle
+refines identically whatever its shard count and the session keeps
+only its cumulative counters and its cache pins.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = ["RefinementSession"]
 class RefinementSession:
     """Progressive execution of one query at increasing PLoD levels.
 
-    Created by ``open_session`` on either store flavor; the initial
+    Created by ``MLOCStore.open_session``; the initial
     step executes immediately — at ``query.plod_level``, or, for
     error-bounded queries, at the shallowest per-chunk target level.
     Usable as a context manager — :meth:`close` releases the cache
@@ -107,6 +109,12 @@ class RefinementSession:
     def bytes_reused(self) -> int:
         """Raw (decoded) bytes served from held planes instead of the PFS."""
         return self._bytes_reused
+
+    @property
+    def coalesced_reads(self) -> int:
+        """Vectored reads merged across every step so far (each step's
+        ``stats`` carries only its own, a summed counter)."""
+        return self._coalesced_reads
 
     # ------------------------------------------------------------------
     def refine(self, to_level: int) -> QueryResult:
@@ -173,10 +181,9 @@ class RefinementSession:
         hit_raw0 = self._fetcher.hit_raw_bytes
         result = self._store.query(query, fetcher=self._fetcher, level_cap=level)
         self._bytes_reused += self._fetcher.hit_raw_bytes - hit_raw0
-        self._coalesced_reads += result.stats.get("coalesced_reads", 0)
+        self._coalesced_reads += result.stats["coalesced_reads"]
         result.stats["refine_steps"] = self._refine_steps
         result.stats["bytes_reused"] = self._bytes_reused
-        result.stats["coalesced_reads"] = self._coalesced_reads
         self._pin_held_blocks()
         self.results.append(result)
         return result

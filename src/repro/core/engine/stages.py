@@ -572,11 +572,6 @@ class QueryEngine:
             ),
         )
         staged.stats = {
-            "n_ranks": self.n_ranks,
-            "backend": self.execution.backend,
-            "bins_accessed": int(plan.bin_ids.size),
-            "aligned_bins": int(plan.aligned.sum()),
-            "chunks_accessed": int(plan.cpos.size),
             "blocks_planned": len(blocks),
             "blocks_decoded": blocks_decoded,
             "decode_pool_failures": fetcher.pool_failures - pool_failures0,

@@ -56,11 +56,12 @@ class Counter(NamedTuple):
 
 #: The canonical ``QueryResult.stats`` counters, in aggregate-output
 #: order.  Every path that rolls per-query stats into an aggregate
-#: (``query_many``, the sharded gather, the broker, ``replay_trace``,
-#: the CLI) folds exactly this table — a new counter is one new row
-#: and flows everywhere.  Non-additive values (``quarantined_blocks``
-#: is registry state, not a per-query delta; ``n_ranks``/``backend``
-#: are configuration) are not counters and stay the caller's business.
+#: (``query_many``, the store's shard gather, the broker,
+#: ``replay_trace``, the CLI) folds exactly this table — a new counter
+#: is one new row and flows everywhere.  Non-additive values
+#: (``quarantined_blocks`` of a batch is registry state, not a
+#: per-query delta; ``n_ranks``/``backend``/``n_shards`` are
+#: configuration) are not counters and stay the caller's business.
 COUNTERS: tuple[Counter, ...] = (
     Counter("blocks_planned", "sum", "engine"),
     Counter("blocks_decoded", "sum", "engine"),
@@ -160,17 +161,23 @@ _FOLDS = {
 _ALWAYS_EMITTED = frozenset({"sum", "fsum", "union"})
 
 
-def aggregate_stats(per_query: "list[dict] | tuple[dict, ...]") -> dict:
+def aggregate_stats(
+    per_query: "list[dict] | tuple[dict, ...]", *, owner: str | None = None
+) -> dict:
     """Fold per-query ``stats`` dicts into one aggregate dict.
 
-    Every row of :data:`COUNTERS` is folded as its ``fold`` column
-    says (see :class:`Counter`); a stats dict that lacks a counter —
-    an older recording, or a request that never passed through the
-    counter's owning layer — simply contributes nothing to it.
+    Every row of :data:`COUNTERS` (with ``owner``, every row that layer
+    owns: the store's shard gather folds the engine's) is folded as its
+    ``fold`` column says (see :class:`Counter`); a stats dict that lacks
+    a counter — an older recording, or a request that never passed
+    through the counter's owning layer — simply contributes nothing to
+    it.
     """
     per_query = list(per_query)
     out: dict = {}
-    for name, fold, _ in COUNTERS:
+    for name, fold, row_owner in COUNTERS:
+        if owner is not None and row_owner != owner:
+            continue
         vals = [v for s in per_query if (v := s.get(name)) is not None]
         if vals or fold in _ALWAYS_EMITTED:
             out[name] = _FOLDS[fold](vals)

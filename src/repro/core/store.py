@@ -14,10 +14,18 @@ its plans — and the one query pipeline (plan → narrow → resolve levels
 is charged for and returns a :class:`StagedRequest`; :func:`assemble`
 turns a *list* of them — from any handles — into results, gathering
 cells once per engine for the queries that can share (DESIGN.md §7).  A
-single query is a list of one.  The store stages plans on a single
-engine; its subclass :class:`~repro.core.sharded.ShardedMLOCStore`
-overrides the scatter (:meth:`MLOCStore.stage_planned`) and the gather
-(:meth:`MLOCStore.gather_parts`) to use one engine per bin-range shard.
+single query is a list of one.
+
+A handle runs one engine per bin-range shard (``n_shards``, default
+one): the scatter (:meth:`MLOCStore.stage_planned`) narrows the plan to
+each shard's contiguous bin range — the shard-level extension of the
+column-order rule, cut by
+:func:`~repro.parallel.scheduler.weighted_bin_partition` over per-bin
+stored bytes — and the gather (:meth:`MLOCStore.gather_parts`) merges
+the parts.  Sharding is metadata-level only: every shard reads the same
+subfiles, and a one-shard scatter/gather is the plain one-engine path.
+The engines do not know they are parallelised; only the handle
+scatters.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from repro.core.result import (
 from repro.core.writer import make_curve
 from repro.index.bitmap import Bitmap
 from repro.index.hbi import HBIndex, hbi_path
+from repro.parallel.scheduler import weighted_bin_partition
 from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.layout import BinFileSet
@@ -121,6 +130,8 @@ class MLOCStore:
     Execution options arrive as one ``execution`` object, optionally
     overridden by :class:`~repro.core.config.ExecutionConfig` field
     keywords; the remaining arguments are topology, not options.
+    ``n_ranks`` is each shard's rank count, so total simulated
+    parallelism is ``n_shards * n_ranks``.
     """
 
     def __init__(
@@ -130,6 +141,7 @@ class MLOCStore:
         meta: StoreMeta,
         *,
         n_ranks: int = 8,
+        n_shards: int = 1,
         scheduler: str = "column",
         cache: BlockCache | None = None,
         use_hbi: bool = False,
@@ -137,6 +149,8 @@ class MLOCStore:
         execution: ExecutionConfig | None = None,
         **overrides,
     ) -> None:
+        if n_shards <= 0:
+            raise ValueError(f"n_shards must be positive, got {n_shards}")
         self.execution = fold_execution(execution, overrides)
         self.fs = fs
         self.root = root.rstrip("/")
@@ -172,10 +186,13 @@ class MLOCStore:
         if generation is None:
             generation = meta.fingerprint() if cache is not None else 0
         self.generation = generation
-        #: The engines executing this handle's plans (one; a sharded
-        #: store adds one per further shard).  They share cache,
-        #: generation and planning context, so any one mints fetchers.
-        self.engines: list[QueryEngine] = [self._new_engine()]
+        self.n_shards = n_shards
+        #: The engines executing this handle's plans; shard ``s``
+        #: executes bin range ``s``.  They share cache, generation and
+        #: planning context, so any one mints fetchers.
+        self.engines: list[QueryEngine] = [self._new_engine() for _ in range(n_shards)]
+        #: Bin-range boundaries; shard ``s`` owns ``[b[s], b[s+1])``.
+        self.shard_bounds = weighted_bin_partition(self._bin_weights(), n_shards)
 
     def _new_engine(self) -> QueryEngine:
         """One engine over this handle's shared state."""
@@ -216,6 +233,36 @@ class MLOCStore:
         clone._engine_topology = {**self._engine_topology, "n_ranks": n_ranks}
         clone.engines = [clone._new_engine() for _ in self.engines]
         return clone
+
+    # ------------------------------------------------------------------
+    def _bin_weights(self) -> np.ndarray:
+        """Stored bytes per bin (data + index payloads) — the partition
+        weight, so shards balance compressed volume, not bin count."""
+        n_bins = self.meta.config.n_bins
+        weights = np.zeros(n_bins, dtype=np.float64)
+        for b in range(n_bins):
+            data = self.meta.data_blocks[b]
+            index = self.meta.index_blocks[b]
+            weights[b] = (
+                float(data[:, 3].sum()) if data.size else 0.0
+            ) + (float(index[:, 3].sum()) if index.size else 0.0)
+        return weights
+
+    def shard_of_bin(self, bin_id: int) -> int:
+        """Which shard owns ``bin_id``."""
+        if not (0 <= bin_id < self.meta.config.n_bins):
+            raise ValueError(f"bin {bin_id} out of range")
+        return int(np.searchsorted(self.shard_bounds, bin_id, side="right") - 1)
+
+    def shard_weights(self) -> np.ndarray:
+        """Stored bytes owned by each shard (the balance diagnostic)."""
+        weights = self._bin_weights()
+        return np.array(
+            [
+                float(weights[self.shard_bounds[s] : self.shard_bounds[s + 1]].sum())
+                for s in range(self.n_shards)
+            ]
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -388,19 +435,73 @@ class MLOCStore:
         fetcher=None,
         chunk_levels: np.ndarray | None = None,
     ) -> StagedRequest:
-        """Stage an already-planned query on this handle's engine(s).
+        """Stage an already-planned query on the shards it touches: the
+        scatter (:meth:`gather_parts` is the gather).
 
-        The scatter half of the pipeline the sharded store overrides
-        (:meth:`gather_parts` is the other).
+        The plan is narrowed to each shard's bin range by bin mask; the
+        chunk columns stay whole (chunk selection is bin-independent),
+        so the narrowed block lists exactly partition the planned work.
+        A shard whose range holds no planned bin is skipped, a plan
+        that touches no shard is staged on shard 0, and an all-true
+        mask stages the plan itself.  A shared ``fetcher`` serves every
+        shard: cache keys are ``(generation, path, offset)`` and shard
+        bin ranges are disjoint, so one fetcher dedups across the whole
+        scatter without shards ever colliding on a key.
         """
-        part = self.executor.stage(query, plan, position_filter, fetcher, chunk_levels)
-        return StagedRequest(self, query, plan, [(self.executor, part)], {})
+        owner = np.searchsorted(self.shard_bounds, plan.bin_ids, side="right") - 1
+        parts = []
+        for s in np.unique(owner).tolist() or [0]:
+            mine = owner == s
+            sub = plan
+            if not mine.all():
+                sub = copy.copy(plan)  # plans may be cached: narrow a shallow copy
+                sub.narrow_bins(mine)
+            engine = self.engines[s]
+            parts.append(
+                (engine, engine.stage(query, sub, position_filter, fetcher, chunk_levels))
+            )
+        return StagedRequest(self, query, plan, parts, {})
 
     def gather_parts(
         self, staged: StagedRequest, answers: list[QueryResult]
     ) -> QueryResult:
-        """The request's result from its assembled parts (here: the one)."""
-        return answers[0]
+        """Merge the shards' answers into the request's result.
+
+        Every stored element belongs to exactly one bin, hence one
+        shard, so the concatenated positions sorted back reproduce the
+        one-engine answer bit for bit.  Shards are notionally concurrent
+        store servers: the slowest gates each time component.  The
+        engine rows the parts carry are folded; the handle rows are
+        stamped once, from the union plan.
+        """
+        plan = staged.plan
+        positions = np.concatenate([r.positions for r in answers])
+        order = np.argsort(positions, kind="stable")
+        values = None
+        if staged.query.wants_values:
+            values = np.concatenate([r.values for r in answers])[order]
+        stats = {
+            "n_ranks": sum(engine.n_ranks for engine in self.engines),
+            "backend": self.execution.backend,
+            "bins_accessed": int(plan.bin_ids.size),
+            "aligned_bins": int(plan.aligned.sum()),
+            "chunks_accessed": int(plan.cpos.size),
+            **aggregate_stats((r.stats for r in answers), owner="engine"),
+            "quarantined_blocks": sum(r.stats["quarantined_blocks"] for r in answers),
+            "n_shards": self.n_shards,
+            "shards_hit": len(answers),
+        }
+        return QueryResult(
+            positions=positions[order],
+            values=values,
+            times=ComponentTimes(
+                io=max(r.times.io for r in answers),
+                decompression=max(r.times.decompression for r in answers),
+                reconstruction=max(r.times.reconstruction for r in answers),
+                communication=max(r.times.communication for r in answers),
+            ),
+            stats=stats,
+        )
 
     def _tol_stats(
         self,
@@ -565,7 +666,7 @@ class MLOCStore:
         subsequent :meth:`RefinementSession.refine` calls fetch only the
         byte-plane blocks the session does not already hold.  Every
         step is one :meth:`query` through the session's shared fetcher,
-        on either store flavor.
+        whatever the shard count.
         """
         return RefinementSession(self, query)
 
@@ -574,7 +675,10 @@ class MLOCStore:
 
         Unlike per-query ``QueryResult.stats`` these describe the
         *current* state of the handle's long-lived structures: the plan
-        cache, the decoded-block cache, and the quarantine registry.
+        cache, the decoded-block cache, and the quarantine registry —
+        the engines share the first two, so they are reported once,
+        and their quarantines are unioned — plus the shard map and
+        each shard's own quarantine under ``"shards"``.
         """
         out: dict = {
             "n_ranks": sum(engine.n_ranks for engine in self.engines),
@@ -594,6 +698,13 @@ class MLOCStore:
             cache_stats["pinned_blocks"] = len(self.cache.pinned_keys())
             out["block_cache"] = cache_stats
         out["quarantine"] = quarantine_report(self.quarantined_blocks)
+        out["n_shards"] = self.n_shards
+        out["shard_bounds"] = [int(b) for b in self.shard_bounds]
+        out["shard_weights"] = [float(w) for w in self.shard_weights()]
+        out["shards"] = [
+            {"quarantine": quarantine_report(engine.quarantine)}
+            for engine in self.engines
+        ]
         return out
 
     def storage_report(self) -> StorageReport:

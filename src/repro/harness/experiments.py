@@ -251,7 +251,7 @@ def sharded_scaling_rows(
     n_queries: int = 3,
     fraction: float = 0.5,
 ):
-    """Per-shard scaling sweep of :class:`ShardedMLOCStore` on one suite.
+    """Per-shard scaling sweep of :class:`MLOCStore` ``n_shards`` on one suite.
 
     Opens the already-written store as ``n`` bin-range shards for each
     ``n`` in ``shard_counts`` (one simulated rank per shard, so shard
@@ -267,7 +267,7 @@ def sharded_scaling_rows(
     ``info`` carries the identity verdict and the shard balance of the
     widest configuration.
     """
-    from repro.core import ShardedMLOCStore
+    from repro.core import MLOCStore
 
     base = suite.store(system)
     # Broad (default 50%-selectivity) constraints: per-shard scaling
@@ -280,9 +280,7 @@ def sharded_scaling_rows(
     identical = True
     widest = None
     for n in shard_counts:
-        sharded = ShardedMLOCStore(
-            suite.fs, base.root, base.meta, n_shards=n, n_ranks=1
-        )
+        sharded = MLOCStore(suite.fs, base.root, base.meta, n_shards=n, n_ranks=1)
         widest = sharded
         suite.fs.clear_cache()
         # One query at a time: the sweep measures cold per-query

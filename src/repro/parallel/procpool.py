@@ -168,8 +168,8 @@ class ProcessPool:
 
 
 #: Process-wide pools keyed by worker count, so repeated queries (and
-#: every shard of a :class:`~repro.core.sharded.ShardedMLOCStore`)
-#: share one set of warm workers per width.
+#: every shard engine of a :class:`~repro.core.store.MLOCStore`) share
+#: one set of warm workers per width.
 _POOLS: dict[int, ProcessPool] = {}
 _ATEXIT_REGISTERED = False
 

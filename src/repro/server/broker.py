@@ -1,12 +1,12 @@
 """Multi-tenant query broker: admission, fair scheduling, shared fetch.
 
-The broker fronts opened stores — flat
-:class:`~repro.core.store.MLOCStore` or
-:class:`~repro.core.sharded.ShardedMLOCStore`, transparently — and
-multiplexes query streams from many *tenants* onto them.  A request
-carries the store it runs on: by default the one the core was built
-over (a sealed store is the one-generation case), or a pinned member
-handle of a dataset (:class:`~repro.server.ingest.IngestBroker`).
+The broker fronts opened stores — a
+:class:`~repro.core.store.MLOCStore` of any shard count,
+transparently — and multiplexes query streams from many *tenants*
+onto them.  A request carries the store it runs on: by default the
+one the core was built over (a sealed store is the one-generation
+case), or a pinned member handle of a dataset
+(:class:`~repro.server.ingest.IngestBroker`).
 Admission, scheduling, quotas and the in-flight ceiling are one state
 for the whole broker, whichever store a request names:
 

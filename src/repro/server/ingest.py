@@ -42,13 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import ExecutionConfig
 from repro.core.dataset import DatasetSnapshot, MLOCDataset
 from repro.core.manifest import load_manifest_at, member_key
 from repro.core.query import Query
 from repro.core.result import counter_names
 from repro.core.store import MLOCStore
-from repro.pfs.blockcache import BlockCache
 from repro.server.broker import BrokerConfig, BrokerCore, BrokerRejected, TenantQuota
 from repro.server.replay import ReplayReport, serve_round
 
@@ -219,10 +217,10 @@ class IngestBroker:
     """Snapshot-pinned multi-tenant serving during ingest.
 
     One :class:`~repro.server.broker.BrokerCore` serves the whole
-    dataset — one admission / scheduling / quota state and one
-    decoded-block cache, however many members are queried — and this
-    class adds only what is ingest-specific: the pinned
-    :class:`DatasetSnapshot`, :meth:`refresh`, and resolving
+    dataset — one admission / scheduling / quota state, over the
+    dataset's one decoded-block cache, however many members are
+    queried — and this class adds only what is ingest-specific: the
+    pinned :class:`DatasetSnapshot`, :meth:`refresh`, and resolving
     ``(variable, timestep)`` to the pinned member's handle.  Admission
     consults only the pinned generation: a query for a member the
     snapshot does not contain raises :class:`NotYetSealed` even if a
@@ -238,23 +236,11 @@ class IngestBroker:
         *,
         config: BrokerConfig | None = None,
         tenants: dict[str, TenantQuota] | None = None,
-        execution: ExecutionConfig | None = None,
     ) -> None:
         self.dataset = dataset
-        #: Execution options and the one decoded-block cache of every
-        #: member handle this broker opens; by default the dataset's.
-        if execution is None:
-            self.execution, self.cache = dataset.execution, dataset.cache
-        else:
-            self.execution = execution
-            self.cache = (
-                BlockCache(execution.cache_bytes) if execution.cache_bytes > 0 else None
-            )
         self.core = BrokerCore(config=config, tenants=tenants)
         #: The pinned generation; only :meth:`refresh` replaces it.
         self.snapshot: DatasetSnapshot = dataset.snapshot()
-        #: Opened member handles by key (a sealed key never changes).
-        self._members: dict[str, MLOCStore] = {}
         #: The ingest-owned rows of the counter table.
         self.lifecycle: dict[str, float] = {
             "generations_seen": 1,
@@ -279,7 +265,9 @@ class IngestBroker:
 
     # ------------------------------------------------------------------
     def member(self, variable: str, timestep: int | None = None) -> MLOCStore:
-        """The broker's handle on one member of the pinned snapshot."""
+        """The dataset's shared handle on one member of the pinned
+        snapshot (its ``(key, meta_crc)`` registry: one per sealed
+        member, with the dataset's execution options and block cache)."""
         key = member_key(variable, timestep)
         if self.snapshot.manifest.member(key) is None:
             self.not_yet_sealed += 1
@@ -287,12 +275,7 @@ class IngestBroker:
                 f"member {key!r} is not sealed in pinned generation "
                 f"{self.generation}"
             )
-        store = self._members.get(key)
-        if store is None:
-            store = self._members[key] = self.snapshot.store(
-                variable, timestep, execution=self.execution, cache=self.cache
-            )
-        return store
+        return self.snapshot.store(variable, timestep)
 
     def submit(
         self,
@@ -322,7 +305,6 @@ class IngestBroker:
         out = self.core.stats()
         out["totals"].update(self.lifecycle)
         out["generation"] = self.generation
-        out["open_members"] = len(self._members)
         out["not_yet_sealed"] = self.not_yet_sealed
         return out
 
@@ -398,7 +380,6 @@ def replay_ingest(
     *,
     config: BrokerConfig | None = None,
     tenants: dict[str, TenantQuota] | None = None,
-    execution: ExecutionConfig | None = None,
     keep_results: bool = False,
 ) -> IngestReplayReport:
     """Serve a query trace while ``session`` appends, on the sim clock.
@@ -415,12 +396,7 @@ def replay_ingest(
     timesteps the schedule never produces are dropped (counted, not
     served).
     """
-    broker = IngestBroker(
-        session.dataset,
-        config=config,
-        tenants=tenants,
-        execution=execution,
-    )
+    broker = IngestBroker(session.dataset, config=config, tenants=tenants)
     report = IngestReplayReport(mode="ingest")
     arrivals: dict[int, float] = {}
     clock = 0.0

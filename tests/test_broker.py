@@ -26,7 +26,6 @@ from repro.core import (
     MLOCStore,
     MLOCWriter,
     Query,
-    ShardedMLOCStore,
     mloc_col,
 )
 from repro.core.result import aggregate_stats, counter_names
@@ -96,7 +95,7 @@ class TestBitIdentity:
 
     def test_sharded_store_scatter_gather_identical(self, broker_fs):
         direct = [_open(broker_fs).query(q) for q in QUERIES]
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             broker_fs, "/s", "f", n_shards=3, n_ranks=2, cache_bytes=4 << 20
         )
         core = BrokerCore(sharded, BrokerConfig(max_inflight=2))

@@ -98,6 +98,23 @@ def test_a_reintroduced_invalidation_path_or_readahead_is_a_violation():
     assert found[1].startswith("x.py:6:")
 
 
+SECOND_STORE = """
+from repro.core import MLOCStore, ShardedMLOCStore
+
+class ShardedMLOCStore(MLOCStore):
+    def stage_planned(self, query, plan, **how):
+        return super().stage_planned(query, plan, **how)
+
+store = MLOCStore(fs, root, meta, n_shards=4)
+"""
+
+
+def test_a_reintroduced_store_subclass_is_a_violation():
+    found = deleted_name_violations(ast.parse(SECOND_STORE), "x.py")
+    assert [v.split(":")[1] for v in found] == ["2", "4"]
+    assert all("ShardedMLOCStore was deleted" in v for v in found)
+
+
 def test_the_remaining_implementations_are_clean():
     assert deleted_name_violations(ast.parse(STAGED), "broker.py") == []
 

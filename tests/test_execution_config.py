@@ -24,7 +24,6 @@ from repro.core import (
     MLOCStore,
     MLOCWriter,
     QueryEngine,
-    ShardedMLOCStore,
     mloc_col,
 )
 from repro.datasets import gts_like
@@ -107,21 +106,20 @@ def test_option_survives_every_hand_off(sealed_fs, name):
         assert store.execution == want
         assert store.executor.execution == want
         assert store.with_ranks(4).execution == want
-        sharded = ShardedMLOCStore.open(fs, "/ds", KEY, n_shards=3, **door)
+        sharded = MLOCStore.open(fs, "/ds", KEY, n_shards=3, **door)
         assert sharded.execution == want
-        assert [s.execution for s in sharded.shards] == [want] * 3
+        assert [s.execution for s in sharded.engines] == [want] * 3
         assert MLOCWriter(fs, "/elsewhere", CONFIG, **door).execution == want
 
         dataset = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2, **door)
         snapshot = dataset.snapshot()
         assert snapshot.store("temp", 0).execution == want
         snap_sharded = snapshot.store("temp", 0, n_shards=2)
-        assert [s.execution for s in snap_sharded.shards] == [want] * 2
+        assert [s.execution for s in snap_sharded.engines] == [want] * 2
         assert IngestBroker(dataset).member("temp", 0).execution == want
 
     plain = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2)
     assert plain.snapshot().store("temp", 0, **override).execution == want
-    assert IngestBroker(plain, execution=want).member("temp", 0).execution == want
 
 
 def test_unknown_keyword_is_a_type_error(sealed_fs):
@@ -130,7 +128,7 @@ def test_unknown_keyword_is_a_type_error(sealed_fs):
     ex = store.executor
     doors = [
         lambda **kw: MLOCStore.open(fs, "/ds", KEY, **kw),
-        lambda **kw: ShardedMLOCStore.open(fs, "/ds", KEY, **kw),
+        lambda **kw: MLOCStore.open(fs, "/ds", KEY, n_shards=3, **kw),
         lambda **kw: QueryEngine(fs, ex.files, ex.meta, ex.grid, ex.curve, **kw),
         lambda **kw: MLOCWriter(fs, "/elsewhere", CONFIG, **kw),
         lambda **kw: MLOCDataset(fs, "/ds", CONFIG, **kw),
@@ -150,7 +148,7 @@ def test_invalid_value_raises_the_same_error_at_every_door(sealed_fs, name):
         ExecutionConfig(**bad)
     doors = [
         lambda: MLOCStore.open(fs, "/ds", KEY, **bad),
-        lambda: ShardedMLOCStore.open(fs, "/ds", KEY, **bad),
+        lambda: MLOCStore.open(fs, "/ds", KEY, n_shards=3, **bad),
         lambda: MLOCWriter(fs, "/elsewhere", CONFIG, **bad),
         lambda: MLOCDataset(fs, "/ds", CONFIG, **bad),
     ]

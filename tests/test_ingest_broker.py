@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ExecutionConfig, MLOCDataset, Query, mloc_col
+from repro.core import MLOCDataset, Query, mloc_col
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.server import (
@@ -121,25 +121,20 @@ class TestLimitsAreBrokerWide:
         assert broker.pending() == N_SEALED - 1
         assert broker.drain() == N_SEALED - 1
 
-    @pytest.mark.parametrize("explicit", [False, True], ids=["dataset", "execution"])
-    def test_one_block_cache_of_cache_bytes(self, campaign_fs, explicit):
-        if explicit:
-            broker = IngestBroker(
-                _dataset(campaign_fs),
-                execution=ExecutionConfig(cache_bytes=CACHE_BYTES),
-            )
-        else:
-            broker = IngestBroker(_dataset(campaign_fs, cache_bytes=CACHE_BYTES))
+    def test_one_block_cache_of_cache_bytes(self, campaign_fs):
+        dataset = _dataset(campaign_fs, cache_bytes=CACHE_BYTES)
+        broker = IngestBroker(dataset)
         for t in range(N_SEALED):
             broker.submit("a", FULL, variable="temp", timestep=t)
         broker.drain()
         caches = {id(broker.member("temp", t).cache) for t in range(N_SEALED)}
-        assert caches == {id(broker.cache)}
-        assert broker.cache.capacity_bytes == CACHE_BYTES
-        cache_stats = broker.cache.stats.as_dict()
+        assert caches == {id(dataset.cache)}
+        assert dataset.cache.capacity_bytes == CACHE_BYTES
+        cache_stats = dataset.cache.stats.as_dict()
         assert cache_stats["evictions"] > 0  # three members competed for it
         assert cache_stats["current_bytes"] <= CACHE_BYTES
-        assert broker.stats()["open_members"] == N_SEALED
+        # The members are the dataset's registry handles, one per member.
+        assert dataset.runtime_stats()["open_handles"] == N_SEALED
 
 
 # ----------------------------------------------------------------------

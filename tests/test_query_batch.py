@@ -23,7 +23,6 @@ from repro.core import (
     MLOCStore,
     MLOCWriter,
     Query,
-    ShardedMLOCStore,
     assemble,
     mloc_col,
     mloc_iso,
@@ -42,7 +41,7 @@ LAYOUTS = {
     "vsm": mloc_col(level_order="VSM", **_SIZES),
     "iso": mloc_iso(**_SIZES),
 }
-SHARDS = {"flat": None, "3-shards": 3}
+SHARDS = {"flat": 1, "3-shards": 3}
 CACHES = {"cache-off": 0, "cache-16KiB": 16 << 10, "cache-ample": 32 << 20}
 RANKS = (1, 3, 4)
 
@@ -61,10 +60,8 @@ def fs(stores):
     return stores["col"]
 
 
-def _open(fs, shards=None, **options):
-    if shards is None:
-        return MLOCStore.open(fs, "/store", "field", **options)
-    return ShardedMLOCStore.open(fs, "/store", "field", n_shards=shards, **options)
+def _open(fs, shards=1, **options):
+    return MLOCStore.open(fs, "/store", "field", n_shards=shards, **options)
 
 
 LO, MID, HI = (float(v) for v in np.quantile(DATA, [0.3, 0.5, 0.7]))

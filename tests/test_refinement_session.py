@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
+from repro.core.result import aggregate_stats
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.pfs.faults import FaultPlan, FaultyPFS
@@ -196,3 +197,17 @@ def test_concurrent_queries_cannot_evict_session_planes():
             store.query(Query(region=((32, 64), (32, 64)), output="values"))
         still_cached = {key for key in pinned if store.cache.get(key) is not None}
         assert still_cached == pinned
+
+
+def test_step_counters_fold_to_the_session_total():
+    """Each step's ``coalesced_reads`` is its own (a summed counter), so
+    folding the steps gives the session total."""
+    config = mloc_col(chunk_shape=(16, 16), n_bins=8, target_block_bytes=2 * 1024)
+    fs, _ = _build(config)
+    store = MLOCStore.open(fs, "/store", "field", n_ranks=4, coalesce_gap=1 << 20)
+    with store.open_session(Query(region=((0, 64), (0, 64)), plod_level=1)) as session:
+        for level in (3, 7):
+            session.refine(level)
+    steps = [step.stats for step in session.results]
+    assert session.coalesced_reads > 0
+    assert aggregate_stats(steps)["coalesced_reads"] == session.coalesced_reads

@@ -122,14 +122,17 @@ def test_query_many_aggregates_every_summed_key(col_store):
 
 def test_per_query_stats_cover_the_registry(col_store):
     """A direct query emits every additive row of the layers it passed
-    through — and none of the serving layers above the store."""
-    fs, store = col_store
-    fs.clear_cache()
-    result = store.query(REGION)
-    for key in DIRECT:
-        assert key in result.stats, key
-    for key in SERVING:
-        assert key not in result.stats, key
+    through — and none of the serving layers above the store, whatever
+    the handle's shard count."""
+    fs, base = col_store
+    for n_shards in (1, 3):
+        store = MLOCStore(fs, base.root, base.meta, n_shards=n_shards)
+        fs.clear_cache()
+        result = store.query(REGION)
+        for key in DIRECT:
+            assert key in result.stats, (n_shards, key)
+        for key in SERVING:
+            assert key not in result.stats, (n_shards, key)
 
 
 @pytest.fixture(scope="module")

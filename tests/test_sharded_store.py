@@ -1,11 +1,12 @@
-"""ShardedMLOCStore: bit-identical scatter/gather and balanced bin cuts.
+"""``MLOCStore(n_shards=)``: bit-identical scatter/gather and balanced
+bin cuts.
 
 Two contracts, in the order the module builds on them:
 
 * :func:`weighted_bin_partition` — contiguous, monotone, covering bin
   ranges whose stored-byte shares come out near-equal (empty shards
   beat splitting a heavy bin);
-* :class:`ShardedMLOCStore` — for every shard count the merged answer
+* the sharded handle — for every shard count the merged answer
   (positions, values, planned/decoded block totals) is bit-identical
   to the unsharded store on the same bytes, the per-shard sub-plans
   exactly partition the planned work, and merged component times take
@@ -18,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, ShardedMLOCStore, mloc_col, mloc_iso
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
 from repro.datasets import gts_like
 from repro.index.bitmap import Bitmap
 from repro.parallel.scheduler import weighted_bin_partition
 from repro.pfs import SimulatedPFS
+from repro.pfs.faults import FaultPlan, FaultyPFS
 
 N_BINS = 16
 
@@ -94,7 +96,7 @@ class TestWeightedBinPartition:
 
 
 # ----------------------------------------------------------------------
-# ShardedMLOCStore vs the unsharded store on the same bytes
+# Sharded handles vs the one-shard store on the same bytes
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def col_fs():
@@ -133,7 +135,7 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("query", QUERIES)
     def test_identical_to_unsharded(self, col_fs, n_shards, query):
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             col_fs, "/store", "field", n_shards=n_shards
         )
         col_fs.clear_cache()
@@ -155,7 +157,7 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("query", QUERIES[:3])
     def test_iso_layout(self, iso_fs, query):
         flat = MLOCStore.open(iso_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(iso_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(iso_fs, "/store", "field", n_shards=4)
         iso_fs.clear_cache()
         expected = flat.query(query)
         iso_fs.clear_cache()
@@ -164,7 +166,7 @@ class TestShardedEquivalence:
     def test_query_many(self, col_fs):
         queries = QUERIES[:4]
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         col_fs.clear_cache()
         expect = flat.query_many(queries)
         col_fs.clear_cache()
@@ -172,12 +174,13 @@ class TestShardedEquivalence:
         for a, b in zip(batch.results, expect.results):
             _assert_same_answer(a, b)
         assert batch.stats["n_queries"] == len(queries)
-        assert batch.stats["n_shards"] == 4
+        # Configuration values are per-query rows, not batch aggregates.
+        assert "n_shards" not in batch.stats
         assert batch.stats["quarantined_blocks"] == 0
 
     def test_position_filter(self, col_fs):
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         base = Query(value_range=(2.0, 6.0), output="positions")
         col_fs.clear_cache()
         keep = Bitmap.from_positions(
@@ -190,7 +193,7 @@ class TestShardedEquivalence:
         _assert_same_answer(sharded.query(narrow, position_filter=keep), expected)
 
     def test_empty_result_hits_no_shard_work(self, col_fs):
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         col_fs.clear_cache()
         result = sharded.query(QUERIES[-1])
         assert result.positions.size == 0
@@ -198,7 +201,7 @@ class TestShardedEquivalence:
 
     def test_warm_cache_round_stays_identical(self, col_fs):
         flat = MLOCStore.open(col_fs, "/store", "field", cache_bytes=32 << 20)
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             col_fs, "/store", "field", n_shards=4, cache_bytes=32 << 20
         )
         for _ in range(2):  # cold, then warm
@@ -210,7 +213,7 @@ class TestShardedEquivalence:
     def test_process_backend_per_shard(self, col_fs):
         """Shard fan-out composes with the process decode backend."""
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             col_fs, "/store", "field", n_shards=2,
             backend="processes", workers=2,
         )
@@ -222,6 +225,23 @@ class TestShardedEquivalence:
         assert result.stats["backend"] == "processes"
         assert result.stats["decode_pool_failures"] == 0
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_quarantined_blocks_are_the_querys_own(self, col_fs, n_shards):
+        """A query reports the blocks *it* touched that are quarantined,
+        not the handle's lifetime registry: the second range misses the
+        block the first one lost."""
+        faulty = FaultyPFS(col_fs, FaultPlan(seed=3, sticky_corruption_rate=0.03))
+        store = MLOCStore.open(
+            faulty, "/store", "field", n_shards=n_shards, allow_partial=True
+        )
+        reported = []
+        for value_range in ((0.0, 2.0), (6.0, 9.0)):
+            faulty.clear_cache()
+            result = store.query(Query(value_range=value_range, output="values"))
+            reported.append(result.stats["quarantined_blocks"])
+        assert reported == [1, 0]
+        assert len(store.quarantined_blocks) == 1
+
 
 class TestShardedScaling:
     def test_simulated_io_scales_near_linearly(self, col_fs):
@@ -231,7 +251,7 @@ class TestShardedScaling:
         query = Query(value_range=(0.0, 8.0), output="values")
         io = {}
         for n in (1, 2, 4):
-            sharded = ShardedMLOCStore.open(
+            sharded = MLOCStore.open(
                 col_fs, "/store", "field", n_shards=n, n_ranks=1
             )
             col_fs.clear_cache()
@@ -240,7 +260,7 @@ class TestShardedScaling:
         assert io[4] < 0.7 * io[2]
 
     def test_total_ranks_multiply(self, col_fs):
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             col_fs, "/store", "field", n_shards=4, n_ranks=2
         )
         col_fs.clear_cache()
@@ -250,7 +270,7 @@ class TestShardedScaling:
 
 class TestShardedHandle:
     def test_shard_map_consistency(self, col_fs):
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         bounds = sharded.shard_bounds
         assert bounds[0] == 0 and bounds[-1] == N_BINS
         for b in range(N_BINS):
@@ -275,24 +295,24 @@ class TestShardedHandle:
             return for_store(cls, *args, **kwargs)
 
         monkeypatch.setattr(PlanContext, "for_store", classmethod(counting))
-        ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         assert len(built) == 1
 
     def test_shards_share_context_and_cache(self, col_fs):
-        sharded = ShardedMLOCStore.open(
+        sharded = MLOCStore.open(
             col_fs, "/store", "field", n_shards=3, cache_bytes=16 << 20
         )
-        assert all(s.context is sharded.context for s in sharded.shards)
-        first = sharded.shards[0]
-        assert all(s.cache is first.cache for s in sharded.shards[1:])
+        assert all(s.context is sharded.context for s in sharded.engines)
+        first = sharded.engines[0]
+        assert all(s.cache is first.cache for s in sharded.engines[1:])
 
     def test_storage_report_matches_unsharded(self, col_fs):
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=4)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=4)
         assert sharded.storage_report() == flat.storage_report()
 
     def test_runtime_stats_shape(self, col_fs):
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=2)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=2)
         stats = sharded.runtime_stats()
         assert stats["n_shards"] == 2
         assert len(stats["shard_bounds"]) == 3
@@ -301,12 +321,12 @@ class TestShardedHandle:
     def test_open_session_parity_with_flat(self, col_fs):
         """Sharded refinement sessions step bit-identically to flat ones.
 
-        Sessions drive the store-agnostic ``plan``/``execute_planned``
-        surface, so the same refine ladder on a flat and a sharded
-        handle must produce the same positions and values per step.
+        Every session step is one ``store.query``, so the same refine
+        ladder on a flat and a sharded handle must produce the same
+        positions and values per step.
         """
         flat = MLOCStore.open(col_fs, "/store", "field")
-        sharded = ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=2)
+        sharded = MLOCStore.open(col_fs, "/store", "field", n_shards=2)
         query = Query(value_range=(2.0, 6.0), output="values", plod_level=2)
         col_fs.clear_cache()
         with flat.open_session(query) as fsess:
@@ -324,4 +344,4 @@ class TestShardedHandle:
 
     def test_validation(self, col_fs):
         with pytest.raises(ValueError, match="n_shards"):
-            ShardedMLOCStore.open(col_fs, "/store", "field", n_shards=0)
+            MLOCStore.open(col_fs, "/store", "field", n_shards=0)

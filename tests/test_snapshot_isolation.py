@@ -10,7 +10,7 @@ Hypothesis drives randomized interleavings: appends land in random
 timestep order, queries arrive at random points with random region
 constraints, and the reader refreshes its snapshot at random points.
 Each query runs through a randomly chosen execution surface — flat
-store, ``ShardedMLOCStore``, or a ``RefinementSession`` refined to
+store, a bin-range sharded one, or a ``RefinementSession`` refined to
 full precision — all of which must give the same pinned answer.
 """
 
