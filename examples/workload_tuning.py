@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    MLOCStore,
-    MLOCWriter,
-    Query,
-    QueryClass,
-    WorkloadProfile,
-    mloc_col,
-    recommend_level_order,
-)
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.datasets import s3d_like
-from repro.harness.trace import QueryTrace, TracingStore, replay_trace
+from repro.harness import (
+    QueryClass,
+    TracingStore,
+    WorkloadProfile,
+    recommend_level_order,
+    replay_trace,
+)
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 
@@ -67,8 +65,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     print(f"\n{'order':>6} {'session total (s)':>18} {'mean/query (s)':>15}")
     for order, store in stores.items():
-        report = replay_trace(store, traced.trace)
-        print(f"{order:>6} {report.total.total:>18.2f} {report.mean_seconds:>15.2f}")
+        total = replay_trace(store, traced.trace).times.total
+        print(f"{order:>6} {total:>18.2f} {total / len(traced.trace):>15.2f}")
 
     # ------------------------------------------------------------------
     # 3. Ask the advisor the same question declaratively.

@@ -13,13 +13,16 @@ executed):
    ``stages`` (1) → ``session`` (2); each module may import only
    strictly lower engine layers.  ``engine/__init__.py`` is exempt (it
    is the package's re-export surface, not a layer).
-3. **Serving above core.**  ``repro.server`` (the broker layer) sits
-   on top of the whole library: it may import downward freely, but no
-   module under ``src/repro/`` outside ``repro/server/`` may import
-   ``repro.server`` — the store/engine must stay usable (and testable)
-   without the serving layer.  ``repro/cli.py`` is exempt: the CLI is
-   the composition root (the application shell above every layer,
-   including serving).
+3. **Serving and the harness above core.**  ``repro.server`` (the
+   broker layer) and ``repro.harness`` (workloads, experiments, the
+   level-order advisor) sit on top of the whole library: they may
+   import downward freely, but no module under ``src/repro/`` outside
+   ``repro/server/`` may import ``repro.server``, and none outside
+   ``repro/harness/`` and ``repro/bench.py`` may import
+   ``repro.harness`` — not even inside a function — so the
+   store/engine stay usable (and testable) without either.
+   ``repro/cli.py`` is exempt: the CLI is the composition root (the
+   application shell above every layer).
 4. **Manifests below the store.**  ``repro.core.manifest`` is the
    append protocol's foundation record — writer, store, dataset, and
    serving all depend on it, so it may import only the PFS substrate,
@@ -60,8 +63,9 @@ executed):
    hook, the second run door beside ``MLOCStore.query``, the second
    snapshot door beside ``DatasetSnapshot.store``, the invalidation
    paths only a rewrite-in-place needed, the scheduler readahead
-   nobody set and the second store class beside ``MLOCStore`` (a
-   flat store is a one-shard store).
+   nobody set, the second store class beside ``MLOCStore`` (a
+   flat store is a one-shard store) and the per-query counter holders
+   beside ``QueryCounters``.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -106,6 +110,13 @@ MANIFEST_FORBIDDEN_PREFIXES = (
     "repro.harness",
 )
 
+#: Layers above the library (rule 3) -> the modules, as paths under
+#: ``src/repro/``, that may import them besides their own package.
+UPPER_LAYERS = {
+    "repro.server": ("server/", "cli.py"),
+    "repro.harness": ("harness/", "bench.py", "cli.py"),
+}
+
 #: ``ExecutionConfig`` fields that are execution options and nothing
 #: else (``backend``, ``workers``, ``tol``... also name unrelated
 #: parameters, e.g. a query's ``tol``, so they are not listed).
@@ -126,7 +137,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: through ``query``/``stage``; a snapshot opens members through ``store``;
 #: sealed members are immutable, so nothing is invalidated; the
 #: scheduler coalesces and does not prefetch; shards are a topology
-#: keyword of the one store class.
+#: keyword of the one store class; a staged query counts into one
+#: ``QueryCounters`` and its rank schedulers own their file handles.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -146,6 +158,9 @@ DELETED_NAMES = frozenset(
         "extent_cached",
         "refinement_groups",
         "ShardedMLOCStore",
+        "_FaultContext",
+        "_IOCounters",
+        "_HandleOpener",
     }
 )
 
@@ -174,7 +189,12 @@ ENGINE_LAYERS = {
 
 def _imported_modules(path: Path) -> list[tuple[int, str]]:
     """(lineno, dotted module) for every import statement in ``path``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    return _tree_imports(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _tree_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(lineno, dotted module) for every import statement in ``tree``,
+    at any depth."""
     out: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -202,6 +222,21 @@ def _serving_counter_names() -> set[str]:
         ):
             names.add(node.args[0].value)
     return names
+
+
+def upper_layer_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 3 over the syntax tree of ``where`` (a path under
+    ``src/repro/``): every import of a layer above the library that
+    the layer does not admit there."""
+    rel = where.partition("src/repro/")[2]
+    return [
+        f"{where}:{lineno}: {module} sits above repro.core; only "
+        f"{', '.join(admitted)} may import it (imports go downward only)"
+        for lineno, module in _tree_imports(tree)
+        for layer, admitted in UPPER_LAYERS.items()
+        if (module == layer or module.startswith(layer + "."))
+        and not rel.startswith(admitted)
+    ]
 
 
 def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
@@ -307,23 +342,11 @@ def check() -> list[str]:
             )
 
     server_dir = SRC / "repro" / "server"
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        if server_dir in path.parents:
-            continue
-        if path == SRC / "repro" / "cli.py":
-            continue  # composition root: sits above every layer
-        for lineno, module in _imported_modules(path):
-            if module == "repro.server" or module.startswith("repro.server."):
-                violations.append(
-                    f"{path.relative_to(REPO)}:{lineno}: {_module_name(path)} "
-                    f"must not import {module} (repro.server sits above "
-                    f"repro.core; imports go downward only)"
-                )
-
     config_py = SRC / "repro" / "core" / "config.py"
     harness_dir = SRC / "repro" / "harness"
     for path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        violations += upper_layer_violations(tree, str(path.relative_to(REPO)))
         violations += deleted_name_violations(tree, str(path.relative_to(REPO)))
         if harness_dir not in path.parents:
             violations += environ_violations(tree, str(path.relative_to(REPO)))

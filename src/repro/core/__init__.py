@@ -11,12 +11,6 @@ The primary public API of the reproduction:
   multi-variable accesses.
 """
 
-from repro.core.advisor import (
-    AdvisorReport,
-    QueryClass,
-    WorkloadProfile,
-    recommend_level_order,
-)
 from repro.core.aggregate import AGGREGATE_OPS, AggregateResult, aggregate_query
 from repro.core.chunking import ChunkGrid, normalize_region, region_size
 from repro.core.compound import (
@@ -56,7 +50,6 @@ from repro.core.writer import MLOCWriter, WriteReport
 
 __all__ = [
     "AGGREGATE_OPS",
-    "AdvisorReport",
     "AggregateResult",
     "BatchResult",
     "ChunkGrid",
@@ -79,7 +72,6 @@ __all__ = [
     "load_manifest",
     "load_manifest_at",
     "manifest_path",
-    "QueryClass",
     "QueryEngine",
     "PlanCache",
     "PlanContext",
@@ -92,7 +84,6 @@ __all__ = [
     "StoreMeta",
     "VariableConstraint",
     "WRITE_BACKENDS",
-    "WorkloadProfile",
     "WriteReport",
     "aggregate_query",
     "compound_query",
@@ -102,6 +93,5 @@ __all__ = [
     "multi_variable_query",
     "normalize_region",
     "plan_query",
-    "recommend_level_order",
     "region_size",
 ]

@@ -17,7 +17,7 @@ communication payload of the partial aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +60,9 @@ def aggregate_query(
     store:
         The variable to aggregate over.
     query:
-        Any value/spatial/PLoD query; ``output`` is forced to
-        ``"values"`` (aggregation needs values).
+        Any value/spatial/PLoD/tol query; ``output`` is forced to
+        ``"values"`` (aggregation needs values), every other field is
+        kept.
     op:
         One of :data:`AGGREGATE_OPS`.
     n_bins, value_range:
@@ -71,14 +72,7 @@ def aggregate_query(
     """
     if op not in AGGREGATE_OPS:
         raise ValueError(f"op must be one of {AGGREGATE_OPS}, got {op!r}")
-    if query.output != "values":
-        query = Query(
-            value_range=query.value_range,
-            region=query.region,
-            output="values",
-            plod_level=query.plod_level,
-            resolution_level=query.resolution_level,
-        )
+    query = replace(query, output="values")
 
     # Run the full parallel query (per-rank work is identical up to the
     # gather), then replace the result gather with an aggregate reduce:

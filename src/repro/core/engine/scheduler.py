@@ -32,12 +32,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.parallel.procpool import PoolBrokenError, ProcessPool
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.faults import TransientIOError
-from repro.pfs.simfs import PFSSession
+from repro.pfs.simfs import PFSSession, SimFileHandle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.config import ExecutionConfig
 
-__all__ = ["IOScheduler", "PendingRead"]
+__all__ = ["IOScheduler", "PendingRead", "QueryCounters"]
 
 
 class _DecodeJob:
@@ -97,9 +97,26 @@ def _job_lost(job: _DecodeJob) -> bool:
 
 
 @dataclass
-class _FaultContext:
-    """Per-query fault accounting, filled by the verified read path."""
+class QueryCounters:
+    """Everything one staged query counts, in one record.
 
+    The fetcher and the query's rank schedulers add to it; the engine
+    rows of ``QueryResult.stats`` are read off it.  A fetcher shared by
+    a batch, session or broker round keeps no tally of its own, so no
+    stats row is a difference of running totals.
+    """
+
+    #: Blocks served without a read — from the fetcher's decoded-job
+    #: table (the cross-query ``dedup_*`` share) or from the LRU.
+    cache_hits: int = 0
+    cache_hit_raw_bytes: int = 0
+    dedup_blocks: int = 0
+    dedup_raw_bytes: int = 0
+    #: Blocks read and verified for decode.
+    cache_misses: int = 0
+    #: Decode batches that fell back inline on a broken process pool.
+    decode_pool_failures: int = 0
+    coalesced_reads: int = 0
     crc_failures: int = 0
     io_retries: int = 0
     dropped_points: int = 0
@@ -108,36 +125,13 @@ class _FaultContext:
     #: Global chunk ids whose points were (partially) lost.
     partial_chunks: set = field(default_factory=set)
 
-
-@dataclass
-class _IOCounters:
-    """Per-query scheduler counters surfaced in ``QueryResult.stats``."""
-
-    coalesced_reads: int = 0
-
-
-class _HandleOpener:
-    """Session file handle, opened lazily unless ``eager``.
-
-    Without caching every planned block is read, so the handle is opened
-    immediately: the open is charged when the rank requests its blocks,
-    before any read.  With caching, the open is deferred to the first
-    actual read:
-    if every block of the file is served from the cache, the rank never
-    touches the file and pays no metadata operation.
-    """
-
-    __slots__ = ("_session", "_path", "_handle")
-
-    def __init__(self, session: PFSSession, path: str, eager: bool):
-        self._session = session
-        self._path = path
-        self._handle = session.open(path) if eager else None
-
-    def get(self):
-        if self._handle is None:
-            self._handle = self._session.open(self._path)
-        return self._handle
+    def count_hits(self, n: int, raw_bytes: int, *, dedup: bool) -> None:
+        """``n`` blocks of ``raw_bytes`` raw bytes in all, served without a read."""
+        self.cache_hits += n
+        self.cache_hit_raw_bytes += raw_bytes
+        if dedup:
+            self.dedup_blocks += n
+            self.dedup_raw_bytes += raw_bytes
 
 
 @dataclass
@@ -148,15 +142,13 @@ class PendingRead:
     offset: int
     length: int
     crc: int
-    opener: _HandleOpener
     job: _DecodeJob
     #: Payload -> decoded block, run in the decode phase.
     decode: Callable[[bytes], object]
-    #: Raw (decoded) bytes this block contributes to modeled decompression.
+    #: Raw (decoded) bytes this block contributes to modeled decompression,
+    #: credited to the reading rank's ``raw[raw_kind]`` on success.
     raw_bytes: int
     raw_kind: str  # "index" | "data"
-    #: The owning rank's raw-byte counters, credited on success.
-    raw: dict[str, int]
     #: Fetcher cache key, or None when identity is untracked.
     key: tuple | None
     #: (rank, bin_seq, kind, row) — the plan order, in which decodes
@@ -178,7 +170,9 @@ class _BlockFetcher:
     LRU.  Requests happen in the deterministic plan order, so which
     rank pays for a block's I/O and modeled decode time never depends
     on backend or thread timing: the first requester in plan order
-    pays, later requesters record a hit.
+    pays, later requesters record a hit.  What a request costs is
+    counted into the requesting query's :class:`QueryCounters`, passed
+    to every method that counts; the fetcher keeps no tally.
     """
 
     def __init__(self, cache: BlockCache | None, generation: int, shared: bool = False):
@@ -188,21 +182,6 @@ class _BlockFetcher:
         self._jobs: dict[tuple, _DecodeJob] = {}
         self._pending: list[tuple[tuple, tuple | None, _DecodeJob]] = []
         self._touches: list[tuple[tuple, tuple]] = []
-        self.hits = 0
-        self.misses = 0
-        self.lost = 0
-        self.hit_raw_bytes = 0
-        self.miss_raw_bytes = 0
-        #: Hits served from this fetcher's own decoded-job table — the
-        #: cross-query (batch / session / broker) dedup component of
-        #: ``hits``, as opposed to hits served by the persistent LRU.
-        self.dedup_hits = 0
-        #: Raw bytes of those dedup hits.
-        self.dedup_raw_bytes = 0
-        #: Hits served from the persistent :class:`BlockCache`.
-        self.lru_hits = 0
-        #: Decode batches that fell back inline on a broken process pool.
-        self.pool_failures = 0
         #: Keys inserted into the persistent cache, in insertion order
         #: (cumulative); lets a caller attribute insertions to whoever
         #: triggered the surrounding :meth:`run` (per-tenant quotas).
@@ -222,7 +201,7 @@ class _BlockFetcher:
         return list(self._jobs)
 
     def claim_held(
-        self, keys: list[tuple], raw_bytes: list[int]
+        self, keys: list[tuple], raw_bytes: list[int], counters: QueryCounters
     ) -> list[_DecodeJob | None]:
         """Dedup hits in bulk: per key, the job this fetcher already
         holds — counted exactly as :meth:`request_deferred` counts a
@@ -236,14 +215,11 @@ class _BlockFetcher:
         held = list(map(self._jobs.get, keys))
         if None in held:
             raw_bytes = [raw for job, raw in zip(held, raw_bytes) if job is not None]
-        self.hits += len(raw_bytes)
-        self.dedup_hits += len(raw_bytes)
-        self.hit_raw_bytes += sum(raw_bytes)
-        self.dedup_raw_bytes += sum(raw_bytes)
+        counters.count_hits(len(raw_bytes), sum(raw_bytes), dedup=True)
         return held
 
     def request_deferred(
-        self, key: tuple, raw_bytes: int, order_key: tuple
+        self, key: tuple, raw_bytes: int, order_key: tuple, counters: QueryCounters
     ) -> tuple[_DecodeJob, bool]:
         """Return ``(job, hit)`` for one block, deferring any read.
 
@@ -261,10 +237,7 @@ class _BlockFetcher:
         if self.caching:
             job = self._jobs.get(key)
             if job is not None:
-                self.hits += 1
-                self.hit_raw_bytes += raw_bytes
-                self.dedup_hits += 1
-                self.dedup_raw_bytes += raw_bytes
+                counters.count_hits(1, raw_bytes, dedup=True)
                 return job, True
             if self.cache is not None:
                 cached = self.cache.get(key)
@@ -272,9 +245,7 @@ class _BlockFetcher:
                     job = _DecodeJob(result=cached)
                     self._jobs[key] = job
                     self._touches.append((order_key, key))
-                    self.hits += 1
-                    self.hit_raw_bytes += raw_bytes
-                    self.lru_hits += 1
+                    counters.count_hits(1, raw_bytes, dedup=False)
                     return job, True
             job = _DecodeJob.placeholder()
             self._jobs[key] = job
@@ -286,19 +257,17 @@ class _BlockFetcher:
         read.job.arm(lambda payload=payload, decode=read.decode: decode(payload))
         if read.spec is not None:
             read.job.task = (read.spec, payload)
-        self.misses += 1
-        self.miss_raw_bytes += read.raw_bytes
-        read.raw[read.raw_kind] += read.raw_bytes
         self._pending.append((read.order_key, read.key, read.job))
 
     def resolve_lost(self, read: PendingRead) -> None:
         """Mark the job lost and forget it (later queries re-attempt)."""
         read.job.mark_lost()
-        self.lost += 1
         if read.key is not None and self._jobs.get(read.key) is read.job:
             del self._jobs[read.key]
 
-    def run(self, pool: ThreadPoolExecutor | ProcessPool | None) -> int:
+    def run(
+        self, pool: ThreadPoolExecutor | ProcessPool | None, counters: QueryCounters
+    ) -> int:
         """Execute pending decode jobs; returns how many ran.
 
         Cache touches are replayed and insertions performed in plan
@@ -317,7 +286,7 @@ class _BlockFetcher:
             for _, _, job in pending:
                 job.run()
         elif isinstance(pool, ProcessPool):
-            self._run_on_processes(pool, pending)
+            self._run_on_processes(pool, pending, counters)
         else:
             list(pool.map(lambda item: item[2].run(), pending))
         if self.cache is not None:
@@ -347,16 +316,17 @@ class _BlockFetcher:
         self.inserted_keys.clear()
         return dropped
 
-    def _run_on_processes(self, pool: ProcessPool, pending: list) -> None:
+    def _run_on_processes(
+        self, pool: ProcessPool, pending: list, counters: QueryCounters
+    ) -> None:
         """Ship the pending decode specs to the worker pool.
 
         Tasks are submitted — and results committed — in sorted plan
         order, so the outcome is bit-identical to inline execution.  A
         broken pool (a worker died mid-batch) falls back to running
         every job inline from its retained closure: nothing hangs and
-        no block is dropped; the fallback is counted in
-        ``pool_failures`` and surfaced as
-        ``stats["decode_pool_failures"]``.  A job without a picklable
+        no block is dropped; the fallback is counted as the query's
+        ``decode_pool_failures``.  A job without a picklable
         spec pins the whole batch inline (correctness over overlap).
         """
         tasks = [job.task for _, _, job in pending]
@@ -367,7 +337,7 @@ class _BlockFetcher:
         try:
             results = pool.run_tasks(tasks)
         except PoolBrokenError:
-            self.pool_failures += 1
+            counters.decode_pool_failures += 1
             for _, _, job in pending:
                 job.run()
             return
@@ -384,26 +354,46 @@ class IOScheduler:
     block is answered without touching the PFS), CRC verification of
     every payload, bounded exponential retry backoff charged to the
     rank's *simulated* clock, and quarantine of blocks that exhaust
-    their retries.
+    their retries.  The rank's PFS session, its file handles and its
+    raw-byte counts live here; what it counts for the query goes into
+    the query's ``counters``.
     """
 
     def __init__(
         self,
         session: PFSSession,
         fetcher: _BlockFetcher,
-        fctx: _FaultContext,
+        counters: QueryCounters,
         *,
         quarantine: dict[tuple[str, int], str],
         execution: ExecutionConfig,
-        counters: _IOCounters | None = None,
     ) -> None:
         self.session = session
         self.fetcher = fetcher
-        self.fctx = fctx
+        self.counters = counters
         self.quarantine = quarantine
         self.execution = execution
-        self.counters = counters if counters is not None else _IOCounters()
+        #: Raw (decoded) bytes of the blocks this rank read, per
+        #: ``PendingRead.raw_kind``: its modeled decompression.
+        self.raw = {"data": 0, "index": 0}
+        self._handles: dict[str, SimFileHandle] = {}
         self._queue: list[PendingRead] = []
+
+    # ------------------------------------------------------------------
+    def handle(self, path: str) -> SimFileHandle:
+        """The rank's handle on ``path``, opened on first use.
+
+        Without caching every planned block is read, so the engine
+        opens each subfile the rank touches up front: the open is
+        charged when the rank requests its blocks, before any read.
+        With caching, the open waits for the first actual read: if
+        every block of the file is served from the cache, the rank
+        never touches the file and pays no metadata operation.
+        """
+        handle = self._handles.get(path)
+        if handle is None:
+            handle = self._handles[path] = self.session.open(path)
+        return handle
 
     # ------------------------------------------------------------------
     def submit(self, read: PendingRead) -> None:
@@ -423,7 +413,7 @@ class IOScheduler:
                 key = (read.path, read.offset)
                 if key in self.quarantine:
                     # Answered by the registry: no PFS touch, no retry.
-                    self.fctx.quarantined.add(key)
+                    self.counters.quarantined.add(key)
                     self.fetcher.resolve_lost(read)
                     continue
                 ready.append(read)
@@ -458,7 +448,13 @@ class IOScheduler:
         if payload is None:
             self.fetcher.resolve_lost(read)
         else:
-            self.fetcher.resolve_success(read, payload)
+            self._resolve_success(read, payload)
+
+    def _resolve_success(self, read: PendingRead, payload: bytes) -> None:
+        """A verified payload: the query's miss, the rank's raw bytes."""
+        self.fetcher.resolve_success(read, payload)
+        self.counters.cache_misses += 1
+        self.raw[read.raw_kind] += read.raw_bytes
 
     def _read_vectored(self, run: list[PendingRead]) -> None:
         """One span read for the whole run; per-block CRC afterwards.
@@ -471,7 +467,7 @@ class IOScheduler:
         """
         extents = [(r.offset, r.length) for r in run]
         try:
-            payloads = run[0].opener.get().readv(extents)
+            payloads = self.handle(run[0].path).readv(extents)
         except TransientIOError:
             for read in run:
                 self._read_single(read)
@@ -479,9 +475,9 @@ class IOScheduler:
         self.counters.coalesced_reads += 1
         for read, payload in zip(run, payloads):
             if len(payload) == read.length and zlib.crc32(payload) == int(read.crc):
-                self.fetcher.resolve_success(read, payload)
+                self._resolve_success(read, payload)
             else:
-                self.fctx.crc_failures += 1
+                self.counters.crc_failures += 1
                 self._read_single(read)
 
     # ------------------------------------------------------------------
@@ -501,29 +497,29 @@ class IOScheduler:
         """
         key = (read.path, read.offset)
         if key in self.quarantine:
-            self.fctx.quarantined.add(key)
+            self.counters.quarantined.add(key)
             return None
         reason = "unreadable"
         attempts = self.execution.max_read_retries + 1
         for attempt in range(attempts):
             if attempt:
-                self.fctx.io_retries += 1
+                self.counters.io_retries += 1
                 self.session.stats.stall_seconds += (
                     self.execution.read_backoff * 2 ** (attempt - 1)
                 )
             try:
-                payload = read.opener.get().read(read.offset, read.length)
+                payload = self.handle(read.path).read(read.offset, read.length)
             except TransientIOError:
                 reason = "transient I/O errors"
                 continue
             if len(payload) == read.length and zlib.crc32(payload) == int(read.crc):
                 return payload
-            self.fctx.crc_failures += 1
+            self.counters.crc_failures += 1
             reason = (
                 f"short read ({len(payload)}/{read.length} bytes)"
                 if len(payload) != read.length
                 else "CRC mismatch"
             )
         self.quarantine[key] = f"{reason} after {attempts} attempts"
-        self.fctx.quarantined.add(key)
+        self.counters.quarantined.add(key)
         return None

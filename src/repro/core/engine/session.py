@@ -178,9 +178,8 @@ class RefinementSession:
         query = self._query
         if self._target_levels is None:
             query = replace(query, plod_level=level)
-        hit_raw0 = self._fetcher.hit_raw_bytes
         result = self._store.query(query, fetcher=self._fetcher, level_cap=level)
-        self._bytes_reused += self._fetcher.hit_raw_bytes - hit_raw0
+        self._bytes_reused += result.stats["cache_hit_raw_bytes"]
         self._coalesced_reads += result.stats["coalesced_reads"]
         result.stats["refine_steps"] = self._refine_steps
         result.stats["bytes_reused"] = self._bytes_reused

@@ -36,9 +36,11 @@ order.  Everything that is *charged* happens here:
 A :class:`StagedQuery` is what is left: the row columns, the decoded
 blocks its ranks hold, and every simulated second and counter but the
 two that depend on the answer's size (``communication``,
-``n_results``).  Which query and which rank pays each block, every
-``PFSSession``, every fetcher counter and the LRU's touch/insert order
-are fixed before any value is gathered.
+``n_results``), all counted in one
+:class:`~repro.core.engine.scheduler.QueryCounters` record and the
+ranks' schedulers.  Which query and which rank pays each block, every
+``PFSSession`` and the LRU's touch/insert order are fixed before any
+value is gathered.
 
 **Assemble** — :meth:`QueryEngine.assemble`, once per *list* of staged
 queries (a ``query_many`` batch, a broker round; a single query is a
@@ -92,11 +94,9 @@ from repro.core.config import ExecutionConfig, fold_execution
 from repro.core.engine.scheduler import (
     IOScheduler,
     PendingRead,
+    QueryCounters,
     _BlockFetcher,
     _DecodeJob,
-    _FaultContext,
-    _HandleOpener,
-    _IOCounters,
     _job_lost,
 )
 from repro.core.errors import DegradedResultError
@@ -120,7 +120,7 @@ from repro.pfs.costmodel import (
     PFSCostModel,
 )
 from repro.pfs.layout import BinFileSet, aggregate_parallel_time
-from repro.pfs.simfs import PFSSession, SimulatedPFS
+from repro.pfs.simfs import SimulatedPFS
 from repro.plod.byteplanes import (
     GROUP_OFFSETS,
     GROUP_WIDTHS,
@@ -173,12 +173,11 @@ class _Rank:
     The rank's rows are ``rank_of_row == rank`` of its staged query;
     its ``(rank, bin)`` runs are ``runs`` of the query's run table, and
     a run's index inside that slice is the ``bin_seq`` of its blocks'
-    order keys.
+    order keys.  Its scheduler holds its PFS session, file handles and
+    raw-byte counts.
     """
 
     rank: int
-    session: PFSSession
-    raw: dict[str, int]
     sched: IOScheduler
     runs: slice
     #: Per subfile kind: global block id -> deferred decode.
@@ -415,11 +414,7 @@ class QueryEngine:
         """
         if fetcher is None:
             fetcher = self.new_fetcher()
-        hits0, misses0 = fetcher.hits, fetcher.misses
-        hit_raw0 = fetcher.hit_raw_bytes
-        dedup0, dedup_raw0 = fetcher.dedup_hits, fetcher.dedup_raw_bytes
-        fctx = _FaultContext()
-        counters = _IOCounters()
+        counters = QueryCounters()
         context = self.context
 
         blocks = plan.block_list()
@@ -457,18 +452,14 @@ class QueryEngine:
         distinct = index_block[block_starts].tolist()
         bins = run_bins.tolist()
         for rank in range(self.n_ranks):
-            session = self.fs.session()
             state = _Rank(
                 rank=rank,
-                session=session,
-                raw={"data": 0, "index": 0},
                 sched=IOScheduler(
-                    session,
+                    self.fs.session(),
                     fetcher,
-                    fctx,
+                    counters,
                     quarantine=self.quarantine,
                     execution=self.execution,
-                    counters=counters,
                 ),
                 runs=slice(run_bounds[rank], run_bounds[rank + 1]),
             )
@@ -483,12 +474,15 @@ class QueryEngine:
         for state in staged.ranks:
             state.sched.flush()
 
-        # Index losses resolved, value reads deferred; second wave.
-        if fctx.quarantined:
-            keep = self._surviving_index_rows(staged, index_block, fctx)
-            if keep is not None:
-                staged.keep_rows(keep)
-                run_of_row = run_of_row[keep]
+        # Index losses resolved, value reads deferred; second wave.  A
+        # lost index block loses the membership of every chunk it
+        # covered: those rows leave the answer entirely.
+        if counters.quarantined:
+            lost = staged.lost(_INDEX, index_block)
+            if lost.any():
+                self._lose_rows(staged, lost, index_block, _INDEX, counters)
+                staged.keep_rows(~lost)
+                run_of_row = run_of_row[~lost]
         config = self.meta.config
         if query.wants_values or position_filter is not None:
             staged.need = np.ones(staged.cpos.size, dtype=bool)
@@ -538,18 +532,17 @@ class QueryEngine:
         # to compute an *honest* achieved bound for tol queries.
         degraded_levels: dict[int, int] = {}
         fatal = None
-        if fctx.quarantined:  # a lost block always registers here first
+        if counters.quarantined:  # a lost block always registers here first
             staged.quarantined = True
             fatal = self._classify_values(
-                staged, data_block, wanted, fctx, degraded_levels
+                staged, data_block, wanted, counters, degraded_levels
             )
 
         # Stage 3 (Decode): the only concurrent part (threads or
         # processes backend).
-        pool_failures0 = fetcher.pool_failures
-        blocks_decoded = self._run_decodes(fetcher)
+        blocks_decoded = self._run_decodes(fetcher, counters)
 
-        sessions = [state.session for state in staged.ranks]
+        sessions = [state.sched.session for state in staged.ranks]
         cost_model = self.fs.cost_model
         # What a rank filters and gathers, counted before any filter:
         # 8 B per candidate position plus 8 B per assembled candidate
@@ -562,8 +555,8 @@ class QueryEngine:
                 modeled_decompression(
                     self._codec,
                     cost_model.byte_scale,
-                    state.raw["data"],
-                    state.raw["index"],
+                    state.sched.raw["data"],
+                    state.sched.raw["index"],
                 )
                 for state in staged.ranks
             ),
@@ -574,24 +567,24 @@ class QueryEngine:
         staged.stats = {
             "blocks_planned": len(blocks),
             "blocks_decoded": blocks_decoded,
-            "decode_pool_failures": fetcher.pool_failures - pool_failures0,
-            "cache_hits": fetcher.hits - hits0,
-            "cache_misses": fetcher.misses - misses0,
-            "cache_hit_raw_bytes": fetcher.hit_raw_bytes - hit_raw0,
-            "dedup_blocks": fetcher.dedup_hits - dedup0,
-            "dedup_raw_bytes": fetcher.dedup_raw_bytes - dedup_raw0,
+            "decode_pool_failures": counters.decode_pool_failures,
+            "cache_hits": counters.cache_hits,
+            "cache_misses": counters.cache_misses,
+            "cache_hit_raw_bytes": counters.cache_hit_raw_bytes,
+            "dedup_blocks": counters.dedup_blocks,
+            "dedup_raw_bytes": counters.dedup_raw_bytes,
             "bytes_read": int(sum(s.stats.bytes_read for s in sessions)),
             "files_opened": int(sum(s.stats.opens for s in sessions)),
             "seeks": int(sum(s.stats.seeks for s in sessions)),
             "vectored_reads": int(sum(s.stats.vectored_reads for s in sessions)),
             "coalesced_reads": counters.coalesced_reads,
             "stall_seconds": float(sum(s.stats.stall_seconds for s in sessions)),
-            "crc_failures": fctx.crc_failures,
-            "io_retries": fctx.io_retries,
+            "crc_failures": counters.crc_failures,
+            "io_retries": counters.io_retries,
             "degraded_points": 0,
-            "dropped_points": fctx.dropped_points,
-            "quarantined_blocks": len(fctx.quarantined),
-            "partial_chunks": sorted(fctx.partial_chunks),
+            "dropped_points": counters.dropped_points,
+            "quarantined_blocks": len(counters.quarantined),
+            "partial_chunks": sorted(counters.partial_chunks),
             "degraded_chunk_levels": degraded_levels,
             "n_results": 0,
         }
@@ -602,7 +595,7 @@ class QueryEngine:
         return staged
 
     # ------------------------------------------------------------------
-    def _run_decodes(self, fetcher: _BlockFetcher) -> int:
+    def _run_decodes(self, fetcher: _BlockFetcher, counters: QueryCounters) -> int:
         """Run the decode stage on the configured backend.
 
         Returns the number of blocks decoded.  A pool is only engaged
@@ -616,10 +609,10 @@ class QueryEngine:
             width = self.execution.workers or os.cpu_count() or 1
             if backend == "threads" and width > 1:
                 with ThreadPoolExecutor(max_workers=min(width, n_pending)) as pool:
-                    return fetcher.run(pool)
+                    return fetcher.run(pool, counters)
             if backend == "processes" and width > 1:
-                return fetcher.run(get_pool(width))
-        return fetcher.run(None)
+                return fetcher.run(get_pool(width), counters)
+        return fetcher.run(None, counters)
 
     # ------------------------------------------------------------------
     def _blocks_of(self, kind: int) -> tuple[list[tuple], list[str], list[tuple]]:
@@ -653,16 +646,16 @@ class QueryEngine:
         """
         reads, paths, keys = self._blocks_of(kind)
         raw_kind = "index" if kind == _INDEX else "data"
-        openers: dict[int, _HandleOpener] = {}
+        sched = state.sched
         if not fetcher.caching:
             # Without caching every planned block is read, and the rank
             # opens each subfile it touches up front even if none of
             # its blocks ends up requested.
             for bin_id in bin_seq:
-                openers[bin_id] = _HandleOpener(state.session, paths[bin_id], eager=True)
+                sched.handle(paths[bin_id])
         # Blocks another requester already holds are claimed in bulk.
         held = fetcher.claim_held(
-            [keys[b] for b in block_ids], [reads[b][6] for b in block_ids]
+            [keys[b] for b in block_ids], [reads[b][6] for b in block_ids], sched.counters
         )
         for i, job in enumerate(held):
             if job is not None:
@@ -673,26 +666,19 @@ class QueryEngine:
             ]
             key = keys[block_id]
             order_key = (state.rank, bin_seq[bin_id], kind, row_idx)
-            job, hit = fetcher.request_deferred(key, raw_bytes, order_key)
+            job, hit = fetcher.request_deferred(key, raw_bytes, order_key, sched.counters)
             if not hit:
-                opener = openers.get(bin_id)
-                if opener is None:
-                    opener = openers[bin_id] = _HandleOpener(
-                        state.session, paths[bin_id], eager=False
-                    )
                 decode, spec = self._block_decoder(kind, bin_id, first, end, raw_bytes)
-                state.sched.submit(
+                sched.submit(
                     PendingRead(
                         path=paths[bin_id],
                         offset=offset,
                         length=length,
                         crc=crc,
-                        opener=opener,
                         job=job,
                         decode=decode,
                         raw_bytes=raw_bytes,
                         raw_kind=raw_kind,
-                        raw=state.raw,
                         key=key if fetcher.caching else None,
                         order_key=order_key,
                         spec=spec,
@@ -726,24 +712,31 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    def _surviving_index_rows(
-        self, staged: StagedQuery, index_block: np.ndarray, fctx: _FaultContext
-    ) -> np.ndarray | None:
-        """A lost index block loses the membership of every chunk it
-        covered: those rows leave the answer entirely.  Returns the
-        rows to keep, or ``None`` when no row is lost."""
-        lost = staged.lost(_INDEX, index_block)
-        if not lost.any():
-            return None
+    def _lose_rows(
+        self,
+        staged: StagedQuery,
+        lost: np.ndarray,
+        block: np.ndarray,
+        kind: int,
+        counters: QueryCounters,
+    ) -> None:
+        """Rows ``lost`` (blocks ``block`` of one subfile kind) leave the
+        answer: strict mode raises the structured error for the first
+        bin, in rank order, that lost points; ``allow_partial`` records
+        their chunks and points instead."""
         chunk_ids = self.curve.chunks_at(staged.cpos)
         if not self.execution.allow_partial:
-            # Report the first bin (in rank order) that lost a block.
+            reads, paths, _ = self._blocks_of(kind)
             row = int(np.argmax(lost))
             bin_id, rank = int(staged.bin_ids[row]), staged.rank_of_row[row]
+            if kind == _INDEX:
+                error_kind = "index"
+            else:
+                error_kind = "data-base" if self.meta.config.plod_enabled else "data"
             raise DegradedResultError(
-                kind="index",
-                path=self.files.index_path(bin_id),
-                offset=self.context.index_reads[index_block[row]][4],
+                kind=error_kind,
+                path=paths[bin_id],
+                offset=reads[block[row]][4],
                 bin_id=bin_id,
                 chunk_ids=tuple(
                     chunk_ids[
@@ -751,16 +744,15 @@ class QueryEngine:
                     ].tolist()
                 ),
             )
-        fctx.partial_chunks.update(chunk_ids[lost].tolist())
-        fctx.dropped_points += int(staged.counts[lost].sum())
-        return ~lost
+        counters.partial_chunks.update(chunk_ids[lost].tolist())
+        counters.dropped_points += int(staged.counts[lost].sum())
 
     def _classify_values(
         self,
         staged: StagedQuery,
         data_block: np.ndarray,
         wanted: np.ndarray,
-        fctx: _FaultContext,
+        counters: QueryCounters,
         degraded_levels: dict[int, int],
     ) -> np.ndarray | None:
         """Map quarantined data blocks onto the degradation policy.
@@ -786,29 +778,10 @@ class QueryEngine:
             for c, lvl in zip(staged.cpos[dropped].tolist(), effective[dropped].tolist()):
                 degraded_levels[c] = min(degraded_levels.get(c, lvl), lvl)
         fatal = lost[0]
-        if fatal.any():
-            chunk_ids = self.curve.chunks_at(staged.cpos)
-            if not self.execution.allow_partial:
-                # Report the first bin (in rank order) that lost points.
-                row = int(np.argmax(fatal))
-                bin_id, rank = int(staged.bin_ids[row]), staged.rank_of_row[row]
-                raise DegradedResultError(
-                    kind="data-base" if self.meta.config.plod_enabled else "data",
-                    path=self.files.data_path(bin_id),
-                    offset=self.context.data_reads[data_block[0, row]][4],
-                    bin_id=bin_id,
-                    chunk_ids=tuple(
-                        chunk_ids[
-                            fatal
-                            & (staged.bin_ids == bin_id)
-                            & (staged.rank_of_row == rank)
-                        ].tolist()
-                    ),
-                )
-            fctx.partial_chunks.update(chunk_ids[fatal].tolist())
-            fctx.dropped_points += int(staged.counts[fatal].sum())
-            return fatal
-        return None
+        if not fatal.any():
+            return None
+        self._lose_rows(staged, fatal, data_block[0], _DATA, counters)
+        return fatal
 
     # ------------------------------------------------------------------
     # Assemble

@@ -119,9 +119,8 @@ COUNTERS: tuple[Counter, ...] = (
     Counter("degraded_chunk_levels", "dict_min", "engine"),
 )
 
-#: The fault-accounting engine rows the CLI prints and the
-#: fault-tolerance experiment sweeps (a reporting selection, not a
-#: fold family).
+#: The fault-accounting engine rows the CLI prints (a reporting
+#: selection, not a fold family).
 FAULT_STAT_KEYS: tuple[str, ...] = (
     "crc_failures",
     "io_retries",
@@ -254,7 +253,9 @@ class QueryResult:
 
 @dataclass
 class BatchResult:
-    """The answer to one :meth:`~repro.core.store.MLOCStore.query_many`.
+    """The answer to many queries: a
+    :meth:`~repro.core.store.MLOCStore.query_many` batch or a replayed
+    trace (:func:`repro.harness.trace.replay_trace`).
 
     Attributes
     ----------
@@ -273,6 +274,17 @@ class BatchResult:
     results: list[QueryResult]
     times: ComponentTimes
     stats: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, results: list[QueryResult], **stats) -> "BatchResult":
+        """The one summary of many results: times summed in order,
+        stats folded by :func:`aggregate_stats` plus ``n_queries``, then
+        the caller's non-additive ``stats`` (registry state, cache)."""
+        times = ComponentTimes()
+        for result in results:
+            times = times + result.times
+        folded = aggregate_stats(r.stats for r in results)
+        return cls(results, times, {**folded, "n_queries": len(results), **stats})
 
     def __len__(self) -> int:
         return len(self.results)

@@ -649,15 +649,10 @@ class MLOCStore:
         results = assemble(
             [self.stage(q, fetcher=fetcher, planned=p) for q, p in zip(queries, planned)]
         )
-        times = ComponentTimes()
-        for r in results:
-            times = times + r.times
-        stats = aggregate_stats(r.stats for r in results)
-        stats["n_queries"] = len(results)
-        stats["quarantined_blocks"] = len(self.quarantined_blocks)
+        batch = BatchResult.of(results, quarantined_blocks=len(self.quarantined_blocks))
         if self.cache is not None:
-            stats["cache"] = self.cache.stats.as_dict()
-        return BatchResult(results=results, times=times, stats=stats)
+            batch.stats["cache"] = self.cache.stats.as_dict()
+        return batch
 
     def open_session(self, query: Query) -> RefinementSession:
         """Open a progressive refinement session on ``query``.

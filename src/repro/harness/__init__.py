@@ -1,28 +1,37 @@
 """Experiment harness: dataset scales, workloads, system suites, and
 paper-reference tables for the per-table/figure benchmarks."""
 
+from repro.harness.advisor import (
+    AdvisorReport,
+    QueryClass,
+    WorkloadProfile,
+    recommend_level_order,
+)
 from repro.harness.scales import SCALE_TIERS, DatasetSpec, get_spec, scale_tier
 from repro.harness.systems import ALL_SYSTEMS, MLOC_SYSTEMS, SystemSuite, get_suite
 from repro.harness.asciiplot import bar_chart, stacked_bars
 from repro.harness.tables import PAPER, format_rows, record_result, results_dir
-from repro.harness.trace import QueryTrace, ReplayReport, TracingStore, replay_trace
+from repro.harness.trace import QueryTrace, TracingStore, replay_trace
 from repro.harness.workloads import WorkloadGenerator
 
 __all__ = [
     "ALL_SYSTEMS",
+    "AdvisorReport",
     "DatasetSpec",
     "MLOC_SYSTEMS",
     "PAPER",
+    "QueryClass",
     "QueryTrace",
-    "ReplayReport",
     "SCALE_TIERS",
     "SystemSuite",
     "TracingStore",
     "WorkloadGenerator",
+    "WorkloadProfile",
     "bar_chart",
     "format_rows",
     "get_spec",
     "get_suite",
+    "recommend_level_order",
     "record_result",
     "replay_trace",
     "results_dir",

@@ -13,10 +13,10 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.core import ComponentTimes, MLOCWriter, Query
+from repro.core import BatchResult, ComponentTimes, MLOCWriter, Query
 from repro.harness.systems import ALL_SYSTEMS, SystemSuite
 from repro.harness.tables import PAPER
-from repro.harness.trace import QueryTrace, ReplayReport, replay_trace
+from repro.harness.trace import QueryTrace, replay_trace
 from repro.pfs import SimulatedPFS
 
 __all__ = [
@@ -134,9 +134,9 @@ def fig6_rows(suite: SystemSuite, n_queries: int) -> dict[str, list]:
     return rows
 
 
-def _mean_cells(report: ReplayReport) -> list:
+def _mean_cells(report: BatchResult) -> list:
     """Per-query mean ``[io, decompression, reconstruction, total]``."""
-    total, k = report.total, len(report.results)
+    total, k = report.times, len(report)
     return [
         round(total.io / k, 2),
         round(total.decompression / k, 2),
@@ -359,23 +359,20 @@ def fault_tolerance_rows(
         store = MLOCStore.open(
             ffs, root, "field", n_ranks=suite.n_ranks, allow_partial=True
         )
-        total = ComponentTimes()
-        counters = {k: 0 for k in ("crc_failures", "io_retries", "degraded_points", "dropped_points")}
+        results = []
         for region in regions:
             ffs.clear_cache()
             ffs.reset_attempts()  # same fault draws for every rate
-            result = store.query(Query(region=region, output="values"))
-            total = total + result.times
-            for key in counters:
-                counters[key] += int(result.stats[key])
-        k = len(regions)
+            results.append(store.query(Query(region=region, output="values")))
+        batch = BatchResult.of(results, quarantined_blocks=len(store.quarantined_blocks))
+        stats = batch.stats
         rows[f"rate {rate:g}"] = [
-            round((total.io + total.decompression) / k, 3),
-            counters["crc_failures"],
-            counters["io_retries"],
-            len(store.quarantined_blocks),
-            counters["degraded_points"],
-            counters["dropped_points"],
+            round((batch.times.io + batch.times.decompression) / len(batch), 3),
+            stats["crc_failures"],
+            stats["io_retries"],
+            stats["quarantined_blocks"],
+            stats["degraded_points"],
+            stats["dropped_points"],
         ]
     return rows
 
@@ -424,7 +421,7 @@ def coalescing_rows(
             sum(int(r.stats[key]) for r in report.results)
             for key in ("seeks", "bytes_read", "coalesced_reads")
         )
-        times = report.total
+        times = report.times
         rows[label] = [seeks, bytes_read, round(times.io + times.decompression, 4)]
         outputs[label] = report.results
         counters[label] = {"seeks": seeks, "coalesced": coalesced}

@@ -138,31 +138,14 @@ class SystemSuite:
     def value_query_batch(
         self, system: str, regions, plod_level: int = 7
     ) -> BatchResult:
-        """A batch of spatial value retrievals run as one pipeline.
-
-        MLOC systems go through :meth:`MLOCStore.query_many` (one cache
-        clear at batch start, shared block fetcher — a block covered by
-        several queries of the batch is decoded once).  Baselines have
-        no batch path; their queries run back to back on a warm file
-        cache, the closest equivalent service discipline.
-        """
+        """A batch of spatial value retrievals on an MLOC system, run as
+        one :meth:`MLOCStore.query_many` pipeline: one cache clear at
+        batch start, shared block fetcher — a block covered by several
+        queries of the batch is decoded once."""
         store = self.store(system)
         self.fs.clear_cache()
-        if system in MLOC_SYSTEMS:
-            return store.query_many(
-                [
-                    Query(region=tuple(r), output="values", plod_level=plod_level)
-                    for r in regions
-                ]
-            )
-        results = [store.value_query(tuple(r)) for r in regions]
-        times = ComponentTimes()
-        for r in results:
-            times = times + r.times
-        return BatchResult(
-            results=results,
-            times=times,
-            stats={"n_queries": len(results)},
+        return store.query_many(
+            [Query(region=tuple(r), output="values", plod_level=plod_level) for r in regions]
         )
 
     def storage_bytes(self, system: str) -> dict[str, int]:

@@ -20,14 +20,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.query import Query
-from repro.core.result import FAULT_STAT_KEYS, ComponentTimes, QueryResult
+from repro.core.result import BatchResult, QueryResult
 from repro.core.store import MLOCStore
 
 __all__ = [
-    "FAULT_STAT_KEYS",
     "QueryTrace",
     "TracingStore",
-    "ReplayReport",
     "replay_trace",
 ]
 
@@ -91,60 +89,22 @@ class TracingStore:
         return getattr(self.store, name)
 
 
-# FAULT_STAT_KEYS is re-exported from repro.core.result — the canonical
-# counter registry — so replay aggregation can never drift from the
-# executor's emitted stats.
-
-
-@dataclass
-class ReplayReport:
-    """Outcome of replaying a trace against one store."""
-
-    results: list[QueryResult]
-    fault_stats: dict = field(default_factory=dict)
-
-    @property
-    def per_query(self) -> list[ComponentTimes]:
-        return [result.times for result in self.results]
-
-    @property
-    def n_results(self) -> list[int]:
-        return [result.n_results for result in self.results]
-
-    @property
-    def total(self) -> ComponentTimes:
-        out = ComponentTimes()
-        for times in self.per_query:
-            out = out + times
-        return out
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total.total / len(self.per_query) if self.per_query else 0.0
-
-
 def replay_trace(
     store: MLOCStore,
     trace: QueryTrace,
     *,
     cold_cache: bool = True,
-) -> ReplayReport:
-    """Run every traced query against ``store``; gather the timings.
+) -> BatchResult:
+    """Run every traced query against ``store``, one at a time, and
+    summarize them as a :class:`~repro.core.result.BatchResult`: times
+    summed, stats folded, plus the store's ``quarantined_blocks``.
 
     ``cold_cache`` clears the PFS cache before each query (the paper's
     methodology); pass ``False`` to measure a warm iterative session.
     """
     results: list[QueryResult] = []
-    fault_stats: dict = {key: 0 for key in FAULT_STAT_KEYS}
-    partial: set[int] = set()
     for query in trace.queries:
         if cold_cache:
             store.fs.clear_cache()
-        result = store.query(query)
-        results.append(result)
-        for key in FAULT_STAT_KEYS:
-            fault_stats[key] += int(result.stats.get(key, 0))
-        partial.update(result.stats.get("partial_chunks", ()))
-    fault_stats["partial_chunks"] = sorted(partial)
-    fault_stats["quarantined_blocks"] = len(store.quarantined_blocks)
-    return ReplayReport(results=results, fault_stats=fault_stats)
+        results.append(store.query(query))
+    return BatchResult.of(results, quarantined_blocks=len(store.quarantined_blocks))

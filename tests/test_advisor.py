@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.advisor import (
+from repro.harness import (
     AdvisorReport,
     QueryClass,
     WorkloadProfile,

@@ -106,3 +106,18 @@ class TestCommunicationSavings:
 
     def test_ops_list(self):
         assert set(AGGREGATE_OPS) == {"count", "sum", "mean", "min", "max", "histogram"}
+
+
+@pytest.mark.parametrize("output", ["values", "positions"])
+def test_forcing_values_keeps_the_tol(col_store, output):
+    """Only ``output`` is forced: an error-bounded query reads what its
+    bound needs and reports its tol rows, whatever output it named."""
+    fs, store = col_store
+    region = ((0, 128), (0, 128))
+    fs.clear_cache()
+    want = store.query(Query(region=region, output="values", tol=1e-2))
+    fs.clear_cache()
+    got = aggregate_query(store, Query(region=region, output=output, tol=1e-2), "mean")
+    assert got.stats["tol_target"] == 1e-2
+    assert got.stats["bytes_read"] == want.stats["bytes_read"]
+    assert got.value == pytest.approx(float(want.values.mean()))

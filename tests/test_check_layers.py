@@ -1,6 +1,6 @@
-"""``scripts/check_layers.py`` rules 8 (the batch is the unit), 9
-(deleted second paths stay deleted) and 10 (nothing ambient switches a
-handle)."""
+"""``scripts/check_layers.py`` rules 3 (serving and the harness sit
+above core), 8 (the batch is the unit), 9 (deleted second paths stay
+deleted) and 10 (nothing ambient switches a handle)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from scripts.check_layers import (
     batch_loop_violations,
     deleted_name_violations,
     environ_violations,
+    upper_layer_violations,
 )
 
 PER_REQUEST = """
@@ -139,3 +140,46 @@ def test_a_reintroduced_ambient_switch_is_a_violation():
 
 def test_a_handle_switched_where_it_is_opened_is_clean():
     assert environ_violations(ast.parse(STAGED), "broker.py") == []
+
+
+UPWARD = """
+from repro.core.store import MLOCStore
+
+def recommend_level_order(data, profile, base_config):
+    from repro.harness.workloads import WorkloadGenerator
+    import repro.server.broker
+    return WorkloadGenerator.for_data(data, seed=0)
+"""
+
+
+def test_a_function_level_import_of_the_harness_from_core_is_a_violation():
+    found = upper_layer_violations(ast.parse(UPWARD), "src/repro/core/advisor.py")
+    assert [v.split(":")[1] for v in found] == ["5", "6"]
+    assert "repro.harness.workloads sits above repro.core" in found[0]
+
+
+def test_the_harness_bench_and_cli_may_import_the_harness():
+    for where in ("src/repro/harness/advisor.py", "src/repro/bench.py"):
+        found = upper_layer_violations(ast.parse(UPWARD), where)
+        assert [v.split(": ")[1].split(" ")[0] for v in found] == ["repro.server.broker"]
+    assert upper_layer_violations(ast.parse(UPWARD), "src/repro/cli.py") == []
+
+
+SECOND_COUNTERS = """
+from dataclasses import dataclass
+from repro.core.engine.scheduler import QueryCounters, _HandleOpener
+
+@dataclass
+class _FaultContext:
+    crc_failures: int = 0
+
+class _IOCounters:
+    coalesced_reads = 0
+"""
+
+
+def test_a_reintroduced_counter_holder_is_a_violation():
+    found = deleted_name_violations(ast.parse(SECOND_COUNTERS), "x.py")
+    named = [v.split(": ")[1].split(" ")[0] for v in found]
+    assert named == ["_HandleOpener", "_FaultContext", "_IOCounters"]
+    assert found[0].startswith("x.py:3:")

@@ -211,3 +211,19 @@ def test_step_counters_fold_to_the_session_total():
     steps = [step.stats for step in session.results]
     assert session.coalesced_reads > 0
     assert aggregate_stats(steps)["coalesced_reads"] == session.coalesced_reads
+
+
+@pytest.mark.parametrize("n_shards", [1, 3], ids=["flat", "3-shards"])
+def test_bytes_reused_is_the_steps_cache_hit_bytes(n_shards):
+    """What a session reused is read off its steps: the sum of each
+    step's own ``cache_hit_raw_bytes``, whatever the shard count."""
+    config = mloc_col(chunk_shape=(16, 16), n_bins=8, target_block_bytes=2 * 1024)
+    fs, _ = _build(config)
+    store = MLOCStore.open(fs, "/store", "field", n_ranks=2, n_shards=n_shards)
+    with store.open_session(Query(region=((0, 64), (0, 64)), plod_level=1)) as session:
+        for level in (3, 7):
+            session.refine(level)
+    steps = [step.stats["cache_hit_raw_bytes"] for step in session.results]
+    assert len(steps) == 3 and session.bytes_reused > 0
+    assert session.bytes_reused == sum(steps)
+    assert session.result.stats["bytes_reused"] == sum(steps)

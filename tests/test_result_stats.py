@@ -87,12 +87,6 @@ def test_registry_shape():
         assert key not in names
 
 
-def test_trace_fault_keys_are_the_registry():
-    from repro.harness.trace import FAULT_STAT_KEYS as TRACE_KEYS
-
-    assert TRACE_KEYS is FAULT_STAT_KEYS
-
-
 def test_query_many_aggregates_every_summed_key(col_store):
     """The batch aggregate carries the full table.
 

@@ -6,9 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
+from repro.core import BatchResult, MLOCStore, MLOCWriter, Query, mloc_col
+from repro.core.result import aggregate_stats
 from repro.datasets import gts_like
-from repro.harness.trace import QueryTrace, ReplayReport, TracingStore, replay_trace
+from repro.harness.trace import QueryTrace, TracingStore, replay_trace
 from repro.pfs import SimulatedPFS
 
 
@@ -105,19 +106,26 @@ class TestReplay:
             ]
         )
         report = replay_trace(store, trace)
-        assert isinstance(report, ReplayReport)
-        assert len(report.per_query) == 2
-        assert report.n_results[0] == int(((flat >= lo) & (flat <= hi)).sum())
-        assert report.n_results[1] == 32 * 64
-        assert report.total.total > 0
-        assert report.mean_seconds > 0
+        assert isinstance(report, BatchResult)
+        assert [r.n_results for r in report] == [
+            int(((flat >= lo) & (flat <= hi)).sum()),
+            32 * 64,
+        ]
+        assert report.times.total > 0
+        # One summary of many: the registry fold, the query count, and
+        # the store's quarantine registry.
+        assert report.stats == {
+            **aggregate_stats(r.stats for r in report),
+            "n_queries": 2,
+            "quarantined_blocks": 0,
+        }
 
     def test_warm_replay_cheaper(self, traced_setup):
         fs, data, store = traced_setup
         trace = QueryTrace([Query(region=((0, 64), (0, 64)))] * 3)
         cold = replay_trace(store, trace, cold_cache=True)
         warm = replay_trace(store, trace, cold_cache=False)
-        assert warm.total.io < cold.total.io
+        assert warm.times.io < cold.times.io
 
     def test_cross_layout_replay(self, traced_setup, tmp_path):
         """A trace captured against one order replays against another
@@ -133,9 +141,10 @@ class TestReplay:
         trace = QueryTrace([Query(value_range=(lo, hi), output="positions")])
         a = replay_trace(store, trace)
         b = replay_trace(other, trace)
-        assert a.n_results == b.n_results
+        assert [r.n_results for r in a] == [r.n_results for r in b]
 
     def test_empty_trace(self, traced_setup):
         fs, data, store = traced_setup
         report = replay_trace(store, QueryTrace())
-        assert report.mean_seconds == 0.0
+        assert len(report) == 0 and report.times.total == 0.0
+        assert report.stats["n_queries"] == 0
