@@ -43,11 +43,10 @@ executed):
    ``time``.
 7. **Counters have owners.**  Every row of the counter table
    (``repro.core.result.COUNTERS``) names the one layer that emits it
-   (DESIGN.md §8).  The engine sits below the serving layers, so no
-   ``broker``- or ``ingest``-owned counter name may appear as a string
-   literal under ``src/repro/core/engine/`` — it is what keeps a block
-   of always-zero serving counters from growing back into
-   the engine.
+   (DESIGN.md §8).  The engine sits below the serving layer, so no
+   broker-owned counter name may appear as a string literal under
+   ``src/repro/core/engine/`` — it is what keeps a block of
+   always-zero serving counters from growing back into the engine.
 8. **The batch is the unit.**  A ``query_many`` batch and a broker
    round are staged request by request and assembled *once*
    (DESIGN.md §7): inside any ``for`` / ``while`` / comprehension under
@@ -64,8 +63,9 @@ executed):
    snapshot door beside ``DatasetSnapshot.store``, the invalidation
    paths only a rewrite-in-place needed, the scheduler readahead
    nobody set, the second store class beside ``MLOCStore`` (a
-   flat store is a one-shard store) and the per-query counter holders
-   beside ``QueryCounters``.
+   flat store is a one-shard store), the per-query counter holders
+   beside ``QueryCounters`` and the dataset front-end beside the one
+   broker core.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -138,7 +138,9 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: sealed members are immutable, so nothing is invalidated; the
 #: scheduler coalesces and does not prefetch; shards are a topology
 #: keyword of the one store class; a staged query counts into one
-#: ``QueryCounters`` and its rank schedulers own their file handles.
+#: ``QueryCounters`` and its rank schedulers own their file handles; a
+#: dataset is served by one ``BrokerCore`` whose requests name a pinned
+#: snapshot's member handles.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -161,6 +163,8 @@ DELETED_NAMES = frozenset(
         "_FaultContext",
         "_IOCounters",
         "_HandleOpener",
+        "IngestBroker",
+        "NotYetSealed",
     }
 )
 
@@ -169,7 +173,7 @@ DELETED_NAMES = frozenset(
 SIM_CLOCK_PACKAGES = ("core", "baselines", "server", "pfs", "index", "plod", "parallel")
 
 #: Counter owners above the engine; their rows may not be named in it.
-SERVING_OWNERS = ("broker", "ingest")
+SERVING_OWNERS = ("broker",)
 
 #: Calls that run a request to completion (rule 8): never in a loop of
 #: the serving layer or of ``query_many``.
@@ -378,7 +382,7 @@ def check() -> list[str]:
     serving = _serving_counter_names()
     if not serving:
         violations.append(
-            "src/repro/core/result.py: found no broker/ingest rows in COUNTERS "
+            "src/repro/core/result.py: found no broker rows in COUNTERS "
             "(rule 7 reads them as Counter(name, fold, owner) literals)"
         )
     for path in sorted((SRC / "repro" / "core" / "engine").glob("*.py")):

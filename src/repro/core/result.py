@@ -46,9 +46,8 @@ class Counter(NamedTuple):
     fold: str
     #: The one layer that stamps real values into it: ``"engine"``
     #: (``QueryEngine.stage`` / ``assemble``), ``"plan"`` (``MLOCStore.plan``),
-    #: ``"tol"`` (``MLOCStore.stage``),
-    #: ``"broker"`` (``repro.server.broker``, per tenant) or
-    #: ``"ingest"`` (``repro.server.ingest``).  A layer emits only the
+    #: ``"tol"`` (``MLOCStore.stage``) or
+    #: ``"broker"`` (``repro.server.broker``, per tenant).  A layer emits only the
     #: rows it owns; rows of a layer a request never passed through
     #: are absent from its stats and fold as zero.
     owner: str
@@ -103,12 +102,6 @@ COUNTERS: tuple[Counter, ...] = (
     # Error-bounded retrieval (query tol=...): raw bytes the per-chunk
     # level selection avoided reading vs the full-precision plan.
     Counter("tol_bytes_saved", "sum", "tol"),
-    # Ingest-aware serving: manifest generations a broker pinned,
-    # re-pins it performed, and simulated seconds queries stalled
-    # waiting for a timestep still being appended.
-    Counter("generations_seen", "sum", "ingest"),
-    Counter("snapshot_refreshes", "sum", "ingest"),
-    Counter("ingest_stall_seconds", "fsum", "ingest"),
     Counter("partial_chunks", "union", "engine"),
     Counter("achieved_bound", "max", "tol"),
     Counter("tol_target", "max", "tol"),

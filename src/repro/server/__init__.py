@@ -18,11 +18,9 @@ from repro.server.broker import (
 from repro.server.fetchmerge import FetchMergeLoop
 from repro.server.ingest import (
     AppendRecord,
-    IngestBroker,
     IngestQueryEvent,
     IngestReplayReport,
     IngestSession,
-    NotYetSealed,
     TimestepArrival,
     replay_ingest,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "TenantQuota",
     "FetchMergeLoop",
     "AppendRecord",
-    "IngestBroker",
     "IngestQueryEvent",
     "IngestReplayReport",
     "IngestSession",
-    "NotYetSealed",
     "TimestepArrival",
     "replay_ingest",
     "ReplayEvent",

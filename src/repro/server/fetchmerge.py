@@ -43,9 +43,7 @@ __all__ = ["FetchMergeLoop"]
 class FetchMergeLoop:
     """The shared fetchers of one broker, alive across scheduling rounds."""
 
-    def __init__(self, store=None) -> None:
-        #: The store :meth:`execute` stages on unless told otherwise.
-        self.store = store
+    def __init__(self) -> None:
         #: One shared fetcher per store with retained decodes.
         self._fetchers: dict = {}
         #: Completed scheduling rounds.
@@ -63,7 +61,7 @@ class FetchMergeLoop:
         query: Query,
         planned,
         *,
-        store=None,
+        store,
     ) -> tuple[StagedRequest, list[tuple]]:
         """Stage one admitted query through its store's shared fetcher.
 
@@ -71,8 +69,6 @@ class FetchMergeLoop:
         of persistent-cache keys this request inserted — the
         attribution record for the submitting tenant's cache quota.
         """
-        if store is None:
-            store = self.store
         fetcher = self._fetchers.get(store)
         if fetcher is None:
             fetcher = self._fetchers[store] = store.new_fetcher(shared=True)

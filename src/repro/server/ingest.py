@@ -13,27 +13,24 @@ serving layer on the simulated clock:
     drain time of the member's *stored* bytes, so seal times — and
     therefore which generation is visible at any simulated instant —
     are a pure function of the schedule.
-``IngestBroker``
-    A snapshot-pinned front-end: one
-    :class:`~repro.server.broker.BrokerCore` (admission, DRR, quotas,
-    shared fetch-merge — all dataset-wide) that only ever admits
-    queries against the broker's *pinned* generation.  ``refresh()``
-    re-pins; a member sealed by a later generation does not exist until
-    then (:class:`NotYetSealed`).  Because sealed members are immutable
-    no open handle, planning table, or cached block is ever invalidated
-    by an append.
 ``replay_ingest``
-    The sim-clock driver joining both timelines: queries are served
-    against the newest generation *sealed by their arrival time*; a
-    query for a timestep still being appended stalls until its seal
-    (``ingest_stall_seconds``).  Appends never wait for queries and
-    queries never wait for appends of members they don't ask for —
-    the whole point of per-member sealing.
+    The sim-clock driver joining both timelines.  A dataset is served
+    by the one :class:`~repro.server.broker.BrokerCore` (admission,
+    DRR, quotas, shared fetch-merge — all dataset-wide) whose requests
+    name a member handle of a pinned
+    :class:`~repro.core.dataset.DatasetSnapshot`,
+    ``snapshot.store(variable, timestep)``: queries are served against
+    the newest generation *sealed by their arrival time*, the driver
+    re-pinning when it moves; a query for a timestep still being
+    appended stalls until its seal.  Appends never wait for queries
+    and queries never wait for appends of members they don't ask for —
+    the whole point of per-member sealing.  Because sealed members are
+    immutable no open handle, planning table, or cached block is ever
+    invalidated by an append or a re-pin.
 
-The lifecycle counters (``generations_seen``, ``snapshot_refreshes``,
-``ingest_stall_seconds``) are the ``ingest``-owned rows of the
-canonical counter table (:data:`repro.core.result.COUNTERS`): the
-broker counts them and stamps them on its totals.
+The replay counts its own re-pins (``snapshot_refreshes``) and stalls
+(``ingest_stall_seconds``) on its :class:`IngestReplayReport`; the
+broker's totals carry the per-query and per-tenant counters only.
 """
 
 from __future__ import annotations
@@ -42,28 +39,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.dataset import DatasetSnapshot, MLOCDataset
+from repro.core.dataset import MLOCDataset
 from repro.core.manifest import load_manifest_at, member_key
 from repro.core.query import Query
-from repro.core.result import counter_names
-from repro.core.store import MLOCStore
-from repro.server.broker import BrokerConfig, BrokerCore, BrokerRejected, TenantQuota
+from repro.server.broker import BrokerConfig, BrokerCore, TenantQuota
 from repro.server.replay import ReplayReport, serve_round
 
 __all__ = [
     "AppendRecord",
-    "IngestBroker",
     "IngestQueryEvent",
     "IngestReplayReport",
     "IngestSession",
-    "NotYetSealed",
     "TimestepArrival",
     "replay_ingest",
 ]
-
-
-class NotYetSealed(BrokerRejected):
-    """The requested member is not sealed in the pinned generation."""
 
 
 @dataclass(frozen=True)
@@ -213,102 +202,6 @@ class IngestSession:
         return [r for r in self.appended if r.sealed_at <= now]
 
 
-class IngestBroker:
-    """Snapshot-pinned multi-tenant serving during ingest.
-
-    One :class:`~repro.server.broker.BrokerCore` serves the whole
-    dataset — one admission / scheduling / quota state, over the
-    dataset's one decoded-block cache, however many members are
-    queried — and this class adds only what is ingest-specific: the
-    pinned :class:`DatasetSnapshot`, :meth:`refresh`, and resolving
-    ``(variable, timestep)`` to the pinned member's handle.  Admission
-    consults only the pinned generation: a query for a member the
-    snapshot does not contain raises :class:`NotYetSealed` even if a
-    newer generation on disk already has it — refreshing is an
-    explicit, observable event.  Sealed members are immutable, so an
-    opened handle (and every block cached for it) stays valid across
-    refreshes.
-    """
-
-    def __init__(
-        self,
-        dataset: MLOCDataset,
-        *,
-        config: BrokerConfig | None = None,
-        tenants: dict[str, TenantQuota] | None = None,
-    ) -> None:
-        self.dataset = dataset
-        self.core = BrokerCore(config=config, tenants=tenants)
-        #: The pinned generation; only :meth:`refresh` replaces it.
-        self.snapshot: DatasetSnapshot = dataset.snapshot()
-        #: The ingest-owned rows of the counter table.
-        self.lifecycle: dict[str, float] = {
-            "generations_seen": 1,
-            "snapshot_refreshes": 0,
-            "ingest_stall_seconds": 0.0,
-        }
-        self.not_yet_sealed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def generation(self) -> int:
-        return self.snapshot.generation
-
-    def refresh(self, generation: int | None = None) -> DatasetSnapshot:
-        """Re-pin to ``generation`` (default: newest committed)."""
-        snap = self.dataset.snapshot(generation)
-        self.lifecycle["snapshot_refreshes"] += 1
-        if snap.generation != self.snapshot.generation:
-            self.lifecycle["generations_seen"] += 1
-        self.snapshot = snap
-        return snap
-
-    # ------------------------------------------------------------------
-    def member(self, variable: str, timestep: int | None = None) -> MLOCStore:
-        """The dataset's shared handle on one member of the pinned
-        snapshot (its ``(key, meta_crc)`` registry: one per sealed
-        member, with the dataset's execution options and block cache)."""
-        key = member_key(variable, timestep)
-        if self.snapshot.manifest.member(key) is None:
-            self.not_yet_sealed += 1
-            raise NotYetSealed(
-                f"member {key!r} is not sealed in pinned generation "
-                f"{self.generation}"
-            )
-        return self.snapshot.store(variable, timestep)
-
-    def submit(
-        self,
-        tenant: str,
-        query: Query,
-        *,
-        variable: str,
-        timestep: int | None = None,
-    ):
-        """Admit one query against the pinned snapshot (or raise)."""
-        return self.core.submit(
-            tenant, query, store=self.member(variable, timestep)
-        )
-
-    def run_round(self) -> list:
-        return self.core.run_round()
-
-    def drain(self) -> int:
-        return self.core.drain()
-
-    def pending(self) -> int:
-        return self.core.pending()
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """The core's snapshot, with the ingest rows of the totals."""
-        out = self.core.stats()
-        out["totals"].update(self.lifecycle)
-        out["generation"] = self.generation
-        out["not_yet_sealed"] = self.not_yet_sealed
-        return out
-
-
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class IngestQueryEvent:
@@ -360,16 +253,21 @@ class IngestReplayReport(ReplayReport):
     first_queryable_seconds: float = 0.0
     appends: list = field(default_factory=list)
     ingest_throughput: float = 0.0
+    #: Re-pins to a newer sealed generation (the first pin excluded).
+    snapshot_refreshes: int = 0
+    #: Simulated seconds queries waited for a timestep still in flight.
+    ingest_stall_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        totals = self.broker.get("totals", {})
         row = super().as_dict()
         row.update(
             first_queryable_s=self.first_queryable_seconds,
             stalled_requests=sum(1 for s in self.samples if s[5] > 0),
             n_appends=len(self.appends),
             ingest_throughput_bps=self.ingest_throughput,
-            **{k: totals.get(k, 0) for k in counter_names(owner="ingest")},
+            ingest_stall_seconds=self.ingest_stall_seconds,
+            generations_seen=self.snapshot_refreshes + 1,
+            snapshot_refreshes=self.snapshot_refreshes,
         )
         return {k: row[k] for k in _INGEST_COLUMNS}
 
@@ -387,7 +285,7 @@ def replay_ingest(
     Queries are served in arrival order by one analysis front-end, one
     request in service at a time (through the same round loop as the
     open- and closed-loop replays, for as many rounds as the request's
-    cost takes to schedule).  At each query's service time the broker
+    cost takes to schedule).  At each query's service time the replay
     re-pins to the newest generation *sealed by then* — never a newer
     one, so each result is exactly what a fresh open pinned at that
     generation returns.  A query for a timestep whose append is still
@@ -396,7 +294,8 @@ def replay_ingest(
     timesteps the schedule never produces are dropped (counted, not
     served).
     """
-    broker = IngestBroker(session.dataset, config=config, tenants=tenants)
+    core = BrokerCore(config=config, tenants=tenants)
+    snapshot = session.dataset.snapshot()
     report = IngestReplayReport(mode="ingest")
     arrivals: dict[int, float] = {}
     clock = 0.0
@@ -431,19 +330,19 @@ def replay_ingest(
             stall = max(0.0, record.sealed_at - clock)
             timestep = record.timestep
         if stall:
-            broker.lifecycle["ingest_stall_seconds"] += stall
+            report.ingest_stall_seconds += stall
             clock += stall
             session.advance_to(clock)
         generation = session.generation_at(clock)
-        if generation != broker.generation:
-            broker.refresh(generation)
-        req = broker.submit(
-            event.tenant, event.query,
-            variable=event.variable, timestep=timestep,
+        if generation != snapshot.generation:
+            snapshot = session.dataset.snapshot(generation)
+            report.snapshot_refreshes += 1
+        req = core.submit(
+            event.tenant, event.query, store=snapshot.store(event.variable, timestep)
         )
         arrivals[req.ticket] = event.arrival
         while req.status == "queued":
-            clock = serve_round(broker.core, clock, report, arrivals)
+            clock = serve_round(core, clock, report, arrivals)
         report.samples[-1] += (generation, timestep, stall)
         if keep_results:
             report.results.append(req.result)
@@ -451,5 +350,5 @@ def replay_ingest(
     report.first_queryable_seconds = session.first_queryable_seconds or 0.0
     report.appends = list(session.appended)
     report.ingest_throughput = session.ingest_throughput()
-    report.broker = broker.stats()
+    report.broker = core.stats()
     return report

@@ -135,7 +135,6 @@ def serve_round(core: BrokerCore, clock: float, report: ReplayReport, arrivals) 
         if req.status != "done":
             continue
         clock += req.result.times.total
-        req.completed_at = clock
         report.samples.append((req.tenant, arrivals[req.ticket], clock))
     return clock
 

@@ -183,3 +183,22 @@ def test_a_reintroduced_counter_holder_is_a_violation():
     named = [v.split(": ")[1].split(" ")[0] for v in found]
     assert named == ["_HandleOpener", "_FaultContext", "_IOCounters"]
     assert found[0].startswith("x.py:3:")
+
+
+DATASET_FRONT_END = """
+from repro.server.broker import BrokerCore, BrokerRejected
+
+class NotYetSealed(BrokerRejected):
+    pass
+
+class IngestBroker:
+    def submit(self, tenant, query, *, variable, timestep=None):
+        return self.core.submit(tenant, query, store=self.snapshot.store(variable, timestep))
+"""
+
+
+def test_a_reintroduced_dataset_front_end_is_a_violation():
+    found = deleted_name_violations(ast.parse(DATASET_FRONT_END), "x.py")
+    named = [v.split(": ")[1].split(" ")[0] for v in found]
+    assert named == ["NotYetSealed", "IngestBroker"]
+    assert found[0].startswith("x.py:4:")

@@ -29,7 +29,6 @@ from repro.core import (
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.plod.bounds import TOL_METRICS
-from repro.server import IngestBroker
 
 FIELDS = [f.name for f in dataclasses.fields(ExecutionConfig)]
 CONFIG = mloc_col(chunk_shape=(16, 16), n_bins=8)
@@ -116,7 +115,6 @@ def test_option_survives_every_hand_off(sealed_fs, name):
         assert snapshot.store("temp", 0).execution == want
         snap_sharded = snapshot.store("temp", 0, n_shards=2)
         assert [s.execution for s in snap_sharded.engines] == [want] * 2
-        assert IngestBroker(dataset).member("temp", 0).execution == want
 
     plain = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2)
     assert plain.snapshot().store("temp", 0, **override).execution == want

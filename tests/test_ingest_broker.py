@@ -1,13 +1,12 @@
 """Serving a dataset: one broker core over a pinned snapshot.
 
-``IngestBroker`` is a pinned :class:`~repro.core.dataset.DatasetSnapshot`
-in front of **one** :class:`~repro.server.BrokerCore`, so every limit a
-broker enforces — tenant byte quotas, the pending-bytes ceiling, queue
+A dataset is served by **one** :class:`~repro.server.BrokerCore` whose
+requests name a pinned :class:`~repro.core.dataset.DatasetSnapshot`'s
+member handles (``snapshot.store(variable, timestep)``), so every limit
+a broker enforces — tenant byte quotas, the pending-bytes ceiling, queue
 depth, the in-flight ceiling, the cache budget — holds for the dataset
-as a whole, however many members the requests name.  (The per-member
-cores this replaced enforced each of them once *per member*.)  Results
-stay bit-identical to direct queries on the pinned member, and
-``refresh()`` is still the only visibility event.
+as a whole, however many members the requests name.  Results stay
+bit-identical to direct queries on the pinned member.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.server import (
     BrokerConfig,
+    BrokerCore,
     BrokerRejected,
-    IngestBroker,
     IngestQueryEvent,
     IngestSession,
-    NotYetSealed,
     QuotaExceededError,
     TenantQuota,
     TimestepArrival,
@@ -52,6 +50,11 @@ def _dataset(fs, **execution) -> MLOCDataset:
     return MLOCDataset(fs, "/ds", CONFIG, n_ranks=2, **execution)
 
 
+def _submit(core: BrokerCore, snapshot, tenant: str, query: Query, timestep: int):
+    """Admit ``query`` against member ``temp@timestep`` of ``snapshot``."""
+    return core.submit(tenant, query, store=snapshot.store("temp", timestep))
+
+
 @pytest.fixture(scope="module")
 def full_cost(campaign_fs) -> int:
     """Admission cost of ``FULL`` on one member (all are one shape)."""
@@ -69,65 +72,58 @@ def _assert_identical(result, expected):
 # ----------------------------------------------------------------------
 class TestLimitsAreBrokerWide:
     def test_byte_quota_is_charged_once_across_members(self, campaign_fs, full_cost):
-        broker = IngestBroker(
-            _dataset(campaign_fs),
-            tenants={"a": TenantQuota(max_bytes=2 * full_cost)},
-        )
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(tenants={"a": TenantQuota(max_bytes=2 * full_cost)})
         for t in range(2):
-            broker.submit("a", FULL, variable="temp", timestep=t)
-        broker.drain()
+            _submit(core, snapshot, "a", FULL, t)
+        core.drain()
         with pytest.raises(QuotaExceededError):
-            broker.submit("a", FULL, variable="temp", timestep=2)
-        tenant = broker.stats()["tenants"]["a"]
+            _submit(core, snapshot, "a", FULL, 2)
+        tenant = core.stats()["tenants"]["a"]
         assert tenant["charged_bytes"] == 2 * full_cost
         assert tenant["quota_rejections"] == 1
         # Another tenant still gets service on the same member.
-        other = broker.submit("b", FULL, variable="temp", timestep=2)
-        broker.drain()
+        other = _submit(core, snapshot, "b", FULL, 2)
+        core.drain()
         assert other.status == "done"
 
     def test_pending_bytes_ceiling(self, campaign_fs, full_cost):
-        broker = IngestBroker(
-            _dataset(campaign_fs), config=BrokerConfig(max_pending_bytes=full_cost)
-        )
-        broker.submit("a", FULL, variable="temp", timestep=0)
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(config=BrokerConfig(max_pending_bytes=full_cost))
+        _submit(core, snapshot, "a", FULL, 0)
         with pytest.raises(BrokerRejected):
-            broker.submit("b", FULL, variable="temp", timestep=1)
-        broker.drain()
-        broker.submit("b", FULL, variable="temp", timestep=1)  # capacity freed
-        assert broker.drain() == 1
+            _submit(core, snapshot, "b", FULL, 1)
+        core.drain()
+        _submit(core, snapshot, "b", FULL, 1)  # capacity freed
+        assert core.drain() == 1
 
     def test_queue_depth_is_per_tenant_not_per_member(self, campaign_fs):
-        broker = IngestBroker(
-            _dataset(campaign_fs), config=BrokerConfig(max_queued_per_tenant=1)
-        )
-        broker.submit("a", BOX, variable="temp", timestep=0)
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(config=BrokerConfig(max_queued_per_tenant=1))
+        _submit(core, snapshot, "a", BOX, 0)
         with pytest.raises(BrokerRejected):
-            broker.submit("a", BOX, variable="temp", timestep=1)
-        broker.submit("b", BOX, variable="temp", timestep=1)
-        assert broker.pending() == 2
-        broker.drain()
+            _submit(core, snapshot, "a", BOX, 1)
+        _submit(core, snapshot, "b", BOX, 1)
+        assert core.pending() == 2
+        core.drain()
 
     def test_one_round_serves_at_most_max_inflight(self, campaign_fs):
-        broker = IngestBroker(
-            _dataset(campaign_fs), config=BrokerConfig(max_inflight=1)
-        )
-        reqs = [
-            broker.submit(f"t{t}", BOX, variable="temp", timestep=t)
-            for t in range(N_SEALED)
-        ]
-        assert len(broker.run_round()) == 1
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(config=BrokerConfig(max_inflight=1))
+        reqs = [_submit(core, snapshot, f"t{t}", BOX, t) for t in range(N_SEALED)]
+        assert len(core.run_round()) == 1
         assert [r.status for r in reqs].count("done") == 1
-        assert broker.pending() == N_SEALED - 1
-        assert broker.drain() == N_SEALED - 1
+        assert core.pending() == N_SEALED - 1
+        assert core.drain() == N_SEALED - 1
 
     def test_one_block_cache_of_cache_bytes(self, campaign_fs):
         dataset = _dataset(campaign_fs, cache_bytes=CACHE_BYTES)
-        broker = IngestBroker(dataset)
+        snapshot = dataset.snapshot()
+        core = BrokerCore()
         for t in range(N_SEALED):
-            broker.submit("a", FULL, variable="temp", timestep=t)
-        broker.drain()
-        caches = {id(broker.member("temp", t).cache) for t in range(N_SEALED)}
+            _submit(core, snapshot, "a", FULL, t)
+        core.drain()
+        caches = {id(snapshot.store("temp", t).cache) for t in range(N_SEALED)}
         assert caches == {id(dataset.cache)}
         assert dataset.cache.capacity_bytes == CACHE_BYTES
         cache_stats = dataset.cache.stats.as_dict()
@@ -142,16 +138,16 @@ class TestLimitsAreBrokerWide:
 # ----------------------------------------------------------------------
 class TestServingContracts:
     def test_results_match_the_pinned_member(self, campaign_fs):
-        dataset = _dataset(campaign_fs)
-        broker = IngestBroker(dataset, config=BrokerConfig(max_inflight=2))
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(config=BrokerConfig(max_inflight=2))
         queries = [FULL, BOX, Query(value_range=(3.5, 4.5), output="values")]
         reqs = [
-            (t, q, broker.submit(f"t{i % 2}", q, variable="temp", timestep=t))
+            (t, q, _submit(core, snapshot, f"t{i % 2}", q, t))
             for i, q in enumerate(queries)
             for t in range(N_SEALED)
         ]
-        broker.drain()
-        fresh = _dataset(campaign_fs).snapshot(broker.generation)
+        core.drain()
+        fresh = _dataset(campaign_fs).snapshot(snapshot.generation)
         for t, q, req in reqs:
             assert req.status == "done"
             _assert_identical(req.result, fresh.store("temp", t).query(q))
@@ -171,79 +167,50 @@ class TestServingContracts:
         asked = [(t, q) for q in (BOX, FULL, BOX) for t in (0, 1)]
 
         def submit():
-            broker = IngestBroker(
-                _dataset(campaign_fs), config=BrokerConfig(max_inflight=8)
-            )
-            return broker, [
-                broker.submit(f"t{i % 3}", q, variable="temp", timestep=t)
+            snapshot = _dataset(campaign_fs).snapshot()
+            core = BrokerCore(config=BrokerConfig(max_inflight=8))
+            return core, snapshot, [
+                _submit(core, snapshot, f"t{i % 3}", q, t)
                 for i, (t, q) in enumerate(asked)
             ]
 
-        twin, one_by_one = submit()
-        for req in twin.core.select_round():
-            twin.core.execute(req)
-            twin.core.complete_round()
-        twin.core.finish_round()
+        twin, _, one_by_one = submit()
+        for req in twin.select_round():
+            twin.execute(req)
+            twin.complete_round()
+        twin.finish_round()
         batches.clear()
-        broker, reqs = submit()
-        assert len(broker.run_round()) == len(asked)
+        core, snapshot, reqs = submit()
+        assert len(core.run_round()) == len(asked)
         # One round, one assemble per member engine: three requests each.
-        engines = [broker.member("temp", t).executor for t in (0, 1)]
+        engines = [snapshot.store("temp", t).executor for t in (0, 1)]
         assert sorted(batches, key=lambda b: engines.index(b[0])) == [
             (engines[0], 3), (engines[1], 3),
         ]  # fmt: skip
-        pinned = _dataset(campaign_fs).snapshot(broker.generation)
+        pinned = _dataset(campaign_fs).snapshot(snapshot.generation)
         for (t, q), req, alone in zip(asked, reqs, one_by_one):
             _assert_identical(req.result, pinned.store("temp", t).query(q))
             assert req.result.times == alone.result.times
             assert req.result.stats == alone.result.stats
-        assert broker.stats() == twin.stats()
+        assert core.stats() == twin.stats()
 
     def test_no_block_decoded_twice_while_a_waiter_exists(self, campaign_fs):
         # No persistent cache and one request per round: the repeat on
         # member 0 is served two rounds after the first, with another
         # member's request in between, and must still decode nothing.
-        broker = IngestBroker(
-            _dataset(campaign_fs), config=BrokerConfig(max_inflight=1)
-        )
-        first = broker.submit("a", BOX, variable="temp", timestep=0)
-        broker.submit("b", BOX, variable="temp", timestep=1)
-        repeat = broker.submit("c", BOX, variable="temp", timestep=0)
-        broker.drain()
+        snapshot = _dataset(campaign_fs).snapshot()
+        core = BrokerCore(config=BrokerConfig(max_inflight=1))
+        first = _submit(core, snapshot, "a", BOX, 0)
+        _submit(core, snapshot, "b", BOX, 1)
+        repeat = _submit(core, snapshot, "c", BOX, 0)
+        core.drain()
         assert first.result.stats["blocks_decoded"] > 0
         assert repeat.result.stats["blocks_decoded"] == 0
         assert repeat.result.stats["dedup_blocks"] > 0
         _assert_identical(repeat.result, first.result)
-        stats = broker.stats()
+        stats = core.stats()
         assert stats["retained_jobs"] == 0  # backlog drained: released
         assert stats["released_jobs"] > 0
-
-    def test_not_yet_sealed_until_refresh(self):
-        fs = SimulatedPFS()
-        dataset = _dataset(fs)
-        dataset.append(gts_like(SHAPE, seed=0), "temp", 0)
-        broker = IngestBroker(dataset)
-        handle = broker.member("temp", 0)
-        dataset.append(gts_like(SHAPE, seed=1), "temp", 1)
-        with pytest.raises(NotYetSealed):
-            broker.submit("a", BOX, variable="temp", timestep=1)
-        assert broker.stats()["not_yet_sealed"] == 1
-        assert broker.pending() == 0
-
-        assert broker.refresh().generation == 2
-        req = broker.submit("a", BOX, variable="temp", timestep=1)
-        broker.drain()
-        _assert_identical(
-            req.result, dataset.snapshot().store("temp", 1).query(BOX)
-        )
-        # Sealed members are immutable: the handle survives the re-pin.
-        assert broker.member("temp", 0) is handle
-        broker.refresh()  # nothing new: a refresh, not a new generation
-        totals = broker.stats()["totals"]
-        assert totals["snapshot_refreshes"] == 2
-        assert totals["generations_seen"] == 2
-        # One refresh is booked once, by the layer that performed it.
-        assert dataset.runtime_stats()["snapshot_refreshes"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -303,3 +270,17 @@ class TestReplayIngest:
         tenant, arrival, completion, generation, timestep, stall = report.samples[0]
         assert (tenant, arrival, generation, timestep, stall) == ("a", 1.0, 1, 0, 0.0)
         assert completion == 1.0 + report.results[0].times.total
+
+    def test_the_replay_counts_its_own_stalls_and_re_pins(self):
+        # Both timesteps arrive at once and both queries ask for them
+        # at time zero: at least the first waits for its seal.
+        session = IngestSession(_dataset(SimulatedPFS()), _arrivals([0.0, 0.0]))
+        events = [IngestQueryEvent(0.0, "a", "temp", BOX, t) for t in (0, 1)]
+        report = replay_ingest(session, events)
+        stalls = [s[5] for s in report.samples]
+        assert len(stalls) == 2 and stalls[0] > 0.0
+        assert report.ingest_stall_seconds == sum(stalls)
+        assert report.snapshot_refreshes == len({s[3] for s in report.samples})
+        summary = report.as_dict()
+        assert summary["ingest_stall_seconds"] == report.ingest_stall_seconds
+        assert summary["generations_seen"] == report.snapshot_refreshes + 1

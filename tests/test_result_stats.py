@@ -35,7 +35,7 @@ from repro.server import (
 )
 
 FOLDS = ("sum", "fsum", "union", "max", "dict_sum", "dict_min")
-OWNERS = ("engine", "plan", "tol", "broker", "ingest")
+OWNERS = ("engine", "plan", "tol", "broker")
 #: Rows every aggregate carries, whatever its inputs.
 ALWAYS = tuple(c.name for c in COUNTERS if c.fold in ("sum", "fsum", "union"))
 #: Rows a direct ``store.query`` must emit / must not emit.
@@ -43,7 +43,7 @@ DIRECT = tuple(
     c.name for c in COUNTERS
     if c.name in ALWAYS and c.owner in ("engine", "plan", "tol")
 )
-SERVING = counter_names(owner="broker") + counter_names(owner="ingest")
+SERVING = counter_names(owner="broker")
 
 REGION = Query(region=((0, 64), (0, 64)), output="values")
 
@@ -80,6 +80,7 @@ def test_registry_shape():
     names = counter_names()
     assert set(FAULT_STAT_KEYS) <= set(counter_names(owner="engine", fold="sum"))
     assert counter_names(fold="union") == ("partial_chunks",)
+    assert counter_names(owner="ingest") == ()
     for key in ("vectored_reads", "coalesced_reads"):
         assert key in names
     # Non-additive values are not counters.
@@ -159,11 +160,12 @@ def test_serving_totals_carry_every_row(broker_stats, ingest_report, name):
 def test_serving_layers_stamp_their_own_rows(ingest_report):
     totals = ingest_report.broker["totals"]
     assert totals["admitted"] == totals["completed"] == 2
-    assert totals["generations_seen"] >= 2
-    assert totals["snapshot_refreshes"] >= 1
     summary = ingest_report.as_dict()
-    for key in counter_names(owner="ingest"):
-        assert summary[key] == totals[key]
+    assert summary["snapshot_refreshes"] >= 1
+    assert summary["generations_seen"] == summary["snapshot_refreshes"] + 1
+    # The replay counts its own re-pins and stalls; the broker does not.
+    for key in ("generations_seen", "snapshot_refreshes", "ingest_stall_seconds"):
+        assert key not in totals
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +180,8 @@ _REF_SUMMED = (
     "chunks_pruned", "bins_pruned", "dedup_blocks", "dedup_raw_bytes",
     "admitted", "rejected", "queued", "completed", "cancelled",
     "quota_rejections", "quota_evictions", "tol_bytes_saved",
-    "generations_seen", "snapshot_refreshes", "ingest_stall_seconds",
 )
-_REF_FLOAT_SUMMED = frozenset({"stall_seconds", "ingest_stall_seconds"})
+_REF_FLOAT_SUMMED = frozenset({"stall_seconds"})
 _REF_UNION = ("partial_chunks",)
 _REF_MAX = ("achieved_bound", "tol_target")
 _REF_DICT_SUM = ("levels_histogram",)
