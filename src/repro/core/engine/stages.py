@@ -650,9 +650,12 @@ class QueryEngine:
         if not fetcher.caching:
             # Without caching every planned block is read, and the rank
             # opens each subfile it touches up front even if none of
-            # its blocks ends up requested.
+            # its blocks ends up requested.  With caching, the open
+            # waits for the first actual read: a file whose blocks all
+            # come from the cache costs no metadata operation.  The
+            # session opens (and charges) each path once.
             for bin_id in bin_seq:
-                sched.handle(paths[bin_id])
+                sched.session.open(paths[bin_id])
         # Blocks another requester already holds are claimed in bulk.
         held = fetcher.claim_held(
             [keys[b] for b in block_ids], [reads[b][6] for b in block_ids], sched.counters
