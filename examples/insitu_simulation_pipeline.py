@@ -10,7 +10,8 @@ on the simulated clock: one append occupies the node for the modeled
 drain time of the member's *stored* bytes.  An analyst pins a
 :class:`~repro.core.dataset.DatasetSnapshot` mid-run and explores the
 sealed prefix of the campaign — appends landing behind their back
-never change an answer — then ``refresh()`` surfaces new timesteps.
+never change an answer — then a new ``dataset.snapshot()`` surfaces
+new timesteps.
 
 The closing check is the refactor's core guarantee: every mid-run
 answer is bit-identical to the same query against a post-hoc open of
@@ -66,7 +67,7 @@ def main() -> None:
         now = (t + 0.5) * CADENCE_S  # half a cadence after output t
         session.advance_to(now)
         if t % 2 == 1:  # the analyst polls every other timestep
-            snapshot = snapshot.refresh()
+            snapshot = dataset.snapshot()
             assert snapshot.generation == session.generation_at(now)
             latest = snapshot.timesteps("potential")[-1]
             result = snapshot.store("potential", latest).query(HOT_QUERY)

@@ -4,7 +4,7 @@
 Section III-A2's user story, end to end:
 
 1. an analyst explores a dataset; their session is recorded as a query
-   trace (``TracingStore``);
+   trace (``QueryTrace``);
 2. the trace is replayed against candidate level orders to see what
    the session *would have cost* under each layout;
 3. the advisor distills the same decision from a declarative workload
@@ -21,7 +21,7 @@ from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.datasets import s3d_like
 from repro.harness import (
     QueryClass,
-    TracingStore,
+    QueryTrace,
     WorkloadProfile,
     recommend_level_order,
     replay_trace,
@@ -50,23 +50,29 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Record an analyst session (PLoD-heavy statistics pass).
     # ------------------------------------------------------------------
-    traced = TracingStore(stores["VMS"])
+    trace = QueryTrace()
     rng = np.random.default_rng(3)
-    for _ in range(6):
-        origin = rng.integers(0, 48, size=3)
-        region = tuple((int(o), int(o) + 48) for o in origin)
-        traced.query(Query(region=region, output="values", plod_level=2))
     lo = float(np.quantile(flame, 0.97))
-    traced.query(Query(value_range=(lo, float(flame.max())), output="positions"))
-    print(f"recorded session: {len(traced.trace)} queries")
+    session = [
+        Query(
+            region=tuple((int(o), int(o) + 48) for o in rng.integers(0, 48, size=3)),
+            output="values",
+            plod_level=2,
+        )
+        for _ in range(6)
+    ] + [Query(value_range=(lo, float(flame.max())), output="positions")]
+    for query in session:
+        trace.append(query)
+        stores["VMS"].query(query)
+    print(f"recorded session: {len(trace)} queries")
 
     # ------------------------------------------------------------------
     # 2. Replay the trace under each candidate order.
     # ------------------------------------------------------------------
     print(f"\n{'order':>6} {'session total (s)':>18} {'mean/query (s)':>15}")
     for order, store in stores.items():
-        total = replay_trace(store, traced.trace).times.total
-        print(f"{order:>6} {total:>18.2f} {total / len(traced.trace):>15.2f}")
+        total = replay_trace(store, trace).times.total
+        print(f"{order:>6} {total:>18.2f} {total / len(trace):>15.2f}")
 
     # ------------------------------------------------------------------
     # 3. Ask the advisor the same question declaratively.

@@ -33,8 +33,9 @@ executed):
    field of ``repro.core.config.ExecutionConfig`` and nowhere else
    (DESIGN.md §6): no function signature under ``src/repro`` outside
    ``core/config.py`` may name one of ``EXECUTION_ONLY_PARAMS`` as a
-   parameter — handles take ``execution`` (plus ``**overrides`` folded
-   by ``fold_execution``) and pass it on whole.  The deleted
+   parameter — handles take ``execution`` (the store, writer and
+   dataset doors also ``**overrides`` folded by ``fold_execution``)
+   and pass it on whole.  The deleted
    ``repro.core.executor`` alias shim must also stay deleted.
 6. **One simulated clock.**  Every simulated second is modeled from
    counted work (DESIGN.md §5), so no module under ``repro/core``,
@@ -64,8 +65,11 @@ executed):
    paths only a rewrite-in-place needed, the scheduler readahead
    nobody set, the second store class beside ``MLOCStore`` (a
    flat store is a one-shard store), the per-query counter holders
-   beside ``QueryCounters`` and the dataset front-end beside the one
-   broker core.
+   beside ``QueryCounters``, the dataset front-end beside the one
+   broker core, and every door only tests walked through (the
+   ``PlanContext.for_store`` constructor, ``DatasetSnapshot.refresh``,
+   the ``TracingStore`` proxy, the codec ``from_spec`` rebuilder and
+   the names ``tests/test_api_surface.py`` found without a caller).
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -140,7 +144,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: keyword of the one store class; a staged query counts into one
 #: ``QueryCounters`` and its rank schedulers own their file handles; a
 #: dataset is served by one ``BrokerCore`` whose requests name a pinned
-#: snapshot's member handles.
+#: snapshot's member handles; a public name, constructor or method
+#: that only tests called is not part of the library.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -165,6 +170,31 @@ DELETED_NAMES = frozenset(
         "_HandleOpener",
         "IngestBroker",
         "NotYetSealed",
+        # Doors only tests walked through: a second planning-context
+        # constructor and snapshot door, a store proxy, and names and
+        # methods nothing outside the tests called.
+        "for_store",
+        "refresh",
+        "_generations_seen",
+        "TracingStore",
+        "from_spec",
+        "region_size",
+        "replicate_to",
+        "gts_particle_timesteps",
+        "aggregate_timesteps",
+        "spmd",
+        "dataset_files",
+        "groups_for_level",
+        "bytes_for_level",
+        "plod_error_report",
+        "PLoDErrorReport",
+        "io_reduction",
+        "check_positive",
+        "check_power_of_two",
+        "check_dtype",
+        "bar_chart",
+        "shard_of_bin",
+        "average_region_times",
     }
 )
 

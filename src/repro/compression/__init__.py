@@ -11,7 +11,6 @@ from repro.compression.base import (
     CodecDecodeError,
     FloatCodec,
     codec_names,
-    from_spec,
     make_codec,
     register_codec,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "codec_names",
     "compress_planes",
     "decompress_planes",
-    "from_spec",
     "make_codec",
     "register_codec",
 ]

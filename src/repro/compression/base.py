@@ -29,11 +29,12 @@ every registered codec must satisfy two rules:
   because a single instance may also be shared (the read executor
   decodes on a pool with one codec).
 * every codec **round-trips through pickle** and exposes a
-  ``spec()``/:func:`from_spec` pair: the ``processes`` backends ship
-  work to spawned workers as ``(name, params)`` specs, never live
-  instances, so derived state (caches, locks) must either pickle
-  cleanly or be dropped and rebuilt on unpickle
-  (``tests/test_codec_pickle.py`` audits every registered codec).
+  ``spec()`` that ``make_codec(name, **dict(params))`` rebuilds: the
+  ``processes`` backends ship work to spawned workers as
+  ``(name, params)`` specs, never live instances, so derived state
+  (caches, locks) must either pickle cleanly or be dropped and rebuilt
+  on unpickle (``tests/test_codec_pickle.py`` audits every registered
+  codec).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "decode_guard",
     "register_codec",
     "make_codec",
-    "from_spec",
     "codec_names",
 ]
 
@@ -109,7 +109,8 @@ class _SpecMixin:
     """
 
     def spec(self) -> tuple[str, tuple]:
-        """``(name, params_items)`` rebuilding this codec via :func:`from_spec`."""
+        """``(name, params_items)``; ``make_codec(name, **dict(params_items))``
+        rebuilds this codec."""
         return self.name, getattr(self, "_spec_params", ())
 
 
@@ -186,12 +187,6 @@ def make_codec(name: str, **params) -> ByteCodec | FloatCodec:
     codec = factory(**params)
     codec._spec_params = tuple(sorted(params.items()))
     return codec
-
-
-def from_spec(spec: tuple[str, tuple]) -> ByteCodec | FloatCodec:
-    """Rebuild a codec from a :meth:`_SpecMixin.spec` tuple."""
-    name, params_items = spec
-    return make_codec(name, **dict(params_items))
 
 
 def codec_names() -> list[str]:

@@ -12,7 +12,7 @@ The primary public API of the reproduction:
 """
 
 from repro.core.aggregate import AGGREGATE_OPS, AggregateResult, aggregate_query
-from repro.core.chunking import ChunkGrid, normalize_region, region_size
+from repro.core.chunking import ChunkGrid, normalize_region
 from repro.core.compound import (
     CompoundResult,
     VariableConstraint,
@@ -93,5 +93,4 @@ __all__ = [
     "multi_variable_query",
     "normalize_region",
     "plan_query",
-    "region_size",
 ]

@@ -23,11 +23,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import check_shape_chunks
-
-__all__ = ["ChunkGrid", "normalize_region", "region_size"]
+__all__ = ["ChunkGrid", "normalize_region"]
 
 Region = tuple[tuple[int, int], ...]
+
+
+def check_shape_chunks(shape: tuple[int, ...], chunk_shape: tuple[int, ...]) -> None:
+    """Validate that ``chunk_shape`` tiles ``shape`` exactly.
+
+    MLOC's layout kernels assume the dataset is an exact grid of chunks;
+    ragged edges would complicate the curve ordering without adding
+    anything to the reproduction, so we require exact tiling (the
+    synthetic datasets are generated at tiling-friendly shapes).
+    """
+    if len(shape) != len(chunk_shape):
+        raise ValueError(
+            f"chunk rank {len(chunk_shape)} does not match data rank {len(shape)}"
+        )
+    for dim, (extent, chunk) in enumerate(zip(shape, chunk_shape)):
+        if chunk <= 0:
+            raise ValueError(f"chunk_shape[{dim}] must be positive, got {chunk}")
+        if extent % chunk != 0:
+            raise ValueError(
+                f"dimension {dim}: extent {extent} is not a multiple of chunk {chunk}"
+            )
 
 
 def normalize_region(region, shape: tuple[int, ...]) -> Region:
@@ -54,14 +73,6 @@ def normalize_region(region, shape: tuple[int, ...]) -> Region:
             )
         out.append((lo, hi))
     return tuple(out)
-
-
-def region_size(region: Region) -> int:
-    """Number of elements inside a normalized region."""
-    size = 1
-    for lo, hi in region:
-        size *= hi - lo
-    return size
 
 
 class ChunkGrid:

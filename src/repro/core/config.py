@@ -153,9 +153,10 @@ class ExecutionConfig:
     This class is the only place an execution option is declared,
     documented and validated (DESIGN.md §6).  Every handle — stores,
     engine, writer, datasets, brokers, the CLI — holds one instance as
-    ``.execution`` and passes it on whole; a handle constructor also
-    accepts the fields below as keywords, folded over ``execution=``
-    by :func:`fold_execution`.
+    ``.execution`` and passes it on whole.  The store, writer and
+    dataset constructors also accept the fields below as keywords,
+    folded over ``execution=`` by :func:`fold_execution`; the engine
+    takes ``execution`` whole and accepts no field keywords.
 
     Attributes
     ----------

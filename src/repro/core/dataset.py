@@ -17,8 +17,7 @@ A dataset *is* its manifest chain (``repro.core.manifest``):
     The only way members are listed and opened: a
     :class:`DatasetSnapshot` pins generation ``G`` and sees exactly the
     members sealed at ``G``, bit-identical no matter how many appends
-    land mid-query; :meth:`DatasetSnapshot.refresh` surfaces newer
-    generations.
+    land mid-query; a new ``snapshot()`` surfaces newer generations.
 
 Sealed means immutable, so nothing here is ever invalidated: open
 member handles are registered per ``(key, meta_crc)`` — two snapshots
@@ -87,8 +86,6 @@ class MLOCDataset:
         #: Open member handles, keyed ``(key, meta_crc)``.
         self._handles: dict[tuple[str, int], MLOCStore] = {}
         self._manifest: Manifest | None = None
-        self._generations_seen: set[int] = set()
-        self.snapshot_refreshes = 0
 
     # ------------------------------------------------------------------
     def append(
@@ -122,7 +119,6 @@ class MLOCDataset:
         manifest = current.with_member(member)
         commit_manifest(self.fs, self.root, manifest)
         self._manifest = manifest
-        self._generations_seen.add(manifest.generation)
         return report
 
     # ------------------------------------------------------------------
@@ -167,7 +163,6 @@ class MLOCDataset:
         """The latest manifest generation this handle has observed."""
         if self._manifest is None:
             self._manifest = load_manifest(self.fs, self.root)
-            self._generations_seen.add(self._manifest.generation)
         return self._manifest
 
     @property
@@ -186,15 +181,12 @@ class MLOCDataset:
             self._manifest = manifest
         else:
             manifest = load_manifest_at(self.fs, self.root, generation)
-        self._generations_seen.add(manifest.generation)
         return DatasetSnapshot(self, manifest)
 
     def runtime_stats(self) -> dict:
         """Lifecycle counters of this catalog handle."""
         return {
             "generation": self.generation,
-            "generations_seen": len(self._generations_seen),
-            "snapshot_refreshes": self.snapshot_refreshes,
             "open_handles": len(self._handles),
         }
 
@@ -207,8 +199,9 @@ class DatasetSnapshot:
     lookups raise ``KeyError``), and because sealed members never
     change, every query through this snapshot is bit-identical to the
     same query against a fresh open pinned at the same generation —
-    regardless of concurrent appends.  ``refresh()`` returns a *new*
-    snapshot at the newest committed generation; this one stays valid.
+    regardless of concurrent appends.  ``dataset.snapshot()`` pins a
+    *new* snapshot at the newest committed generation; this one stays
+    valid.
     """
 
     def __init__(self, dataset: MLOCDataset, manifest: Manifest) -> None:
@@ -264,11 +257,6 @@ class DatasetSnapshot:
         return self._dataset._open_member(
             member.key, expect_crc=member.meta_crc, **options
         )
-
-    def refresh(self) -> "DatasetSnapshot":
-        """A new snapshot pinned at the newest committed generation."""
-        self._dataset.snapshot_refreshes += 1
-        return self._dataset.snapshot()
 
     # ------------------------------------------------------------------
     def query_series(

@@ -90,7 +90,7 @@ import numpy as np
 
 from repro.compression.base import make_codec
 from repro.core.chunking import ChunkGrid
-from repro.core.config import ExecutionConfig, fold_execution
+from repro.core.config import ExecutionConfig
 from repro.core.engine.scheduler import (
     IOScheduler,
     PendingRead,
@@ -299,8 +299,9 @@ class QueryEngine:
     and backoff, partial-answer policy, read coalescing —
     is the handle's :class:`~repro.core.config.ExecutionConfig`, held
     whole as ``execution`` (documented and validated there, and only
-    there); its fields may also be given as keywords.  Every backend
-    produces bit-identical results and identical simulated seconds.
+    there).  Every backend produces bit-identical results and identical
+    simulated seconds.  :meth:`MLOCStore._new_engine
+    <repro.core.store.MLOCStore._new_engine>` builds every engine.
 
     Parameters
     ----------
@@ -310,15 +311,15 @@ class QueryEngine:
         cost model, ``comm_cost``, scales with the dataset
         magnification (DESIGN.md §5).
     cache:
-        Optional shared :class:`~repro.pfs.blockcache.BlockCache` of
-        decoded blocks; hits skip simulated I/O and modeled decode time.
+        The handle's shared :class:`~repro.pfs.blockcache.BlockCache` of
+        decoded blocks, or ``None``; hits skip simulated I/O and modeled
+        decode time.
     generation:
         Fingerprint of the store metadata, namespacing cache keys so a
         rewritten-and-reopened store never serves stale blocks.
     context:
-        Optional shared :class:`~repro.core.planner.PlanContext` with
-        the precomputed per-bin planning tables; built from the
-        metadata when omitted (one-off engines).
+        The handle's shared :class:`~repro.core.planner.PlanContext`
+        with the precomputed per-bin planning tables.
     """
 
     def __init__(
@@ -331,11 +332,10 @@ class QueryEngine:
         *,
         n_ranks: int = 8,
         scheduler: str = "column",
-        cache: BlockCache | None = None,
-        generation: int = 0,
-        context: PlanContext | None = None,
-        execution: ExecutionConfig | None = None,
-        **overrides,
+        cache: BlockCache | None,
+        generation: int,
+        context: PlanContext,
+        execution: ExecutionConfig,
     ) -> None:
         if scheduler not in _SCHEDULERS:
             raise ValueError(
@@ -350,7 +350,7 @@ class QueryEngine:
         self.curve = curve
         self.n_ranks = n_ranks
         self.scheduler = scheduler
-        self.execution = fold_execution(execution, overrides)
+        self.execution = execution
         self.cache = cache
         self.generation = generation
         #: Blocks whose verified read exhausted its retries, as
@@ -359,9 +359,7 @@ class QueryEngine:
         #: far as this engine could tell), it is answered by the
         #: degradation policy instead.
         self.quarantine: dict[tuple[str, int], str] = {}
-        self.context = (
-            context if context is not None else PlanContext.for_store(meta, grid, curve)
-        )
+        self.context = context
         # Collective payload costs scale with the dataset magnification
         # so communication stays commensurate with the paper-equivalent
         # I/O seconds (DESIGN.md §5).

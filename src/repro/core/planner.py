@@ -258,12 +258,11 @@ class PlanContext:
 
     def __init__(
         self,
+        meta: "StoreMeta",
         grid: ChunkGrid,
         curve: CurveOrder,
-        scheme: BinScheme | None = None,
-        meta: "StoreMeta | None" = None,
+        scheme: BinScheme,
         *,
-        hierarchical: bool = False,
         plan_cache: int = 0,
     ) -> None:
         if plan_cache < 0:
@@ -271,51 +270,28 @@ class PlanContext:
         self.grid = grid
         self.curve = curve
         self.scheme = scheme
-        self.hierarchical = hierarchical
+        self.hierarchical = meta.config.curve == "hierarchical"
         self.level_prefixes = (
-            level_prefix_counts(grid.grid_shape) if hierarchical else None
+            level_prefix_counts(grid.grid_shape) if self.hierarchical else None
         )
         self.cache = PlanCache(plan_cache) if plan_cache > 0 else None
-        self.config = meta.config if meta is not None else None
-        self.counts64: np.ndarray | None = None
-        self.pos_offsets: np.ndarray | None = None
+        self.config = meta.config
+        self.counts64 = meta.counts.astype(np.int64)
         #: Per-bin element totals (``counts.sum(axis=1)``), hoisted here
         #: so selectivity estimation never rebuilds them per call.
-        self.bin_totals: np.ndarray | None = None
-        if meta is not None:
-            self.counts64 = meta.counts.astype(np.int64)
-            self.bin_totals = self.counts64.sum(axis=1)
-            n_bins, n_chunks = self.counts64.shape
-            self.pos_offsets = np.zeros((n_bins, n_chunks + 1), dtype=np.int64)
-            np.cumsum(self.counts64, axis=1, out=self.pos_offsets[:, 1:])
-            sizes = cell_sizes(meta.config, self.counts64, n_chunks)
-            self.n_chunks, self.n_cells = n_chunks, sizes.shape[1]
-            self.cell_offsets = np.zeros((n_bins, self.n_cells + 1), dtype=np.int64)
-            np.cumsum(sizes, axis=1, out=self.cell_offsets[:, 1:])
-            self.index_reads, self.index_keys, self.index_base = _flatten_block_tables(
-                meta.index_blocks, n_chunks, self.pos_offsets, raw_col=None
-            )
-            self.data_reads, self.data_keys, self.data_base = _flatten_block_tables(
-                meta.data_blocks, self.n_cells, self.cell_offsets, raw_col=4
-            )
-
-    @classmethod
-    def for_store(
-        cls,
-        meta: "StoreMeta",
-        grid: ChunkGrid,
-        curve: CurveOrder,
-        scheme: BinScheme | None = None,
-        *,
-        plan_cache: int = 0,
-    ) -> "PlanContext":
-        return cls(
-            grid,
-            curve,
-            scheme,
-            meta,
-            hierarchical=meta.config.curve == "hierarchical",
-            plan_cache=plan_cache,
+        self.bin_totals = self.counts64.sum(axis=1)
+        n_bins, n_chunks = self.counts64.shape
+        self.pos_offsets = np.zeros((n_bins, n_chunks + 1), dtype=np.int64)
+        np.cumsum(self.counts64, axis=1, out=self.pos_offsets[:, 1:])
+        sizes = cell_sizes(meta.config, self.counts64, n_chunks)
+        self.n_chunks, self.n_cells = n_chunks, sizes.shape[1]
+        self.cell_offsets = np.zeros((n_bins, self.n_cells + 1), dtype=np.int64)
+        np.cumsum(sizes, axis=1, out=self.cell_offsets[:, 1:])
+        self.index_reads, self.index_keys, self.index_base = _flatten_block_tables(
+            meta.index_blocks, n_chunks, self.pos_offsets, raw_col=None
+        )
+        self.data_reads, self.data_keys, self.data_base = _flatten_block_tables(
+            meta.data_blocks, self.n_cells, self.cell_offsets, raw_col=4
         )
 
     # ------------------------------------------------------------------
@@ -354,8 +330,6 @@ class PlanContext:
 
     def plan_uncached(self, query: Query) -> QueryPlan:
         """Always plan from scratch; the result is caller-owned."""
-        if self.scheme is None:
-            raise ValueError("PlanContext was built without a bin scheme")
         return plan_query(
             self.grid,
             self.curve,

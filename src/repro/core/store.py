@@ -174,7 +174,7 @@ class MLOCStore:
         # enabled) the LRU of finished plans keyed by query fingerprint.
         # Every engine of the handle (one per shard) shares it, so the
         # tables are built exactly once.
-        self.context = PlanContext.for_store(
+        self.context = PlanContext(
             meta, self.grid, self.curve, self.scheme,
             plan_cache=self.execution.plan_cache,
         )
@@ -247,12 +247,6 @@ class MLOCStore:
                 float(data[:, 3].sum()) if data.size else 0.0
             ) + (float(index[:, 3].sum()) if index.size else 0.0)
         return weights
-
-    def shard_of_bin(self, bin_id: int) -> int:
-        """Which shard owns ``bin_id``."""
-        if not (0 <= bin_id < self.meta.config.n_bins):
-            raise ValueError(f"bin {bin_id} out of range")
-        return int(np.searchsorted(self.shard_bounds, bin_id, side="right") - 1)
 
     def shard_weights(self) -> np.ndarray:
         """Stored bytes owned by each shard (the balance diagnostic)."""

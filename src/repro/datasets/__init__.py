@@ -1,19 +1,9 @@
 """Synthetic GTS-like and S3D-like datasets (DESIGN.md §2 substitutions)."""
 
-from repro.datasets.synthetic import (
-    aggregate_timesteps,
-    gts_like,
-    gts_particle_timesteps,
-    replicate_to,
-    s3d_like,
-    s3d_velocity_triplet,
-)
+from repro.datasets.synthetic import gts_like, s3d_like, s3d_velocity_triplet
 
 __all__ = [
-    "aggregate_timesteps",
     "gts_like",
-    "gts_particle_timesteps",
-    "replicate_to",
     "s3d_like",
     "s3d_velocity_triplet",
 ]

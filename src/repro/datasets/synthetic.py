@@ -26,10 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "aggregate_timesteps",
     "gts_like",
-    "gts_particle_timesteps",
-    "replicate_to",
     "s3d_like",
     "s3d_velocity_triplet",
 ]
@@ -148,66 +145,3 @@ def s3d_velocity_triplet(
         velocity += rng.normal(0.0, 1e-4 * v_peak, size=shape)
         out[name] = np.abs(velocity)
     return out
-
-
-def replicate_to(field: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
-    """Tile a field to a larger shape, as the paper replicates datasets.
-
-    Each target extent must be a multiple of the source extent.  A tiny
-    deterministic per-tile perturbation (scaled to ~1e-6 of the value
-    range) breaks exact periodicity so that bin boundaries and
-    compression don't see artificially identical tiles.
-    """
-    if len(target_shape) != field.ndim:
-        raise ValueError(
-            f"target rank {len(target_shape)} != field rank {field.ndim}"
-        )
-    reps = []
-    for extent, src in zip(target_shape, field.shape):
-        if extent % src != 0:
-            raise ValueError(
-                f"target extent {extent} is not a multiple of source extent {src}"
-            )
-        reps.append(extent // src)
-    tiled = np.tile(field, reps)
-    span = float(field.max() - field.min()) or 1.0
-    rng = np.random.default_rng(int(np.prod(target_shape)) % (2**31))
-    tiled += rng.normal(0.0, 1e-6 * span, size=tiled.shape)
-    return tiled
-
-
-def gts_particle_timesteps(
-    n_steps: int, n_per_step: int, seed: int = 0
-) -> list[np.ndarray]:
-    """1-D per-timestep GTS-like particle quantities.
-
-    GTS output is natively 1-D (per-particle values); the paper forms
-    its 2-D data space by aggregating multiple timesteps (§IV-A1).
-    Each step evolves smoothly from the last (particles drift), so the
-    aggregated array is correlated along both axes.
-    """
-    if n_steps <= 0 or n_per_step <= 0:
-        raise ValueError("n_steps and n_per_step must be positive")
-    rng = np.random.default_rng(seed)
-    base = np.cumsum(rng.normal(0.0, 0.05, n_per_step)) + 2.0
-    steps = []
-    state = base
-    for _ in range(n_steps):
-        state = state + rng.normal(0.0, 0.01, n_per_step)
-        state = 0.98 * state + 0.02 * base  # mean-reverting drift
-        steps.append(state.copy())
-    return steps
-
-
-def aggregate_timesteps(steps: list[np.ndarray]) -> np.ndarray:
-    """Stack 1-D timestep arrays into the paper's 2-D data space.
-
-    Row *t* of the result is timestep *t*; all steps must be 1-D and of
-    equal length.
-    """
-    if not steps:
-        raise ValueError("need at least one timestep")
-    lengths = {s.shape for s in steps}
-    if len(lengths) != 1 or steps[0].ndim != 1:
-        raise ValueError(f"timesteps must be equal-length 1-D arrays, got {lengths}")
-    return np.stack([np.asarray(s, dtype=np.float64) for s in steps], axis=0)

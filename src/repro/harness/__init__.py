@@ -9,9 +9,9 @@ from repro.harness.advisor import (
 )
 from repro.harness.scales import SCALE_TIERS, DatasetSpec, get_spec, scale_tier
 from repro.harness.systems import ALL_SYSTEMS, MLOC_SYSTEMS, SystemSuite, get_suite
-from repro.harness.asciiplot import bar_chart, stacked_bars
+from repro.harness.asciiplot import stacked_bars
 from repro.harness.tables import PAPER, format_rows, record_result, results_dir
-from repro.harness.trace import QueryTrace, TracingStore, replay_trace
+from repro.harness.trace import QueryTrace, replay_trace
 from repro.harness.workloads import WorkloadGenerator
 
 __all__ = [
@@ -24,10 +24,8 @@ __all__ = [
     "QueryTrace",
     "SCALE_TIERS",
     "SystemSuite",
-    "TracingStore",
     "WorkloadGenerator",
     "WorkloadProfile",
-    "bar_chart",
     "format_rows",
     "get_spec",
     "get_suite",

@@ -10,29 +10,10 @@ the ``results/*.json`` records via ``examples/render_figures.py``.
 
 from __future__ import annotations
 
-__all__ = ["stacked_bars", "bar_chart"]
+__all__ = ["stacked_bars"]
 
 #: Glyph per component, in rendering order.
 _GLYPHS = ("#", "=", "-", "~")
-
-
-def bar_chart(
-    title: str,
-    rows: dict[str, float],
-    *,
-    width: int = 50,
-    unit: str = "s",
-) -> str:
-    """One horizontal bar per row, scaled to the maximum value."""
-    if not rows:
-        raise ValueError("bar_chart needs at least one row")
-    peak = max(rows.values())
-    label_w = max(len(k) for k in rows)
-    lines = [title]
-    for label, value in rows.items():
-        n = int(round(width * value / peak)) if peak > 0 else 0
-        lines.append(f"{label.rjust(label_w)} |{'#' * n:<{width}}| {value:.3g} {unit}")
-    return "\n".join(lines)
 
 
 def stacked_bars(

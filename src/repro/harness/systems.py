@@ -160,39 +160,27 @@ class SystemSuite:
         return store.storage_bytes()
 
     # ------------------------------------------------------------------
-    def average_region_times(
-        self, system: str, constraints
-    ) -> tuple[ComponentTimes, float]:
-        """Mean component times (and result count) over a workload."""
-        return _average(self.region_query, system, constraints)
-
     def average_value_times(
         self, system: str, constraints, plod_level: int = 7
     ) -> tuple[ComponentTimes, float]:
-        return _average(
-            lambda s, c: self.value_query(s, c, plod_level=plod_level),
-            system,
-            constraints,
+        """Mean component times (and result count) of the value queries
+        over a workload."""
+        total = ComponentTimes()
+        n_results = 0.0
+        for c in constraints:
+            result = self.value_query(system, c, plod_level=plod_level)
+            total = total + result.times
+            n_results += result.n_results
+        k = max(len(constraints), 1)
+        return (
+            ComponentTimes(
+                io=total.io / k,
+                decompression=total.decompression / k,
+                reconstruction=total.reconstruction / k,
+                communication=total.communication / k,
+            ),
+            n_results / k,
         )
-
-
-def _average(fn, system, constraints) -> tuple[ComponentTimes, float]:
-    total = ComponentTimes()
-    n_results = 0.0
-    for c in constraints:
-        result = fn(system, c)
-        total = total + result.times
-        n_results += result.n_results
-    k = max(len(constraints), 1)
-    return (
-        ComponentTimes(
-            io=total.io / k,
-            decompression=total.decompression / k,
-            reconstruction=total.reconstruction / k,
-            communication=total.communication / k,
-        ),
-        n_results / k,
-    )
 
 
 _SUITES: dict[tuple[str, int, int], SystemSuite] = {}

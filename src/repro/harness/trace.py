@@ -5,12 +5,13 @@ analytical workflows consist of iterative data querying for patterns
 of interest and fetching subsets of data" (Section I).  Traces make
 those workflows first-class artifacts:
 
-* :class:`TracingStore` wraps an :class:`~repro.core.store.MLOCStore`
-  and records every query it serves;
-* :class:`QueryTrace` serializes to/from JSON, so a session captured
-  against one layout can be replayed against another (different level
-  order, bin count, codec, rank count) for an apples-to-apples layout
-  comparison — the empirical input the level-order advisor formalizes.
+* :class:`QueryTrace` records a session: the caller appends each query
+  beside its ``store.query`` call;
+* the trace serializes to/from JSON, so a session captured against one
+  layout can be replayed against another (different level order, bin
+  count, codec, rank count) with :func:`replay_trace` for an
+  apples-to-apples layout comparison — the empirical input the
+  level-order advisor formalizes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core.store import MLOCStore
 
 __all__ = [
     "QueryTrace",
-    "TracingStore",
     "replay_trace",
 ]
 
@@ -71,22 +71,6 @@ class QueryTrace:
         if version != _TRACE_VERSION:
             raise ValueError(f"unsupported trace version {version!r}")
         return cls([_query_from_dict(q) for q in payload["queries"]])
-
-
-class TracingStore:
-    """Store wrapper that records every query into a trace."""
-
-    def __init__(self, store: MLOCStore, trace: QueryTrace | None = None) -> None:
-        self.store = store
-        self.trace = trace if trace is not None else QueryTrace()
-
-    def query(self, query: Query, **kwargs) -> QueryResult:
-        self.trace.append(query)
-        return self.store.query(query, **kwargs)
-
-    def __getattr__(self, name):
-        # Delegate everything else (shape, meta, fetch_positions, ...).
-        return getattr(self.store, name)
 
 
 def replay_trace(

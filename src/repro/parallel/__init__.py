@@ -11,7 +11,7 @@ from repro.parallel.scheduler import (
     column_order_assignment,
     round_robin_assignment,
 )
-from repro.parallel.simmpi import CommCostModel, SimCommunicator, payload_nbytes, spmd
+from repro.parallel.simmpi import CommCostModel, SimCommunicator, payload_nbytes
 
 __all__ = [
     "BlockList",
@@ -21,5 +21,4 @@ __all__ = [
     "column_order_assignment",
     "payload_nbytes",
     "round_robin_assignment",
-    "spmd",
 ]

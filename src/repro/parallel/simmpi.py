@@ -4,9 +4,10 @@ The paper parallelizes data access with MPI/MPI-IO (Section III-D).
 mpi4py is not available in this environment, so we substitute a
 *deterministic* simulated communicator:
 
-* SPMD sections run as a plain Python loop over ranks (``spmd``);
-  CPU-bound work is counted per rank, and the executor reports the
-  maximum over ranks (the parallel critical path).
+* SPMD sections run as a plain Python loop over ranks (ranks do not
+  interact inside a section, so the loop is an exact execution of the
+  parallel program); CPU-bound work is counted per rank, and the
+  executor reports the maximum over ranks (the parallel critical path).
 * Collectives operate on *rank-indexed lists* (the value every rank
   would contribute) and charge a modeled communication cost: a
   binomial-tree latency term plus a bandwidth term on the payload,
@@ -26,10 +27,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-__all__ = ["CommCostModel", "SimCommunicator", "spmd", "payload_nbytes"]
+__all__ = ["CommCostModel", "SimCommunicator", "payload_nbytes"]
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,3 @@ class SimCommunicator:
         total = sum(payload_nbytes(x) for x in per_rank)
         self._charge(total * max(self.size - 1, 1))
         return list(per_rank)
-
-
-def spmd(size: int, fn: Callable[[int], R]) -> list[R]:
-    """Run ``fn(rank)`` for every rank in a deterministic loop.
-
-    This is the SPMD section of a bulk-synchronous step: ranks do not
-    interact inside ``fn`` (all exchange happens through
-    :class:`SimCommunicator` collectives between sections), so a
-    sequential loop is an exact execution of the parallel program.
-    """
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    return [fn(rank) for rank in range(size)]

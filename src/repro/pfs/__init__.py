@@ -15,7 +15,7 @@ from repro.pfs.faults import (
     FaultyPFS,
     TransientIOError,
 )
-from repro.pfs.layout import BinFileSet, aggregate_parallel_time, dataset_files
+from repro.pfs.layout import BinFileSet, aggregate_parallel_time
 from repro.pfs.simfs import FileStat, PFSSession, SimFileHandle, SimulatedPFS
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "SimulatedPFS",
     "TransientIOError",
     "aggregate_parallel_time",
-    "dataset_files",
 ]

@@ -22,7 +22,6 @@ from repro.pfs.simfs import PFSSession, SimulatedPFS
 __all__ = [
     "BinFileSet",
     "aggregate_parallel_time",
-    "dataset_files",
 ]
 
 
@@ -71,12 +70,6 @@ class BinFileSet:
     def _check(self, bin_id: int) -> None:
         if not (0 <= bin_id < self.n_bins):
             raise ValueError(f"bin_id {bin_id} out of range [0, {self.n_bins})")
-
-
-def dataset_files(fs: SimulatedPFS, root: str) -> dict[str, int]:
-    """Map every file under ``root`` to its size (storage accounting)."""
-    prefix = root.rstrip("/") + "/"
-    return {p: fs.size(p) for p in fs.list_files(prefix)}
 
 
 def aggregate_parallel_time(

@@ -1,12 +1,7 @@
 """Precision-based Level of Detail (PLoD) byte-plane machinery
 (Section III-B3, Fig. 3) and its error metrics."""
 
-from repro.plod.accuracy import (
-    PLoDErrorReport,
-    io_reduction,
-    plod_error_report,
-    relative_errors,
-)
+from repro.plod.accuracy import relative_errors
 from repro.plod.byteplanes import (
     FULL_PLOD_LEVEL,
     GROUP_OFFSETS,
@@ -14,8 +9,6 @@ from repro.plod.byteplanes import (
     N_GROUPS,
     assemble_from_groups,
     assemble_from_groups_degraded,
-    bytes_for_level,
-    groups_for_level,
     plod_degrade,
     split_byte_groups,
 )
@@ -25,14 +18,9 @@ __all__ = [
     "GROUP_OFFSETS",
     "GROUP_WIDTHS",
     "N_GROUPS",
-    "PLoDErrorReport",
     "assemble_from_groups",
     "assemble_from_groups_degraded",
-    "bytes_for_level",
-    "groups_for_level",
-    "io_reduction",
     "plod_degrade",
-    "plod_error_report",
     "relative_errors",
     "split_byte_groups",
 ]

@@ -3,19 +3,16 @@
 The paper reports, per PLoD level, the maximum per-point relative error
 ("0.008% for the S3D dataset at level 2") and downstream analysis
 errors (histogram bin migration, K-means misclassification).  The
-point-wise metrics live here; the analysis-level metrics live in
-:mod:`repro.analysis`.
+point-wise metric lives here — a level's error is
+``relative_errors(v, plod_degrade(v, level))`` — and the analysis-level
+metrics live in :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.plod.byteplanes import FULL_PLOD_LEVEL, bytes_for_level, plod_degrade
-
-__all__ = ["relative_errors", "PLoDErrorReport", "plod_error_report", "io_reduction"]
+__all__ = ["relative_errors"]
 
 
 def relative_errors(original: np.ndarray, approx: np.ndarray) -> np.ndarray:
@@ -38,35 +35,3 @@ def relative_errors(original: np.ndarray, approx: np.ndarray) -> np.ndarray:
     out[nonzero] = err[nonzero] / denom[nonzero]
     out[~nonzero] = err[~nonzero]
     return out
-
-
-@dataclass(frozen=True)
-class PLoDErrorReport:
-    """Point-wise error summary of one PLoD level."""
-
-    level: int
-    bytes_per_point: int
-    max_relative_error: float
-    mean_relative_error: float
-    io_reduction: float
-
-
-def io_reduction(level: int) -> float:
-    """Fraction of I/O saved at a PLoD level (level 2 -> 62.5%)."""
-    return 1.0 - bytes_for_level(level) / 8.0
-
-
-def plod_error_report(values: np.ndarray, level: int) -> PLoDErrorReport:
-    """Degrade ``values`` to ``level`` and summarize the induced error."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if level == FULL_PLOD_LEVEL:
-        return PLoDErrorReport(level, 8, 0.0, 0.0, 0.0)
-    approx = plod_degrade(values, level)
-    rel = relative_errors(values, approx)
-    return PLoDErrorReport(
-        level=level,
-        bytes_per_point=bytes_for_level(level),
-        max_relative_error=float(rel.max()) if rel.size else 0.0,
-        mean_relative_error=float(rel.mean()) if rel.size else 0.0,
-        io_reduction=io_reduction(level),
-    )

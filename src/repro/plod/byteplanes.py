@@ -29,8 +29,6 @@ __all__ = [
     "FULL_PLOD_LEVEL",
     "GROUP_WIDTHS",
     "GROUP_OFFSETS",
-    "bytes_for_level",
-    "groups_for_level",
     "split_byte_groups",
     "nested_group_index",
     "assemble_from_groups",
@@ -54,18 +52,6 @@ _FILL_REST = 0xFF
 def _check_level(level: int) -> None:
     if not (1 <= level <= FULL_PLOD_LEVEL):
         raise ValueError(f"PLoD level must be in [1, {FULL_PLOD_LEVEL}], got {level}")
-
-
-def bytes_for_level(level: int) -> int:
-    """Bytes fetched per point at PLoD ``level`` (level k -> k+1 bytes)."""
-    _check_level(level)
-    return level + 1
-
-
-def groups_for_level(level: int) -> int:
-    """Number of leading byte groups a PLoD-``level`` access reads."""
-    _check_level(level)
-    return level
 
 
 def split_byte_groups(values: np.ndarray) -> list[np.ndarray]:

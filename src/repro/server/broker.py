@@ -215,6 +215,8 @@ class BrokerCore:
         """
         if store is None:
             store = self.store
+        if store is None:
+            raise TypeError("submit needs store= when the core was built without one")
         t = self._tenant(tenant)
         plan, plan_stats = store.plan(query)
         est = store.estimated_raw_bytes(query, plan)

@@ -1,9 +1,25 @@
-"""API-surface tests: every advertised name resolves and is documented."""
+"""API-surface tests: every advertised name resolves, is documented and
+has a caller outside the tests."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Where a caller of an advertised name may live; ``tests/`` is not one.
+CALLER_ROOTS = ("src/repro", "benchmarks", "examples", "scripts")
+
+#: Exports only tests call, kept on purpose: each is the reference the
+#: tests check the library against.
+TEST_ORACLES = {
+    "zorder_decode": "inverse of zorder_encode, the Morton round-trip oracle",
+    "decode_hierarchical_bitmap": "inverse of encode_hierarchical_bitmap, the hbi payload oracle",
+    "assignment_file_counts": "files per rank, the oracle for column-order assignment's contention",
+}
 
 PACKAGES = [
     "repro",
@@ -21,6 +37,8 @@ PACKAGES = [
     "repro.harness",
     "repro.tools",
     "repro.util",
+    "repro.server",
+    "repro.core.engine",
 ]
 
 
@@ -66,3 +84,73 @@ def test_public_methods_documented():
             if not inspect.getdoc(member):
                 missing.append(f"{cls.__name__}.{name}")
     assert not missing, f"undocumented public methods: {missing}"
+
+
+def _registers_codec(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and getattr(
+        decorator.func, "id", getattr(decorator.func, "attr", None)
+    ) == "register_codec"
+
+
+def referenced_names(roots) -> set[str]:
+    """Every name the modules under ``roots`` use: each ``Name``,
+    ``Attribute`` and imported name, plus each class decorated with
+    ``@register_codec(...)`` (``make_codec`` is its caller).  A package
+    ``__init__.py`` only re-exports, so it is no caller and is skipped."""
+    used: set[str] = set()
+    for root in roots:
+        for path in Path(root).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used.update(a.name.rpartition(".")[2] for a in node.names)
+                elif isinstance(node, ast.ClassDef) and any(
+                    _registers_codec(d) for d in node.decorator_list
+                ):
+                    used.add(node.name)
+    return used
+
+
+def uncalled_exports(exports, roots) -> list[str]:
+    """The ``exports`` no module under ``roots`` uses, sorted."""
+    return sorted(set(exports) - referenced_names(roots))
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """A name only tests use is deleted, not advertised (DESIGN.md §6's
+    rule for options, applied to the public surface)."""
+    exports = {
+        name
+        for package in PACKAGES
+        for name in getattr(importlib.import_module(package), "__all__", [])
+    }
+    assert set(TEST_ORACLES) <= exports, "a kept test oracle is no longer exported"
+    roots = [REPO / root for root in CALLER_ROOTS]
+    uncalled = uncalled_exports(exports - set(TEST_ORACLES), roots)
+    assert not uncalled, f"exports with no caller outside tests: {uncalled}"
+
+
+def test_the_caller_scan_flags_an_export_only_tests_call(tmp_path):
+    files = {
+        "src/pkg/__init__.py": "from pkg.mod import Codec, helper, used\n",
+        "src/pkg/mod.py": (
+            "def used(): ...\n"
+            "def helper(): ...\n"
+            "@register_codec('c')\n"
+            "class Codec: ...\n"
+        ),
+        "examples/demo.py": "import pkg\npkg.used()\n",
+        "tests/test_mod.py": "from pkg import helper\nhelper()\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    roots = [tmp_path / "src", tmp_path / "examples"]
+    assert uncalled_exports(["Codec", "helper", "used"], roots) == ["helper"]
+    assert uncalled_exports(["helper"], [*roots, tmp_path / "tests"]) == []
+

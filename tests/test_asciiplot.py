@@ -2,28 +2,7 @@
 
 import pytest
 
-from repro.harness.asciiplot import bar_chart, stacked_bars
-
-
-class TestBarChart:
-    def test_scales_to_peak(self):
-        text = bar_chart("T", {"a": 10.0, "b": 5.0}, width=10)
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
-
-    def test_values_printed(self):
-        text = bar_chart("T", {"x": 1.234})
-        assert "1.23" in text
-
-    def test_zero_values(self):
-        text = bar_chart("T", {"a": 0.0})
-        assert "|" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart("T", {})
+from repro.harness.asciiplot import stacked_bars
 
 
 class TestStackedBars:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
-from repro.core.engine.stages import QueryEngine
 from repro.datasets import gts_like, s3d_like
 from repro.pfs import SimulatedPFS
 
@@ -147,17 +146,9 @@ def test_iso_process_backend_equivalence(iso_fs, query):
 
 def test_backend_validation():
     fs = _build(mloc_col, gts_like((64, 64), seed=1), (32, 32))
-    store = MLOCStore.open(fs, "/store", "field")
-    ex = store.executor
     with pytest.raises(ValueError, match="backend"):
-        QueryEngine(
-            fs, ex.files, ex.meta, ex.grid, ex.curve, backend="mpi"
-        )
+        MLOCStore.open(fs, "/store", "field", backend="mpi")
     with pytest.raises(ValueError, match="workers"):
-        QueryEngine(
-            fs, ex.files, ex.meta, ex.grid, ex.curve, backend="threads", workers=0
-        )
+        MLOCStore.open(fs, "/store", "field", backend="threads", workers=0)
     with pytest.raises(ValueError, match="workers"):
-        QueryEngine(
-            fs, ex.files, ex.meta, ex.grid, ex.curve, backend="processes", workers=-1
-        )
+        MLOCStore.open(fs, "/store", "field", backend="processes", workers=-1)

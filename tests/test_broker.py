@@ -286,6 +286,12 @@ class TestRoundEqualsItsRequestsInOrder:
 # Admission control and quotas
 # ----------------------------------------------------------------------
 class TestAdmission:
+    def test_submit_without_any_store_registers_nothing(self):
+        core = BrokerCore()
+        with pytest.raises(TypeError, match="submit needs store="):
+            core.submit("a", Query())
+        assert core.stats()["n_tenants"] == 0
+
     def test_per_tenant_queue_depth(self, broker_fs):
         core = BrokerCore(
             _open(broker_fs), BrokerConfig(max_queued_per_tenant=1)

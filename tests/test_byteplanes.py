@@ -11,8 +11,6 @@ from repro.plod.byteplanes import (
     GROUP_WIDTHS,
     N_GROUPS,
     assemble_from_groups,
-    bytes_for_level,
-    groups_for_level,
     plod_degrade,
     split_byte_groups,
 )
@@ -21,7 +19,7 @@ from repro.plod.byteplanes import (
 class TestLevelArithmetic:
     def test_paper_byte_counts(self):
         # Level k fetches k+1 bytes: level 2 -> 3 bytes (paper's example).
-        assert [bytes_for_level(k) for k in range(1, 8)] == [2, 3, 4, 5, 6, 7, 8]
+        assert list(np.cumsum(GROUP_WIDTHS)) == [2, 3, 4, 5, 6, 7, 8]
 
     def test_group_geometry(self):
         assert N_GROUPS == 7
@@ -32,9 +30,7 @@ class TestLevelArithmetic:
     def test_level_range_checked(self):
         for bad in (0, 8, -1):
             with pytest.raises(ValueError):
-                bytes_for_level(bad)
-            with pytest.raises(ValueError):
-                groups_for_level(bad)
+                plod_degrade(np.ones(4), bad)
 
 
 class TestSplitAssemble:

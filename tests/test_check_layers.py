@@ -69,7 +69,7 @@ def test_a_reintroduced_second_path_is_a_violation():
 
 
 SECOND_CATALOG = """
-from repro.plod.byteplanes import groups_for_level, refinement_groups
+from repro.plod.byteplanes import split_byte_groups, refinement_groups
 
 class ExecutionConfig:
     coalesce_gap: int = 0
@@ -202,3 +202,27 @@ def test_a_reintroduced_dataset_front_end_is_a_violation():
     named = [v.split(": ")[1].split(" ")[0] for v in found]
     assert named == ["NotYetSealed", "IngestBroker"]
     assert found[0].startswith("x.py:4:")
+
+
+TEST_ONLY_DOORS = """
+from repro.harness.trace import QueryTrace, TracingStore
+
+class PlanContext:
+    @classmethod
+    def for_store(cls, meta, grid, curve, scheme=None, *, plan_cache=0):
+        return cls(meta, grid, curve, scheme, plan_cache=plan_cache)
+
+class DatasetSnapshot:
+    def refresh(self):
+        return self._dataset.snapshot()
+
+class MLOCDataset:
+    _generations_seen: set
+"""
+
+
+def test_a_reintroduced_test_only_door_is_a_violation():
+    found = deleted_name_violations(ast.parse(TEST_ONLY_DOORS), "x.py")
+    named = [v.split(": ")[1].split(" ")[0] for v in found]
+    assert named == ["TracingStore", "for_store", "refresh", "_generations_seen"]
+    assert found[0].startswith("x.py:2:")

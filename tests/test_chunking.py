@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunking import ChunkGrid, normalize_region, region_size
+from repro.core.chunking import ChunkGrid, normalize_region
 
 
 @pytest.fixture()
@@ -63,9 +63,6 @@ class TestRegions:
             normalize_region(((0, 4),), (8, 8))
         with pytest.raises(ValueError, match="step"):
             normalize_region((slice(0, 4, 2),), (8,))
-
-    def test_region_size(self):
-        assert region_size(((2, 6), (0, 4))) == 16
 
     def test_chunks_overlapping_exact(self, grid2d):
         ids = grid2d.chunks_overlapping(((0, 16), (0, 32)))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.datasets.synthetic import (
     gts_like,
-    replicate_to,
     s3d_like,
     s3d_velocity_triplet,
 )
@@ -79,73 +78,3 @@ class TestVelocityTriplet:
         vv, vw = tri["vv"].reshape(-1), tri["vw"].reshape(-1)
         corr = np.corrcoef(vv, vw)[0, 1]
         assert 0.3 < corr < 0.999
-
-
-class TestReplicateTo:
-    def test_tiles_exactly(self):
-        base = gts_like((16, 16), seed=0)
-        big = replicate_to(base, (48, 32))
-        assert big.shape == (48, 32)
-        # Tiles match the base up to the tiny decorrelation noise.
-        assert np.abs(big[:16, :16] - base).max() < 1e-4
-
-    def test_rejects_non_multiple(self):
-        base = gts_like((16, 16), seed=0)
-        with pytest.raises(ValueError, match="multiple"):
-            replicate_to(base, (20, 32))
-
-    def test_rejects_rank_mismatch(self):
-        base = gts_like((16, 16), seed=0)
-        with pytest.raises(ValueError, match="rank"):
-            replicate_to(base, (32, 32, 2))
-
-    def test_tiles_not_bit_identical(self):
-        """The decorrelation noise must break exact periodicity."""
-        base = gts_like((16, 16), seed=0)
-        big = replicate_to(base, (32, 16))
-        assert not np.array_equal(big[:16], big[16:])
-
-
-class TestParticleAggregation:
-    """The paper's GTS preprocessing: 1-D timesteps -> 2-D data space."""
-
-    def test_aggregate_shape_and_order(self):
-        from repro.datasets import aggregate_timesteps, gts_particle_timesteps
-
-        steps = gts_particle_timesteps(8, 128, seed=3)
-        assert len(steps) == 8 and steps[0].shape == (128,)
-        grid = aggregate_timesteps(steps)
-        assert grid.shape == (8, 128)
-        assert np.array_equal(grid[3], steps[3])
-
-    def test_temporal_correlation(self):
-        from repro.datasets import gts_particle_timesteps
-
-        steps = gts_particle_timesteps(4, 2048, seed=1)
-        corr = np.corrcoef(steps[0], steps[1])[0, 1]
-        assert corr > 0.95  # adjacent timesteps drift smoothly
-
-    def test_aggregated_grid_is_mloc_ready(self):
-        from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
-        from repro.datasets import aggregate_timesteps, gts_particle_timesteps
-        from repro.pfs import SimulatedPFS
-
-        grid = aggregate_timesteps(gts_particle_timesteps(64, 64, seed=2))
-        fs = SimulatedPFS()
-        cfg = mloc_col(chunk_shape=(16, 16), n_bins=4, target_block_bytes=2048)
-        MLOCWriter(fs, "/gts1d", cfg).write(grid, variable="f")
-        store = MLOCStore.open(fs, "/gts1d", "f")
-        flat = grid.reshape(-1)
-        lo, hi = np.quantile(flat, [0.4, 0.6])
-        r = store.query(Query(value_range=(lo, hi), output="positions"))
-        assert np.array_equal(r.positions, np.flatnonzero((flat >= lo) & (flat <= hi)))
-
-    def test_validation(self):
-        from repro.datasets import aggregate_timesteps, gts_particle_timesteps
-
-        with pytest.raises(ValueError):
-            gts_particle_timesteps(0, 10)
-        with pytest.raises(ValueError):
-            aggregate_timesteps([])
-        with pytest.raises(ValueError):
-            aggregate_timesteps([np.zeros(3), np.zeros(4)])

@@ -23,7 +23,6 @@ from repro.core import (
     MLOCDataset,
     MLOCStore,
     MLOCWriter,
-    QueryEngine,
     mloc_col,
 )
 from repro.datasets import gts_like
@@ -122,12 +121,9 @@ def test_option_survives_every_hand_off(sealed_fs, name):
 
 def test_unknown_keyword_is_a_type_error(sealed_fs):
     fs = sealed_fs
-    store = MLOCStore.open(fs, "/ds", KEY)
-    ex = store.executor
     doors = [
         lambda **kw: MLOCStore.open(fs, "/ds", KEY, **kw),
         lambda **kw: MLOCStore.open(fs, "/ds", KEY, n_shards=3, **kw),
-        lambda **kw: QueryEngine(fs, ex.files, ex.meta, ex.grid, ex.curve, **kw),
         lambda **kw: MLOCWriter(fs, "/elsewhere", CONFIG, **kw),
         lambda **kw: MLOCDataset(fs, "/ds", CONFIG, **kw),
     ]

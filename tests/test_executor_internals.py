@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.compression import make_codec
 from repro.core.chunking import ChunkGrid
-from repro.core.config import MLOCConfig, mloc_col, mloc_iso
+from repro.core.config import mloc_col, mloc_iso
 from repro.core.engine.stages import modeled_decompression
 from repro.core.planner import PlanContext, merge_extents
 from repro.core.planner import cell_sizes as _cell_sizes
@@ -119,7 +119,7 @@ def _stores(draw):
     meta = SimpleNamespace(
         config=config, counts=counts, index_blocks=index_tables, data_blocks=data_tables
     )
-    context = PlanContext(ChunkGrid((4 * n_chunks,), (4,)), None, None, meta)
+    context = PlanContext(meta, ChunkGrid((4 * n_chunks,), (4,)), None, None)
 
     bin_ids, cpos = [], []
     for bin_id in range(n_bins):

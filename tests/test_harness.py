@@ -112,11 +112,6 @@ class TestSystemSuite:
             assert sizes["data"] > 0
             assert sizes["index"] >= 0
 
-    def test_average_helpers(self, suite):
-        vcs = suite.workload.value_constraints(0.02, 2)
-        times, n = suite.average_region_times("mloc-col", vcs)
-        assert times.total > 0 and n > 0
-
     def test_block_bytes_floor(self, suite):
         assert suite.block_bytes >= 4096
 

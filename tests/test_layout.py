@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pfs.costmodel import IOStats, PFSCostModel
-from repro.pfs.layout import BinFileSet, aggregate_parallel_time, dataset_files
+from repro.pfs.layout import BinFileSet, aggregate_parallel_time
 from repro.pfs.simfs import SimulatedPFS
 
 
@@ -39,16 +39,6 @@ class TestBinFileSet:
 
     def test_trailing_slash_normalized(self):
         assert BinFileSet("/d/v/", 1).data_path(0) == "/d/v/bin0000.data"
-
-
-class TestDatasetFiles:
-    def test_lists_sizes_under_root(self):
-        fs = SimulatedPFS()
-        fs.write_file("/r/a", b"12")
-        fs.write_file("/r/b", b"345")
-        fs.write_file("/other", b"x")
-        sizes = dataset_files(fs, "/r")
-        assert sizes == {"/r/a": 2, "/r/b": 3}
 
 
 class TestAggregateParallelTime:

@@ -197,7 +197,7 @@ def test_snapshot_pins_exactly_one_generation(appended_dataset):
     assert np.array_equal(before.positions, after.positions)
     assert np.array_equal(before.values, after.values)
     assert not snap1.has("temp", 3)
-    assert snap1.refresh().has("temp", 3)
+    assert ds.snapshot().has("temp", 3)
 
 
 def test_snapshot_query_series_and_sharded_store(appended_dataset):
@@ -231,12 +231,9 @@ def test_rewritten_member_is_refused_under_a_pinned_snapshot(appended_dataset):
 
 def test_runtime_stats_counters(appended_dataset):
     fs, ds = appended_dataset
-    snap = ds.snapshot(generation=1)
-    snap.refresh()
-    stats = ds.runtime_stats()
-    assert stats["generation"] == 3
-    assert stats["generations_seen"] == 3
-    assert stats["snapshot_refreshes"] == 1
+    ds.snapshot(generation=1)
+    ds.snapshot()
+    assert ds.runtime_stats() == {"generation": 3, "open_handles": 0}
 
 
 # ----------------------------------------------------------------------

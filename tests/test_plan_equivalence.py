@@ -14,11 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.binning.binner import BinScheme
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
-from repro.core.chunking import ChunkGrid
 from repro.core.planner import PlanCache, PlanContext, QueryPlan, cell_sizes, plan_query
-from repro.core.writer import make_curve
 from repro.datasets import gts_like
 from repro.parallel.scheduler import (
     BlockList,
@@ -319,16 +316,12 @@ class TestPlanContext:
             assert np.array_equal(getattr(via_ctx, attr), getattr(direct, attr))
         assert via_ctx.region == direct.region
 
-    def test_requires_scheme_for_planning(self):
-        grid = ChunkGrid((64, 64), (32, 32))
-        ctx = PlanContext(grid, make_curve(mloc_col((32, 32)), grid))
-        with pytest.raises(ValueError, match="bin scheme"):
-            ctx.plan_uncached(Query(value_range=(0.0, 1.0)))
-
-    def test_rejects_negative_cache(self):
-        grid = ChunkGrid((64, 64), (32, 32))
+    def test_rejects_negative_cache(self, col_store):
+        _, store = col_store
         with pytest.raises(ValueError, match="plan_cache"):
-            PlanContext(grid, make_curve(mloc_col((32, 32)), grid), plan_cache=-1)
+            PlanContext(
+                store.meta, store.grid, store.curve, store.scheme, plan_cache=-1
+            )
 
 
 class TestPlanCache:

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.plod.accuracy import (
-    PLoDErrorReport,
-    io_reduction,
-    plod_error_report,
-    relative_errors,
-)
+from repro.plod.accuracy import relative_errors
+from repro.plod.byteplanes import plod_degrade
 
 
 class TestRelativeErrors:
@@ -27,29 +23,18 @@ class TestRelativeErrors:
             relative_errors(np.zeros(2), np.zeros(3))
 
 
-class TestIOReduction:
-    def test_paper_level2_value(self):
-        # Paper: PLoD level 2 fetches 3 of 8 bytes -> 62.5% I/O saved.
-        assert io_reduction(2) == pytest.approx(0.625)
-
-    def test_full_level_saves_nothing(self):
-        assert io_reduction(7) == 0.0
-
-
 class TestErrorReport:
     def test_full_precision_report(self, rng):
-        r = plod_error_report(rng.uniform(0, 1, 100), 7)
-        assert r == PLoDErrorReport(7, 8, 0.0, 0.0, 0.0)
+        v = rng.uniform(0, 1, 100)
+        assert not relative_errors(v, plod_degrade(v, 7)).any()
 
     def test_report_fields_consistent(self, rng):
         v = rng.uniform(100, 1000, 10_000)
-        r = plod_error_report(v, 2)
-        assert r.bytes_per_point == 3
-        assert 0 < r.mean_relative_error <= r.max_relative_error
-        assert r.io_reduction == pytest.approx(0.625)
+        rel = relative_errors(v, plod_degrade(v, 2))
+        assert 0 < rel.mean() <= rel.max()
 
     def test_monotone_over_levels(self, rng):
         v = rng.uniform(100, 1000, 5_000)
-        maxes = [plod_error_report(v, k).max_relative_error for k in range(1, 8)]
+        maxes = [relative_errors(v, plod_degrade(v, k)).max() for k in range(1, 8)]
         assert all(a >= b for a, b in zip(maxes, maxes[1:]))
         assert maxes[-1] == 0.0

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.simmpi import CommCostModel, SimCommunicator, payload_nbytes, spmd
-
-
-class TestSpmd:
-    def test_runs_every_rank(self):
-        assert spmd(4, lambda r: r * r) == [0, 1, 4, 9]
-
-    def test_size_validated(self):
-        with pytest.raises(ValueError):
-            spmd(0, lambda r: r)
+from repro.parallel.simmpi import CommCostModel, SimCommunicator, payload_nbytes
 
 
 class TestPayloadNbytes:

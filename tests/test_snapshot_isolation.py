@@ -85,7 +85,7 @@ def test_queries_bit_identical_to_fresh_pinned_open(ops):
         if op == "append":
             writer_handle.append(gts_like(GRID, seed=arg), "temp", arg)
         elif op == "refresh":
-            snap = snap.refresh()
+            snap = reader_handle.snapshot()
         else:
             region, mode = arg
             sealed = snap.timesteps("temp")

@@ -9,7 +9,7 @@ import pytest
 from repro.core import BatchResult, MLOCStore, MLOCWriter, Query, mloc_col
 from repro.core.result import aggregate_stats
 from repro.datasets import gts_like
-from repro.harness.trace import QueryTrace, TracingStore, replay_trace
+from repro.harness.trace import QueryTrace, replay_trace
 from repro.pfs import SimulatedPFS
 
 
@@ -75,23 +75,6 @@ class TestQueryTraceSerialization:
                "plod_level": 4, "resolution_level": None}  # fmt: skip
         path.write_text(json.dumps({"version": 1, "queries": [old]}))
         assert QueryTrace.load(path).queries == [Query(value_range=(1.0, 2.0), plod_level=4)]
-
-
-class TestTracingStore:
-    def test_records_and_delegates(self, traced_setup):
-        fs, data, store = traced_setup
-        traced = TracingStore(store)
-        flat = data.reshape(-1)
-        lo, hi = np.quantile(flat, [0.3, 0.5])
-        r1 = traced.query(Query(value_range=(lo, hi), output="positions"))
-        r2 = traced.query(Query(region=((0, 32), (0, 32))))
-        assert len(traced.trace) == 2
-        # Delegation of non-query attributes works.
-        assert traced.shape == data.shape
-        assert np.array_equal(
-            r1.positions, np.flatnonzero((flat >= lo) & (flat <= hi))
-        )
-        assert r2.n_results == 1024
 
 
 class TestReplay:
