@@ -111,7 +111,10 @@ def decode_position_block_flat(payload: bytes, counts: np.ndarray) -> np.ndarray
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
-    stream = zlib.decompress(payload)
+    inflater = zlib.decompressobj()
+    stream = inflater.decompress(payload)
+    if not inflater.eof or inflater.unused_data:
+        raise ValueError("index block is truncated or has trailing bytes")
     deltas = varint_decode_array(stream, total).astype(np.int64)
     if total == 0:
         return np.empty(0, dtype=np.int64)

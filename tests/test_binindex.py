@@ -71,6 +71,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             decode_position_block(payload, np.array([2]))
 
+    def test_trailing_bytes_after_the_stream_rejected(self):
+        payload = encode_position_block([np.array([1, 2, 3])])
+        with pytest.raises(ValueError, match="trailing"):
+            decode_position_block(payload + b"junk", np.array([3]))
+
+    def test_truncated_stream_rejected(self):
+        payload = encode_position_block([np.arange(0, 3000, 7)])
+        with pytest.raises(ValueError, match="truncated"):
+            decode_position_block(payload[:-5], np.array([429]))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
