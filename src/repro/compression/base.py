@@ -52,6 +52,7 @@ __all__ = [
     "CodecDecodeError",
     "FloatCodec",
     "decode_guard",
+    "inflate",
     "register_codec",
     "make_codec",
     "codec_names",
@@ -95,6 +96,16 @@ def decode_guard(fn: Callable) -> Callable:
             ) from exc
 
     return wrapped
+
+
+def inflate(body: bytes, limit: int) -> bytes:
+    """Inflate ``body``, which must be exactly one whole deflate stream
+    of at most ``limit`` bytes; anything else raises ``ValueError``."""
+    inflater = zlib.decompressobj()
+    out = inflater.decompress(body, limit + 1)
+    if not inflater.eof or inflater.unused_data or len(out) > limit:
+        raise ValueError("deflate stream is truncated, too long or has trailing bytes")
+    return out
 
 
 class _SpecMixin:

@@ -34,7 +34,7 @@ import zlib
 import numpy as np
 from scipy.interpolate import splev, splrep
 
-from repro.compression.base import FloatCodec, decode_guard, register_codec
+from repro.compression.base import FloatCodec, decode_guard, inflate, register_codec
 from repro.util.bitpack import bits_required, pack_uints, unpack_uints
 from repro.util.varint import varint_decode_array, varint_encode_array
 
@@ -234,23 +234,23 @@ class IsabelaCodec(FloatCodec):
 
     @decode_guard
     def decode(self, payload: bytes, count: int) -> np.ndarray:
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        sizes = self._window_sizes(count)
         lengths = struct.unpack("<6I", payload[:24])
+        if 24 + sum(lengths) != len(payload):
+            raise ValueError(f"sections cover {24 + sum(lengths)} of {len(payload)} bytes")
+        sizes = self._window_sizes(count)
         offsets = np.concatenate(([24], 24 + np.cumsum(lengths)))
         flags_z, scales_b, coeffs_b, ranks_b, q_z, raw_tail = (
             payload[offsets[i] : offsets[i + 1]] for i in range(6)
         )
-        flags = zlib.decompress(flags_z)
+        flags = inflate(flags_z, len(sizes))
         if len(flags) != len(sizes):
             raise ValueError(f"expected {len(sizes)} window flags, got {len(flags)}")
         scales = np.frombuffer(scales_b, dtype=np.float64)
         coeffs = np.frombuffer(coeffs_b, dtype=np.float32).reshape(-1, self.n_coeffs)
         spline_sizes = [w for w, f in zip(sizes, flags) if f == _FLAG_SPLINE]
         n_q = sum(spline_sizes)
-        if n_q:
-            q_all = _zigzag_decode(varint_decode_array(zlib.decompress(q_z), n_q))
+        if n_q or q_z:
+            q_all = _zigzag_decode(varint_decode_array(inflate(q_z, 10 * n_q), n_q))
         else:
             q_all = np.empty(0, dtype=np.int64)
 

@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import FloatCodec, decode_guard, register_codec
+from repro.compression.base import FloatCodec, decode_guard, inflate, register_codec
 
 __all__ = ["IsobarCodec", "compress_planes", "decompress_planes"]
 
@@ -82,7 +82,7 @@ def decompress_planes(payload: bytes, count: int, width: int) -> np.ndarray:
         body = payload[offset : offset + int(lengths[p])]
         offset += int(lengths[p])
         if modes[p] == _MODE_ZLIB:
-            plane = np.frombuffer(zlib.decompress(body), dtype=np.uint8)
+            plane = np.frombuffer(inflate(body, count), dtype=np.uint8)
         elif modes[p] == _MODE_RAW:
             plane = np.frombuffer(body, dtype=np.uint8)
         else:
@@ -90,6 +90,8 @@ def decompress_planes(payload: bytes, count: int, width: int) -> np.ndarray:
         if plane.size != count:
             raise ValueError(f"plane {p}: got {plane.size} bytes, expected {count}")
         matrix[:, p] = plane
+    if offset != len(payload):
+        raise ValueError(f"plane lengths cover {offset} of {len(payload)} bytes")
     return matrix
 
 

@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import ByteCodec, FloatCodec, decode_guard, register_codec
+from repro.compression.base import ByteCodec, FloatCodec, decode_guard, inflate, register_codec
 
 __all__ = ["ZlibByteCodec", "ZlibFloatCodec"]
 
@@ -94,10 +94,7 @@ class ZlibByteCodec(ByteCodec):
         if mode == _MODE_RAW:
             out = bytes(body)
         elif mode == _MODE_ZLIB:
-            inflater = zlib.decompressobj()
-            out = inflater.decompress(body, raw_len + 1)
-            if not inflater.eof or inflater.unused_data:
-                raise ValueError("deflate stream is truncated, too long or has trailing bytes")
+            out = inflate(body, raw_len)
         else:
             raise ValueError(f"unknown payload mode {mode}")
         if len(out) != raw_len:

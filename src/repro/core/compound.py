@@ -14,7 +14,12 @@ Evaluation strategy, following Section III-D4's bitmap machinery:
 2. AND the per-variable bitmaps (conjunction) — each AND is a modeled
    allreduce of WAH payloads across the ranks;
 3. fetch each output variable at the surviving positions via
-   :meth:`MLOCStore.fetch_positions`.
+   :meth:`MLOCStore.fetch_positions`, a constrained variable only from
+   the bins its ranges overlap (every survivor passed its selection).
+
+Each store runs all its steps through one shared block fetcher, released
+after its last step: the first requester of a block pays, as in
+``query_many``, and a fetch re-decodes nothing its selection decoded.
 
 Variables are evaluated most-selective-first when selectivity hints
 are available from the bin metadata, so later region-only steps can be
@@ -207,6 +212,7 @@ def compound_query(
     times = ComponentTimes()
     selections: dict[str, list[QueryResult]] = {}
     exchange_bytes = flat_exchange_bytes = 0
+    fetchers = {name: stores[name].new_fetcher(shared=True) for name in seen | set(fetch)}
 
     # Most-selective-first: cheap metadata-only estimate.
     ordered = sorted(
@@ -234,12 +240,15 @@ def compound_query(
                 Query(value_range=(float(lo), float(hi)), region=region,
                       output="positions"),
                 chunk_subset=chunk_subset,
+                fetcher=fetchers[constraint.variable],
             )
             selections[constraint.variable].append(result)
             times = times + result.times
             variable_bitmap = variable_bitmap | Bitmap.from_positions(
                 result.positions, n_elements
             )
+        if constraint.variable not in fetch:
+            fetchers[constraint.variable].release_retained()
         intersection = (
             variable_bitmap
             if intersection is None
@@ -255,11 +264,13 @@ def compound_query(
 
     values: dict[str, np.ndarray] = {}
     fetches: list[QueryResult] = []
+    ranges = {c.variable: c.ranges for c in constraints}
     for name in fetch:
-        store = stores[name]
-        fetched = store.fetch_positions(
-            intersection, region=region, plod_level=plod_level
+        fetched = stores[name].fetch_positions(
+            intersection, region=region, plod_level=plod_level,
+            ranges=ranges.get(name), fetcher=fetchers[name],
         )
+        fetchers[name].release_retained()
         fetches.append(fetched)
         values[name] = fetched.values
         times = times + fetched.times

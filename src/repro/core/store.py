@@ -711,13 +711,18 @@ class MLOCStore:
         *,
         region: tuple[tuple[int, int], ...] | None = None,
         plod_level: int | None = None,
+        ranges: tuple[tuple[float, float], ...] | None = None,
+        fetcher=None,
     ) -> QueryResult:
         """Retrieve values at the positions set in ``bitmap``.
 
         The second step of multi-variable access (Section III-D4): the
         bitmap produced by a region-only step on another variable masks
         the value retrieval on this one.  Only chunks containing set
-        positions are visited.
+        positions are visited.  ``ranges`` are value ranges every set
+        position is known to satisfy, so only the bins they overlap are
+        read; no value filter runs, so this is exact at any PLoD level.
+        ``fetcher`` is :meth:`stage`'s.
         """
         if bitmap.nbits != self.n_elements:
             raise ValueError(
@@ -746,7 +751,10 @@ class MLOCStore:
                     positions, self.grid, self.curve
                 )
                 bins_pruned = plan.narrow_bins(touched[plan.bin_ids])
+            if ranges:
+                spans = [self.scheme.bins_overlapping(lo, hi)[0] for lo, hi in ranges]
+                bins_pruned += plan.narrow_bins(np.isin(plan.bin_ids, np.concatenate(spans)))
         else:
             plan.narrow(np.zeros(plan.cpos.size, dtype=bool))
         plan_stats = {"chunks_pruned": 0, "bins_pruned": bins_pruned}
-        return self.query(query, bitmap, planned=(plan, plan_stats))
+        return self.query(query, bitmap, fetcher=fetcher, planned=(plan, plan_stats))

@@ -186,6 +186,71 @@ class TestZlibFramingFuzz:
                 codec.decode(payload + b"\x00", n)
 
 
+#: The plane codecs, with parameters small enough to fuzz every offset.
+PLANE_CODECS = {
+    "isobar": {},
+    "fpzip-like": {},
+    "isabela": {"window": 64, "n_coeffs": 16},
+}
+
+
+def _plane_payload(name):
+    """A payload of ``name`` holding both deflated and raw sections, its
+    element count, and per deflate stream the offset of its section's
+    uint32 length field and the offset where the stream ends."""
+    codec = make_codec(name, **PLANE_CODECS[name])
+    rng = np.random.default_rng(3)
+    values = np.cumsum(rng.normal(0, 0.05, 150)) + 100.0 + rng.normal(0, 0.5, 150)
+    payload = codec.encode(values)
+    if name == "isabela":  # six section lengths; sections 0 and 4 are deflated
+        fields_at, n_sections, deflated = 0, 6, [0, 4]
+    else:  # eight mode bytes, then eight plane lengths
+        fields_at, n_sections = 8, 8
+        deflated = [p for p in range(8) if payload[p] == 1]
+    header = fields_at + 4 * n_sections
+    ends = header + np.cumsum(np.frombuffer(payload[fields_at:header], dtype="<u4"))
+    streams = [(fields_at + 4 * i, int(ends[i])) for i in deflated]
+    assert streams and len(streams) < n_sections and ends[-1] > ends[deflated[-1]]
+    return codec, payload, values.size, streams
+
+
+def _with_junk(payload, field_at, stream_end, junk=b"xyz"):
+    """``payload`` with ``junk`` after a deflate stream, inside its
+    section's declared length."""
+    out = bytearray(payload[:stream_end] + junk + payload[stream_end:])
+    length = int.from_bytes(out[field_at : field_at + 4], "little") + len(junk)
+    out[field_at : field_at + 4] = length.to_bytes(4, "little")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", list(PLANE_CODECS))
+class TestPlaneFramingFuzz:
+    """A plane-codec payload must end exactly where its sections say,
+    and each deflate stream exactly where its section does."""
+
+    def test_roundtrip_of_the_fixture(self, name):
+        codec, payload, n, _ = _plane_payload(name)
+        assert codec.decode(payload, n).size == n
+
+    def test_truncation_at_every_offset(self, name):
+        codec, payload, n, _ = _plane_payload(name)
+        for cut in range(len(payload)):
+            with pytest.raises(CodecDecodeError):
+                codec.decode(payload[:cut], n)
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"xyz"])
+    def test_trailing_bytes(self, name, tail):
+        codec, payload, n, _ = _plane_payload(name)
+        with pytest.raises(CodecDecodeError):
+            codec.decode(payload + tail, n)
+
+    def test_junk_inside_a_deflated_section(self, name):
+        codec, payload, n, streams = _plane_payload(name)
+        for field_at, stream_end in streams:
+            with pytest.raises(CodecDecodeError):
+                codec.decode(_with_junk(payload, field_at, stream_end), n)
+
+
 def _deflate_then_choose(data) -> bytes:
     """The ``zlib-bytes`` encode before the probe: deflate every
     buffer, keep the deflate stream only if it is smaller."""
