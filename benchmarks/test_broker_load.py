@@ -26,13 +26,7 @@ import numpy as np
 
 from repro.core import MLOCStore, Query
 from repro.harness import record_result
-from repro.server import (
-    BrokerConfig,
-    BrokerCore,
-    open_loop_events,
-    replay_closed_loop,
-    replay_open_loop,
-)
+from repro.server import BrokerConfig, BrokerCore, ClosedLoop, OpenLoop, replay
 
 N_TENANTS = 64
 QUERIES_PER_TENANT = 3
@@ -106,8 +100,9 @@ def test_broker_halves_io_and_keeps_results_identical(suite_gts_8g):
     # Broker, phase 2 — open-loop replay for latency and I/O totals.
     suite.fs.clear_cache()
     open_core = BrokerCore(_broker_store(suite), BrokerConfig(max_inflight=16))
-    events = open_loop_events(tenants, rate=ARRIVAL_RATE, seed=suite.spec.seed)
-    open_report = replay_open_loop(open_core, events)
+    open_report = replay(
+        open_core, OpenLoop(tenants, rate=ARRIVAL_RATE, seed=suite.spec.seed)
+    )
     open_summary = open_report.as_dict()
     broker_bytes = open_summary["bytes_read"]
 
@@ -141,7 +136,7 @@ def test_closed_loop_replay(suite_gts_8g):
     tenants = _tenant_queries(suite)
     suite.fs.clear_cache()
     core = BrokerCore(_broker_store(suite), BrokerConfig(max_inflight=16))
-    report = replay_closed_loop(core, tenants, think_time=0.005)
+    report = replay(core, ClosedLoop(tenants, think_time=0.005))
     summary = report.as_dict()
     assert summary["n_requests"] == N_TENANTS * QUERIES_PER_TENANT
     assert report.broker["pending"] == 0

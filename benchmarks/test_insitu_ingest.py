@@ -30,7 +30,14 @@ from repro.core import MLOCDataset, Query, mloc_col
 from repro.datasets import gts_like
 from repro.harness import record_result
 from repro.pfs import SimulatedPFS
-from repro.server import IngestQueryEvent, IngestSession, TimestepArrival, replay_ingest
+from repro.server import (
+    BrokerCore,
+    IngestQueryEvent,
+    IngestReplay,
+    IngestSession,
+    TimestepArrival,
+    replay,
+)
 
 N_TIMESTEPS = 8
 CADENCE_S = 2.0  # simulation output interval
@@ -86,7 +93,7 @@ def test_ingest_overlap_vs_sealed_baseline():
     dataset = MLOCDataset(fs, "/ds", _config(), n_ranks=4)
     session = IngestSession(dataset, _arrivals(start=0.0, cadence=CADENCE_S))
     events = _query_trace(start=1.0)
-    overlap = replay_ingest(session, events, keep_results=True)
+    overlap = replay(BrokerCore(), IngestReplay(session, events, keep_results=True))
     summary = overlap.as_dict()
 
     assert summary["dropped"] == 0
@@ -125,9 +132,9 @@ def test_ingest_overlap_vs_sealed_baseline():
     presession = IngestSession(dataset2, _arrivals(start=0.0, cadence=0.0))
     presession.run_to_completion()
     sealed_start = presession.appended[-1].sealed_at
-    baseline = replay_ingest(
-        IngestSession(dataset2, []),
-        _query_trace(start=sealed_start + 1.0),
+    baseline = replay(
+        BrokerCore(),
+        IngestReplay(IngestSession(dataset2, []), _query_trace(start=sealed_start + 1.0)),
     )
     base_summary = baseline.as_dict()
     assert base_summary["dropped"] == 0

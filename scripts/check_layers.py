@@ -56,8 +56,9 @@ executed):
    requests to *stage* them, never to run them to completion one at a
    time.
 9. **Deleted second paths stay deleted.**  A capability has one
-   implementation: no ``def``, ``class``, annotated field or import
-   under ``src/repro`` may bring back one of ``DELETED_NAMES`` — the
+   implementation: no ``def``, ``class``, parameter, annotated field
+   or import under ``src/repro`` may bring back one of
+   ``DELETED_NAMES`` — the
    record rebuilders, the object work-list beside ``BlockList``, the
    second multi-variable result type, the per-handle batch-fetcher
    hook, the second run door beside ``MLOCStore.query``, the second
@@ -66,10 +67,11 @@ executed):
    nobody set, the second store class beside ``MLOCStore`` (a
    flat store is a one-shard store), the per-query counter holders
    beside ``QueryCounters``, the dataset front-end beside the one
-   broker core, and every door only tests walked through (the
+   broker core, every door only tests walked through (the
    ``PlanContext.for_store`` constructor, ``DatasetSnapshot.refresh``,
    the ``TracingStore`` proxy, the codec ``from_spec`` rebuilder and
-   the names ``tests/test_api_surface.py`` found without a caller).
+   the names ``tests/test_api_surface.py`` found without a caller),
+   and the per-mode replay drivers beside the one ``replay`` loop.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -145,7 +147,9 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: ``QueryCounters`` and its rank schedulers own their file handles; a
 #: dataset is served by one ``BrokerCore`` whose requests name a pinned
 #: snapshot's member handles; a public name, constructor or method
-#: that only tests called is not part of the library.
+#: that only tests called is not part of the library; a replay is the
+#: one ``replay`` loop over an arrival source, with one admission rule
+#: and one report.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -195,6 +199,17 @@ DELETED_NAMES = frozenset(
         "bar_chart",
         "shard_of_bin",
         "average_region_times",
+        # Per-mode replay drivers, their event type, round helper,
+        # report subclass and the backoff keyword no caller passed.
+        "replay_open_loop",
+        "replay_closed_loop",
+        "replay_ingest",
+        "serve_round",
+        "open_loop_events",
+        "poisson_arrivals",
+        "ReplayEvent",
+        "IngestReplayReport",
+        "retry_backoff",
     }
 )
 
@@ -292,12 +307,14 @@ def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
 
 
 def deleted_name_violations(tree: ast.AST, where: str) -> list[str]:
-    """Rule 9 over one syntax tree: every ``def``, ``class``, annotated
-    field or import that names one of ``DELETED_NAMES``."""
+    """Rule 9 over one syntax tree: every ``def``, ``class``, parameter,
+    annotated field or import that names one of ``DELETED_NAMES``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):

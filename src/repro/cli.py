@@ -699,13 +699,7 @@ def _cmd_stats(args, store) -> int:
 @_store_command
 def _cmd_serve_replay(args, store) -> int:
     from repro.harness.workloads import WorkloadGenerator
-    from repro.server import (
-        BrokerConfig,
-        BrokerCore,
-        open_loop_events,
-        replay_closed_loop,
-        replay_open_loop,
-    )
+    from repro.server import BrokerConfig, BrokerCore, ClosedLoop, OpenLoop, replay
 
     # Region workloads need only the shape; the quantile table is for
     # value constraints, which this trace does not use.
@@ -732,15 +726,11 @@ def _cmd_serve_replay(args, store) -> int:
             int(args.max_pending_mb * (1 << 20)) if args.max_pending_mb else None
         ),
     )
-    core = BrokerCore(store, config)
     if args.mode == "open":
-        events = open_loop_events(tenant_queries, rate=args.rate, seed=args.seed)
-        report = replay_open_loop(core, events)
+        source = OpenLoop(tenant_queries, rate=args.rate, seed=args.seed)
     else:
-        report = replay_closed_loop(
-            core, tenant_queries, think_time=args.think_time
-        )
-    summary = report.as_dict()
+        source = ClosedLoop(tenant_queries, think_time=args.think_time)
+    summary = replay(BrokerCore(store, config), source).as_dict()
     print(
         f"{args.mode}-loop replay: {summary['n_requests']} requests from "
         f"{args.tenants} tenant(s), {summary['rounds']} round(s), "

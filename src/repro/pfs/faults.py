@@ -286,7 +286,7 @@ class _FaultyFileHandle(SimFileHandle):
     """
 
     def read(self, offset: int, length: int) -> bytes:
-        fs: FaultyPFS = self._session.fs
+        fs: FaultyPFS = self._fs
         plan = fs.plan
         if length <= 0 or not plan.applies_to(self._path):
             return super().read(offset, length)
@@ -294,13 +294,13 @@ class _FaultyFileHandle(SimFileHandle):
         decision = plan.decide(self._path, offset, length, attempt)
         log = fs.injected
         if decision.stall_seconds:
-            self._session.stats.stall_seconds += decision.stall_seconds
+            self._stats.stall_seconds += decision.stall_seconds
             log.latency_spikes += 1
             log.stall_seconds += decision.stall_seconds
         if decision.transient:
             # The request reached the server before failing: charge the
             # positioning, and force the retry to seek again.
-            self._session.stats.seeks += 1
+            self._stats.seeks += 1
             self._pos = None
             log.transient_errors += 1
             raise TransientIOError(self._path, offset, length, attempt)

@@ -284,10 +284,13 @@ class SimulatedPFS:
 
 
 class SimFileHandle:
-    """A positioned read handle that charges seeks on discontinuity."""
+    """A positioned read handle that charges seeks on discontinuity; it
+    holds what it reads through, not its session (no reference cycle)."""
 
     def __init__(self, session: "PFSSession", path: str) -> None:
-        self._session = session
+        self._fs = session.fs
+        self._stats = session.stats
+        self._ost_bytes = session.ost_bytes
         self._path = path
         self._pos: int | None = None  # None => no read yet; first read seeks
 
@@ -297,14 +300,14 @@ class SimFileHandle:
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``, charging I/O costs."""
-        fs = self._session.fs
+        fs = self._fs
         f = fs._require(self._path)
         if offset < 0 or length < 0 or offset + length > f.size:
             raise ValueError(
                 f"read out of range: [{offset}, {offset + length}) of {self._path} "
                 f"(size {f.size})"
             )
-        stats = self._session.stats
+        stats = self._stats
         if self._pos is None or offset != self._pos:
             stats.seeks += 1
         self._pos = offset + length
@@ -318,13 +321,13 @@ class SimFileHandle:
             total = int(loads.sum())
             if total > 0:
                 scaled = loads.astype(np.float64) * (cold / total)
-                self._session.ost_bytes += scaled
+                self._ost_bytes += scaled
             stats.bytes_read += cold
             fs._cache.mark(self._path, offset, length)
         return bytes(f.data[offset : offset + length])
 
     def read_all(self) -> bytes:
-        return self.read(0, self._session.fs.size(self._path))
+        return self.read(0, self._fs.size(self._path))
 
     def readv(self, extents: list[tuple[int, int]]) -> list[bytes]:
         """Vectored read: fetch several extents as one contiguous span.
@@ -351,7 +354,7 @@ class SimFileHandle:
         span_start = offsets[0]
         span_end = max(o + n for o, n in extents)
         data = self.read(span_start, span_end - span_start)
-        self._session.stats.vectored_reads += 1
+        self._stats.vectored_reads += 1
         return [data[o - span_start : o - span_start + n] for o, n in extents]
 
 

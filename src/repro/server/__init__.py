@@ -19,19 +19,11 @@ from repro.server.fetchmerge import FetchMergeLoop
 from repro.server.ingest import (
     AppendRecord,
     IngestQueryEvent,
-    IngestReplayReport,
+    IngestReplay,
     IngestSession,
     TimestepArrival,
-    replay_ingest,
 )
-from repro.server.replay import (
-    ReplayEvent,
-    ReplayReport,
-    open_loop_events,
-    poisson_arrivals,
-    replay_closed_loop,
-    replay_open_loop,
-)
+from repro.server.replay import ClosedLoop, OpenLoop, ReplayReport, replay
 
 __all__ = [
     "BrokerConfig",
@@ -44,14 +36,11 @@ __all__ = [
     "FetchMergeLoop",
     "AppendRecord",
     "IngestQueryEvent",
-    "IngestReplayReport",
+    "IngestReplay",
     "IngestSession",
     "TimestepArrival",
-    "replay_ingest",
-    "ReplayEvent",
+    "ClosedLoop",
+    "OpenLoop",
     "ReplayReport",
-    "open_loop_events",
-    "poisson_arrivals",
-    "replay_closed_loop",
-    "replay_open_loop",
+    "replay",
 ]

@@ -8,7 +8,7 @@ one the core was built over (a sealed store is the one-generation
 case), or whichever handle the submit names — a dataset is served by
 naming a pinned snapshot's member handles,
 ``snapshot.store(variable, timestep)``
-(:func:`~repro.server.ingest.replay_ingest`).
+(:class:`~repro.server.ingest.IngestReplay`).
 Admission, scheduling, quotas and the in-flight ceiling are one state
 for the whole broker, whichever store a request names:
 
@@ -49,9 +49,10 @@ through :func:`~repro.core.result.aggregate_stats`, and broker totals
 fold the tenant dicts through the same function.
 
 Synchronous core, async façade: :class:`BrokerCore` is deterministic
-and drives both the traffic-replay benchmark (simulated clock) and
-:class:`QueryBroker`, the asyncio front end whose serve task yields
-between the requests it stages so a tenant can cancel mid-round.
+and drives both the one simulated-clock replay loop
+(:func:`~repro.server.replay.replay`) and :class:`QueryBroker`, the
+asyncio front end whose serve task yields between the requests it
+stages so a tenant can cancel mid-round.
 """
 
 from __future__ import annotations

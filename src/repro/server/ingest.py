@@ -13,14 +13,14 @@ serving layer on the simulated clock:
     drain time of the member's *stored* bytes, so seal times — and
     therefore which generation is visible at any simulated instant —
     are a pure function of the schedule.
-``replay_ingest``
-    The sim-clock driver joining both timelines.  A dataset is served
-    by the one :class:`~repro.server.broker.BrokerCore` (admission,
-    DRR, quotas, shared fetch-merge — all dataset-wide) whose requests
-    name a member handle of a pinned
-    :class:`~repro.core.dataset.DatasetSnapshot`,
+``IngestReplay``
+    The :func:`~repro.server.replay.replay` source joining both
+    timelines.  A dataset is served by the one
+    :class:`~repro.server.broker.BrokerCore` (admission, DRR, quotas,
+    shared fetch-merge — all dataset-wide) whose requests name a member
+    handle of a pinned :class:`~repro.core.dataset.DatasetSnapshot`,
     ``snapshot.store(variable, timestep)``: queries are served against
-    the newest generation *sealed by their arrival time*, the driver
+    the newest generation *sealed by their service time*, the source
     re-pinning when it moves; a query for a timestep still being
     appended stalls until its seal.  Appends never wait for queries
     and queries never wait for appends of members they don't ask for —
@@ -28,30 +28,30 @@ serving layer on the simulated clock:
     immutable no open handle, planning table, or cached block is ever
     invalidated by an append or a re-pin.
 
-The replay counts its own re-pins (``snapshot_refreshes``) and stalls
-(``ingest_stall_seconds``) on its :class:`IngestReplayReport`; the
-broker's totals carry the per-query and per-tenant counters only.
+The source counts its own re-pins (``snapshot_refreshes``) and stalls
+(``ingest_stall_seconds``) on the :class:`~repro.server.replay.ReplayReport`;
+the broker's totals carry the per-query and per-tenant counters only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
 from repro.core.dataset import MLOCDataset
 from repro.core.manifest import load_manifest_at, member_key
 from repro.core.query import Query
-from repro.server.broker import BrokerConfig, BrokerCore, TenantQuota
-from repro.server.replay import ReplayReport, serve_round
+from repro.server.replay import Arrival, ReplayReport, Source
 
 __all__ = [
     "AppendRecord",
     "IngestQueryEvent",
-    "IngestReplayReport",
+    "IngestReplay",
     "IngestSession",
     "TimestepArrival",
-    "replay_ingest",
 ]
 
 
@@ -218,74 +218,12 @@ class IngestQueryEvent:
     timestep: int | None = None
 
 
-#: ``IngestReplayReport.as_dict`` columns, in recorded order.
-_INGEST_COLUMNS = (
-    "n_requests",
-    "dropped",
-    "makespan_s",
-    "first_queryable_s",
-    "latency_p50_s",
-    "latency_p99_s",
-    "latency_mean_s",
-    "stalled_requests",
-    "ingest_stall_seconds",
-    "generations_seen",
-    "snapshot_refreshes",
-    "n_appends",
-    "ingest_throughput_bps",
-    "bytes_read",
-    "blocks_decoded",
-    "cache_hits",
-)
-
-
-@dataclass
-class IngestReplayReport(ReplayReport):
-    """Outcome of one overlapped ingest/query replay.
-
-    Each sample extends the base triple to ``(tenant, arrival,
-    completion, generation, timestep, stall_seconds)``.
-    """
-
-    #: The served :class:`QueryResult` per sample, kept only when the
-    #: replay ran with ``keep_results=True`` (bit-identity checks).
-    results: list = field(default_factory=list)
-    first_queryable_seconds: float = 0.0
-    appends: list = field(default_factory=list)
-    ingest_throughput: float = 0.0
-    #: Re-pins to a newer sealed generation (the first pin excluded).
-    snapshot_refreshes: int = 0
-    #: Simulated seconds queries waited for a timestep still in flight.
-    ingest_stall_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        row = super().as_dict()
-        row.update(
-            first_queryable_s=self.first_queryable_seconds,
-            stalled_requests=sum(1 for s in self.samples if s[5] > 0),
-            n_appends=len(self.appends),
-            ingest_throughput_bps=self.ingest_throughput,
-            ingest_stall_seconds=self.ingest_stall_seconds,
-            generations_seen=self.snapshot_refreshes + 1,
-            snapshot_refreshes=self.snapshot_refreshes,
-        )
-        return {k: row[k] for k in _INGEST_COLUMNS}
-
-
-def replay_ingest(
-    session: IngestSession,
-    events: list[IngestQueryEvent],
-    *,
-    config: BrokerConfig | None = None,
-    tenants: dict[str, TenantQuota] | None = None,
-    keep_results: bool = False,
-) -> IngestReplayReport:
+class IngestReplay(Source):
     """Serve a query trace while ``session`` appends, on the sim clock.
 
     Queries are served in arrival order by one analysis front-end, one
-    request in service at a time (through the same round loop as the
-    open- and closed-loop replays, for as many rounds as the request's
-    cost takes to schedule).  At each query's service time the replay
+    request in service at a time (for as many rounds as the request's
+    cost takes to schedule).  At each query's service time the source
     re-pins to the newest generation *sealed by then* — never a newer
     one, so each result is exactly what a fresh open pinned at that
     generation returns.  A query for a timestep whose append is still
@@ -294,61 +232,70 @@ def replay_ingest(
     timesteps the schedule never produces are dropped (counted, not
     served).
     """
-    core = BrokerCore(config=config, tenants=tenants)
-    snapshot = session.dataset.snapshot()
-    report = IngestReplayReport(mode="ingest")
-    arrivals: dict[int, float] = {}
-    clock = 0.0
-    for event in sorted(events, key=lambda e: e.arrival):
-        clock = max(clock, event.arrival)
-        session.advance_to(clock)
-        stall = 0.0
-        timestep = event.timestep
-        if timestep is None:
-            timestep = max(
-                [
-                    m.timestep
-                    for m in session.base_manifest.members
-                    if m.variable == event.variable and m.timestep is not None
-                ]
-                + [
-                    r.timestep
-                    for r in session.sealed_members_at(clock)
-                    if r.variable == event.variable
-                ],
-                default=None,
-            )
-        if timestep is None or session.base_manifest.member(
-            member_key(event.variable, timestep)
-        ) is None:
-            # Not in the base: its seal is on the session's timeline
-            # (nothing sealed yet of the variable: wait for the first).
-            record = session.seal(event.variable, timestep)
-            if record is None:
-                report.dropped += 1
-                continue
-            stall = max(0.0, record.sealed_at - clock)
-            timestep = record.timestep
-        if stall:
-            report.ingest_stall_seconds += stall
-            clock += stall
+
+    mode = "ingest"
+
+    def __init__(
+        self, session: IngestSession, events: list[IngestQueryEvent], *, keep_results=False
+    ) -> None:
+        self.session = session
+        self.keep_results = keep_results
+        self._events = deque(sorted(events, key=lambda e: e.arrival))
+        self._snapshot = session.dataset.snapshot()
+        self._busy = False
+        #: This source's report fields, copied onto the report by finish.
+        self._own = ReplayReport(self.mode)
+
+    def next_arrival(self) -> float:
+        return inf if self._busy or not self._events else self._events[0].arrival
+
+    def due(self, clock: float) -> list[Arrival]:
+        session, own = self.session, self._own
+        while not self._busy and self._events and self._events[0].arrival <= clock:
+            event = self._events.popleft()
             session.advance_to(clock)
-        generation = session.generation_at(clock)
-        if generation != snapshot.generation:
-            snapshot = session.dataset.snapshot(generation)
-            report.snapshot_refreshes += 1
-        req = core.submit(
-            event.tenant, event.query, store=snapshot.store(event.variable, timestep)
-        )
-        arrivals[req.ticket] = event.arrival
-        while req.status == "queued":
-            clock = serve_round(core, clock, report, arrivals)
-        report.samples[-1] += (generation, timestep, stall)
-        if keep_results:
-            report.results.append(req.result)
-    report.clock = clock
-    report.first_queryable_seconds = session.first_queryable_seconds or 0.0
-    report.appends = list(session.appended)
-    report.ingest_throughput = session.ingest_throughput()
-    report.broker = core.stats()
-    return report
+            var, timestep, stall = event.variable, event.timestep, 0.0
+            if timestep is None:
+                base = session.base_manifest.members
+                timestep = max(
+                    [m.timestep for m in base if m.variable == var and m.timestep is not None]
+                    + [r.timestep for r in session.sealed_members_at(clock) if r.variable == var],
+                    default=None,
+                )
+            if timestep is None or session.base_manifest.member(member_key(var, timestep)) is None:
+                # Not in the base: its seal is on the session's timeline
+                # (nothing sealed yet of the variable: wait for the first).
+                record = session.seal(var, timestep)
+                if record is None:
+                    own.dropped += 1
+                    continue
+                stall = max(0.0, record.sealed_at - clock)
+                timestep = record.timestep
+            # The service instant, computed as the loop's clock advances.
+            now = clock + stall
+            session.advance_to(now)
+            own.ingest_stall_seconds += stall
+            generation = session.generation_at(now)
+            if generation != self._snapshot.generation:
+                self._snapshot = session.dataset.snapshot(generation)
+                own.snapshot_refreshes += 1
+            self._busy = True
+            store = self._snapshot.store(var, timestep)
+            extra = (generation, timestep, stall)
+            return [Arrival(event.tenant, event.query, event.arrival, 0, store, stall, extra)]
+        return []
+
+    def done(self, arrival: Arrival, clock: float, outcome) -> None:
+        self._busy = False
+        if self.keep_results and not isinstance(outcome, Exception):
+            self._own.results.append(outcome.result)
+
+    def finish(self, report: ReplayReport) -> None:
+        own, session = self._own, self.session
+        report.dropped += own.dropped
+        report.results = own.results
+        report.snapshot_refreshes = own.snapshot_refreshes
+        report.ingest_stall_seconds = own.ingest_stall_seconds
+        report.first_queryable_seconds = session.first_queryable_seconds or 0.0
+        report.appends = list(session.appended)
+        report.ingest_throughput = session.ingest_throughput()

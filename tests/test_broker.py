@@ -17,6 +17,7 @@ broker must stay testable with a stock pytest).
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -38,11 +39,12 @@ from repro.server import (
     BrokerRejected,
     QueryBroker,
     QuotaExceededError,
+    ClosedLoop,
+    OpenLoop,
     TenantQuota,
-    open_loop_events,
-    replay_closed_loop,
-    replay_open_loop,
+    replay,
 )
+from repro.server.replay import RETRY_S
 from scripts.gen_engine_golden import fault_plan
 
 
@@ -569,8 +571,7 @@ class TestReplay:
         def run():
             broker_fs.clear_cache()  # same simulated OS-cache start state
             core = BrokerCore(_open(broker_fs, cache_bytes=4 << 20))
-            events = open_loop_events(self._tenant_queries(), rate=50.0, seed=3)
-            return replay_open_loop(core, events)
+            return replay(core, OpenLoop(self._tenant_queries(), rate=50.0, seed=3))
 
         a, b = run(), run()
         assert a.samples == b.samples
@@ -584,20 +585,56 @@ class TestReplay:
         # Everything arrives at t=0 but only one query serves per
         # round: later completions carry the backlog's service time.
         core = BrokerCore(_open(broker_fs), BrokerConfig(max_inflight=1))
-        events = open_loop_events(self._tenant_queries(2), rate=1e9, seed=0)
-        report = replay_open_loop(core, events)
+        report = replay(core, OpenLoop(self._tenant_queries(2), rate=1e9, seed=0))
         lat = report.latencies()
         assert lat.size == 6
         assert lat.max() > lat.min()
 
     def test_closed_loop_completes_every_stream(self, broker_fs):
         core = BrokerCore(_open(broker_fs, cache_bytes=4 << 20))
-        report = replay_closed_loop(
-            core, self._tenant_queries(), think_time=0.002
-        )
+        report = replay(core, ClosedLoop(self._tenant_queries(), think_time=0.002))
         assert report.as_dict()["n_requests"] == 12
         assert report.broker["totals"]["completed"] == 12
         assert report.broker["pending"] == 0
         # The simulated clock only moves forward; no request can take
         # longer than the whole replay.
         assert report.clock >= report.latencies().max() > 0.0
+
+    def _est(self, store, query) -> int:
+        return store.estimated_raw_bytes(query, store.plan(query)[0])
+
+    def test_an_unadmittable_closed_loop_request_is_dropped(self, broker_fs):
+        # Nothing in flight can ever free room for a request larger than
+        # the ceiling: the closed loop drops it instead of retrying
+        # forever.  The replay runs in a daemon thread so a hang fails
+        # the test instead of wedging the suite.
+        store = _open(broker_fs)
+        ceiling = self._est(store, QUERIES[0]) // 2
+        core = BrokerCore(store, BrokerConfig(max_pending_bytes=ceiling))
+        reports = []
+        worker = threading.Thread(
+            target=lambda: reports.append(
+                replay(core, ClosedLoop({"a": [QUERIES[0]]}))
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30.0)
+        assert not worker.is_alive(), "closed-loop replay did not terminate"
+        (report,) = reports
+        assert report.dropped == 1 and report.rejected == 1
+        assert report.samples == []
+
+    def test_a_retried_closed_loop_request_keeps_its_arrival(self, broker_fs):
+        # Room for one request: "b" is rejected at t=0 while "a" is
+        # pending, retried RETRY_S later, and its latency still counts
+        # from t=0.
+        store = _open(broker_fs)
+        ceiling = 3 * self._est(store, QUERIES[0]) // 2
+        core = BrokerCore(store, BrokerConfig(max_pending_bytes=ceiling))
+        tenants = {"a": [QUERIES[0]], "b": [QUERIES[0]]}
+        report = replay(core, ClosedLoop(tenants))
+        assert report.rejected == 1 and report.dropped == 0
+        (a, b) = report.samples
+        assert a[:2] == ("a", 0.0) and b[:2] == ("b", 0.0)
+        assert b[2] > a[2] >= RETRY_S

@@ -226,3 +226,38 @@ def test_a_reintroduced_test_only_door_is_a_violation():
     named = [v.split(": ")[1].split(" ")[0] for v in found]
     assert named == ["TracingStore", "for_store", "refresh", "_generations_seen"]
     assert found[0].startswith("x.py:2:")
+
+
+PER_MODE_REPLAY = """
+from repro.server.replay import ReplayEvent, serve_round
+
+def open_loop_events(tenant_queries, rate, seed=0):
+    return poisson_arrivals(len(tenant_queries), rate, seed)
+
+def replay_open_loop(core, events, *, retry_backoff=0.001):
+    return serve_round(core, 0.0, None, {})
+
+def replay_closed_loop(core, tenant_queries, *, think_time=0.0):
+    pass
+
+def replay_ingest(session, events):
+    pass
+
+class IngestReplayReport(ReplayReport):
+    pass
+
+def poisson_arrivals(n, rate, seed=0):
+    pass
+"""
+
+
+def test_a_reintroduced_per_mode_replay_driver_is_a_violation():
+    found = deleted_name_violations(ast.parse(PER_MODE_REPLAY), "x.py")
+    named = sorted(v.split(": ")[1].split(" ")[0] for v in found)
+    assert named == sorted([
+        "ReplayEvent", "serve_round", "open_loop_events", "replay_open_loop",
+        "retry_backoff", "replay_closed_loop", "replay_ingest",
+        "IngestReplayReport", "poisson_arrivals",
+    ])  # fmt: skip
+    assert found[0].startswith("x.py:2:")
+

@@ -22,11 +22,12 @@ from repro.server import (
     BrokerCore,
     BrokerRejected,
     IngestQueryEvent,
+    IngestReplay,
     IngestSession,
     QuotaExceededError,
     TenantQuota,
     TimestepArrival,
-    replay_ingest,
+    replay,
 )
 
 CONFIG = mloc_col(chunk_shape=(16, 16), n_bins=8, target_block_bytes=4096)
@@ -255,11 +256,11 @@ class TestReplayIngest:
     def test_request_larger_than_one_quantum_completes(self, full_cost):
         dataset = _dataset(SimulatedPFS())
         session = IngestSession(dataset, _arrivals([0.0]))
-        report = replay_ingest(
-            session,
-            [IngestQueryEvent(1.0, "a", "temp", FULL, 0)],
-            config=BrokerConfig(quantum_bytes=-(-full_cost // 4)),
-            keep_results=True,
+        report = replay(
+            BrokerCore(config=BrokerConfig(quantum_bytes=-(-full_cost // 4))),
+            IngestReplay(
+                session, [IngestQueryEvent(1.0, "a", "temp", FULL, 0)], keep_results=True
+            ),
         )
         assert report.dropped == 0 and len(report.samples) == 1
         # The deficit needs four quanta: three empty rounds, then service.
@@ -276,7 +277,7 @@ class TestReplayIngest:
         # at time zero: at least the first waits for its seal.
         session = IngestSession(_dataset(SimulatedPFS()), _arrivals([0.0, 0.0]))
         events = [IngestQueryEvent(0.0, "a", "temp", BOX, t) for t in (0, 1)]
-        report = replay_ingest(session, events)
+        report = replay(BrokerCore(), IngestReplay(session, events))
         stalls = [s[5] for s in report.samples]
         assert len(stalls) == 2 and stalls[0] > 0.0
         assert report.ingest_stall_seconds == sum(stalls)
@@ -284,3 +285,19 @@ class TestReplayIngest:
         summary = report.as_dict()
         assert summary["ingest_stall_seconds"] == report.ingest_stall_seconds
         assert summary["generations_seen"] == report.snapshot_refreshes + 1
+
+    def test_a_quota_rejection_is_a_drop_and_the_replay_finishes(self):
+        # The tenant's byte quota admits nothing: each query is dropped
+        # by the loop's one admission rule, and the other tenant's
+        # query is still served.
+        session = IngestSession(_dataset(SimulatedPFS()), _arrivals([0.0]))
+        events = [
+            IngestQueryEvent(1.0, "a", "temp", BOX, 0),
+            IngestQueryEvent(2.0, "b", "temp", BOX, 0),
+        ]
+        core = BrokerCore(tenants={"a": TenantQuota(max_bytes=1)})
+        report = replay(core, IngestReplay(session, events))
+        assert report.dropped == 1 and report.rejected == 0
+        assert [s[0] for s in report.samples] == ["b"]
+        assert report.broker["tenants"]["a"]["quota_rejections"] == 1
+        assert report.as_dict()["n_requests"] == 1

@@ -29,9 +29,10 @@ from repro.pfs import SimulatedPFS
 from repro.server import (
     BrokerCore,
     IngestQueryEvent,
+    IngestReplay,
     IngestSession,
     TimestepArrival,
-    replay_ingest,
+    replay,
 )
 
 FOLDS = ("sum", "fsum", "union", "max", "dict_sum", "dict_min")
@@ -139,7 +140,7 @@ def ingest_report():
         for t in range(2)
     ]
     events = [IngestQueryEvent(0.5 + t, "a", "temp", REGION, t) for t in range(2)]
-    return replay_ingest(IngestSession(dataset, arrivals), events)
+    return replay(BrokerCore(), IngestReplay(IngestSession(dataset, arrivals), events))
 
 
 @pytest.fixture(scope="module")

@@ -30,11 +30,11 @@ from repro.pfs import PFSCostModel, SimulatedPFS
 from repro.server import (
     BrokerCore,
     IngestQueryEvent,
+    IngestReplay,
     IngestSession,
+    OpenLoop,
     TimestepArrival,
-    open_loop_events,
-    replay_ingest,
-    replay_open_loop,
+    replay,
 )
 
 DATA = gts_like((64, 64), seed=17)
@@ -136,7 +136,7 @@ def test_open_loop_replay_repeats_exactly():
     def run():
         system.fs.clear_cache()
         core = BrokerCore(MLOCStore.open(system.fs, "/s", "f", n_ranks=4))
-        return replay_open_loop(core, open_loop_events(queries, rate=20.0, seed=5))
+        return replay(core, OpenLoop(queries, rate=20.0, seed=5))
 
     a, b = run(), run()
     assert a.samples == b.samples and a.clock == b.clock
@@ -163,7 +163,7 @@ def test_ingest_replay_repeats_exactly():
             )
             for i in range(5)
         ]
-        return replay_ingest(IngestSession(dataset, arrivals), events)
+        return replay(BrokerCore(), IngestReplay(IngestSession(dataset, arrivals), events))
 
     a, b = run(), run()
     assert a.samples == b.samples and a.clock == b.clock

@@ -1,8 +1,13 @@
 """Tests for the simulated PFS: namespace, accounting, cache, striping."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
+from repro.datasets import gts_like
 from repro.pfs.costmodel import PFSCostModel
 from repro.pfs.simfs import SimulatedPFS
 
@@ -176,3 +181,22 @@ class TestCache:
         h.read(30, 30)
         h.read(10, 40)  # fully covered by [0, 60)
         assert s.stats.bytes_read == 60
+
+
+def test_a_dropped_file_system_is_freed_without_a_collection():
+    # An open handle must not point back at its session: the session's
+    # handle table would close a cycle that keeps the whole file
+    # system alive until the cyclic collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        fs = SimulatedPFS()
+        config = mloc_col(chunk_shape=(16, 16), n_bins=4)
+        MLOCWriter(fs, "/s", config).write(gts_like((64, 64), seed=1), variable="f")
+        store = MLOCStore.open(fs, "/s", "f", n_ranks=2)
+        store.query(Query(region=((0, 32), (0, 32)), output="values"))
+        alive = weakref.ref(fs)
+        del fs, store
+        assert alive() is None
+    finally:
+        gc.enable()
