@@ -71,7 +71,8 @@ executed):
    ``PlanContext.for_store`` constructor, ``DatasetSnapshot.refresh``,
    the ``TracingStore`` proxy, the codec ``from_spec`` rebuilder and
    the names ``tests/test_api_surface.py`` found without a caller),
-   and the per-mode replay drivers beside the one ``replay`` loop.
+   the per-mode replay drivers beside the one ``replay`` loop, and the
+   per-read OST load vector beside the read's own stripe charge.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -210,6 +211,9 @@ DELETED_NAMES = frozenset(
         "ReplayEvent",
         "IngestReplayReport",
         "retry_backoff",
+        # The NumPy load vector a simulated read built to charge its
+        # stripes; the read charges each OST it touches directly.
+        "_ost_loads",
     }
 )
 

@@ -104,7 +104,7 @@ from repro.core.meta import StoreMeta
 from repro.core.planner import PlanContext, QueryPlan, merge_extents
 from repro.core.query import Query
 from repro.core.result import ComponentTimes, QueryResult
-from repro.index.binindex import decode_position_block_flat
+from repro.index.binindex import PositionBlock
 from repro.index.bitmap import Bitmap
 from repro.parallel.procpool import get_pool
 from repro.parallel.scheduler import (
@@ -695,7 +695,7 @@ class QueryEngine:
         if kind == _INDEX:
             counts_slice = self.context.counts64[bin_id, first:end]
             return (
-                lambda payload: decode_position_block_flat(payload, counts_slice),
+                lambda payload: PositionBlock(payload, counts_slice),
                 ("index", counts_slice),
             )
         codec = self._codec
@@ -834,10 +834,25 @@ class QueryEngine:
             data_jobs.update(query.jobs(_DATA))
 
         local_ids = np.empty(int(counts.sum()), dtype=np.int64)
-        for block, lo, hi, dest in merge_extents(
-            *self.context.index_extents(bin_ids, cpos)
-        ):
-            local_ids[dest : dest + hi - lo] = index_jobs[block].result[lo:hi]
+        block, lo, hi = self.context.index_extents(bin_ids, cpos)
+        # Rows without positions add nothing to the output, nor to a span.
+        held = np.flatnonzero(hi > lo)
+        block, lo, hi = block[held], lo[held], hi[held]
+        if block.size:
+            # Rows come in block order and ascend inside a block: one
+            # request per block for the span from its first row's lo to
+            # its last row's hi, then runs are sliced out of the span.
+            bounds = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1], [True])))
+            span_lo, span_hi = lo[bounds[:-1]], hi[bounds[1:] - 1]
+            spans = {
+                b: index_jobs[b].result.positions(a, z)
+                for b, a, z in zip(
+                    block[bounds[:-1]].tolist(), span_lo.tolist(), span_hi.tolist()
+                )
+            }
+            base = np.repeat(span_lo, np.diff(bounds))
+            for b, a, z, dest in merge_extents(block, lo - base, hi - base):
+                local_ids[dest : dest + z - a] = spans[b][a:z]
         coords = self.grid.global_coords_batch(
             self.curve.chunks_at(cpos), local_ids, counts
         )

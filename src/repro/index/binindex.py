@@ -18,6 +18,11 @@ number of consecutive chunks (:func:`encode_position_cells`).  A
 chunk's first delta being absolute, its varint bytes do not depend on
 its neighbours: an index block is the deflate of its chunks' byte range
 of that stream (:func:`compress_position_stream`), however batched.
+
+The same property serves the reader: a :class:`PositionBlock` inflates
+and checks a block once, then decodes only the run of chunks a query's
+rows cover.  Under Hilbert order a box's chunks sit close together on
+the curve, so that run is a small part of a whole-bin block.
 """
 
 from __future__ import annotations
@@ -26,9 +31,15 @@ import zlib
 
 import numpy as np
 
-from repro.util.varint import varint_decode_array, varint_encode_array, varint_lengths
+from repro.util.varint import (
+    varint_decode_array,
+    varint_encode_array,
+    varint_lengths,
+    varint_offsets,
+)
 
 __all__ = [
+    "PositionBlock",
     "compress_position_stream",
     "encode_position_cells",
     "encode_position_block",
@@ -92,14 +103,25 @@ def encode_position_block(positions_per_chunk: list[np.ndarray], level: int = 6)
     return compress_position_stream(stream, level)
 
 
-def decode_position_block_flat(payload: bytes, counts: np.ndarray) -> np.ndarray:
-    """Decode an index block into one flat position array.
+class PositionBlock:
+    """A decoded index block whose positions are decoded on demand.
 
-    The returned int64 array concatenates every chunk's positions in
-    block order; chunk boundaries are recovered from ``counts`` (the
-    caller slices runs of chunks out with a cumulative-sum offset
-    table).  This is the vectorized primitive used by the query
-    executor — no per-chunk Python objects are materialized.
+    Construction inflates ``payload`` and checks the whole block: the
+    deflate stream ends exactly at its end-of-stream marker, and the
+    varint stream holds ``counts.sum()`` values, the last of them
+    complete and none longer than 10 bytes.  A corrupt block therefore
+    fails here, with ``ValueError``, before any position is asked for.
+
+    :meth:`positions` returns the positions of any element range.  A
+    chunk's first delta is absolute, so the enclosing run of whole
+    chunks decodes without the chunks before it.  The first request
+    decodes its run and keeps it; a request outside it decodes the
+    whole block once, keeps it and drops the stream.  Each memo is set
+    by one assignment, so callers on several threads at worst decode
+    the same positions twice.
+
+    ``nbytes`` is the size of the whole position array, what a cache
+    budgets for the block however much of it has been decoded.
 
     Parameters
     ----------
@@ -109,24 +131,97 @@ def decode_position_block_flat(payload: bytes, counts: np.ndarray) -> np.ndarray
         Element count of each chunk in the block, in order (from the
         store metadata).
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    inflater = zlib.decompressobj()
-    stream = inflater.decompress(payload)
-    if not inflater.eof or inflater.unused_data:
-        raise ValueError("index block is truncated or has trailing bytes")
-    deltas = varint_decode_array(stream, total).astype(np.int64)
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Per-chunk cumulative sums in one vectorized pass: a chunk's first
-    # delta is absolute, so subtracting the running prefix before each
-    # chunk start from the global cumsum restores the positions.
-    cs = np.cumsum(deltas)
-    starts = np.zeros(counts.size, dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    prefixes = np.where(starts > 0, cs[starts - 1], 0)
-    prefix_stream = np.repeat(prefixes, counts)
-    return cs - prefix_stream
+
+    __slots__ = ("counts", "offsets", "size", "nbytes", "_source", "_run", "_whole")
+
+    def __init__(self, payload: bytes, counts: np.ndarray) -> None:
+        counts = np.asarray(counts, dtype=np.int64)
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        inflater = zlib.decompressobj()
+        stream = inflater.decompress(payload)
+        if not inflater.eof or inflater.unused_data:
+            raise ValueError("index block is truncated or has trailing bytes")
+        raw = np.frombuffer(stream, dtype=np.uint8)
+        self.counts = counts
+        #: Element offset of every chunk in the block (``len(counts) + 1``).
+        self.offsets = offsets
+        self.size = int(offsets[-1])
+        self.nbytes = 8 * self.size
+        #: The varint stream and the byte offset of every chunk in it;
+        #: ``None`` once the whole block is decoded.
+        self._source = (raw, varint_offsets(raw, self.size, offsets))
+        self._run: tuple[int, int, np.ndarray] | None = None
+        self._whole: np.ndarray | None = None
+
+    def positions(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The int64 positions of elements ``[lo, hi)`` of the block
+        (default: all of them), in block order.  The result may be a
+        view of the memo: callers copy, never write."""
+        hi = self.size if hi is None else hi
+        if not 0 <= lo <= hi <= self.size:
+            raise ValueError(f"element range [{lo}, {hi}) outside a block of {self.size}")
+        whole = self._whole
+        if whole is not None:
+            return whole[lo:hi]
+        run = self._run
+        if run is not None and run[0] <= lo and hi <= run[1]:
+            return run[2][lo - run[0] : hi - run[0]]
+        if lo == hi:
+            return np.empty(0, dtype=np.int64)
+        # The run of whole chunks that holds the range.
+        offsets = self.offsets
+        first = int(np.searchsorted(offsets, lo, side="right")) - 1
+        end = int(np.searchsorted(offsets, hi, side="left"))
+        start, stop = int(offsets[first]), int(offsets[end])
+        if run is None and stop - start < self.size:
+            run = (start, stop, self._decode(first, end))
+            self._run = run
+            return run[2][lo - start : hi - start]
+        whole = self._decode(0, len(offsets) - 1)
+        # Set before the stream goes: a caller that finds no stream
+        # finds the whole block.
+        self._whole = whole
+        self._source = self._run = None
+        return whole[lo:hi]
+
+    def _decode(self, first: int, end: int) -> np.ndarray:
+        """Positions of chunks ``[first, end)``, decoded from the stream."""
+        source = self._source
+        if source is None:  # another caller decoded the whole block
+            return self._whole[self.offsets[first] : self.offsets[end]]
+        raw, byte_offsets = source
+        offsets = self.offsets
+        # A fresh array: reinterpreted and summed in place.
+        cs = varint_decode_array(
+            raw[byte_offsets[first] : byte_offsets[end]], int(offsets[end] - offsets[first])
+        ).view(np.int64)
+        # Per-chunk cumulative sums in one vectorized pass: a chunk's
+        # first delta is absolute, so subtracting the running prefix
+        # before each chunk start from the run's cumsum restores it.
+        np.cumsum(cs, out=cs)
+        starts = offsets[first:end] - offsets[first]
+        prefixes = np.where(starts > 0, cs[starts - 1], 0)
+        return cs - np.repeat(prefixes, self.counts[first:end])
+
+
+def decode_position_block_flat(payload: bytes, counts: np.ndarray) -> np.ndarray:
+    """Decode an index block into one flat position array.
+
+    The returned int64 array concatenates every chunk's positions in
+    block order; chunk boundaries are recovered from ``counts``.  The
+    query engine keeps the :class:`PositionBlock` instead and decodes
+    only the chunks its rows cover.
+
+    Parameters
+    ----------
+    payload:
+        Bytes produced by :func:`encode_position_block`.
+    counts:
+        Element count of each chunk in the block, in order (from the
+        store metadata).
+    """
+    return PositionBlock(payload, counts).positions()
 
 
 def decode_position_block(payload: bytes, counts: np.ndarray) -> list[np.ndarray]:
@@ -144,11 +239,6 @@ def decode_position_block(payload: bytes, counts: np.ndarray) -> list[np.ndarray
     -------
     list of int64 arrays, one per chunk (possibly empty).
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    positions = decode_position_block_flat(payload, counts)
-    out: list[np.ndarray] = []
-    cursor = 0
-    for c in counts:
-        out.append(positions[cursor : cursor + c])
-        cursor += int(c)
-    return out
+    block = PositionBlock(payload, counts)
+    positions = block.positions()
+    return [positions[lo:hi] for lo, hi in zip(block.offsets[:-1], block.offsets[1:])]

@@ -79,8 +79,8 @@ def run_task(task: tuple):
 
     Spec forms (all fields picklable by construction):
 
-    * ``("index", counts)`` + payload bytes — decode a position-index
-      block into the flat int64 position array.
+    * ``("index", counts)`` + payload bytes — inflate and check a
+      position-index block into a :class:`~repro.index.binindex.PositionBlock`.
     * ``("bytes", name, params, raw_len)`` + payload bytes — byte-codec
       decode into a uint8 array (PLoD byte planes).
     * ``("float", name, params, count)`` + payload bytes — float-codec
@@ -94,9 +94,9 @@ def run_task(task: tuple):
     spec, payload = task
     kind = spec[0]
     if kind == "index":
-        from repro.index.binindex import decode_position_block_flat
+        from repro.index.binindex import PositionBlock
 
-        return decode_position_block_flat(payload, spec[1])
+        return PositionBlock(payload, spec[1])
     if kind == "bytes":
         import numpy as np
 

@@ -267,21 +267,6 @@ class SimulatedPFS:
         """Handle factory; subclasses (FaultyPFS) inject failing handles."""
         return SimFileHandle(session, path)
 
-    # Internal: distribute ``length`` cold bytes of a read across OSTs.
-    def _ost_loads(self, f: _SimFile, offset: int, length: int) -> np.ndarray:
-        loads = np.zeros(self.cost_model.ost_count, dtype=np.int64)
-        if length <= 0:
-            return loads
-        stripe = self.cost_model.stripe_size
-        first = offset // stripe
-        last = (offset + length - 1) // stripe
-        stripes = np.arange(first, last + 1, dtype=np.int64)
-        starts = np.maximum(stripes * stripe, offset)
-        ends = np.minimum((stripes + 1) * stripe, offset + length)
-        osts = (f.first_ost + stripes) % self.cost_model.ost_count
-        np.add.at(loads, osts, ends - starts)
-        return loads
-
 
 class SimFileHandle:
     """A positioned read handle that charges seeks on discontinuity; it
@@ -316,15 +301,24 @@ class SimFileHandle:
         cold = fs._cache.uncached_bytes(self._path, offset, length)
         if cold > 0:
             # Charge only the cold fraction; distribute proportionally
-            # over the stripes the full extent touches.
-            loads = fs._ost_loads(f, offset, length)
-            total = int(loads.sum())
-            if total > 0:
-                scaled = loads.astype(np.float64) * (cold / total)
-                self._ost_bytes += scaled
+            # over the stripes the full extent touches, one product per
+            # OST: its bytes of the extent times cold / length.
+            share = cold / length
+            stripe, n_ost = fs.cost_model.stripe_size, fs.cost_model.ost_count
+            end = offset + length
+            first, last = offset // stripe, (end - 1) // stripe
+            # Stripe s, and every n_ost-th stripe after it up to the
+            # last, live on one OST; the first and last are partial.
+            for s in range(first, min(last + 1, first + n_ost)):
+                load = ((last - s) // n_ost + 1) * stripe
+                if s == first:
+                    load -= offset - first * stripe
+                if (last - s) % n_ost == 0:
+                    load -= (last + 1) * stripe - end
+                self._ost_bytes[(f.first_ost + s) % n_ost] += float(load) * share
             stats.bytes_read += cold
             fs._cache.mark(self._path, offset, length)
-        return bytes(f.data[offset : offset + length])
+        return bytes(memoryview(f.data)[offset : offset + length])
 
     def read_all(self) -> bytes:
         return self.read(0, self._fs.size(self._path))

@@ -16,6 +16,10 @@ millions of positions, so both directions are vectorized with NumPy:
   whole buffer at once, gathers every value's first byte, and ORs in
   one further 7-bit group per pass, each pass touching only the values
   that long.
+* ``varint_offsets`` checks a whole stream the way the decoder does and
+  says where given values begin, from the indices of its continuation
+  bytes alone: a caller then decodes any run of values by passing its
+  byte range to ``varint_decode_array``.
 
 In-chunk position deltas are mostly below 128, so both directions
 shortcut the stream whose values all fit one byte: it *is* the values.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["varint_encode_array", "varint_decode_array", "varint_lengths"]
+__all__ = ["varint_encode_array", "varint_decode_array", "varint_lengths", "varint_offsets"]
 
 #: Maximum bytes a uint64 can occupy in LEB128 (ceil(64 / 7)).
 _MAX_LEN = 10
@@ -132,3 +136,32 @@ def varint_decode_array(buffer: bytes | np.ndarray, count: int | None = None) ->
         out[longer] |= group << np.uint64(7 * byte_i)
         longer = longer[lengths[longer] > byte_i + 1]
     return out
+
+
+def varint_offsets(buffer: bytes | np.ndarray, count: int, at: np.ndarray) -> np.ndarray:
+    """Validate a whole LEB128 stream and find where values ``at`` begin.
+
+    Runs the checks of :func:`varint_decode_array` without decoding:
+    the final byte ends a value, the stream holds ``count`` values, and
+    none is longer than 10 bytes.  It reads only the indices of the
+    continuation bytes, which are few in a stream of mostly one-byte
+    values.  Returns the byte offset at which each value ``at[i]``
+    begins (value ``count`` begins at the stream's end), so that the
+    values ``[j, k)`` decode on their own from bytes
+    ``[offsets(j), offsets(k))``.
+    """
+    raw = np.frombuffer(buffer, dtype=np.uint8) if not isinstance(buffer, np.ndarray) else buffer
+    if raw.size and raw[-1] & 0x80:
+        raise ValueError("truncated varint stream: final byte has continuation bit set")
+    more = np.flatnonzero(raw >= 0x80)
+    if raw.size - more.size != count:
+        raise ValueError(f"expected {count} values, decoded {raw.size - more.size}")
+    # Ten continuation bytes in a row make a value of eleven bytes.
+    run = _MAX_LEN - 1
+    if more.size > run and np.any(more[run:] - more[:-run] == run):
+        raise ValueError("varint value exceeds 64 bits")
+    # Continuation byte i belongs to value ``more[i] - i`` (that many
+    # values ended before it), so value k begins after the last bytes of
+    # the k values before it plus their continuation bytes.
+    owner = more - np.arange(more.size)
+    return at + np.searchsorted(owner, at, side="left")

@@ -1,5 +1,7 @@
 """Tests for the per-bin position index codec."""
 
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -7,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.binindex as binindex
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
+from repro.datasets import s3d_like
 from repro.index.binindex import (
+    PositionBlock,
     compress_position_stream,
     decode_position_block,
+    decode_position_block_flat,
     encode_position_block,
     encode_position_cells,
 )
+from repro.pfs import SimulatedPFS
 from repro.util.varint import varint_encode_array
 
 
@@ -80,6 +88,214 @@ class TestValidation:
         payload = encode_position_block([np.arange(0, 3000, 7)])
         with pytest.raises(ValueError, match="truncated"):
             decode_position_block(payload[:-5], np.array([429]))
+
+
+def _real_block(seed=0):
+    """A 64-chunk block as the writer cuts it: each chunk's local ids
+    within a 16^3 chunk, some chunks empty, two-byte first values."""
+    rng = np.random.default_rng(seed)
+    chunks = [
+        np.flatnonzero(rng.random(4096) < rng.choice([0.0, 0.01, 0.05])) for _ in range(64)
+    ]
+    counts = np.array([c.size for c in chunks], dtype=np.int64)
+    stream, _ = encode_position_cells(np.concatenate(chunks), counts)
+    return chunks, counts, stream.tobytes()
+
+
+def _deflate(stream: bytes) -> bytes:
+    return compress_position_stream(stream)
+
+
+def _corruptions(case):
+    """``(payload, counts)`` variants of the real block that must fail."""
+    _, counts, stream = _real_block()
+    payload = _deflate(stream)
+    nonempty = int(np.flatnonzero(counts)[0])
+    if case == "truncated-payload":
+        return [(payload[:k], counts) for k in range(len(payload))]
+    if case == "truncated-stream":
+        return [(_deflate(stream[:k]), counts) for k in range(len(stream))]
+    if case == "trailing-byte":
+        return [(payload + b"\x00", counts), (_deflate(stream + b"\x05"), counts)]
+    if case == "final-continuation":
+        return [(_deflate(stream[:-1] + bytes([stream[-1] | 0x80])), counts)]
+    if case in ("count-plus-one", "count-minus-one"):
+        wrong = counts.copy()
+        wrong[nonempty] += 1 if case == "count-plus-one" else -1
+        return [(payload, wrong)]
+    if case == "empty-counts":
+        return [(payload, np.zeros_like(counts))]
+    if case == "eleven-byte-varint":
+        # The first value padded to eleven bytes: the count still holds.
+        padded = bytes([stream[0] | 0x80]) + b"\x80" * 9 + b"\x00"
+        return [(_deflate(padded + stream[_first_len(stream) :]), counts)]
+    raise AssertionError(case)
+
+
+def _first_len(stream: bytes) -> int:
+    """Bytes of the stream's first varint."""
+    return next(i for i, b in enumerate(stream) if b < 0x80) + 1
+
+
+class TestBlockValidation:
+    """Every check runs when the block is built, before any slice; a
+    corrupt block is a ``ValueError``, never an ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("truncated-payload", "truncated"),
+            ("truncated-stream", "continuation bit|expected"),
+            ("trailing-byte", "trailing|expected"),
+            ("final-continuation", "continuation bit"),
+            ("count-plus-one", "expected"),
+            ("count-minus-one", "expected"),
+            ("empty-counts", "expected 0 values"),
+            ("eleven-byte-varint", "exceeds 64 bits"),
+        ],
+    )
+    def test_corrupt_real_block_fails_at_construction(self, case, match):
+        variants = _corruptions(case)
+        assert variants
+        for payload, counts in variants:
+            with pytest.raises(ValueError, match=match):
+                PositionBlock(payload, counts)
+
+    def test_ten_byte_varint_accepted(self):
+        chunks, counts, stream = _real_block()
+        first_len = _first_len(stream)
+        value = sum((stream[i] & 0x7F) << (7 * i) for i in range(first_len))
+        # The same first value, padded to the 64-bit maximum of ten bytes.
+        groups = [(value >> (7 * i)) & 0x7F for i in range(10)]
+        padded = bytes(g | 0x80 for g in groups[:-1]) + bytes([groups[-1]])
+        block = PositionBlock(_deflate(padded + stream[first_len:]), counts)
+        assert np.array_equal(block.positions(), np.concatenate(chunks))
+
+    def test_real_block_round_trips(self):
+        chunks, counts, stream = _real_block()
+        block = PositionBlock(_deflate(stream), counts)
+        assert block.size == counts.sum() and block.nbytes == 8 * block.size
+        assert np.array_equal(block.positions(), np.concatenate(chunks))
+
+
+class TestPositionBlockSlices:
+    def test_any_range_matches_the_whole_decode(self):
+        chunks, counts, stream = _real_block(seed=1)
+        payload = _deflate(stream)
+        whole = np.concatenate(chunks)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lo, hi = np.sort(rng.integers(0, whole.size + 1, size=2))
+            block = PositionBlock(payload, counts)
+            assert np.array_equal(block.positions(lo, hi), whole[lo:hi])
+            # A second request, inside or outside the first run.
+            lo2, hi2 = np.sort(rng.integers(0, whole.size + 1, size=2))
+            assert np.array_equal(block.positions(lo2, hi2), whole[lo2:hi2])
+            assert np.array_equal(block.positions(), whole)
+
+    def test_out_of_range_request_rejected(self):
+        _, counts, stream = _real_block()
+        block = PositionBlock(_deflate(stream), counts)
+        for lo, hi in ((-1, 3), (5, 4), (0, block.size + 1)):
+            with pytest.raises(ValueError, match="outside"):
+                block.positions(lo, hi)
+
+    def test_first_run_is_kept_and_a_miss_decodes_the_block_once(self, monkeypatch):
+        chunks, counts, stream = _real_block(seed=2)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        decoded = []
+        decode = binindex.varint_decode_array
+
+        def spy(buffer, count=None):
+            out = decode(buffer, count)
+            decoded.append(out.size)
+            return out
+
+        monkeypatch.setattr(binindex, "varint_decode_array", spy)
+        block = PositionBlock(_deflate(stream), counts)
+        assert decoded == []  # construction checks, it does not decode
+        lo, hi = int(offsets[10]), int(offsets[14])
+        block.positions(lo, hi)
+        assert decoded == [hi - lo]
+        block.positions(lo + 1, hi - 1)  # inside the kept run
+        assert decoded == [hi - lo]
+        block.positions(0, 1)  # outside: the whole block, once
+        assert decoded == [hi - lo, block.size]
+        whole = np.concatenate(chunks)
+        assert np.array_equal(block.positions(lo, hi), whole[lo:hi])
+        assert decoded == [hi - lo, block.size]
+        assert block.nbytes == 8 * whole.size
+
+    def test_concurrent_callers_agree(self):
+        """More threads than cores race on one block's memo with a short
+        switch interval: every caller gets its own range right."""
+        chunks, counts, stream = _real_block(seed=3)
+        payload = _deflate(stream)
+        whole = np.concatenate(chunks)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        rng = np.random.default_rng(9)
+        wrong = []
+
+        def worker(block, seed):
+            local = np.random.default_rng(seed)
+            for _ in range(20):
+                lo, hi = np.sort(local.choice(offsets, size=2))
+                if not np.array_equal(block.positions(lo, hi), whole[lo:hi]):
+                    wrong.append((lo, hi))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                block = PositionBlock(payload, counts)
+                threads = [
+                    threading.Thread(target=worker, args=(block, int(rng.integers(1 << 30))))
+                    for _ in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
+class TestIndexDecodeWorkGuard:
+    """Positions varint-decoded by one 0.1 % box value query on a 64^3
+    store with 16^3 chunks and 32 bins: they move only if the engine
+    stops asking each index block for just the span its rows cover."""
+
+    def test_box_query_decodes_its_span_only(self, monkeypatch):
+        fs = SimulatedPFS()
+        data = s3d_like((64, 64, 64), seed=0)
+        MLOCWriter(fs, "/guard", mloc_col((16, 16, 16), n_bins=32)).write(data, variable="T")
+        decoded = []
+        decode = binindex.varint_decode_array
+
+        def spy(buffer, count=None):
+            out = decode(buffer, count)
+            decoded.append(out.size)
+            return out
+
+        monkeypatch.setattr(binindex, "varint_decode_array", spy)
+        query = Query(region=((20, 27), (30, 36), (40, 46)), output="values")
+        cold = MLOCStore.open(fs, "/guard", "T").query(query)
+        # The whole-block decode was 262 144 positions: every position
+        # of all 32 one-block bins.
+        assert (cold.positions.size, sum(decoded)) == (252, 49145)
+        cached = MLOCStore.open(fs, "/guard", "T", cache_bytes=64 << 20)
+        fs.clear_cache()
+        cached.query(query)
+        decoded.clear()
+        fs.clear_cache()
+        again = cached.query(query)
+        assert sum(decoded) == 0
+        assert np.array_equal(again.positions, cold.positions)
+        assert np.array_equal(again.values, cold.values)
+        # The cache budgets a block at its whole position array.
+        assert cached.runtime_stats()["block_cache"]["current_bytes"] == 3252104
 
 
 @settings(max_examples=60, deadline=None)

@@ -261,3 +261,15 @@ def test_a_reintroduced_per_mode_replay_driver_is_a_violation():
     ])  # fmt: skip
     assert found[0].startswith("x.py:2:")
 
+
+
+OST_LOAD_VECTOR = """
+class SimulatedPFS:
+    def _ost_loads(self, f, offset, length):
+        pass
+"""
+
+
+def test_a_reintroduced_ost_load_vector_is_a_violation():
+    (found,) = deleted_name_violations(ast.parse(OST_LOAD_VECTOR), "simfs.py")
+    assert found.startswith("simfs.py:3: _ost_loads was deleted")

@@ -84,8 +84,10 @@ class TestPoolSemantics:
         got = pool.run_tasks(tasks)
         assert np.array_equal(got[0], planes)
         assert np.array_equal(got[1], floats)
+        # The worker returns the checked block; its full positions are
+        # the inline decode.
         assert np.array_equal(
-            got[2], decode_position_block_flat(tasks[2][1], counts)
+            got[2].positions(), decode_position_block_flat(tasks[2][1], counts)
         )
 
     def test_task_errors_propagate_without_breaking_pool(self, pool):

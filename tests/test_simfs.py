@@ -8,8 +8,9 @@ import pytest
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.datasets import gts_like
-from repro.pfs.costmodel import PFSCostModel
-from repro.pfs.simfs import SimulatedPFS
+from repro.pfs.costmodel import IOStats, PFSCostModel
+from repro.pfs.faults import FaultyPFS
+from repro.pfs.simfs import SimulatedPFS, _ExtentCache
 
 
 @pytest.fixture()
@@ -137,6 +138,119 @@ class TestReadAccounting:
         s.open("/f").read(8, 16)  # second half of stripe 0 + first half of stripe 1
         nonzero = np.sort(s.ost_bytes[s.ost_bytes > 0])
         assert nonzero.tolist() == [8.0, 8.0]
+
+
+class _ReferenceReader:
+    """The NumPy read accounting the scalar per-OST charge replaced:
+    an int64 load vector over every OST, scaled by ``cold / total`` and
+    added whole.  Kept as the oracle the handles must match bit for bit."""
+
+    def __init__(self, fs: SimulatedPFS) -> None:
+        self.fs = fs
+        self.cache = _ExtentCache()
+        self.stats = IOStats()
+        self.ost_bytes = np.zeros(fs.cost_model.ost_count, dtype=np.float64)
+        self.pos: dict[str, int | None] = {}
+
+    def _ost_loads(self, path, offset, length):
+        cost = self.fs.cost_model
+        loads = np.zeros(cost.ost_count, dtype=np.int64)
+        if length <= 0:
+            return loads
+        stripe = cost.stripe_size
+        first = offset // stripe
+        last = (offset + length - 1) // stripe
+        stripes = np.arange(first, last + 1, dtype=np.int64)
+        starts = np.maximum(stripes * stripe, offset)
+        ends = np.minimum((stripes + 1) * stripe, offset + length)
+        osts = (self.fs.stat(path).first_ost + stripes) % cost.ost_count
+        np.add.at(loads, osts, ends - starts)
+        return loads
+
+    def read(self, path, offset, length):
+        if path not in self.pos:  # the session opens each path once
+            self.stats.opens += 1
+            self.pos[path] = None
+        if self.pos[path] != offset:
+            self.stats.seeks += 1
+        self.pos[path] = offset + length
+        self.stats.reads += 1
+        cold = self.cache.uncached_bytes(path, offset, length)
+        if cold > 0:
+            loads = self._ost_loads(path, offset, length)
+            total = int(loads.sum())
+            if total > 0:
+                self.ost_bytes += loads.astype(np.float64) * (cold / total)
+            self.stats.bytes_read += cold
+            self.cache.mark(path, offset, length)
+
+
+class TestReadAccountingOracle:
+    """Seeded reads through real handles against the reference charge:
+    ``ost_bytes`` array-equal and ``IOStats`` equal."""
+
+    SIZES = {"/o/a": 7 * 1024 * 3 + 5, "/o/b": 1024 * 3, "/o/c": 999}
+
+    def _fs(self, faulty: bool) -> SimulatedPFS:
+        # Stripes of 1 KiB over 5 OSTs: long reads wrap round the OSTs.
+        fs = SimulatedPFS(PFSCostModel(ost_count=5, stripe_size=1024))
+        rng = np.random.default_rng(0)
+        for path, size in self.SIZES.items():
+            fs.write_file(path, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+        return FaultyPFS(fs) if faulty else fs
+
+    def _reads(self, seed: int) -> list[tuple[str, int, int]]:
+        rng = np.random.default_rng(seed)
+        stripe = 1024
+        reads = []
+        for _ in range(300):
+            path = str(rng.choice(list(self.SIZES)))
+            size = self.SIZES[path]
+            kind = rng.integers(5)
+            if kind == 0:  # inside one stripe
+                s = int(rng.integers(size // stripe + 1))
+                lo = min(s * stripe + int(rng.integers(stripe)), size)
+                hi = min(int(rng.integers(lo, (s + 1) * stripe + 1)), size)
+            elif kind == 1:  # stripe-aligned
+                lo = int(rng.integers(size // stripe + 1)) * stripe
+                hi = min(lo + int(rng.integers(1, 4)) * stripe, size)
+                lo = min(lo, hi)
+            elif kind == 2:  # zero length
+                lo = hi = int(rng.integers(size + 1))
+            else:  # stripe-crossing, up to past every OST
+                lo = int(rng.integers(size))
+                hi = int(rng.integers(lo, min(size, lo + 9 * stripe) + 1))
+            reads.append((path, lo, hi - lo))
+        return reads
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_reads_charge_what_the_reference_charges(self, faulty, seed):
+        fs = self._fs(faulty)
+        session = fs.session()
+        reference = _ReferenceReader(fs)
+        for i, (path, offset, length) in enumerate(self._reads(seed)):
+            if i % 100 == 99:  # later reads are partly cached, then cold again
+                fs.clear_cache()
+                reference.cache.clear()
+            data = session.open(path).read(offset, length)
+            reference.read(path, offset, length)
+            assert data == fs._files[path].data[offset : offset + length]
+        assert np.array_equal(session.ost_bytes, reference.ost_bytes)
+        assert session.stats == reference.stats
+        assert session.stats.reads == 300 and session.stats.bytes_read > 0
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_read_all_of_a_three_stripe_file(self, faulty):
+        fs = self._fs(faulty)
+        session = fs.session()
+        reference = _ReferenceReader(fs)
+        session.open("/o/b").read(100, 50)  # partly cached first
+        reference.read("/o/b", 100, 50)
+        assert session.open("/o/b").read_all() == bytes(fs._files["/o/b"].data)
+        reference.read("/o/b", 0, fs.size("/o/b"))
+        assert np.array_equal(session.ost_bytes, reference.ost_bytes)
+        assert session.stats == reference.stats
 
 
 class TestCache:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.varint import varint_decode_array, varint_encode_array, varint_lengths
+from repro.util.varint import (
+    varint_decode_array,
+    varint_encode_array,
+    varint_lengths,
+    varint_offsets,
+)
 
 
 class TestVarintBasics:
@@ -142,3 +147,31 @@ def test_decode_errors_on_mixed_streams(values, data):
     head = b"".join(_leb128(x) for x in values[:at])
     with pytest.raises(ValueError, match="exceeds 64 bits"):
         varint_decode_array(head + b"\x80" * 10 + b"\x01" + stream[len(head):])
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_MIXED_VALUES, data=st.data())
+def test_offsets_cut_the_stream_into_runs_that_decode_alone(values, data):
+    v = np.array(values, dtype=np.uint64)
+    stream = varint_encode_array(v)
+    at = np.arange(v.size + 1)
+    offsets = varint_offsets(stream, v.size, at)
+    ends = np.concatenate(([0], np.cumsum(varint_lengths(v))))
+    assert offsets.tolist() == ends.tolist()
+    j = data.draw(st.integers(min_value=0, max_value=v.size))
+    k = data.draw(st.integers(min_value=j, max_value=v.size))
+    raw = np.frombuffer(stream, dtype=np.uint8)
+    assert np.array_equal(varint_decode_array(raw[offsets[j] : offsets[k]], k - j), v[j:k])
+
+
+def test_offsets_check_what_the_decoder_checks():
+    stream = varint_encode_array(np.array([5, 300, 2**63], dtype=np.uint64))
+    at = np.arange(4)
+    with pytest.raises(ValueError, match="expected 4 values, decoded 3"):
+        varint_offsets(stream, 4, at)
+    with pytest.raises(ValueError, match="truncated"):
+        varint_offsets(stream[:-1], 3, at)
+    with pytest.raises(ValueError, match="exceeds 64 bits"):
+        varint_offsets(b"\x80" * 10 + b"\x01", 1, np.arange(2))
+    assert varint_offsets(b"\x80" * 9 + b"\x01", 1, np.arange(2)).tolist() == [0, 10]
+    assert varint_offsets(b"", 0, np.zeros(1, dtype=np.int64)).tolist() == [0]
