@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import Query
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 
 @pytest.mark.parametrize("output", ["positions", "values"])
@@ -65,14 +65,7 @@ def test_ablation_aligned_report(benchmark, suite_gts_8g, capsys):
     rows, gains = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Ablation - aligned-bin fast path (region-only vs value "
-                "retrieval), 8 GB-class GTS",
-                ["selectivity", "index-only-s", "with-data-s", "byte-ratio", "aligned"],
-                rows,
-            )
-        )
+        print(format_table("ablation_aligned", rows))
     record_result("ablation_aligned", {"rows": rows})
 
     # The fast path must be cheaper wherever aligned bins exist...

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import MLOCStore, MLOCWriter, mloc_iso
-from repro.harness import WorkloadGenerator, format_rows, get_spec, record_result
+from repro.harness import WorkloadGenerator, format_table, get_spec, record_result
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 MODES = ("equal-frequency", "equal-width")
@@ -85,13 +85,7 @@ def test_ablation_binning_report(benchmark, binning_stores, capsys):
     rows, stats = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Ablation - binning mode, 2% region queries, 8 GB-class S3D",
-                ["binning", "mean-s", "worst-s", "bin-imbalance"],
-                rows,
-            )
-        )
+        print(format_table("ablation_binning", rows))
     record_result("ablation_binning", {"rows": rows})
 
     # Equal-frequency bins are balanced by construction; equal-width

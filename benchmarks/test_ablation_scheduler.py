@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import MLOCStore, Query
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 SCHEDULERS = ("column", "round-robin")
 
@@ -70,13 +70,7 @@ def test_ablation_scheduler_report(benchmark, scheduled_stores, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Ablation - block scheduler, 1% value queries, 8 GB-class GTS",
-                ["scheduler", "sim-total", "files-opened", "seeks"],
-                rows,
-            )
-        )
+        print(format_table("ablation_scheduler", rows))
     record_result("ablation_scheduler", {"rows": rows})
 
     # The paper's mechanism: column order opens far fewer files...

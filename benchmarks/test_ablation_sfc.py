@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_iso
-from repro.harness import WorkloadGenerator, format_rows, get_spec, record_result
+from repro.harness import WorkloadGenerator, format_table, get_spec, record_result
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 CURVES = ("hilbert", "zorder", "rowmajor")
@@ -80,13 +80,7 @@ def test_ablation_sfc_report(benchmark, curve_stores, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Ablation - chunk ordering, 0.5% value queries, 8 GB-class S3D",
-                ["curve", "sim-total", "seeks", "bytes"],
-                rows,
-            )
-        )
+        print(format_table("ablation_sfc", rows))
     record_result("ablation_sfc", {"rows": rows})
 
     # Hilbert must not lose to row-major on locality metrics; SFC orders

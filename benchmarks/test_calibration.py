@@ -23,7 +23,7 @@ from repro.compression.base import ByteCodec, codec_names, make_codec
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_iso
 from repro.core.engine.stages import QueryEngine
 from repro.datasets import gts_like, s3d_like
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 from repro.index.binindex import decode_position_block_flat, encode_position_block
 from repro.index.bitmap import wah_expand_groups, wah_from_positions
 from repro.pfs import SimulatedPFS
@@ -183,13 +183,7 @@ def test_calibration_report(benchmark, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Calibration - modeled vs achieved MB/s per CPU-work constant",
-                ["constant", "modeled", "1MB", "ratio", "16MB", "ratio"],
-                rows,
-            )
-        )
+        print(format_table("BENCH_calibration", rows))
     record_result("BENCH_calibration", {"rows": rows})
 
     for label, cells in rows.items():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.compression import make_codec
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 FLOAT_CODECS = ("zlib-float", "isobar", "isabela", "fpzip-like")
 
@@ -65,13 +65,7 @@ def test_codec_tradeoff_report(benchmark, stream, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Extension - codec ratio/throughput on 8 MB turbulence stream",
-                ["codec", "ratio", "enc MB/s", "dec MB/s", "kind"],
-                rows,
-            )
-        )
+        print(format_table("ext_codec_tradeoff", rows))
     record_result("ext_codec_tradeoff", {"rows": rows})
 
     # The paper's qualitative trade-off: ISABELA has the best ratio and

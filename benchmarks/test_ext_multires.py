@@ -13,14 +13,13 @@ store, pairing configurations with similar bytes read; report each
 one's mean-value error and histogram-migration error vs ground truth.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import attach_sim_info
 from repro.analysis import histogram_migration_error
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.datasets import s3d_like
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 
@@ -90,14 +89,7 @@ def test_ext_multires_report(benchmark, multires_stores, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Extension - PLoD vs subset multiresolution (whole-domain "
-                "reads, S3D 128^3)",
-                ["mode", "bytes-read", "mean-rel-err", "hist-err-%"],
-                rows,
-            )
-        )
+        print(format_table("ext_multires", rows))
     record_result("ext_multires", {"rows": rows})
 
     # The paper's detail-preservation claim: at comparable (or lower)

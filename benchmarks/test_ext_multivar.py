@@ -18,7 +18,7 @@ from repro.core import (
     multi_variable_query,
 )
 from repro.datasets import gts_like
-from repro.harness import format_rows, get_spec, record_result
+from repro.harness import format_table, get_spec, record_result
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 
@@ -106,14 +106,7 @@ def test_ext_multivar_report(benchmark, joined_vars, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Extension - bitmap-masked fetch vs full second-variable "
-                "retrieval, 8 GB-class GTS",
-                ["selectivity", "bitmap-fetch-s", "full-fetch-s", "speedup", "points"],
-                rows,
-            )
-        )
+        print(format_table("ext_multivar", rows))
     record_result("ext_multivar", {"rows": rows})
 
     # The bitmap-masked fetch must beat retrieving the whole second

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import ComponentTimes
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 SYSTEMS = ("mloc-col", "mloc-iso", "mloc-isa", "seqscan")
 
@@ -39,14 +39,7 @@ def test_fig6_report(benchmark, suite_s3d_512g, capsys):
     }
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Fig 6 - component seconds (sim), 0.1% value queries, "
-                "512 GB-class S3D",
-                ["system", "io", "decomp", "reconstruct", "total"],
-                rows,
-            )
-        )
+        print(format_table("fig6_components", rows))
     record_result("fig6_components", {"rows": rows})
 
     # Paper's qualitative claims:

@@ -12,7 +12,7 @@ saturates.
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 RANKS = (8, 16, 32, 64, 128)
 
@@ -34,13 +34,9 @@ def test_scalability_bench(benchmark, suite_gts_512g, n_ranks):
 
 @pytest.mark.parametrize("dataset", ["gts", "s3d"])
 def test_fig7_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsys):
-    from repro.core import Query
+    from repro.harness.experiments import fig7_rows
 
     suite = suite_gts_512g if dataset == "gts" else suite_s3d_512g
-    base = suite.store("mloc-iso")
-    regions = suite.workload.region_constraints(0.10, max(2, N_QUERIES // 2))
-
-    from repro.harness.experiments import fig7_rows
 
     rows = benchmark.pedantic(
         fig7_rows, args=(suite, N_QUERIES, RANKS), rounds=1, iterations=1
@@ -48,14 +44,7 @@ def test_fig7_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsys)
     series = {n: rows[f"{n} ranks"][3] for n in RANKS}
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Fig 7 - scalability (sim seconds), 10% value queries, "
-                f"512 GB-class {dataset.upper()}",
-                ["ranks", "io", "decomp", "reconstruct", "total"],
-                rows,
-            )
-        )
+        print(format_table(f"fig7_scalability_{dataset}", rows))
     record_result(f"fig7_scalability_{dataset}", {"rows": rows})
 
     # CPU-bound components parallelize strongly: 128 ranks cut the

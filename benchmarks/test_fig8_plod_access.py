@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import Query
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 
 LEVELS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -31,12 +31,9 @@ def test_plod_access_bench(benchmark, suite_gts_512g, level):
 
 
 def test_fig8_report(benchmark, suite_gts_512g, capsys):
-    suite = suite_gts_512g
-    store = suite.store("mloc-col")
-    regions = suite.workload.region_constraints(0.01, N_QUERIES)
-
     from repro.harness.experiments import fig8_rows
 
+    suite = suite_gts_512g
     rows = benchmark.pedantic(
         fig8_rows, args=(suite, N_QUERIES, LEVELS), rounds=1, iterations=1
     )
@@ -46,14 +43,7 @@ def test_fig8_report(benchmark, suite_gts_512g, capsys):
     total_series = [rows[f"PLoD {lvl} ({lvl + 1}B)"][3] for lvl in LEVELS]
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Fig 8 - PLoD access seconds (sim), 1% value queries, "
-                "512 GB-class GTS, MLOC-COL",
-                ["level", "io", "decomp", "reconstruct", "total"],
-                rows,
-            )
-        )
+        print(format_table("fig8_plod_access", rows))
     record_result("fig8_plod_access", {"rows": rows})
 
     # Response time grows with precision level...

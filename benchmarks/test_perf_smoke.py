@@ -20,7 +20,7 @@ import numpy as np
 from benchmarks.conftest import N_QUERIES, attach_batch_info, best_of
 from repro.core import MLOCStore, Query, mloc_col
 from repro.datasets import gts_like
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 from repro.harness.experiments import (
     batch_pipeline_rows,
     coalescing_rows,
@@ -103,14 +103,7 @@ def test_batch_cold_vs_warm(benchmark, suite_gts_8g, capsys):
     attach_batch_info(benchmark, batch)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Batched query_many vs cold one-by-one (sim seconds + real "
-                "wall, overlapping 1% value queries)",
-                ["mode", "io", "decomp", "io+decomp", "wall_s"],
-                rows,
-            )
-        )
+        print(format_table("batch_pipeline", rows))
     assert batch.stats["cache_hits"] > 0
     assert batch.times.io < rows["cold one-by-one"][0]
     assert (
@@ -196,13 +189,7 @@ def test_writer_backend_wall_clock(capsys):
     assert identical, "writer backends diverged: output must be bit-identical"
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Write pipeline: serial vs threads (identical bytes, real wall)",
-                ["mode", "wall_s"],
-                rows,
-            )
-        )
+        print(format_table("writer_backend", rows))
     serial_s = rows["serial writer"][0]
     threads_s = rows["threads writer"][0]
     RESULTS["writer_backend_wall_clock"] = {
@@ -256,14 +243,7 @@ def test_coalescing_seek_savings(suite_gts_8g, capsys):
     rows, info = coalescing_rows(suite, max(N_QUERIES, 3))
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Read coalescing: one read per block vs vectored runs "
-                "(1% SC value queries at PLoD 3)",
-                ["mode", "seeks", "bytes", "io+dec s"],
-                rows,
-            )
-        )
+        print(format_table("coalescing", rows))
     assert info["identical"], "coalescing changed query results"
     assert info["coalesced_reads"] > 0
     assert info["seeks_coalesced"] < info["seeks_uncoalesced"]
@@ -282,14 +262,7 @@ def test_progressive_refinement_bytes(suite_gts_8g, capsys):
     rows, info = progressive_rows(suite)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Progressive PLoD refinement: session vs fresh per-level "
-                f"queries (levels {info['levels']})",
-                ["step", "session bytes", "fresh bytes", "cum reused"],
-                rows,
-            )
-        )
+        print(format_table("progressive", rows))
     assert info["identical"], "session steps diverged from single-shot queries"
     assert info["bytes_reused"] > 0
     assert info["session_bytes"] < info["independent_bytes"]
@@ -314,14 +287,7 @@ def test_sharded_scaling(suite_gts_8g, capsys):
     rows, info = sharded_scaling_rows(suite, "mloc-col")
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Sharded scatter/gather: simulated seconds vs shard count "
-                f"(bin-spanning value queries, bounds {info['shard_bounds']})",
-                ["shards", "io", "decomp", "io+decomp", "speedup"],
-                rows,
-            )
-        )
+        print(format_table("sharded_scaling", rows))
     assert info["identical"], "sharded answers diverged from 1-shard baseline"
     speedups = [rows[f"{n} shards"][3] for n in (1, 2, 4, 8)]
     assert speedups == sorted(speedups), rows

@@ -24,7 +24,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import MLOCStore, Query
-from repro.harness import format_rows, record_result
+from repro.harness import format_table, record_result
 from repro.harness.experiments import sharded_scaling_rows
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -103,14 +103,7 @@ def test_sharded_scaling_report(
     )
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Sharded 512 GB-class {dataset.upper()}: simulated seconds "
-                f"vs shard count (bounds {info['shard_bounds']})",
-                ["shards", "io", "decomp", "io+decomp", "speedup"],
-                rows,
-            )
-        )
+        print(format_table(f"sharded_512g_{dataset}", rows))
     record_result(f"sharded_512g_{dataset}", {"rows": rows, **info})
     assert info["identical"], "sharded answers diverged across shard counts"
     speedups = [rows[f"{n} shards"][3] for n in SHARD_COUNTS]

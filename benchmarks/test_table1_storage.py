@@ -8,7 +8,7 @@ fractions are scale-invariant, so they compare directly.
 
 import pytest
 
-from repro.harness import ALL_SYSTEMS, PAPER, format_rows, record_result
+from repro.harness import ALL_SYSTEMS, PAPER, format_table, record_result
 
 
 def _fractions(suite, system):
@@ -40,13 +40,7 @@ def test_table1_report(benchmark, suite_gts_8g, capsys):
     rows = benchmark.pedantic(table1_rows, args=(suite,), rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Table I - storage as fraction of raw data (8 GB-class GTS)",
-                ["system", "data", "index", "total", "paper-total"],
-                rows,
-            )
-        )
+        print(format_table("table1_storage", rows))
     record_result("table1_storage", {"rows": rows})
 
     # Shape assertions mirroring the paper's conclusions:

@@ -10,7 +10,7 @@ executor (hundreds of seconds).
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.harness import ALL_SYSTEMS, PAPER, format_rows, record_result
+from repro.harness import ALL_SYSTEMS, PAPER, format_table, record_result
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
@@ -41,14 +41,7 @@ def test_table2_report(benchmark, dataset, suite_gts_8g, suite_s3d_8g, capsys):
     rows = benchmark.pedantic(_workload_rows, args=(suite, dataset), rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Table II - region query seconds, 8 GB-class {dataset.upper()} "
-                "(sim) vs paper",
-                ["system", "1%", "10%", "paper-1%", "paper-10%"],
-                rows,
-            )
-        )
+        print(format_table(f"table2_region_8g_{dataset}", rows))
     record_result(f"table2_region_8g_{dataset}", {"rows": rows})
 
     # Orderings the paper reports must hold at 1% selectivity:

@@ -13,7 +13,7 @@ comes out faster than the paper shows (EXPERIMENTS.md).
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.harness import ALL_SYSTEMS, PAPER, format_rows, record_result
+from repro.harness import ALL_SYSTEMS, PAPER, format_table, record_result
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
@@ -43,14 +43,7 @@ def test_table3_report(benchmark, dataset, suite_gts_8g, suite_s3d_8g, capsys):
     )
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Table III - value query seconds, 8 GB-class {dataset.upper()} "
-                "(sim) vs paper",
-                ["system", "0.1%", "1%", "paper-0.1%", "paper-1%"],
-                rows,
-            )
-        )
+        print(format_table(f"table3_value_8g_{dataset}", rows))
     record_result(f"table3_value_8g_{dataset}", {"rows": rows})
 
     # Orderings: MLOC beats FastBit and SciDB on value queries.

@@ -9,7 +9,7 @@ the entire 512 GB (~1500-2300 s).
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.harness import PAPER, format_rows, record_result
+from repro.harness import PAPER, format_table, record_result
 
 SYSTEMS = ("mloc-col", "mloc-iso", "mloc-isa", "seqscan")
 
@@ -41,14 +41,7 @@ def test_table4_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsy
     )
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Table IV - region query seconds, 512 GB-class {dataset.upper()} "
-                "(sim) vs paper",
-                ["system", "1%", "10%", "paper-1%", "paper-10%"],
-                rows,
-            )
-        )
+        print(format_table(f"table4_region_512g_{dataset}", rows))
     record_result(f"table4_region_512g_{dataset}", {"rows": rows})
 
     # The headline claim: MLOC is much faster than a full scan at

@@ -9,7 +9,7 @@ asserts.  Sequential scan pays its offset reads but loses at 1%.
 import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
-from repro.harness import PAPER, format_rows, record_result
+from repro.harness import PAPER, format_table, record_result
 
 SYSTEMS = ("mloc-col", "mloc-iso", "mloc-isa", "seqscan")
 
@@ -41,14 +41,7 @@ def test_table5_report(benchmark, dataset, suite_gts_512g, suite_s3d_512g, capsy
     )
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                f"Table V - value query seconds, 512 GB-class {dataset.upper()} "
-                "(sim) vs paper",
-                ["system", "0.1%", "1%", "paper-0.1%", "paper-1%"],
-                rows,
-            )
-        )
+        print(format_table(f"table5_value_512g_{dataset}", rows))
     record_result(f"table5_value_512g_{dataset}", {"rows": rows})
 
     # The ISABELA crossover (paper's observation on Table V): the ISA

@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import histogram_migration_error, kmeans_misclassification
 from repro.datasets import s3d_velocity_triplet
-from repro.harness import PAPER, format_rows, record_result
+from repro.harness import PAPER, format_table, record_result
 from repro.plod import plod_degrade
 
 
@@ -91,13 +91,7 @@ def test_table6_report(benchmark, velocities, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Table VI - PLoD analysis error (%), measured vs paper",
-                ["bytes", "hist-vu", "hist-vv", "hist-vw", "kmeans", "p-hist-vu", "p-km"],
-                rows,
-            )
-        )
+        print(format_table("table6_plod_accuracy", rows))
     record_result("table6_plod_accuracy", {"rows": rows})
 
     # Shape: errors drop by >= ~30x per additional byte, 2-byte error is

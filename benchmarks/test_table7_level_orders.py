@@ -18,7 +18,7 @@ import pytest
 
 from benchmarks.conftest import N_QUERIES, attach_sim_info
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
-from repro.harness import PAPER, format_rows, get_spec, record_result
+from repro.harness import PAPER, format_table, record_result
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 
@@ -111,14 +111,7 @@ def test_table7_report(benchmark, order_stores, capsys):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     with capsys.disabled():
         print()
-        print(
-            format_rows(
-                "Table VII - level-order seconds (sim) vs paper, value "
-                "queries, 512 GB-class S3D",
-                ["order", "3-byte", "full", "paper-3B", "paper-full"],
-                rows,
-            )
-        )
+        print(format_table("table7_level_orders", rows))
     record_result("table7_level_orders", {"rows": rows})
 
     vms = rows["V-M-S order"]

@@ -16,16 +16,14 @@ import json
 import sys
 from pathlib import Path
 
+from repro.harness import title_of
 from repro.harness.asciiplot import stacked_bars
 from repro.harness.svgplot import save_figure_svg
 
 COMPONENTS = ["io", "decompression", "reconstruction"]
 
-FIGURES = {
-    "fig6_components.json": "Fig 6 - components, 0.1% value queries, 512 GB-class S3D",
-    "fig7_scalability_gts.json": "Fig 7 - scalability, 10% value queries, 512 GB-class GTS",
-    "fig8_plod_access.json": "Fig 8 - PLoD levels, 1% value queries, 512 GB-class GTS",
-}
+FIGURES = ("fig6_components", "fig7_scalability_gts", "fig7_scalability_s3d",
+           "fig8_plod_access")
 
 
 def main() -> None:
@@ -43,20 +41,18 @@ def main() -> None:
             "`pytest benchmarks/ --benchmark-only` first"
         )
     rendered = 0
-    for filename, title in FIGURES.items():
-        path = results_dir / filename
+    for name in FIGURES:
+        path = results_dir / f"{name}.json"
         if not path.exists():
-            print(f"[skip] {filename} not recorded yet")
+            print(f"[skip] {path.name} not recorded yet")
             continue
         payload = json.loads(path.read_text())["payload"]["rows"]
         # Row values are [io, decomp, reconstruct, total]; drop total.
         rows = {label: values[:3] for label, values in payload.items()}
         print()
-        print(stacked_bars(title, rows, COMPONENTS))
+        print(stacked_bars(title_of(name), rows, COMPONENTS))
         if svg_dir is not None:
-            out = save_figure_svg(
-                svg_dir / filename.replace(".json", ".svg"), title, rows, COMPONENTS
-            )
+            out = save_figure_svg(svg_dir / f"{name}.svg", title_of(name), rows, COMPONENTS)
             print(f"[svg] {out}")
         rendered += 1
     if rendered == 0:

@@ -56,8 +56,9 @@ executed):
    requests to *stage* them, never to run them to completion one at a
    time.
 9. **Deleted second paths stay deleted.**  A capability has one
-   implementation: no ``def``, ``class``, parameter, annotated field
-   or import under ``src/repro`` may bring back one of
+   implementation: no ``def``, ``class``, parameter, annotated field,
+   module-level assignment or import under ``src/repro`` may bring
+   back one of
    ``DELETED_NAMES`` — the
    record rebuilders, the object work-list beside ``BlockList``, the
    second multi-variable result type, the per-handle batch-fetcher
@@ -71,8 +72,9 @@ executed):
    ``PlanContext.for_store`` constructor, ``DatasetSnapshot.refresh``,
    the ``TracingStore`` proxy, the codec ``from_spec`` rebuilder and
    the names ``tests/test_api_surface.py`` found without a caller),
-   the per-mode replay drivers beside the one ``replay`` loop, and the
-   per-read OST load vector beside the read's own stripe charge.
+   the per-mode replay drivers beside the one ``replay`` loop, the
+   per-read OST load vector beside the read's own stripe charge, and
+   the runner's header table beside the one table registry.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -150,7 +152,7 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: snapshot's member handles; a public name, constructor or method
 #: that only tests called is not part of the library; a replay is the
 #: one ``replay`` loop over an arrival source, with one admission rule
-#: and one report.
+#: and one report; a published table is declared once, in the registry.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -214,6 +216,9 @@ DELETED_NAMES = frozenset(
         # The NumPy load vector a simulated read built to charge its
         # stripes; the read charges each OST it touches directly.
         "_ost_loads",
+        # The runner's own table of headers and titles; every published
+        # table is declared once, in ``repro.harness.tables.TABLES``.
+        "EXPERIMENTS",
     }
 )
 
@@ -312,11 +317,15 @@ def batch_loop_violations(tree: ast.AST, where: str) -> list[str]:
 
 def deleted_name_violations(tree: ast.AST, where: str) -> list[str]:
     """Rule 9 over one syntax tree: every ``def``, ``class``, parameter,
-    annotated field or import that names one of ``DELETED_NAMES``."""
+    annotated field, module-level assignment or import that names one of
+    ``DELETED_NAMES``."""
     found = []
+    module_level = set(getattr(tree, "body", []))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
+        elif isinstance(node, ast.Assign) and node in module_level:
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.arg):
             names = [node.arg]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):

@@ -1,22 +1,25 @@
 """One-command reproduction runner: ``python -m repro.bench``.
 
-Regenerates the paper's tables and figures without pytest — handy for a
-quick end-to-end reproduction or for scripting:
+Regenerates the paper's Tables I-V and Figs. 6-8 (plus the fault,
+coalescing and refinement sweeps) without pytest, into the same
+``results/`` records under the same names as the benchmark suite:
 
     python -m repro.bench                         # everything, default scale
     python -m repro.bench --experiments table1,table2 --datasets gts
     REPRO_SCALE=tiny python -m repro.bench --queries 3 --svg figs/
 
-Row computations are shared with the pytest benchmark suite through
-:mod:`repro.harness.experiments`, so both entry points always agree.
+Titles, headers, record names and each one-dataset table's dataset come
+from the :data:`~repro.harness.tables.TABLES` registry, and rows from
+:mod:`repro.harness.experiments`, both shared with the benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from repro.harness import format_rows, get_spec, get_suite, record_result
+from repro.harness import TABLES, format_table, get_spec, get_suite, record_result, title_of
 from repro.harness.experiments import (
     coalescing_rows,
     fault_tolerance_rows,
@@ -30,71 +33,24 @@ from repro.harness.experiments import (
     table4_rows,
     table5_rows,
 )
+from repro.harness.svgplot import save_figure_svg
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main"]
 
-#: experiment id -> (size class, per-dataset?, header columns)
-EXPERIMENTS = {
-    "table1": ("8g", False, ["system", "data", "index", "total", "paper-total"]),
-    "table2": ("8g", True, ["system", "1%", "10%", "paper-1%", "paper-10%"]),
-    "table3": ("8g", True, ["system", "0.1%", "1%", "paper-0.1%", "paper-1%"]),
-    "table4": ("512g", True, ["system", "1%", "10%", "paper-1%", "paper-10%"]),
-    "table5": ("512g", True, ["system", "0.1%", "1%", "paper-0.1%", "paper-1%"]),
-    "fig6": ("512g", False, ["system", "io", "decomp", "reconstruct", "total"]),
-    "fig7": ("512g", False, ["ranks", "io", "decomp", "reconstruct", "total"]),
-    "fig8": ("512g", False, ["level", "io", "decomp", "reconstruct", "total"]),
-    "faults": (
-        "8g",
-        False,
-        ["fault rate", "io+dec s", "crc", "retries", "quarantined", "degraded", "dropped"],
-    ),
-    "coalescing": ("8g", False, ["mode", "seeks", "bytes", "io+dec s"]),
-    "progressive": (
-        "8g",
-        False,
-        ["step", "session bytes", "fresh bytes", "cum reused"],
-    ),
+#: experiment id -> (registered table, size class, rows(suite, dataset, n_queries))
+RUNS = {
+    "table1": ("table1_storage", "8g", lambda suite, ds, n: table1_rows(suite)),
+    "table2": ("table2_region_8g_{ds}", "8g", table2_rows),
+    "table3": ("table3_value_8g_{ds}", "8g", table3_rows),
+    "table4": ("table4_region_512g_{ds}", "512g", table4_rows),
+    "table5": ("table5_value_512g_{ds}", "512g", table5_rows),
+    "fig6": ("fig6_components", "512g", lambda suite, ds, n: fig6_rows(suite, n)),
+    "fig7": ("fig7_scalability_{ds}", "512g", lambda suite, ds, n: fig7_rows(suite, n)),
+    "fig8": ("fig8_plod_access", "512g", lambda suite, ds, n: fig8_rows(suite, n)),
+    "faults": ("fault_tolerance", "8g", lambda suite, ds, n: fault_tolerance_rows(suite, n)),
+    "coalescing": ("coalescing", "8g", lambda suite, ds, n: coalescing_rows(suite, n)[0]),
+    "progressive": ("progressive", "8g", lambda suite, ds, n: progressive_rows(suite)[0]),
 }
-
-_TITLES = {
-    "table1": "Table I - storage as fraction of raw ({ds})",
-    "table2": "Table II - region query seconds, 8 GB-class {ds}",
-    "table3": "Table III - value query seconds, 8 GB-class {ds}",
-    "table4": "Table IV - region query seconds, 512 GB-class {ds}",
-    "table5": "Table V - value query seconds, 512 GB-class {ds}",
-    "fig6": "Fig 6 - components, 0.1% value queries, 512 GB-class {ds}",
-    "fig7": "Fig 7 - scalability, 10% value queries, 512 GB-class {ds}",
-    "fig8": "Fig 8 - PLoD access, 1% value queries, 512 GB-class {ds}",
-    "faults": "Fault tolerance - 1% value queries under injected faults ({ds})",
-    "coalescing": "Coalesced vectored I/O - 1% SC value queries at PLoD 3 ({ds})",
-    "progressive": "Progressive refinement - session vs fresh per-level queries ({ds})",
-}
-
-
-def _compute(exp: str, suite, dataset: str, n_queries: int) -> dict:
-    if exp == "table1":
-        return table1_rows(suite)
-    if exp == "table2":
-        return table2_rows(suite, dataset, n_queries)
-    if exp == "table3":
-        return table3_rows(suite, dataset, n_queries)
-    if exp == "table4":
-        return table4_rows(suite, dataset, n_queries)
-    if exp == "table5":
-        return table5_rows(suite, dataset, n_queries)
-    if exp == "fig6":
-        return fig6_rows(suite, n_queries)
-    if exp == "fig7":
-        return fig7_rows(suite, n_queries)
-    if exp == "fig8":
-        return fig8_rows(suite, n_queries)
-    if exp == "faults":
-        return fault_tolerance_rows(suite, n_queries)
-    if exp == "coalescing":
-        return coalescing_rows(suite, n_queries)[0]
-    if exp == "progressive":
-        return progressive_rows(suite)[0]
-    raise ValueError(f"unknown experiment {exp!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--experiments",
-        default=",".join(EXPERIMENTS),
-        help=f"comma-separated subset of: {','.join(EXPERIMENTS)}",
+        default=",".join(RUNS),
+        help=f"comma-separated subset of: {','.join(RUNS)}",
     )
     parser.add_argument(
-        "--datasets", default="gts,s3d", help="comma-separated: gts,s3d"
+        "--datasets",
+        default="gts,s3d",
+        help="comma-separated: gts,s3d (a table of one dataset runs on its own)",
     )
     parser.add_argument(
         "--queries", type=int, default=5, help="random queries per cell"
@@ -126,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
-    unknown = [e for e in experiments if e not in EXPERIMENTS]
+    unknown = [e for e in experiments if e not in RUNS]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
@@ -136,29 +94,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     for exp in experiments:
-        size_class, per_dataset, header = EXPERIMENTS[exp]
-        for dataset in datasets if per_dataset else datasets[:1]:
-            suite = get_suite(get_spec(size_class, dataset))
-            rows = _compute(exp, suite, dataset, args.queries)
-            title = _TITLES[exp].format(ds=dataset.upper())
+        name, size_class, compute = RUNS[exp]
+        table = TABLES[name]
+        for dataset in [table.dataset] if table.dataset else datasets:
+            rows = compute(get_suite(get_spec(size_class, dataset)), dataset, args.queries)
+            result = name.format(ds=dataset)
             print()
-            print(format_rows(title, header, rows))
+            print(format_table(result, rows))
             if not args.no_record:
-                suffix = f"_{dataset}" if per_dataset else ""
-                record_result(f"bench_{exp}{suffix}", {"rows": rows})
+                record_result(result, {"rows": rows})
             if args.svg and exp in ("fig6", "fig7", "fig8"):
-                from pathlib import Path
-
-                from repro.harness.svgplot import save_figure_svg
-
                 out_dir = Path(args.svg)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                save_figure_svg(
-                    out_dir / f"{exp}_{dataset}.svg",
-                    title,
-                    {k: v[:3] for k, v in rows.items()},
-                    ["io", "decompression", "reconstruction"],
-                )
+                parts = list(table.header[1:4])  # io, decompression, reconstruction
+                bars = {label: cells[:3] for label, cells in rows.items()}
+                save_figure_svg(out_dir / f"{exp}_{dataset}.svg", title_of(result), bars, parts)
     return 0
 
 

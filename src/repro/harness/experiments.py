@@ -13,6 +13,8 @@ from __future__ import annotations
 import statistics
 import time
 
+import numpy as np
+
 from repro.core import BatchResult, ComponentTimes, MLOCWriter, Query
 from repro.harness.systems import ALL_SYSTEMS, SystemSuite
 from repro.harness.tables import PAPER
@@ -124,25 +126,19 @@ def fig6_rows(suite: SystemSuite, n_queries: int) -> dict[str, list]:
     rows = {}
     regions = suite.workload.region_constraints(0.001, n_queries)
     for system in _512G_SYSTEMS:
-        times, _ = suite.average_value_times(system, regions)
-        rows[system] = [
-            round(times.io, 2),
-            round(times.decompression, 2),
-            round(times.reconstruction, 2),
-            round(times.total, 2),
-        ]
+        rows[system] = _cells(suite.average_value_times(system, regions)[0])
     return rows
 
 
+def _cells(times: ComponentTimes, k: int = 1) -> list:
+    """``[io, decompression, reconstruction, total]`` of ``times`` over ``k`` queries."""
+    parts = (times.io, times.decompression, times.reconstruction, times.total)
+    return [round(x / k, 2) for x in parts]
+
+
 def _mean_cells(report: BatchResult) -> list:
-    """Per-query mean ``[io, decompression, reconstruction, total]``."""
-    total, k = report.times, len(report)
-    return [
-        round(total.io / k, 2),
-        round(total.decompression / k, 2),
-        round(total.reconstruction / k, 2),
-        round(total.total / k, 2),
-    ]
+    """Per-query mean cells of a replayed batch."""
+    return _cells(report.times, len(report))
 
 
 def fig7_rows(
@@ -186,18 +182,11 @@ def batch_pipeline_rows(
     batch = suite.value_query_batch(system, regions, plod_level=plod_level)
     batch_wall = time.perf_counter() - t0
     rows = {
-        "cold one-by-one": [
-            round(cold.io, 3),
-            round(cold.decompression, 3),
-            round(cold.io + cold.decompression, 3),
-            round(cold_wall, 3),
-        ],
-        "batched query_many": [
-            round(batch.times.io, 3),
-            round(batch.times.decompression, 3),
-            round(batch.times.io + batch.times.decompression, 3),
-            round(batch_wall, 3),
-        ],
+        label: [round(x, 3) for x in (t.io, t.decompression, t.io + t.decompression, wall)]
+        for label, t, wall in (
+            ("cold one-by-one", cold, cold_wall),
+            ("batched query_many", batch.times, batch_wall),
+        )
     }
     return rows, batch
 
@@ -290,13 +279,7 @@ def sharded_scaling_rows(
         dec = sum(r.times.decompression for r in results)
         if reference is None:
             reference, base_io_dec = results, io + dec
-        else:
-            for got, want in zip(results, reference):
-                if not (
-                    _np_equal(got.positions, want.positions)
-                    and _np_equal(got.values, want.values)
-                ):
-                    identical = False
+        identical = identical and _same_answers(results, reference)
         rows[f"{n} shards"] = [
             round(io, 4),
             round(dec, 4),
@@ -313,12 +296,16 @@ def sharded_scaling_rows(
     return rows, info
 
 
-def _np_equal(a, b) -> bool:
-    import numpy as np
+def _same_answers(got, want) -> bool:
+    """Whether two lists of results hold equal positions and values, pairwise."""
 
-    if a is None or b is None:
-        return (a is None) == (b is None)
-    return np.array_equal(a, b)
+    def equal(a, b) -> bool:
+        return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
+    return all(
+        equal(a.positions, b.positions) and equal(a.values, b.values)
+        for a, b in zip(got, want)
+    )
 
 
 def fault_tolerance_rows(
@@ -396,8 +383,6 @@ def coalescing_rows(
     leaves gaps between the covering blocks inside each byte-group
     segment, which is exactly what coalescing bridges.
     """
-    import numpy as np
-
     from repro.core import MLOCStore
 
     base = suite.store(system)
@@ -410,7 +395,6 @@ def coalescing_rows(
     )
     rows = {}
     outputs: dict[str, list] = {}
-    counters: dict[str, dict[str, int]] = {}
     for label, gap_bytes in (("one read per block", 0), (f"coalesce_gap={gap}", gap)):
         store = MLOCStore(
             suite.fs, base.root, base.meta,
@@ -424,20 +408,13 @@ def coalescing_rows(
         times = report.times
         rows[label] = [seeks, bytes_read, round(times.io + times.decompression, 4)]
         outputs[label] = report.results
-        counters[label] = {"seeks": seeks, "coalesced": coalesced}
-    plain, vectored = outputs.values()
-    identical = all(
-        np.array_equal(a.positions, b.positions)
-        and np.array_equal(a.values, b.values)
-        for a, b in zip(plain, vectored)
-    )
-    (plain_c, vec_c) = counters.values()
+    (plain_seeks, *_), (vec_seeks, *_) = rows.values()
     info = {
-        "identical": identical,
-        "seeks_uncoalesced": plain_c["seeks"],
-        "seeks_coalesced": vec_c["seeks"],
-        "seeks_saved": plain_c["seeks"] - vec_c["seeks"],
-        "coalesced_reads": vec_c["coalesced"],
+        "identical": _same_answers(*outputs.values()),
+        "seeks_uncoalesced": plain_seeks,
+        "seeks_coalesced": vec_seeks,
+        "seeks_saved": plain_seeks - vec_seeks,
+        "coalesced_reads": coalesced,  # the loop's last run is the coalesced one
     }
     return rows, info
 
@@ -460,8 +437,6 @@ def progressive_rows(
     (the ISSUE's >= 2x bar: refining 4 -> 7 fetches only the missing
     three byte-plane groups and never re-reads the index).
     """
-    import numpy as np
-
     from repro.core import MLOCStore
 
     base = suite.store(system)
@@ -494,11 +469,7 @@ def progressive_rows(
     session_bytes = sum(int(r.stats["bytes_read"]) for r in session_results)
     independent_bytes = sum(int(r.stats["bytes_read"]) for r in independent)
     rows["total"] = [session_bytes, independent_bytes, bytes_reused]
-    identical = all(
-        np.array_equal(a.positions, b.positions)
-        and np.array_equal(a.values, b.values)
-        for a, b in zip(session_results, independent)
-    )
+    identical = _same_answers(session_results, independent)
     refine_full = int(session_results[-1].stats["bytes_read"])
     requery_full = int(independent[-1].stats["bytes_read"])
     info = {

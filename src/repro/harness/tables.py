@@ -1,18 +1,25 @@
-"""Paper reference values and result recording.
+"""Paper reference values, the published-table registry, and result
+recording.
 
 Every benchmark prints its measured rows next to the paper's published
-numbers so the *shape* comparison (who wins, by what factor) is visible
-in the benchmark output, and appends a JSON record under ``results/``
-from which EXPERIMENTS.md is assembled.
+numbers under the title and header :data:`TABLES` declares for them,
+and writes a JSON record under ``results/`` from which the fenced
+tables of EXPERIMENTS.md and ``docs/`` are rendered.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["PAPER", "record_result", "format_rows", "results_dir"]
+import numpy as np
+
+__all__ = [
+    "PAPER", "TABLES", "Table", "format_rows", "format_table", "lookup", "record_result",
+    "render_result", "results_dir", "title_of",
+]  # fmt: skip
 
 #: Published numbers, keyed by experiment id.  Values are the paper's
 #: tables verbatim (seconds, or GB for Table I).
@@ -67,19 +74,140 @@ PAPER: dict[str, dict] = {
         "V-M-S": (19.45, 39.34),
         "V-S-M": (23.70, 35.47),
     },
-    "fig6_components": {
-        # qualitative shape: per system, which component dominates
-        "note": "MLOC-ISA least I/O, most decompression; seqscan most I/O",
-    },
-    "fig7_scalability": {
-        "note": "decompression/reconstruction scale with ranks; I/O plateaus",
-        "ranks": (8, 16, 32, 64, 128),
-    },
-    "fig8_plod_access": {
-        "note": "response time grows with PLoD level, I/O-dominated",
-        "levels": (2, 3, 4, 5, 6, 7),
-    },
 }
+
+
+#: The datasets a per-dataset table is recorded for, one file each.
+DATASETS = ("gts", "s3d")
+
+
+@dataclass(frozen=True)
+class Table:
+    """One published table, read from ``results/<name>.json`` or from the
+    section ``<name>`` of a composite ``BENCH_*`` record.  ``{ds}`` in
+    ``name`` stands for each of :data:`DATASETS`, one record each;
+    ``dataset`` is the one dataset a single-dataset table is measured on.
+    ``{ds}`` in ``title`` is filled with the record's dataset."""
+
+    name: str
+    title: str
+    header: tuple[str, ...]
+    dataset: str | None = None
+
+
+_REGION = ("system", "1%", "10%", "paper 1%", "paper 10%")
+_VALUE = ("system", "0.1%", "1%", "paper 0.1%", "paper 1%")
+_PARTS = ("io", "decompression", "reconstruction", "total")
+_SHARDS = ("shards", "io", "decompression", "io+decompression", "speedup")
+_FIELDS = ("field", "value")
+
+# fmt: off
+#: Every published table, keyed by :attr:`Table.name`.
+TABLES: dict[str, Table] = {table.name: table for table in (
+    Table("table1_storage", "Table I - storage as fraction of raw data, 8 GB-class {ds}",
+          ("system", "data", "index", "total", "paper total"), "gts"),
+    Table("table2_region_8g_{ds}", "Table II - region query seconds, 8 GB-class {ds}",
+          _REGION),
+    Table("table3_value_8g_{ds}", "Table III - value query seconds, 8 GB-class {ds}", _VALUE),
+    Table("table4_region_512g_{ds}", "Table IV - region query seconds, 512 GB-class {ds}",
+          _REGION),
+    Table("table5_value_512g_{ds}", "Table V - value query seconds, 512 GB-class {ds}",
+          _VALUE),
+    Table("table6_plod_accuracy", "Table VI - PLoD analysis error (%), {ds} velocity",
+          ("bytes", "hist vu", "hist vv", "hist vw", "K-means", "paper hist vu",
+           "paper K-means"), "s3d"),
+    Table("table7_level_orders", "Table VII - level-order seconds, 10% value queries, "
+          "512 GB-class {ds}", ("order", "3-byte", "full", "paper 3-byte", "paper full"),
+          "s3d"),
+    Table("fig6_components", "Fig 6 - component seconds, 0.1% value queries, "
+          "512 GB-class {ds}", ("system", *_PARTS), "s3d"),
+    Table("fig7_scalability_{ds}", "Fig 7 - scalability seconds, 10% value queries, "
+          "512 GB-class {ds}", ("ranks", *_PARTS)),
+    Table("fig8_plod_access", "Fig 8 - PLoD access seconds, 1% value queries, "
+          "512 GB-class {ds}, MLOC-COL", ("level", *_PARTS), "gts"),
+    Table("ablation_sfc", "Ablation - chunk ordering, 0.5% value queries, 8 GB-class {ds}",
+          ("curve", "sim total", "seeks", "bytes"), "s3d"),
+    Table("ablation_binning", "Ablation - binning mode, 2% region queries, 8 GB-class {ds}",
+          ("binning", "mean s", "worst s", "bin imbalance"), "s3d"),
+    Table("ablation_scheduler", "Ablation - block scheduler, 1% value queries, "
+          "8 GB-class {ds}", ("scheduler", "sim total", "files opened", "seeks"), "gts"),
+    Table("ablation_aligned", "Ablation - aligned-bin fast path, region-only vs value "
+          "retrieval, 8 GB-class {ds}",
+          ("selectivity", "index-only s", "with-data s", "byte ratio", "aligned bins"), "gts"),
+    Table("ext_codec_tradeoff", "Extension - codecs on an 8 MB turbulence stream, wall clock",
+          ("codec", "ratio", "enc MB/s", "dec MB/s", "kind")),
+    Table("ext_multivar", "Extension - bitmap-masked fetch vs full second-variable "
+          "retrieval, 8 GB-class {ds}",
+          ("selectivity", "bitmap fetch s", "full fetch s", "speedup", "points"), "gts"),
+    Table("ext_multires", "Extension - PLoD vs subset multiresolution, whole-domain reads, "
+          "{ds} 128^3", ("mode", "bytes read", "mean rel err", "hist err %"), "s3d"),
+    Table("sharded_512g_{ds}", "Sharded store - seconds vs shard count, 512 GB-class {ds}",
+          _SHARDS),
+    Table("BENCH_calibration", "Calibration - modeled vs achieved MB/s, wall clock",
+          ("constant", "modeled MB/s", "achieved @1 MB", "ratio", "achieved @16 MB",
+           "ratio")),
+    Table("batch_pipeline", "Batched query_many vs cold one-by-one, 1% value queries, "
+          "8 GB-class {ds}",
+          ("mode", "io", "decompression", "io+decompression", "wall s"), "gts"),
+    Table("writer_backend", "Write pipeline - serial vs threads, wall clock",
+          ("mode", "wall s")),
+    Table("coalescing", "Coalesced vectored I/O - 1% SC value queries at PLoD 3, "
+          "8 GB-class {ds}", ("mode", "seeks", "bytes", "io+dec s"), "gts"),
+    Table("progressive", "Progressive refinement - session vs fresh per-level queries, "
+          "8 GB-class {ds}", ("step", "session bytes", "fresh bytes", "cum reused"), "gts"),
+    Table("sharded_scaling", "Sharded store - seconds vs shard count, bin-spanning value "
+          "queries, 8 GB-class {ds}", _SHARDS, "gts"),
+    Table("fault_tolerance", "Fault tolerance - 1% value queries under injected faults, "
+          "8 GB-class {ds}", ("fault rate", "io+dec s", "crc", "retries", "quarantined",
+                             "degraded", "dropped"), "gts"),
+    Table("io_bytes", "Broker vs serial per-tenant batches - I/O bytes, 8 GB-class {ds}",
+          _FIELDS, "gts"),
+    Table("open_loop", "Broker open-loop replay - 64 tenants x 3 drifting 2% region "
+          "queries, 8 GB-class {ds}", _FIELDS, "gts"),
+    Table("closed_loop", "Broker closed-loop replay - the same workload, 8 GB-class {ds}",
+          _FIELDS, "gts"),
+)}
+# fmt: on
+
+
+def lookup(name: str) -> tuple[Table, str | None]:
+    """The registry entry behind record ``name`` and the dataset its
+    rows are of (``None`` for a table of no dataset)."""
+    if name in TABLES:
+        return TABLES[name], TABLES[name].dataset
+    for ds in DATASETS:
+        key = name[: -len(ds)] + "{ds}"
+        if name.endswith(f"_{ds}") and key in TABLES:
+            return TABLES[key], ds
+    raise KeyError(f"no published table is recorded as {name!r}")
+
+
+def title_of(name: str) -> str:
+    """Record ``name``'s registered title, its dataset filled in."""
+    table, dataset = lookup(name)
+    return table.title.format(ds=(dataset or "").upper())
+
+
+def format_table(name: str, rows: dict, *, markdown: bool = False) -> str:
+    """Record ``name``'s rows under its registered title and header."""
+    header = list(lookup(name)[0].header)
+    return format_rows(title_of(name), header, rows, markdown=markdown)
+
+
+def render_result(address: str, results: Path) -> str:
+    """The Markdown table of ``<record>[#<section>]`` read from its JSON
+    under ``results``: the payload's rows as recorded or, for a section
+    without rows, each scalar field as a row."""
+    stem, _, section = address.partition("#")
+    payload = json.loads((results / f"{stem}.json").read_text())["payload"]
+    if section:
+        payload = payload[section]
+    rows = payload.get("rows") or {
+        field: [value]
+        for field, value in payload.items()
+        if not isinstance(value, (dict, list))
+    }
+    return format_table(section or stem, rows, markdown=True)
 
 
 def results_dir() -> Path:
@@ -98,30 +226,29 @@ def record_result(experiment: str, payload: dict) -> Path:
 
 
 def _jsonify(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:  # pragma: no cover
-        pass
-    return str(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    return obj.tolist() if isinstance(obj, np.ndarray) else str(obj)
 
 
-def format_rows(title: str, header: list[str], rows: dict[str, list]) -> str:
-    """Render an aligned text table for benchmark stdout."""
+def _cell(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def format_rows(
+    title: str, header: list[str], rows: dict[str, list], *, markdown: bool = False
+) -> str:
+    """Render ``rows`` (label -> cells) under ``title`` and ``header``:
+    an aligned text table for benchmark stdout, or with ``markdown`` a
+    Markdown table below the title line.  Floats print as ``.4g``."""
+    lines = [[str(label), *map(_cell, cells)] for label, cells in rows.items()]
+    if markdown:
+        return "\n".join(
+            [title, "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+            + ["| " + " | ".join(cells) + " |" for cells in lines]
+        )
     widths = [max(len(h), 12) for h in header]
-    lines = [title, "  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for name, cells in rows.items():
-        rendered = [str(name).ljust(widths[0])]
-        for cell, w in zip(cells, widths[1:]):
-            if isinstance(cell, float):
-                rendered.append(f"{cell:.4g}".ljust(w))
-            else:
-                rendered.append(str(cell).ljust(w))
-        lines.append("  ".join(rendered))
-    return "\n".join(lines)
+    return "\n".join(
+        [title]
+        + ["  ".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in [header, *lines]]
+    )

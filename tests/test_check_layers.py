@@ -273,3 +273,16 @@ class SimulatedPFS:
 def test_a_reintroduced_ost_load_vector_is_a_violation():
     (found,) = deleted_name_violations(ast.parse(OST_LOAD_VECTOR), "simfs.py")
     assert found.startswith("simfs.py:3: _ost_loads was deleted")
+
+
+RUNNER_HEADERS = """
+EXPERIMENTS = {"table1": ("8g", False, ["system", "data", "index", "total"])}
+
+def main():
+    EXPERIMENTS = None  # a local of that name is no second table
+"""
+
+
+def test_a_reintroduced_runner_header_table_is_a_violation():
+    (found,) = deleted_name_violations(ast.parse(RUNNER_HEADERS), "bench.py")
+    assert found.startswith("bench.py:2: EXPERIMENTS was deleted")
