@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Ten architectural rules, checked by AST scan (no imports are
+Eleven architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -74,13 +74,20 @@ executed):
    the names ``tests/test_api_surface.py`` found without a caller),
    the per-mode replay drivers beside the one ``replay`` loop, the
    per-read OST load vector beside the read's own stripe charge, and
-   the runner's header table beside the one table registry.
+   the runner's header table beside the one table registry, and the
+   codec keyword table beside the codec name in ``MLOCConfig``, and the
+   block-table column tuples nothing read.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
    ``REPRO_SCALE`` and ``REPRO_RESULTS_DIR``, say where and how big to
    run, not what the library does) may read ``os.environ`` or call
    ``os.getenv``.
+11. **Every persisted byte is a framed record.**  Records are read by
+   the one checked reader, ``repro.util.record.RecordReader``, which
+   fails typed on any bytes no writer produces; so no module under
+   ``src/repro`` may import ``pickle``, ``marshal`` or ``shelve``,
+   whose decoders run whatever the bytes name.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -152,7 +159,9 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: snapshot's member handles; a public name, constructor or method
 #: that only tests called is not part of the library; a replay is the
 #: one ``replay`` loop over an arrival source, with one admission rule
-#: and one report; a published table is declared once, in the registry.
+#: and one report; a published table is declared once, in the registry;
+#: a codec is configured by its name alone, and a block table's columns
+#: are named in FORMAT.md, not in a tuple nothing reads.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -219,8 +228,17 @@ DELETED_NAMES = frozenset(
         # The runner's own table of headers and titles; every published
         # table is declared once, in ``repro.harness.tables.TABLES``.
         "EXPERIMENTS",
+        # The codec constructor keywords no caller ever set (a stored
+        # configuration names its codec and nothing else), and the
+        # block-table column names nothing read.
+        "codec_params",
+        "DATA_BLOCK_FIELDS",
+        "INDEX_BLOCK_FIELDS",
     }
 )
+
+#: Modules whose decoders run code the bytes name (rule 11).
+UNFRAMED_SERIALIZERS = ("pickle", "marshal", "shelve")
 
 #: Packages on the simulated clock: none of their modules may import
 #: ``time``.
@@ -360,6 +378,17 @@ def environ_violations(tree: ast.AST, where: str) -> list[str]:
     ]
 
 
+def serializer_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 11 over one syntax tree: every import of one of
+    ``UNFRAMED_SERIALIZERS``, at any depth."""
+    return [
+        f"{where}:{lineno}: imports {module}; persist a framed record read by "
+        f"repro.util.record.RecordReader instead (rule 11)"
+        for lineno, module in _tree_imports(tree)
+        if module.partition(".")[0] in UNFRAMED_SERIALIZERS
+    ]
+
+
 def _module_name(path: Path) -> str:
     rel = path.relative_to(SRC).with_suffix("")
     parts = list(rel.parts)
@@ -412,6 +441,7 @@ def check() -> list[str]:
         tree = ast.parse(path.read_text(), filename=str(path))
         violations += upper_layer_violations(tree, str(path.relative_to(REPO)))
         violations += deleted_name_violations(tree, str(path.relative_to(REPO)))
+        violations += serializer_violations(tree, str(path.relative_to(REPO)))
         if harness_dir not in path.parents:
             violations += environ_violations(tree, str(path.relative_to(REPO)))
         if path == config_py:

@@ -47,6 +47,7 @@ from repro.pfs import SimulatedPFS
 from repro.plod.bounds import TOL_METRICS
 from repro.tools.fsck import check_dataset, check_store
 from repro.tools.relayout import relayout
+from repro.util.record import FormatError
 
 __all__ = ["main", "build_parser"]
 
@@ -345,6 +346,14 @@ def _execution(args) -> ExecutionConfig:
     )
 
 
+def _load_snapshot(path: str) -> SimulatedPFS:
+    """The snapshot at ``path``; one this version cannot read ends the command."""
+    try:
+        return SimulatedPFS.load(path)
+    except FormatError as exc:
+        raise SystemExit(f"error: {exc}; rebuild the snapshot with `demo`") from None
+
+
 def _open_store(fs, args) -> MLOCStore:
     """The handle the read flags describe; a subcommand without them
     (``index``, ``relayout``) gets the default one."""
@@ -368,7 +377,7 @@ def _store_command(run):
 
     def command(args) -> int:
         try:
-            return run(args, _open_store(SimulatedPFS.load(args.snapshot), args))
+            return run(args, _open_store(_load_snapshot(args.snapshot), args))
         except ValueError as exc:
             print(f"error: {exc}")
             return 2
@@ -474,7 +483,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
+    fs = _load_snapshot(args.snapshot)
     metas = [p for p in fs.list_files() if p.endswith("/meta")]
     if not metas:
         print("no MLOC stores in snapshot")
@@ -492,7 +501,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
-    fs = SimulatedPFS.load(args.snapshot)
+    fs = _load_snapshot(args.snapshot)
     if args.dataset:
         issues = check_dataset(fs, args.root, deep=args.deep)
         label = args.root

@@ -49,6 +49,17 @@ EXEC_BACKENDS = ("serial", "threads", "processes")
 WRITE_BACKENDS = ("serial", "threads")
 
 _CURVES = ("hilbert", "zorder", "rowmajor", "hierarchical")
+_BINNINGS = ("equal-frequency", "equal-width")
+
+
+def _check_choices(config) -> None:
+    """Raise ``ValueError`` for a field outside its ``metadata`` choices."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if "choices" in spec.metadata and value not in spec.metadata["choices"]:
+            raise ValueError(
+                f"{spec.name} must be one of {spec.metadata['choices']}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,6 @@ class MLOCConfig:
         Registered codec name.  Byte codec (e.g. ``"zlib-bytes"``) when
         PLoD splitting is on, float codec (e.g. ``"isobar"``,
         ``"isabela"``) for the ``"VS"`` order.
-    codec_params:
-        Keyword arguments for the codec constructor.
     target_block_bytes:
         Raw size at which a compression block is cut; aligned with the
         PFS stripe size for best parallel access (Section III-C).
@@ -91,22 +100,16 @@ class MLOCConfig:
 
     chunk_shape: tuple[int, ...]
     n_bins: int = 100
-    level_order: str = "VMS"
-    curve: str = "hilbert"
+    level_order: str = field(default="VMS", metadata={"choices": LEVEL_ORDERS})
+    curve: str = field(default="hilbert", metadata={"choices": _CURVES})
     codec: str = "zlib-bytes"
-    codec_params: dict[str, Any] = field(default_factory=dict)
     target_block_bytes: int = 1 << 20
-    binning: str = "equal-frequency"
+    binning: str = field(default="equal-frequency", metadata={"choices": _BINNINGS})
     sample_fraction: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.level_order not in LEVEL_ORDERS:
-            raise ValueError(
-                f"level_order must be one of {LEVEL_ORDERS}, got {self.level_order!r}"
-            )
-        if self.curve not in _CURVES:
-            raise ValueError(f"curve must be one of {_CURVES}, got {self.curve!r}")
+        _check_choices(self)
         if self.n_bins <= 0:
             raise ValueError(f"n_bins must be positive, got {self.n_bins}")
         if self.target_block_bytes <= 0:
@@ -119,10 +122,6 @@ class MLOCConfig:
             )
         if not self.chunk_shape or any(c <= 0 for c in self.chunk_shape):
             raise ValueError(f"invalid chunk_shape {self.chunk_shape!r}")
-        if self.binning not in ("equal-frequency", "equal-width"):
-            raise ValueError(
-                f"binning must be 'equal-frequency' or 'equal-width', got {self.binning!r}"
-            )
 
     @property
     def plod_enabled(self) -> bool:
@@ -220,11 +219,7 @@ class ExecutionConfig:
     coalesce_gap: int = 0
 
     def __post_init__(self) -> None:
-        for name, choices in _CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ValueError(
-                    f"{name} must be one of {choices}, got {getattr(self, name)!r}"
-                )
+        _check_choices(self)
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.cache_bytes < 0:
@@ -252,14 +247,6 @@ class ExecutionConfig:
         """The write-side fields, as keywords for
         :class:`~repro.core.writer.MLOCWriter`."""
         return {k: v for k, v in asdict(self).items() if k.startswith("write_")}
-
-
-#: The fields restricted to a set of choices (their ``metadata``).
-_CHOICES = {
-    spec.name: spec.metadata["choices"]
-    for spec in fields(ExecutionConfig)
-    if "choices" in spec.metadata
-}
 
 
 def fold_execution(

@@ -29,8 +29,6 @@ a member whose on-disk metadata no longer hashes to its sealed record
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
@@ -50,6 +48,7 @@ from repro.core.store import MLOCStore
 from repro.core.writer import MLOCWriter, WriteReport
 from repro.pfs.blockcache import BlockCache
 from repro.pfs.simfs import SimulatedPFS
+from repro.util.record import record_crc
 
 __all__ = ["DatasetSnapshot", "MLOCDataset"]
 
@@ -139,7 +138,7 @@ class MLOCDataset:
             return self._handles[reg]
         var_root = f"{self.root}/{key}"
         raw = read_meta_bytes(self.fs, var_root)
-        crc = zlib.crc32(raw)
+        crc = record_crc(raw)
         if crc != expect_crc:
             raise ManifestError(
                 f"member {key!r}: on-disk metadata (crc {crc:#010x}) does "

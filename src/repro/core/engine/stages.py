@@ -368,7 +368,7 @@ class QueryEngine:
             latency=base.latency,
             byte_time=base.byte_time * fs.cost_model.byte_scale,
         )
-        self._codec = make_codec(meta.config.codec, **meta.config.codec_params)
+        self._codec = make_codec(meta.config.codec)
         #: Per subfile kind: :meth:`_blocks_of`, built on first use.
         self._block_tables: dict[int, tuple] = {}
 

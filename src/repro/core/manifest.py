@@ -48,7 +48,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.record import FormatError, RecordReader, frame
+from repro.util.record import FormatError, RecordReader, frame, text_field
 
 __all__ = [
     "MANIFEST_MAGIC",
@@ -68,7 +68,6 @@ MANIFEST_MAGIC = b"MLOCMAN\x00"
 MANIFEST_VERSION = 1
 
 _HEADER = struct.Struct("<qI")  # generation, n_members
-_KEY_LEN = struct.Struct("<H")
 _MEMBER_FIXED = struct.Struct("<qqIq")  # timestep, sealed_gen, meta_crc, bytes
 
 
@@ -88,9 +87,9 @@ class ManifestMember:
     timestep: int | None
     #: Generation whose commit sealed this member.
     sealed_generation: int
-    #: ``zlib.crc32`` of the member's ``meta`` file bytes — pins the
-    #: exact sealed metadata, so a rewritten member can never be
-    #: served through a snapshot that sealed the old one.
+    #: Record CRC (``repro.util.record.record_crc``) of the member's
+    #: ``meta`` — pins the exact sealed metadata, so a rewritten member
+    #: can never be served through a snapshot that sealed the old one.
     meta_crc: int
     #: data + index + meta bytes at seal time (Table I accounting).
     total_bytes: int
@@ -137,8 +136,7 @@ class Manifest:
     def to_bytes(self) -> bytes:
         fields = [_HEADER.pack(self.generation, len(self.members))]
         for m in self.members:
-            key = m.key.encode("utf-8")
-            fields += [_KEY_LEN.pack(len(key)), key]
+            fields.append(text_field(m.key))
             fields.append(
                 _MEMBER_FIXED.pack(
                     -1 if m.timestep is None else m.timestep,
@@ -161,11 +159,7 @@ class Manifest:
         last_sealed = 0
         seen: set[str] = set()
         for _ in range(n_members):
-            (key_len,) = reader.unpack(_KEY_LEN)
-            try:
-                key = reader.take(key_len).decode("utf-8")
-            except UnicodeDecodeError:
-                reader.fail("member key is not UTF-8")
+            key = reader.text()
             timestep, sealed_gen, meta_crc, total_bytes = reader.unpack(_MEMBER_FIXED)
             if key in seen:
                 raise ManifestError(f"duplicate member key {key!r}")

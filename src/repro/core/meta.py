@@ -4,9 +4,9 @@ The metadata is everything the store needs besides the bin files
 themselves: the layout configuration, the bin edges, the per-bin
 per-chunk element counts (in curve order), and the block tables mapping
 cell ranges to byte extents in the data/index subfiles.  It is written
-to the dataset's ``meta`` file and is small relative to the data (the
-heavyweight position information lives in the per-bin index files,
-which are read and charged per query).
+to the dataset's ``meta`` file as one framed record (FORMAT.md,
+"Metadata") and is small relative to the data (the heavyweight position
+information lives in the per-bin index files, read per query).
 
 Block tables are plain int64 arrays for compactness:
 
@@ -19,21 +19,29 @@ Block tables are plain int64 arrays for compactness:
 
 from __future__ import annotations
 
-import io
-import pickle
+import math
+import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
+from repro.compression import codec_names
+from repro.compression.base import inflate
+from repro.core.chunking import check_shape_chunks
 from repro.core.config import MLOCConfig
+from repro.util.record import RecordReader, frame, record_crc, text_field
 
-__all__ = ["StoreMeta", "read_meta_bytes", "DATA_BLOCK_FIELDS", "INDEX_BLOCK_FIELDS"]
+__all__ = ["StoreMeta", "read_meta_bytes"]
 
-DATA_BLOCK_FIELDS = ("cell_start", "cell_end", "offset", "comp_len", "raw_len", "crc32")
-INDEX_BLOCK_FIELDS = ("cpos_start", "cpos_end", "offset", "comp_len", "crc32")
-
-_FORMAT_VERSION = 1
+_MAGIC = b"MLOCMETA"
+_FORMAT_VERSION = 2
+_FIXED = struct.Struct("<qqdqI")  # n_bins, target_block_bytes, sample_fraction, seed, ndim
+_PAYLOAD_LEN = struct.Struct("<I")
+#: Deflate level of the array payload; fixed, so equal metadata always
+#: serializes (and fingerprints) to equal bytes.
+_DEFLATE_LEVEL = 1
 
 
 def read_meta_bytes(fs, var_root: str) -> bytes:
@@ -73,7 +81,7 @@ class StoreMeta:
             raise ValueError(f"counts shape {self.counts.shape} invalid for {n_bins} bins")
         if len(self.data_blocks) != n_bins or len(self.index_blocks) != n_bins:
             raise ValueError("block tables must have one entry per bin")
-        n_elements = int(np.prod(self.shape))
+        n_elements = math.prod(self.shape)
         if int(self.counts.sum()) != n_elements:
             raise ValueError(
                 f"counts sum {int(self.counts.sum())} != element count {n_elements}"
@@ -84,30 +92,32 @@ class StoreMeta:
         return int(self.counts.shape[1])
 
     def fingerprint(self) -> int:
-        """CRC32 of the serialized metadata.
+        """CRC32 of the serialized metadata (its record CRC).
 
         The store **generation**: manifests record it per sealed
         member, and the block/plan caches key on it, so state cached
         under one layout of the same paths can never serve a
         rewritten store.
         """
-        return zlib.crc32(self.to_bytes())
+        return record_crc(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        """Serialize (pickle protocol 4; a trusted research format)."""
-        payload = {
-            "version": _FORMAT_VERSION,
-            "variable": self.variable,
-            "shape": tuple(self.shape),
-            "config": self.config,
-            "edges": self.edges,
-            "counts": self.counts,
-            "data_blocks": self.data_blocks,
-            "index_blocks": self.index_blocks,
-        }
-        buf = io.BytesIO()
-        pickle.dump(payload, buf, protocol=4)
-        return buf.getvalue()
+        """The framed record (FORMAT.md, "Metadata")."""
+        c = self.config
+        tables = [*self.data_blocks, *self.index_blocks]
+        arrays = [self.edges.astype("<f8"), self.counts.astype("<u4")]
+        arrays += [table.astype("<i8") for table in tables]
+        payload = zlib.compress(b"".join(a.tobytes() for a in arrays), _DEFLATE_LEVEL)
+        return frame(
+            _MAGIC, _FORMAT_VERSION,
+            _FIXED.pack(
+                c.n_bins, c.target_block_bytes, c.sample_fraction, c.seed, len(self.shape)
+            ),
+            np.array([*c.chunk_shape, *self.shape], dtype="<i8").tobytes(),
+            *map(text_field, (c.level_order, c.curve, c.binning, c.codec, self.variable)),
+            np.array([len(table) for table in tables], dtype="<u4").tobytes(),
+            _PAYLOAD_LEN.pack(len(payload)) + payload,
+        )
 
     @classmethod
     def load(cls, fs, var_root: str) -> "StoreMeta":
@@ -116,18 +126,43 @@ class StoreMeta:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "StoreMeta":
-        payload = pickle.loads(raw)
-        version = payload.get("version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported metadata version {version!r}")
-        meta = cls(
-            variable=payload["variable"],
-            shape=tuple(payload["shape"]),
-            config=payload["config"],
-            edges=payload["edges"],
-            counts=payload["counts"],
-            data_blocks=payload["data_blocks"],
-            index_blocks=payload["index_blocks"],
-        )
-        meta.validate()
+        """Parse a framed record; malformed bytes raise ``FormatError``."""
+        reader = RecordReader(raw, _MAGIC, _FORMAT_VERSION, "store metadata")
+        n_bins, block_bytes, fraction, seed, ndim = reader.unpack(_FIXED)
+        dims = tuple(int(d) for d in reader.array("<i8", 2 * ndim))
+        chunk_shape, shape = dims[:ndim], dims[ndim:]
+        level_order, curve, binning, codec, variable = (reader.text() for _ in range(5))
+        try:
+            config = MLOCConfig(chunk_shape, n_bins, level_order, curve, codec,
+                                block_bytes, binning, fraction, seed)
+            check_shape_chunks(shape, chunk_shape)
+            if codec not in codec_names() or min(shape) <= 0:
+                raise ValueError(f"codec {codec!r}, shape {shape}")
+        except ValueError as exc:
+            reader.fail(f"impossible configuration: {exc}")
+        rows = reader.array("<u4", 2 * n_bins).reshape(2, n_bins)
+        payload = reader.take(*reader.unpack(_PAYLOAD_LEN))
+        reader.done()
+        # The checked geometry fixes the inflated size, which bounds the inflate.
+        n_chunks = math.prod(s // c for s, c in zip(shape, chunk_shape))
+        data_ends, index_ends = rows.cumsum(axis=1).tolist()  # row bounds per bin
+        tables = (48 * data_ends[-1], 40 * index_ends[-1])
+        ends = list(accumulate([8 * (n_bins + 1), 4 * n_bins * n_chunks, *tables]))
+        try:
+            body = np.frombuffer(inflate(payload, ends[-1]), np.uint8)
+            if body.size != ends[-1]:
+                raise ValueError(f"{body.size} bytes; the geometry wants {ends[-1]}")
+            edges, counts, data, index = (
+                part.view("<" + code).astype(code)
+                for part, code in zip(np.split(body, ends[:-1]), ("f8", "u4", "i8", "i8"))
+            )
+            data, index = data.reshape(-1, 6), index.reshape(-1, 5)
+            meta = cls(
+                variable, shape, config, edges, counts.reshape(n_bins, n_chunks),
+                [data[a:b] for a, b in zip([0, *data_ends], data_ends)],
+                [index[a:b] for a, b in zip([0, *index_ends], index_ends)],
+            )
+            meta.validate()
+        except (ValueError, OverflowError, zlib.error) as exc:
+            reader.fail(f"array payload: {exc}")
         return meta

@@ -94,6 +94,7 @@ from repro.plod.byteplanes import (
 )
 from repro.sfc.hierarchical import hierarchical_order
 from repro.sfc.linearize import CurveOrder, chunk_curve_order
+from repro.util.record import record_crc
 
 __all__ = ["MLOCWriter", "WriteReport", "make_curve"]
 
@@ -134,7 +135,7 @@ class WriteReport:
     #: byte planes).  Outside ``total_bytes`` for the same reason as
     #: ``hbi_bytes``.
     peb_bytes: int = 0
-    #: CRC32 of the metadata bytes as written — the store generation a
+    #: Record CRC of the metadata as written — the store generation a
     #: dataset manifest records when it seals this write as a member
     #: (``repro.core.manifest``).
     meta_crc: int = 0
@@ -197,7 +198,7 @@ class _ThreadedBackend:
     def _codec(self) -> ByteCodec | FloatCodec:
         codec = getattr(self._tls, "codec", None)
         if codec is None:
-            codec = make_codec(self._config.codec, **self._config.codec_params)
+            codec = make_codec(self._config.codec)
             self._tls.codec = codec
         return codec
 
@@ -364,7 +365,7 @@ class MLOCWriter:
     def _check_codec(self) -> ByteCodec | FloatCodec:
         """Instantiate the codec and verify it matches the level order."""
         config = self.config
-        codec = make_codec(config.codec, **config.codec_params)
+        codec = make_codec(config.codec)
         if config.plod_enabled and not isinstance(codec, ByteCodec):
             raise TypeError(
                 f"level order {config.level_order!r} splits byte planes and needs a "
@@ -533,7 +534,7 @@ class MLOCWriter:
             meta_bytes=self.fs.size(files.meta_path),
             hbi_bytes=hbi_bytes,
             peb_bytes=peb_bytes,
-            meta_crc=zlib.crc32(meta_blob),
+            meta_crc=record_crc(meta_blob),
         )
 
     def _write_blocks(self, path: str, streams: list[_BlockStream], backend) -> np.ndarray:

@@ -153,6 +153,10 @@ TABLES: dict[str, Table] = {table.name: table for table in (
           ("mode", "wall s")),
     Table("coalescing", "Coalesced vectored I/O - 1% SC value queries at PLoD 3, "
           "8 GB-class {ds}", ("mode", "seeks", "bytes", "io+dec s"), "gts"),
+    Table("compound", "Hierarchical index - one compound query, flat vs hbi plan, "
+          "512^2 {ds}-like variables", _FIELDS, "gts"),
+    Table("exchange", "Hierarchical index - compound exchange payload, flat vs hbi "
+          "encoding, 512^2 {ds}-like variables", _FIELDS, "gts"),
     Table("progressive", "Progressive refinement - session vs fresh per-level queries, "
           "8 GB-class {ds}", ("step", "session bytes", "fresh bytes", "cum reused"), "gts"),
     Table("sharded_scaling", "Sharded store - seconds vs shard count, bin-spanning value "

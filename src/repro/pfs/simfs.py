@@ -25,17 +25,23 @@ derived deterministically from the file name.
 
 from __future__ import annotations
 
-import pickle
+import struct
 import zlib
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.pfs.costmodel import IOStats, PFSCostModel
+from repro.util.record import RecordReader, frame, text_field
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_MAGIC = b"MLOCPFS\x00"
+_SNAPSHOT_VERSION = 2
+#: The :class:`PFSCostModel` fields, in declaration order.
+_COST_MODEL = struct.Struct("<qqddqddd")
+_COUNT = struct.Struct("<I")
+_FILE = struct.Struct("<IQ")  # first_ost, size
 
 __all__ = ["SimulatedPFS", "PFSSession", "SimFileHandle", "FileStat"]
 
@@ -224,29 +230,40 @@ class SimulatedPFS:
         """Snapshot every file (and the cost model) to a real file.
 
         Lets encoded datasets outlive the process — e.g. the CLI builds
-        a dataset once and queries it from later invocations.  The
-        extent cache is deliberately not persisted (a fresh snapshot
-        load is a cold file system).
+        a dataset once and queries it from later invocations.
         """
-        payload = {
-            "version": _SNAPSHOT_VERSION,
-            "cost_model": self.cost_model,
-            "files": {
-                name: (bytes(f.data), f.first_ost) for name, f in self._files.items()
-            },
-        }
-        Path(path).write_bytes(pickle.dumps(payload, protocol=4))
+        Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulatedPFS":
         """Restore a snapshot written by :meth:`save`."""
-        payload = pickle.loads(Path(path).read_bytes())
-        version = payload.get("version")
-        if version != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version!r}")
-        fs = cls(payload["cost_model"])
-        for name, (data, first_ost) in payload["files"].items():
-            fs._files[name] = _SimFile(data=bytearray(data), first_ost=first_ost)
+        return cls.from_bytes(Path(path).read_bytes())
+
+    def to_bytes(self) -> bytes:
+        """The snapshot record (FORMAT.md, "Snapshots"); the extent cache
+        is not persisted (a fresh snapshot load is a cold file system)."""
+        fields = [_COST_MODEL.pack(*astuple(self.cost_model)), _COUNT.pack(len(self._paths))]
+        for name in self._paths:
+            f = self._files[name]
+            fields += [text_field(name), _FILE.pack(f.first_ost, f.size), f.data]
+        return frame(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, *fields)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "SimulatedPFS":
+        """Parse a snapshot record; malformed bytes raise ``FormatError``."""
+        reader = RecordReader(raw, _SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, "PFS snapshot")
+        try:
+            fs = cls(PFSCostModel(*reader.unpack(_COST_MODEL)))
+        except ValueError as exc:
+            reader.fail(f"impossible cost model: {exc}")
+        (n_files,) = reader.unpack(_COUNT)
+        for _ in range(n_files):
+            name = reader.text()
+            first_ost, size = reader.unpack(_FILE)
+            if first_ost >= fs.cost_model.ost_count or name in fs._files:
+                reader.fail(f"file {name!r} repeats or has first OST {first_ost}")
+            fs._files[name] = _SimFile(bytearray(reader.take(size)), first_ost)
+        reader.done()
         fs._paths = sorted(fs._files)
         return fs
 

@@ -4,8 +4,8 @@ Walks every structural invariant of the on-disk layout — the contracts
 between metadata, block tables, subfiles, codecs, and position indices
 — and decodes every block.  Checks, per variable:
 
-* metadata parses, is internally consistent, and its counts cover the
-  array exactly;
+* metadata parses (its decoder checks the frame, the configuration,
+  and that the counts cover the chunk grid and the array exactly);
 * each bin's data/index block tables form a contiguous, non-overlapping
   partition of the cell/chunk space, with offsets matching the actual
   subfile bytes;
@@ -53,7 +53,7 @@ from repro.index.hbi import HBIndex, hbi_path
 from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.record import FormatError
+from repro.util.record import FormatError, record_crc
 
 __all__ = ["Issue", "check_dataset", "check_store"]
 
@@ -99,24 +99,14 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
 
     try:
         meta = StoreMeta.load(fs, var_root)
-    except Exception as exc:
-        return [Issue("error", meta_path, f"metadata unreadable: {exc}")]
+    except FormatError as exc:
+        return [_unreadable(meta_path, meta_path, exc)]
 
     config = meta.config
     grid = ChunkGrid(meta.shape, config.chunk_shape)
     files = BinFileSet(var_root, config.n_bins)
-    codec = make_codec(config.codec, **config.codec_params)
+    codec = make_codec(config.codec)
     n_chunks = meta.n_chunks
-    if n_chunks != grid.n_chunks:
-        issues.append(
-            Issue(
-                "error",
-                meta_path,
-                f"counts cover {n_chunks} chunks but the grid has {grid.n_chunks}",
-            )
-        )
-        return issues
-
     n_cells = n_chunks * config.n_groups
     lossy_bound = None
     if config.codec == "isabela":
@@ -308,6 +298,10 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
     return issues
 
 
+def _unreadable(loc: str, path: str, exc: FormatError) -> Issue:
+    return Issue("error", loc, f"unreadable: {exc}", kind="decode-error", path=path, offset=0)
+
+
 def _missing_record(loc: str, path: str) -> Issue:
     return Issue(
         "error", loc, f"record missing: {path}", kind="missing-record", path=path
@@ -332,12 +326,7 @@ def _check_hbi(
     try:
         hbi = HBIndex.from_bytes(bytes(fs.session().open(path).read_all()))
     except FormatError as exc:
-        return [
-            Issue(
-                "error", loc, f"hierarchical index unreadable: {exc}",
-                kind="decode-error", path=path, offset=0,
-            )
-        ]
+        return [_unreadable(loc, path, exc)]
     issues: list[Issue] = []
     geometry = (hbi.n_bins, hbi.n_chunks, hbi.chunk_size)
     expected = (meta.config.n_bins, meta.n_chunks, grid.chunk_size)
@@ -383,12 +372,7 @@ def _check_peb(fs: SimulatedPFS, var_root: str, meta: StoreMeta) -> list[Issue]:
             bytes(fs.session().open(path).read_all())
         )
     except FormatError as exc:
-        return [
-            Issue(
-                "error", loc, f"error-bounds record unreadable: {exc}",
-                kind="decode-error", path=path, offset=0,
-            )
-        ]
+        return [_unreadable(loc, path, exc)]
     issues: list[Issue] = []
     if table.n_chunks != meta.n_chunks:
         return [
@@ -605,12 +589,12 @@ def check_dataset(
             )
             continue
         raw = read_meta_bytes(fs, var_root)
-        if zlib.crc32(raw) != member.meta_crc:
+        if record_crc(raw) != member.meta_crc:
             issues.append(
                 Issue(
                     "error",
                     meta_path,
-                    f"metadata CRC {zlib.crc32(raw):#010x} does not match "
+                    f"metadata CRC {record_crc(raw):#010x} does not match "
                     f"the sealed manifest record {member.meta_crc:#010x}",
                     kind="crc-mismatch",
                     path=meta_path,
@@ -620,16 +604,8 @@ def check_dataset(
             continue
         try:
             meta = StoreMeta.from_bytes(raw)
-        except Exception as exc:
-            issues.append(
-                Issue(
-                    "error",
-                    meta_path,
-                    f"metadata unreadable: {exc}",
-                    kind="decode-error",
-                    path=meta_path,
-                )
-            )
+        except FormatError as exc:
+            issues.append(_unreadable(meta_path, meta_path, exc))
             continue
         grid = ChunkGrid(meta.shape, meta.config.chunk_shape)
         issues += [

@@ -90,12 +90,9 @@ def relayout(
 
     from repro.compression.base import make_codec
 
-    source_codec = make_codec(
-        source.meta.config.codec, **source.meta.config.codec_params
-    )
     return RelayoutReport(
         write_report=write_report,
-        approximate=not source_codec.lossless,
+        approximate=not make_codec(source.meta.config.codec).lossless,
         source_order=source.meta.config.level_order,
         target_order=new_config.level_order,
     )

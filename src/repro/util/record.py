@@ -11,8 +11,9 @@ import zlib
 
 import numpy as np
 
-__all__ = ["FormatError", "RecordReader", "frame"]
+__all__ = ["FormatError", "RecordReader", "frame", "record_crc", "text_field"]
 
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 
@@ -24,6 +25,18 @@ def frame(magic: bytes, version: int, *fields: bytes) -> bytes:
     """The framed record of ``fields`` (already little-endian bytes)."""
     body = b"".join((magic, _U32.pack(version), *fields))
     return body + _U32.pack(zlib.crc32(body))
+
+
+def record_crc(raw: bytes) -> int:
+    """The CRC32 a whole record's frame ends with.  (The CRC32 of a whole
+    record, trailer included, is one constant: it identifies nothing.)"""
+    return zlib.crc32(memoryview(raw)[: -_U32.size])
+
+
+def text_field(value: str) -> bytes:
+    """``value`` as a field: its ``<H`` UTF-8 byte length, then the bytes."""
+    encoded = value.encode("utf-8")
+    return _U16.pack(len(encoded)) + encoded
 
 
 class RecordReader:
@@ -66,6 +79,14 @@ class RecordReader:
 
     def unpack(self, fields: struct.Struct) -> tuple:
         return fields.unpack_from(self._body, self._take(fields.size))
+
+    def text(self) -> str:
+        """A field written by :func:`text_field`."""
+        (size,) = self.unpack(_U16)
+        try:
+            return self.take(size).decode("utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"text field of {size} bytes is not UTF-8")
 
     def array(self, dtype: str, count: int) -> np.ndarray:
         """``count`` items of little-endian ``dtype``, in native order."""

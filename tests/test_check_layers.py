@@ -1,6 +1,7 @@
 """``scripts/check_layers.py`` rules 3 (serving and the harness sit
 above core), 8 (the batch is the unit), 9 (deleted second paths stay
-deleted) and 10 (nothing ambient switches a handle)."""
+deleted), 10 (nothing ambient switches a handle) and 11 (every
+persisted byte is a framed record)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from scripts.check_layers import (
     batch_loop_violations,
     deleted_name_violations,
     environ_violations,
+    serializer_violations,
     upper_layer_violations,
 )
 
@@ -286,3 +288,48 @@ def main():
 def test_a_reintroduced_runner_header_table_is_a_violation():
     (found,) = deleted_name_violations(ast.parse(RUNNER_HEADERS), "bench.py")
     assert found.startswith("bench.py:2: EXPERIMENTS was deleted")
+
+
+CODEC_PARAMS = """
+@dataclass(frozen=True)
+class MLOCConfig:
+    codec: str = "zlib-bytes"
+    codec_params: dict[str, Any] = field(default_factory=dict)
+"""
+
+
+BLOCK_FIELDS = """
+DATA_BLOCK_FIELDS = ("cell_start", "cell_end", "offset", "comp_len", "raw_len", "crc32")
+INDEX_BLOCK_FIELDS = ("cpos_start", "cpos_end", "offset", "comp_len", "crc32")
+"""
+
+
+def test_a_reintroduced_codec_keyword_table_is_a_violation():
+    (found,) = deleted_name_violations(ast.parse(CODEC_PARAMS), "config.py")
+    assert found.startswith("config.py:5: codec_params was deleted")
+    found = deleted_name_violations(ast.parse(BLOCK_FIELDS), "meta.py")
+    assert [v.split(": ")[1].split()[0] for v in found] == [
+        "DATA_BLOCK_FIELDS", "INDEX_BLOCK_FIELDS"
+    ]
+
+
+PICKLED_META = """
+import io
+import pickle
+
+def from_bytes(raw):
+    from marshal import loads
+    import shelve as store
+    return pickle.loads(raw)
+"""
+
+
+def test_a_reintroduced_pickle_decoder_is_a_violation():
+    found = serializer_violations(ast.parse(PICKLED_META), "meta.py")
+    assert [v.split(":")[1] for v in found] == ["3", "6", "7"]
+    assert all("rule 11" in v for v in found)
+
+
+def test_a_framed_record_decoder_is_clean():
+    framed = "from repro.util.record import RecordReader, frame\nimport zlib\n"
+    assert serializer_violations(ast.parse(framed), "meta.py") == []

@@ -110,10 +110,3 @@ class TestStoreMeta:
         meta.data_blocks = meta.data_blocks[:1]
         with pytest.raises(ValueError, match="one entry per bin"):
             meta.validate()
-
-    def test_version_check(self):
-        import pickle
-
-        bad = pickle.dumps({"version": 999})
-        with pytest.raises(ValueError, match="version"):
-            StoreMeta.from_bytes(bad)

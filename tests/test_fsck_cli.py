@@ -44,14 +44,6 @@ class TestSnapshots:
         s.open(some_file).read_all()
         assert s.stats.bytes_read == restored.size(some_file)
 
-    def test_version_check(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.pfs"
-        path.write_bytes(pickle.dumps({"version": 99}))
-        with pytest.raises(ValueError, match="snapshot version"):
-            SimulatedPFS.load(path)
-
     def test_cost_model_persisted(self, tmp_path):
         fs = SimulatedPFS(PFSCostModel(byte_scale=7.0))
         path = tmp_path / "s.pfs"

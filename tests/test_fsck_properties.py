@@ -1,8 +1,9 @@
 """Property test: fsck detects arbitrary single-byte corruption.
 
 Every byte of every subfile is live payload covered by either the
-metadata CRCs (data/index blocks) or the pickle framing (meta), so any
-bit flip anywhere must surface as at least one fsck issue.
+metadata CRCs (data/index blocks) or the record frame's own CRC
+(meta), so any bit flip anywhere must surface as at least one fsck
+issue.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ def col_fs_snapshot(tmp_path_factory):
 def test_any_bitflip_detected(col_fs_snapshot, data):
     fs = SimulatedPFS.load(col_fs_snapshot)
     subfiles = [
-        p for p in fs.list_files("/p/f/") if p.endswith(".data") or p.endswith(".index")
+        p for p in fs.list_files("/p/f/") if p.endswith((".data", ".index", "/meta"))
     ]
     target = data.draw(st.sampled_from(subfiles))
     raw = bytearray(fs.session().open(target).read_all())
@@ -53,13 +54,28 @@ def test_any_bitflip_detected(col_fs_snapshot, data):
     issues = check_store(fs, "/p", "f")
     assert issues, f"undetected corruption: {target} byte {offset} bit {bit}"
     # Payload corruption is classified, not just detected: the CRC
-    # check pins it to the damaged subfile with kind "crc-mismatch",
+    # check pins it to the damaged subfile with kind "crc-mismatch"
+    # ("decode-error" for the metadata record, which fails its frame),
     # naming the extent in quarantine-registry coordinates.
-    crc_issues = [i for i in issues if i.kind == "crc-mismatch"]
-    assert crc_issues, f"flip in {target} not classified as crc-mismatch"
+    kind = "decode-error" if target.endswith("/meta") else "crc-mismatch"
+    crc_issues = [i for i in issues if i.kind == kind]
+    assert crc_issues, f"flip in {target} not classified as {kind}"
     for issue in crc_issues:
         assert issue.path == target
         assert issue.offset is not None and 0 <= issue.offset <= offset
+
+
+def test_every_meta_bitflip_is_a_decode_error():
+    """Bit 4 of every ``meta`` byte in turn: fsck never raises, and names
+    each flip as a ``decode-error`` of the metadata record."""
+    fs = _build(mloc_col)
+    raw = bytes(fs.session().open("/p/f/meta").read_all())
+    for offset in range(len(raw)):
+        bad = bytearray(raw)
+        bad[offset] ^= 1 << 4
+        fs.write_file("/p/f/meta", bytes(bad))
+        issues = check_store(fs, "/p", "f")
+        assert ("decode-error", "/p/f/meta") in [(i.kind, i.path) for i in issues], offset
 
 
 def test_pristine_store_has_no_issues_of_any_kind():

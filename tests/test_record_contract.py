@@ -1,11 +1,14 @@
 """Every framed record decoder fails typed (DESIGN.md §6, FORMAT.md
 "Record frame").
 
-``hbi``, ``peb`` and ``MLOCMAN`` share one frame and one reader, so one
-contract covers all three: bytes no writer produces — with a valid CRC
-or not — raise :class:`~repro.util.record.FormatError`, never another
-exception type, and ``fsck`` names the same bytes as a ``decode-error``
-(a member's derived record) or ``manifest-torn`` (the manifest).
+``meta``, ``hbi``, ``peb``, ``MLOCMAN`` and the PFS snapshot share one
+frame and one reader, so one contract covers all five: bytes no writer
+produces — with a valid CRC or not — raise
+:class:`~repro.util.record.FormatError`, never another exception type.
+``fsck`` names the same bytes as a ``decode-error`` (a member's derived
+record), a ``crc-mismatch`` (a member's ``meta``, which the manifest
+pins by its record CRC) or ``manifest-torn`` (the manifest); the CLI
+refuses the snapshot and says how to rebuild it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import zlib
 
 import pytest
 
-from repro.core import MLOCDataset, mloc_col
+from repro import cli
+from repro.core import MLOCDataset, StoreMeta, mloc_col
 from repro.core.manifest import Manifest, ManifestError, manifest_path
 from repro.datasets import gts_like
 from repro.index.hbi import HBIndex, hbi_path
@@ -26,10 +30,13 @@ from repro.util.record import FormatError
 
 KEY = "temp@000000"
 RECORDS = {
-    # record -> (decoder, its path under /ds, the fsck kind that names it)
+    # record -> (decoder, its path under /ds, the fsck kind that names it);
+    # the snapshot is the file system itself, so it has neither.
+    "meta": (StoreMeta, f"/ds/{KEY}/meta", "crc-mismatch"),
     "hbi": (HBIndex, hbi_path(f"/ds/{KEY}"), "decode-error"),
     "peb": (ErrorBoundsTable, peb_path(f"/ds/{KEY}"), "decode-error"),
     "manifest": (Manifest, manifest_path("/ds", 1), "manifest-torn"),
+    "snapshot": (SimulatedPFS, None, None),
 }
 HEADER = 12  # magic + version: where every record's own fields start
 
@@ -45,7 +52,7 @@ def _sealed() -> SimulatedPFS:
 def good() -> dict[str, bytes]:
     fs = _sealed()
     return {
-        name: bytes(fs.session().open(path).read_all())
+        name: fs.to_bytes() if path is None else bytes(fs.session().open(path).read_all())
         for name, (_, path, _) in RECORDS.items()
     }
 
@@ -78,6 +85,16 @@ FRAME_DAMAGE = {
 #: Geometry no writer produces, per record, each under a valid CRC:
 #: (record, name) -> (offset of the patched field, its format, value, message).
 GEOMETRY_DAMAGE = {
+    # meta: <qqdqI n_bins.. ndim, i64 chunk_shape + shape, then the text
+    # fields "VMS", "hilbert", "equal-frequency", "zlib-bytes" and KEY.
+    ("meta", "zero-bins"): (HEADER, "<q", 0, "n_bins must be positive"),
+    ("meta", "fraction-above-1"): (HEADER + 16, "<d", 2.0, "sample_fraction"),
+    ("meta", "huge-ndim"): (HEADER + 32, "<I", 2**31, "truncated"),
+    ("meta", "chunk-not-tiling"): (HEADER + 36, "<q", 7, "not a multiple"),
+    ("meta", "negative-extent"): (HEADER + 52, "<q", -16, r"shape \(-16, 16\)"),
+    ("meta", "level-order"): (HEADER + 70, "<B", ord("X"), "level_order must be one of"),
+    ("meta", "unknown-codec"): (HEADER + 101, "<B", ord("X"), "codec 'Xlib-bytes'"),
+    ("meta", "row-count"): (HEADER + 124, "<I", 2**20, "the geometry wants"),
     ("hbi", "leaf-span-0"): (HEADER, "<I", 0, "impossible geometry"),
     ("hbi", "fanout-1"): (HEADER + 4, "<I", 1, "impossible geometry"),
     ("hbi", "negative-bins"): (HEADER + 8, "<q", -2, "impossible geometry"),
@@ -89,6 +106,12 @@ GEOMETRY_DAMAGE = {
     ("manifest", "member-count"): (HEADER + 8, "<I", 2**31, "truncated"),
     ("manifest", "key-overrun"): (HEADER + 12, "<H", 0xFFFF, "truncated"),
     ("manifest", "key-not-utf8"): (HEADER + 14, "<B", 0xFF, "not UTF-8"),
+    # snapshot: <qqddqddd cost model, <I n_files, then the first file,
+    # "/ds/manifest.g00000001" (22 bytes), and its <IQ first_ost, size.
+    ("snapshot", "zero-osts"): (HEADER, "<q", 0, "ost_count must be positive"),
+    ("snapshot", "file-count"): (HEADER + 64, "<I", 2**31, "truncated"),
+    ("snapshot", "name-overrun"): (HEADER + 68, "<H", 0xFFFF, "truncated"),
+    ("snapshot", "first-ost"): (HEADER + 92, "<I", 16, "first OST 16"),
 }
 CASES = [
     pytest.param(record, damage, message, id=f"{record}-{name}")
@@ -106,7 +129,9 @@ CASES = [
 
 
 @pytest.mark.parametrize("record,damage,message", CASES)
-def test_malformed_record_fails_typed_and_fsck_names_it(good, record, damage, message):
+def test_malformed_record_fails_typed_and_fsck_names_it(
+    good, record, damage, message, tmp_path
+):
     decoder, path, kind = RECORDS[record]
     bad = damage(good[record])
     assert bad != good[record]
@@ -114,6 +139,12 @@ def test_malformed_record_fails_typed_and_fsck_names_it(good, record, damage, me
         decoder.from_bytes(bad)
     if decoder is Manifest:
         assert isinstance(failed.value, ManifestError)  # what load_manifest skips
+    if path is None:
+        snapshot = tmp_path / "bad.pfs"
+        snapshot.write_bytes(bad)
+        with pytest.raises(SystemExit, match="rebuild the snapshot with `demo`"):
+            cli.main(["info", str(snapshot)])
+        return
 
     fs = _sealed()
     assert check_dataset(fs, "/ds") == []
