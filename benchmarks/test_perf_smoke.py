@@ -2,8 +2,8 @@
 
 Times the real wall-clock of the hot code paths — varint codec,
 Hilbert mapping, index-block decode, cold vs warm ``query_many``, the
-serial/threads/processes decode backends, the serial/threads write
-backends, and the sharded scatter/gather scaling sweep — and records everything to
+serial/threads/processes decode backends, and the sharded
+scatter/gather scaling sweep — and records everything to
 ``results/BENCH_perf_smoke.json`` so the performance trajectory is
 tracked across PRs.  Wall-clock numbers are recorded, not asserted
 (they depend on the machine); the *deterministic* savings of batching
@@ -18,15 +18,13 @@ import time
 import numpy as np
 
 from benchmarks.conftest import N_QUERIES, attach_batch_info, best_of
-from repro.core import MLOCStore, Query, mloc_col
-from repro.datasets import gts_like
+from repro.core import MLOCStore, Query
 from repro.harness import format_table, record_result
 from repro.harness.experiments import (
     batch_pipeline_rows,
     coalescing_rows,
     progressive_rows,
     sharded_scaling_rows,
-    writer_backend_rows,
 )
 from repro.index.binindex import decode_position_block_flat, encode_position_block
 from repro.sfc.hilbert import hilbert_decode, hilbert_encode
@@ -170,37 +168,6 @@ def test_backend_wall_clock(suite_gts_8g):
         "processes_speedup": round(
             walls["serial"] / max(walls["processes"], 1e-9), 3
         ),
-    }
-
-
-def test_writer_backend_wall_clock(capsys):
-    """Serial vs threaded write pipeline on the standard synthetic
-    variable: identical output bytes asserted, wall-clock recorded.
-
-    The multi-chunk workload (a 512x512 GTS-like field in 64x64
-    chunks) sits at the threaded writer's break-even on a 2-vCPU host
-    (threads/serial 0.65-1.3 run to run; larger inputs win steadily,
-    docs/tuning.md "Write pipeline"), so like every wall-clock number
-    of this file the ratio is recorded, not asserted."""
-    data = gts_like((512, 512), seed=3)
-    config = mloc_col((64, 64), n_bins=16, target_block_bytes=1 << 15)
-    workers = min(os.cpu_count() or 1, 4) if (os.cpu_count() or 1) > 1 else 2
-    rows, identical = writer_backend_rows(data, config, workers=workers, rounds=3)
-    assert identical, "writer backends diverged: output must be bit-identical"
-    with capsys.disabled():
-        print()
-        print(format_table("writer_backend", rows))
-    serial_s = rows["serial writer"][0]
-    threads_s = rows["threads writer"][0]
-    RESULTS["writer_backend_wall_clock"] = {
-        "n_elements": data.size,
-        "n_chunks": 64,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "identical_bytes": identical,
-        "serial_s": serial_s,
-        "threads_s": threads_s,
-        "threads_speedup": round(serial_s / max(threads_s, 1e-9), 3),
     }
 
 

@@ -33,8 +33,8 @@ executed):
    field of ``repro.core.config.ExecutionConfig`` and nowhere else
    (DESIGN.md §6): no function signature under ``src/repro`` outside
    ``core/config.py`` may name one of ``EXECUTION_ONLY_PARAMS`` as a
-   parameter — handles take ``execution`` (the store, writer and
-   dataset doors also ``**overrides`` folded by ``fold_execution``)
+   parameter — handles take ``execution`` (the store and dataset
+   doors also ``**overrides`` folded by ``fold_execution``)
    and pass it on whole.  The deleted
    ``repro.core.executor`` alias shim must also stay deleted.
 6. **One simulated clock.**  Every simulated second is modeled from
@@ -76,7 +76,8 @@ executed):
    per-read OST load vector beside the read's own stripe charge, and
    the runner's header table beside the one table registry, and the
    codec keyword table beside the codec name in ``MLOCConfig``, and the
-   block-table column tuples nothing read.
+   block-table column tuples nothing read, and the threaded write
+   backend beside the one write pass, with its two options.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -142,8 +143,6 @@ EXECUTION_ONLY_PARAMS = frozenset(
         "read_backoff",
         "allow_partial",
         "coalesce_gap",
-        "write_backend",
-        "write_workers",
     }
 )
 
@@ -161,7 +160,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: one ``replay`` loop over an arrival source, with one admission rule
 #: and one report; a published table is declared once, in the registry;
 #: a codec is configured by its name alone, and a block table's columns
-#: are named in FORMAT.md, not in a tuple nothing reads.
+#: are named in FORMAT.md, not in a tuple nothing reads; a store is
+#: written by one serial pass with no options.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -234,6 +234,15 @@ DELETED_NAMES = frozenset(
         "codec_params",
         "DATA_BLOCK_FIELDS",
         "INDEX_BLOCK_FIELDS",
+        # The threaded write backend, its two options, their choices,
+        # the option split and the table that timed it: no workload
+        # wrote with it, and it cost peak memory where it won.
+        "write_backend",
+        "write_workers",
+        "WRITE_BACKENDS",
+        "writer_options",
+        "_ThreadedBackend",
+        "writer_backend_rows",
     }
 )
 

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Regenerate the writer golden file from the current writer.
 
-``tests/test_writer_parallel.py`` proves serial ≡ threads ≡ processes;
-this file pins the *bytes themselves*: the SHA-256 of every file a
-write leaves under the variable root (per-bin data and index subfiles,
-``meta``, ``hbi``, ``peb``) plus every :class:`WriteReport` field, over
-a matrix chosen to hit what a restructured encode pass can get wrong —
+The writer is one deterministic pass; this file pins the *bytes
+themselves*: the SHA-256 of every file a write leaves under the
+variable root (per-bin data and index subfiles, ``meta``, ``hbi``,
+``peb``) plus every :class:`WriteReport` field, over a matrix chosen to hit what a restructured encode pass can get wrong —
 a non-power-of-two chunk grid, 3-D and non-square chunks, a single
 chunk, block targets small enough to cut inside a bin and inside one
 chunk's cell run, both cell nestings and the whole-value layout, every
@@ -143,12 +142,10 @@ def make_config(case: dict) -> MLOCConfig:
     )
 
 
-def capture(case: dict, **writer_options) -> dict:
+def capture(case: dict) -> dict:
     """Write one case into a fresh file system and digest what it left."""
     fs = SimulatedPFS()
-    report = MLOCWriter(fs, "/g", make_config(case), **writer_options).write(
-        make_field(case), variable="v"
-    )
+    report = MLOCWriter(fs, "/g", make_config(case)).write(make_field(case), variable="v")
     session = fs.session()
     prefix = "/g/v/"
     files = {

@@ -260,8 +260,6 @@ _EXECUTION_HELP = {
     "workers": "pool width for --backend threads/processes (default: CPU count)",
     "cache_bytes": "decoded-block LRU budget in MiB (0 = cold, the paper's discipline)",
     "plan_cache": "query-plan LRU capacity in plans (0 = plan every query)",
-    "write_backend": "write-pipeline backend (bit-identical output for every choice)",
-    "write_workers": "pool width for --write-backend threads (default: CPU count)",
     "max_read_retries": "retries per failed block read before quarantine",
     "read_backoff": "base retry backoff in simulated seconds (doubles per retry)",
     "allow_partial": (
@@ -286,12 +284,10 @@ def _mib(text: str) -> int:
     return int(float(text) * (1 << 20))
 
 
-def _add_execution_options(sub_parser, *, write: bool) -> None:
-    """One flag per write-side (``write_*``) or read-side field."""
+def _add_execution_options(sub_parser) -> None:
+    """One flag per ``ExecutionConfig`` field."""
     hints = typing.get_type_hints(ExecutionConfig)
     for spec in dataclasses.fields(ExecutionConfig):
-        if spec.name.startswith("write_") != write:
-            continue
         options = {
             "dest": spec.name,
             "default": spec.default,
@@ -308,7 +304,6 @@ def _add_execution_options(sub_parser, *, write: bool) -> None:
 
 
 def _add_write_options(sub_parser) -> None:
-    _add_execution_options(sub_parser, write=True)
     sub_parser.add_argument(
         "--shards",
         type=int,
@@ -323,7 +318,7 @@ def _add_write_options(sub_parser) -> None:
 
 def _add_read_options(sub_parser) -> None:
     sub_parser.add_argument("--ranks", type=int, default=8)
-    _add_execution_options(sub_parser, write=False)
+    _add_execution_options(sub_parser)
     sub_parser.add_argument(
         "--shards",
         type=int,
@@ -336,13 +331,9 @@ def _add_read_options(sub_parser) -> None:
 
 
 def _execution(args) -> ExecutionConfig:
-    """The :class:`ExecutionConfig` of the execution flags ``args`` has."""
+    """The :class:`ExecutionConfig` the execution flags of ``args`` give."""
     return ExecutionConfig(
-        **{
-            spec.name: getattr(args, spec.name)
-            for spec in dataclasses.fields(ExecutionConfig)
-            if hasattr(args, spec.name)
-        }
+        **{spec.name: getattr(args, spec.name) for spec in dataclasses.fields(ExecutionConfig)}
     )
 
 
@@ -471,7 +462,7 @@ def _cmd_demo(args) -> int:
         chunk_shape=(max(args.size // 16, 1), max(args.size // 16, 1)),
         n_bins=args.bins,
     )
-    writer = MLOCWriter(fs, "/demo", config, execution=_execution(args))
+    writer = MLOCWriter(fs, "/demo", config)
     report = writer.write(field, variable="potential")
     fs.save(args.snapshot)
     print(
@@ -822,10 +813,7 @@ def _cmd_relayout(args, source) -> int:
     )
     if "M" in args.order and source.meta.config.level_order == "VS":
         print("note: switching a whole-value store to a PLoD order uses zlib-bytes")
-    report = relayout(
-        fs, args.root, args.variable, args.target_root, new_config,
-        execution=_execution(args),
-    )
+    report = relayout(fs, args.root, args.variable, args.target_root, new_config)
     fs.save(args.snapshot)
     print(
         f"migrated {args.root}/{args.variable} ({report.source_order}) -> "

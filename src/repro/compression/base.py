@@ -16,18 +16,14 @@ to constructors so configurations are serializable.
 
 Concurrency contract
 --------------------
-The parallel writer offloads ``encode`` calls to a thread pool, so
-every registered codec must satisfy two rules:
+Every registered codec must satisfy three rules:
 
 * ``encode`` is **deterministic**: identical input produces identical
-  payload bytes regardless of instance, thread, or call history — the
-  writer's bit-identical-output guarantee (DESIGN.md §6) rests on it.
-* ``encode`` is safe under **per-worker instances**: the pool builds
-  one codec per worker thread via :func:`make_codec`, so instance
-  state needs no cross-thread locking.  Codecs that additionally keep
-  mutable caches (ISABELA's design matrices) must still guard them,
-  because a single instance may also be shared (the read executor
-  decodes on a pool with one codec).
+  payload bytes regardless of instance or call history — the writer's
+  deterministic-bytes guarantee (DESIGN.md §6) rests on it.
+* ``decode`` is safe on a **shared instance**: the read executor's
+  ``threads`` backend decodes on a pool with one codec, so codecs that
+  keep mutable caches (ISABELA's design matrices) must guard them.
 * every codec **round-trips through pickle** and exposes a
   ``spec()`` that ``make_codec(name, **dict(params))`` rebuilds: the
   ``processes`` backends ship work to spawned workers as

@@ -106,9 +106,8 @@ class IsabelaCodec(FloatCodec):
         #: (n_coeffs, w) matmul instead of per-window spline calls —
         #: the same trick the reference ISABELA implementation uses.
         #: The cache is the codec's only mutable state; a lock guards
-        #: population so one instance can serve concurrent encode or
-        #: decode calls (the parallel writer additionally builds
-        #: per-worker instances, making contention here negligible).
+        #: population so one instance can serve concurrent decode
+        #: calls (the read executor's ``threads`` backend shares one).
         self._design: dict[int, np.ndarray] = {}
         self._design_lock = threading.Lock()
 

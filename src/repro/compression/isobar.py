@@ -101,7 +101,7 @@ class IsobarCodec(FloatCodec):
 
     Holds no mutable state — :func:`compress_planes` and
     :func:`decompress_planes` are pure functions — so instances are
-    thread-safe and encoding is deterministic across writer backends.
+    thread-safe and encoding is deterministic.
     """
 
     lossless = True

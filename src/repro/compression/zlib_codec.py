@@ -63,8 +63,7 @@ class ZlibByteCodec(ByteCodec):
     """Deflate with a raw-passthrough mode flag.
 
     Stateless per call (``compress``/``decompressobj`` build their
-    own stream objects), hence thread-safe and deterministic — the
-    parallel writer can share or clone instances freely.
+    own stream objects), hence thread-safe and deterministic.
     """
 
     lossless = True

@@ -22,7 +22,6 @@ from repro.core.compound import (
 from repro.core.config import (
     EXEC_BACKENDS,
     LEVEL_ORDERS,
-    WRITE_BACKENDS,
     ExecutionConfig,
     MLOCConfig,
     mloc_col,
@@ -83,7 +82,6 @@ __all__ = [
     "assemble",
     "StoreMeta",
     "VariableConstraint",
-    "WRITE_BACKENDS",
     "WriteReport",
     "aggregate_query",
     "compound_query",

@@ -31,7 +31,6 @@ __all__ = [
     "ExecutionConfig",
     "LEVEL_ORDERS",
     "EXEC_BACKENDS",
-    "WRITE_BACKENDS",
     "fold_execution",
     "mloc_col",
     "mloc_iso",
@@ -43,10 +42,6 @@ LEVEL_ORDERS = ("VMS", "VSM", "VS")
 #: Read-path decode backends; ``threads``/``processes`` are
 #: bit-identical to ``serial`` for any worker count.
 EXEC_BACKENDS = ("serial", "threads", "processes")
-
-#: Write-pipeline backends of :class:`~repro.core.writer.MLOCWriter`;
-#: both produce bit-identical subfiles and metadata.
-WRITE_BACKENDS = ("serial", "threads")
 
 _CURVES = ("hilbert", "zorder", "rowmajor", "hierarchical")
 _BINNINGS = ("equal-frequency", "equal-width")
@@ -141,21 +136,19 @@ class MLOCConfig:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Execution options: how stores are served and written.
+    """Execution options: how stores are served.
 
     Unlike :class:`MLOCConfig` — which is baked into the written layout
-    — these options never change a stored byte: the read-side knobs
-    only affect how queries are *served* (identical results and
-    simulated seconds), and the write-side knobs only affect how the
-    encode pipeline *runs* (bit-identical subfiles and metadata).
+    — these options never change a stored byte: they only affect how
+    queries are *served* (identical results and simulated seconds).
 
     This class is the only place an execution option is declared,
-    documented and validated (DESIGN.md §6).  Every handle — stores,
-    engine, writer, datasets, brokers, the CLI — holds one instance as
-    ``.execution`` and passes it on whole.  The store, writer and
-    dataset constructors also accept the fields below as keywords,
-    folded over ``execution=`` by :func:`fold_execution`; the engine
-    takes ``execution`` whole and accepts no field keywords.
+    documented and validated (DESIGN.md §6).  Every read handle —
+    stores, engine, datasets, brokers, the CLI — holds one instance as
+    ``.execution`` and passes it on whole.  The store and dataset
+    constructors also accept the fields below as keywords, folded over
+    ``execution=`` by :func:`fold_execution`; the engine takes
+    ``execution`` whole and accepts no field keywords.
 
     Attributes
     ----------
@@ -176,15 +169,6 @@ class ExecutionConfig:
         it.  Planning is deterministic, so a cached plan is exactly the
         plan a fresh call would produce — the knob trades a little
         memory for skipping the plan phase on repeated query shapes.
-    write_backend:
-        One of :data:`WRITE_BACKENDS` (default ``"serial"``);
-        ``"threads"`` fans the slab stage and block compression of
-        :class:`~repro.core.writer.MLOCWriter` out on a thread pool
-        while committing blocks in serial cell order.
-    write_workers:
-        Pool width for the ``"threads"`` write backend; ``None`` = CPU
-        count.  With one effective worker the writer runs inline — an
-        unsized pool on a single-core machine would be pure overhead.
     max_read_retries:
         How many times a failed block read (transient I/O error or CRC
         mismatch) is retried before the block is quarantined (read-path
@@ -211,8 +195,6 @@ class ExecutionConfig:
     workers: int | None = None
     cache_bytes: int = 0
     plan_cache: int = 0
-    write_backend: str = field(default="serial", metadata={"choices": WRITE_BACKENDS})
-    write_workers: int | None = None
     max_read_retries: int = 2
     read_backoff: float = 0.005
     allow_partial: bool = False
@@ -226,10 +208,6 @@ class ExecutionConfig:
             raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
         if self.plan_cache < 0:
             raise ValueError(f"plan_cache must be >= 0, got {self.plan_cache}")
-        if self.write_workers is not None and self.write_workers <= 0:
-            raise ValueError(
-                f"write_workers must be positive, got {self.write_workers}"
-            )
         if self.max_read_retries < 0:
             raise ValueError(
                 f"max_read_retries must be >= 0, got {self.max_read_retries}"
@@ -240,13 +218,8 @@ class ExecutionConfig:
             raise ValueError(f"coalesce_gap must be >= 0, got {self.coalesce_gap}")
 
     def store_options(self) -> dict[str, Any]:
-        """The read-side fields (all but ``write_*``) for :meth:`MLOCStore.open`."""
-        return {k: v for k, v in asdict(self).items() if not k.startswith("write_")}
-
-    def writer_options(self) -> dict[str, Any]:
-        """The write-side fields, as keywords for
-        :class:`~repro.core.writer.MLOCWriter`."""
-        return {k: v for k, v in asdict(self).items() if k.startswith("write_")}
+        """Every field, as keywords for :meth:`MLOCStore.open`."""
+        return asdict(self)
 
 
 def fold_execution(

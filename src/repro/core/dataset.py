@@ -11,8 +11,8 @@ multi-variable access joins member handles that share the grid
 A dataset *is* its manifest chain (``repro.core.manifest``):
 
 ``append()``
-    The only way a member enters: encode it through the three-stage
-    writer pipeline, then commit an atomic manifest bump.
+    The only way a member enters: encode it through the one-pass
+    writer, then commit an atomic manifest bump.
 ``snapshot()``
     The only way members are listed and opened: a
     :class:`DatasetSnapshot` pins generation ``G`` and sees exactly the
@@ -57,8 +57,8 @@ class MLOCDataset:
     """The append-only catalog of sealed members under one root.
 
     One :class:`~repro.core.config.ExecutionConfig` (``execution``, or
-    its fields as keywords) configures both the writer that seals
-    members and every member handle the dataset opens.
+    its fields as keywords) configures every member handle the dataset
+    opens.
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class MLOCDataset:
         self.config = config
         self.n_ranks = n_ranks
         self.execution = fold_execution(execution, overrides)
-        self._writer = MLOCWriter(fs, self.root, config, execution=self.execution)
+        self._writer = MLOCWriter(fs, self.root, config)
         #: One decoded-block cache shared by every member handle this
         #: dataset opens; entries are keyed by each member's sealed
         #: generation (its ``meta_crc``).
@@ -93,8 +93,8 @@ class MLOCDataset:
         """Seal one new member and commit an atomic manifest bump.
 
         The member's subfiles (bins, metadata, per-member ``hbi``/
-        ``peb``) are written first through the ordinary three-stage
-        pipeline, then ``manifest.g<N+1>`` is committed in one write.
+        ``peb``) are written first through the ordinary one-pass
+        writer, then ``manifest.g<N+1>`` is committed in one write.
         A crash before the commit leaves only orphaned files that no
         generation references (``fsck --dataset`` reports them); a torn
         commit leaves an unreadable manifest that readers skip — either

@@ -17,7 +17,7 @@ generation-numbered **manifest files**:
 The commit protocol (FORMAT.md, "Dataset manifests"):
 
 1. write all of the new member's subfiles through the ordinary
-   three-stage writer pipeline (data/index bins, ``meta``, ``hbi``,
+   one-pass writer (data/index bins, ``meta``, ``hbi``,
    ``peb`` — the per-member records are built at seal time, so no
    whole-dataset index is ever rebuilt);
 2. write ``manifest.g<N+1>`` = previous members + the new member.

@@ -56,6 +56,39 @@ def read_meta_bytes(fs, var_root: str) -> bytes:
     return bytes(fs.session().open(f"{var_root.rstrip('/')}/meta").read_all())
 
 
+def _check_block_tables(what: str, tables: list[np.ndarray], n_units: int) -> None:
+    """Raise ``ValueError`` unless every bin's rows partition its units.
+
+    Per bin, the rows' ``[start, end)`` ranges are non-empty and chain
+    from 0 to ``n_units`` (cells of a data table, chunks of an index
+    table), and their byte extents chain from offset 0 with lengths
+    >= 0.  One vectorized pass over all bins' rows together.
+    """
+    lengths = np.array([len(table) for table in tables], dtype=np.int64)
+    if lengths.min() == 0:
+        raise ValueError(f"{what} block table of bin {int(lengths.argmin())} is empty")
+    rows = np.concatenate(tables)
+    start, end, offset, length = rows[:, :4].T
+    first = np.cumsum(lengths) - lengths  # each bin's first row
+    last = first + lengths - 1
+    # A bin's first row opens at (0, 0); every other row resumes where
+    # the row before it ended, in units and in bytes.
+    want_start = np.roll(end, 1)
+    want_offset = np.roll(offset + length, 1)
+    want_start[first] = 0
+    want_offset[first] = 0
+    bad = (start != want_start) | (end <= start) | (offset != want_offset)
+    bad |= (length < 0) | (offset < 0)
+    bad[last] |= end[last] != n_units
+    if bad.any():
+        at = int(bad.argmax())
+        b = int(last.searchsorted(at))
+        raise ValueError(
+            f"{what} block table of bin {b}: row {at - int(first[b])} "
+            f"{rows[at, :4].tolist()} breaks the partition of [0, {n_units})"
+        )
+
+
 @dataclass
 class StoreMeta:
     """Complete metadata of one stored variable."""
@@ -86,6 +119,9 @@ class StoreMeta:
             raise ValueError(
                 f"counts sum {int(self.counts.sum())} != element count {n_elements}"
             )
+        n_chunks = self.n_chunks
+        _check_block_tables("data", self.data_blocks, n_chunks * self.config.n_groups)
+        _check_block_tables("index", self.index_blocks, n_chunks)
 
     @property
     def n_chunks(self) -> int:

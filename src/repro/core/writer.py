@@ -25,33 +25,21 @@ in memory per (bin, group) stream and the subfiles are materialized at
 the end, because the V-M-S order requires all of byte-group g's cells
 to precede group g+1's in the file while generation is chunk-major.
 
-The pass is organized as three pipeline stages so the CPU-dominated
-work can parallelize without changing a single output byte
-(DESIGN.md §6, the bit-identical-output rule):
+Each slab is binned (``assign``), stable-sorted once by bin id (the
+elements lie chunk by chunk, so the result is (bin, chunk, local id)
+order: every (bin, chunk) cell contiguous, a bin's cells adjacent),
+split into PLoD byte groups once, and reduced to its per-chunk error
+bounds and the delta + varint packing of its position index.  Then,
+in curve order, every (bin, group) stream is handed its contiguous
+slice of the slab with the vector of its cell sizes, and cuts
+compression blocks by a running raw-size sum over that vector — where
+adding the cells one at a time would cut them, so block *boundaries*
+cannot depend on how the array was slabbed.  A cut block is encoded at
+once; codec ``encode`` is deterministic (see
+:mod:`repro.compression.base`), so the subfiles, block tables, CRCs
+and metadata are a pure function of (data, config) (DESIGN.md §6).
 
-* **slab stage** — gather the slab's chunks in curve order, bin every
-  element (``assign``), stable-sort once by bin id (the elements lie
-  chunk by chunk, so the result is (bin, chunk, local id) order: every
-  (bin, chunk) cell contiguous, a bin's cells adjacent), split PLoD
-  byte groups once, and compute the per-chunk error bounds and the
-  delta + varint packing of the position index.  Pure functions of
-  (data, slab number); under the ``"threads"`` write backend slabs run
-  out of order on a pool with a bounded look-ahead window.
-* **ordered commit stage** — always serial, always in curve order:
-  every (bin, group) stream is handed its contiguous slice of the slab
-  with the vector of its cell sizes, and cuts compression blocks by a
-  running raw-size sum over that vector — where adding the cells one
-  at a time would cut them, so block *boundaries* cannot depend on how
-  the array was slabbed.
-* **compression stage** — when a stream cuts a block, the raw buffer
-  is handed to the codec: inline under the ``"serial"`` backend, as a
-  pool job under ``"threads"`` (zlib releases the GIL; ISOBAR/ISABELA
-  are numpy/scipy-heavy).  Codec ``encode`` is required to be
-  deterministic (see :mod:`repro.compression.base`), so payloads — and
-  therefore subfiles, block tables, CRCs and metadata — are
-  bit-identical across backends and worker counts.
-
-The slab is bounded because the stage makes about a dozen transient
+The slab is bounded because encoding one makes about a dozen transient
 copies of its input (sort keys, permutation, byte planes, the bounds'
 reassemblies): a few cache-resident MiB per 64 Ki elements, a multiple
 of the writer's peak memory over a whole array.  No written byte
@@ -63,13 +51,9 @@ per-chunk reductions are the same for any slabbing
 from __future__ import annotations
 
 import functools
-import os
-import threading
 import zlib
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -80,7 +64,7 @@ from repro.binning.boundaries import (
 )
 from repro.compression.base import ByteCodec, FloatCodec, make_codec
 from repro.core.chunking import ChunkGrid
-from repro.core.config import ExecutionConfig, MLOCConfig, fold_execution
+from repro.core.config import MLOCConfig
 from repro.core.meta import StoreMeta
 from repro.index.binindex import compress_position_stream, encode_position_cells
 from repro.index.hbi import DEFAULT_LEAF_SPAN, HBIBuilder, hbi_path
@@ -153,84 +137,6 @@ class WriteReport:
         return self.total_bytes / self.raw_bytes
 
 
-class _SerialBackend:
-    """Inline execution: one codec instance, no pool, no futures."""
-
-    def __init__(self, codec: ByteCodec | FloatCodec) -> None:
-        self._codec = codec
-
-    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
-        return map(fn, range(n_slabs))
-
-    def encode_data(self, raw: np.ndarray) -> bytes:
-        return self._codec.encode(raw)
-
-    def encode_index(self, raw: np.ndarray) -> bytes:
-        return compress_position_stream(raw, _INDEX_ZLIB_LEVEL)
-
-    def resolve(self, payload: bytes) -> bytes:
-        return payload
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadedBackend:
-    """Pool execution with deterministic ordering.
-
-    Slab-stage jobs run out of order behind a bounded look-ahead
-    window but are *consumed* in serial curve order; compression jobs
-    are submitted in stream order and resolved in table order, so the
-    committed bytes never depend on scheduling.  Each worker thread
-    lazily builds its own codec instance (ISABELA keeps a mutable
-    design-matrix cache; per-worker instances make sharing a non-issue
-    for any registered codec).
-    """
-
-    def __init__(self, config: MLOCConfig, workers: int) -> None:
-        self.workers = workers
-        self._config = config
-        self._tls = threading.local()
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="mloc-write"
-        )
-
-    def _codec(self) -> ByteCodec | FloatCodec:
-        codec = getattr(self._tls, "codec", None)
-        if codec is None:
-            codec = make_codec(self._config.codec)
-            self._tls.codec = codec
-        return codec
-
-    def _encode_with_worker_codec(self, raw: np.ndarray) -> bytes:
-        return self._codec().encode(raw)
-
-    def slab_results(self, fn: Callable[[int], tuple], n_slabs: int) -> Iterator[tuple]:
-        # Bounded look-ahead keeps at most ~2 windows of slab results
-        # (sorted values, byte planes, index stream) alive while the
-        # commit stage drains them in order.
-        window = max(2 * self.workers, 2)
-        pending: deque[Future] = deque()
-        submitted = 0
-        for _ in range(n_slabs):
-            while submitted < n_slabs and len(pending) < window:
-                pending.append(self._pool.submit(fn, submitted))
-                submitted += 1
-            yield pending.popleft().result()
-
-    def encode_data(self, raw: np.ndarray) -> Future:
-        return self._pool.submit(self._encode_with_worker_codec, raw)
-
-    def encode_index(self, raw: np.ndarray) -> Future:
-        return self._pool.submit(compress_position_stream, raw, _INDEX_ZLIB_LEVEL)
-
-    def resolve(self, payload: Future) -> bytes:
-        return payload.result()
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 class _BlockStream:
     """Accumulates the consecutive cells of one stream into blocks.
 
@@ -242,11 +148,11 @@ class _BlockStream:
     reaches** ``target_bytes``: empty cells ride in the block they fall
     in, and an empty cell after a cut opens the next block.  That sum
     alone decides block *boundaries*, however the cells were batched
-    into :meth:`add` calls; block *payloads* come from the backend's
-    ``encode`` hook and may be futures resolved at commit time.
+    into :meth:`add` calls; ``encode`` turns a cut block's raw buffer
+    into its payload.
     """
 
-    def __init__(self, encode, target_bytes: int) -> None:
+    def __init__(self, encode: Callable[[np.ndarray], bytes], target_bytes: int) -> None:
         self.encode = encode
         self.target = target_bytes
         self._parts: list[np.ndarray] = []
@@ -254,8 +160,8 @@ class _BlockStream:
         self._raw = 0
         self._cell_start: int | None = None
         self._next_cell: int | None = None
-        #: (cell_start, cell_end, payload-or-future, payload raw bytes).
-        self.blocks: list[tuple[int, int, object, int]] = []
+        #: (cell_start, cell_end, payload, payload raw bytes).
+        self.blocks: list[tuple[int, int, bytes, int]] = []
 
     def add(
         self, first_cell: int, ends: np.ndarray, buffer: np.ndarray, bounds: np.ndarray
@@ -307,35 +213,17 @@ class _BlockStream:
 class MLOCWriter:
     """Encodes arrays into MLOC's multi-level on-disk layout.
 
-    How the pipeline runs (inline or on a thread pool — see the module
-    docstring) is the ``write_backend`` / ``write_workers`` pair of the
-    handle's :class:`~repro.core.config.ExecutionConfig`, held whole as
-    ``execution``; its fields may also be given as keywords.  Both
-    backends produce **bit-identical** subfiles and metadata (enforced
-    by ``tests/test_writer_parallel.py``).
-
     Next to the bin subfiles every write persists the hierarchical
     bitmap index (``hbi``, :mod:`repro.index.hbi`) and, for byte-plane
     layouts, the per-(chunk, PLoD-level) error bounds behind
     ``query(tol=...)`` (``peb``, :mod:`repro.plod.bounds`).  Both
-    builders consume the ordered commit stream slab by slab, so the
-    records are bit-identical across write backends like every other
-    subfile.
+    builders are fed slab by slab, in curve order, like the bin streams.
     """
 
-    def __init__(
-        self,
-        fs: SimulatedPFS,
-        root: str,
-        config: MLOCConfig,
-        *,
-        execution: ExecutionConfig | None = None,
-        **overrides,
-    ) -> None:
+    def __init__(self, fs: SimulatedPFS, root: str, config: MLOCConfig) -> None:
         self.fs = fs
         self.root = root.rstrip("/")
         self.config = config
-        self.execution = fold_execution(execution, overrides)
 
     def variable_root(self, variable: str) -> str:
         """Directory of one variable's subfiles under this writer's root."""
@@ -349,17 +237,12 @@ class MLOCWriter:
         curve = make_curve(self.config, grid)
         codec = self._check_codec()
         scheme = self._estimate_bins(data)
-        backend = self._make_backend(codec)
-        try:
-            data_streams, index_streams, counts, hbi, peb = self._encode(
-                data, grid, curve, scheme, backend
-            )
-            return self._commit(
-                data, variable, scheme, counts, data_streams, index_streams, backend,
-                hbi, peb,
-            )
-        finally:
-            backend.close()
+        data_streams, index_streams, counts, hbi, peb = self._encode(
+            data, grid, curve, scheme, codec
+        )
+        return self._commit(
+            data, variable, scheme, counts, data_streams, index_streams, hbi, peb
+        )
 
     # ------------------------------------------------------------------
     def _check_codec(self) -> ByteCodec | FloatCodec:
@@ -378,15 +261,9 @@ class MLOCWriter:
             )
         return codec
 
-    def _make_backend(self, codec: ByteCodec | FloatCodec):
-        workers = self.execution.write_workers or os.cpu_count() or 1
-        if self.execution.write_backend == "threads" and workers > 1:
-            return _ThreadedBackend(self.config, workers)
-        return _SerialBackend(codec)
-
     # ------------------------------------------------------------------
-    def _encode(self, data, grid, curve, scheme, backend):
-        """Slab fan-out + ordered commit into per-(bin, group) streams."""
+    def _encode(self, data, grid, curve, scheme, codec):
+        """Encode the slabs, in curve order, into per-(bin, group) streams."""
         config = self.config
         n_bins, n_chunks = config.n_bins, grid.n_chunks
         n_groups = config.n_groups
@@ -399,15 +276,12 @@ class MLOCWriter:
         streams_per_bin = n_groups if config.group_major else 1
         target = config.target_block_bytes
         data_streams = [
-            [_BlockStream(backend.encode_data, target) for _ in range(streams_per_bin)]
+            [_BlockStream(codec.encode, target) for _ in range(streams_per_bin)]
             for _ in range(n_bins)
         ]
-        index_streams = [_BlockStream(backend.encode_index, target) for _ in range(n_bins)]
-        # Both builders ride the ordered commit loop below, which
-        # consumes slab results in serial cpos order under every
-        # backend — so the hbi and peb files are backend-invariant too.
-        # The bounds are pure functions of a slab's values, so they are
-        # computed in the (parallel) slab stage.
+        encode_index = functools.partial(compress_position_stream, level=_INDEX_ZLIB_LEVEL)
+        index_streams = [_BlockStream(encode_index, target) for _ in range(n_bins)]
+        # Both builders consume the slabs in curve order, like the streams.
         hbi = HBIBuilder(n_bins, n_chunks, chunk_size)
         peb = PEBBuilder(n_chunks) if plod else None
 
@@ -422,8 +296,7 @@ class MLOCWriter:
             *range(0, 2 * ndims, 2), *range(1, 2 * ndims, 2)
         )
 
-        def slab_stage(slab: int) -> tuple:
-            lo = slab * span
+        for lo in range(0, n_chunks, span):
             k = min(span, n_chunks - lo)
             coords = grid.chunk_coords(curve.order[lo : lo + k])
             vals = chunks[tuple(coords.T)].reshape(-1)
@@ -436,19 +309,19 @@ class MLOCWriter:
             sizes = np.bincount(cell_of.reshape(-1), minlength=n_bins * k).reshape(
                 n_bins, k
             )
+            counts[:, lo : lo + k] = sizes
+            hbi.add_chunks(lo, local_ids, sizes)
             # What each stream of a bin is fed, its position index first:
             # (first cell, per-bin running raw size, content, cell offsets).
             cum = np.cumsum(sizes, axis=1)
             cells = np.zeros(n_bins * k + 1, dtype=np.int64)
             np.cumsum(sizes.reshape(-1), out=cells[1:])
             feeds = [(lo, cum * 8, *encode_position_cells(local_ids, sizes.reshape(-1)))]
-            bounds = None
             if not plod:
                 feeds.append((lo, cum * 8, sorted_vals, cells))
             else:
                 planes = split_byte_groups(sorted_vals)
-                if peb is not None:
-                    bounds = compute_bounds_batch(sorted_vals, sizes, planes)
+                peb.add_chunks(lo, *compute_bounds_batch(sorted_vals, sizes, planes))
                 if config.group_major:
                     feeds += [
                         (g * n_chunks + lo, cum * w, planes[g], cells * w)
@@ -464,14 +337,6 @@ class MLOCWriter:
                     starts = np.zeros(cell_bytes.size + 1, dtype=np.int64)
                     np.cumsum(cell_bytes.reshape(-1), out=starts[1:])
                     feeds.append((lo * n_groups, np.cumsum(cell_bytes, axis=1), nested, starts))
-            return lo, sizes, local_ids, bounds, feeds
-
-        results = backend.slab_results(slab_stage, -(-n_chunks // span))
-        for lo, sizes, local_ids, bounds, feeds in results:
-            counts[:, lo : lo + sizes.shape[1]] = sizes
-            hbi.add_chunks(lo, local_ids, sizes)
-            if peb is not None:
-                peb.add_chunks(lo, *bounds)
             for b in range(n_bins):
                 streams = (index_streams[b], *data_streams[b])
                 for stream, (first_cell, ends, buffer, starts) in zip(streams, feeds):
@@ -481,25 +346,17 @@ class MLOCWriter:
 
     # ------------------------------------------------------------------
     def _commit(
-        self, data, variable, scheme, counts, data_streams, index_streams, backend,
-        hbi, peb,
+        self, data, variable, scheme, counts, data_streams, index_streams, hbi, peb
     ) -> WriteReport:
         """Materialize subfiles and metadata in deterministic order."""
         n_bins = self.config.n_bins
-        # Cut every stream's final block first so the remaining
-        # compression jobs overlap with the commit walk below.
-        for b in range(n_bins):
-            for stream in data_streams[b]:
-                stream.flush()
-            index_streams[b].flush()
-
         files = BinFileSet(self.variable_root(variable), n_bins)
         data_block_tables: list[np.ndarray] = []
         index_block_tables: list[np.ndarray] = []
         for b in range(n_bins):
-            table = self._write_blocks(files.data_path(b), data_streams[b], backend)
+            table = self._write_blocks(files.data_path(b), data_streams[b])
             data_block_tables.append(table)
-            table = self._write_blocks(files.index_path(b), [index_streams[b]], backend)
+            table = self._write_blocks(files.index_path(b), [index_streams[b]])
             # Index rows carry no raw length (FORMAT.md block tables).
             index_block_tables.append(np.delete(table, 4, axis=1))
 
@@ -537,8 +394,9 @@ class MLOCWriter:
             meta_crc=record_crc(meta_blob),
         )
 
-    def _write_blocks(self, path: str, streams: list[_BlockStream], backend) -> np.ndarray:
-        """Resolve the streams' blocks, in order, into one subfile.
+    def _write_blocks(self, path: str, streams: list[_BlockStream]) -> np.ndarray:
+        """Cut the streams' last blocks and write all of them, in order,
+        into one subfile.
 
         Returns its block table: ``(cell_start, cell_end, offset,
         length, raw_len, crc32)`` rows.
@@ -547,8 +405,8 @@ class MLOCWriter:
         payloads: list[bytes] = []
         offset = 0
         for stream in streams:
-            for cell_start, cell_end, pending, raw_len in stream.blocks:
-                payload = backend.resolve(pending)
+            stream.flush()
+            for cell_start, cell_end, payload, raw_len in stream.blocks:
                 rows.append(
                     (cell_start, cell_end, offset, len(payload), raw_len, zlib.crc32(payload))
                 )

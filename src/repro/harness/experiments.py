@@ -15,11 +15,10 @@ import time
 
 import numpy as np
 
-from repro.core import BatchResult, ComponentTimes, MLOCWriter, Query
+from repro.core import BatchResult, ComponentTimes, Query
 from repro.harness.systems import ALL_SYSTEMS, SystemSuite
 from repro.harness.tables import PAPER
 from repro.harness.trace import QueryTrace, replay_trace
-from repro.pfs import SimulatedPFS
 
 __all__ = [
     "table1_rows",
@@ -31,7 +30,6 @@ __all__ = [
     "fig7_rows",
     "fig8_rows",
     "batch_pipeline_rows",
-    "writer_backend_rows",
     "sharded_scaling_rows",
     "fault_tolerance_rows",
     "coalescing_rows",
@@ -189,47 +187,6 @@ def batch_pipeline_rows(
         )
     }
     return rows, batch
-
-
-def writer_backend_rows(
-    data,
-    config,
-    *,
-    workers: int | None = None,
-    rounds: int = 2,
-    backends: tuple[str, ...] = ("serial", "threads"),
-):
-    """Serial vs threaded write pipelines on one array.
-
-    Writes ``data`` under ``config`` once per backend into fresh
-    :class:`SimulatedPFS` instances (best-of-``rounds`` wall-clock,
-    the noise-robust statistic the perf smoke suite uses throughout),
-    verifies the produced subfiles *and* metadata are byte-identical
-    across every backend, and returns ``(rows, identical)`` with
-    ``rows`` mapping ``"<backend> writer"`` to ``[wall_seconds]``.
-    """
-    walls: dict[str, float] = {}
-    snapshots: dict[str, dict[str, bytes]] = {}
-    for backend in backends:
-        label = f"{backend} writer"
-        best = float("inf")
-        for _ in range(max(rounds, 1)):
-            fs = SimulatedPFS()
-            writer = MLOCWriter(
-                fs, "/bench", config, write_backend=backend, write_workers=workers
-            )
-            t0 = time.perf_counter()
-            writer.write(data, variable="field")
-            best = min(best, time.perf_counter() - t0)
-        walls[label] = best
-        snapshots[label] = {
-            path: bytes(fs.session().open(path).read_all())
-            for path in fs.list_files("/bench/")
-        }
-    reference = snapshots[f"{backends[0]} writer"]
-    identical = all(snap == reference for snap in snapshots.values())
-    rows = {label: [round(wall, 4)] for label, wall in walls.items()}
-    return rows, identical
 
 
 def sharded_scaling_rows(

@@ -38,10 +38,9 @@ _SCIDB_OVERLAP = 2
 class SystemSuite:
     """Lazily-built collection of systems over one dataset.
 
-    ``execution`` configures the MLOC writer and store handles the
-    suite builds; because execution options never change a stored byte
-    or a simulated second, they change wall-clock only, never a
-    downstream measurement.
+    ``execution`` configures the MLOC store handles the suite builds;
+    because execution options never change a simulated second, they
+    change wall-clock only, never a downstream measurement.
     """
 
     def __init__(
@@ -91,7 +90,7 @@ class SystemSuite:
                 n_bins=spec.n_bins,
                 target_block_bytes=self.block_bytes,
             )
-            MLOCWriter(self.fs, root, config, execution=self.execution).write(
+            MLOCWriter(self.fs, root, config).write(
                 self.data, variable="field"
             )
             return MLOCStore.open(

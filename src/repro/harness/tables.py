@@ -149,8 +149,6 @@ TABLES: dict[str, Table] = {table.name: table for table in (
     Table("batch_pipeline", "Batched query_many vs cold one-by-one, 1% value queries, "
           "8 GB-class {ds}",
           ("mode", "io", "decompression", "io+decompression", "wall s"), "gts"),
-    Table("writer_backend", "Write pipeline - serial vs threads, wall clock",
-          ("mode", "wall s")),
     Table("coalescing", "Coalesced vectored I/O - 1% SC value queries at PLoD 3, "
           "8 GB-class {ds}", ("mode", "seeks", "bytes", "io+dec s"), "gts"),
     Table("compound", "Hierarchical index - one compound query, flat vs hbi plan, "

@@ -22,8 +22,8 @@ existing WAH machinery:
   nodes alone, without touching a single leaf.
 
 The index is built at write time by :class:`HBIBuilder` (one slab of
-whole runs at a time, consumed in the writer's serial commit order so
-the persisted bytes are identical across write backends).  The on-disk
+whole runs at a time, in the writer's curve order, so the persisted
+bytes are a pure function of the written data).  The on-disk
 record (``<variable>/hbi``, see FORMAT.md) is versioned and
 CRC-terminated; readers load it and never rebuild it.
 
@@ -396,9 +396,8 @@ class HBIBuilder:
     chunk-local ids it feeds the flat index streams; the slab's leaves
     are encoded in one batched pass and only finished words are kept,
     so no state passes from slab to slab.  Consuming nothing but the
-    deterministic slab-stage output in serial commit order, it yields
-    index bytes identical across write backends and worker counts
-    (DESIGN.md §6).  :meth:`add_chunk`, the one-chunk entry point,
+    slabs, in curve order, it yields index bytes that are a pure
+    function of the written data (DESIGN.md §6).  :meth:`add_chunk`, the one-chunk entry point,
     buffers the open run and hands it over when the run closes.
     """
 

@@ -17,8 +17,8 @@ those failures so the read path's verify-and-recover machinery
     A :class:`~repro.pfs.simfs.SimulatedPFS` subclass that *wraps* an
     existing file system (sharing its namespace, extent cache, and
     cost model) and applies a plan to every read.  Writes are never
-    faulted *by the plan*: the write pipeline's bit-identical
-    guarantee is a different contract, and the paper's failure domain
+    faulted *by the plan*: the writer's deterministic bytes are a
+    different contract, and the paper's failure domain
     is the long-lived read-mostly analysis store.  Crash coverage of
     the append protocol uses the explicit, scripted
     :meth:`FaultyPFS.fail_next_write` hook instead — it interrupts a

@@ -17,12 +17,11 @@ table:
   reassemblies over any number of chunks at once, the per-point errors
   laid out one chunk per row so the row reductions are bit for bit the
   per-chunk ones (:func:`compute_chunk_bounds` is its one-chunk form).
-* :class:`PEBBuilder` — write-time builder fed by the writer's ordered
-  commit loop one slab of chunks at a time, exactly like
+* :class:`PEBBuilder` — write-time builder fed by the writer's pass one
+  slab of chunks at a time, in ``cpos`` order, exactly like
   :class:`repro.index.hbi.HBIBuilder`: chunk bounds are pure functions
-  of the slab-stage output, consumed in serial ``cpos`` order, so the
-  persisted record is bit-identical across write backends and worker
-  counts (DESIGN.md §6).
+  of the slab, so the persisted record is a pure function of the
+  written data (DESIGN.md §6).
 
 A per-chunk **max** relative bound covers every subset of the chunk's
 points, so it remains valid for value- and region-restricted queries

@@ -8,7 +8,7 @@ serving layer on the simulated clock:
 ``IngestSession``
     The staging node: a deterministic schedule of timestep arrivals,
     each sealed through :meth:`~repro.core.dataset.MLOCDataset.append`
-    (the ordinary three-stage writer, per-member ``hbi``/``peb`` at
+    (the ordinary one-pass writer, per-member ``hbi``/``peb`` at
     seal time).  One append occupies the staging node for the modeled
     drain time of the member's *stored* bytes, so seal times — and
     therefore which generation is visible at any simulated instant —

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import ExecutionConfig, MLOCConfig
+from repro.core.config import MLOCConfig
 from repro.core.query import Query
 from repro.core.store import MLOCStore
 from repro.core.writer import MLOCWriter, WriteReport
@@ -48,7 +48,6 @@ def relayout(
     new_config: MLOCConfig,
     *,
     n_ranks: int = 8,
-    execution: ExecutionConfig | None = None,
 ) -> RelayoutReport:
     """Re-encode ``source_root/variable`` under ``new_config``.
 
@@ -63,17 +62,10 @@ def relayout(
         so a failed migration never damages the original).
     new_config:
         The target layout configuration.
-    execution:
-        Execution options for the source read and the target write;
-        migrations are compression-dominated, so a threaded
-        ``write_backend`` pays off first here.  The migrated bytes are
-        identical either way.
     """
     if source_root.rstrip("/") == target_root.rstrip("/"):
         raise ValueError("target_root must differ from source_root")
-    source = MLOCStore.open(
-        fs, source_root, variable, n_ranks=n_ranks, execution=execution
-    )
+    source = MLOCStore.open(fs, source_root, variable, n_ranks=n_ranks)
     if new_config.chunk_shape is not None:
         # Validate early: the new chunking must tile the same shape.
         from repro.core.chunking import ChunkGrid
@@ -85,7 +77,7 @@ def relayout(
     data[full.positions] = full.values
     data = data.reshape(source.shape)
 
-    writer = MLOCWriter(fs, target_root, new_config, execution=execution)
+    writer = MLOCWriter(fs, target_root, new_config)
     write_report = writer.write(data, variable=variable)
 
     from repro.compression.base import make_codec

@@ -313,6 +313,38 @@ def test_a_reintroduced_codec_keyword_table_is_a_violation():
     ]
 
 
+THREADED_WRITER = """
+from concurrent.futures import ThreadPoolExecutor
+
+WRITE_BACKENDS = ("serial", "threads")
+
+
+@dataclass(frozen=True)
+class ExecutionConfig:
+    write_backend: str = "serial"
+
+    def writer_options(self):
+        return {}
+
+
+class _ThreadedBackend:
+    def __init__(self, config, write_workers):
+        self._pool = ThreadPoolExecutor(max_workers=write_workers)
+
+
+def writer_backend_rows(data, config):
+    return {}
+"""
+
+
+def test_a_reintroduced_threaded_writer_is_a_violation():
+    found = deleted_name_violations(ast.parse(THREADED_WRITER), "writer.py")
+    assert [v.split(": ")[1].split()[0] for v in found] == [
+        "WRITE_BACKENDS", "_ThreadedBackend", "writer_backend_rows",
+        "write_backend", "writer_options", "write_workers",
+    ]
+
+
 PICKLED_META = """
 import io
 import pickle

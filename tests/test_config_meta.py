@@ -79,8 +79,10 @@ class TestStoreMeta:
             config=cfg,
             edges=np.array([0.0, 0.5, 1.0]),
             counts=counts,
-            data_blocks=[np.zeros((1, 6), dtype=np.int64) for _ in range(2)],
-            index_blocks=[np.zeros((1, 5), dtype=np.int64) for _ in range(2)],
+            # One block per bin over its 2 chunks x 7 byte-group cells
+            # (data) and its 2 chunks (index).
+            data_blocks=[np.array([[0, 14, 0, 0, 0, 0]], dtype=np.int64) for _ in range(2)],
+            index_blocks=[np.array([[0, 2, 0, 0, 0]], dtype=np.int64) for _ in range(2)],
         )
         return meta
 

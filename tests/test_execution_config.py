@@ -22,7 +22,6 @@ from repro.core import (
     ExecutionConfig,
     MLOCDataset,
     MLOCStore,
-    MLOCWriter,
     mloc_col,
 )
 from repro.datasets import gts_like
@@ -107,7 +106,6 @@ def test_option_survives_every_hand_off(sealed_fs, name):
         sharded = MLOCStore.open(fs, "/ds", KEY, n_shards=3, **door)
         assert sharded.execution == want
         assert [s.execution for s in sharded.engines] == [want] * 3
-        assert MLOCWriter(fs, "/elsewhere", CONFIG, **door).execution == want
 
         dataset = MLOCDataset(fs, "/ds", CONFIG, n_ranks=2, **door)
         snapshot = dataset.snapshot()
@@ -124,7 +122,6 @@ def test_unknown_keyword_is_a_type_error(sealed_fs):
     doors = [
         lambda **kw: MLOCStore.open(fs, "/ds", KEY, **kw),
         lambda **kw: MLOCStore.open(fs, "/ds", KEY, n_shards=3, **kw),
-        lambda **kw: MLOCWriter(fs, "/elsewhere", CONFIG, **kw),
         lambda **kw: MLOCDataset(fs, "/ds", CONFIG, **kw),
     ]
     for door in doors:
@@ -143,7 +140,6 @@ def test_invalid_value_raises_the_same_error_at_every_door(sealed_fs, name):
     doors = [
         lambda: MLOCStore.open(fs, "/ds", KEY, **bad),
         lambda: MLOCStore.open(fs, "/ds", KEY, n_shards=3, **bad),
-        lambda: MLOCWriter(fs, "/elsewhere", CONFIG, **bad),
         lambda: MLOCDataset(fs, "/ds", CONFIG, **bad),
     ]
     for door in doors:
@@ -152,7 +148,7 @@ def test_invalid_value_raises_the_same_error_at_every_door(sealed_fs, name):
         assert str(via_keyword.value) == str(direct.value)
 
 
-@pytest.mark.parametrize("name", [f for f in FIELDS if not f.startswith("write_")])
+@pytest.mark.parametrize("name", FIELDS)
 def test_every_read_side_field_is_a_cli_flag(sealed_fs, name):
     """The flag's type, choices and default are the field's: what the
     flag is given lands on the opened store's ``execution``."""

@@ -5,8 +5,7 @@ proven empty from interior nodes are never fetched, compound queries
 push the running intersection's chunk footprint into later variables —
 but never any answer byte.  This suite pins that equivalence across
 level orders, space-filling curves, execution backends, and the three
-query families (value, compound, multi-variable), plus the invariance
-of the persisted index bytes across write backends.
+query families (value, compound, multi-variable).
 """
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.core import (
 )
 from repro.core.compound import VariableConstraint, compound_query
 from repro.datasets import gts_like
-from repro.index.hbi import hbi_path
 from repro.pfs import SimulatedPFS
 
 CONFIGS = [
@@ -234,18 +232,3 @@ class TestMultiVariable:
         assert r0.exchange_bytes == r0.flat_exchange_bytes
         assert r1.flat_exchange_bytes == r0.flat_exchange_bytes
         assert r1.exchange_bytes > 0
-
-
-class TestPersistedBytes:
-    def test_hbi_file_invariant_across_write_backends(self, eq_field):
-        blobs = {}
-        for backend, workers in [("serial", None), ("threads", 4)]:
-            fs = SimulatedPFS()
-            config = mloc_col((16, 16), n_bins=8, target_block_bytes=4096)
-            MLOCWriter(
-                fs, "/wb", config, write_backend=backend, write_workers=workers
-            ).write(eq_field, variable="field")
-            blobs[backend] = bytes(
-                fs.session().open(hbi_path("/wb/field")).read_all()
-            )
-        assert blobs["serial"] == blobs["threads"]

@@ -19,13 +19,13 @@ import zlib
 import pytest
 
 from repro import cli
-from repro.core import MLOCDataset, StoreMeta, mloc_col
+from repro.core import MLOCDataset, MLOCWriter, StoreMeta, mloc_col
 from repro.core.manifest import Manifest, ManifestError, manifest_path
 from repro.datasets import gts_like
 from repro.index.hbi import HBIndex, hbi_path
 from repro.pfs import SimulatedPFS
 from repro.plod.bounds import ErrorBoundsTable, peb_path
-from repro.tools.fsck import check_dataset
+from repro.tools.fsck import check_dataset, check_store
 from repro.util.record import FormatError
 
 KEY = "temp@000000"
@@ -113,6 +113,24 @@ GEOMETRY_DAMAGE = {
     ("snapshot", "name-overrun"): (HEADER + 68, "<H", 0xFFFF, "truncated"),
     ("snapshot", "first-ost"): (HEADER + 92, "<I", 16, "first OST 16"),
 }
+#: Block-table rows no writer produces, re-serialized into a sound frame:
+#: name -> (tables, row of bin 0's table, column, value, message).  Bin 0
+#: has one index row over chunks [0, 4) and seven data rows, one per
+#: byte group, over cells [0, 28).
+TABLE_DAMAGE = {
+    "index-end-past-bin": ("index_blocks", 0, 1, 10**6, "index block table of bin 0: row 0"),
+    "data-end-past-bin": ("data_blocks", 0, 1, 10**6, "data block table of bin 0: row 1"),
+    "data-row-gap": ("data_blocks", 1, 0, 5, "data block table of bin 0: row 1"),
+}
+
+
+def _retabled(raw: bytes, tables: str, row: int, column: int, value: int) -> bytes:
+    """``raw`` re-serialized with one cell of bin 0's block table changed."""
+    meta = StoreMeta.from_bytes(raw)
+    getattr(meta, tables)[0][row, column] = value
+    return meta.to_bytes()
+
+
 CASES = [
     pytest.param(record, damage, message, id=f"{record}-{name}")
     for record in RECORDS
@@ -125,6 +143,14 @@ CASES = [
         id=f"{record}-{name}",
     )
     for (record, name), (offset, fmt, value, message) in GEOMETRY_DAMAGE.items()
+] + [
+    pytest.param(
+        "meta",
+        lambda raw, patch=patch: _retabled(raw, *patch[:4]),
+        patch[4],
+        id=f"meta-{name}",
+    )
+    for name, patch in TABLE_DAMAGE.items()
 ]
 
 
@@ -168,3 +194,17 @@ def test_truncation_anywhere_fails_typed(good, record):
 def test_round_trip_is_byte_identical(good, record):
     decoder = RECORDS[record][0]
     assert decoder.from_bytes(good[record]).to_bytes() == good[record]
+
+
+@pytest.mark.parametrize("name", TABLE_DAMAGE)
+def test_block_table_damage_is_a_meta_decode_error_to_fsck(name):
+    """Outside a dataset no manifest pins ``meta``'s CRC: fsck decodes
+    the damaged table, names the record and raises nothing."""
+    fs = SimulatedPFS()
+    MLOCWriter(fs, "/s", mloc_col(chunk_shape=(8, 8), n_bins=4)).write(
+        gts_like((16, 16), seed=3), "f"
+    )
+    raw = bytes(fs.session().open("/s/f/meta").read_all())
+    fs.write_file("/s/f/meta", _retabled(raw, *TABLE_DAMAGE[name][:4]))
+    issues = check_store(fs, "/s", "f")
+    assert [(issue.kind, issue.path) for issue in issues] == [("decode-error", "/s/f/meta")]

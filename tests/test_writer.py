@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MLOCStore, MLOCWriter, mloc_col, mloc_isa, mloc_iso
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
 from repro.core.config import MLOCConfig
 from repro.core.writer import _BlockStream, make_curve
 from repro.datasets import gts_like
@@ -118,14 +118,19 @@ class TestCodecTypeChecking:
             write(data, cfg)
 
 
+def test_writer_takes_no_execution_options():
+    """The writer is one serial pass: it has no backend to choose."""
+    for option in ({"write_backend": "threads"}, {"execution": None}):
+        with pytest.raises(TypeError):
+            MLOCWriter(SimulatedPFS(), "/w", mloc_col((16, 16)), **option)
+
+
 class TestCurveVariants:
     @pytest.mark.parametrize("curve", ["hilbert", "zorder", "rowmajor", "hierarchical"])
     def test_all_curves_roundtrip(self, data, curve):
         cfg = mloc_col((16, 16), n_bins=4, curve=curve, target_block_bytes=4096)
         fs, _ = write(data, cfg)
         store = MLOCStore.open(fs, "/w", "f")
-        from repro.core import Query
-
         flat = data.reshape(-1)
         lo, hi = np.quantile(flat, [0.3, 0.4])
         r = store.query(Query(value_range=(lo, hi), output="positions"))
@@ -142,6 +147,48 @@ class TestDeterminism:
         assert r1.index_bytes == r2.index_bytes
         p = "/w/f/bin0000.data"
         assert fs1.session().open(p).read_all() == fs2.session().open(p).read_all()
+
+
+class TestWrittenStoreServesQueries:
+    def test_roundtrip_query_matches_data(self, data):
+        fs, _ = write(data, mloc_col((16, 16), n_bins=8, target_block_bytes=2048))
+        store = MLOCStore.open(fs, "/w", "f")
+        flat = data.reshape(-1)
+        lo, hi = np.quantile(flat, [0.4, 0.6])
+        result = store.query(Query(value_range=(float(lo), float(hi)), output="values"))
+        expect = np.flatnonzero((flat >= lo) & (flat <= hi))
+        assert np.array_equal(result.positions, expect)
+        assert np.allclose(np.sort(result.values), np.sort(flat[expect]))
+
+
+class TestEqualWidthFullRange:
+    def test_edges_span_true_extremes(self):
+        """Equal-width edges come from the full array, not the sample.
+
+        Plant extremes the boundary sample is unlikely to draw; the
+        edges must still span them exactly, so outliers land in real
+        bins instead of silently clamping into the end bins.
+        """
+        rng = np.random.default_rng(5)
+        data = rng.normal(0.0, 1.0, size=(64, 64))
+        data[0, 0] = -50.0
+        data[63, 63] = 75.0
+        config = mloc_col(
+            (16, 16),
+            n_bins=8,
+            binning="equal-width",
+            sample_fraction=0.01,
+            target_block_bytes=2048,
+        )
+        fs, _ = write(data, config)
+        store = MLOCStore.open(fs, "/w", "f")
+        assert store.meta.edges[0] == data.min()
+        assert store.meta.edges[-1] == data.max()
+        # With sample-derived edges both outliers would clamp into the
+        # end bins alongside ordinary values; with true-range edges the
+        # interior bins actually partition [-50, 75].
+        widths = np.diff(store.meta.edges)
+        assert np.allclose(widths, widths[0])
 
 
 def _one_cell_at_a_time(first_cell, sizes, target):
