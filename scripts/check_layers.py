@@ -77,7 +77,8 @@ executed):
    the runner's header table beside the one table registry, and the
    codec keyword table beside the codec name in ``MLOCConfig``, and the
    block-table column tuples nothing read, and the threaded write
-   backend beside the one write pass, with its two options.
+   backend beside the one write pass, with its two options, and the
+   one-buffer deflate probe beside the batched one.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -243,6 +244,9 @@ DELETED_NAMES = frozenset(
         "writer_options",
         "_ThreadedBackend",
         "writer_backend_rows",
+        # The one-buffer deflate probe: ``zlib-bytes`` probes a whole
+        # batch in one pass, and ``encode`` is a batch of one.
+        "_deflate_cannot_shrink",
     }
 )
 

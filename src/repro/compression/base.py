@@ -19,8 +19,9 @@ Concurrency contract
 Every registered codec must satisfy three rules:
 
 * ``encode`` is **deterministic**: identical input produces identical
-  payload bytes regardless of instance or call history — the writer's
-  deterministic-bytes guarantee (DESIGN.md §6) rests on it.
+  payload bytes regardless of instance, call history or the batch an
+  ``encode_many`` call hands it in — the writer's deterministic-bytes
+  guarantee (DESIGN.md §6) rests on it.
 * ``decode`` is safe on a **shared instance**: the read executor's
   ``threads`` backend decodes on a pool with one codec, so codecs that
   keep mutable caches (ISABELA's design matrices) must guard them.
@@ -145,6 +146,12 @@ class ByteCodec(_SpecMixin, ABC):
         hand over concatenated views without an intermediate copy.
         """
 
+    def encode_many(self, buffers) -> list[bytes]:
+        """``[self.encode(b) for b in buffers]``, which a codec may
+        compute in one pass over the batch (the writer encodes a slab's
+        blocks in one call)."""
+        return [self.encode(b) for b in buffers]
+
     @abstractmethod
     def decode(self, payload: bytes, raw_len: int) -> bytes:
         """Recover the original ``raw_len`` bytes from ``payload``."""
@@ -161,6 +168,11 @@ class FloatCodec(_SpecMixin, ABC):
     @abstractmethod
     def encode(self, values: np.ndarray) -> bytes:
         """Compress a 1-D float64 array into a self-framed payload."""
+
+    def encode_many(self, arrays) -> list[bytes]:
+        """``[self.encode(v) for v in arrays]`` (see
+        :meth:`ByteCodec.encode_many`)."""
+        return [self.encode(v) for v in arrays]
 
     @abstractmethod
     def decode(self, payload: bytes, count: int) -> np.ndarray:

@@ -16,6 +16,13 @@ counts share a power of two + a 6-byte frame >= ``n`` and it repeats no
 more 3-grams than twice chance.  This estimate, not a proof, skips no
 block deflate shrinks in any recorded or adversarial input, so those
 payloads are unchanged (``tests/test_codecs.py`` pins them).
+
+``encode_many`` runs that probe over a whole batch — the writer hands
+it the blocks of a slab — in passes of up to 255 buffers and about
+16 KiB, instead of a dozen NumPy calls per buffer: one ``bincount``
+gives every buffer's histogram row, one sort of buffer-tagged 3-grams
+every buffer's repeats.  ``encode(data)`` is ``encode_many([data])[0]``,
+and a buffer's payload does not depend on the batch it arrives in.
 """
 
 from __future__ import annotations
@@ -38,24 +45,72 @@ _TABLE_BYTES, _FRAME_BYTES, _PROBE_LIMIT = 0.25, 6, 1 << 14
 _LOG2 = np.log2(np.arange(_PROBE_LIMIT).clip(1)) - (np.arange(_PROBE_LIMIT) == 0)
 
 
-def _deflate_cannot_shrink(buf: np.ndarray) -> bool:
-    """The two-part probe of the module docstring, on a uint8 buffer."""
-    n = buf.size
-    if n < 4:
-        return True  # zlib output is never shorter than 8 bytes
-    if n >= _PROBE_LIMIT:
-        return False
-    counts = np.bincount(buf, minlength=256)
-    log2c = _LOG2[counts]
-    exps = np.floor(log2c)  # counts sharing a power of two tend to share a code length
-    runs = np.count_nonzero(exps[1:] != exps[:-1]) + 1
-    literal_bits = n * _LOG2[n] - np.dot(counts, log2c)
-    if literal_bits / 8 + _TABLE_BYTES * runs + _FRAME_BYTES < n:
-        return False
-    # The 3-grams (but the last) as the low 24 bits of unaligned little-endian words.
-    grams = np.ndarray((n - 3,), "<u4", buf, strides=(1,)) & 0xFFFFFF
-    grams.sort()
-    return np.count_nonzero(grams[1:] == grams[:-1]) <= 2 + 2 * n * n / 2**25
+#: ``floor(log2(count))``: counts sharing a power of two tend to share a code length.
+_EXPONENT = np.floor(_LOG2).astype(np.int8)
+#: Buffers and bytes per pass of the batched probe.  A buffer's index
+#: is the top byte of a uint16 histogram key and of a uint32 3-gram key,
+#: where 0xFF tags the grams that do not count.  Larger passes make
+#: fewer NumPy calls but temporaries the allocator maps afresh, and
+#: faults in, on every call (docs/tuning.md "Write pass").
+_PASS_BUFFERS, _PASS_BYTES = 255, 1 << 14
+_UNCOUNTED = np.uint32(0xFFFFFFFF)
+
+
+def _passes(sizes: np.ndarray):
+    """``(lo, hi)`` of consecutive runs of buffers, one probe pass each."""
+    lo = total = 0
+    for i, n in enumerate(sizes.tolist()):
+        if i > lo and (i - lo == _PASS_BUFFERS or total + n > _PASS_BYTES):
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    if lo < sizes.size:
+        yield lo, sizes.size
+
+
+def _literal_bound_shrinks(buffers: list[np.ndarray], n: np.ndarray) -> np.ndarray:
+    """Part one of the probe: where the order-0 entropy bound says
+    deflate shrinks the buffer.  One histogram row per buffer."""
+    keys = np.repeat(np.arange(len(buffers), dtype=np.uint16) << 8, n)
+    keys |= np.concatenate(buffers)
+    counts = np.bincount(keys, minlength=len(buffers) << 8).reshape(-1, 256)
+    exps = _EXPONENT[counts]
+    runs = np.count_nonzero(exps[:, 1:] != exps[:, :-1], axis=1) + 1
+    # One dot product per row, each summed in the order ``np.dot`` sums it.
+    dots = np.matmul(counts.astype(np.float64)[:, None, :], _LOG2[counts][:, :, None])
+    literal_bits = n * _LOG2[n] - dots.reshape(-1)
+    return literal_bits / 8 + _TABLE_BYTES * runs + _FRAME_BYTES < n
+
+
+def _repeats_grams(buffers: list[np.ndarray], n: np.ndarray) -> np.ndarray:
+    """Part two: where a buffer repeats more 3-grams than twice chance.
+    One sort of buffer-tagged grams."""
+    data = np.concatenate([*buffers, np.zeros(3, np.uint8)])
+    # Every 3-gram as the low 24 bits of an unaligned little-endian
+    # word, its buffer's index above; a buffer's last three do not
+    # count (its last gram, and two that straddle the next buffer).
+    keys = np.ndarray((n.sum(),), "<u4", data, strides=(1,)) & 0xFFFFFF
+    keys |= np.repeat(np.arange(len(buffers), dtype=np.uint32) << 24, n)
+    keys[(np.cumsum(n)[:, None] - np.arange(1, 4)).reshape(-1)] = _UNCOUNTED
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]] >> 24
+    repeats = np.bincount(repeated, minlength=256)[: len(buffers)]
+    return repeats > 2 + 2 * n * n / 2**25
+
+
+def _deflate_may_shrink(buffers: list[np.ndarray]) -> np.ndarray:
+    """The two-part probe of the module docstring over uint8 buffers:
+    False where it stores the buffer raw without calling deflate."""
+    sizes = np.array([buf.size for buf in buffers], dtype=np.int64)
+    deflate = sizes >= _PROBE_LIMIT
+    # zlib output is never shorter than 8 bytes.
+    candidates = np.flatnonzero((sizes >= 4) & ~deflate)
+    for part in (_literal_bound_shrinks, _repeats_grams):
+        for lo, hi in _passes(sizes[candidates]):
+            ids = candidates[lo:hi]
+            deflate[ids] = part([buffers[i] for i in ids], sizes[ids])
+        candidates = candidates[~deflate[candidates]]
+    return deflate
 
 
 @register_codec("zlib-bytes")
@@ -75,13 +130,20 @@ class ZlibByteCodec(ByteCodec):
         self.level = level
 
     def encode(self, data) -> bytes:
-        # zlib and the probe read ``data`` in place; raw mode copies it once.
-        raw = memoryview(data).cast("B")
-        if not _deflate_cannot_shrink(np.frombuffer(raw, np.uint8)):
-            compressed = zlib.compress(raw, self.level)
-            if len(compressed) < raw.nbytes:
-                return bytes([_MODE_ZLIB]) + compressed
-        return bytes([_MODE_RAW]) + raw
+        return self.encode_many([data])[0]
+
+    def encode_many(self, buffers) -> list[bytes]:
+        # zlib and the probe read each buffer in place; raw mode copies it once.
+        raws = [np.frombuffer(data, np.uint8) for data in buffers]
+        payloads = []
+        for raw, probe_says in zip(raws, _deflate_may_shrink(raws).tolist()):
+            if probe_says:
+                compressed = zlib.compress(raw, self.level)
+                if len(compressed) < raw.size:
+                    payloads.append(bytes([_MODE_ZLIB]) + compressed)
+                    continue
+            payloads.append(bytes([_MODE_RAW]) + raw.data)
+        return payloads
 
     @decode_guard
     def decode(self, payload: bytes, raw_len: int) -> bytes:
@@ -117,10 +179,16 @@ class ZlibFloatCodec(FloatCodec):
         self._bytes = ZlibByteCodec(level=level)
 
     def encode(self, values: np.ndarray) -> bytes:
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {values.shape}")
-        return self._bytes.encode(values.tobytes())
+        return self.encode_many([values])[0]
+
+    def encode_many(self, arrays) -> list[bytes]:
+        buffers = []
+        for values in arrays:
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError(f"values must be 1-D, got shape {values.shape}")
+            buffers.append(values)
+        return self._bytes.encode_many(buffers)
 
     @decode_guard
     def decode(self, payload: bytes, count: int) -> np.ndarray:

@@ -12,7 +12,7 @@ The writer runs the full layout pipeline of Fig. 1 over an input array:
    whole (order 'VS');
 5. nest the smallest units — (byte group, chunk) cells inside a bin —
    according to the level order, cut them into stripe-sized
-   compression blocks, compress each with the configured codec;
+   compression blocks, compress them with the configured codec;
 6. write one data file and one position-index file per bin (Fig. 4)
    plus one metadata file.
 
@@ -34,18 +34,23 @@ in curve order, every (bin, group) stream is handed its contiguous
 slice of the slab with the vector of its cell sizes, and cuts
 compression blocks by a running raw-size sum over that vector — where
 adding the cells one at a time would cut them, so block *boundaries*
-cannot depend on how the array was slabbed.  A cut block is encoded at
-once; codec ``encode`` is deterministic (see
-:mod:`repro.compression.base`), so the subfiles, block tables, CRCs
-and metadata are a pure function of (data, config) (DESIGN.md §6).
+cannot depend on how the array was slabbed.  A stream only cuts raw
+blocks; after each slab (the last one also cuts every open block) the
+data blocks it cut go to the codec in one ``encode_many`` call
+(``zlib-bytes`` probes a whole batch in one vectorised pass), and its
+index blocks to ``compress_position_stream``.  A payload depends on its
+block alone, never on the batch, and codec encoding is deterministic
+(see :mod:`repro.compression.base`), so the subfiles, block tables,
+CRCs and metadata are a pure function of (data, config) (DESIGN.md §6).
 
 The slab is bounded because encoding one makes about a dozen transient
 copies of its input (sort keys, permutation, byte planes, the bounds'
-reassemblies): a few cache-resident MiB per 64 Ki elements, a multiple
-of the writer's peak memory over a whole array.  No written byte
-depends on the bound — cells, their order in every stream and the
-per-chunk reductions are the same for any slabbing
-(``tests/test_writer_golden.py`` pins the bytes at two slab sizes).
+masked values, the raw blocks awaiting their batch): a few
+cache-resident MiB per 64 Ki elements, a multiple of the writer's peak
+memory over a whole array.  No written byte depends on the bound —
+cells, their order in every stream and the per-chunk reductions are the
+same for any slabbing (``tests/test_writer_golden.py`` pins the bytes
+at two slab sizes).
 """
 
 from __future__ import annotations
@@ -148,18 +153,19 @@ class _BlockStream:
     reaches** ``target_bytes``: empty cells ride in the block they fall
     in, and an empty cell after a cut opens the next block.  That sum
     alone decides block *boundaries*, however the cells were batched
-    into :meth:`add` calls; ``encode`` turns a cut block's raw buffer
-    into its payload.
+    into :meth:`add` calls.  A stream only cuts: its raw blocks wait in
+    ``cut`` until the writer encodes a batch of them (:func:`_encode_cut`).
     """
 
-    def __init__(self, encode: Callable[[np.ndarray], bytes], target_bytes: int) -> None:
-        self.encode = encode
+    def __init__(self, target_bytes: int) -> None:
         self.target = target_bytes
         self._parts: list[np.ndarray] = []
         #: Raw size of the open block so far.
         self._raw = 0
         self._cell_start: int | None = None
         self._next_cell: int | None = None
+        #: (cell_start, cell_end, raw buffer) of the blocks not yet encoded.
+        self.cut: list[tuple[int, int, np.ndarray]] = []
         #: (cell_start, cell_end, payload, payload raw bytes).
         self.blocks: list[tuple[int, int, bytes, int]] = []
 
@@ -196,10 +202,10 @@ class _BlockStream:
 
     def _cut(self, cell_end: int) -> None:
         # Every cell since the last cut left a part, possibly empty: a
-        # block of empty cells encodes an empty array of the right dtype.
+        # block of empty cells is an empty array of the right dtype.
         parts = self._parts
         raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.blocks.append((self._cell_start, cell_end, self.encode(raw), raw.nbytes))
+        self.cut.append((self._cell_start, cell_end, raw))
         self._parts = []
         self._raw = 0
         self._cell_start = cell_end
@@ -208,6 +214,21 @@ class _BlockStream:
         """Cut the open block, if any cell is in it."""
         if self._next_cell is not None and self._next_cell > self._cell_start:
             self._cut(self._next_cell)
+
+
+def _encode_cut(
+    streams: list[_BlockStream], encode_many: Callable[[list], list[bytes]]
+) -> None:
+    """Encode every block the streams cut since the last call with one
+    ``encode_many`` call, moving each into its stream's ``blocks``."""
+    payloads = iter(encode_many([raw for stream in streams for _, _, raw in stream.cut]))
+    for stream in streams:
+        stream.blocks += [(a, b, next(payloads), raw.nbytes) for a, b, raw in stream.cut]
+        stream.cut = []
+
+
+def _compress_index_blocks(buffers: list[np.ndarray]) -> list[bytes]:
+    return [compress_position_stream(raw, level=_INDEX_ZLIB_LEVEL) for raw in buffers]
 
 
 class MLOCWriter:
@@ -276,11 +297,10 @@ class MLOCWriter:
         streams_per_bin = n_groups if config.group_major else 1
         target = config.target_block_bytes
         data_streams = [
-            [_BlockStream(codec.encode, target) for _ in range(streams_per_bin)]
-            for _ in range(n_bins)
+            [_BlockStream(target) for _ in range(streams_per_bin)] for _ in range(n_bins)
         ]
-        encode_index = functools.partial(compress_position_stream, level=_INDEX_ZLIB_LEVEL)
-        index_streams = [_BlockStream(encode_index, target) for _ in range(n_bins)]
+        index_streams = [_BlockStream(target) for _ in range(n_bins)]
+        all_data = [stream for streams in data_streams for stream in streams]
         # Both builders consume the slabs in curve order, like the streams.
         hbi = HBIBuilder(n_bins, n_chunks, chunk_size)
         peb = PEBBuilder(n_chunks) if plod else None
@@ -321,7 +341,7 @@ class MLOCWriter:
                 feeds.append((lo, cum * 8, sorted_vals, cells))
             else:
                 planes = split_byte_groups(sorted_vals)
-                peb.add_chunks(lo, *compute_bounds_batch(sorted_vals, sizes, planes))
+                peb.add_chunks(lo, *compute_bounds_batch(sorted_vals, sizes))
                 if config.group_major:
                     feeds += [
                         (g * n_chunks + lo, cum * w, planes[g], cells * w)
@@ -342,6 +362,11 @@ class MLOCWriter:
                 for stream, (first_cell, ends, buffer, starts) in zip(streams, feeds):
                     m = ends.shape[1]
                     stream.add(first_cell, ends[b], buffer, starts[b * m : (b + 1) * m + 1])
+            if lo + k == n_chunks:  # the last slab also cuts every open block
+                for stream in (*all_data, *index_streams):
+                    stream.flush()
+            _encode_cut(all_data, codec.encode_many)
+            _encode_cut(index_streams, _compress_index_blocks)
         return data_streams, index_streams, counts, hbi, peb
 
     # ------------------------------------------------------------------
@@ -395,8 +420,7 @@ class MLOCWriter:
         )
 
     def _write_blocks(self, path: str, streams: list[_BlockStream]) -> np.ndarray:
-        """Cut the streams' last blocks and write all of them, in order,
-        into one subfile.
+        """Write the streams' encoded blocks, in order, into one subfile.
 
         Returns its block table: ``(cell_start, cell_end, offset,
         length, raw_len, crc32)`` rows.
@@ -405,7 +429,6 @@ class MLOCWriter:
         payloads: list[bytes] = []
         offset = 0
         for stream in streams:
-            stream.flush()
             for cell_start, cell_end, payload, raw_len in stream.blocks:
                 rows.append(
                     (cell_start, cell_end, offset, len(payload), raw_len, zlib.crc32(payload))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.baselines import FastBitStore, SciDBStore, SeqScanStore
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
-from repro.core.config import ExecutionConfig
 from repro.core.result import BatchResult, ComponentTimes, QueryResult
 from repro.harness.scales import DatasetSpec
 from repro.harness.workloads import WorkloadGenerator
@@ -38,21 +37,13 @@ _SCIDB_OVERLAP = 2
 class SystemSuite:
     """Lazily-built collection of systems over one dataset.
 
-    ``execution`` configures the MLOC store handles the suite builds;
-    because execution options never change a simulated second, they
-    change wall-clock only, never a downstream measurement.
+    The MLOC store handles it builds run with the default execution
+    options, which never change a simulated second.
     """
 
-    def __init__(
-        self,
-        spec: DatasetSpec,
-        n_ranks: int = 8,
-        *,
-        execution: ExecutionConfig | None = None,
-    ) -> None:
+    def __init__(self, spec: DatasetSpec, n_ranks: int = 8) -> None:
         self.spec = spec
         self.n_ranks = n_ranks
-        self.execution = execution
         self.fs = SimulatedPFS(PFSCostModel(byte_scale=spec.byte_scale))
         self.data = spec.generate()
         self.flat = self.data.reshape(-1)
@@ -93,9 +84,7 @@ class SystemSuite:
             MLOCWriter(self.fs, root, config).write(
                 self.data, variable="field"
             )
-            return MLOCStore.open(
-                self.fs, root, "field", n_ranks=self.n_ranks, execution=self.execution
-            )
+            return MLOCStore.open(self.fs, root, "field", n_ranks=self.n_ranks)
         if system == "seqscan":
             return SeqScanStore.build(self.fs, f"{root}/data", self.data, n_ranks=self.n_ranks)
         if system == "fastbit":

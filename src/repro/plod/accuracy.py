@@ -30,8 +30,5 @@ def relative_errors(original: np.ndarray, approx: np.ndarray) -> np.ndarray:
         )
     err = np.abs(approx - original)
     denom = np.abs(original)
-    nonzero = denom > 0
-    out = np.empty_like(err)
-    out[nonzero] = err[nonzero] / denom[nonzero]
-    out[~nonzero] = err[~nonzero]
-    return out
+    # Divide where the original is nonzero; elsewhere ``err`` stays.
+    return np.divide(err, denom, out=err, where=denom > 0)

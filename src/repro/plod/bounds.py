@@ -14,7 +14,8 @@ table:
   :meth:`ErrorBoundsTable.min_level_for` resolve a tolerance to a
   per-chunk level with one vectorized comparison.
 * :func:`compute_bounds_batch` — the one bounds kernel: six partial
-  reassemblies over any number of chunks at once, the per-point errors
+  reassemblies (bit masks, :func:`~repro.plod.byteplanes.plod_degrade`)
+  over any number of chunks at once, the per-point errors
   laid out one chunk per row so the row reductions are bit for bit the
   per-chunk ones (:func:`compute_chunk_bounds` is its one-chunk form).
 * :class:`PEBBuilder` — write-time builder fed by the writer's pass one
@@ -38,12 +39,7 @@ import struct
 import numpy as np
 
 from repro.plod.accuracy import relative_errors
-from repro.plod.byteplanes import (
-    FULL_PLOD_LEVEL,
-    N_GROUPS,
-    assemble_from_groups,
-    split_byte_groups,
-)
+from repro.plod.byteplanes import FULL_PLOD_LEVEL, N_GROUPS, plod_degrade
 from repro.util.record import RecordReader, frame
 
 __all__ = [
@@ -69,18 +65,19 @@ def peb_path(root: str) -> str:
 
 
 def compute_bounds_batch(
-    values: np.ndarray, counts: np.ndarray, groups: list[np.ndarray] | None = None
+    values: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max and mean relative reconstruction error per (level, chunk).
 
     ``values`` holds equal-sized chunks bin-major — (bin, chunk, local
     id) order: the writer's slab order and that of the bin subfiles —
     and ``counts`` is their ``(n_bins, n_chunks)`` element counts.
-    Per-point errors are scattered one chunk per row, each row in the
-    chunk's own bin-segmented order, and both reductions run along the
-    contiguous rows: summation order of the mean included, they are the
-    reductions of each chunk computed alone.  ``groups`` may supply the
-    already-split byte planes of ``values``.
+    The values are scattered one chunk per row, each row in the chunk's
+    own bin-segmented order, and both reductions of the per-point errors
+    run along the contiguous rows: summation order of the mean
+    included, they are the reductions of each chunk computed alone.
+    Each level's reassembly is :func:`~repro.plod.byteplanes.plod_degrade`,
+    a mask of the bit patterns, not a rebuild from byte planes.
 
     Returns two ``(N_GROUPS, n_chunks)`` float64 arrays (levels 1..7;
     the level-7 rows are exactly 0.0).
@@ -97,26 +94,22 @@ def compute_bounds_batch(
         raise ValueError(
             f"{values.size} values do not fill {n_chunks} equal-sized chunks"
         )
-    if groups is None:
-        groups = split_byte_groups(values)
     # Slot of every value in the chunk-per-row array: its row's start,
     # plus the chunk's elements in lower bins, plus its rank in the cell.
     cells = counts.reshape(-1)
     in_chunk = np.cumsum(counts, axis=0) - counts
     shift = (np.arange(n_chunks) * chunk_size + in_chunk).reshape(-1)
     slots = np.repeat(shift - (np.cumsum(cells) - cells), cells) + np.arange(values.size)
-    rel = np.empty((n_chunks, chunk_size), dtype=np.float64)
+    rows = np.empty(values.size, dtype=np.float64)
+    rows[slots] = values
     for level in range(1, FULL_PLOD_LEVEL):
-        approx = assemble_from_groups(groups[:level], values.size, level)
-        rel.reshape(-1)[slots] = relative_errors(values, approx)
+        rel = relative_errors(rows, plod_degrade(rows, level)).reshape(n_chunks, chunk_size)
         rel.max(axis=1, out=max_rel[level - 1])
         rel.mean(axis=1, out=mean_rel[level - 1])
     return max_rel, mean_rel
 
 
-def compute_chunk_bounds(
-    values: np.ndarray, groups: list[np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_chunk_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max and mean relative reconstruction error of one chunk per level.
 
     Returns two ``(N_GROUPS,)`` float64 arrays (levels 1..7; the level-7
@@ -124,9 +117,8 @@ def compute_chunk_bounds(
     in any fixed order — both reductions are permutation-sensitive only
     through floating-point summation, so the writer and the rebuild
     path must (and do) reduce in the same bin-segmented order.
-    ``groups`` may supply the already-split byte planes of ``values``.
     """
-    max_rel, mean_rel = compute_bounds_batch(values, [[np.size(values)]], groups)
+    max_rel, mean_rel = compute_bounds_batch(values, [[np.size(values)]])
     return max_rel[:, 0], mean_rel[:, 0]
 
 

@@ -190,11 +190,19 @@ def assemble_from_groups_degraded(
 
 
 def plod_degrade(values: np.ndarray, level: int) -> np.ndarray:
-    """Round-trip values through a PLoD level (split, truncate, fill).
+    """The values a read at PLoD ``level`` reconstructs (split, truncate,
+    fill), computed on the float64 bit patterns.
 
-    Convenience used by the accuracy experiments (Table VI): returns
-    the values an analysis routine would see at the given level.
+    Level ``L`` keeps the ``L + 1`` leading big-endian bytes — the top
+    ``8 * (L + 1)`` bits — and fills the rest with ``0x7F, 0xFF, ...``:
+    ``(bits & keep) | fill``, bit for bit what
+    :func:`assemble_from_groups` builds from the first ``L`` groups.
+    The accuracy experiments (Table VI) and the per-chunk error bounds
+    of every written slab (``repro.plod.bounds``) use it.
     """
+    _check_level(level)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    groups = split_byte_groups(values)
-    return assemble_from_groups(groups[:level], values.size, level)
+    free = 8 * (FULL_PLOD_LEVEL - level)  # bits below the kept bytes
+    keep = np.uint64(((1 << 64) - 1) ^ ((1 << free) - 1))
+    fill = np.uint64((1 << (free - 1)) - 1 if free else 0)
+    return ((values.view(np.uint64) & keep) | fill).view(np.float64)

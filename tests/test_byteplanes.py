@@ -122,3 +122,30 @@ def test_degrade_properties(values, level):
             rel = np.abs(approx[normal] - v[normal]) / np.abs(v[normal])
             mantissa_bits_kept = max(8 * (level + 1) - 12, 4)
             assert rel.max() <= 2.0 ** -(mantissa_bits_kept - 1)
+
+
+#: Bit patterns of the values a mask can get wrong: ±0, the smallest
+#: and largest subnormals, ±inf, quiet and signalling NaNs with
+#: payloads, and the extremes of the normal range.
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000123,
+    0x7FF0000000000001, 0x7FF7FFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+        max_size=60,
+    ),
+    st.integers(min_value=1, max_value=FULL_PLOD_LEVEL),
+)
+def test_degrade_is_the_byte_plane_reassembly(bits, level):
+    """Masking the bit pattern rebuilds, bit for bit, what the planes
+    of the first ``level`` groups reassemble to, for every float64."""
+    v = np.array(bits, dtype=np.uint64).view(np.float64)
+    planes = split_byte_groups(v)[:level]
+    want = assemble_from_groups(planes, v.size, level)
+    assert np.array_equal(plod_degrade(v, level).view(np.uint64), want.view(np.uint64))

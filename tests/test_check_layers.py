@@ -345,6 +345,25 @@ def test_a_reintroduced_threaded_writer_is_a_violation():
     ]
 
 
+SCALAR_PROBE = """
+import numpy as np
+
+
+def _deflate_cannot_shrink(buf):
+    return buf.size < 4
+
+
+class ZlibByteCodec:
+    def encode(self, data):
+        return _deflate_cannot_shrink(np.frombuffer(data, np.uint8))
+"""
+
+
+def test_a_reintroduced_one_buffer_probe_is_a_violation():
+    found = deleted_name_violations(ast.parse(SCALAR_PROBE), "zlib_codec.py")
+    assert [v.split(": ")[1].split()[0] for v in found] == ["_deflate_cannot_shrink"]
+
+
 PICKLED_META = """
 import io
 import pickle

@@ -18,6 +18,7 @@ from repro.compression import (
     register_codec,
 )
 from repro.core import MLOCWriter, mloc_col
+from repro.core.writer import _SLAB_ELEMENTS
 from repro.datasets import gts_like, s3d_like
 from repro.pfs import SimulatedPFS
 from repro.plod.byteplanes import split_byte_groups
@@ -293,11 +294,11 @@ def _nested_corpus() -> list[bytes]:
     cells, each cell's byte groups stored together.  Small cells repeat
     byte patterns that only LZ77 matches find."""
     buffers: list[bytes] = []
-    encode = zlib_codec.ZlibByteCodec.encode
+    encode_many = zlib_codec.ZlibByteCodec.encode_many
 
-    def record(self, data):
-        buffers.append(bytes(data))
-        return encode(self, data)
+    def record(self, batch):
+        buffers.extend(bytes(data) for data in batch)
+        return encode_many(self, batch)
 
     stores = [
         (gts_like((256, 256), seed=0), (16, 16)),
@@ -305,7 +306,7 @@ def _nested_corpus() -> list[bytes]:
         (s3d_like((32, 32, 32), seed=0), (8, 8, 8)),
     ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zlib_codec.ZlibByteCodec, "encode", record)
+        patch.setattr(zlib_codec.ZlibByteCodec, "encode_many", record)
         for field, chunk in stores:
             for size in PROBE_SIZES:
                 config = mloc_col(
@@ -326,7 +327,36 @@ def _synthetic_corpus() -> list[np.ndarray]:
             np.resize(rng.integers(0, 256, 32, dtype=np.uint8), size),
             rng.integers(0, 256, size, dtype=np.uint8),
         ]
-    return out + _flat_alphabet_corpus()
+    return out + _flat_alphabet_corpus() + [_on_the_literal_bound()]
+
+
+def _on_the_literal_bound() -> np.ndarray:
+    """64 distinct bytes in 20 runs of byte values: literal bits / 8 +
+    code table + frame = 48 + 10 + 6 B is exactly ``n``, which the
+    probe does not count as a shrink."""
+    starts = np.arange(20) * 12
+    values = np.concatenate([s + np.arange(3 + (i >= 16)) for i, s in enumerate(starts)])
+    assert values.size == 64
+    return np.random.default_rng(2).permutation(values).astype(np.uint8)
+
+
+def _mixed_batch() -> list[np.ndarray]:
+    """One batch across every edge of the batched probe: the sizes it
+    never probes (0-3 bytes, 16 KiB and up) and the largest it does,
+    and more buffers than one 3-gram sort tags (255)."""
+    rng = np.random.default_rng(5)
+    out = []
+    for size in (0, 1, 2, 3, 4, 5, 16383, 16384):
+        out += [np.zeros(size, np.uint8), rng.integers(0, 256, size, dtype=np.uint8)]
+    for size in [*rng.integers(4, 400, 100), *rng.integers(4, 24, 400)]:
+        kind = rng.integers(3)
+        if kind == 0:
+            out.append(rng.integers(0, 256, size, dtype=np.uint8))
+        elif kind == 1:
+            out.append(np.resize(rng.integers(0, 256, 7, dtype=np.uint8), size))
+        else:
+            out.append(rng.integers(0, 4, size, dtype=np.uint8) + np.uint8(100))
+    return out
 
 
 def _flat_alphabet_corpus() -> list[np.ndarray]:
@@ -369,17 +399,69 @@ def deflate_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def _scalar_probe_says_raw(buf: np.ndarray) -> bool:
+    """The probe one buffer at a time, as ``zlib-bytes`` ran it before
+    it probed batches: the oracle of the batched decision."""
+    n = buf.size
+    if n < 4:
+        return True
+    if n >= 1 << 14:
+        return False
+    log2 = np.log2(np.arange(1 << 14).clip(1)) - (np.arange(1 << 14) == 0)
+    counts = np.bincount(buf, minlength=256)
+    log2c = log2[counts]
+    exps = np.floor(log2c)
+    runs = np.count_nonzero(exps[1:] != exps[:-1]) + 1
+    literal_bits = n * log2[n] - np.dot(counts, log2c)
+    if literal_bits / 8 + 0.25 * runs + 6 < n:
+        return False
+    grams = np.ndarray((n - 3,), "<u4", buf, strides=(1,)) & 0xFFFFFF
+    grams.sort()
+    return np.count_nonzero(grams[1:] == grams[:-1]) <= 2 + 2 * n * n / 2**25
+
+
+def _probe_decisions(batch) -> list[bool]:
+    """Whether the batched probe stores each buffer raw."""
+    views = [np.frombuffer(data, np.uint8) for data in batch]
+    return (~zlib_codec._deflate_may_shrink(views)).tolist()
+
+
 class TestDeflateProbe:
     """The probe skips deflates whose output ``encode`` would discard,
     and only those: every payload equals the deflate-then-choose one."""
 
     @pytest.mark.parametrize(
-        "corpus", [_plane_corpus, _nested_corpus, _synthetic_corpus]
+        "corpus", [_plane_corpus, _nested_corpus, _synthetic_corpus, _mixed_batch]
     )
     def test_payload_is_the_deflate_then_choose_payload(self, corpus):
         codec = make_codec("zlib-bytes")
-        for data in corpus():
-            assert codec.encode(data) == _deflate_then_choose(data), data.size
+        buffers = corpus()
+        assert buffers
+        for data in buffers:
+            assert codec.encode(data) == _deflate_then_choose(data), len(data)
+
+    @pytest.mark.parametrize(
+        "corpus", [_plane_corpus, _nested_corpus, _synthetic_corpus, _mixed_batch]
+    )
+    def test_one_batch_is_the_deflate_then_choose_payloads(self, corpus):
+        """The corpus as one ``encode_many`` batch, as a slab of the
+        writer arrives, decides every buffer as the scalar probe did."""
+        buffers = corpus()
+        assert buffers
+        assert _probe_decisions(buffers) == [
+            _scalar_probe_says_raw(np.frombuffer(bytes(b), np.uint8)) for b in buffers
+        ]
+        payloads = make_codec("zlib-bytes").encode_many(buffers)
+        assert payloads == [_deflate_then_choose(data) for data in buffers]
+
+    def test_mixed_batch_fills_a_pass(self):
+        """The mixed batch holds every unprobed size and fills at least
+        one probe pass to its 255 buffers."""
+        batch = _mixed_batch()
+        assert {0, 1, 2, 3, 4, 16383, 16384} <= {b.size for b in batch}
+        sizes = np.array([b.size for b in batch if 4 <= b.size < 1 << 14])
+        runs = [hi - lo for lo, hi in zlib_codec._passes(sizes)]
+        assert sum(runs) == sizes.size and max(runs) == zlib_codec._PASS_BUFFERS
 
     def test_most_raw_planes_skip_deflate(self, deflate_calls):
         codec = make_codec("zlib-bytes")
@@ -401,6 +483,30 @@ class TestDeflateProbe:
             gts_like((96, 96), seed=0), variable="v"
         )
         assert len(deflate_calls) == 53
+
+    @pytest.mark.parametrize("side", [96, 512])
+    def test_mloc_col_write_probes_once_per_slab(self, deflate_calls, monkeypatch, side):
+        """The writer hands the codec the blocks each slab cuts as one
+        batch (the last slab's includes every block still open): a
+        write probes at most once per slab plus once at commit, never
+        once per block."""
+        probe = zlib_codec._deflate_may_shrink
+        batches: list[int] = []
+
+        def counted(buffers):
+            batches.append(len(buffers))
+            return probe(buffers)
+
+        monkeypatch.setattr(zlib_codec, "_deflate_may_shrink", counted)
+        field = gts_like((side, side), seed=0)
+        MLOCWriter(SimulatedPFS(), "/g", mloc_col((32, 32), n_bins=32)).write(
+            field, variable="v"
+        )
+        n_slabs = -(-field.size // _SLAB_ELEMENTS)
+        assert len(batches) <= n_slabs + 1, batches
+        assert sum(batches) == 224  # 32 bins x 7 byte groups
+        if side == 96:
+            assert len(deflate_calls) == 53
 
 
 class TestDecodeErrorNormalization:
@@ -446,6 +552,13 @@ class TestDecodeErrorNormalization:
             codec.decode(payload[:5], 1100)
 
 
+@pytest.mark.parametrize("name", LOSSLESS_FLOAT + ["isabela"])
+def test_float_encode_many_is_encode_per_array(name, rng):
+    codec = make_codec(name)
+    arrays = [rng.normal(size=n) for n in (0, 1, 5, 300)] + [np.full(40, 2.5)]
+    assert codec.encode_many(arrays) == [codec.encode(v) for v in arrays]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(LOSSLESS_FLOAT),
@@ -458,6 +571,46 @@ def test_lossless_roundtrip_property(name, values):
     v = np.array(values, dtype=np.float64)
     out = codec.decode(codec.encode(v), v.size)
     assert np.array_equal(out.view(np.uint64), v.view(np.uint64))
+
+
+@st.composite
+def _probe_buffers(draw) -> np.ndarray:
+    """A buffer of one of the shapes the probe tells apart: uniform or
+    skewed bytes, a small or flat alphabet, a repeated pattern."""
+    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "alphabet", "flat", "pattern", "skew"]))
+    if kind == "uniform":
+        return rng.integers(0, 256, size, dtype=np.uint8)
+    if kind == "alphabet":
+        k = draw(st.integers(1, 256))
+        return rng.integers(0, k, size, dtype=np.uint8)
+    if kind == "flat":
+        copies = draw(st.integers(1, 4))
+        return rng.permutation(np.resize(np.repeat(np.arange(256), copies), size)).astype(
+            np.uint8
+        )
+    if kind == "pattern":
+        period = draw(st.integers(1, 300))
+        return np.resize(rng.integers(0, 256, period, dtype=np.uint8), size)
+    p = rng.dirichlet(np.full(256, draw(st.floats(0.01, 10.0))))
+    return rng.choice(256, size, p=p).astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_probe_buffers(), st.binary(max_size=64)), max_size=40))
+def test_batched_probe_decides_as_the_scalar_probe(batch):
+    assert _probe_decisions(batch) == [
+        _scalar_probe_says_raw(np.frombuffer(bytes(b), np.uint8)) for b in batch
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.binary(max_size=300), max_size=20))
+def test_encode_many_is_encode_per_buffer(batch):
+    for name in BYTE_CODECS:
+        codec = make_codec(name)
+        assert codec.encode_many(batch) == [codec.encode(data) for data in batch]
 
 
 @settings(max_examples=30, deadline=None)

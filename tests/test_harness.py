@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.harness.scales import SCALE_TIERS, get_spec, scale_tier
 from repro.harness.systems import ALL_SYSTEMS, SystemSuite
 from repro.harness.tables import PAPER, format_rows, record_result
@@ -118,6 +119,12 @@ class TestSystemSuite:
     def test_unknown_system(self, suite):
         with pytest.raises(ValueError, match="unknown system"):
             suite.store("duckdb")
+
+    def test_takes_no_execution_options(self):
+        """The suite's store handles run with the default options: no
+        caller ever passed another (``execution`` is no parameter)."""
+        with pytest.raises(TypeError, match="execution"):
+            SystemSuite(get_spec("8g", "gts", "tiny"), execution=ExecutionConfig())
 
 
 class TestTables:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
 from repro.core.config import MLOCConfig
-from repro.core.writer import _BlockStream, make_curve
+from repro.core.writer import _BlockStream, _encode_cut, make_curve
 from repro.datasets import gts_like
 from repro.pfs import BinFileSet, SimulatedPFS
 
@@ -218,13 +218,19 @@ def _one_cell_at_a_time(first_cell, sizes, target):
 )
 def test_block_stream_cuts_where_single_cell_adds_would(sizes, target, first_cell, data):
     """Fed the same cells in arbitrary batches — empty cells, empty
-    batches, cuts inside a batch and on its edges — the stream emits
-    the blocks of the one-cell-at-a-time loop, payloads included."""
+    batches, cuts inside a batch and on its edges — the stream cuts
+    the raw blocks of the one-cell-at-a-time loop, and the blocks that
+    wait for an encode batch are its own: encoded after any batches,
+    they are the same blocks."""
     sizes = np.array(sizes, dtype=np.int64)
     content = np.arange(int(sizes.sum())) % 251
     content = content.astype(np.uint8)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    stream = _BlockStream(bytes, target)
+    stream = _BlockStream(target)
+
+    def encode_many(buffers):
+        return [bytes(raw) for raw in buffers]
+
     done, least = 0, 0
     while done < sizes.size:
         n = data.draw(st.integers(min_value=least, max_value=sizes.size - done))
@@ -235,7 +241,11 @@ def test_block_stream_cuts_where_single_cell_adds_would(sizes, target, first_cel
         bounds = offsets[done : done + n + 1] - offsets[done]
         stream.add(first_cell + done, np.cumsum(batch), buffer, bounds)
         done += n
+        if data.draw(st.booleans()):  # the writer encodes after each slab
+            _encode_cut([stream], encode_many)
     stream.flush()
+    _encode_cut([stream], encode_many)
+    assert stream.cut == []
     want = _one_cell_at_a_time(first_cell, sizes.tolist(), target)
     assert [(a, b, raw) for a, b, _, raw in stream.blocks] == want
     for start, end, payload, _ in stream.blocks:
@@ -244,7 +254,7 @@ def test_block_stream_cuts_where_single_cell_adds_would(sizes, target, first_cel
 
 
 def test_block_stream_rejects_a_gap():
-    stream = _BlockStream(bytes, 10)
+    stream = _BlockStream(10)
     stream.add(0, np.array([4]), np.zeros(4, dtype=np.uint8), np.array([0, 4]))
     with pytest.raises(ValueError, match="consecutively"):
         stream.add(2, np.array([4]), np.zeros(4, dtype=np.uint8), np.array([0, 4]))
