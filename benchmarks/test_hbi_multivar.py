@@ -175,7 +175,7 @@ def test_index_footprint_vs_fastbit(tri_var_burst):
         "fastbit_index_bytes": fastbit_bytes,
         "hbi_vs_fastbit": round(hbi_bytes / fastbit_bytes, 3),
     }
-    # The hierarchical summary (tree + run-local leaves) must not cost
+    # The hierarchical summary (the run count matrix) must not cost
     # more than the FastBit baseline's whole-domain bitmaps.
     assert hbi_bytes <= fastbit_bytes
 

@@ -78,7 +78,8 @@ executed):
    codec keyword table beside the codec name in ``MLOCConfig``, and the
    block-table column tuples nothing read, and the threaded write
    backend beside the one write pass, with its two options, and the
-   one-buffer deflate probe beside the batched one.
+   one-buffer deflate probe beside the batched one, and the
+   hierarchical index's WAH leaves beside the flat position index.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -247,6 +248,15 @@ DELETED_NAMES = frozenset(
         # The one-buffer deflate probe: ``zlib-bytes`` probes a whole
         # batch in one pass, and ``encode`` is a batch of one.
         "_deflate_cannot_shrink",
+        # The hierarchical index's WAH leaves, a second copy of every
+        # position that only an opt-in masked fetch read: the record
+        # keeps its run counts and positions live in the flat index.
+        "bins_intersecting",
+        "range_positions",
+        "bin_positions",
+        "range_run_groups",
+        "leaf_words",
+        "leaf_offsets",
     }
 )
 

@@ -287,11 +287,11 @@ def _rotten_blocks(store, plan: FaultPlan) -> list[tuple[str, bool]]:
     rotten = []
     for bin_id in range(config.n_bins):
         path = store.files.index_path(bin_id)
-        for _, _, offset, length, _ in meta.index_blocks[bin_id].tolist():
+        for _, _, offset, length, _ in meta.index_blocks.of_bin(bin_id).tolist():
             if plan.is_sticky(path, offset, length):
                 rotten.append(("index", False))
         path = store.files.data_path(bin_id)
-        for first, end, offset, length, _, _ in meta.data_blocks[bin_id].tolist():
+        for first, end, offset, length, _, _ in meta.data_blocks.of_bin(bin_id).tolist():
             if plan.is_sticky(path, offset, length):
                 cells = np.arange(first, end)
                 if not config.plod_enabled:

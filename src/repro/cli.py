@@ -170,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_read_options(serve)
 
     index = command(
-        "index", _cmd_index, "inspect a store's hierarchical bitmap index"
+        "index", _cmd_index, "inspect a store's hierarchical count index"
     )
     index.add_argument(
         "action",
         choices=["stats"],
         help=(
-            "'stats' prints the persisted hbi record's tree shape and size "
-            "versus the flat index and a FastBit-style whole-domain baseline"
+            "'stats' prints the persisted hbi record's tree shape and "
+            "its size versus the flat position index"
         ),
     )
     _add_store_args(index)
@@ -757,27 +757,17 @@ def _cmd_serve_replay(args, store) -> int:
 
 @_store_command
 def _cmd_index(args, store) -> int:
-    from repro.index import hbi_path, wah_from_positions
+    from repro.index import hbi_path
 
     fs = store.fs
     path = hbi_path(store.root)
-    hbi, hbi_bytes = store.hbi, fs.size(path)
-    try:
-        hbi.validate()
-    except ValueError as exc:
-        print(f"error: index fails validation: {exc}")
-        return 1
-    s = hbi.stats()
+    hbi_bytes = fs.size(path)
+    s = store.hbi.stats()
     print(f"hierarchical index {path} (persisted): {hbi_bytes} bytes")
     print(
         f"tree: {s['n_bins']} bins x {s['n_runs']} chunk-runs of "
         f"{s['leaf_span']} chunks, {s['n_levels']} levels (fanout "
-        f"{s['fanout']}), {s['nonempty_leaves']}/{s['n_leaves']} "
-        f"non-empty leaves, {s['interior_nodes']} interior nodes"
-    )
-    print(
-        f"breakdown: {s['leaf_bytes']} WAH leaf bytes, "
-        f"{s['summary_bytes']} cardinality-summary bytes"
+        f"{s['fanout']}), {s['interior_nodes']} interior nodes"
     )
     flat_bytes = sum(
         fs.size(store.files.index_path(b)) for b in range(s["n_bins"])
@@ -786,19 +776,6 @@ def _cmd_index(args, store) -> int:
         f"vs flat MLOC bin index: {flat_bytes} bytes "
         f"(hierarchical = {hbi_bytes / flat_bytes:.0%})"
     )
-    # FastBit-style baseline: one whole-domain WAH bitmap per bin, the
-    # layout a standalone bitmap index would persist (Table I's blowup).
-    fastbit_bytes = sum(
-        wah_from_positions(
-            hbi.bin_positions(b, store.grid, store.curve), store.n_elements
-        ).nbytes
-        for b in range(s["n_bins"])
-    )
-    print(
-        f"vs FastBit-style whole-domain WAH index: {fastbit_bytes} bytes "
-        f"(hierarchical = {hbi_bytes / fastbit_bytes:.0%})"
-    )
-    print("validate: OK")
     return 0
 
 

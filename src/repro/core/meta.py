@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.core.chunking import check_shape_chunks
 from repro.core.config import MLOCConfig
 from repro.util.record import RecordReader, frame, record_crc, text_field
 
-__all__ = ["StoreMeta", "read_meta_bytes"]
+__all__ = ["BlockTable", "StoreMeta", "read_meta_bytes"]
 
 _MAGIC = b"MLOCMETA"
 _FORMAT_VERSION = 2
@@ -56,37 +56,63 @@ def read_meta_bytes(fs, var_root: str) -> bytes:
     return bytes(fs.session().open(f"{var_root.rstrip('/')}/meta").read_all())
 
 
-def _check_block_tables(what: str, tables: list[np.ndarray], n_units: int) -> None:
-    """Raise ``ValueError`` unless every bin's rows partition its units.
+@dataclass
+class BlockTable:
+    """One kind's block rows for every bin (data or index), bin-major.
 
-    Per bin, the rows' ``[start, end)`` ranges are non-empty and chain
-    from 0 to ``n_units`` (cells of a data table, chunks of an index
-    table), and their byte extents chain from offset 0 with lengths
-    >= 0.  One vectorized pass over all bins' rows together.
+    ``rows`` stacks the bins' tables in bin order, and bin ``b`` owns
+    ``rows[bounds[b]:bounds[b + 1]]``: the record's row order, so the
+    decoder, the checks and the planner all work on the one array.
     """
-    lengths = np.array([len(table) for table in tables], dtype=np.int64)
-    if lengths.min() == 0:
-        raise ValueError(f"{what} block table of bin {int(lengths.argmin())} is empty")
-    rows = np.concatenate(tables)
-    start, end, offset, length = rows[:, :4].T
-    first = np.cumsum(lengths) - lengths  # each bin's first row
-    last = first + lengths - 1
-    # A bin's first row opens at (0, 0); every other row resumes where
-    # the row before it ended, in units and in bytes.
-    want_start = np.roll(end, 1)
-    want_offset = np.roll(offset + length, 1)
-    want_start[first] = 0
-    want_offset[first] = 0
-    bad = (start != want_start) | (end <= start) | (offset != want_offset)
-    bad |= (length < 0) | (offset < 0)
-    bad[last] |= end[last] != n_units
-    if bad.any():
-        at = int(bad.argmax())
-        b = int(last.searchsorted(at))
-        raise ValueError(
-            f"{what} block table of bin {b}: row {at - int(first[b])} "
-            f"{rows[at, :4].tolist()} breaks the partition of [0, {n_units})"
-        )
+
+    rows: np.ndarray
+    #: Per-bin row bounds, ``n_bins + 1`` int64 prefix sums.
+    bounds: np.ndarray
+
+    @classmethod
+    def stack(cls, tables: list[np.ndarray]) -> "BlockTable":
+        """The table of per-bin row arrays given in bin order."""
+        bounds = np.zeros(len(tables) + 1, dtype=np.int64)
+        np.cumsum([len(table) for table in tables], out=bounds[1:])
+        return cls(np.concatenate(tables), bounds)
+
+    def of_bin(self, b: int) -> np.ndarray:
+        """Bin ``b``'s rows (a view)."""
+        return self.rows[self.bounds[b] : self.bounds[b + 1]]
+
+    def bins(self) -> np.ndarray:
+        """The bin of every row."""
+        return np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
+
+    def check(self, what: str, n_units: int) -> None:
+        """Raise ``ValueError`` unless every bin's rows partition its units.
+
+        Per bin, the rows' ``[start, end)`` ranges are non-empty and
+        chain from 0 to ``n_units`` (cells of a data table, chunks of an
+        index table), and their byte extents chain from offset 0 with
+        lengths >= 0.  One vectorized pass over all bins' rows together.
+        """
+        lengths = np.diff(self.bounds)
+        if lengths.min() == 0:
+            raise ValueError(f"{what} block table of bin {int(lengths.argmin())} is empty")
+        start, end, offset, length = self.rows[:, :4].T
+        first, last = self.bounds[:-1], self.bounds[1:] - 1
+        # A bin's first row opens at (0, 0); every other row resumes where
+        # the row before it ended, in units and in bytes.
+        want_start = np.roll(end, 1)
+        want_offset = np.roll(offset + length, 1)
+        want_start[first] = 0
+        want_offset[first] = 0
+        bad = (start != want_start) | (end <= start) | (offset != want_offset)
+        bad |= (length < 0) | (offset < 0)
+        bad[last] |= end[last] != n_units
+        if bad.any():
+            at = int(bad.argmax())
+            b = int(last.searchsorted(at))
+            raise ValueError(
+                f"{what} block table of bin {b}: row {at - int(first[b])} "
+                f"{self.rows[at, :4].tolist()} breaks the partition of [0, {n_units})"
+            )
 
 
 @dataclass
@@ -99,10 +125,10 @@ class StoreMeta:
     edges: np.ndarray
     #: Element counts per (bin, chunk-in-curve-order), uint32.
     counts: np.ndarray
-    #: Per-bin data block tables, each ``(n_blocks, 6)`` int64.
-    data_blocks: list[np.ndarray] = field(default_factory=list)
-    #: Per-bin index block tables, each ``(n_blocks, 5)`` int64.
-    index_blocks: list[np.ndarray] = field(default_factory=list)
+    #: Every bin's data block rows, ``(n_blocks, 6)`` int64.
+    data_blocks: BlockTable
+    #: Every bin's index block rows, ``(n_blocks, 5)`` int64.
+    index_blocks: BlockTable
 
     def validate(self) -> None:
         n_bins = self.config.n_bins
@@ -112,7 +138,7 @@ class StoreMeta:
             )
         if self.counts.ndim != 2 or self.counts.shape[0] != n_bins:
             raise ValueError(f"counts shape {self.counts.shape} invalid for {n_bins} bins")
-        if len(self.data_blocks) != n_bins or len(self.index_blocks) != n_bins:
+        if {self.data_blocks.bounds.size, self.index_blocks.bounds.size} != {n_bins + 1}:
             raise ValueError("block tables must have one entry per bin")
         n_elements = math.prod(self.shape)
         if int(self.counts.sum()) != n_elements:
@@ -120,8 +146,8 @@ class StoreMeta:
                 f"counts sum {int(self.counts.sum())} != element count {n_elements}"
             )
         n_chunks = self.n_chunks
-        _check_block_tables("data", self.data_blocks, n_chunks * self.config.n_groups)
-        _check_block_tables("index", self.index_blocks, n_chunks)
+        self.data_blocks.check("data", n_chunks * self.config.n_groups)
+        self.index_blocks.check("index", n_chunks)
 
     @property
     def n_chunks(self) -> int:
@@ -140,9 +166,10 @@ class StoreMeta:
     def to_bytes(self) -> bytes:
         """The framed record (FORMAT.md, "Metadata")."""
         c = self.config
-        tables = [*self.data_blocks, *self.index_blocks]
+        tables = (self.data_blocks, self.index_blocks)
         arrays = [self.edges.astype("<f8"), self.counts.astype("<u4")]
-        arrays += [table.astype("<i8") for table in tables]
+        arrays += [table.rows.astype("<i8") for table in tables]
+        row_counts = np.concatenate([np.diff(table.bounds) for table in tables])
         payload = zlib.compress(b"".join(a.tobytes() for a in arrays), _DEFLATE_LEVEL)
         return frame(
             _MAGIC, _FORMAT_VERSION,
@@ -151,7 +178,7 @@ class StoreMeta:
             ),
             np.array([*c.chunk_shape, *self.shape], dtype="<i8").tobytes(),
             *map(text_field, (c.level_order, c.curve, c.binning, c.codec, self.variable)),
-            np.array([len(table) for table in tables], dtype="<u4").tobytes(),
+            row_counts.astype("<u4").tobytes(),
             _PAYLOAD_LEN.pack(len(payload)) + payload,
         )
 
@@ -181,8 +208,9 @@ class StoreMeta:
         reader.done()
         # The checked geometry fixes the inflated size, which bounds the inflate.
         n_chunks = math.prod(s // c for s, c in zip(shape, chunk_shape))
-        data_ends, index_ends = rows.cumsum(axis=1).tolist()  # row bounds per bin
-        tables = (48 * data_ends[-1], 40 * index_ends[-1])
+        bounds = np.zeros((2, n_bins + 1), dtype=np.int64)  # row bounds per bin
+        np.cumsum(rows, axis=1, out=bounds[:, 1:])
+        tables = (48 * int(bounds[0, -1]), 40 * int(bounds[1, -1]))
         ends = list(accumulate([8 * (n_bins + 1), 4 * n_bins * n_chunks, *tables]))
         try:
             body = np.frombuffer(inflate(payload, ends[-1]), np.uint8)
@@ -192,11 +220,10 @@ class StoreMeta:
                 part.view("<" + code).astype(code)
                 for part, code in zip(np.split(body, ends[:-1]), ("f8", "u4", "i8", "i8"))
             )
-            data, index = data.reshape(-1, 6), index.reshape(-1, 5)
             meta = cls(
                 variable, shape, config, edges, counts.reshape(n_bins, n_chunks),
-                [data[a:b] for a, b in zip([0, *data_ends], data_ends)],
-                [index[a:b] for a, b in zip([0, *index_ends], index_ends)],
+                BlockTable(data.reshape(-1, 6), bounds[0]),
+                BlockTable(index.reshape(-1, 5), bounds[1]),
             )
             meta.validate()
         except (ValueError, OverflowError, zlib.error) as exc:

@@ -38,7 +38,7 @@ from repro.sfc.hierarchical import level_prefix_counts
 from repro.sfc.linearize import CurveOrder
 
 if TYPE_CHECKING:
-    from repro.core.meta import StoreMeta
+    from repro.core.meta import BlockTable, StoreMeta
 
 __all__ = [
     "QueryPlan",
@@ -162,28 +162,27 @@ def cell_sizes(config, counts: np.ndarray, n_chunks: int) -> np.ndarray:
 
 
 def _flatten_block_tables(
-    tables: list[np.ndarray], stride: int, offsets: np.ndarray, raw_col: int | None
+    table: BlockTable, stride: int, offsets: np.ndarray, raw_col: int | None
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Per-bin block tables as one store-wide lookup.
+    """A block table as one store-wide lookup.
 
-    ``tables[b]`` rows are ``(first, end, offset, length, ..., crc)``
-    with ``[first, end)`` the chunk positions (index) or layout cells
-    (data) the block covers; ``stride`` is the size of a bin's key space
-    and ``offsets[b]`` its prefix sums.  Returns, in global block id
-    order: every block as a tuple ``(bin, row_in_bin, first, end,
-    offset, length, raw_bytes, crc)``, the sorted keys ``bin * stride +
-    first``, and the base offsets ``offsets[bin, first]``.  ``raw_bytes``
-    is column ``raw_col``, or 8 B per covered position where the table
+    ``table`` rows are ``(first, end, offset, length, ..., crc)`` with
+    ``[first, end)`` the chunk positions (index) or layout cells (data)
+    the block covers; ``stride`` is the size of a bin's key space and
+    ``offsets[b]`` its prefix sums.  Returns, in global block id order:
+    every block as a tuple ``(bin, row_in_bin, first, end, offset,
+    length, raw_bytes, crc)``, the sorted keys ``bin * stride + first``,
+    and the base offsets ``offsets[bin, first]``.  ``raw_bytes`` is
+    column ``raw_col``, or 8 B per covered position where the table
     (the index's) records none.
     """
-    sizes = [t.shape[0] for t in tables]
-    bins = np.repeat(np.arange(len(tables), dtype=np.int64), sizes)
-    rows = np.arange(bins.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    table = np.concatenate(tables)
-    first, end = table[:, 0], table[:, 1]
+    rows = table.rows
+    bins = table.bins()
+    row_in_bin = np.arange(bins.size, dtype=np.int64) - table.bounds[bins]
+    first, end = rows[:, 0], rows[:, 1]
     base = offsets[bins, first]
-    raw = table[:, raw_col] if raw_col is not None else (offsets[bins, end] - base) * 8
-    reads = np.column_stack((bins, rows, table[:, :4], raw, table[:, -1]))
+    raw = rows[:, raw_col] if raw_col is not None else (offsets[bins, end] - base) * 8
+    reads = np.column_stack((bins, row_in_bin, rows[:, :4], raw, rows[:, -1]))
     return list(map(tuple, reads.tolist())), bins * stride + first, base
 
 

@@ -84,8 +84,8 @@ COUNTERS: tuple[Counter, ...] = (
     # Chunks dropped by hierarchical-index pruning / compound pushdown
     # (repro.index.hbi): proven-empty plan chunks never fetched.
     Counter("chunks_pruned", "sum", "plan"),
-    # Bins dropped from a position-masked fetch by the group-domain
-    # AND against the hierarchical index's leaves.
+    # Bins dropped from a position-masked fetch because the value
+    # ranges its positions are known to satisfy do not overlap them.
     Counter("bins_pruned", "sum", "plan"),
     # Cross-query fetch-merge dedup (shared fetchers: batches, sessions,
     # and the broker's continuous merge loop).

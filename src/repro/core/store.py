@@ -239,14 +239,10 @@ class MLOCStore:
         """Stored bytes per bin (data + index payloads) — the partition
         weight, so shards balance compressed volume, not bin count."""
         n_bins = self.meta.config.n_bins
-        weights = np.zeros(n_bins, dtype=np.float64)
-        for b in range(n_bins):
-            data = self.meta.data_blocks[b]
-            index = self.meta.index_blocks[b]
-            weights[b] = (
-                float(data[:, 3].sum()) if data.size else 0.0
-            ) + (float(index[:, 3].sum()) if index.size else 0.0)
-        return weights
+        return sum(
+            np.bincount(table.bins(), weights=table.rows[:, 3], minlength=n_bins)
+            for table in (self.meta.data_blocks, self.meta.index_blocks)
+        )
 
     def shard_weights(self) -> np.ndarray:
         """Stored bytes owned by each shard (the balance diagnostic)."""
@@ -285,7 +281,7 @@ class MLOCStore:
 
     @property
     def hbi(self) -> HBIndex:
-        """The hierarchical bitmap index, loaded on first use.
+        """The hierarchical count index, loaded on first use.
 
         Raises :class:`MissingRecordError` when the ``hbi`` record every
         writer persists is absent.
@@ -741,19 +737,9 @@ class MLOCStore:
         if positions.size:
             hit_chunks = np.unique(self.grid.chunk_of_positions(positions))
             plan.narrow(np.isin(plan.chunk_ids, hit_chunks))
-            if self.use_hbi:
-                # AND-pushdown over the bin axis: the plan spans every
-                # bin (no value constraint), but the mask's values live
-                # only in bins whose leaves intersect it — proven by a
-                # group-domain AND, so dropping the rest reads fewer
-                # blocks without changing a result byte.
-                touched = self.hbi.bins_intersecting(
-                    positions, self.grid, self.curve
-                )
-                bins_pruned = plan.narrow_bins(touched[plan.bin_ids])
             if ranges:
                 spans = [self.scheme.bins_overlapping(lo, hi)[0] for lo, hi in ranges]
-                bins_pruned += plan.narrow_bins(np.isin(plan.bin_ids, np.concatenate(spans)))
+                bins_pruned = plan.narrow_bins(np.isin(plan.bin_ids, np.concatenate(spans)))
         else:
             plan.narrow(np.zeros(plan.cpos.size, dtype=bool))
         plan_stats = {"chunks_pruned": 0, "bins_pruned": bins_pruned}

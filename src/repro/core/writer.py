@@ -17,10 +17,10 @@ The writer runs the full layout pipeline of Fig. 1 over an input array:
    plus one metadata file.
 
 The writer is a single pass over the array, one *slab* at a time: a run
-of consecutive curve positions — a whole number of chunks and of
-hierarchical-index leaf runs, about :data:`_SLAB_ELEMENTS` elements —
-on which every step is array arithmetic, with no per-chunk and no
-per-(chunk, bin, byte group) Python work.  Compressed blocks are staged
+of consecutive curve positions — a whole number of chunks, about
+:data:`_SLAB_ELEMENTS` elements — on which every step is array
+arithmetic, with no per-chunk and no per-(chunk, bin, byte group)
+Python work.  Compressed blocks are staged
 in memory per (bin, group) stream and the subfiles are materialized at
 the end, because the V-M-S order requires all of byte-group g's cells
 to precede group g+1's in the file while generation is chunk-major.
@@ -70,9 +70,9 @@ from repro.binning.boundaries import (
 from repro.compression.base import ByteCodec, FloatCodec, make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.config import MLOCConfig
-from repro.core.meta import StoreMeta
+from repro.core.meta import BlockTable, StoreMeta
 from repro.index.binindex import compress_position_stream, encode_position_cells
-from repro.index.hbi import DEFAULT_LEAF_SPAN, HBIBuilder, hbi_path
+from repro.index.hbi import HBIBuilder, hbi_path
 from repro.pfs.layout import BinFileSet
 from repro.pfs.simfs import SimulatedPFS
 from repro.plod.bounds import PEBBuilder, compute_bounds_batch, peb_path
@@ -305,9 +305,7 @@ class MLOCWriter:
         hbi = HBIBuilder(n_bins, n_chunks, chunk_size)
         peb = PEBBuilder(n_chunks) if plod else None
 
-        # A slab is a whole number of index leaf runs, so the HBI
-        # builder encodes each slab's leaves and keeps no open run.
-        span = DEFAULT_LEAF_SPAN * max(_SLAB_ELEMENTS // (DEFAULT_LEAF_SPAN * chunk_size), 1)
+        span = max(_SLAB_ELEMENTS // chunk_size, 1)
         # (grid axes..., in-chunk axes...): indexing the grid axes with
         # chunk coordinates gathers whole chunks, row-major inside.
         ndims = grid.ndims
@@ -330,7 +328,7 @@ class MLOCWriter:
                 n_bins, k
             )
             counts[:, lo : lo + k] = sizes
-            hbi.add_chunks(lo, local_ids, sizes)
+            hbi.add_chunks(lo, sizes)
             # What each stream of a bin is fed, its position index first:
             # (first cell, per-bin running raw size, content, cell offsets).
             cum = np.cumsum(sizes, axis=1)
@@ -391,8 +389,8 @@ class MLOCWriter:
             config=self.config,
             edges=scheme.edges,
             counts=counts,
-            data_blocks=data_block_tables,
-            index_blocks=index_block_tables,
+            data_blocks=BlockTable.stack(data_block_tables),
+            index_blocks=BlockTable.stack(index_block_tables),
         )
         meta.validate()
         meta_blob = meta.to_bytes()

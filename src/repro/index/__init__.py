@@ -4,7 +4,6 @@ the hierarchical compressed bitmap index (Sections III-A3 and III-D4)."""
 from repro.index.binindex import decode_position_block, encode_position_block
 from repro.index.bitmap import (
     Bitmap,
-    wah_cardinality,
     wah_decode,
     wah_encode,
     wah_from_positions,
@@ -26,7 +25,6 @@ __all__ = [
     "encode_hierarchical_bitmap",
     "encode_position_block",
     "hbi_path",
-    "wah_cardinality",
     "wah_decode",
     "wah_encode",
     "wah_from_positions",

@@ -364,6 +364,32 @@ def test_a_reintroduced_one_buffer_probe_is_a_violation():
     assert [v.split(": ")[1].split()[0] for v in found] == ["_deflate_cannot_shrink"]
 
 
+LEAFY_HBI = """
+import numpy as np
+
+
+class HBIndex:
+    def __init__(self, run_counts, leaf_offsets, leaf_words):
+        self.run_counts = run_counts
+
+    def range_run_groups(self, lo, hi, run): ...
+
+    def range_positions(self, lo, hi, grid, curve): ...
+
+    def bin_positions(self, b, grid, curve): ...
+
+    def bins_intersecting(self, positions, grid, curve): ...
+"""
+
+
+def test_a_reintroduced_hbi_leaf_is_a_violation():
+    found = deleted_name_violations(ast.parse(LEAFY_HBI), "hbi.py")
+    assert sorted(v.split(": ")[1].split()[0] for v in found) == [
+        "bin_positions", "bins_intersecting", "leaf_offsets", "leaf_words",
+        "range_positions", "range_run_groups",
+    ]
+
+
 PICKLED_META = """
 import io
 import pickle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LEVEL_ORDERS, MLOCConfig, mloc_col, mloc_isa, mloc_iso
-from repro.core.meta import StoreMeta
+from repro.core.meta import BlockTable, StoreMeta
 
 
 class TestConfig:
@@ -81,8 +81,8 @@ class TestStoreMeta:
             counts=counts,
             # One block per bin over its 2 chunks x 7 byte-group cells
             # (data) and its 2 chunks (index).
-            data_blocks=[np.array([[0, 14, 0, 0, 0, 0]], dtype=np.int64) for _ in range(2)],
-            index_blocks=[np.array([[0, 2, 0, 0, 0]], dtype=np.int64) for _ in range(2)],
+            data_blocks=BlockTable.stack([np.array([[0, 14, 0, 0, 0, 0]])] * 2),
+            index_blocks=BlockTable.stack([np.array([[0, 2, 0, 0, 0]])] * 2),
         )
         return meta
 
@@ -109,6 +109,6 @@ class TestStoreMeta:
 
     def test_validate_block_tables(self):
         meta = self._make()
-        meta.data_blocks = meta.data_blocks[:1]
+        meta.data_blocks = BlockTable.stack([meta.data_blocks.of_bin(0)])
         with pytest.raises(ValueError, match="one entry per bin"):
             meta.validate()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.compression import make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.config import mloc_col, mloc_iso
+from repro.core.meta import BlockTable
 from repro.core.engine.stages import modeled_decompression
 from repro.core.planner import PlanContext, merge_extents
 from repro.core.planner import cell_sizes as _cell_sizes
@@ -117,7 +118,10 @@ def _stores(draw):
             data_blocks.append((bin_id, first, end, decoded))
         data_tables.append(np.array(rows, dtype=np.int64))
     meta = SimpleNamespace(
-        config=config, counts=counts, index_blocks=index_tables, data_blocks=data_tables
+        config=config,
+        counts=counts,
+        index_blocks=BlockTable.stack(index_tables),
+        data_blocks=BlockTable.stack(data_tables),
     )
     context = PlanContext(meta, ChunkGrid((4 * n_chunks,), (4,)), None, None)
 

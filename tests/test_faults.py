@@ -253,9 +253,7 @@ class TestVerifiedReadPath:
         # Every index block fails all attempts -> quarantined; with the
         # whole index gone every chunk is dropped before any data read.
         quarantined = result.stats["quarantined_blocks"]
-        total_index_blocks = sum(
-            table.shape[0] for table in store.meta.index_blocks
-        )
+        total_index_blocks = len(store.meta.index_blocks.rows)
         assert quarantined == total_index_blocks
         assert result.n_results == 0
         assert result.stats["dropped_points"] == store.n_elements

@@ -88,9 +88,13 @@ def test_issue_kind_defaults_to_other_for_structural_damage():
     # Chop the last block off a data table: a structural inconsistency,
     # not payload damage — must surface with the generic kind.
     from repro.core import StoreMeta
+    from repro.core.meta import BlockTable
 
     meta = StoreMeta.from_bytes(bytes(fs.session().open("/p/f/meta").read_all()))
-    meta.data_blocks[0] = meta.data_blocks[0][:-1]
+    table = meta.data_blocks
+    meta.data_blocks = BlockTable.stack(
+        [table.of_bin(0)[:-1], *map(table.of_bin, range(1, table.bounds.size - 1))]
+    )
     fs.write_file("/p/f/meta", meta.to_bytes())
     issues = check_store(fs, "/p", "f")
     assert issues

@@ -1,9 +1,10 @@
-"""Unit tests for the hierarchical compressed bitmap index.
+"""Unit tests for the hierarchical count index.
 
-Covers the structural contracts in isolation: the serialized record must roundtrip and reject corruption, interior-node
-range queries must agree with brute-force sums over the exact count
-matrix in O(fanout log n_bins) nodes, and leaf-resolved positions must
-match ground-truth bin membership of the raw field.
+Covers the structural contracts in isolation: the serialized record
+must roundtrip and reject corruption, interior-node range queries must
+agree with brute-force sums over the exact count matrix in
+O(fanout log n_bins) nodes, and a masked fetch through a ``use_hbi``
+handle must read exactly what the flat handle reads.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core import MLOCStore, MLOCWriter, mloc_col
 from repro.datasets import gts_like
+from repro.index import Bitmap
 from repro.index.hbi import (
     HBIBuilder,
     HBIndex,
@@ -33,13 +35,13 @@ def store_and_field():
 class TestConstruction:
     def test_builder_rejects_out_of_order_chunks(self):
         builder = HBIBuilder(2, 4, 16)
-        builder.add_chunk(0, np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64))
+        builder.add_chunk(0, np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="in order"):
-            builder.add_chunk(2, np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64))
+            builder.add_chunk(2, np.zeros(2, dtype=np.int64))
 
     def test_builder_rejects_missing_chunks(self):
         builder = HBIBuilder(2, 4, 16)
-        builder.add_chunk(0, np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64))
+        builder.add_chunk(0, np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="before finish"):
             builder.finish()
 
@@ -53,9 +55,31 @@ class TestConstruction:
         expected = padded.reshape(hbi.n_bins, n_runs, hbi.leaf_span).sum(axis=2)
         assert np.array_equal(hbi.run_counts, expected)
 
-    def test_validate_passes(self, store_and_field):
+    def test_chunk_by_chunk_builds_the_written_record(self, store_and_field):
         store, _ = store_and_field
-        store.hbi.validate()
+        counts = store.meta.counts
+        builder = HBIBuilder(*counts.shape, store.grid.chunk_size, leaf_span=3)
+        builder.add_chunks(0, counts[:, :2])
+        for cpos in range(2, counts.shape[1]):
+            builder.add_chunk(cpos, counts[:, cpos])
+        whole = HBIBuilder(*counts.shape, store.grid.chunk_size, leaf_span=3)
+        whole.add_chunks(0, counts)
+        assert builder.finish().to_bytes() == whole.finish().to_bytes()
+        builder = HBIBuilder(*counts.shape, store.grid.chunk_size)
+        for cpos in range(counts.shape[1]):
+            builder.add_chunk(cpos, counts[:, cpos])
+        raw = bytes(store.fs.session().open(hbi_path(store.root)).read_all())
+        assert builder.finish().to_bytes() == raw
+
+    def test_levels_sum_their_children(self, store_and_field):
+        store, _ = store_and_field
+        hbi = store.hbi
+        matrices = [hbi.run_counts, *hbi.levels]
+        assert matrices[-1].shape == (1, hbi.n_runs)
+        for child, parent in zip(matrices, matrices[1:]):
+            for row in range(parent.shape[0]):
+                below = child[row * hbi.fanout : (row + 1) * hbi.fanout]
+                assert np.array_equal(parent[row], below.sum(axis=0))
 
 
 class TestSerialization:
@@ -65,9 +89,18 @@ class TestSerialization:
         clone = HBIndex.from_bytes(hbi.to_bytes())
         assert clone.to_bytes() == hbi.to_bytes()
         assert np.array_equal(clone.run_counts, hbi.run_counts)
-        assert np.array_equal(clone.leaf_words, hbi.leaf_words)
-        assert len(clone.levels) == len(hbi.levels)
-        clone.validate()
+        assert all(map(np.array_equal, clone.levels, hbi.levels))
+
+    @pytest.mark.parametrize("n_bins,n_chunks", [(5, 0), (2**40, 0), (0, 5)])
+    def test_levels_of_an_empty_matrix_aggregate(self, n_bins, n_chunks):
+        """The interior levels are computed at load, so a record with
+        no (bin, run) cell must still load, not fail mid-aggregation."""
+        empty = HBIndex(
+            leaf_span=8, fanout=4, n_bins=n_bins, n_chunks=n_chunks, chunk_size=16,
+            run_counts=np.zeros((n_bins, -(-n_chunks // 8))),
+        )
+        clone = HBIndex.from_bytes(empty.to_bytes())
+        assert clone.cardinality(0, min(n_bins, 3)) == 0
 
     def test_bad_magic_rejected(self, store_and_field):
         store, _ = store_and_field
@@ -121,24 +154,48 @@ class TestInteriorNodes:
             store.hbi.range_run_counts(0, store.hbi.n_bins + 1)
 
 
-class TestLeaves:
-    def test_positions_match_ground_truth_membership(self, store_and_field):
-        store, field = store_and_field
-        hbi = store.hbi
-        bin_ids = store.scheme.assign(field.reshape(-1))
-        for lo, hi in [(0, 1), (2, 5), (0, hbi.n_bins), (7, 8), (3, 3)]:
-            got = hbi.range_positions(lo, hi, store.grid, store.curve)
-            expect = np.flatnonzero((bin_ids >= lo) & (bin_ids < hi))
-            assert np.array_equal(got, expect), (lo, hi)
-
-    def test_leaf_cardinality_matches_counts(self, store_and_field):
-        from repro.index.bitmap import wah_cardinality
+class TestFsck:
+    def test_run_counts_disagreeing_with_meta_are_reported(self, store_and_field):
+        from repro.tools import check_store
 
         store, _ = store_and_field
-        hbi = store.hbi
-        for b in range(hbi.n_bins):
-            for r in range(hbi.n_runs):
-                assert wah_cardinality(hbi.leaf(b, r)) == hbi.run_counts[b, r]
+        fs = SimulatedPFS()
+        for path in store.fs.list_files("/h/f/"):
+            fs.write_file(path, bytes(store.fs.session().open(path).read_all()))
+        assert check_store(fs, "/h", "f") == []
+        hbi = HBIndex.from_bytes(store.hbi.to_bytes())
+        hbi.run_counts[0, 0] += 1
+        fs.write_file(hbi_path("/h/f"), hbi.to_bytes())
+        issues = check_store(fs, "/h", "f")
+        assert [(i.location, i.message) for i in issues] == [
+            ("hbi", "run cardinalities disagree with metadata counts")
+        ]
+
+
+class TestMaskedFetch:
+    def test_use_hbi_masked_fetch_reads_what_the_flat_handle_reads(
+        self, store_and_field
+    ):
+        """The index holds counts, not positions, so it cannot tell
+        which bins a position mask misses: without ``ranges`` a
+        ``use_hbi`` masked fetch plans every bin of the hit chunks,
+        exactly like the flat handle."""
+        store, field = store_and_field
+        bin_ids = store.scheme.assign(field.reshape(-1))
+        positions = np.flatnonzero(bin_ids == 3)[:5]
+        mask = Bitmap.from_positions(positions, store.n_elements)
+        flat = MLOCStore.open(store.fs, "/h", "f")
+        results = []
+        for handle in (flat, store):
+            store.fs.clear_cache()
+            results.append(handle.fetch_positions(mask))
+        flat_result, hbi_result = results
+        assert hbi_result.stats["bins_pruned"] == 0
+        assert hbi_result.stats["bytes_read"] == flat_result.stats["bytes_read"]
+        assert np.array_equal(hbi_result.positions, positions)
+        assert np.array_equal(hbi_result.positions, flat_result.positions)
+        assert np.array_equal(hbi_result.values, flat_result.values)
+        assert np.array_equal(hbi_result.values, field.reshape(-1)[positions])
 
 
 class TestExchangePayload:

@@ -255,14 +255,14 @@ class TestPlanContext:
             # Every block, in table order, as (bin, row, first, end,
             # offset, length, raw_bytes, crc) under its global key.
             for row, (first, end, offset, length, crc) in enumerate(
-                meta.index_blocks[bin_id].tolist()
+                meta.index_blocks.of_bin(bin_id).tolist()
             ):
                 raw = int(counts[first:end].sum()) * 8
                 assert next(index_rows) == (
                     bin_id, row, first, end, offset, length, raw, crc
                 )  # fmt: skip
             for row, (first, end, offset, length, raw, crc) in enumerate(
-                meta.data_blocks[bin_id].tolist()
+                meta.data_blocks.of_bin(bin_id).tolist()
             ):
                 assert next(data_rows) == (
                     bin_id, row, first, end, offset, length, raw, crc

@@ -98,8 +98,12 @@ GEOMETRY_DAMAGE = {
     ("hbi", "leaf-span-0"): (HEADER, "<I", 0, "impossible geometry"),
     ("hbi", "fanout-1"): (HEADER + 4, "<I", 1, "impossible geometry"),
     ("hbi", "negative-bins"): (HEADER + 8, "<q", -2, "impossible geometry"),
+    # hbi: <IIqqq leaf_span (8), fanout, n_bins (4), n_chunks (4),
+    # chunk_size, then the (bin, run) counts: one run per bin, so a
+    # leaf_span of 1 wants four runs per bin.
     ("hbi", "huge-chunk-count"): (HEADER + 16, "<q", 2**62, "truncated"),
-    ("hbi", "level-count"): (HEADER + 32, "<I", 7, "interior level|truncated"),
+    ("hbi", "run-counts-truncated"): (HEADER, "<I", 1, "truncated"),
+    ("hbi", "v1-record"): (8, "<I", 1, "unsupported version 1"),
     ("peb", "six-levels"): (HEADER, "<q", 6, "impossible shape"),
     ("peb", "negative-chunks"): (HEADER + 8, "<q", -1, "impossible shape"),
     ("manifest", "negative-generation"): (HEADER, "<q", -1, "negative generation"),
@@ -127,7 +131,7 @@ TABLE_DAMAGE = {
 def _retabled(raw: bytes, tables: str, row: int, column: int, value: int) -> bytes:
     """``raw`` re-serialized with one cell of bin 0's block table changed."""
     meta = StoreMeta.from_bytes(raw)
-    getattr(meta, tables)[0][row, column] = value
+    getattr(meta, tables).of_bin(0)[row, column] = value
     return meta.to_bytes()
 
 

@@ -67,7 +67,7 @@ class TestLayoutInvariants:
         store = MLOCStore.open(fs, "/w", "f")
         n_cells = 7 * store.meta.n_chunks  # 7 byte groups (V-M-S)
         for b in range(4):
-            table = store.meta.data_blocks[b]
+            table = store.meta.data_blocks.of_bin(b)
             assert table[0, 0] == 0
             assert table[-1, 1] == n_cells
             # contiguous, non-overlapping cell ranges
@@ -82,7 +82,7 @@ class TestLayoutInvariants:
         fs, _ = write(data, mloc_iso((16, 16), n_bins=4, target_block_bytes=4096))
         store = MLOCStore.open(fs, "/w", "f")
         for b in range(4):
-            table = store.meta.index_blocks[b]
+            table = store.meta.index_blocks.of_bin(b)
             assert table[0, 0] == 0
             assert table[-1, 1] == store.meta.n_chunks
             assert np.array_equal(table[1:, 0], table[:-1, 1])
@@ -91,7 +91,7 @@ class TestLayoutInvariants:
         target = 4096
         fs, _ = write(data, mloc_iso((16, 16), n_bins=4, target_block_bytes=target))
         store = MLOCStore.open(fs, "/w", "f")
-        raw_lens = np.concatenate([t[:, 4] for t in store.meta.data_blocks])
+        raw_lens = store.meta.data_blocks.rows[:, 4]
         # All blocks but the last of each stream end at/above the target,
         # and none is wildly above it (one cell of slack).
         assert raw_lens.max() < 4 * target
@@ -101,8 +101,8 @@ class TestLayoutInvariants:
         fs_b, _ = write(data, mloc_iso((16, 16), n_bins=4, target_block_bytes=16384))
         a = MLOCStore.open(fs_a, "/w", "f")
         b = MLOCStore.open(fs_b, "/w", "f")
-        rows_a = sum(t.shape[0] for t in a.meta.data_blocks)
-        rows_b = sum(t.shape[0] for t in b.meta.data_blocks)
+        rows_a = len(a.meta.data_blocks.rows)
+        rows_b = len(b.meta.data_blocks.rows)
         assert rows_a > rows_b
 
 
