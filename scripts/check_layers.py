@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layer-boundary lint for the staged query engine.
 
-Eleven architectural rules, checked by AST scan (no imports are
+Thirteen architectural rules, checked by AST scan (no imports are
 executed):
 
 1. **PFS below core.**  ``repro.pfs`` is the storage substrate; no
@@ -91,6 +91,17 @@ executed):
    fails typed on any bytes no writer produces; so no module under
    ``src/repro`` may import ``pickle``, ``marshal`` or ``shelve``,
    whose decoders run whatever the bytes name.
+12. **No unused import.**  No module under ``src/``, ``tests/`` or
+   ``benchmarks/`` outside an ``__init__.py`` (a package's re-export
+   surface) may import a name at module level and never use it — the
+   check behind pyflakes' F401, so the lint step of CI cannot go red
+   on a host without ruff.  A name used only inside a quoted
+   annotation, or listed in ``__all__``, counts as used.
+13. **scipy loads on demand.**  ISABELA's spline fit is the one user
+   of scipy, and most processes (the CLI, a pool worker, MLOC-COL and
+   MLOC-ISO runs) never fit a spline; so no module under
+   ``src/repro`` may import ``scipy`` when it is itself imported —
+   only inside the function that needs it.
 
 Exits non-zero listing every violation.  Wired into ``make verify``
 and CI; run directly with ``python scripts/check_layers.py``.
@@ -260,6 +271,9 @@ DELETED_NAMES = frozenset(
     }
 )
 
+#: Trees whose modules may not import a name they never use (rule 12).
+LINTED_TREES = ("src", "tests", "benchmarks")
+
 #: Modules whose decoders run code the bytes name (rule 11).
 UNFRAMED_SERIALIZERS = ("pickle", "marshal", "shelve")
 
@@ -412,6 +426,84 @@ def serializer_violations(tree: ast.AST, where: str) -> list[str]:
     ]
 
 
+def _load_time_nodes(tree: ast.AST):
+    """Every node of ``tree`` that runs when the module is imported:
+    all of it except the bodies of functions and lambdas."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names ``tree`` reads: every ``Name``, every name inside a quoted
+    annotation, and every string listed in ``__all__``."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and "__all__" in [
+            getattr(t, "id", None)
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        ]:
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )  # fmt: skip
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_import_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 12 over one syntax tree: every name a module-level import
+    binds that the module never uses (pyflakes' F401)."""
+    used = _names_used(tree)
+    found = []
+    for node in _load_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name not in used]
+    return [
+        f"{where}:{lineno}: {name} is imported and never used (rule 12); "
+        f"delete the import"
+        for lineno, name in sorted(found)
+    ]
+
+
+def scipy_import_violations(tree: ast.AST, where: str) -> list[str]:
+    """Rule 13 over one syntax tree: every ``scipy`` import that runs
+    when the module is imported, rather than inside a function."""
+    return [
+        f"{where}:{lineno}: imports scipy at load time; import it "
+        f"inside the function that needs it (rule 13)"
+        for node in _load_time_nodes(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for lineno, module in _tree_imports(node)
+        if module.partition(".")[0] == "scipy"
+    ]
+
+
 def _module_name(path: Path) -> str:
     rel = path.relative_to(SRC).with_suffix("")
     parts = list(rel.parts)
@@ -463,6 +555,7 @@ def check() -> list[str]:
     for path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         violations += upper_layer_violations(tree, str(path.relative_to(REPO)))
+        violations += scipy_import_violations(tree, str(path.relative_to(REPO)))
         violations += deleted_name_violations(tree, str(path.relative_to(REPO)))
         violations += serializer_violations(tree, str(path.relative_to(REPO)))
         if harness_dir not in path.parents:
@@ -520,6 +613,12 @@ def check() -> list[str]:
         violations.append(f"{store_py.relative_to(REPO)}: found no query_many (rule 8)")
     for node in batches:
         violations += batch_loop_violations(node, str(store_py.relative_to(REPO)))
+
+    for top in LINTED_TREES:
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path.name != "__init__.py":
+                tree = ast.parse(path.read_text(), filename=str(path))
+                violations += unused_import_violations(tree, str(path.relative_to(REPO)))
 
     if list((SRC / "repro" / "core").glob("executor*")):
         violations.append(

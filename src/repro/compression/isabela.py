@@ -32,7 +32,6 @@ import threading
 import zlib
 
 import numpy as np
-from scipy.interpolate import splev, splrep
 
 from repro.compression.base import FloatCodec, decode_guard, inflate, register_codec
 from repro.util.bitpack import bits_required, pack_uints, unpack_uints
@@ -53,6 +52,18 @@ def _zigzag_encode(q: np.ndarray) -> np.ndarray:
 def _zigzag_decode(u: np.ndarray) -> np.ndarray:
     u = u.astype(np.uint64)
     return ((u >> np.uint64(1)).view(np.int64)) ^ -((u & np.uint64(1)).view(np.int64))
+
+
+def _interpolate():
+    """``scipy.interpolate``, imported on the first fit or evaluation.
+
+    ISABELA is the only codec that needs scipy, so a process that never
+    fits or evaluates a spline never loads it (``scripts/check_layers.py``
+    rule 13).
+    """
+    import scipy.interpolate
+
+    return scipy.interpolate
 
 
 def _knot_vector(n_coeffs: int) -> np.ndarray:
@@ -132,6 +143,7 @@ class IsabelaCodec(FloatCodec):
 
     def _design_matrix(self, w: int) -> np.ndarray:
         """Basis matrix B with ``B[i, j] = B_j(x_i)`` for length ``w``."""
+        splev = _interpolate().splev
         with self._design_lock:
             if w not in self._design:
                 x = np.linspace(0.0, 1.0, w)
@@ -159,7 +171,9 @@ class IsabelaCodec(FloatCodec):
             sizes.append(tail)
         return sizes
 
-    def _fit_window(self, sorted_v: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    def _fit_window(
+        self, splrep, sorted_v: np.ndarray
+    ) -> tuple[np.ndarray, float, np.ndarray]:
         """Fit one sorted window; returns (coeffs32, scale, quantized)."""
         w = sorted_v.size
         x = np.linspace(0.0, 1.0, w)
@@ -190,6 +204,9 @@ class IsabelaCodec(FloatCodec):
         rank_parts: list[bytes] = []
         q_parts: list[np.ndarray] = []
         raw_tail = bytearray()
+        # Outside the per-window ``try`` below: a missing scipy raises
+        # here instead of storing every window raw.
+        splrep = _interpolate().splrep
 
         start = 0
         for w in sizes:
@@ -204,7 +221,7 @@ class IsabelaCodec(FloatCodec):
             ranks[order] = np.arange(w)
             sorted_v = chunk[order]
             try:
-                coeffs, scale, q = self._fit_window(sorted_v)
+                coeffs, scale, q = self._fit_window(splrep, sorted_v)
             except Exception:
                 # Degenerate window (e.g. pathological values): keep raw.
                 flags.append(_FLAG_RAW)

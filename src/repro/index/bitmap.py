@@ -69,7 +69,9 @@ class Bitmap:
         if pos.size:
             if pos.min() < 0 or pos.max() >= nbits:
                 raise ValueError(f"positions out of range [0, {nbits})")
-            np.bitwise_or.at(bm.buffer, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+            bits = np.zeros(nbits, dtype=bool)
+            bits[pos] = True
+            bm.buffer = np.packbits(bits, bitorder="little")
         return bm
 
     def to_positions(self) -> np.ndarray:
@@ -236,10 +238,13 @@ def wah_from_positions(positions: np.ndarray, nbits: int) -> np.ndarray:
     if pos.size == 0:
         return np.array([_FILL_FLAG | np.uint64(n_groups)], dtype=np.uint64)
 
+    # ``pos`` is sorted, so each group's bits are one contiguous
+    # segment: OR them with one segmented reduction.
     group_ids = pos // _GROUP_BITS
-    in_group = (pos % _GROUP_BITS).astype(np.uint64)
+    bits = np.uint64(1) << (pos % _GROUP_BITS).astype(np.uint64)
+    starts = np.flatnonzero(np.diff(group_ids, prepend=-1))
     groups = np.zeros(n_groups, dtype=np.uint64)
-    np.bitwise_or.at(groups, group_ids, np.uint64(1) << in_group)
+    groups[group_ids[starts]] = np.bitwise_or.reduceat(bits, starts)
     return _groups_to_words(groups)
 
 

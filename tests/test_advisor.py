@@ -1,6 +1,5 @@
 """Tests for the level-order advisor."""
 
-import numpy as np
 import pytest
 
 from repro.harness import (

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
 from repro.datasets import gts_like, s3d_like
 from repro.pfs import SimulatedPFS
 
@@ -142,6 +142,21 @@ def test_iso_process_backend_equivalence(iso_fs, query):
     iso_fs.clear_cache()
     b = proc.query(query)
     _assert_equivalent(a, b)
+
+
+def test_isa_process_backend_equivalence():
+    """A spawned worker decodes MLOC-ISA's spline windows: it imports
+    scipy on its first spline evaluation, since importing ``repro``
+    no longer loads it."""
+    fs = _build(mloc_isa, gts_like((128, 128), seed=5), (32, 32))
+    serial = MLOCStore.open(fs, "/store", "field", backend="serial")
+    proc = MLOCStore.open(fs, "/store", "field", backend="processes", workers=2)
+    fs.clear_cache()
+    a = serial.query(QUERIES[2])
+    fs.clear_cache()
+    b = proc.query(QUERIES[2])
+    _assert_equivalent(a, b)
+    assert b.stats["decode_pool_failures"] == 0
 
 
 def test_backend_validation():

@@ -16,7 +16,6 @@ from repro.index.binindex import (
     PositionBlock,
     compress_position_stream,
     decode_position_block,
-    decode_position_block_flat,
     encode_position_block,
     encode_position_cells,
 )

@@ -140,3 +140,37 @@ def test_row_batched_encoder_matches_per_row(groups):
     assert np.array_equal(words, np.concatenate(per_row))
     for row, row_words in zip(groups, per_row):
         assert np.array_equal(wah_expand_groups(row_words), row)
+
+
+def _reference_buffer(positions, nbits):
+    """The bit buffer set one bit at a time, in plain Python."""
+    buf = bytearray((nbits + 7) // 8)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return np.frombuffer(bytes(buf), dtype=np.uint8)
+
+
+# Lengths that are multiples of neither 8 nor 63, so both the byte tail
+# and the last 63-bit group are partial.
+_ODD_NBITS = st.integers(min_value=1, max_value=1300).filter(
+    lambda n: n % 8 and n % 63
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_position_scatters_match_a_bit_by_bit_reference(data):
+    nbits = data.draw(st.one_of(_NBITS, _ODD_NBITS))
+    kind = data.draw(st.sampled_from(["random", "empty", "all"]))
+    if kind == "random":
+        positions = data.draw(
+            st.lists(st.integers(min_value=0, max_value=nbits - 1), max_size=200)
+        )  # unsorted, with repeats
+    else:
+        positions = list(range(nbits)) if kind == "all" else []
+    expected = _reference_buffer(positions, nbits)
+    pos = np.array(positions, dtype=np.int64)
+    assert np.array_equal(Bitmap.from_positions(pos, nbits).buffer, expected)
+    words = wah_from_positions(pos, nbits)
+    assert np.array_equal(words, wah_encode(expected, nbits))
+    assert np.array_equal(wah_decode(words, nbits), expected)

@@ -1,7 +1,8 @@
 """``scripts/check_layers.py`` rules 3 (serving and the harness sit
 above core), 8 (the batch is the unit), 9 (deleted second paths stay
-deleted), 10 (nothing ambient switches a handle) and 11 (every
-persisted byte is a framed record)."""
+deleted), 10 (nothing ambient switches a handle), 11 (every persisted
+byte is a framed record), 12 (no unused import) and 13 (scipy loads on
+demand), and the whole check over this tree."""
 
 from __future__ import annotations
 
@@ -9,9 +10,12 @@ import ast
 
 from scripts.check_layers import (
     batch_loop_violations,
+    check,
     deleted_name_violations,
     environ_violations,
+    scipy_import_violations,
     serializer_violations,
+    unused_import_violations,
     upper_layer_violations,
 )
 
@@ -410,3 +414,59 @@ def test_a_reintroduced_pickle_decoder_is_a_violation():
 def test_a_framed_record_decoder_is_clean():
     framed = "from repro.util.record import RecordReader, frame\nimport zlib\n"
     assert serializer_violations(ast.parse(framed), "meta.py") == []
+
+
+UNUSED_IMPORTS = """
+from __future__ import annotations
+
+import numpy as np
+import os.path
+import repro.core.store
+from repro.index.bitmap import Bitmap, wah_encode as encode
+from repro.core import *
+
+__all__ = ["PositionBlock"]
+
+from repro.index.binindex import PositionBlock
+
+
+def mask(bits: "Bitmap") -> int:
+    import zlib  # a function's import is not module level
+    return repro.core.store.MLOCStore
+"""
+
+
+def test_an_unused_import_is_a_violation():
+    found = unused_import_violations(ast.parse(UNUSED_IMPORTS), "x.py")
+    assert [v.split(": ")[1].split()[0] for v in found] == ["np", "os", "encode"]
+    assert found[0].startswith("x.py:4:")
+    assert all("rule 12" in v for v in found)
+
+
+def test_the_tree_is_clean():
+    assert check() == []
+
+
+LOAD_TIME_SCIPY = """
+import numpy as np
+from scipy.interpolate import splev, splrep
+
+try:
+    import scipy.sparse as sparse
+except ImportError:
+    sparse = None
+
+
+class Codec:
+    from scipy import stats
+
+    def fit(self, values):
+        from scipy.interpolate import splrep
+        return splrep(values)
+"""
+
+
+def test_a_load_time_scipy_import_is_a_violation():
+    found = scipy_import_violations(ast.parse(LOAD_TIME_SCIPY), "isabela.py")
+    assert sorted(int(v.split(":")[1]) for v in found) == [3, 6, 12]
+    assert all("rule 13" in v for v in found)

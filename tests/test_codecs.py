@@ -12,7 +12,6 @@ import repro.compression.zlib_codec as zlib_codec
 from repro.compression import (
     ByteCodec,
     CodecDecodeError,
-    FloatCodec,
     codec_names,
     make_codec,
     register_codec,

@@ -1,6 +1,5 @@
 """Tests for PFS snapshots, the fsck tool, and the CLI."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main

@@ -6,7 +6,6 @@ metadata CRCs (data/index blocks) or the record frame's own CRC
 issue.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

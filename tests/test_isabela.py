@@ -1,5 +1,7 @@
 """ISABELA-specific tests: error bounds, ratios, window handling."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,34 @@ class TestSortedWindowMechanism:
         out = codec.decode(codec.encode(v), 256)
         # correlation with original order must be near-perfect
         assert np.corrcoef(out, v)[0, 1] > 0.999
+
+
+class TestWithoutScipy:
+    """scipy is imported on the first fit or evaluation; without it,
+    a spline fit or evaluation fails loudly and never degrades."""
+
+    @pytest.fixture()
+    def no_scipy(self, monkeypatch):
+        # A ``None`` entry makes ``import scipy.interpolate`` raise.
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+
+    def test_encode_raises_instead_of_storing_raw_windows(self, codec, no_scipy):
+        with pytest.raises(ImportError):
+            codec.encode(turbulent(512))
+
+    def test_decoding_a_spline_window_raises(self, codec, monkeypatch):
+        v = turbulent(512)
+        payload = codec.encode(v)
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+        for fresh in (IsabelaCodec(window=256, n_coeffs=16), codec):
+            with pytest.raises(ImportError):
+                fresh.decode(payload, v.size)
+
+    def test_decoding_raw_windows_needs_no_scipy(self, codec, monkeypatch):
+        v = turbulent(40)
+        payload = codec.encode(v)
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+        assert np.array_equal(codec.decode(payload, v.size), v)
 
 
 @settings(max_examples=30, deadline=None)

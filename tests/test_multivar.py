@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso, multi_variable_query
+from repro.core import MLOCStore, MLOCWriter, mloc_col, mloc_iso, multi_variable_query
 from repro.datasets import gts_like
 from repro.index.bitmap import Bitmap
 from repro.pfs import SimulatedPFS

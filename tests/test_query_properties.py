@@ -7,7 +7,6 @@ correctness net over the planner + executor + index + codec stack.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

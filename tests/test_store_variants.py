@@ -9,7 +9,7 @@ subset-resolution x PLoD combination.
 import numpy as np
 import pytest
 
-from repro.core import MLOCConfig, MLOCStore, MLOCWriter, Query, mloc_col
+from repro.core import MLOCConfig, MLOCStore, MLOCWriter, Query
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 
