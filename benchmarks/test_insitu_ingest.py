@@ -24,6 +24,8 @@ Asserted, not just recorded:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core import MLOCDataset, Query, mloc_col
@@ -130,7 +132,7 @@ def test_ingest_overlap_vs_sealed_baseline():
     fs2 = SimulatedPFS()
     dataset2 = MLOCDataset(fs2, "/ds", _config(), n_ranks=4)
     presession = IngestSession(dataset2, _arrivals(start=0.0, cadence=0.0))
-    presession.run_to_completion()
+    presession.advance_to(math.inf)
     sealed_start = presession.appended[-1].sealed_at
     baseline = replay(
         BrokerCore(),

@@ -157,13 +157,6 @@ class IsabelaCodec(FloatCodec):
             return self._design[w]
 
     # ------------------------------------------------------------------
-    def error_bound(self, values: np.ndarray) -> float:
-        """Guaranteed per-point absolute error bound for these values."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return 0.0
-        return 0.5 * self.error_rate * float(np.abs(values).max())
-
     def _window_sizes(self, count: int) -> list[int]:
         sizes = [self.window] * (count // self.window)
         tail = count % self.window

@@ -19,7 +19,8 @@ answers deterministically.
 
 Every step returns an ordinary :class:`~repro.core.result.QueryResult`
 whose values are bit-identical to a fresh single-shot query at that
-level (pinned by ``tests/test_refinement_session.py``), with
+level (pinned by the ``session`` rows of the contract matrix's axis
+table, ``tests/test_contract_matrix.py``), with
 cumulative session counters added to ``stats``: ``refine_steps`` and
 ``bytes_reused``.  ``coalesced_reads`` stays the step's own (it is a
 summed counter); the session total is

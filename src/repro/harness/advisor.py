@@ -73,38 +73,6 @@ class WorkloadProfile:
         if any(w <= 0 for _, w in self.classes):
             raise ValueError("class weights must be positive")
 
-    @classmethod
-    def fusion_like(cls) -> "WorkloadProfile":
-        """Threshold hunting: region queries dominate (Section III-A2)."""
-        return cls(
-            (
-                (QueryClass("region", 0.01), 0.7),
-                (QueryClass("value", 0.01), 0.2),
-                (QueryClass("value", 0.01, plod_level=2), 0.1),
-            )
-        )
-
-    @classmethod
-    def climate_like(cls) -> "WorkloadProfile":
-        """Spatial exploration: value queries dominate."""
-        return cls(
-            (
-                (QueryClass("value", 0.01), 0.7),
-                (QueryClass("region", 0.01), 0.3),
-            )
-        )
-
-    @classmethod
-    def analytics_like(cls) -> "WorkloadProfile":
-        """Reduced-precision statistics dominate: PLoD-heavy."""
-        return cls(
-            (
-                (QueryClass("value", 0.05, plod_level=2), 0.7),
-                (QueryClass("value", 0.01), 0.2),
-                (QueryClass("region", 0.01), 0.1),
-            )
-        )
-
 
 @dataclass
 class AdvisorReport:
@@ -116,9 +84,6 @@ class AdvisorReport:
     #: order -> per-class mean response seconds, same class order as
     #: the profile.
     per_class: dict[str, list[float]] = field(default_factory=dict)
-
-    def ranking(self) -> list[str]:
-        return sorted(self.scores, key=self.scores.get)
 
 
 def recommend_level_order(

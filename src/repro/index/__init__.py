@@ -1,7 +1,7 @@
 """Light-weight indexing: per-bin position indices, WAH bitmaps, and
 the hierarchical compressed bitmap index (Sections III-A3 and III-D4)."""
 
-from repro.index.binindex import decode_position_block, encode_position_block
+from repro.index.binindex import encode_position_block
 from repro.index.bitmap import (
     Bitmap,
     wah_decode,
@@ -21,7 +21,6 @@ __all__ = [
     "HBIBuilder",
     "HBIndex",
     "decode_hierarchical_bitmap",
-    "decode_position_block",
     "encode_hierarchical_bitmap",
     "encode_position_block",
     "hbi_path",

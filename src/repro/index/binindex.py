@@ -43,7 +43,6 @@ __all__ = [
     "compress_position_stream",
     "encode_position_cells",
     "encode_position_block",
-    "decode_position_block",
     "decode_position_block_flat",
 ]
 
@@ -222,23 +221,3 @@ def decode_position_block_flat(payload: bytes, counts: np.ndarray) -> np.ndarray
         store metadata).
     """
     return PositionBlock(payload, counts).positions()
-
-
-def decode_position_block(payload: bytes, counts: np.ndarray) -> list[np.ndarray]:
-    """Decode an index block back into per-chunk position arrays.
-
-    Parameters
-    ----------
-    payload:
-        Bytes produced by :func:`encode_position_block`.
-    counts:
-        Element count of each chunk in the block, in order (from the
-        store metadata).
-
-    Returns
-    -------
-    list of int64 arrays, one per chunk (possibly empty).
-    """
-    block = PositionBlock(payload, counts)
-    positions = block.positions()
-    return [positions[lo:hi] for lo, hi in zip(block.offsets[:-1], block.offsets[1:])]

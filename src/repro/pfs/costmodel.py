@@ -147,20 +147,6 @@ class PFSCostModel:
         """
         return self.scaled_bytes(counted_bytes) / throughput
 
-    def serial_time(self, stats: "IOStats") -> float:
-        """Seconds for a single client performing ``stats`` alone.
-
-        A single reader streams from one OST at a time and is further
-        bounded by its node link.
-        """
-        bandwidth = min(self.ost_bandwidth, self.client_bandwidth)
-        return (
-            stats.opens * self.open_time
-            + stats.seeks * self.seek_time
-            + stats.stall_seconds
-            + self.scaled_bytes(stats.bytes_read) / bandwidth
-        )
-
     def parallel_time(self, per_rank: list["IOStats"], per_ost_bytes: list[int]) -> float:
         """Seconds for a bulk-synchronous parallel access.
 

@@ -53,7 +53,7 @@ clean — metadata durability is fsck's domain, not the query path's.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.pfs.simfs import PFSSession, SimFileHandle, SimulatedPFS
 
@@ -221,21 +221,6 @@ class FaultPlan:
             sticky=sticky and len(flips) == 1,
         )
 
-    def sticky_only(self) -> "FaultPlan":
-        """This plan with every transient fault class switched off.
-
-        Reads then fail exactly on the rotten extents — the view under
-        which an offline ``fsck`` pass sees the same persistent damage
-        the query path quarantined, so the two can be cross-checked.
-        """
-        return replace(
-            self,
-            transient_error_rate=0.0,
-            bitflip_rate=0.0,
-            torn_read_rate=0.0,
-            latency_spike_rate=0.0,
-        )
-
 
 @dataclass
 class FaultInjectionLog:
@@ -250,15 +235,6 @@ class FaultInjectionLog:
     stall_seconds: float = 0.0
     #: Rotten extents actually read, as (path, offset, length).
     sticky_extents: set = field(default_factory=set)
-
-    @property
-    def total_faults(self) -> int:
-        return (
-            self.transient_errors
-            + self.bitflips
-            + self.torn_reads
-            + self.latency_spikes
-        )
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -408,7 +384,3 @@ class FaultyPFS(SimulatedPFS):
                     super().write_file(path, bytes(data[:committed]))
                 raise WriteInterrupted(path, committed, len(data))
         super().write_file(path, data)
-
-    def with_plan(self, plan: FaultPlan) -> "FaultyPFS":
-        """A sibling view over the same files under a different plan."""
-        return FaultyPFS(self.base if self.base is not None else self, plan)

@@ -275,10 +275,6 @@ class BrokerCore:
         """Requests admitted but not yet served."""
         return sum(len(t.queue) for t in self._tenants.values())
 
-    def pending_bytes(self) -> int:
-        """Summed estimated raw bytes of the backlog."""
-        return self._pending_bytes
-
     # ------------------------------------------------------------------
     def select_round(self) -> list[Request]:
         """Deficit-round-robin: pick the next round's service order.

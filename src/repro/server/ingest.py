@@ -118,10 +118,6 @@ class IngestSession:
 
     # ------------------------------------------------------------------
     @property
-    def finished(self) -> bool:
-        return not self._pending
-
-    @property
     def first_queryable_seconds(self) -> float | None:
         """Seal time of the first member — time-to-first-queryable."""
         return self.appended[0].sealed_at if self.appended else None
@@ -182,12 +178,6 @@ class IngestSession:
             if wanted(record):
                 return record
         return None
-
-    def run_to_completion(self) -> list[AppendRecord]:
-        """Append everything remaining; returns the full timeline."""
-        while self._pending:
-            self._append_one(self._pending.pop(0))
-        return self.appended
 
     # ------------------------------------------------------------------
     def generation_at(self, now: float) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from repro.core.manifest import (
 )
 from repro.core.meta import StoreMeta, read_meta_bytes
 from repro.core.planner import cell_sizes
-from repro.index.binindex import decode_position_block
+from repro.index.binindex import PositionBlock
 from repro.index.hbi import HBIndex, hbi_path
 from repro.plod.bounds import ErrorBoundsTable, peb_path
 from repro.pfs.layout import BinFileSet
@@ -235,7 +236,9 @@ def check_store(fs: SimulatedPFS, root: str, variable: str) -> list[Issue]:
                         )
                     )
                     continue
-                per_chunk = decode_position_block(payload, counts)
+                block = PositionBlock(payload, counts)
+                positions = block.positions()
+                per_chunk = [positions[lo:hi] for lo, hi in pairwise(block.offsets)]
             except Exception as exc:
                 issues.append(
                     Issue(

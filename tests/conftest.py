@@ -2,7 +2,9 @@
 
 Store-building is the expensive part of the integration tests, so the
 written stores are session-scoped and shared; tests must not mutate
-them (queries are read-only by construction).
+them (queries are read-only by construction).  Every store comes from
+``scripts/gen_engine_golden.build_store``, the builder of the engine
+goldens and the contract matrix.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import MLOCStore, MLOCWriter, mloc_col, mloc_isa, mloc_iso
 from repro.datasets import gts_like, s3d_like
-from repro.pfs import SimulatedPFS
+from scripts.gen_engine_golden import build_store
 
 # Hypothesis profiles.  Per-test ``@settings`` decorators override the
 # parameters they set; everything else (notably ``derandomize``) comes
@@ -57,41 +58,28 @@ def s3d_small() -> np.ndarray:
     return s3d_like((48, 48, 48), seed=8)
 
 
-def _build(data: np.ndarray, maker, chunk_shape, **overrides):
-    fs = SimulatedPFS()
-    config = maker(
-        chunk_shape=chunk_shape,
-        n_bins=overrides.pop("n_bins", 16),
-        target_block_bytes=overrides.pop("target_block_bytes", 8 * 1024),
-        **overrides,
-    )
-    MLOCWriter(fs, "/store", config).write(data, variable="field")
-    store = MLOCStore.open(fs, "/store", "field", n_ranks=4)
-    return fs, store
-
-
 @pytest.fixture(scope="session")
 def col_store(gts_small):
     """(fs, store) for an MLOC-COL layout over the small GTS field."""
-    return _build(gts_small, mloc_col, (32, 32))
+    return build_store("col", gts_small)
 
 
 @pytest.fixture(scope="session")
 def vsm_store(gts_small):
     """MLOC-COL layout in V-S-M order (chunk-major PLoD cells)."""
-    return _build(gts_small, mloc_col, (32, 32), level_order="VSM")
+    return build_store("vsm", gts_small)
 
 
 @pytest.fixture(scope="session")
 def iso_store(gts_small):
-    return _build(gts_small, mloc_iso, (32, 32))
+    return build_store("iso", gts_small)
 
 
 @pytest.fixture(scope="session")
 def isa_store(gts_small):
-    return _build(gts_small, mloc_isa, (32, 32))
+    return build_store("isa", gts_small)
 
 
 @pytest.fixture(scope="session")
 def col_store_3d(s3d_small):
-    return _build(s3d_small, mloc_col, (16, 16, 16))
+    return build_store("col", s3d_small, chunk_shape=(16, 16, 16))

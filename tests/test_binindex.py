@@ -3,6 +3,7 @@
 import sys
 import threading
 import zlib
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -15,12 +16,19 @@ from repro.datasets import s3d_like
 from repro.index.binindex import (
     PositionBlock,
     compress_position_stream,
-    decode_position_block,
     encode_position_block,
     encode_position_cells,
 )
 from repro.pfs import SimulatedPFS
 from repro.util.varint import varint_encode_array
+
+
+def _decode(payload, counts):
+    """Per-chunk positions of a block: its positions split at its chunk
+    offsets, as fsck reads them."""
+    block = PositionBlock(payload, counts)
+    positions = block.positions()
+    return [positions[lo:hi] for lo, hi in pairwise(block.offsets)]
 
 
 def _chunks_from_sets(position_sets):
@@ -31,24 +39,24 @@ class TestRoundtrip:
     def test_basic(self):
         chunks = _chunks_from_sets([{0, 5, 6}, {2}, set(), {100, 101}])
         payload = encode_position_block(chunks)
-        out = decode_position_block(payload, np.array([3, 1, 0, 2]))
+        out = _decode(payload, np.array([3, 1, 0, 2]))
         for got, want in zip(out, chunks):
             assert np.array_equal(got, want)
 
     def test_empty_block(self):
         payload = encode_position_block([])
-        out = decode_position_block(payload, np.array([], dtype=np.int64))
+        out = _decode(payload, np.array([], dtype=np.int64))
         assert out == []
 
     def test_all_empty_chunks(self):
         payload = encode_position_block([np.array([], dtype=np.int64)] * 3)
-        out = decode_position_block(payload, np.array([0, 0, 0]))
+        out = _decode(payload, np.array([0, 0, 0]))
         assert all(a.size == 0 for a in out)
 
     def test_large_positions(self):
         chunks = [np.array([2**40, 2**40 + 1, 2**50], dtype=np.int64)]
         payload = encode_position_block(chunks)
-        out = decode_position_block(payload, np.array([3]))
+        out = _decode(payload, np.array([3]))
         assert np.array_equal(out[0], chunks[0])
 
     def test_compresses_regular_strides(self, rng):
@@ -76,17 +84,17 @@ class TestValidation:
     def test_count_mismatch_detected(self):
         payload = encode_position_block([np.array([1, 2, 3])])
         with pytest.raises(ValueError):
-            decode_position_block(payload, np.array([2]))
+            _decode(payload, np.array([2]))
 
     def test_trailing_bytes_after_the_stream_rejected(self):
         payload = encode_position_block([np.array([1, 2, 3])])
         with pytest.raises(ValueError, match="trailing"):
-            decode_position_block(payload + b"junk", np.array([3]))
+            _decode(payload + b"junk", np.array([3]))
 
     def test_truncated_stream_rejected(self):
         payload = encode_position_block([np.arange(0, 3000, 7)])
         with pytest.raises(ValueError, match="truncated"):
-            decode_position_block(payload[:-5], np.array([429]))
+            _decode(payload[:-5], np.array([429]))
 
 
 def _real_block(seed=0):
@@ -309,7 +317,7 @@ def test_roundtrip_property(position_sets):
     chunks = _chunks_from_sets(position_sets)
     payload = encode_position_block(chunks)
     counts = np.array([c.size for c in chunks])
-    out = decode_position_block(payload, counts)
+    out = _decode(payload, counts)
     assert len(out) == len(chunks)
     for got, want in zip(out, chunks):
         assert np.array_equal(got, want)

@@ -4,7 +4,8 @@ The two tentpole guarantees of ``repro.server``:
 
 * **bit-identity** — a result served through the broker (shared
   fetcher, deferred execution, sharded or flat store) is identical to
-  the same query run directly on a fresh store handle;
+  the same query run directly on a fresh store handle (the ``broker``
+  rows of ``tests/test_contract_matrix.py``);
 * **the §8 invariant** — the broker never decodes a block twice while
   any waiter exists, proven here with *no* persistent cache configured
   (so retained fetcher jobs are the only possible source of reuse).
@@ -46,6 +47,7 @@ from repro.server import (
 )
 from repro.server.replay import RETRY_S
 from scripts.gen_engine_golden import fault_plan
+from tests.test_contract_matrix import check
 
 
 @pytest.fixture(scope="module")
@@ -81,33 +83,13 @@ def _assert_identical(result, expected):
 # Bit-identity
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    def test_broker_results_match_direct_queries(self, broker_fs):
-        direct = [_open(broker_fs).query(q) for q in QUERIES]
-        core = BrokerCore(
-            _open(broker_fs, cache_bytes=4 << 20),
-            BrokerConfig(max_inflight=2),
-        )
-        reqs = [
-            core.submit(f"tenant-{i % 3}", q) for i, q in enumerate(QUERIES)
-        ]
-        core.drain()
-        for req, expected in zip(reqs, direct):
-            assert req.status == "done"
-            _assert_identical(req.result, expected)
+    """The ``broker`` rows of ``tests/test_contract_matrix.py``."""
 
-    def test_sharded_store_scatter_gather_identical(self, broker_fs):
-        direct = [_open(broker_fs).query(q) for q in QUERIES]
-        sharded = MLOCStore.open(
-            broker_fs, "/s", "f", n_shards=3, n_ranks=2, cache_bytes=4 << 20
-        )
-        core = BrokerCore(sharded, BrokerConfig(max_inflight=2))
-        reqs = [
-            core.submit(f"tenant-{i % 2}", q) for i, q in enumerate(QUERIES)
-        ]
-        core.drain()
-        for req, expected in zip(reqs, direct):
-            assert req.status == "done"
-            _assert_identical(req.result, expected)
+    def test_broker_results_match_direct_queries(self):
+        check("broker", "col")
+
+    def test_sharded_store_scatter_gather_identical(self):
+        check("broker+shards-3", "col")
 
 
 # ----------------------------------------------------------------------
@@ -315,11 +297,11 @@ class TestAdmission:
         assert est > 0
         core = BrokerCore(store, BrokerConfig(max_pending_bytes=est))
         core.submit("a", QUERIES[0])
-        assert core.pending_bytes() == est
+        assert core.stats()["pending_bytes"] == est
         with pytest.raises(BrokerRejected):
             core.submit("b", QUERIES[0])
         core.drain()
-        assert core.pending_bytes() == 0
+        assert core.stats()["pending_bytes"] == 0
         core.submit("b", QUERIES[0])  # capacity freed by completion
         core.drain()
 
@@ -360,7 +342,7 @@ class TestAdmission:
         assert [r.status for r in batch] == ["cancelled", "done"]
         totals = core.stats()["totals"]
         assert totals["cancelled"] == 1 and totals["completed"] == 1
-        assert core.pending_bytes() == 0
+        assert core.stats()["pending_bytes"] == 0
 
     def test_cache_quota_evicts_own_insertions_only(self, broker_fs):
         store = _open(broker_fs, cache_bytes=32 << 20)

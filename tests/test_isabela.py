@@ -15,6 +15,12 @@ def codec() -> IsabelaCodec:
     return IsabelaCodec(window=256, n_coeffs=16, error_rate=1e-3)
 
 
+def bound(codec: IsabelaCodec, v: np.ndarray) -> float:
+    """ISABELA's guaranteed per-point bound: half the error rate times
+    the largest magnitude."""
+    return 0.5 * codec.error_rate * float(np.abs(v).max())
+
+
 def turbulent(n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.normal(0, 0.05, n)) + 100.0 + rng.normal(0, 0.5, n)
@@ -24,12 +30,12 @@ class TestErrorBound:
     def test_bound_holds_smooth(self, codec):
         v = turbulent(4096)
         out = codec.decode(codec.encode(v), v.size)
-        assert np.abs(out - v).max() <= codec.error_bound(v) * (1 + 1e-9)
+        assert np.abs(out - v).max() <= bound(codec, v) * (1 + 1e-9)
 
     def test_bound_holds_hard_data(self, codec, rng):
         v = rng.uniform(-1000, 1000, 2048)
         out = codec.decode(codec.encode(v), v.size)
-        assert np.abs(out - v).max() <= codec.error_bound(v) * (1 + 1e-9)
+        assert np.abs(out - v).max() <= bound(codec, v) * (1 + 1e-9)
 
     def test_tighter_error_rate(self):
         v = turbulent(2048)
@@ -40,7 +46,7 @@ class TestErrorBound:
         assert err_tight < err_loose
 
     def test_empty_bound(self, codec):
-        assert codec.error_bound(np.empty(0)) == 0.0
+        assert codec.decode(codec.encode(np.empty(0)), 0).size == 0
 
 
 class TestCompressionRatio:
@@ -64,12 +70,12 @@ class TestCompressionRatio:
 class TestWindowHandling:
     def test_exact_multiple(self, codec):
         v = turbulent(512)
-        assert np.abs(codec.decode(codec.encode(v), 512) - v).max() <= codec.error_bound(v)
+        assert np.abs(codec.decode(codec.encode(v), 512) - v).max() <= bound(codec, v)
 
     def test_short_tail_window(self, codec):
         v = turbulent(256 + 100)
         out = codec.decode(codec.encode(v), v.size)
-        assert np.abs(out - v).max() <= codec.error_bound(v) * (1 + 1e-9)
+        assert np.abs(out - v).max() <= bound(codec, v) * (1 + 1e-9)
 
     def test_tail_below_fit_threshold_is_raw(self, codec):
         # Tail of 50 < 4 * n_coeffs: stored losslessly.
@@ -87,7 +93,7 @@ class TestWindowHandling:
     def test_constant_window(self, codec):
         v = np.full(512, 7.25)
         out = codec.decode(codec.encode(v), 512)
-        assert np.abs(out - v).max() <= codec.error_bound(v) * (1 + 1e-9)
+        assert np.abs(out - v).max() <= bound(codec, v) * (1 + 1e-9)
 
     def test_all_zero_window(self, codec):
         v = np.zeros(512)
@@ -164,4 +170,4 @@ def test_error_bound_property(values):
     codec = IsabelaCodec(window=128, n_coeffs=8, error_rate=1e-3)
     v = np.array(values, dtype=np.float64)
     out = codec.decode(codec.encode(v), v.size)
-    assert np.abs(out - v).max() <= codec.error_bound(v) * (1 + 1e-9) + 1e-12
+    assert np.abs(out - v).max() <= bound(codec, v) * (1 + 1e-9) + 1e-12

@@ -5,6 +5,7 @@ import pytest
 from repro.pfs.costmodel import IOStats, PFSCostModel
 from repro.pfs.layout import BinFileSet, aggregate_parallel_time
 from repro.pfs.simfs import SimulatedPFS
+from tests.test_costmodel import one_client
 
 
 class TestBinFileSet:
@@ -56,6 +57,6 @@ class TestAggregateParallelTime:
         s2 = fs.session()
         s2.open("/f").read(model.stripe_size, model.stripe_size)
         t = aggregate_parallel_time(model, [s1, s2])
-        serial = model.serial_time(IOStats(opens=1, seeks=1, bytes_read=model.stripe_size))
+        serial = one_client(model, IOStats(opens=1, seeks=1, bytes_read=model.stripe_size))
         # Two ranks on two different OSTs beat one rank doing both reads.
         assert 0 < t < 2 * serial

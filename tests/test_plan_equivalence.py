@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_iso
+from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.core.planner import PlanCache, PlanContext, QueryPlan, cell_sizes, plan_query
 from repro.datasets import gts_like
 from repro.parallel.scheduler import (
@@ -23,6 +23,7 @@ from repro.parallel.scheduler import (
     round_robin_assignment,
 )
 from repro.pfs import SimulatedPFS
+from tests.test_contract_matrix import check
 
 # ----------------------------------------------------------------------
 # Reference implementations: one (bin id, curve position, chunk id)
@@ -183,49 +184,17 @@ class TestStoreEquivalence:
                 array = column_order_assignment(plan.block_list(), n_ranks)
                 _assert_assignment_equal(seed, array)
 
-    @pytest.mark.parametrize("maker", [mloc_col, mloc_iso])
-    def test_results_identical_with_plan_cache(self, eq_field, maker):
-        """Plan cache on vs off: bit-identical results and simulated
-        seconds, with the hit/miss counters reporting correctly."""
-        config = maker((32, 32), n_bins=8, target_block_bytes=8 * 1024)
-        fs, plain = _write_store(config, eq_field, n_ranks=4)
-        cached = MLOCStore(
-            fs, plain.root, plain.meta, n_ranks=4, plan_cache=8
-        )
-        for query in QUERIES:
-            fs.clear_cache()
-            r0 = plain.query(query)
-            fs.clear_cache()
-            r1 = cached.query(query)  # miss: plans from scratch
-            fs.clear_cache()
-            r2 = cached.query(query)  # hit: served from the LRU
-            assert r0.stats["plan_cache_hits"] == 0
-            assert r0.stats["plan_cache_misses"] == 0
-            assert r1.stats["plan_cache_misses"] == 1
-            assert r2.stats["plan_cache_hits"] == 1
-            for other in (r1, r2):
-                assert np.array_equal(r0.positions, other.positions)
-                if r0.values is not None:
-                    assert np.array_equal(r0.values, other.values)
-                assert r0.times.io == other.times.io
-                assert r0.times.decompression == other.times.decompression
-                assert r0.times.communication == other.times.communication
+    @pytest.mark.parametrize("kind", ["col", "iso"], ids=["mloc_col", "mloc_iso"])
+    def test_results_identical_with_plan_cache(self, kind):
+        """Plan cache off, then a miss, then a hit: the ``plan-*`` rows
+        of ``tests/test_contract_matrix.py``."""
+        check("plan-miss", kind)
+        check("plan-hit", kind)
 
-    def test_scheduler_policies_end_to_end(self, eq_field):
-        """Both policies produce identical query results (assignment
-        only redistributes work) under the columnar pipeline."""
-        config = mloc_col((32, 32), n_bins=8, target_block_bytes=8 * 1024)
-        fs, column = _write_store(config, eq_field, n_ranks=4)
-        robin = MLOCStore(
-            fs, column.root, column.meta, n_ranks=4, scheduler="round-robin"
-        )
-        q = Query(value_range=(0.3, 0.7), output="values")
-        fs.clear_cache()
-        a = column.query(q)
-        fs.clear_cache()
-        b = robin.query(q)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.values, b.values)
+    def test_scheduler_policies_end_to_end(self):
+        """Round-robin assignment only redistributes work: the
+        ``round-robin`` row of the contract matrix."""
+        check("round-robin", "col")
 
 
 # ----------------------------------------------------------------------
