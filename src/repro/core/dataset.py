@@ -215,19 +215,12 @@ class DatasetSnapshot:
     def members(self) -> tuple[ManifestMember, ...]:
         return self.manifest.members
 
-    def variables(self) -> list[str]:
-        return sorted({m.variable for m in self.manifest.members})
-
     def timesteps(self, variable: str) -> list[int]:
         return sorted(
             m.timestep
             for m in self.manifest.members
             if m.variable == variable and m.timestep is not None
         )
-
-    def has(self, variable: str, timestep: int | None = None) -> bool:
-        key = member_key(variable, timestep)
-        return self.manifest.member(key) is not None
 
     def member(
         self, variable: str, timestep: int | None = None

@@ -16,7 +16,7 @@ from repro.pfs.faults import (
     TransientIOError,
 )
 from repro.pfs.layout import BinFileSet, aggregate_parallel_time
-from repro.pfs.simfs import FileStat, PFSSession, SimFileHandle, SimulatedPFS
+from repro.pfs.simfs import PFSSession, SimFileHandle, SimulatedPFS
 
 __all__ = [
     "BinFileSet",
@@ -25,7 +25,6 @@ __all__ = [
     "FaultInjectionLog",
     "FaultPlan",
     "FaultyPFS",
-    "FileStat",
     "IOStats",
     "PFSCostModel",
     "PFSSession",

@@ -43,7 +43,7 @@ _COST_MODEL = struct.Struct("<qqddqddd")
 _COUNT = struct.Struct("<I")
 _FILE = struct.Struct("<IQ")  # first_ost, size
 
-__all__ = ["SimulatedPFS", "PFSSession", "SimFileHandle", "FileStat"]
+__all__ = ["SimulatedPFS", "PFSSession", "SimFileHandle"]
 
 
 @dataclass
@@ -56,16 +56,6 @@ class _SimFile:
     @property
     def size(self) -> int:
         return len(self.data)
-
-
-@dataclass(frozen=True)
-class FileStat:
-    """Metadata snapshot returned by :meth:`SimulatedPFS.stat`."""
-
-    path: str
-    size: int
-    first_ost: int
-    n_stripes: int
 
 
 class _ExtentCache:
@@ -194,13 +184,6 @@ class SimulatedPFS:
         del self._files[path]
         del self._paths[bisect_left(self._paths, path)]
         self._cache.drop_file(path)
-
-    def stat(self, path: str) -> FileStat:
-        """Size and striping metadata of ``path``."""
-        f = self._require(path)
-        stripe = self.cost_model.stripe_size
-        n_stripes = (f.size + stripe - 1) // stripe
-        return FileStat(path=path, size=f.size, first_ost=f.first_ost, n_stripes=n_stripes)
 
     def size(self, path: str) -> int:
         """Current size of ``path`` in bytes."""

@@ -87,11 +87,15 @@ class TestNamespace:
                 assert handle.total_bytes(prefix) == sum(live[p] for p in want), prefix
 
     def test_stat(self, fs):
+        """A file's size, and the OST its first stripe lands on: one
+        the cost model has, drawn from the path alone."""
         fs.write_file("/s", bytes(40))
-        st = fs.stat("/s")
-        assert st.size == 40
-        assert st.n_stripes == 3  # 40 bytes over 16-byte stripes
-        assert 0 <= st.first_ost < 4
+        assert fs.size("/s") == 40
+        first = fs._files["/s"].first_ost
+        assert 0 <= first < fs.cost_model.ost_count == 4
+        fs.delete("/s")
+        fs.write_file("/s", bytes(8))
+        assert fs._files["/s"].first_ost == first
 
 
 class TestReadAccounting:
@@ -163,7 +167,7 @@ class _ReferenceReader:
         stripes = np.arange(first, last + 1, dtype=np.int64)
         starts = np.maximum(stripes * stripe, offset)
         ends = np.minimum((stripes + 1) * stripe, offset + length)
-        osts = (self.fs.stat(path).first_ost + stripes) % cost.ost_count
+        osts = (self.fs._files[path].first_ost + stripes) % cost.ost_count
         np.add.at(loads, osts, ends - starts)
         return loads
 
