@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Workload-driven layout tuning: traces + the level-order advisor.
+"""Workload-driven layout tuning: session replay + the level-order advisor.
 
 Section III-A2's user story, end to end:
 
-1. an analyst explores a dataset; their session is recorded as a query
-   trace (``QueryTrace``);
-2. the trace is replayed against candidate level orders to see what
-   the session *would have cost* under each layout;
+1. an analyst explores a dataset; their session is kept as a plain list
+   of queries;
+2. the list is replayed cold (``cold_batch``) against candidate level
+   orders to see what the session *would have cost* under each layout;
 3. the advisor distills the same decision from a declarative workload
    profile — useful before any data exists.
 
@@ -19,13 +19,7 @@ import numpy as np
 
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col
 from repro.datasets import s3d_like
-from repro.harness import (
-    QueryClass,
-    QueryTrace,
-    WorkloadProfile,
-    recommend_level_order,
-    replay_trace,
-)
+from repro.harness import QueryClass, WorkloadProfile, cold_batch, recommend_level_order
 from repro.pfs import PFSCostModel, SimulatedPFS
 
 
@@ -50,7 +44,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Record an analyst session (PLoD-heavy statistics pass).
     # ------------------------------------------------------------------
-    trace = QueryTrace()
     rng = np.random.default_rng(3)
     lo = float(np.quantile(flame, 0.97))
     session = [
@@ -62,17 +55,16 @@ def main() -> None:
         for _ in range(6)
     ] + [Query(value_range=(lo, float(flame.max())), output="positions")]
     for query in session:
-        trace.append(query)
         stores["VMS"].query(query)
-    print(f"recorded session: {len(trace)} queries")
+    print(f"recorded session: {len(session)} queries")
 
     # ------------------------------------------------------------------
-    # 2. Replay the trace under each candidate order.
+    # 2. Replay the session under each candidate order.
     # ------------------------------------------------------------------
     print(f"\n{'order':>6} {'session total (s)':>18} {'mean/query (s)':>15}")
     for order, store in stores.items():
-        total = replay_trace(store, trace).times.total
-        print(f"{order:>6} {total:>18.2f} {total / len(trace):>15.2f}")
+        total = cold_batch(store, session).times.total
+        print(f"{order:>6} {total:>18.2f} {total / len(session):>15.2f}")
 
     # ------------------------------------------------------------------
     # 3. Ask the advisor the same question declaratively.

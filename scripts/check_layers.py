@@ -80,7 +80,8 @@ executed):
    backend beside the one write pass, with its two options, and the
    one-buffer deflate probe beside the batched one, and the
    hierarchical index's WAH leaves beside the flat position index, and
-   the definitions only tests called.
+   the definitions only tests called, and the hand-written cold query
+   loops beside the harness's one ``cold_batch``.
 10. **Nothing ambient switches a handle.**  A handle is configured
    where it is opened (DESIGN.md §6), so no module under ``src/repro``
    outside ``repro/harness`` (whose two deployment settings,
@@ -175,7 +176,8 @@ EXECUTION_ONLY_PARAMS = frozenset(
 #: and one report; a published table is declared once, in the registry;
 #: a codec is configured by its name alone, and a block table's columns
 #: are named in FORMAT.md, not in a tuple nothing reads; a store is
-#: written by one serial pass with no options.
+#: written by one serial pass with no options; an experiment replays a
+#: list of queries cold through ``cold_batch``.
 DELETED_NAMES = frozenset(
     {
         "build_from_store",
@@ -286,6 +288,13 @@ DELETED_NAMES = frozenset(
         "error_bound",
         "decode_position_block",
         "FileStat",
+        # The harness's hand-written cold loops beside ``cold_batch``:
+        # the query-trace list with its JSON format and replay, and the
+        # suite's batch and averaging helpers.
+        "QueryTrace",
+        "replay_trace",
+        "average_value_times",
+        "value_query_batch",
     }
 )
 

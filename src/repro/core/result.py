@@ -56,7 +56,7 @@ class Counter(NamedTuple):
 #: The canonical ``QueryResult.stats`` counters, in aggregate-output
 #: order.  Every path that rolls per-query stats into an aggregate
 #: (``query_many``, the store's shard gather, the broker,
-#: ``replay_trace``, the CLI) folds exactly this table — a new counter
+#: ``cold_batch``, the CLI) folds exactly this table — a new counter
 #: is one new row and flows everywhere.  Non-additive values
 #: (``quarantined_blocks`` of a batch is registry state, not a
 #: per-query delta; ``n_ranks``/``backend``/``n_shards`` are
@@ -247,8 +247,8 @@ class QueryResult:
 @dataclass
 class BatchResult:
     """The answer to many queries: a
-    :meth:`~repro.core.store.MLOCStore.query_many` batch or a replayed
-    trace (:func:`repro.harness.trace.replay_trace`).
+    :meth:`~repro.core.store.MLOCStore.query_many` batch or a cold
+    replay (:func:`repro.harness.systems.cold_batch`).
 
     Attributes
     ----------

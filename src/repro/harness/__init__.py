@@ -1,5 +1,7 @@
-"""Experiment harness: dataset scales, workloads, system suites, paper
-values and the published-table registry for the per-table benchmarks."""
+"""Experiment harness: dataset scales, workloads, system suites and
+their one cold replay (:func:`cold_batch`), the level-order advisor,
+paper values and the published-table registry for the per-table
+benchmarks."""
 
 from repro.harness.advisor import (
     AdvisorReport,
@@ -8,11 +10,10 @@ from repro.harness.advisor import (
     recommend_level_order,
 )
 from repro.harness.scales import SCALE_TIERS, DatasetSpec, get_spec, scale_tier
-from repro.harness.systems import ALL_SYSTEMS, MLOC_SYSTEMS, SystemSuite, get_suite
+from repro.harness.systems import ALL_SYSTEMS, MLOC_SYSTEMS, SystemSuite, cold_batch, get_suite
 from repro.harness.asciiplot import stacked_bars
 from repro.harness.tables import PAPER, TABLES, format_rows, format_table, record_result
 from repro.harness.tables import render_result, results_dir, title_of
-from repro.harness.trace import QueryTrace, replay_trace
 from repro.harness.workloads import WorkloadGenerator
 
 __all__ = [
@@ -22,12 +23,12 @@ __all__ = [
     "MLOC_SYSTEMS",
     "PAPER",
     "QueryClass",
-    "QueryTrace",
     "SCALE_TIERS",
     "SystemSuite",
     "TABLES",
     "WorkloadGenerator",
     "WorkloadProfile",
+    "cold_batch",
     "format_rows",
     "format_table",
     "get_spec",
@@ -35,7 +36,6 @@ __all__ = [
     "recommend_level_order",
     "record_result",
     "render_result",
-    "replay_trace",
     "results_dir",
     "scale_tier",
     "stacked_bars",

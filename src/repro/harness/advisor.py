@@ -26,6 +26,7 @@ from repro.core.config import MLOCConfig
 from repro.core.query import Query
 from repro.core.store import MLOCStore
 from repro.core.writer import MLOCWriter
+from repro.harness.systems import cold_batch
 from repro.harness.workloads import WorkloadGenerator
 from repro.pfs.costmodel import PFSCostModel
 from repro.pfs.simfs import SimulatedPFS
@@ -122,11 +123,8 @@ def recommend_level_order(
         total_weight = 0.0
         for qclass, weight in profile.classes:
             queries = _make_queries(workload, qclass, n_queries)
-            total = 0.0
-            for query in queries:
-                fs.clear_cache()
-                total += store.query(query).times.total
-            mean = total / len(queries)
+            batch = cold_batch(store, queries)
+            mean = sum(result.times.total for result in batch) / len(queries)
             class_means.append(mean)
             weighted += weight * mean
             total_weight += weight

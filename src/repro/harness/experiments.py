@@ -16,9 +16,8 @@ import time
 import numpy as np
 
 from repro.core import BatchResult, ComponentTimes, Query
-from repro.harness.systems import ALL_SYSTEMS, SystemSuite
+from repro.harness.systems import ALL_SYSTEMS, SystemSuite, cold_batch
 from repro.harness.tables import PAPER
-from repro.harness.trace import QueryTrace, replay_trace
 
 __all__ = [
     "table1_rows",
@@ -124,7 +123,10 @@ def fig6_rows(suite: SystemSuite, n_queries: int) -> dict[str, list]:
     rows = {}
     regions = suite.workload.region_constraints(0.001, n_queries)
     for system in _512G_SYSTEMS:
-        rows[system] = _cells(suite.average_value_times(system, regions)[0])
+        total = ComponentTimes()
+        for region in regions:
+            total = total + suite.value_query(system, region).times
+        rows[system] = _cells(total, len(regions))
     return rows
 
 
@@ -135,7 +137,7 @@ def _cells(times: ComponentTimes, k: int = 1) -> list:
 
 
 def _mean_cells(report: BatchResult) -> list:
-    """Per-query mean cells of a replayed batch."""
+    """Per-query mean cells of a cold batch."""
     return _cells(report.times, len(report))
 
 
@@ -147,9 +149,9 @@ def fig7_rows(
     """Fig. 7: scalability of 10% value queries over rank counts."""
     base = suite.store("mloc-iso")
     regions = suite.workload.region_constraints(0.10, max(2, n_queries // 2))
-    trace = QueryTrace([Query(region=region, output="values") for region in regions])
+    queries = [Query(region=region, output="values") for region in regions]
     return {
-        f"{n_ranks} ranks": _mean_cells(replay_trace(base.with_ranks(n_ranks), trace))
+        f"{n_ranks} ranks": _mean_cells(cold_batch(base.with_ranks(n_ranks), queries))
         for n_ranks in ranks
     }
 
@@ -170,14 +172,20 @@ def batch_pipeline_rows(
     batch must come out lower — each shared block is read and decoded
     once instead of once per query.
     """
+    store = suite.store(system)
     regions = suite.workload.overlapping_region_constraints(selectivity, n_queries)
+    queries = [
+        Query(region=tuple(region), output="values", plod_level=plod_level)
+        for region in regions
+    ]
     t0 = time.perf_counter()
-    cold = ComponentTimes()
-    for region in regions:
-        cold = cold + suite.value_query(system, region, plod_level=plod_level).times
+    cold = cold_batch(store, queries).times
     cold_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batch = suite.value_query_batch(system, regions, plod_level=plod_level)
+    # One cache clear at batch start: a block several queries share is
+    # read and decoded once by the batch's one fetcher.
+    suite.fs.clear_cache()
+    batch = store.query_many(queries)
     batch_wall = time.perf_counter() - t0
     rows = {
         label: [round(x, 3) for x in (t.io, t.decompression, t.io + t.decompression, wall)]
@@ -228,12 +236,11 @@ def sharded_scaling_rows(
     for n in shard_counts:
         sharded = MLOCStore(suite.fs, base.root, base.meta, n_shards=n, n_ranks=1)
         widest = sharded
-        suite.fs.clear_cache()
-        # One query at a time: the sweep measures cold per-query
+        # One cold query at a time: the sweep measures cold per-query
         # service, which a batch's shared fetcher would hide.
-        results = [sharded.query(q) for q in queries]
-        io = sum(r.times.io for r in results)
-        dec = sum(r.times.decompression for r in results)
+        batch = cold_batch(sharded, queries)
+        results = batch.results
+        io, dec = batch.times.io, batch.times.decompression
         if reference is None:
             reference, base_io_dec = results, io + dec
         identical = identical and _same_answers(results, reference)
@@ -344,12 +351,9 @@ def coalescing_rows(
 
     base = suite.store(system)
     regions = suite.workload.region_constraints(0.01, max(n_queries, 2))
-    trace = QueryTrace(
-        [
-            Query(region=region, output="values", plod_level=plod_level)
-            for region in regions
-        ]
-    )
+    queries = [
+        Query(region=region, output="values", plod_level=plod_level) for region in regions
+    ]
     rows = {}
     outputs: dict[str, list] = {}
     for label, gap_bytes in (("one read per block", 0), (f"coalesce_gap={gap}", gap)):
@@ -357,7 +361,7 @@ def coalescing_rows(
             suite.fs, base.root, base.meta,
             n_ranks=suite.n_ranks, coalesce_gap=gap_bytes,
         )
-        report = replay_trace(store, trace)
+        report = cold_batch(store, queries)
         seeks, bytes_read, coalesced = (
             sum(int(r.stats[key]) for r in report.results)
             for key in ("seeks", "bytes_read", "coalesced_reads")
@@ -409,11 +413,9 @@ def progressive_rows(
         bytes_reused = session.bytes_reused
 
     fresh_store = MLOCStore(suite.fs, base.root, base.meta, n_ranks=suite.n_ranks)
-    independent = replay_trace(
+    independent = cold_batch(
         fresh_store,
-        QueryTrace(
-            [Query(region=region, output="values", plod_level=level) for level in levels]
-        ),
+        [Query(region=region, output="values", plod_level=level) for level in levels],
     ).results
 
     rows = {}
@@ -452,8 +454,8 @@ def fig8_rows(
     regions = suite.workload.region_constraints(0.01, n_queries)
     rows = {}
     for level in levels:
-        trace = QueryTrace(
-            [Query(region=region, output="values", plod_level=level) for region in regions]
-        )
-        rows[f"PLoD {level} ({level + 1}B)"] = _mean_cells(replay_trace(store, trace))
+        queries = [
+            Query(region=region, output="values", plod_level=level) for region in regions
+        ]
+        rows[f"PLoD {level} ({level + 1}B)"] = _mean_cells(cold_batch(store, queries))
     return rows

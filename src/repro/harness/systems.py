@@ -12,19 +12,20 @@ simulated PFS:
 * ``scidb``  — overlap-replicated chunk store.
 
 and provides uniform query dispatch with the paper's cold-cache
-protocol (the file cache is cleared before every query).
+protocol (the file cache is cleared before every query);
+:func:`cold_batch` runs a list of queries on one MLOC store that way.
 """
 
 from __future__ import annotations
 
 from repro.baselines import FastBitStore, SciDBStore, SeqScanStore
 from repro.core import MLOCStore, MLOCWriter, Query, mloc_col, mloc_isa, mloc_iso
-from repro.core.result import BatchResult, ComponentTimes, QueryResult
+from repro.core.result import BatchResult, QueryResult
 from repro.harness.scales import DatasetSpec
 from repro.harness.workloads import WorkloadGenerator
 from repro.pfs import PFSCostModel, SimulatedPFS
 
-__all__ = ["SystemSuite", "get_suite", "MLOC_SYSTEMS", "ALL_SYSTEMS"]
+__all__ = ["SystemSuite", "get_suite", "cold_batch", "MLOC_SYSTEMS", "ALL_SYSTEMS"]
 
 MLOC_SYSTEMS = ("mloc-col", "mloc-iso", "mloc-isa")
 ALL_SYSTEMS = MLOC_SYSTEMS + ("seqscan", "fastbit", "scidb")
@@ -123,19 +124,6 @@ class SystemSuite:
             )
         return store.value_query(tuple(region))
 
-    def value_query_batch(
-        self, system: str, regions, plod_level: int = 7
-    ) -> BatchResult:
-        """A batch of spatial value retrievals on an MLOC system, run as
-        one :meth:`MLOCStore.query_many` pipeline: one cache clear at
-        batch start, shared block fetcher — a block covered by several
-        queries of the batch is decoded once."""
-        store = self.store(system)
-        self.fs.clear_cache()
-        return store.query_many(
-            [Query(region=tuple(r), output="values", plod_level=plod_level) for r in regions]
-        )
-
     def storage_bytes(self, system: str) -> dict[str, int]:
         """``{"data": ..., "index": ...}`` accounting for Table I."""
         store = self.store(system)
@@ -147,28 +135,17 @@ class SystemSuite:
             }
         return store.storage_bytes()
 
-    # ------------------------------------------------------------------
-    def average_value_times(
-        self, system: str, constraints, plod_level: int = 7
-    ) -> tuple[ComponentTimes, float]:
-        """Mean component times (and result count) of the value queries
-        over a workload."""
-        total = ComponentTimes()
-        n_results = 0.0
-        for c in constraints:
-            result = self.value_query(system, c, plod_level=plod_level)
-            total = total + result.times
-            n_results += result.n_results
-        k = max(len(constraints), 1)
-        return (
-            ComponentTimes(
-                io=total.io / k,
-                decompression=total.decompression / k,
-                reconstruction=total.reconstruction / k,
-                communication=total.communication / k,
-            ),
-            n_results / k,
-        )
+
+def cold_batch(store: MLOCStore, queries) -> BatchResult:
+    """Run ``queries`` on ``store`` one at a time, each on a freshly
+    cleared ``store.fs`` cache (the paper's protocol), summarized as one
+    :class:`~repro.core.result.BatchResult`: times summed in order,
+    stats folded, plus the store's ``quarantined_blocks``."""
+    results = []
+    for query in queries:
+        store.fs.clear_cache()
+        results.append(store.query(query))
+    return BatchResult.of(results, quarantined_blocks=len(store.quarantined_blocks))
 
 
 _SUITES: dict[tuple[str, int, int], SystemSuite] = {}

@@ -230,7 +230,9 @@ class MLOCDataset:
 def test_a_reintroduced_test_only_door_is_a_violation():
     found = deleted_name_violations(ast.parse(TEST_ONLY_DOORS), "x.py")
     named = [v.split(": ")[1].split(" ")[0] for v in found]
-    assert named == ["TracingStore", "for_store", "refresh", "_generations_seen"]
+    assert named == [
+        "QueryTrace", "TracingStore", "for_store", "refresh", "_generations_seen",
+    ]
     assert found[0].startswith("x.py:2:")
 
 
@@ -382,6 +384,27 @@ def test_a_reintroduced_test_only_definition_is_a_violation():
     found = deleted_name_violations(ast.parse(TEST_ONLY_DEFS), "fsck.py")
     names = [v.split(": ")[1].split()[0] for v in found]
     assert names == ["decode_position_block", "serial_time"]
+
+
+HAND_WRITTEN_COLD_LOOPS = """
+from repro.harness.trace import QueryTrace, replay_trace
+
+
+class SystemSuite:
+    def value_query_batch(self, system, regions, plod_level=7):
+        return self.store(system).query_many(regions)
+
+    def average_value_times(self, system, constraints, plod_level=7):
+        return replay_trace(self.store(system), QueryTrace(constraints))
+"""
+
+
+def test_a_reintroduced_cold_loop_is_a_violation():
+    found = deleted_name_violations(ast.parse(HAND_WRITTEN_COLD_LOOPS), "systems.py")
+    assert [v.split(": ")[1].split()[0] for v in found] == [
+        "QueryTrace", "replay_trace", "value_query_batch", "average_value_times",
+    ]
+    assert found[0].startswith("systems.py:2:")
 
 
 LEAFY_HBI = """

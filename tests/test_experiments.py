@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import MLOCStore, Query
 from repro.harness import get_spec, get_suite
 from repro.harness.experiments import (
     fig6_rows,
     fig8_rows,
+    sharded_scaling_rows,
     table1_rows,
     table2_rows,
 )
@@ -54,3 +56,20 @@ class TestFigureRows:
         rows = fig8_rows(suite_8g, 1, levels=(1, 4, 7))
         ios = [rows[f"PLoD {lvl} ({lvl + 1}B)"][0] for lvl in (1, 4, 7)]
         assert ios[0] < ios[1] < ios[2]
+
+    def test_shard_sweep_is_cold_per_query(self, suite_8g):
+        """Each shard count's ``io`` is the sum of its queries run one
+        at a time, every one on a freshly cleared cache."""
+        rows, _ = sharded_scaling_rows(suite_8g, shard_counts=(1, 2), n_queries=2)
+        base = suite_8g.store("mloc-col")
+        queries = [
+            Query(value_range=tuple(c), output="values")
+            for c in suite_8g.workload.value_constraints(0.5, 2)
+        ]
+        for n in (1, 2):
+            sharded = MLOCStore(suite_8g.fs, base.root, base.meta, n_shards=n, n_ranks=1)
+            io = 0.0
+            for query in queries:
+                suite_8g.fs.clear_cache()
+                io += sharded.query(query).times.io
+            assert rows[f"{n} shards"][0] == round(io, 4)

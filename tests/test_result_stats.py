@@ -1,7 +1,7 @@
 """The canonical counter table and its aggregators.
 
 Every path that folds per-query ``QueryResult.stats`` into an aggregate
-(``query_many``, the broker, ``replay_trace``, the CLI) consumes the
+(``query_many``, the broker, ``cold_batch``, the CLI) consumes the
 single table in :mod:`repro.core.result` instead of maintaining its own
 key list — the pre-registry ``query_many`` silently dropped
 ``stall_seconds`` and ``cache_hit_raw_bytes``, exactly the drift this
