@@ -19,7 +19,13 @@ Asserted, not just recorded:
   appends are still landing (the snapshot-pinning story), and each
   result is bit-identical to a fresh open pinned at that generation;
 * one append touches only the new member's directory plus one new
-  immutable manifest file — no whole-dataset index is rebuilt.
+  immutable manifest file — no whole-dataset index is rebuilt;
+* the manifest work of an append does not grow with the campaign:
+  ``manifest_scaling`` records the manifest bytes written and parsed
+  per append, and their share of stored bytes, at generations 10, 100
+  and 1 000 of a 96² campaign in the e2e benchmark's layout, and fails
+  when the share at 1 000 exceeds 3 % or an append parses more at a
+  later generation.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import math
 import numpy as np
 
 from repro.core import MLOCDataset, Query, mloc_col
+from repro.core.manifest import CHECKPOINT_EVERY, manifest_path
 from repro.datasets import gts_like
 from repro.harness import record_result
 from repro.pfs import SimulatedPFS
@@ -184,6 +191,68 @@ def test_append_touches_only_new_member_and_manifest():
         "new_manifest_files": len(new_manifests),
         "preexisting_files_changed": 0,
     }
+
+
+class _CountingPFS(SimulatedPFS):
+    """Counts the bytes read from and written to manifest files."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.manifest_read = self.manifest_written = 0
+
+    def _make_handle(self, session, path):
+        handle = super()._make_handle(session, path)
+        if "/manifest.g" in path:
+            read = handle.read
+
+            def counted(offset, length):
+                self.manifest_read += length
+                return read(offset, length)
+
+            handle.read = counted
+        return handle
+
+    def write_file(self, path, data):
+        if "/manifest.g" in path:
+            self.manifest_written += len(data)
+        super().write_file(path, data)
+
+
+SCALING_AT = (10, 100, 1000)
+SCALING_MAX_SHARE = 0.03
+
+
+def test_manifest_scaling():
+    """Manifest bytes per append stay flat over a 1 000-timestep campaign
+    (96², 32x32 chunks, 32 bins: the e2e ``ingest_append`` layout)."""
+    fs = _CountingPFS()
+    config = mloc_col(chunk_shape=(32, 32), n_bins=32)
+    dataset = MLOCDataset(fs, "/ds", config, n_ranks=4)
+    fields = [gts_like((96, 96), seed=s) for s in range(10)]
+    rows = {}
+    for t in range(max(SCALING_AT)):
+        dataset.append(fields[t % len(fields)], "phi", t)
+        generation = t + 1
+        if generation not in SCALING_AT:
+            continue
+        parsed = fs.manifest_read
+        MLOCDataset(fs, "/ds", config, n_ranks=4).snapshot()  # a fresh handle
+        manifest_bytes = fs.total_bytes("/ds/manifest.g")
+        stored = fs.total_bytes("/ds/")
+        rows[str(generation)] = [
+            round(fs.manifest_written / generation, 1),
+            round(parsed / generation, 1),
+            fs.size(manifest_path("/ds", generation)),
+            fs.manifest_read - parsed,
+            manifest_bytes,
+            stored,
+            round(manifest_bytes / stored, 5),
+        ]
+        fs.manifest_read = parsed
+    parsed_per_append, last_written = ({row[i] for row in rows.values()} for i in (1, 2))
+    assert len(parsed_per_append) == 1 and len(last_written) == 1
+    assert rows[str(max(SCALING_AT))][-1] <= SCALING_MAX_SHARE
+    RESULTS["manifest_scaling"] = {"checkpoint_every": CHECKPOINT_EVERY, "rows": rows}
 
 
 def teardown_module(module) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import typing
 
@@ -480,15 +481,39 @@ def _cmd_info(args) -> int:
         print("no MLOC stores in snapshot")
         return 1
     print(f"{'store':40s} {'shape':>16s} {'order':>6s} {'bins':>5s} {'bytes':>12s}")
+    raw = 0
     for meta_path in metas:
         var_root = meta_path[: -len("/meta")]
         meta = StoreMeta.load(fs, var_root)
         total = fs.total_bytes(var_root + "/")
+        raw += 8 * math.prod(meta.shape)  # float64 values
         print(
             f"{var_root:40s} {str(meta.shape):>16s} "
             f"{meta.config.level_order:>6s} {meta.config.n_bins:>5d} {total:>12d}"
         )
+    # Stored bytes per record kind, as a fraction of the raw float64 arrays.
+    kinds = dict.fromkeys(_RECORD_KINDS, 0)
+    for path in fs.list_files():
+        kinds[_record_kind(path.rsplit("/", 1)[-1])] += fs.size(path)
+    print(f"\n{'record':12s} {'bytes':>12s} {'of raw':>8s}")
+    for kind, size in kinds.items():
+        if size or kind != "other":
+            print(f"{kind:12s} {size:>12d} {size / raw:>8.2%}")
+    stored = sum(kinds.values())
+    print(f"{'stored':12s} {stored:>12d} {stored / raw:>8.2%}")
     return 0
+
+
+_RECORD_KINDS = ("bin*.data", "bin*.index", "meta", "hbi", "peb", "manifest.g*", "other")
+
+
+def _record_kind(name: str) -> str:
+    """The :data:`_RECORD_KINDS` entry of a file's base name."""
+    if name.startswith("bin") and name.endswith((".data", ".index")):
+        return "bin*" + name[name.rindex(".") :]
+    if name.startswith("manifest.g"):
+        return "manifest.g*"
+    return name if name in ("meta", "hbi", "peb") else "other"
 
 
 def _cmd_fsck(args) -> int:

@@ -36,6 +36,7 @@ from repro.core.manifest import (
     Manifest,
     ManifestError,
     ManifestMember,
+    advance_manifest,
     commit_manifest,
     load_manifest,
     load_manifest_at,
@@ -94,14 +95,16 @@ class MLOCDataset:
 
         The member's subfiles (bins, metadata, per-member ``hbi``/
         ``peb``) are written first through the ordinary one-pass
-        writer, then ``manifest.g<N+1>`` is committed in one write.
+        writer, then ``manifest.g<N+1>`` is committed in one write: the
+        delta of this member on top of the generation the handle holds.
+        Only generations another handle committed since are read.
         A crash before the commit leaves only orphaned files that no
         generation references (``fsck --dataset`` reports them); a torn
         commit leaves an unreadable manifest that readers skip — either
         way generation ``N`` stays fully readable.
         """
         key = member_key(variable, timestep)
-        current = load_manifest(self.fs, self.root)
+        current = self._latest()
         if current.member(key) is not None:
             raise ManifestError(
                 f"member {key!r} already sealed in generation "
@@ -116,9 +119,19 @@ class MLOCDataset:
             total_bytes=report.total_bytes,
         )
         manifest = current.with_member(member)
-        commit_manifest(self.fs, self.root, manifest)
+        commit_manifest(self.fs, self.root, manifest, parent=current)
         self._manifest = manifest
         return report
+
+    def _latest(self) -> Manifest:
+        """The newest committed generation: the manifest this handle
+        holds, advanced over generations committed since (a handle's
+        first call loads the chain)."""
+        if self._manifest is None:
+            self._manifest = load_manifest(self.fs, self.root)
+        else:
+            self._manifest = advance_manifest(self.fs, self.root, self._manifest)
+        return self._manifest
 
     # ------------------------------------------------------------------
     def _open_member(self, key: str, expect_crc: int, **overrides) -> MLOCStore:
@@ -171,13 +184,13 @@ class MLOCDataset:
     def snapshot(self, generation: int | None = None) -> "DatasetSnapshot":
         """Pin a snapshot: the member set of exactly one generation.
 
-        Default is the newest committed generation on disk; passing
+        Default is the newest committed generation on disk (the held
+        manifest when no newer one exists); passing
         ``generation`` re-opens a specific one (the fresh-open view the
         snapshot-isolation property tests bit-compare against).
         """
         if generation is None:
-            manifest = load_manifest(self.fs, self.root)
-            self._manifest = manifest
+            manifest = self._latest()
         else:
             manifest = load_manifest_at(self.fs, self.root, generation)
         return DatasetSnapshot(self, manifest)

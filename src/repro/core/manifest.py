@@ -9,10 +9,21 @@ generation-numbered **manifest files**:
 
 ``<root>/manifest.g<NNNNNNNN>``
     Generation ``N`` of the dataset, written in one
-    :meth:`~repro.pfs.simfs.SimulatedPFS.write_file` call.  It lists
-    every member sealed at or before ``N`` — the key, timestep, the
-    CRC32 of the member's metadata file (pinning the exact sealed
-    bytes), and its storage footprint.
+    :meth:`~repro.pfs.simfs.SimulatedPFS.write_file` call.  Most
+    generations are a **delta**: the members generation ``N`` seals,
+    plus the generation and record CRC of its parent ``N - 1``.  Every
+    :data:`CHECKPOINT_EVERY`-th generation is a **checkpoint**: the
+    same header plus every member sealed at or before ``N``.  A member
+    entry is its key, timestep, the CRC of its metadata record
+    (pinning the exact sealed bytes), and its storage footprint.
+
+Generation ``N`` resolves from the nearest checkpoint at or below it
+plus at most ``CHECKPOINT_EVERY - 1`` deltas, each of which must name
+the record CRC of the generation before it; generation 0 is the empty
+checkpoint every chain starts from, and is never written.  An append
+therefore writes one small record, and reads nothing when its handle
+already holds the parent (:func:`advance_manifest`): its cost does
+not grow with the dataset's length.
 
 The commit protocol (FORMAT.md, "Dataset manifests"):
 
@@ -20,13 +31,14 @@ The commit protocol (FORMAT.md, "Dataset manifests"):
    one-pass writer (data/index bins, ``meta``, ``hbi``,
    ``peb`` — the per-member records are built at seal time, so no
    whole-dataset index is ever rebuilt);
-2. write ``manifest.g<N+1>`` = previous members + the new member.
+2. write ``manifest.g<N+1>``: the new member, on top of generation
+   ``N``'s record CRC.
 
 A crash anywhere leaves every previously committed generation intact:
 step 1 produces only *orphaned* files no manifest references, and a
 torn step 2 produces a manifest file whose CRC does not verify, which
 readers skip (``load_manifest`` returns the newest generation that
-parses).  Readers that pin a generation therefore see a frozen,
+resolves).  Readers that pin a generation therefore see a frozen,
 bit-identical member set no matter how many appends land concurrently
 — the snapshot-isolation invariant DESIGN.md §9 builds on.
 
@@ -45,30 +57,45 @@ all depend on it without cycles.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.pfs.simfs import SimulatedPFS
-from repro.util.record import FormatError, RecordReader, frame, text_field
+from repro.util.record import FormatError, RecordReader, frame, record_crc, text_field
 
 __all__ = [
+    "CHECKPOINT_EVERY",
     "MANIFEST_MAGIC",
     "MANIFEST_VERSION",
     "Manifest",
     "ManifestError",
     "ManifestMember",
+    "ManifestRecord",
+    "advance_manifest",
     "commit_manifest",
     "load_manifest",
     "load_manifest_at",
+    "load_manifest_record",
     "manifest_generations",
     "manifest_path",
     "member_key",
 ]
 
 MANIFEST_MAGIC = b"MLOCMAN\x00"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+#: Every ``CHECKPOINT_EVERY``-th generation is written in full; the
+#: ones between are deltas.  Checkpoints make the stored manifest bytes
+#: grow as N² / (2 K) member entries, and a reader replays at most
+#: K − 1 deltas: at K = 16 the manifests of a 1 000-generation 96²
+#: campaign are 1.8 % of its stored bytes (K = 8 would be 3.6 %;
+#: ``benchmarks/test_insitu_ingest.py``, ``manifest_scaling``).
+CHECKPOINT_EVERY = 16
 
-_HEADER = struct.Struct("<qI")  # generation, n_members
+# generation, parent generation, parent record CRC, kind, n_members
+_HEADER = struct.Struct("<qqIBI")
 _MEMBER_FIXED = struct.Struct("<qqIq")  # timestep, sealed_gen, meta_crc, bytes
+_MIN_MEMBER = 2 + _MEMBER_FIXED.size  # an empty key and the fixed fields
+_DELTA, _CHECKPOINT = 0, 1  # the header's kind
 
 
 class ManifestError(FormatError):
@@ -100,61 +127,40 @@ class ManifestMember:
 
 
 @dataclass(frozen=True)
-class Manifest:
-    """One immutable generation of a dataset: its sealed member set."""
+class ManifestRecord:
+    """One manifest file, decoded but not yet resolved against its chain."""
 
     generation: int
-    members: tuple[ManifestMember, ...] = ()
+    #: Record CRC of generation ``generation - 1`` (of the never-written
+    #: empty checkpoint for generation 1).
+    parent_crc: int
+    #: A checkpoint lists every member; a delta only those it seals.
+    checkpoint: bool
+    members: tuple[ManifestMember, ...]
+    #: This record's own CRC: what generation ``generation + 1`` names.
+    crc: int
 
-    # ------------------------------------------------------------------
-    def member(self, key: str) -> ManifestMember | None:
-        """The member sealed under ``key``, or ``None``."""
-        for m in self.members:
-            if m.key == key:
-                return m
-        return None
-
-    def keys(self) -> set[str]:
-        return {m.key for m in self.members}
-
-    def with_member(self, member: ManifestMember) -> "Manifest":
-        """The next generation: this member set plus one new seal."""
-        if self.member(member.key) is not None:
-            raise ManifestError(
-                f"member {member.key!r} already sealed in generation "
-                f"{self.generation}"
-            )
-        if member.sealed_generation != self.generation + 1:
-            raise ManifestError(
-                f"member {member.key!r} sealed_generation "
-                f"{member.sealed_generation} != next generation "
-                f"{self.generation + 1}"
-            )
-        return Manifest(self.generation + 1, self.members + (member,))
-
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        fields = [_HEADER.pack(self.generation, len(self.members))]
-        for m in self.members:
-            fields.append(text_field(m.key))
-            fields.append(
-                _MEMBER_FIXED.pack(
-                    -1 if m.timestep is None else m.timestep,
-                    m.sealed_generation,
-                    m.meta_crc,
-                    m.total_bytes,
-                )
-            )
-        return frame(MANIFEST_MAGIC, MANIFEST_VERSION, *fields)
+    def added(self) -> tuple[ManifestMember, ...]:
+        """The members this generation seals."""
+        g = self.generation
+        return tuple(m for m in self.members if m.sealed_generation == g)
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "Manifest":
+    def from_bytes(cls, raw: bytes) -> "ManifestRecord":
         reader = RecordReader(
             raw, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest", ManifestError
         )
-        generation, n_members = reader.unpack(_HEADER)
+        generation, parent, parent_crc, kind, n_members = reader.unpack(_HEADER)
         if generation < 0:
-            raise ManifestError(f"negative generation {generation}")
+            reader.fail(f"negative generation {generation}")
+        if parent != generation - 1:
+            reader.fail(f"generation {generation} names parent generation {parent}")
+        if kind not in (_DELTA, _CHECKPOINT):
+            reader.fail(f"unknown record kind {kind}")
+        # Bound the count by the bytes left before looping over it.
+        if n_members * _MIN_MEMBER > len(raw) - _HEADER.size:
+            reader.fail(f"truncated: {n_members} members cannot fit {len(raw)} bytes")
+        lowest = 1 if kind == _CHECKPOINT else generation
         members: list[ManifestMember] = []
         last_sealed = 0
         seen: set[str] = set()
@@ -162,15 +168,15 @@ class Manifest:
             key = reader.text()
             timestep, sealed_gen, meta_crc, total_bytes = reader.unpack(_MEMBER_FIXED)
             if key in seen:
-                raise ManifestError(f"duplicate member key {key!r}")
+                reader.fail(f"duplicate member key {key!r}")
             seen.add(key)
-            if not 0 < sealed_gen <= generation:
-                raise ManifestError(
+            if not lowest <= sealed_gen <= generation:
+                reader.fail(
                     f"member {key!r}: sealed_generation {sealed_gen} outside "
-                    f"(0, {generation}]"
+                    f"[{lowest}, {generation}]"
                 )
             if sealed_gen < last_sealed:
-                raise ManifestError(
+                reader.fail(
                     f"member {key!r}: seal order not monotone "
                     f"({sealed_gen} after {last_sealed})"
                 )
@@ -185,7 +191,127 @@ class Manifest:
                 )
             )
         reader.done()
-        return cls(generation, tuple(members))
+        return cls(
+            generation, parent_crc, kind == _CHECKPOINT, tuple(members), record_crc(raw)
+        )
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """One immutable generation of a dataset: its sealed member set.
+
+    Two manifests are equal when their generation and members are;
+    ``parent_crc`` only says which record this one's delta extends.
+    """
+
+    generation: int
+    members: tuple[ManifestMember, ...] = ()
+    #: Record CRC of generation ``generation - 1`` (:attr:`record_crc`).
+    parent_crc: int = field(default=0, compare=False, repr=False)
+
+    # ------------------------------------------------------------------
+    @cached_property
+    def _by_key(self) -> dict[str, ManifestMember]:
+        return {m.key: m for m in self.members}
+
+    def member(self, key: str) -> ManifestMember | None:
+        """The member sealed under ``key``, or ``None``."""
+        return self._by_key.get(key)
+
+    def keys(self) -> set[str]:
+        return set(self._by_key)
+
+    def with_member(self, member: ManifestMember) -> "Manifest":
+        """The next generation: this member set plus one new seal."""
+        if self.member(member.key) is not None:
+            raise ManifestError(
+                f"member {member.key!r} already sealed in generation "
+                f"{self.generation}"
+            )
+        if member.sealed_generation != self.generation + 1:
+            raise ManifestError(
+                f"member {member.key!r} sealed_generation "
+                f"{member.sealed_generation} != next generation "
+                f"{self.generation + 1}"
+            )
+        return Manifest(
+            self.generation + 1, self.members + (member,), parent_crc=self.record_crc
+        )
+
+    # ------------------------------------------------------------------
+    @cached_property
+    def record_crc(self) -> int:
+        """The CRC of the record this generation is written as; the next
+        generation's delta names it."""
+        return record_crc(self.to_bytes())
+
+    def to_bytes(self) -> bytes:
+        """The record of this generation: a checkpoint every
+        :data:`CHECKPOINT_EVERY` generations, else the delta of the
+        members it seals on top of ``parent_crc``."""
+        g = self.generation
+        checkpoint = g % CHECKPOINT_EVERY == 0
+        members = (
+            self.members
+            if checkpoint
+            else [m for m in self.members if m.sealed_generation == g]
+        )
+        kind = _CHECKPOINT if checkpoint else _DELTA
+        fields = [_HEADER.pack(g, g - 1, self.parent_crc, kind, len(members))]
+        for m in members:
+            fields.append(text_field(m.key))
+            fields.append(
+                _MEMBER_FIXED.pack(
+                    -1 if m.timestep is None else m.timestep,
+                    m.sealed_generation,
+                    m.meta_crc,
+                    m.total_bytes,
+                )
+            )
+        return frame(MANIFEST_MAGIC, MANIFEST_VERSION, *fields)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes, parent: "Manifest | None" = None) -> "Manifest":
+        """Resolve one record on top of ``parent`` (default: the empty
+        generation 0).  A delta must name ``parent``'s generation and
+        record CRC and seal only keys ``parent`` lacks; a checkpoint
+        stands alone, but when ``parent`` is given it must name it too.
+        """
+        return cls.from_record(ManifestRecord.from_bytes(raw), parent)
+
+    @classmethod
+    def from_record(
+        cls, record: ManifestRecord, parent: "Manifest | None" = None
+    ) -> "Manifest":
+        """:meth:`from_bytes` of an already decoded record."""
+        g = record.generation
+        if parent is None and not record.checkpoint:
+            parent = Manifest(0)
+        if parent is not None:
+            if parent.generation != g - 1:
+                raise ManifestError(
+                    f"manifest: generation {g} cannot extend generation "
+                    f"{parent.generation}"
+                )
+            if record.parent_crc != parent.record_crc:
+                raise ManifestError(
+                    f"manifest: generation {g} names parent CRC "
+                    f"{record.parent_crc:#010x}, generation {g - 1} has "
+                    f"{parent.record_crc:#010x}"
+                )
+        if record.checkpoint:
+            manifest = cls(g, record.members, parent_crc=record.parent_crc)
+        else:
+            for m in record.members:
+                if parent.member(m.key) is not None:
+                    raise ManifestError(
+                        f"manifest: generation {g} seals {m.key!r} again"
+                    )
+            manifest = cls(g, parent.members + record.members, parent_crc=record.parent_crc)
+        # The CRC of the bytes on disk, not of a re-encoding: the next
+        # delta must name the record that was read.
+        manifest.__dict__["record_crc"] = record.crc
+        return manifest
 
 
 # ----------------------------------------------------------------------
@@ -226,24 +352,51 @@ def _read(fs: SimulatedPFS, path: str) -> bytes:
     return bytes(fs.session().open(path).read_all())
 
 
-def load_manifest_at(fs: SimulatedPFS, root: str, generation: int) -> Manifest:
-    """The exact generation, or :class:`ManifestError` if absent/torn."""
-    if generation == 0:
-        return Manifest(0, ())
+def load_manifest_record(fs: SimulatedPFS, root: str, generation: int) -> ManifestRecord:
+    """Generation ``generation``'s record, or :class:`ManifestError`."""
     path = manifest_path(root, generation)
     if not fs.exists(path):
         raise ManifestError(f"no manifest for generation {generation} at {path}")
-    manifest = Manifest.from_bytes(_read(fs, path))
-    if manifest.generation != generation:
+    record = ManifestRecord.from_bytes(_read(fs, path))
+    if record.generation != generation:
         raise ManifestError(
-            f"{path}: records generation {manifest.generation}, "
+            f"{path}: records generation {record.generation}, "
             f"filename says {generation}"
         )
-    return manifest
+    return record
+
+
+def load_manifest_at(fs: SimulatedPFS, root: str, generation: int) -> Manifest:
+    """The exact generation, or :class:`ManifestError` if it does not
+    resolve: a record on its chain is absent or torn, a parent CRC does
+    not match, or it lies more than ``CHECKPOINT_EVERY - 1`` deltas past
+    a checkpoint."""
+    if generation == 0:
+        return Manifest(0)
+    deltas: list[ManifestRecord] = []
+    base: Manifest | None = None
+    g = generation
+    while base is None:
+        record = load_manifest_record(fs, root, g)
+        if record.checkpoint:
+            base = Manifest.from_record(record)
+        elif len(deltas) == CHECKPOINT_EVERY - 1:
+            raise ManifestError(
+                f"manifest: generation {generation} lies more than "
+                f"{CHECKPOINT_EVERY - 1} deltas past a checkpoint"
+            )
+        else:
+            deltas.append(record)
+            g -= 1
+            if g == 0:
+                base = Manifest(0)
+    for record in reversed(deltas):
+        base = Manifest.from_record(record, base)
+    return base
 
 
 def load_manifest(fs: SimulatedPFS, root: str) -> Manifest:
-    """The newest generation that parses (skipping torn commits).
+    """The newest generation that resolves (skipping torn commits).
 
     A dataset with no manifest files is at generation 0 with no sealed
     members — the state every dataset starts in.
@@ -253,28 +406,73 @@ def load_manifest(fs: SimulatedPFS, root: str) -> Manifest:
             return load_manifest_at(fs, root, generation)
         except ManifestError:
             continue  # torn/interrupted commit: fall back one generation
-    return Manifest(0, ())
+    return Manifest(0)
 
 
-def commit_manifest(fs: SimulatedPFS, root: str, manifest: Manifest) -> None:
-    """Atomically publish one new generation.
+def advance_manifest(fs: SimulatedPFS, root: str, manifest: Manifest) -> Manifest:
+    """The newest generation that extends ``manifest`` on disk.
 
-    The bump must be exactly ``latest_valid + 1`` — committing over a
-    *valid* existing generation or skipping ahead is refused, while
-    overwriting a torn leftover of the same generation (a crashed
-    commit being retried) is allowed: the torn file was never readable,
-    so no snapshot can reference it.
+    Probes ``manifest.generation + 1`` onward and reads only the records
+    found there, so a handle that committed the latest generation itself
+    reads nothing.  A record that does not extend the chain (a torn
+    leftover, or one written on another parent) ends the walk.
     """
-    latest = load_manifest(fs, root)
+    g = manifest.generation + 1
+    while fs.exists(path := manifest_path(root, g)):
+        try:
+            manifest = Manifest.from_bytes(_read(fs, path), parent=manifest)
+        except ManifestError:
+            break
+        g += 1
+    return manifest
+
+
+def commit_manifest(
+    fs: SimulatedPFS, root: str, manifest: Manifest, parent: Manifest | None = None
+) -> None:
+    """Atomically publish one new generation on top of ``parent``.
+
+    ``parent`` is the generation the caller built ``manifest`` on (read
+    from disk when omitted); generations committed since on top of it
+    are picked up first.  The bump must be exactly ``latest_valid + 1``
+    — committing over a *valid* existing generation or skipping ahead
+    is refused — and ``manifest`` must be the latest members plus new
+    ones sealed at its generation, on top of the latest record's CRC.
+    All of that is checked in memory, before a byte is written.
+    Overwriting a torn leftover of the same generation (a crashed commit
+    being retried) is allowed: the torn file was never readable, so no
+    snapshot can reference it.
+    """
+    if parent is None:
+        latest = load_manifest(fs, root)
+    else:
+        latest = advance_manifest(fs, root, parent)
     if manifest.generation != latest.generation + 1:
         raise ManifestError(
             f"commit of generation {manifest.generation} refused: latest "
             f"valid generation is {latest.generation}"
         )
-    missing = latest.keys() - manifest.keys()
-    if missing:
+    sealed = len(latest.members)
+    if manifest.members[:sealed] != latest.members:
+        missing = sorted(latest.keys() - manifest.keys())
         raise ManifestError(
-            f"commit would unseal members {sorted(missing)}; manifests are "
-            "append-only"
+            f"commit would unseal or change members {missing or 'in place'}; "
+            "manifests are append-only"
+        )
+    added = manifest.members[sealed:]
+    keys = {m.key for m in added}
+    if len(keys) != len(added) or any(
+        m.sealed_generation != manifest.generation or latest.member(m.key) is not None
+        for m in added
+    ):
+        raise ManifestError(
+            f"commit of generation {manifest.generation} refused: each new "
+            "member must be a new key sealed at that generation"
+        )
+    if manifest.parent_crc != latest.record_crc:
+        raise ManifestError(
+            f"commit of generation {manifest.generation} refused: it extends "
+            f"record CRC {manifest.parent_crc:#010x}, generation "
+            f"{latest.generation} is {latest.record_crc:#010x}"
         )
     fs.write_file(manifest_path(root, manifest.generation), manifest.to_bytes())

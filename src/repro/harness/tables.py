@@ -162,6 +162,10 @@ TABLES: dict[str, Table] = {table.name: table for table in (
     Table("fault_tolerance", "Fault tolerance - 1% value queries under injected faults, "
           "8 GB-class {ds}", ("fault rate", "io+dec s", "crc", "retries", "quarantined",
                              "degraded", "dropped"), "gts"),
+    Table("manifest_scaling", "Dataset manifests - bytes per append over a 96^2 campaign "
+          "(e2e ingest layout), a checkpoint every 16 generations",
+          ("generation", "written B/append", "parsed B/append", "last append B",
+           "fresh handle parsed B", "manifest B", "stored B", "manifest share")),
     Table("io_bytes", "Broker vs serial per-tenant batches - I/O bytes, 8 GB-class {ds}",
           _FIELDS, "gts"),
     Table("open_loop", "Broker open-loop replay - 64 tenants x 3 drifting 2% region "

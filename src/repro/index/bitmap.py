@@ -231,7 +231,9 @@ def wah_from_positions(positions: np.ndarray, nbits: int) -> np.ndarray:
     """
     if nbits == 0:
         return np.empty(0, dtype=np.uint64)
-    pos = np.unique(np.asarray(positions, dtype=np.int64))
+    pos = np.asarray(positions, dtype=np.int64).ravel()
+    if not np.all(pos[1:] > pos[:-1]):  # sorted, unique input skips the sort
+        pos = np.unique(pos)
     if pos.size and (pos[0] < 0 or pos[-1] >= nbits):
         raise ValueError(f"positions out of range [0, {nbits})")
     n_groups = (nbits + _GROUP_BITS - 1) // _GROUP_BITS

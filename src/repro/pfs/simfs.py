@@ -144,8 +144,8 @@ class SimulatedPFS:
         self.cost_model = cost_model if cost_model is not None else PFSCostModel()
         self._files: dict[str, _SimFile] = {}
         #: The paths of ``_files``, sorted: a prefix query bisects a
-        #: range instead of scanning the namespace, which made append
-        #: campaigns (two manifest lookups per append) quadratic.
+        #: range instead of scanning the namespace (listing a dataset's
+        #: manifest generations, or the files under one member).
         self._paths: list[str] = []
         self._cache = _ExtentCache()
 

@@ -42,7 +42,7 @@ from math import inf
 import numpy as np
 
 from repro.core.dataset import MLOCDataset
-from repro.core.manifest import load_manifest_at, member_key
+from repro.core.manifest import member_key
 from repro.core.query import Query
 from repro.server.replay import Arrival, ReplayReport, Source
 
@@ -105,12 +105,10 @@ class IngestSession:
     ) -> None:
         self.dataset = dataset
         self._pending = sorted(arrivals, key=lambda a: (a.time, a.variable))
-        self.base_generation = dataset.generation
         #: Members sealed before this session began: queryable at any
         #: simulated time, with no ingest stall.
-        self.base_manifest = load_manifest_at(
-            dataset.fs, dataset.root, self.base_generation
-        )
+        self.base_manifest = dataset.manifest
+        self.base_generation = self.base_manifest.generation
         self.appended: list[AppendRecord] = []
         self.busy_until = 0.0
         self.raw_bytes = 0

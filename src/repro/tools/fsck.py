@@ -40,9 +40,11 @@ import numpy as np
 from repro.compression.base import ByteCodec, make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.manifest import (
+    CHECKPOINT_EVERY,
     Manifest,
     ManifestError,
-    load_manifest_at,
+    ManifestRecord,
+    load_manifest_record,
     manifest_generations,
     manifest_path,
 )
@@ -474,16 +476,21 @@ def check_dataset(
 ) -> list[Issue]:
     """Check a dataset root against its manifests (``repro.core.manifest``).
 
-    Validates the generation chain (every manifest parses, records the
-    generation its filename claims, and is append-only with respect to
-    its predecessor — a sealed member never disappears or changes),
-    then the newest valid generation's member set: each member's
-    metadata must exist and hash to the recorded ``meta_crc``, and its
-    per-member ``hbi``/``peb`` records (built at seal time) must be
-    internally consistent with that metadata.  Store directories that
-    no valid generation references are reported as
-    ``kind="orphaned-member"`` — the harmless-but-reclaimable
-    footprint of an append that crashed before its commit.
+    Walks the generation chain once, in order, reading every record
+    once.  A generation that does not resolve — its record is torn,
+    names another generation than its filename, or is a delta whose
+    parent does not resolve, whose parent CRC does not match, or that
+    seals a member again — is ``kind="manifest-torn"``: exactly the
+    generations ``load_manifest`` skips.  A checkpoint must also name
+    its parent's record CRC and equal the replay of the deltas since
+    the previous checkpoint (a sealed member never disappears or
+    changes).  Then the newest resolving generation's member set: each
+    member's metadata must exist and hash to the recorded ``meta_crc``,
+    and its per-member ``hbi``/``peb`` records (built at seal time)
+    must be internally consistent with that metadata.  Store
+    directories that no manifest record lists are reported as
+    ``kind="orphaned-member"`` — the harmless-but-reclaimable footprint
+    of an append that crashed before its commit.
 
     A root with no manifest files is at generation 0 with no sealed
     members, so every store directory under it is an orphan.
@@ -491,18 +498,39 @@ def check_dataset(
     on every sealed member.
     """
     root = root.rstrip("/")
-    generations = manifest_generations(fs, root)
+    generations = [g for g in manifest_generations(fs, root) if g > 0]
     issues: list[Issue] = []
-    valid: dict[int, Manifest] = {} if generations else {0: Manifest(0)}
+    sealed_anywhere: set[str] = set()
+    latest: Manifest | None = None if generations else Manifest(0)
+    #: The resolved previous generation (``None``: it does not resolve),
+    #: and the deltas read since its checkpoint.
+    state: Manifest | None = Manifest(0)
+    deltas = 0
     for generation in generations:
         path = manifest_path(root, generation)
+        severity = "warning" if generation == generations[-1] else "error"
+        parent = state if state is not None and state.generation == generation - 1 else None
         try:
-            valid[generation] = load_manifest_at(fs, root, generation)
+            record = load_manifest_record(fs, root, generation)
+            sealed_anywhere.update(m.key for m in record.members)
+            if record.checkpoint:
+                state, deltas = Manifest.from_record(record), 0
+            elif parent is None:
+                raise ManifestError(
+                    f"manifest: generation {generation} is a delta on generation "
+                    f"{generation - 1}, which does not resolve"
+                )
+            elif deltas == CHECKPOINT_EVERY - 1:
+                raise ManifestError(
+                    f"manifest: generation {generation} lies more than "
+                    f"{CHECKPOINT_EVERY - 1} deltas past a checkpoint"
+                )
+            else:
+                state, deltas = Manifest.from_record(record, parent), deltas + 1
         except ManifestError as exc:
             # The newest generation being torn is the expected footprint
             # of an interrupted commit (the previous one still serves);
             # a torn *interior* generation means history damage.
-            severity = "warning" if generation == generations[-1] else "error"
             issues.append(
                 Issue(
                     severity,
@@ -512,7 +540,12 @@ def check_dataset(
                     path=path,
                 )
             )
-    if not valid:
+            state = None
+            continue
+        latest = state
+        if record.checkpoint and parent is not None:
+            issues += _check_checkpoint(path, record, parent)
+    if latest is None:
         issues.append(
             Issue(
                 "error",
@@ -523,34 +556,6 @@ def check_dataset(
         )
         return issues
 
-    ordered = sorted(valid)
-    for prev_gen, cur_gen in zip(ordered, ordered[1:]):
-        prev, cur = valid[prev_gen], valid[cur_gen]
-        cur_members = {m.key: m for m in cur.members}
-        for member in prev.members:
-            loc = manifest_path(root, cur_gen)
-            if member.key not in cur_members:
-                issues.append(
-                    Issue(
-                        "error",
-                        loc,
-                        f"member {member.key!r} sealed at generation "
-                        f"{prev_gen} missing from generation {cur_gen}; "
-                        "manifests are append-only",
-                    )
-                )
-            elif cur_members[member.key] != member:
-                issues.append(
-                    Issue(
-                        "error",
-                        loc,
-                        f"member {member.key!r} record changed between "
-                        f"generations {prev_gen} and {cur_gen}; sealed "
-                        "members are immutable",
-                    )
-                )
-
-    latest = valid[ordered[-1]]
     for member in latest.members:
         var_root = f"{root}/{member.key}"
         meta_path = f"{var_root}/meta"
@@ -598,9 +603,6 @@ def check_dataset(
         if deep:
             issues += check_store(fs, root, member.key)
 
-    sealed_anywhere: set[str] = set()
-    for manifest in valid.values():
-        sealed_anywhere |= manifest.keys()
     prefix = root + "/"
     on_disk = {
         rest.split("/", 1)[0]
@@ -613,10 +615,57 @@ def check_dataset(
             Issue(
                 "warning",
                 f"{root}/{key}",
-                "member on disk but in no manifest generation "
+                "member on disk but in no manifest record "
                 "(interrupted append; reclaimable)",
                 kind="orphaned-member",
                 path=f"{root}/{key}",
+            )
+        )
+    return issues
+
+
+def _check_checkpoint(path: str, record: ManifestRecord, parent: Manifest) -> list[Issue]:
+    """A checkpoint read on top of its resolved parent: it must name the
+    parent's record and list exactly the parent's members plus its own."""
+    g = record.generation
+    if record.parent_crc != parent.record_crc:
+        return [
+            Issue(
+                "error",
+                path,
+                f"checkpoint {g} names parent CRC {record.parent_crc:#010x}, "
+                f"generation {g - 1} has {parent.record_crc:#010x}",
+            )
+        ]
+    issues = []
+    listed = {m.key: m for m in record.members}
+    for member in parent.members:
+        if member.key not in listed:
+            issues.append(
+                Issue(
+                    "error",
+                    path,
+                    f"member {member.key!r} sealed at generation "
+                    f"{member.sealed_generation} missing from checkpoint {g}; "
+                    "manifests are append-only",
+                )
+            )
+        elif listed[member.key] != member:
+            issues.append(
+                Issue(
+                    "error",
+                    path,
+                    f"member {member.key!r} record changed between the deltas "
+                    f"and checkpoint {g}; sealed members are immutable",
+                )
+            )
+    if not issues and record.members != parent.members + record.added():
+        issues.append(
+            Issue(
+                "error",
+                path,
+                f"checkpoint {g} is not the replay of the deltas before it "
+                "plus the members it seals",
             )
         )
     return issues

@@ -174,3 +174,29 @@ def test_position_scatters_match_a_bit_by_bit_reference(data):
     words = wah_from_positions(pos, nbits)
     assert np.array_equal(words, wah_encode(expected, nbits))
     assert np.array_equal(wah_decode(words, nbits), expected)
+
+
+@pytest.mark.parametrize(
+    "nbits,positions",
+    [
+        (200, [3, 70, 71, 199]),  # sorted and unique: the fast path
+        (200, [199, 3, 71, 70]),  # unsorted
+        (200, [3, 3, 70, 70, 70, 199]),  # sorted with repeats
+        (200, [70, 3, 199, 3, 70]),  # unsorted with repeats
+        (200, []),
+        (1, [0]),
+        (63, [0, 62]),  # the first group's two ends
+        (126, [62, 63, 125]),  # both sides of a group boundary
+        (127, list(range(127))),  # every bit, one past two groups
+    ],
+)
+def test_sorted_input_fast_path_matches_the_reference(nbits, positions):
+    """Sorted, unique positions skip ``np.unique``; every other input is
+    normalised first.  Both give the dense encoder's words."""
+    expected = wah_encode(_reference_buffer(positions, nbits), nbits)
+    for dtype in (np.int64, np.int32):
+        words = wah_from_positions(np.array(positions, dtype=dtype), nbits)
+        assert np.array_equal(words, expected)
+    for bad in ([-1, 5], [5, nbits], [nbits, 5]):
+        with pytest.raises(ValueError, match="out of range"):
+            wah_from_positions(np.array(bad, dtype=np.int64), nbits)

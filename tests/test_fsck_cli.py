@@ -164,6 +164,33 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "orphaned-member" in out
 
+    def test_info_prints_stored_bytes_per_record_kind(self, tmp_path, capsys):
+        """One row per record kind, bytes and fraction of raw, summing to
+        every stored byte of the snapshot."""
+        from repro.core import MLOCDataset
+
+        snap = str(tmp_path / "campaign.pfs")
+        fs = SimulatedPFS()
+        ds = MLOCDataset(fs, "/camp", mloc_col(chunk_shape=(16, 16), n_bins=8), n_ranks=4)
+        for t in range(3):
+            ds.append(gts_like((64, 64), seed=t), "temp", t)
+        fs.save(snap)
+        assert main(["info", snap]) == 0
+        out = capsys.readouterr().out
+        raw = 3 * 64 * 64 * 8
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines()[out.splitlines().index("") + 2 :]
+        }
+        assert list(rows) == [
+            "bin*.data", "bin*.index", "meta", "hbi", "peb", "manifest.g*", "stored"
+        ]  # fmt: skip
+        manifests = sum(fs.size(p) for p in fs.list_files("/camp/manifest.g"))
+        assert rows["manifest.g*"] == [str(manifests), f"{manifests / raw:.2%}"]
+        total = fs.total_bytes()
+        assert rows["stored"] == [str(total), f"{total / raw:.2%}"]
+        assert sum(int(size) for size, _ in list(rows.values())[:-1]) == total
+
     def test_fsck_requires_variable_or_dataset(self, tmp_path, capsys):
         snap = str(tmp_path / "demo.pfs")
         SimulatedPFS().save(snap)

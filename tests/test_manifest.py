@@ -11,6 +11,8 @@ top: ``MLOCDataset.append`` / ``DatasetSnapshot`` pinning and the
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.core import (
     manifest_path,
     mloc_col,
 )
-from repro.core.manifest import commit_manifest, manifest_generations
+from repro.core.manifest import CHECKPOINT_EVERY, commit_manifest, manifest_generations
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.tools.fsck import check_dataset
@@ -51,12 +53,16 @@ def _config():
 
 
 def test_manifest_round_trip():
+    """Each generation's record (a delta) resolves back on its parent."""
     m = Manifest(0)
-    m = m.with_member(_member("temp@000000", 1, timestep=0))
-    m = m.with_member(_member("temp@000001", 2, timestep=1))
-    m = m.with_member(_member("pressure", 3))
-    back = Manifest.from_bytes(m.to_bytes())
-    assert back == m
+    for member in (
+        _member("temp@000000", 1, timestep=0),
+        _member("temp@000001", 2, timestep=1),
+        _member("pressure", 3),
+    ):
+        parent, m = m, m.with_member(member)
+        back = Manifest.from_bytes(m.to_bytes(), parent=parent)
+        assert back == m and back.record_crc == m.record_crc
     assert back.member("pressure").timestep is None
     assert back.member("temp@000001").variable == "temp"
     assert back.keys() == {"temp@000000", "temp@000001", "pressure"}
@@ -128,6 +134,24 @@ def test_commit_refuses_unsealing():
         commit_manifest(fs, "/ds", Manifest(2, (_member("b", 2),)))
 
 
+def test_commit_refuses_what_does_not_extend_the_parent_before_writing():
+    """New members must be new keys sealed at the new generation, on top
+    of the parent's record CRC; a refused commit writes nothing."""
+    fs = SimulatedPFS()
+    m1 = Manifest(0).with_member(_member("a", 1))
+    commit_manifest(fs, "/ds", m1)
+    crc = m1.record_crc
+    for bad, message in [
+        (Manifest(2, m1.members + (_member("b", 1),), parent_crc=crc), "new key sealed"),
+        (Manifest(2, m1.members + (_member("a", 2),), parent_crc=crc), "new key sealed"),
+        (Manifest(2, m1.members + (_member("b", 2),), parent_crc=crc ^ 1), "extends record CRC"),
+    ]:
+        for parent in (None, m1):
+            with pytest.raises(ManifestError, match=message):
+                commit_manifest(fs, "/ds", bad, parent=parent)
+    assert manifest_generations(fs, "/ds") == [1]
+
+
 def test_torn_manifest_is_skipped_and_retryable():
     fs = SimulatedPFS()
     m1 = Manifest(0).with_member(_member("a", 1))
@@ -152,6 +176,72 @@ def test_filename_generation_mismatch_is_torn():
     assert load_manifest(fs, "/ds") == Manifest(0)
 
 
+class _CountingPFS(SimulatedPFS):
+    """Counts the bytes read from and written to manifest files."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.manifest_read = self.manifest_written = 0
+
+    def _make_handle(self, session, path):
+        handle = super()._make_handle(session, path)
+        if "/manifest.g" in path:
+            read = handle.read
+
+            def counted(offset, length):
+                self.manifest_read += length
+                return read(offset, length)
+
+            handle.read = counted
+        return handle
+
+    def write_file(self, path, data):
+        if "/manifest.g" in path:
+            self.manifest_written += len(data)
+        super().write_file(path, data)
+
+
+def _append_work(n: int) -> dict[str, tuple[int, int]]:
+    """Manifest bytes (read, written) of appends onto ``n - 1`` generations."""
+    fs = _CountingPFS()
+    parent = Manifest(0)
+    for g in range(1, n):
+        manifest = parent.with_member(_member(f"temp@{g:06d}", g, timestep=g))
+        commit_manifest(fs, "/ds", manifest, parent=parent)
+        parent = manifest
+    writer = MLOCDataset(fs, "/ds", _config(), n_ranks=4)
+    other = MLOCDataset(fs, "/ds", _config(), n_ranks=4)
+    other.snapshot()
+    data = gts_like((16, 16), seed=0)
+    writer.append(data, "temp", n)  # a handle's first append loads the chain
+    work = {}
+    for name, handle, timestep in [
+        ("held", writer, n + 1),  # the handle committed the parent itself
+        ("snapshot", writer, None),
+        ("behind", other, n + 2),  # another handle committed two since
+    ]:
+        fs.manifest_read = fs.manifest_written = 0
+        if timestep is None:
+            handle.snapshot()
+        else:
+            handle.append(data, "temp", timestep)
+        work[name] = (fs.manifest_read, fs.manifest_written)
+    return work
+
+
+def test_append_work_does_not_grow_with_the_dataset():
+    """An append reads only the generations its handle did not write and
+    writes one delta: the same bytes at 10 generations as at 500."""
+    small, large = _append_work(10), _append_work(500)
+    assert small == large
+    delta = small["held"][1]
+    assert small["held"] == (0, delta)
+    assert small["snapshot"] == (0, 0)
+    assert small["behind"] == (2 * delta, delta)
+
+
+# ----------------------------------------------------------------------
+# MLOCDataset.append + DatasetSnapshot
 # ----------------------------------------------------------------------
 # MLOCDataset.append + DatasetSnapshot
 
@@ -271,6 +361,41 @@ def test_fsck_flags_torn_newest_manifest(appended_dataset):
     assert any(i.kind == "manifest-torn" for i in issues)
     # newest-generation torn commit is recoverable -> warning, not error
     assert all(i.severity == "warning" for i in issues if i.kind == "manifest-torn")
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda members: members[1:], "missing from checkpoint 16; manifests are append-only"),
+        (
+            lambda members: (dataclasses.replace(members[0], total_bytes=1),) + members[1:],
+            "record changed between the deltas and checkpoint 16",
+        ),
+        (
+            lambda members: members[:3] + (_member("x@000003", 3),) + members[3:],
+            "not the replay of the deltas",
+        ),
+    ],
+    ids=["unsealed", "changed", "never-sealed"],
+)
+def test_fsck_flags_a_checkpoint_that_is_not_the_replay(damage, message):
+    """A checkpoint on the right parent CRC must still list exactly the
+    members the deltas before it sealed, plus its own."""
+    fs = SimulatedPFS()
+    parent = Manifest(0)
+    for g in range(1, CHECKPOINT_EVERY):
+        manifest = parent.with_member(_member(f"t@{g:06d}", g, timestep=g))
+        commit_manifest(fs, "/ds", manifest)
+        parent = manifest
+    good = parent.with_member(_member("t@000016", CHECKPOINT_EVERY, timestep=16))
+    bad = Manifest(good.generation, damage(good.members), parent_crc=good.parent_crc)
+    path = manifest_path("/ds", CHECKPOINT_EVERY)
+    fs.write_file(path, bad.to_bytes())
+    chain = [i for i in check_dataset(fs, "/ds") if i.location == path]
+    assert [(i.kind, i.severity) for i in chain] == [("other", "error")]
+    assert message in chain[0].message
+    fs.write_file(path, good.to_bytes())
+    assert not [i for i in check_dataset(fs, "/ds") if i.location == path]
 
 
 def test_fsck_flags_meta_crc_mismatch(appended_dataset):

@@ -106,10 +106,18 @@ GEOMETRY_DAMAGE = {
     ("hbi", "v1-record"): (8, "<I", 1, "unsupported version 1"),
     ("peb", "six-levels"): (HEADER, "<q", 6, "impossible shape"),
     ("peb", "negative-chunks"): (HEADER + 8, "<q", -1, "impossible shape"),
+    # manifest (generation 1, a delta): <qqIBI generation, parent
+    # generation, parent CRC, kind (4), n_members (4), then the member
+    # KEY (11 bytes) and its <qqIq timestep, sealed_generation, ...
     ("manifest", "negative-generation"): (HEADER, "<q", -1, "negative generation"),
-    ("manifest", "member-count"): (HEADER + 8, "<I", 2**31, "truncated"),
-    ("manifest", "key-overrun"): (HEADER + 12, "<H", 0xFFFF, "truncated"),
-    ("manifest", "key-not-utf8"): (HEADER + 14, "<B", 0xFF, "not UTF-8"),
+    ("manifest", "wrong-parent"): (HEADER + 8, "<q", 5, "names parent generation 5"),
+    ("manifest", "wrong-parent-crc"): (HEADER + 16, "<I", 0, "names parent CRC"),
+    ("manifest", "unknown-kind"): (HEADER + 20, "<B", 7, "unknown record kind 7"),
+    ("manifest", "member-count"): (HEADER + 21, "<I", 2**31, "truncated"),
+    ("manifest", "key-overrun"): (HEADER + 25, "<H", 0xFFFF, "truncated"),
+    ("manifest", "key-not-utf8"): (HEADER + 27, "<B", 0xFF, "not UTF-8"),
+    ("manifest", "delta-seals-later"): (HEADER + 46, "<q", 2, "outside"),
+    ("manifest", "v1-record"): (8, "<I", 1, "unsupported version 1"),
     # snapshot: <qqddqddd cost model, <I n_files, then the first file,
     # "/ds/manifest.g00000001" (22 bytes), and its <IQ first_ost, size.
     ("snapshot", "zero-osts"): (HEADER, "<q", 0, "ost_count must be positive"),
