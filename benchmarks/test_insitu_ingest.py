@@ -47,6 +47,7 @@ from repro.server import (
     TimestepArrival,
     replay,
 )
+from tests.counting_pfs import CountingPFS
 
 N_TIMESTEPS = 8
 CADENCE_S = 2.0  # simulation output interval
@@ -193,31 +194,6 @@ def test_append_touches_only_new_member_and_manifest():
     }
 
 
-class _CountingPFS(SimulatedPFS):
-    """Counts the bytes read from and written to manifest files."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.manifest_read = self.manifest_written = 0
-
-    def _make_handle(self, session, path):
-        handle = super()._make_handle(session, path)
-        if "/manifest.g" in path:
-            read = handle.read
-
-            def counted(offset, length):
-                self.manifest_read += length
-                return read(offset, length)
-
-            handle.read = counted
-        return handle
-
-    def write_file(self, path, data):
-        if "/manifest.g" in path:
-            self.manifest_written += len(data)
-        super().write_file(path, data)
-
-
 SCALING_AT = (10, 100, 1000)
 SCALING_MAX_SHARE = 0.03
 
@@ -225,7 +201,7 @@ SCALING_MAX_SHARE = 0.03
 def test_manifest_scaling():
     """Manifest bytes per append stay flat over a 1 000-timestep campaign
     (96², 32x32 chunks, 32 bins: the e2e ``ingest_append`` layout)."""
-    fs = _CountingPFS()
+    fs = CountingPFS()
     config = mloc_col(chunk_shape=(32, 32), n_bins=32)
     dataset = MLOCDataset(fs, "/ds", config, n_ranks=4)
     fields = [gts_like((96, 96), seed=s) for s in range(10)]

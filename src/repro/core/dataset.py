@@ -119,6 +119,8 @@ class MLOCDataset:
             total_bytes=report.total_bytes,
         )
         manifest = current.with_member(member)
+        # The commit probes again: another handle may have committed
+        # while the member was being written.
         commit_manifest(self.fs, self.root, manifest, parent=current)
         self._manifest = manifest
         return report

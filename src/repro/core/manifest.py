@@ -17,9 +17,10 @@ generation-numbered **manifest files**:
     entry is its key, timestep, the CRC of its metadata record
     (pinning the exact sealed bytes), and its storage footprint.
 
-Generation ``N`` resolves from the nearest checkpoint at or below it
-plus at most ``CHECKPOINT_EVERY - 1`` deltas, each of which must name
-the record CRC of the generation before it; generation 0 is the empty
+Generation ``N`` resolves from the checkpoint ``N - N % CHECKPOINT_EVERY``
+plus the deltas after it, each of which must name the record CRC of
+the generation before it (:func:`walk_chain` is that one rule; the
+loaders and ``fsck`` all walk it); generation 0 is the empty
 checkpoint every chain starts from, and is never written.  An append
 therefore writes one small record, and reads nothing when its handle
 already holds the parent (:func:`advance_manifest`): its cost does
@@ -46,7 +47,7 @@ Like the ``hbi``/``peb`` records the manifest is versioned, magic
 tagged, and CRC'd; unlike them it is authoritative rather than derived
 (there is nothing to rebuild it from), which is why it is the *only*
 file the append protocol ever rewrites — and then only a torn leftover
-of its own generation.
+of its own generation, never a record that decodes.
 
 This module sits *below* ``repro.core.store`` (enforced by
 ``scripts/check_layers.py`` rule 4): it may import the PFS substrate
@@ -57,6 +58,7 @@ all depend on it without cycles.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,6 +67,7 @@ from repro.util.record import FormatError, RecordReader, frame, record_crc, text
 
 __all__ = [
     "CHECKPOINT_EVERY",
+    "ChainLink",
     "MANIFEST_MAGIC",
     "MANIFEST_VERSION",
     "Manifest",
@@ -79,13 +82,15 @@ __all__ = [
     "manifest_generations",
     "manifest_path",
     "member_key",
+    "walk_chain",
 ]
 
 MANIFEST_MAGIC = b"MLOCMAN\x00"
 MANIFEST_VERSION = 2
-#: Every ``CHECKPOINT_EVERY``-th generation is written in full; the
-#: ones between are deltas.  Checkpoints make the stored manifest bytes
-#: grow as N² / (2 K) member entries, and a reader replays at most
+#: Generation ``N`` is written in full (a checkpoint) exactly when
+#: ``N % CHECKPOINT_EVERY == 0``; the ones between are deltas.
+#: Checkpoints make the stored manifest bytes grow as N² / (2 K)
+#: member entries, and a reader replays at most
 #: K − 1 deltas: at K = 16 the manifests of a 1 000-generation 96²
 #: campaign are 1.8 % of its stored bytes (K = 8 would be 3.6 %;
 #: ``benchmarks/test_insitu_ingest.py``, ``manifest_scaling``).
@@ -157,6 +162,11 @@ class ManifestRecord:
             reader.fail(f"generation {generation} names parent generation {parent}")
         if kind not in (_DELTA, _CHECKPOINT):
             reader.fail(f"unknown record kind {kind}")
+        if (kind == _CHECKPOINT) != (generation % CHECKPOINT_EVERY == 0):
+            reader.fail(
+                f"generation {generation} written as a "
+                f"{'checkpoint' if kind == _CHECKPOINT else 'delta'}"
+            )
         # Bound the count by the bytes left before looping over it.
         if n_members * _MIN_MEMBER > len(raw) - _HEADER.size:
             reader.fail(f"truncated: {n_members} members cannot fit {len(raw)} bytes")
@@ -366,33 +376,74 @@ def load_manifest_record(fs: SimulatedPFS, root: str, generation: int) -> Manife
     return record
 
 
+@dataclass(frozen=True)
+class ChainLink:
+    """One generation of a forward walk over the chain (:func:`walk_chain`)."""
+
+    generation: int
+    #: The decoded record (``None`` when it is absent or does not decode).
+    record: ManifestRecord | None
+    #: Generation ``generation - 1`` as the walk resolved it, or ``None``.
+    parent: Manifest | None
+    #: This generation resolved, or ``None`` with the reason in ``error``.
+    manifest: Manifest | None
+    error: ManifestError | None
+
+
+def walk_chain(
+    fs: SimulatedPFS, root: str, generations: Iterable[int]
+) -> Iterator[ChainLink]:
+    """Resolve ``generations`` (increasing, each positive) in order,
+    reading each record once.
+
+    The one rule by which a generation resolves: its record decodes
+    (which pins whether it is a checkpoint by its number); a checkpoint
+    stands on its own, and a delta resolves only on top of the resolved
+    generation before it, whose record CRC it must name.  The walk
+    starts from the empty generation 0, so a delta whose parent is not
+    in ``generations`` or does not resolve does not resolve either.
+    """
+    prev: Manifest | None = Manifest(0)
+    for g in generations:
+        parent = prev if prev is not None and prev.generation == g - 1 else None
+        record = None
+        try:
+            record = load_manifest_record(fs, root, g)
+            if record.checkpoint:
+                manifest = Manifest.from_record(record)
+            elif parent is None:
+                raise ManifestError(
+                    f"manifest: generation {g} is a delta on generation {g - 1}, "
+                    "which does not resolve"
+                )
+            else:
+                manifest = Manifest.from_record(record, parent)
+        except ManifestError as exc:
+            prev = None
+            yield ChainLink(g, record, parent, None, exc)
+        else:
+            prev = manifest
+            yield ChainLink(g, record, parent, manifest, None)
+
+
 def load_manifest_at(fs: SimulatedPFS, root: str, generation: int) -> Manifest:
     """The exact generation, or :class:`ManifestError` if it does not
-    resolve: a record on its chain is absent or torn, a parent CRC does
-    not match, or it lies more than ``CHECKPOINT_EVERY - 1`` deltas past
-    a checkpoint."""
-    if generation == 0:
-        return Manifest(0)
-    deltas: list[ManifestRecord] = []
-    base: Manifest | None = None
-    g = generation
-    while base is None:
-        record = load_manifest_record(fs, root, g)
-        if record.checkpoint:
-            base = Manifest.from_record(record)
-        elif len(deltas) == CHECKPOINT_EVERY - 1:
-            raise ManifestError(
-                f"manifest: generation {generation} lies more than "
-                f"{CHECKPOINT_EVERY - 1} deltas past a checkpoint"
-            )
-        else:
-            deltas.append(record)
-            g -= 1
-            if g == 0:
-                base = Manifest(0)
-    for record in reversed(deltas):
-        base = Manifest.from_record(record, base)
-    return base
+    resolve: a record between it and its checkpoint is absent or torn,
+    or a parent CRC does not match.  The error is the generation's own,
+    caused by the first record on its chain that failed."""
+    if generation < 0:
+        raise ValueError(f"generation must be non-negative, got {generation}")
+    manifest: Manifest | None = Manifest(0)
+    first: ManifestError | None = None
+    start = max(1, generation - generation % CHECKPOINT_EVERY)
+    for link in walk_chain(fs, root, range(start, generation + 1)):
+        first = first or link.error
+        manifest = link.manifest
+    if manifest is None:
+        if link.error is first:
+            raise link.error
+        raise link.error from first
+    return manifest
 
 
 def load_manifest(fs: SimulatedPFS, root: str) -> Manifest:
@@ -410,43 +461,48 @@ def load_manifest(fs: SimulatedPFS, root: str) -> Manifest:
 
 
 def advance_manifest(fs: SimulatedPFS, root: str, manifest: Manifest) -> Manifest:
-    """The newest generation that extends ``manifest`` on disk.
+    """The newest committed generation, found from ``manifest``.
 
     Probes ``manifest.generation + 1`` onward and reads only the records
     found there, so a handle that committed the latest generation itself
-    reads nothing.  A record that does not extend the chain (a torn
-    leftover, or one written on another parent) ends the walk.
+    reads nothing.  A record that does not extend the chain ends the
+    walk; when it is the newest file it is a torn leftover, but when a
+    later generation exists the damage is interior and the chain may
+    resume at a later checkpoint, so the newest generation that
+    resolves (:func:`load_manifest`) is taken if it is newer.
     """
     g = manifest.generation + 1
     while fs.exists(path := manifest_path(root, g)):
         try:
             manifest = Manifest.from_bytes(_read(fs, path), parent=manifest)
         except ManifestError:
+            if fs.exists(manifest_path(root, g + 1)):
+                latest = load_manifest(fs, root)
+                if latest.generation > manifest.generation:
+                    return latest
             break
         g += 1
     return manifest
 
 
 def commit_manifest(
-    fs: SimulatedPFS, root: str, manifest: Manifest, parent: Manifest | None = None
+    fs: SimulatedPFS, root: str, manifest: Manifest, parent: Manifest
 ) -> None:
     """Atomically publish one new generation on top of ``parent``.
 
-    ``parent`` is the generation the caller built ``manifest`` on (read
-    from disk when omitted); generations committed since on top of it
-    are picked up first.  The bump must be exactly ``latest_valid + 1``
-    — committing over a *valid* existing generation or skipping ahead
-    is refused — and ``manifest`` must be the latest members plus new
+    ``parent`` is the generation the caller built ``manifest`` on;
+    generations committed since are picked up first
+    (:func:`advance_manifest`).  The bump must be exactly ``latest + 1``
+    — committing over an existing generation or skipping ahead is
+    refused — and ``manifest`` must be the latest members plus new
     ones sealed at its generation, on top of the latest record's CRC.
-    All of that is checked in memory, before a byte is written.
-    Overwriting a torn leftover of the same generation (a crashed commit
-    being retried) is allowed: the torn file was never readable, so no
-    snapshot can reference it.
+    All of that is checked in memory, before a byte is written.  The
+    target file may already exist only as a torn leftover (a crashed
+    commit being retried, or damage): bytes that do not decode were
+    never readable, so no snapshot can reference them.  A target that
+    decodes is never overwritten.
     """
-    if parent is None:
-        latest = load_manifest(fs, root)
-    else:
-        latest = advance_manifest(fs, root, parent)
+    latest = advance_manifest(fs, root, parent)
     if manifest.generation != latest.generation + 1:
         raise ManifestError(
             f"commit of generation {manifest.generation} refused: latest "
@@ -475,4 +531,15 @@ def commit_manifest(
             f"record CRC {manifest.parent_crc:#010x}, generation "
             f"{latest.generation} is {latest.record_crc:#010x}"
         )
-    fs.write_file(manifest_path(root, manifest.generation), manifest.to_bytes())
+    path = manifest_path(root, manifest.generation)
+    if fs.exists(path):
+        try:
+            ManifestRecord.from_bytes(_read(fs, path))
+        except ManifestError:
+            pass  # a torn leftover: overwrite it
+        else:
+            raise ManifestError(
+                f"commit of generation {manifest.generation} refused: {path} "
+                f"holds a record that does not extend generation {latest.generation}"
+            )
+    fs.write_file(path, manifest.to_bytes())

@@ -40,13 +40,11 @@ import numpy as np
 from repro.compression.base import ByteCodec, make_codec
 from repro.core.chunking import ChunkGrid
 from repro.core.manifest import (
-    CHECKPOINT_EVERY,
     Manifest,
-    ManifestError,
     ManifestRecord,
-    load_manifest_record,
     manifest_generations,
     manifest_path,
+    walk_chain,
 )
 from repro.core.meta import StoreMeta, read_meta_bytes
 from repro.core.planner import cell_sizes
@@ -477,10 +475,11 @@ def check_dataset(
     """Check a dataset root against its manifests (``repro.core.manifest``).
 
     Walks the generation chain once, in order, reading every record
-    once.  A generation that does not resolve — its record is torn,
-    names another generation than its filename, or is a delta whose
-    parent does not resolve, whose parent CRC does not match, or that
-    seals a member again — is ``kind="manifest-torn"``: exactly the
+    once, by the rule the loaders resolve a generation with
+    (``walk_chain``).  A generation that does not resolve — its record
+    is torn, names another generation than its filename, or is a delta
+    whose parent does not resolve, whose parent CRC does not match, or
+    that seals a member again — is ``kind="manifest-torn"``: exactly the
     generations ``load_manifest`` skips.  A checkpoint must also name
     its parent's record CRC and equal the replay of the deltas since
     the previous checkpoint (a sealed member never disappears or
@@ -488,7 +487,7 @@ def check_dataset(
     member's metadata must exist and hash to the recorded ``meta_crc``,
     and its per-member ``hbi``/``peb`` records (built at seal time)
     must be internally consistent with that metadata.  Store
-    directories that no manifest record lists are reported as
+    directories that no resolving generation lists are reported as
     ``kind="orphaned-member"`` — the harmless-but-reclaimable footprint
     of an append that crashed before its commit.
 
@@ -502,49 +501,27 @@ def check_dataset(
     issues: list[Issue] = []
     sealed_anywhere: set[str] = set()
     latest: Manifest | None = None if generations else Manifest(0)
-    #: The resolved previous generation (``None``: it does not resolve),
-    #: and the deltas read since its checkpoint.
-    state: Manifest | None = Manifest(0)
-    deltas = 0
-    for generation in generations:
-        path = manifest_path(root, generation)
-        severity = "warning" if generation == generations[-1] else "error"
-        parent = state if state is not None and state.generation == generation - 1 else None
-        try:
-            record = load_manifest_record(fs, root, generation)
-            sealed_anywhere.update(m.key for m in record.members)
-            if record.checkpoint:
-                state, deltas = Manifest.from_record(record), 0
-            elif parent is None:
-                raise ManifestError(
-                    f"manifest: generation {generation} is a delta on generation "
-                    f"{generation - 1}, which does not resolve"
-                )
-            elif deltas == CHECKPOINT_EVERY - 1:
-                raise ManifestError(
-                    f"manifest: generation {generation} lies more than "
-                    f"{CHECKPOINT_EVERY - 1} deltas past a checkpoint"
-                )
-            else:
-                state, deltas = Manifest.from_record(record, parent), deltas + 1
-        except ManifestError as exc:
+    for link in walk_chain(fs, root, generations):
+        path = manifest_path(root, link.generation)
+        if link.error is not None:
             # The newest generation being torn is the expected footprint
             # of an interrupted commit (the previous one still serves);
             # a torn *interior* generation means history damage.
+            severity = "warning" if link.generation == generations[-1] else "error"
             issues.append(
                 Issue(
                     severity,
                     path,
-                    f"manifest unreadable: {exc}",
+                    f"manifest unreadable: {link.error}",
                     kind="manifest-torn",
                     path=path,
                 )
             )
-            state = None
             continue
-        latest = state
-        if record.checkpoint and parent is not None:
-            issues += _check_checkpoint(path, record, parent)
+        sealed_anywhere.update(m.key for m in link.record.members)
+        latest = link.manifest
+        if link.record.checkpoint and link.parent is not None:
+            issues += _check_checkpoint(path, link.record, link.parent)
     if latest is None:
         issues.append(
             Issue(

@@ -32,6 +32,7 @@ from repro.core.manifest import CHECKPOINT_EVERY, commit_manifest, manifest_gene
 from repro.datasets import gts_like
 from repro.pfs import SimulatedPFS
 from repro.tools.fsck import check_dataset
+from tests.counting_pfs import CountingPFS
 
 
 def _member(key: str, gen: int, *, timestep: int | None = None) -> ManifestMember:
@@ -106,8 +107,8 @@ def test_commit_and_load_chain():
     fs = SimulatedPFS()
     m1 = Manifest(0).with_member(_member("a", 1))
     m2 = m1.with_member(_member("b", 2))
-    commit_manifest(fs, "/ds", m1)
-    commit_manifest(fs, "/ds", m2)
+    commit_manifest(fs, "/ds", m1, parent=Manifest(0))
+    commit_manifest(fs, "/ds", m2, parent=load_manifest(fs, "/ds"))
     assert manifest_generations(fs, "/ds") == [1, 2]
     assert load_manifest(fs, "/ds") == m2
     assert load_manifest_at(fs, "/ds", 1) == m1
@@ -119,19 +120,21 @@ def test_commit_and_load_chain():
 def test_commit_requires_strict_bump():
     fs = SimulatedPFS()
     m1 = Manifest(0).with_member(_member("a", 1))
-    commit_manifest(fs, "/ds", m1)
+    commit_manifest(fs, "/ds", m1, parent=Manifest(0))
     with pytest.raises(ManifestError, match="refused"):
-        commit_manifest(fs, "/ds", m1)  # same generation again
+        commit_manifest(fs, "/ds", m1, parent=load_manifest(fs, "/ds"))  # same generation again
     m3 = Manifest(3, m1.members + (_member("b", 3),))
     with pytest.raises(ManifestError, match="refused"):
-        commit_manifest(fs, "/ds", m3)  # skips generation 2
+        commit_manifest(fs, "/ds", m3, parent=load_manifest(fs, "/ds"))  # skips generation 2
 
 
 def test_commit_refuses_unsealing():
     fs = SimulatedPFS()
-    commit_manifest(fs, "/ds", Manifest(0).with_member(_member("a", 1)))
+    commit_manifest(fs, "/ds", Manifest(0).with_member(_member("a", 1)), parent=Manifest(0))
     with pytest.raises(ManifestError, match="append-only"):
-        commit_manifest(fs, "/ds", Manifest(2, (_member("b", 2),)))
+        commit_manifest(
+            fs, "/ds", Manifest(2, (_member("b", 2),)), parent=load_manifest(fs, "/ds")
+        )
 
 
 def test_commit_refuses_what_does_not_extend_the_parent_before_writing():
@@ -139,14 +142,14 @@ def test_commit_refuses_what_does_not_extend_the_parent_before_writing():
     of the parent's record CRC; a refused commit writes nothing."""
     fs = SimulatedPFS()
     m1 = Manifest(0).with_member(_member("a", 1))
-    commit_manifest(fs, "/ds", m1)
+    commit_manifest(fs, "/ds", m1, parent=Manifest(0))
     crc = m1.record_crc
     for bad, message in [
         (Manifest(2, m1.members + (_member("b", 1),), parent_crc=crc), "new key sealed"),
         (Manifest(2, m1.members + (_member("a", 2),), parent_crc=crc), "new key sealed"),
         (Manifest(2, m1.members + (_member("b", 2),), parent_crc=crc ^ 1), "extends record CRC"),
     ]:
-        for parent in (None, m1):
+        for parent in (Manifest(0), m1):
             with pytest.raises(ManifestError, match=message):
                 commit_manifest(fs, "/ds", bad, parent=parent)
     assert manifest_generations(fs, "/ds") == [1]
@@ -155,7 +158,7 @@ def test_commit_refuses_what_does_not_extend_the_parent_before_writing():
 def test_torn_manifest_is_skipped_and_retryable():
     fs = SimulatedPFS()
     m1 = Manifest(0).with_member(_member("a", 1))
-    commit_manifest(fs, "/ds", m1)
+    commit_manifest(fs, "/ds", m1, parent=Manifest(0))
     # A torn generation-2 commit: readers fall back to generation 1.
     m2 = m1.with_member(_member("b", 2))
     fs.write_file(manifest_path("/ds", 2), m2.to_bytes()[:11])
@@ -163,7 +166,7 @@ def test_torn_manifest_is_skipped_and_retryable():
     with pytest.raises(ManifestError):
         load_manifest_at(fs, "/ds", 2)
     # Retrying the commit overwrites the unreadable leftover.
-    commit_manifest(fs, "/ds", m2)
+    commit_manifest(fs, "/ds", m2, parent=m1)
     assert load_manifest(fs, "/ds") == m2
 
 
@@ -176,34 +179,52 @@ def test_filename_generation_mismatch_is_torn():
     assert load_manifest(fs, "/ds") == Manifest(0)
 
 
-class _CountingPFS(SimulatedPFS):
-    """Counts the bytes read from and written to manifest files."""
+def test_commit_never_overwrites_a_record_that_decodes():
+    """Only a torn leftover may be overwritten: a readable record on
+    another parent at the target generation refuses the commit."""
+    fs = SimulatedPFS()
+    m1 = Manifest(0).with_member(_member("a", 1))
+    commit_manifest(fs, "/ds", m1, parent=Manifest(0))
+    fork = Manifest(2, m1.members + (_member("b", 2),), parent_crc=m1.record_crc ^ 1)
+    fs.write_file(manifest_path("/ds", 2), fork.to_bytes())
+    with pytest.raises(ManifestError, match="does not extend generation 1"):
+        commit_manifest(fs, "/ds", m1.with_member(_member("c", 2)), parent=m1)
+    assert fs.session().open(manifest_path("/ds", 2)).read_all() == fork.to_bytes()
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.manifest_read = self.manifest_written = 0
 
-    def _make_handle(self, session, path):
-        handle = super()._make_handle(session, path)
-        if "/manifest.g" in path:
-            read = handle.read
+def test_held_handle_finds_the_chain_past_interior_damage():
+    """A handle holds generation 5 while another commits 6..20; then 6 is
+    bit-flipped.  The held handle sees 20 (resolved from checkpoint 16),
+    appends 21, and rewrites neither 6 nor the checkpoint."""
+    fs = SimulatedPFS()
+    config = mloc_col(chunk_shape=(8, 8), n_bins=4)
+    data = gts_like((8, 8), seed=0)
+    held = MLOCDataset(fs, "/ds", config, n_ranks=2)
+    for t in range(5):
+        held.append(data, "temp", t)
+    other = MLOCDataset(fs, "/ds", config, n_ranks=2)
+    for t in range(5, 20):
+        other.append(data, "temp", t)
+    assert CHECKPOINT_EVERY == 16 and other.generation == 20
 
-            def counted(offset, length):
-                self.manifest_read += length
-                return read(offset, length)
+    def read(g):
+        return bytes(fs.session().open(manifest_path("/ds", g)).read_all())
 
-            handle.read = counted
-        return handle
+    damaged = bytearray(read(6))
+    damaged[len(damaged) // 2] ^= 0x01
+    fs.write_file(manifest_path("/ds", 6), bytes(damaged))
+    before = {g: read(g) for g in (6, 16)}
 
-    def write_file(self, path, data):
-        if "/manifest.g" in path:
-            self.manifest_written += len(data)
-        super().write_file(path, data)
+    assert held.snapshot().generation == 20
+    held.append(data, "temp", 20)
+    assert held.generation == 21
+    assert load_manifest(fs, "/ds").generation == 21
+    assert {g: read(g) for g in (6, 16)} == before
 
 
 def _append_work(n: int) -> dict[str, tuple[int, int]]:
     """Manifest bytes (read, written) of appends onto ``n - 1`` generations."""
-    fs = _CountingPFS()
+    fs = CountingPFS()
     parent = Manifest(0)
     for g in range(1, n):
         manifest = parent.with_member(_member(f"temp@{g:06d}", g, timestep=g))
@@ -240,8 +261,6 @@ def test_append_work_does_not_grow_with_the_dataset():
     assert small["behind"] == (2 * delta, delta)
 
 
-# ----------------------------------------------------------------------
-# MLOCDataset.append + DatasetSnapshot
 # ----------------------------------------------------------------------
 # MLOCDataset.append + DatasetSnapshot
 
@@ -385,7 +404,7 @@ def test_fsck_flags_a_checkpoint_that_is_not_the_replay(damage, message):
     parent = Manifest(0)
     for g in range(1, CHECKPOINT_EVERY):
         manifest = parent.with_member(_member(f"t@{g:06d}", g, timestep=g))
-        commit_manifest(fs, "/ds", manifest)
+        commit_manifest(fs, "/ds", manifest, parent=parent)
         parent = manifest
     good = parent.with_member(_member("t@000016", CHECKPOINT_EVERY, timestep=16))
     bad = Manifest(good.generation, damage(good.members), parent_crc=good.parent_crc)
@@ -396,6 +415,26 @@ def test_fsck_flags_a_checkpoint_that_is_not_the_replay(damage, message):
     assert message in chain[0].message
     fs.write_file(path, good.to_bytes())
     assert not [i for i in check_dataset(fs, "/ds") if i.location == path]
+
+
+def test_fsck_orphans_a_member_only_an_unresolved_generation_lists(appended_dataset):
+    """A member is sealed only by a generation that resolves: one listed
+    only by a delta on the wrong parent CRC is still an orphan."""
+    fs, ds = appended_dataset
+    MLOCWriter(fs, "/ds", _config()).write(
+        gts_like((64, 64), seed=8), variable="temp@000009"
+    )
+    latest = load_manifest(fs, "/ds")
+    stray = Manifest(
+        4,
+        latest.members + (ManifestMember("temp@000009", 9, 4, 1, 1),),
+        parent_crc=latest.record_crc ^ 1,
+    )
+    path = manifest_path("/ds", 4)
+    fs.write_file(path, stray.to_bytes())
+    issues = check_dataset(fs, "/ds")
+    assert [i.kind for i in issues if i.path == path] == ["manifest-torn"]
+    assert [i.path for i in issues if i.kind == "orphaned-member"] == ["/ds/temp@000009"]
 
 
 def test_fsck_flags_meta_crc_mismatch(appended_dataset):

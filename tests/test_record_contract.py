@@ -113,6 +113,7 @@ GEOMETRY_DAMAGE = {
     ("manifest", "wrong-parent"): (HEADER + 8, "<q", 5, "names parent generation 5"),
     ("manifest", "wrong-parent-crc"): (HEADER + 16, "<I", 0, "names parent CRC"),
     ("manifest", "unknown-kind"): (HEADER + 20, "<B", 7, "unknown record kind 7"),
+    ("manifest", "misplaced-checkpoint"): (HEADER + 20, "<B", 1, "written as a checkpoint"),
     ("manifest", "member-count"): (HEADER + 21, "<I", 2**31, "truncated"),
     ("manifest", "key-overrun"): (HEADER + 25, "<H", 0xFFFF, "truncated"),
     ("manifest", "key-not-utf8"): (HEADER + 27, "<B", 0xFF, "not UTF-8"),
